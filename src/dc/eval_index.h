@@ -14,10 +14,9 @@
 namespace cvrepair {
 
 /// Process-wide evaluation counters, shared by the plain violation scans
-/// (dc/violation.cc) and the shared evaluation index below. They exist to
-/// make the index's savings *checkable*: tests and the CLI compare the
-/// partition-build and predicate-evaluation totals of an indexed run
-/// against the unshared run of the same workload.
+/// (dc/violation.cc) and the shared evaluation index below. They make
+/// detection work *checkable*: RepairStats::index_* report a run's delta,
+/// and the eval.* metrics baselines pin them.
 struct EvalCounters {
   int64_t partition_builds = 0;   ///< hash partitions built by a full scan
   int64_t partition_refines = 0;  ///< partitions derived by splitting blocks
@@ -97,7 +96,7 @@ void AddScan(const EvalCounters& delta, bool truncated);
 /// the same sharing argument as the paper's §3.2 bound pruning and §4.2
 /// materialized solutions, applied one level down, to detection itself).
 ///
-/// Three memoized structures:
+/// Two memoized structures:
 ///
 ///  1. **Hash partitions keyed by the equality-join attribute set.** The
 ///     base's partition is built once; a variant that inserts equality
@@ -110,10 +109,11 @@ void AddScan(const EvalCounters& delta, bool truncated);
 ///     predicates: each candidate pair (or row, for 1-tuple constraints)
 ///     stores one bit per predicate. A variant then only evaluates its
 ///     *delta* predicates — the ones not shared with the base.
-///  3. The per-signature lower-bound memo lives one level up (the facts
-///     cache in repair/cvtolerant.cc, keyed by the variant's canonical
-///     predicate list): violations produced here feed it, and a bound is
-///     computed at most once per distinct predicate signature.
+///
+/// Not on the repair path: CVTolerantRepair detects each distinct
+/// constraint with one plain capped scan (ScanVariantFacts), which also
+/// keeps the zone maps in play. The index remains for the benchmark's
+/// staged mirror of Algorithm 1 (perfbench/src/staged.cc).
 ///
 /// Thread safety: construction and Prepare() are serial; afterwards every
 /// method is const and the index may be shared read-only across pool

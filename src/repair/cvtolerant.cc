@@ -4,8 +4,6 @@
 #include <chrono>
 #include <limits>
 #include <map>
-#include <memory>
-
 #include <optional>
 
 #include "dc/eval_index.h"
@@ -19,361 +17,74 @@ namespace cvrepair {
 
 namespace {
 
-// Cached per-constraint facts: its violations over I and the bounds of
-// its private conflict hypergraph. Bounds for a whole variant Σ' combine
-// conservatively: δ_l(Σ') >= max_i δ_l(φ_i') (more edges only enlarge the
-// cover) and δ_u(Σ') <= Σ_i δ_u(φ_i') (the union of the per-constraint
-// covers is a cover of the union graph).
-struct ConstraintFacts {
-  std::vector<Violation> violations;
-  double delta_l = 0.0;
-  double delta_u = 0.0;
-  bool hopeless = false;  ///< violation cap hit: never the minimum repair
-};
-
-// Candidate variant with its combined bound estimates.
-struct Candidate {
-  const SigmaVariant* variant = nullptr;
-  double delta_l = 0.0;
-  double delta_u = 0.0;
-  int num_violations = 0;
-};
+// The data-repair engine inherits the repair-level thread budget unless it
+// was given its own, and its detection backend follows the repair-level
+// flag.
+VfreeOptions EngineOptions(const CVTolerantOptions& options) {
+  VfreeOptions vfree = options.vfree;
+  if (vfree.threads == 0) vfree.threads = options.threads;
+  vfree.use_encoded = options.use_encoded;
+  return vfree;
+}
 
 }  // namespace
+
+std::vector<SigmaVariant> EnumerateVariants(const Relation& I,
+                                            const ConstraintSet& sigma,
+                                            const CVTolerantOptions& options,
+                                            VariantGenStats* stats) {
+  TraceSpan span("cvtolerant/generate_variants");
+  VariantGenOptions gen = options.variants;
+  gen.always_include_original =
+      gen.always_include_original && gen.theta >= 0.0;
+  if (gen.data == nullptr) gen.data = &I;
+  std::vector<SigmaVariant> variants =
+      GenerateSigmaVariants(sigma, I.schema(), gen, stats);
+  span.AddArg("variants", static_cast<int64_t>(variants.size()));
+  return variants;
+}
 
 RepairResult CVTolerantRepair(const Relation& I, const ConstraintSet& sigma,
                               const CVTolerantOptions& options) {
   auto start = std::chrono::steady_clock::now();
   TraceSpan repair_span("cvtolerant/repair");
-  RepairResult result;
-  result.satisfied_constraints = sigma;
-  result.repaired = I;
-
-  VariantGenOptions gen = options.variants;
-  const bool theta_nonnegative = gen.theta >= 0.0;
-  gen.always_include_original =
-      gen.always_include_original && theta_nonnegative;
-  if (gen.data == nullptr) gen.data = &I;
+  // Snapshot the process-wide eval counters so stats report this run's
+  // delta.
+  EvalCounters counters_before = eval_counters::Snapshot();
 
   VariantGenStats gen_stats;
-  std::vector<SigmaVariant> variants;
-  {
-    TraceSpan span("cvtolerant/generate_variants");
-    variants = GenerateSigmaVariants(sigma, I.schema(), gen, &gen_stats);
-    span.AddArg("variants", static_cast<int64_t>(variants.size()));
-  }
-  result.stats.variants_enumerated = static_cast<int>(variants.size());
-  result.stats.variants_pruned_nonmaximal = gen_stats.pruned_nonmaximal;
+  std::vector<SigmaVariant> variants =
+      EnumerateVariants(I, sigma, options, &gen_stats);
 
-  // The data-repair engine inherits the repair-level thread budget unless
-  // it was given its own.
-  VfreeOptions vfree_options = options.vfree;
-  if (vfree_options.threads == 0) vfree_options.threads = options.threads;
-  vfree_options.use_encoded = options.use_encoded;
-  const CostModel& cost = vfree_options.cost;
-  DomainStats stats_of_I(I);
-
-  // One coded mirror of I, shared by every detection consumer below. I is
-  // never mutated during the run (repairs are built on copies), so the
-  // mirror stays in sync for the whole repair.
+  // One coded mirror of I, shared by the fact scans and every candidate
+  // solve. I is never mutated during the run (repairs are built on copies),
+  // so the mirror stays in sync for the whole repair.
   std::optional<EncodedRelation> encoded;
   if (options.use_encoded) encoded.emplace(I);
   const EncodedRelation* E = encoded ? &*encoded : nullptr;
+  DomainStats stats_of_I(I);
+  std::map<DenialConstraint, VariantFacts> facts =
+      ScanVariantFacts(I, sigma, variants, options, E, &stats_of_I);
 
-  // One shared evaluation index per base constraint: every variant of
-  // sigma[i] (the i-th position of each SigmaVariant) detects violations
-  // through indexes[i], deriving its hash partition from the base's and
-  // answering base-shared predicates from the memo. Variants are
-  // positionally aligned with Σ, so the owning base is the position.
-  // Snapshot the process-wide eval counters first so stats report this
-  // run's delta.
-  EvalCounters counters_before = eval_counters::Snapshot();
-  std::vector<std::unique_ptr<EvalIndex>> indexes;
-  std::map<DenialConstraint, const EvalIndex*> index_of;
-  if (options.reuse_index) {
-    TraceSpan span("cvtolerant/build_indexes");
-    span.AddArg("bases", static_cast<int64_t>(sigma.size()));
-    indexes.reserve(sigma.size());
-    for (const DenialConstraint& phi : sigma) {
-      indexes.push_back(std::make_unique<EvalIndex>(
-          I, phi, EvalIndex::kDefaultMemoBudget, E));
-    }
-    // Registration and Prepare run serially (position order, so a
-    // constraint shared by several bases deterministically uses the first);
-    // afterwards the indexes are read-only and safe to share across the
-    // pool threads of the facts phase below.
-    auto register_constraint = [&](const DenialConstraint& c, size_t pos) {
-      if (pos >= indexes.size()) return;
-      auto [it, inserted] = index_of.try_emplace(c, indexes[pos].get());
-      if (inserted) indexes[pos]->Prepare(c);
-    };
-    for (size_t i = 0; i < sigma.size(); ++i) register_constraint(sigma[i], i);
-    for (const SigmaVariant& sv : variants) {
-      for (size_t i = 0; i < sv.constraints.size(); ++i) {
-        register_constraint(sv.constraints[i], i);
-      }
-    }
-  }
-  auto index_for = [&](const DenialConstraint& c) -> const EvalIndex* {
-    auto it = index_of.find(c);
-    return it == index_of.end() ? nullptr : it->second;
-  };
-
-  // Σ-variants share most constraints, so violations and bounds are
-  // cached per distinct constraint; the facts cache doubles as the δ-bound
-  // memo, keyed by the variant's canonical predicate list.
-  std::map<DenialConstraint, ConstraintFacts> facts_cache;
-  int64_t bound_memo_hits = 0;
-  int64_t violation_cap =
-      options.max_violations_per_tuple > 0
-          ? static_cast<int64_t>(options.max_violations_per_tuple *
-                                 std::max(I.num_rows(), 1))
-          : std::numeric_limits<int64_t>::max();
-  auto compute_facts = [&](const DenialConstraint& c, ConstraintFacts* facts) {
-    const EvalIndex* idx = index_for(c);
-    facts->violations =
-        idx ? idx->FindViolationsCapped(c, 0, violation_cap, &facts->hopeless)
-        : E ? FindViolationsOfCapped(*E, c, 0, violation_cap, &facts->hopeless)
-            : FindViolationsOfCapped(I, c, 0, violation_cap, &facts->hopeless);
-    if (facts->hopeless) {
-      facts->violations.clear();
-      facts->delta_l = std::numeric_limits<double>::infinity();
-      facts->delta_u = std::numeric_limits<double>::infinity();
-      return;
-    }
-    if (!facts->violations.empty()) {
-      ConflictHypergraph g =
-          ConflictHypergraph::Build(I, {c}, facts->violations, cost);
-      RepairCostBounds bounds =
-          ComputeBounds(g, c.Degree(), cost, vfree_options.cover, &stats_of_I);
-      facts->delta_l = bounds.lower;
-      facts->delta_u = bounds.upper;
-    }
-  };
-  // Facts are pure per-constraint functions of I, so all distinct
-  // constraints across Σ and every variant are evaluated up front — in
-  // parallel under a thread budget, serially (inline, same order) at one
-  // thread. Each worker fills its own map slot; std::map references are
-  // stable, and the map itself is not mutated during the parallel phase.
-  {
-    TraceSpan span("cvtolerant/detect_facts");
-    std::vector<std::map<DenialConstraint, ConstraintFacts>::iterator> todo;
-    auto enqueue = [&](const DenialConstraint& c) {
-      auto [it, inserted] = facts_cache.try_emplace(c);
-      if (inserted) todo.push_back(it);
-    };
-    for (const DenialConstraint& phi : sigma) enqueue(phi);
-    for (const SigmaVariant& sv : variants) {
-      for (const DenialConstraint& phi : sv.constraints) enqueue(phi);
-    }
-    span.AddArg("distinct_constraints", static_cast<int64_t>(todo.size()));
-    ThreadPool::ParallelFor(
-        static_cast<int64_t>(todo.size()),
-        [&](int64_t i) {
-          compute_facts(todo[static_cast<size_t>(i)]->first,
-                        &todo[static_cast<size_t>(i)]->second);
-        },
-        options.threads);
-  }
-  auto facts_of = [&](const DenialConstraint& c) -> const ConstraintFacts& {
-    auto it = facts_cache.find(c);
-    if (it != facts_cache.end()) {
-      ++bound_memo_hits;
-      return it->second;
-    }
-    ConstraintFacts facts;
-    compute_facts(c, &facts);
-    return facts_cache.emplace(c, std::move(facts)).first->second;
-  };
-
-  // Bound estimates for every candidate, processed in ascending-δ_l order
-  // so that early repairs tighten δ_min as fast as possible (Example 8).
-  std::vector<Candidate> candidates;
-  candidates.reserve(variants.size());
-  for (const SigmaVariant& sv : variants) {
-    Candidate c;
-    c.variant = &sv;
-    bool hopeless = false;
-    for (const DenialConstraint& phi : sv.constraints) {
-      const ConstraintFacts& facts = facts_of(phi);
-      hopeless |= facts.hopeless;
-      c.delta_l = std::max(c.delta_l, facts.delta_l);
-      c.delta_u += facts.delta_u;
-      c.num_violations += static_cast<int>(facts.violations.size());
-    }
-    if (hopeless) {
-      ++result.stats.variants_pruned_bounds;
-      continue;
-    }
-    candidates.push_back(c);
-  }
-  std::stable_sort(candidates.begin(), candidates.end(),
-                   [](const Candidate& a, const Candidate& b) {
-                     return a.delta_l < b.delta_l;
-                   });
-
-  // Algorithm 1 line 1: seed with δ_u(Σ, I) when Σ is a valid candidate.
-  double delta_min = std::numeric_limits<double>::infinity();
-  {
-    int sigma_violations = 0;
-    double sigma_upper = 0.0;
-    for (const DenialConstraint& phi : sigma) {
-      const ConstraintFacts& facts = facts_of(phi);
-      sigma_violations += static_cast<int>(facts.violations.size());
-      sigma_upper += facts.delta_u;
-    }
-    result.stats.initial_violations = sigma_violations;
-    if (theta_nonnegative) delta_min = sigma_upper;
-  }
-
-  MaterializedCache cache;
+  RepairStats stats;
   int64_t fresh_counter = 1;
-  bool have_result = false;
-  double best_cost = std::numeric_limits<double>::infinity();
+  VariantSearchResult search = CVTolerantSearchWithFacts(
+      I, sigma, variants,
+      [&facts](const DenialConstraint& c) -> const VariantFacts& {
+        return facts.at(c);
+      },
+      options, &fresh_counter, E, &stats);
+  RepairResult result =
+      FinishCVTolerantRepair(I, sigma, std::move(search), options, stats);
 
-  for (const Candidate& c : candidates) {
-    if (options.enable_bound_pruning && c.delta_l > delta_min + 1e-9) {
-      ++result.stats.variants_pruned_bounds;
-      continue;
-    }
-    if (result.stats.datarepair_calls >= options.max_datarepair_calls) break;
-    ++result.stats.datarepair_calls;
-    TraceSpan span("cvtolerant/solve_candidate");
-    span.AddArg("call", result.stats.datarepair_calls);
-    span.AddArg("violations", c.num_violations);
-
-    // Assemble the union violations and the cover (only for survivors).
-    std::vector<Violation> violations;
-    violations.reserve(c.num_violations);
-    const ConstraintSet& set = c.variant->constraints;
-    for (size_t i = 0; i < set.size(); ++i) {
-      for (Violation v : facts_of(set[i]).violations) {
-        v.constraint_index = static_cast<int>(i);
-        violations.push_back(std::move(v));
-      }
-    }
-    std::optional<Relation> repaired;
-    double delete_cost = 0.0;  // strategy cost of a kDelete candidate
-    if (vfree_options.strategy == RepairStrategy::kDelete) {
-      // Subset repair ignores the cell cover entirely: the candidate is
-      // resolved by a tuple-deletion cover of its union violations.
-      // Stats are not accumulated here (like fresh_assignments, the
-      // chosen repair's deletions are recounted below).
-      CanonicalizeViolations(&violations);
-      SubsetRepair sub = SubsetCoverRepair(I, stats_of_I, violations,
-                                           vfree_options.subset, nullptr);
-      double bound = options.enable_bound_pruning
-                         ? delta_min + 1e-9
-                         : std::numeric_limits<double>::infinity();
-      if (sub.cost <= bound) {
-        Relation r = I;
-        for (auto& [cell, value] : sub.assignments) {
-          r.SetValue(cell, std::move(value));
-        }
-        repaired = std::move(r);
-        delete_cost = sub.cost;
-      }
-    } else if (options.use_vfree) {
-      ConflictHypergraph g =
-          ConflictHypergraph::Build(I, set, violations, cost);
-      VertexCover cover =
-          ApproximateVertexCover(g, vfree_options.cover, &stats_of_I);
-      std::vector<Cell> changing = cover.Cells(g);
-      repaired = DataRepairVfree(
-          I, stats_of_I, set, changing,
-          options.enable_bound_pruning
-              ? delta_min + 1e-9
-              : std::numeric_limits<double>::infinity(),
-          vfree_options, options.enable_sharing ? &cache : nullptr,
-          &result.stats, &fresh_counter, E);
-    } else {
-      HolisticOptions hopts = options.holistic;
-      hopts.cost = cost;
-      hopts.use_encoded = options.use_encoded;
-      RepairResult hr = HolisticRepair(I, set, hopts);
-      result.stats.solver_calls += hr.stats.solver_calls;
-      result.stats.rounds += hr.stats.rounds;
-      result.stats.fresh_assignments += hr.stats.fresh_assignments;
-      repaired = std::move(hr.repaired);
-    }
-    if (!repaired) continue;
-
-    // The candidate's comparable cost under the active strategy: deleted
-    // tuples price at their deletion weight, not at per-cell distance.
-    double delta;
-    switch (vfree_options.strategy) {
-      case RepairStrategy::kDelete:
-        delta = delete_cost;
-        break;
-      case RepairStrategy::kHybrid:
-        delta = StrategyRepairCost(I, *repaired, cost, vfree_options.strategy,
-                                   vfree_options.subset, stats_of_I);
-        break;
-      case RepairStrategy::kUpdate:
-      default:
-        delta = RepairCost(I, *repaired, cost);
-        break;
-    }
-    if (delta < best_cost) {
-      best_cost = delta;
-      delta_min = std::min(delta_min, delta);
-      result.repaired = std::move(*repaired);
-      result.satisfied_constraints = set;
-      have_result = true;
-    }
-  }
-
-  if (options.use_vfree) result.stats.rounds = 1;
-  if (!have_result) {
-    if (theta_nonnegative) {
-      // Every candidate (including Σ) was hopeless under the violation
-      // cap: fall back to a plain uncapped repair of Σ so that θ >= 0
-      // always behaves at least like Vfree.
-      RepairResult fallback = VfreeRepair(I, sigma, vfree_options);
-      result.repaired = std::move(fallback.repaired);
-      result.satisfied_constraints = sigma;
-      result.stats.solver_calls += fallback.stats.solver_calls;
-    } else {
-      // Extreme negative θ with no viable variant: input unchanged.
-      result.repaired = I;
-      result.satisfied_constraints = sigma;
-    }
-  }
-  result.stats.cache_hits = static_cast<int>(cache.hits());
+  result.stats.variants_pruned_nonmaximal = gen_stats.pruned_nonmaximal;
   EvalCounters counters_delta = eval_counters::Snapshot() - counters_before;
   result.stats.index_partition_builds = counters_delta.partition_builds;
-  result.stats.index_partition_reuses = counters_delta.partition_hits +
-                                        counters_delta.partition_refines +
-                                        counters_delta.partition_merges;
   result.stats.index_predicate_evals = counters_delta.predicate_evals;
   result.stats.index_code_evals = counters_delta.code_predicate_evals;
-  result.stats.index_memo_hits = counters_delta.memo_hits;
   result.stats.index_truncated_scans = counters_delta.truncated_scans;
   result.stats.index_blocks_scanned = counters_delta.blocks_scanned;
   result.stats.index_blocks_skipped = counters_delta.blocks_skipped;
-  result.stats.bound_memo_hits = bound_memo_hits;
-  // fresh_assignments accumulated across *all* candidate repairs; report
-  // the count in the chosen repair instead.
-  result.stats.fresh_assignments = 0;
-  for (int i = 0; i < result.repaired.num_rows(); ++i) {
-    for (AttrId a = 0; a < result.repaired.num_attributes(); ++a) {
-      if (result.repaired.Get(i, a).is_fresh()) {
-        ++result.stats.fresh_assignments;
-      }
-    }
-  }
-  result.stats.changed_cells = ChangedCellCount(I, result.repaired);
-  result.stats.repair_cost =
-      StrategyRepairCost(I, result.repaired, cost, vfree_options.strategy,
-                         vfree_options.subset, stats_of_I);
-  if (vfree_options.strategy != RepairStrategy::kUpdate) {
-    // Like fresh_assignments above: deletions accumulated across candidate
-    // repairs — recount in the chosen one.
-    result.stats.rows_deleted = 0;
-    for (int i = 0; i < result.repaired.num_rows(); ++i) {
-      if (RowDeleted(I, result.repaired, i)) ++result.stats.rows_deleted;
-    }
-  }
   result.stats.elapsed_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();
@@ -388,22 +99,19 @@ std::optional<ScopedRepair> CVTolerantResolveComponents(
     const EncodedRelation* encoded, double delta_min) {
   TraceSpan span("cvtolerant/resolve_components");
   span.AddArg("violations", static_cast<int64_t>(violations.size()));
-  // Same engine-option derivation as the candidate loop of
-  // CVTolerantRepair: the data-repair engine inherits the repair-level
-  // thread budget, and the encoded backend follows the repair-level flag.
-  VfreeOptions vfree_options = options.vfree;
-  if (vfree_options.threads == 0) vfree_options.threads = options.threads;
-  vfree_options.use_encoded = options.use_encoded;
   return SolveDirtyComponents(I, stats_of_I, frozen_variant,
-                              std::move(violations), delta_min, vfree_options,
-                              cache, stats, fresh_counter,
+                              std::move(violations), delta_min,
+                              EngineOptions(options), cache, stats,
+                              fresh_counter,
                               options.use_encoded ? encoded : nullptr);
 }
 
 std::map<DenialConstraint, VariantFacts> ScanVariantFacts(
     const Relation& I, const ConstraintSet& sigma,
     const std::vector<SigmaVariant>& variants,
-    const CVTolerantOptions& options, const EncodedRelation* encoded) {
+    const CVTolerantOptions& options, const EncodedRelation* encoded,
+    const DomainStats* stats) {
+  TraceSpan span("cvtolerant/detect_facts");
   const EncodedRelation* E = options.use_encoded ? encoded : nullptr;
   const CostModel& cost = options.vfree.cost;
   int64_t violation_cap =
@@ -412,39 +120,54 @@ std::map<DenialConstraint, VariantFacts> ScanVariantFacts(
                                  std::max(I.num_rows(), 1))
           : std::numeric_limits<int64_t>::max();
   std::map<DenialConstraint, VariantFacts> facts;
-  auto compute = [&](const DenialConstraint& c) {
+  std::vector<std::map<DenialConstraint, VariantFacts>::iterator> todo;
+  auto enqueue = [&](const DenialConstraint& c) {
     auto [it, inserted] = facts.try_emplace(c);
-    if (!inserted) return;
-    VariantFacts& f = it->second;
-    f.violations =
-        E ? FindViolationsOfCapped(*E, c, 0, violation_cap, &f.hopeless)
-          : FindViolationsOfCapped(I, c, 0, violation_cap, &f.hopeless);
-    if (f.hopeless) {
-      f.violations.clear();
-      f.delta_l = std::numeric_limits<double>::infinity();
-      f.delta_u = std::numeric_limits<double>::infinity();
+    if (inserted) todo.push_back(it);
+  };
+  for (const DenialConstraint& phi : sigma) enqueue(phi);
+  for (const SigmaVariant& sv : variants) {
+    for (const DenialConstraint& phi : sv.constraints) enqueue(phi);
+  }
+  span.AddArg("distinct_constraints", static_cast<int64_t>(todo.size()));
+  // Facts are pure per-constraint functions of I, so the distinct
+  // constraints are scanned in parallel under the thread budget (serially,
+  // inline and in the same order, at one thread). Each worker fills its own
+  // map slot; std::map references are stable and the map itself is not
+  // mutated during the parallel phase.
+  auto compute = [&](const DenialConstraint& c, VariantFacts* f) {
+    f->violations =
+        E ? FindViolationsOfCapped(*E, c, 0, violation_cap, &f->hopeless)
+          : FindViolationsOfCapped(I, c, 0, violation_cap, &f->hopeless);
+    if (f->hopeless) {
+      f->violations.clear();
+      f->delta_l = std::numeric_limits<double>::infinity();
+      f->delta_u = std::numeric_limits<double>::infinity();
       return;
     }
     // Canonical rows order: scan order depends on the detection backend's
-    // partition layout, and the search below must see identical facts no
-    // matter which provider produced them.
-    std::sort(f.violations.begin(), f.violations.end(),
+    // partition layout, and the search must see identical facts no matter
+    // which provider produced them.
+    std::sort(f->violations.begin(), f->violations.end(),
               [](const Violation& a, const Violation& b) {
                 return a.rows < b.rows;
               });
-    if (!f.violations.empty()) {
+    if (!f->violations.empty()) {
       ConflictHypergraph g =
-          ConflictHypergraph::Build(I, {c}, f.violations, cost);
+          ConflictHypergraph::Build(I, {c}, f->violations, cost);
       RepairCostBounds bounds =
-          ComputeBounds(g, c.Degree(), cost, options.vfree.cover);
-      f.delta_l = bounds.lower;
-      f.delta_u = bounds.upper;
+          ComputeBounds(g, c.Degree(), cost, options.vfree.cover, stats);
+      f->delta_l = bounds.lower;
+      f->delta_u = bounds.upper;
     }
   };
-  for (const DenialConstraint& phi : sigma) compute(phi);
-  for (const SigmaVariant& sv : variants) {
-    for (const DenialConstraint& phi : sv.constraints) compute(phi);
-  }
+  ThreadPool::ParallelFor(
+      static_cast<int64_t>(todo.size()),
+      [&](int64_t i) {
+        auto it = todo[static_cast<size_t>(i)];
+        compute(it->first, &it->second);
+      },
+      options.threads);
   return facts;
 }
 
@@ -452,7 +175,7 @@ VariantSearchResult CVTolerantSearchWithFacts(
     const Relation& I, const ConstraintSet& sigma,
     const std::vector<SigmaVariant>& variants, const VariantFactsFn& facts_of,
     const CVTolerantOptions& options, int64_t* fresh_counter,
-    const EncodedRelation* encoded) {
+    const EncodedRelation* encoded, RepairStats* stats) {
   TraceSpan span("cvtolerant/search_with_facts");
   span.AddArg("variants", static_cast<int64_t>(variants.size()));
   VariantSearchResult result;
@@ -461,33 +184,38 @@ VariantSearchResult CVTolerantSearchWithFacts(
   result.abort_bounds.assign(variants.size(),
                              std::numeric_limits<double>::quiet_NaN());
 
-  VfreeOptions vfree_options = options.vfree;
-  if (vfree_options.threads == 0) vfree_options.threads = options.threads;
-  vfree_options.use_encoded = options.use_encoded;
+  const VfreeOptions vfree_options = EngineOptions(options);
   const CostModel& cost = vfree_options.cost;
   const EncodedRelation* E = options.use_encoded ? encoded : nullptr;
   DomainStats stats_of_I(I);
+  // Every lookup is a δ-bound reuse: facts are computed once per distinct
+  // constraint, before the search.
+  int64_t lookups = 0;
+  auto facts = [&](const DenialConstraint& c) -> const VariantFacts& {
+    ++lookups;
+    return facts_of(c);
+  };
 
+  // Bounds for a whole variant Σ' combine its per-constraint facts
+  // conservatively: δ_l(Σ') >= max_i δ_l(φ_i') (more edges only enlarge the
+  // cover). Candidates are processed in ascending-δ_l order so that early
+  // repairs tighten δ_min as fast as possible (Example 8).
   struct Candidate {
-    const SigmaVariant* variant = nullptr;
     size_t index = 0;  // position in the input vector
     double delta_l = 0.0;
-    double delta_u = 0.0;
     int num_violations = 0;
   };
   std::vector<Candidate> candidates;
   candidates.reserve(variants.size());
   for (size_t vi = 0; vi < variants.size(); ++vi) {
     Candidate c;
-    c.variant = &variants[vi];
     c.index = vi;
     bool hopeless = false;
     for (const DenialConstraint& phi : variants[vi].constraints) {
-      const VariantFacts& facts = facts_of(phi);
-      hopeless |= facts.hopeless;
-      c.delta_l = std::max(c.delta_l, facts.delta_l);
-      c.delta_u += facts.delta_u;
-      c.num_violations += static_cast<int>(facts.violations.size());
+      const VariantFacts& f = facts(phi);
+      hopeless |= f.hopeless;
+      c.delta_l = std::max(c.delta_l, f.delta_l);
+      c.num_violations += static_cast<int>(f.violations.size());
     }
     if (hopeless) {
       ++result.variants_pruned;
@@ -501,12 +229,21 @@ VariantSearchResult CVTolerantSearchWithFacts(
                    });
 
   // Algorithm 1 line 1: seed with δ_u(Σ, I) when Σ is a valid candidate.
+  // δ_u(Σ) <= Σ_i δ_u(φ_i) (the union of the per-constraint covers is a
+  // cover of the union graph) prices cell updates, so it bounds an update
+  // repair and a hybrid one (which deletes a tuple only where that is
+  // cheaper), but not a subset repair's deletion weights: under the delete
+  // strategy the search starts from +∞, as it does for θ < 0.
+  int sigma_violations = 0;
+  double sigma_upper = 0.0;
+  for (const DenialConstraint& phi : sigma) {
+    const VariantFacts& f = facts(phi);
+    sigma_violations += static_cast<int>(f.violations.size());
+    sigma_upper += f.delta_u;
+  }
   double delta_min = std::numeric_limits<double>::infinity();
-  if (options.variants.theta >= 0.0) {
-    double sigma_upper = 0.0;
-    for (const DenialConstraint& phi : sigma) {
-      sigma_upper += facts_of(phi).delta_u;
-    }
+  if (options.variants.theta >= 0.0 &&
+      vfree_options.strategy != RepairStrategy::kDelete) {
     delta_min = sigma_upper;
   }
 
@@ -522,39 +259,58 @@ VariantSearchResult CVTolerantSearchWithFacts(
     solve_span.AddArg("call", result.datarepair_calls);
     solve_span.AddArg("violations", c.num_violations);
 
+    // The candidate's union violations, stamped with their positions in Σ'.
     std::vector<Violation> violations;
     violations.reserve(static_cast<size_t>(c.num_violations));
-    const ConstraintSet& set = c.variant->constraints;
+    const ConstraintSet& set = variants[c.index].constraints;
     for (size_t i = 0; i < set.size(); ++i) {
-      for (Violation v : facts_of(set[i]).violations) {
+      for (Violation v : facts(set[i]).violations) {
         v.constraint_index = static_cast<int>(i);
         violations.push_back(std::move(v));
       }
     }
-    const double abort_at = options.enable_bound_pruning
-                                ? delta_min + 1e-9
-                                : std::numeric_limits<double>::infinity();
-    std::optional<ScopedRepair> scoped = SolveDirtyComponents(
-        I, stats_of_I, set, std::move(violations), abort_at, vfree_options,
-        options.enable_sharing ? &cache : nullptr,
-        /*stats=*/nullptr, fresh_counter, E);
-    if (!scoped) {
-      // δ_min abort: the candidate's cost strictly exceeds the threshold it
-      // was solving under — worth recording as a lower bound.
-      result.abort_bounds[c.index] = abort_at;
-      continue;
+    Relation repaired;
+    std::optional<ScopedRepair> scoped;
+    if (options.use_vfree ||
+        vfree_options.strategy == RepairStrategy::kDelete) {
+      const double abort_at = options.enable_bound_pruning
+                                  ? delta_min + 1e-9
+                                  : std::numeric_limits<double>::infinity();
+      scoped = SolveDirtyComponents(
+          I, stats_of_I, set, std::move(violations), abort_at, vfree_options,
+          options.enable_sharing ? &cache : nullptr, stats, fresh_counter, E);
+      if (!scoped) {
+        // δ_min abort: the candidate's cost strictly exceeds the threshold
+        // it was solving under — worth recording as a lower bound.
+        result.abort_bounds[c.index] = abort_at;
+        continue;
+      }
+      repaired = I;
+      for (auto& [cell, value] : scoped->assignments) {
+        repaired.SetValue(cell, std::move(value));
+      }
+    } else {
+      // CVtolerant+Holistic (Figure 5): the multi-round Holistic engine
+      // repairs the candidate, without sharing or the cost abort.
+      HolisticOptions hopts = options.holistic;
+      hopts.cost = cost;
+      hopts.use_encoded = options.use_encoded;
+      RepairResult hr = HolisticRepair(I, set, hopts);
+      if (stats) {
+        stats->solver_calls += hr.stats.solver_calls;
+        stats->rounds += hr.stats.rounds;
+        stats->fresh_assignments += hr.stats.fresh_assignments;
+      }
+      repaired = std::move(hr.repaired);
     }
-
-    Relation repaired = I;
-    for (auto& [cell, value] : scoped->assignments) {
-      repaired.SetValue(cell, std::move(value));
-    }
-    // Under the delete/hybrid strategies the scoped cost already prices
-    // deletions at their weights; per-cell RepairCost would misprice the
-    // tombstones.
-    double delta = vfree_options.strategy == RepairStrategy::kUpdate
-                       ? RepairCost(I, repaired, cost)
-                       : scoped->cost;
+    // The candidate's cost under the active strategy: a subset repair's
+    // scoped cost is its summed deletion weights; otherwise deleted tuples
+    // price at their deletion weight and every other cell at its distance.
+    const double delta =
+        vfree_options.strategy == RepairStrategy::kDelete
+            ? scoped->cost
+            : StrategyRepairCost(I, repaired, cost, vfree_options.strategy,
+                                 vfree_options.subset, stats_of_I);
     result.solved_costs[c.index] = delta;
     if (delta < result.cost) {
       result.cost = delta;
@@ -564,6 +320,65 @@ VariantSearchResult CVTolerantSearchWithFacts(
       result.have_result = true;
     }
   }
+  if (stats) {
+    stats->initial_violations = sigma_violations;
+    stats->variants_enumerated = static_cast<int>(variants.size());
+    stats->variants_pruned_bounds = result.variants_pruned;
+    stats->datarepair_calls = result.datarepair_calls;
+    stats->cache_hits = static_cast<int>(cache.hits());
+    stats->bound_memo_hits = lookups;
+  }
+  return result;
+}
+
+RepairResult FinishCVTolerantRepair(const Relation& I,
+                                    const ConstraintSet& sigma,
+                                    VariantSearchResult search,
+                                    const CVTolerantOptions& options,
+                                    const RepairStats& stats) {
+  const VfreeOptions vfree_options = EngineOptions(options);
+  RepairResult result;
+  result.stats = stats;
+  if (options.use_vfree) result.stats.rounds = 1;
+  result.satisfied_constraints = sigma;
+  if (search.have_result) {
+    result.repaired = std::move(search.repaired);
+    result.satisfied_constraints = std::move(search.variant);
+  } else if (options.variants.theta >= 0.0) {
+    // Every candidate (including Σ) was hopeless under the violation cap,
+    // pruned, or aborted: fall back to a plain uncapped repair of Σ so that
+    // θ >= 0 always behaves at least like Vfree.
+    RepairResult fallback = VfreeRepair(I, sigma, vfree_options);
+    result.repaired = std::move(fallback.repaired);
+    result.stats.solver_calls += fallback.stats.solver_calls;
+  } else {
+    // Extreme negative θ with no viable variant: input unchanged.
+    result.repaired = I;
+  }
+
+  // Fresh assignments and deletions accumulated across *all* candidate
+  // repairs; report the counts in the chosen repair instead.
+  result.stats.fresh_assignments = 0;
+  for (int i = 0; i < result.repaired.num_rows(); ++i) {
+    for (AttrId a = 0; a < result.repaired.num_attributes(); ++a) {
+      if (result.repaired.Get(i, a).is_fresh()) {
+        ++result.stats.fresh_assignments;
+      }
+    }
+  }
+  if (vfree_options.strategy != RepairStrategy::kUpdate) {
+    result.stats.rows_deleted = 0;
+    for (int i = 0; i < result.repaired.num_rows(); ++i) {
+      if (RowDeleted(I, result.repaired, i)) ++result.stats.rows_deleted;
+    }
+  }
+  result.stats.changed_cells = ChangedCellCount(I, result.repaired);
+  result.stats.repair_cost =
+      vfree_options.strategy == RepairStrategy::kUpdate
+          ? RepairCost(I, result.repaired, vfree_options.cost)
+          : StrategyRepairCost(I, result.repaired, vfree_options.cost,
+                               vfree_options.strategy, vfree_options.subset,
+                               DomainStats(I));
   return result;
 }
 

@@ -45,21 +45,12 @@ struct CVTolerantOptions {
   /// the Vfree engine when `vfree.threads` is 0. Every thread count yields
   /// bit-identical RepairResults; only wall-clock time changes.
   int threads = 0;
-  /// Share one evaluation index per base constraint across its variants:
-  /// hash partitions are derived (refined/merged) instead of rebuilt, and
-  /// predicate verdicts shared with the base come from a memo, so each
-  /// variant only evaluates its delta predicates. The RepairResult is
-  /// bit-identical with the index on or off, at any thread count; the
-  /// stats.index_* counters record the work saved. Off = the plain
-  /// per-variant scans (for A/B runs and debugging).
-  bool reuse_index = true;
   /// Detect violations and suspects on the dictionary-encoded columnar
   /// backend (relation/encoded.h): one EncodedRelation of I is built up
-  /// front and shared by the evaluation indexes, fallback scans, and the
-  /// Vfree engine. Predicates then evaluate on integer codes
-  /// (stats.index_code_evals) instead of boxed Values
-  /// (stats.index_predicate_evals). The RepairResult is bit-identical
-  /// either way, at any thread count.
+  /// front and shared by the fact scans and the Vfree engine. Predicates
+  /// then evaluate on integer codes (stats.index_code_evals) instead of
+  /// boxed Values (stats.index_predicate_evals). The RepairResult is
+  /// bit-identical either way, at any thread count.
   bool use_encoded = true;
 };
 
@@ -67,13 +58,25 @@ struct CVTolerantOptions {
 /// enumerates θ-maximal constraint variants, prunes them with repair-cost
 /// bounds, repairs the remaining candidates with the sharing-enabled
 /// violation-free DataRepair, and returns the minimum-cost repair together
-/// with the variant Σ' it satisfies.
+/// with the variant Σ' it satisfies. A short driver over the factored
+/// pieces below: EnumerateVariants, ScanVariantFacts,
+/// CVTolerantSearchWithFacts, FinishCVTolerantRepair.
 ///
 /// θ may be negative (net predicate deletion, Appendix D.2); in that case
 /// Σ itself is not a candidate and the bound seeding of Algorithm 1 line 1
 /// is replaced by +∞.
 RepairResult CVTolerantRepair(const Relation& I, const ConstraintSet& sigma,
                               const CVTolerantOptions& options = {});
+
+/// The variant family D of (Σ, I) that Algorithm 1 searches: the θ-maximal
+/// variants of options.variants, with Σ itself included only for θ >= 0,
+/// and the variation cost model reading its frequencies from I unless
+/// options.variants.data is set. `stats` (optional) receives the
+/// generator's counters.
+std::vector<SigmaVariant> EnumerateVariants(const Relation& I,
+                                            const ConstraintSet& sigma,
+                                            const CVTolerantOptions& options,
+                                            VariantGenStats* stats = nullptr);
 
 /// Component-scoped θ-tolerant re-solve under a frozen variant: Algorithm 1
 /// with |D| = 1 and detection already done. `frozen_variant` is the Σ' an
@@ -136,33 +139,54 @@ struct VariantSearchResult {
 };
 
 /// The candidate loop of Algorithm 1 over externally supplied per-constraint
-/// facts: combines bounds per variant (δ_l = max, δ_u = sum), seeds δ_min
-/// with δ_u(Σ) when θ >= 0, processes candidates in ascending-δ_l order
-/// under bound pruning and the DataRepair budget, and repairs each survivor
-/// through the canonicalized SolveDirtyComponents pipeline with one shared
-/// MaterializedCache. Both the scratch path (facts from full scans, see
-/// ScanVariantFacts) and the streaming reopen path (facts delta-maintained
-/// by a VariantTracker) run this same function on the same variant family,
-/// which is what makes streamed-vs-scratch equivalence exact: equal facts in,
-/// bit-identical chosen variant and repair out (modulo fresh-id numbering
-/// from `fresh_counter`). Unlike CVTolerantRepair it has no repair-of-Σ
-/// fallback: `have_result` is false when every candidate was pruned or
-/// aborted, and the caller decides (a streaming caller keeps its incumbent).
+/// facts: combines bounds per variant (δ_l = max over its constraints),
+/// seeds δ_min with δ_u(Σ) when θ >= 0 under the update and hybrid
+/// strategies (+∞ otherwise: δ_u prices cell updates, not deletions),
+/// processes candidates in ascending-δ_l order under bound pruning and the
+/// DataRepair budget, and repairs each survivor through the canonicalized
+/// SolveDirtyComponents pipeline with one shared MaterializedCache — or,
+/// with use_vfree off, through HolisticRepair (Figure 5's
+/// CVtolerant+Holistic). CVTolerantRepair (facts from ScanVariantFacts) and
+/// the streaming reopen path (facts delta-maintained by a VariantTracker)
+/// both run this one loop, which is what makes streamed-vs-scratch
+/// equivalence exact: equal facts in, bit-identical chosen variant and
+/// repair out (modulo fresh-id numbering from `fresh_counter`). It has no
+/// repair-of-Σ fallback: `have_result` is false when every candidate was
+/// pruned or aborted, and the caller decides (FinishCVTolerantRepair falls
+/// back; a streaming reopen keeps its incumbent). `stats` (optional)
+/// accumulates the DataRepair counters of every candidate solve and
+/// receives the search's own: initial violations of Σ, variants, pruned,
+/// DataRepair calls, cache hits, and δ-bound lookups.
 VariantSearchResult CVTolerantSearchWithFacts(
     const Relation& I, const ConstraintSet& sigma,
     const std::vector<SigmaVariant>& variants, const VariantFactsFn& facts_of,
     const CVTolerantOptions& options, int64_t* fresh_counter,
-    const EncodedRelation* encoded = nullptr);
+    const EncodedRelation* encoded = nullptr, RepairStats* stats = nullptr);
+
+/// The tail of Algorithm 1, shared by CVTolerantRepair and the unfrozen
+/// StreamingRepairer: adopts the search's repair, or — when no candidate
+/// survived — falls back to a plain repair of Σ for θ >= 0 (the input
+/// itself for θ < 0). The returned stats are `stats` (as the search filled
+/// them) completed with the chosen repair's cost, changed cells, and fresh
+/// and deleted counts.
+RepairResult FinishCVTolerantRepair(const Relation& I,
+                                    const ConstraintSet& sigma,
+                                    VariantSearchResult search,
+                                    const CVTolerantOptions& options,
+                                    const RepairStats& stats);
 
 /// Computes VariantFacts for every distinct constraint of Σ and `variants`
-/// by full capped detection scans on I — the from-scratch twin of a
-/// VariantTracker's delta-maintained facts. Scans run on `encoded` when
-/// given (and options.use_encoded), boxed otherwise; the facts are
-/// identical either way.
+/// by full capped detection scans on I, in parallel over the constraints
+/// under options.threads — the from-scratch twin of a VariantTracker's
+/// delta-maintained facts. Scans run on `encoded` when given (and
+/// options.use_encoded), boxed otherwise; the facts are identical either
+/// way and at any thread count. `stats` (optional) feeds the entropy term
+/// of the kEntropyDensity cover behind δ_u.
 std::map<DenialConstraint, VariantFacts> ScanVariantFacts(
     const Relation& I, const ConstraintSet& sigma,
     const std::vector<SigmaVariant>& variants,
-    const CVTolerantOptions& options, const EncodedRelation* encoded = nullptr);
+    const CVTolerantOptions& options, const EncodedRelation* encoded = nullptr,
+    const DomainStats* stats = nullptr);
 
 }  // namespace cvrepair
 

@@ -23,10 +23,8 @@ std::string RepairStats::ToString() const {
        << " pruned_bounds=" << variants_pruned_bounds
        << " datarepair_calls=" << datarepair_calls
        << " partition_builds=" << index_partition_builds
-       << " partition_reuses=" << index_partition_reuses
        << " predicate_evals=" << index_predicate_evals
        << " code_evals=" << index_code_evals
-       << " memo_hits=" << index_memo_hits
        << " truncated_scans=" << index_truncated_scans
        << " blocks_scanned=" << index_blocks_scanned
        << " blocks_skipped=" << index_blocks_skipped

@@ -39,15 +39,12 @@ struct RepairStats {
   int variants_pruned_bounds = 0;   ///< skipped by delta_l > delta_min
   int datarepair_calls = 0;         ///< DataRepair invocations (Alg. 1 line 4)
 
-  // Shared evaluation-index counters (CVTolerant only): per-run deltas of
-  // the process-wide eval counters, so they are meaningful when one repair
-  // runs at a time. With reuse_index off, partition work appears under
-  // `builds` and `reuses` stays 0.
+  // Detection-scan counters (CVTolerant only): per-run deltas of the
+  // process-wide eval counters, so they are meaningful when one repair
+  // runs at a time.
   int64_t index_partition_builds = 0;  ///< partitions built by a full scan
-  int64_t index_partition_reuses = 0;  ///< answered by cache/refine/merge
   int64_t index_predicate_evals = 0;   ///< predicate evals on boxed Values
   int64_t index_code_evals = 0;        ///< predicate evals on integer codes
-  int64_t index_memo_hits = 0;         ///< verdicts answered by the memo
   int64_t index_truncated_scans = 0;   ///< capped scans that hit their cap
   int64_t index_blocks_scanned = 0;    ///< zone-map consults that ran a block
   int64_t index_blocks_skipped = 0;    ///< zone-map consults that pruned one

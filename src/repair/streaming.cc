@@ -60,15 +60,10 @@ VariantTracker::VariantTracker(const Relation& dirty,
                                const CVTolerantOptions& options)
     : sigma_(sigma), options_(options) {
   TraceSpan span("stream/variant_tracker_build");
-  // Variant enumeration mirrors CVTolerantRepair exactly; the family is
-  // enumerated once, against the stream's starting dirty instance, and
-  // stays fixed for the tracker's lifetime.
-  VariantGenOptions gen = options_.variants;
-  gen.always_include_original =
-      gen.always_include_original && gen.theta >= 0.0;
-  if (gen.data == nullptr) gen.data = &dirty;
-  variants_ = GenerateSigmaVariants(sigma_, dirty.schema(), gen);
-  span.AddArg("variants", static_cast<int64_t>(variants_.size()));
+  // CVTolerantRepair's enumeration; the family is enumerated once, against
+  // the stream's starting dirty instance, and stays fixed for the
+  // tracker's lifetime.
+  variants_ = EnumerateVariants(dirty, sigma_, options_);
 
   auto enqueue = [&](const DenialConstraint& c) {
     auto [it, inserted] = family_pos_.try_emplace(c, family_.size());
@@ -220,34 +215,29 @@ StreamingRepairer::StreamingRepairer(const Relation& I,
                                      const StreamingOptions& options)
     : options_(options) {
   TraceSpan span("stream/initial_repair");
+  RepairResult initial;
   if (options_.reopen_variants) {
     // The unfrozen path runs the factored search over tracker-maintained
     // facts from the start, so every later reopen — and the from-scratch
     // twin the drift tests compare against — goes through the identical
-    // candidate loop.
+    // candidate loop. The Σ fallback and the stats are CVTolerantRepair's.
     tracker_ = std::make_unique<VariantTracker>(I, sigma, options_.repair);
+    RepairStats stats;
     VariantSearchResult sr = CVTolerantSearchWithFacts(
         I, sigma, tracker_->variants(), tracker_->FactsFn(), options_.repair,
-        &fresh_counter_, tracker_->encoded());
+        &fresh_counter_, tracker_->encoded(), &stats);
     tracker_->RecordSearch(sr);
-    Relation repaired = sr.have_result ? std::move(sr.repaired) : I;
-    variant_ = sr.have_result ? std::move(sr.variant) : sigma;
-    realized_cost_ = sr.have_result ? sr.cost : 0.0;
-    initial_stats_.datarepair_calls = sr.datarepair_calls;
-    initial_stats_.variants_enumerated =
-        static_cast<int>(tracker_->variants().size());
-    initial_stats_.variants_pruned_bounds = sr.variants_pruned;
-    initial_stats_.repair_cost = realized_cost_;
-    initial_stats_.changed_cells = ChangedCellCount(I, repaired);
-    index_ = std::make_unique<ViolationIndex>(repaired, variant_,
-                                              options_.repair.use_encoded);
-    return;
+    initial =
+        FinishCVTolerantRepair(I, sigma, std::move(sr), options_.repair, stats);
+    realized_cost_ = initial.stats.repair_cost;
+  } else {
+    initial = CVTolerantRepair(I, sigma, options_.repair);
   }
-  RepairResult initial = CVTolerantRepair(I, sigma, options_.repair);
   variant_ = initial.satisfied_constraints;
   initial_stats_ = initial.stats;
-  // Continue fresh ids above any the initial repair minted, so streamed
-  // fixes never alias an existing fv.
+  // Continue fresh ids above any the initial repair minted (the Σ
+  // fallback draws its own from 1), so streamed fixes never alias an
+  // existing fv.
   for (int r = 0; r < initial.repaired.num_rows(); ++r) {
     for (AttrId a = 0; a < initial.repaired.num_attributes(); ++a) {
       const Value& v = initial.repaired.Get(r, a);

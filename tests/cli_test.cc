@@ -103,27 +103,44 @@ TEST_F(CliTest, NegativeThreadsRejected) {
   EXPECT_NE(out.find("usage:"), std::string::npos) << out;
 }
 
-TEST_F(CliTest, BadReuseIndexValueRejected) {
-  std::string out = RunAndCapture(
-      cli_ + " --schema " + dir_ + "/schema.txt --data " + dir_ +
-      "/data.csv --constraints " + dir_ + "/rules.txt --reuse-index yes");
-  EXPECT_NE(out.find("--reuse-index must be 0 or 1"), std::string::npos)
+// Numeric flags are parsed whole and range-checked: each malformed form
+// below used to be coerced by atoi/atof into a value that ran.
+TEST_F(CliTest, NonNumericThreadsRejected) {
+  std::string out = RunAndCapture(cli_ + " --generate hosp --threads abc");
+  EXPECT_NE(out.find("--threads: expected an integer, got \"abc\""),
+            std::string::npos)
       << out;
+  EXPECT_NE(out.find("usage:"), std::string::npos) << out;
 }
 
-// --reuse-index only changes the work counters, never the repair: both
-// modes must report the same changed cells, and the stats line must expose
-// the index-cache counters.
-TEST_F(CliTest, ReuseIndexTogglesCacheNotResults) {
-  std::string base = cli_ + " --schema " + dir_ + "/schema.txt --data " +
-                     dir_ + "/data.csv --constraints " + dir_ +
-                     "/rules.txt --theta 0";
-  std::string with = RunAndCapture(base + " --reuse-index 1");
-  std::string without = RunAndCapture(base + " --reuse-index 0");
-  EXPECT_NE(with.find("cells changed:    1"), std::string::npos) << with;
-  EXPECT_NE(without.find("cells changed:    1"), std::string::npos) << without;
-  EXPECT_NE(with.find("index cache:"), std::string::npos) << with;
-  EXPECT_NE(without.find("index cache:"), std::string::npos) << without;
+TEST_F(CliTest, TrailingGarbageSizeRejected) {
+  std::string out = RunAndCapture(cli_ + " --generate hosp --size 4abc");
+  EXPECT_NE(out.find("--size: expected an integer, got \"4abc\""),
+            std::string::npos)
+      << out;
+  EXPECT_EQ(out.find("cells changed:"), std::string::npos) << out;
+}
+
+TEST_F(CliTest, OutOfRangeLambdaRejected) {
+  std::string out = RunAndCapture(cli_ + " --generate hosp --lambda 3");
+  EXPECT_NE(out.find("--lambda must be in [-1, 0]"), std::string::npos)
+      << out;
+  EXPECT_NE(out.find("usage:"), std::string::npos) << out;
+}
+
+TEST_F(CliTest, NanThetaRejected) {
+  std::string out = RunAndCapture(cli_ + " --generate hosp --theta nan");
+  EXPECT_NE(out.find("--theta must be finite"), std::string::npos) << out;
+  EXPECT_NE(out.find("usage:"), std::string::npos) << out;
+}
+
+TEST_F(CliTest, OverflowingShardsRejected) {
+  std::string out = RunAndCapture(
+      cli_ + " --generate hosp --serve-bench --shards 99999999999");
+  EXPECT_NE(out.find("--shards: 99999999999 is out of range"),
+            std::string::npos)
+      << out;
+  EXPECT_NE(out.find("usage:"), std::string::npos) << out;
 }
 
 TEST_F(CliTest, BadEncodedValueRejected) {

@@ -1,20 +1,14 @@
 // The shared evaluation index (dc/eval_index.h): partition derivation
-// (refine / merge with NULL recovery), the predicate-verdict memo, and the
-// end-to-end contract — CVTolerantRepair with the index on is bit-identical
-// to the unshared path at any thread count while doing strictly less
-// partition-building and predicate-evaluation work.
+// (refine / merge with NULL recovery) and the predicate-verdict memo, each
+// checked against the plain detector.
 #include <gtest/gtest.h>
 
 #include <limits>
 #include <vector>
 
-#include "data/hosp.h"
-#include "data/noise.h"
 #include "dc/eval_index.h"
 #include "dc/violation.h"
 #include "paper_example.h"
-#include "repair/cvtolerant.h"
-#include "util/thread_pool.h"
 
 namespace cvrepair {
 namespace {
@@ -117,102 +111,6 @@ TEST(EvalIndexTest, MemoAnswersSharedPredicates) {
 
   std::vector<Violation> plain = FindViolationsOf(rel, phi1, 0);
   EXPECT_EQ(plain, indexed);
-}
-
-struct CvRun {
-  RepairResult result;
-};
-
-CvRun RunCvTolerant(const Relation& dirty, const ConstraintSet& sigma,
-                    const PredicateSpaceOptions& space, bool reuse_index,
-                    int threads) {
-  ThreadPool::SetNumThreads(threads);
-  CVTolerantOptions options;
-  options.variants.theta = 1.0;
-  options.variants.space = space;
-  options.max_datarepair_calls = 8;
-  options.threads = threads;
-  options.reuse_index = reuse_index;
-  CvRun run;
-  run.result = CVTolerantRepair(dirty, sigma, options);
-  ThreadPool::SetNumThreads(1);
-  return run;
-}
-
-// The acceptance contract of the shared index: on a workload with >= 200
-// enumerated variants, CVTolerantRepair produces bit-identical repairs
-// with the index on and off, at 1 and 4 threads, while building strictly
-// fewer partitions and evaluating strictly fewer predicates.
-TEST(EvalIndexTest, SharedIndexIsBitIdenticalAndStrictlyCheaper) {
-  HospConfig config;
-  config.num_hospitals = 12;
-  HospData hosp = MakeHosp(config);
-  NoiseConfig noise;
-  noise.error_rate = 0.05;
-  noise.target_attrs = hosp.noise_attrs;
-  noise.seed = 7;
-  Relation dirty = InjectNoise(hosp.clean, noise).dirty;
-  const ConstraintSet& sigma = hosp.given_oversimplified;
-
-  CvRun shared1 = RunCvTolerant(dirty, sigma, hosp.space, true, 1);
-  CvRun unshared1 = RunCvTolerant(dirty, sigma, hosp.space, false, 1);
-  CvRun shared4 = RunCvTolerant(dirty, sigma, hosp.space, true, 4);
-  CvRun unshared4 = RunCvTolerant(dirty, sigma, hosp.space, false, 4);
-
-  ASSERT_GE(shared1.result.stats.variants_enumerated, 200);
-
-  auto expect_identical = [&](const RepairResult& a, const RepairResult& b,
-                              const char* context) {
-    ASSERT_EQ(a.repaired.num_rows(), b.repaired.num_rows()) << context;
-    for (int i = 0; i < a.repaired.num_rows(); ++i) {
-      for (AttrId attr = 0; attr < a.repaired.num_attributes(); ++attr) {
-        ASSERT_EQ(a.repaired.Get(i, attr), b.repaired.Get(i, attr))
-            << context << ": cell t" << i << "." << attr;
-      }
-    }
-    ASSERT_EQ(a.satisfied_constraints.size(), b.satisfied_constraints.size())
-        << context;
-    for (size_t i = 0; i < a.satisfied_constraints.size(); ++i) {
-      EXPECT_EQ(a.satisfied_constraints[i], b.satisfied_constraints[i])
-          << context;
-    }
-    EXPECT_EQ(a.stats.repair_cost, b.stats.repair_cost) << context;
-    EXPECT_EQ(a.stats.changed_cells, b.stats.changed_cells) << context;
-    EXPECT_EQ(a.stats.initial_violations, b.stats.initial_violations)
-        << context;
-    EXPECT_EQ(a.stats.datarepair_calls, b.stats.datarepair_calls) << context;
-    EXPECT_EQ(a.stats.variants_pruned_bounds, b.stats.variants_pruned_bounds)
-        << context;
-  };
-  expect_identical(shared1.result, unshared1.result, "shared1 vs unshared1");
-  expect_identical(shared1.result, shared4.result, "shared1 vs shared4");
-  expect_identical(shared1.result, unshared4.result, "shared1 vs unshared4");
-
-  // Strictly fewer partition builds and predicate evaluations, at each
-  // fixed thread count (counters are only comparable within one thread
-  // count: capped shards deliberately overscan by up to cap+1 each).
-  // Evaluations count against predicate_evals (boxed Values) or
-  // code_evals (dictionary codes) depending on use_encoded; the sharing
-  // claim is about their total.
-  auto total_evals = [](const RepairStats& s) {
-    return s.index_predicate_evals + s.index_code_evals;
-  };
-  const RepairStats& s1 = shared1.result.stats;
-  const RepairStats& u1 = unshared1.result.stats;
-  EXPECT_LT(s1.index_partition_builds, u1.index_partition_builds);
-  EXPECT_LT(total_evals(s1), total_evals(u1));
-  EXPECT_GT(s1.index_partition_reuses, 0);
-  EXPECT_GT(s1.index_memo_hits, 0);
-  EXPECT_EQ(u1.index_partition_reuses, 0);
-  EXPECT_EQ(u1.index_memo_hits, 0);
-  EXPECT_GT(s1.bound_memo_hits, 0);
-
-  const RepairStats& s4 = shared4.result.stats;
-  const RepairStats& u4 = unshared4.result.stats;
-  EXPECT_LT(s4.index_partition_builds, u4.index_partition_builds);
-  EXPECT_LT(total_evals(s4), total_evals(u4));
-  EXPECT_GT(s4.index_partition_reuses, 0);
-  EXPECT_GT(s4.index_memo_hits, 0);
 }
 
 }  // namespace

@@ -392,6 +392,34 @@ TEST(StreamingTest, ScratchEquivalenceHoldsAfterVariantSwitch) {
                            "retune MakeDriftWorkload parameters";
 }
 
+// When every candidate is hopeless under the violation cap, the unfrozen
+// constructor must take CVTolerantRepair's repair-of-Σ fallback, exactly
+// like the frozen path, instead of starting from the unrepaired input.
+TEST(StreamingTest, UnfrozenStreamFallsBackToRepairOfSigma) {
+  HospConfig config;
+  config.num_hospitals = 6;
+  HospData hosp = MakeHosp(config);
+  NoiseConfig noise;
+  noise.target_attrs = hosp.noise_attrs;
+  Relation dirty = InjectNoise(hosp.clean, noise).dirty;
+  StreamingOptions options;
+  options.repair.variants.space = hosp.space;
+  options.repair.max_violations_per_tuple = 0.01;
+  StreamingRepairer frozen(dirty, hosp.given_oversimplified, options);
+  options.reopen_variants = true;
+  StreamingRepairer unfrozen(dirty, hosp.given_oversimplified, options);
+
+  ASSERT_EQ(unfrozen.initial_stats().datarepair_calls, 0)
+      << "the cap no longer makes every candidate hopeless";
+  EXPECT_TRUE(unfrozen.IsViolationFree());
+  EXPECT_GT(frozen.initial_stats().repair_cost, 0.0);
+  EXPECT_EQ(unfrozen.initial_stats().repair_cost,
+            frozen.initial_stats().repair_cost);
+  EXPECT_EQ(unfrozen.realized_cost(), frozen.initial_stats().repair_cost);
+  EXPECT_TRUE(unfrozen.variant() == hosp.given_oversimplified);
+  ExpectEqualModuloFresh(unfrozen.current(), frozen.current());
+}
+
 // Cross-batch solution reuse keeps the invariant after every batch (the
 // bit-identity to the cold default is pinned by CacheOnMatchesOff*).
 TEST(StreamingTest, CrossBatchCacheStaysViolationFree) {

@@ -17,6 +17,7 @@
 #include "data/census.h"
 #include "data/hosp.h"
 #include "data/noise.h"
+#include "data/tax.h"
 #include "dc/parser.h"
 #include "dc/violation.h"
 #include "relation/domain_stats.h"
@@ -310,6 +311,33 @@ TEST(SubsetRepairTest, HybridMatrixHosp) {
 }
 TEST(SubsetRepairTest, HybridMatrixCensus) {
   RunStrategyMatrix(MakeCensusWorkload(), RepairStrategy::kHybrid);
+}
+
+// δ_u(Σ) is a bound in cell-update units, so it must not seed δ_min under
+// the delete strategy: on tax@300 every candidate's deletion cost exceeds
+// it, so every DataRepair call would abort and the search would fall back
+// to the repair of Σ. Bound pruning must only skip work, never change the
+// cost the search finds.
+TEST(SubsetRepairTest, DeleteStrategyPruningKeepsTheUnprunedCost) {
+  TaxConfig config;
+  config.num_rows = 300;
+  TaxData tax = MakeTax(config);
+  for (uint64_t seed : {0, 1}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    NoiseConfig noise;
+    noise.seed += seed;
+    noise.target_attrs = tax.noise_attrs;
+    Relation dirty = InjectNoise(tax.clean, noise).dirty;
+    CVTolerantOptions options;
+    options.vfree.strategy = RepairStrategy::kDelete;
+    RepairResult pruned = CVTolerantRepair(dirty, tax.given, options);
+    options.enable_bound_pruning = false;
+    RepairResult unpruned = CVTolerantRepair(dirty, tax.given, options);
+    EXPECT_EQ(pruned.stats.repair_cost, unpruned.stats.repair_cost);
+    EXPECT_EQ(pruned.stats.rows_deleted, unpruned.stats.rows_deleted);
+    EXPECT_TRUE(
+        FindViolations(pruned.repaired, pruned.satisfied_constraints).empty());
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -13,10 +13,13 @@
 //                   relation/schema_parser.h).
 // Constraint file:  one constraint per line — "not(...)" DCs or FD sugar
 //                   "A,B -> C" (see dc/parser.h). '#' comments allowed.
+#include <charconv>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <sstream>
 #include <string>
+#include <type_traits>
 #include <utility>
 
 #include "data/census.h"
@@ -75,7 +78,6 @@ struct CliOptions {
   bool cross_batch_cache = true;
   bool drift = false;  ///< drifting replay (sliding value-source window)
   int threads = 1;
-  bool reuse_index = true;
   bool encoded = true;
   bool decompose = false;
   int max_component = 24;
@@ -111,10 +113,6 @@ int Usage(const char* argv0) {
       << "                     (0 = all hardware threads, 1 = serial;\n"
       << "                     default 1 — results are identical either "
          "way)\n"
-      << "  --reuse-index 0|1  share one evaluation index across all\n"
-         "                     constraint variants (default 1; results are\n"
-         "                     identical either way — 0 only disables the\n"
-         "                     reuse, for timing comparisons)\n"
       << "  --encoded 0|1      evaluate predicates on dictionary-encoded\n"
          "                     integer columns (default 1; results are\n"
          "                     identical either way — 0 falls back to\n"
@@ -201,7 +199,37 @@ bool ReadFile(const std::string& path, std::string* out, std::string* error) {
   return true;
 }
 
+/// Parses a whole flag value into a T within [lo, hi] with
+/// std::from_chars. A non-number, trailing garbage, a value that overflows
+/// T, NaN, or a value outside the range is rejected with a message saying
+/// why ("FLAG must be RULE" for the range) instead of being coerced.
+template <typename T>
+bool ParseNumber(const std::string& flag, const std::string& text, T lo, T hi,
+                 const char* rule, T* out) {
+  T value{};
+  const char* end = text.data() + text.size();
+  auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec == std::errc::result_out_of_range) {
+    std::cerr << flag << ": " << text << " is out of range\n";
+    return false;
+  }
+  if (ec != std::errc() || ptr != end) {
+    std::cerr << flag << ": expected "
+              << (std::is_integral_v<T> ? "an integer" : "a number")
+              << ", got \"" << text << "\"\n";
+    return false;
+  }
+  if (!(value >= lo && value <= hi)) {  // NaN fails both comparisons
+    std::cerr << flag << " must be " << rule << "\n";
+    return false;
+  }
+  *out = value;
+  return true;
+}
+
 bool ParseArgs(int argc, char** argv, CliOptions* options) {
+  constexpr int kMaxInt = std::numeric_limits<int>::max();
+  constexpr double kMaxDouble = std::numeric_limits<double>::max();
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
     auto next = [&](std::string* out) {
@@ -230,47 +258,36 @@ bool ParseArgs(int argc, char** argv, CliOptions* options) {
       }
       options->generate = value;
     } else if (arg == "--size" && next(&value)) {
-      options->size = std::atoi(value.c_str());
-      if (options->size < 0) {
-        std::cerr << "--size must be >= 0\n";
+      if (!ParseNumber(arg, value, 0, kMaxInt, ">= 0", &options->size)) {
         return false;
       }
     } else if (arg == "--stream-batches" && next(&value)) {
-      options->stream_batches = std::atoi(value.c_str());
-      if (options->stream_batches < 0) {
-        std::cerr << "--stream-batches must be >= 0\n";
+      if (!ParseNumber(arg, value, 0, kMaxInt, ">= 0",
+                       &options->stream_batches)) {
         return false;
       }
     } else if (arg == "--batch-size" && next(&value)) {
-      options->batch_size = std::atoi(value.c_str());
-      if (options->batch_size <= 0) {
-        std::cerr << "--batch-size must be > 0\n";
+      if (!ParseNumber(arg, value, 1, kMaxInt, "> 0", &options->batch_size)) {
         return false;
       }
     } else if (arg == "--serve-bench") {
       options->serve_bench = true;
     } else if (arg == "--clients" && next(&value)) {
-      options->clients = std::atoi(value.c_str());
-      if (options->clients <= 0) {
-        std::cerr << "--clients must be > 0\n";
+      if (!ParseNumber(arg, value, 1, kMaxInt, "> 0", &options->clients)) {
         return false;
       }
     } else if (arg == "--shards" && next(&value)) {
-      options->shards = std::atoi(value.c_str());
-      if (options->shards <= 0) {
-        std::cerr << "--shards must be > 0\n";
+      if (!ParseNumber(arg, value, 1, kMaxInt, "> 0", &options->shards)) {
         return false;
       }
     } else if (arg == "--queue-watermark" && next(&value)) {
-      options->queue_watermark = std::atoi(value.c_str());
-      if (options->queue_watermark <= 0) {
-        std::cerr << "--queue-watermark must be > 0\n";
+      if (!ParseNumber(arg, value, 1, kMaxInt, "> 0",
+                       &options->queue_watermark)) {
         return false;
       }
     } else if (arg == "--error-rate" && next(&value)) {
-      options->error_rate = std::atof(value.c_str());
-      if (options->error_rate < 0.0 || options->error_rate > 1.0) {
-        std::cerr << "--error-rate must be in [0, 1]\n";
+      if (!ParseNumber(arg, value, 0.0, 1.0, "in [0, 1]",
+                       &options->error_rate)) {
         return false;
       }
     } else if (arg == "--algorithm" && next(&value)) {
@@ -283,23 +300,24 @@ bool ParseArgs(int argc, char** argv, CliOptions* options) {
     } else if (arg == "--repr-attr" && next(&value)) {
       options->repr_attr = value;
     } else if (arg == "--theta" && next(&value)) {
-      options->theta = std::atof(value.c_str());
+      if (!ParseNumber(arg, value, -kMaxDouble, kMaxDouble, "finite",
+                       &options->theta)) {
+        return false;
+      }
     } else if (arg == "--lambda" && next(&value)) {
-      options->lambda = std::atof(value.c_str());
+      if (!ParseNumber(arg, value, -1.0, 0.0, "in [-1, 0]",
+                       &options->lambda)) {
+        return false;
+      }
     } else if (arg == "--confidence" && next(&value)) {
-      options->confidence = std::atof(value.c_str());
+      if (!ParseNumber(arg, value, 0.0, 1.0, "in [0, 1]",
+                       &options->confidence)) {
+        return false;
+      }
     } else if (arg == "--threads" && next(&value)) {
-      options->threads = std::atoi(value.c_str());
-      if (options->threads < 0) {
-        std::cerr << "--threads must be >= 0\n";
+      if (!ParseNumber(arg, value, 0, kMaxInt, ">= 0", &options->threads)) {
         return false;
       }
-    } else if (arg == "--reuse-index" && next(&value)) {
-      if (value != "0" && value != "1") {
-        std::cerr << "--reuse-index must be 0 or 1\n";
-        return false;
-      }
-      options->reuse_index = (value == "1");
     } else if (arg == "--encoded" && next(&value)) {
       if (value != "0" && value != "1") {
         std::cerr << "--encoded must be 0 or 1\n";
@@ -313,9 +331,8 @@ bool ParseArgs(int argc, char** argv, CliOptions* options) {
       }
       options->decompose = (value == "1");
     } else if (arg == "--max-component" && next(&value)) {
-      options->max_component = std::atoi(value.c_str());
-      if (options->max_component <= 0) {
-        std::cerr << "--max-component must be > 0\n";
+      if (!ParseNumber(arg, value, 1, kMaxInt, "> 0",
+                       &options->max_component)) {
         return false;
       }
     } else if (arg == "--reopen-variants" && next(&value)) {
@@ -369,6 +386,22 @@ bool ApplyStrategyOptions(const CliOptions& options, const Schema& schema,
     vfree->subset.repr_attr = *attr;
   }
   return true;
+}
+
+/// The θ-tolerant repair options shared by every cvtolerant mode (batch,
+/// stream, serve). Returns false (after printing why) when --repr-attr
+/// names no schema attribute.
+bool MakeRepairOptions(const CliOptions& options, const Schema& schema,
+                       const PredicateSpaceOptions* space,
+                       CVTolerantOptions* repair) {
+  repair->variants.theta = options.theta;
+  repair->variants.cost_model.lambda = options.lambda;
+  if (space) repair->variants.space = *space;
+  repair->threads = options.threads;
+  repair->use_encoded = options.encoded;
+  repair->vfree.decompose = options.decompose;
+  repair->vfree.max_component = options.max_component;
+  return ApplyStrategyOptions(options, schema, &repair->vfree);
 }
 
 /// A --generate workload: dirty instance, constraints, and the predicate
@@ -453,16 +486,8 @@ int RunStream(const CliOptions& options, const Relation& data,
   if (!options.trace_out.empty()) Tracer::SetEnabled(true);
 
   StreamingOptions stream_options;
-  CVTolerantOptions& repair_options = stream_options.repair;
-  repair_options.variants.theta = options.theta;
-  repair_options.variants.cost_model.lambda = options.lambda;
-  if (space) repair_options.variants.space = *space;
-  repair_options.threads = options.threads;
-  repair_options.reuse_index = options.reuse_index;
-  repair_options.use_encoded = options.encoded;
-  repair_options.vfree.decompose = options.decompose;
-  repair_options.vfree.max_component = options.max_component;
-  if (!ApplyStrategyOptions(options, data.schema(), &repair_options.vfree)) {
+  if (!MakeRepairOptions(options, data.schema(), space,
+                         &stream_options.repair)) {
     return 2;
   }
   stream_options.reopen_variants = options.reopen_variants;
@@ -562,16 +587,8 @@ int RunServeBench(const CliOptions& options, const Relation& data,
   ThreadPool::SetNumThreads(options.threads);
 
   ServeOptions serve_options;
-  CVTolerantOptions& repair_options = serve_options.session.repair;
-  repair_options.variants.theta = options.theta;
-  repair_options.variants.cost_model.lambda = options.lambda;
-  if (space) repair_options.variants.space = *space;
-  repair_options.threads = options.threads;
-  repair_options.reuse_index = options.reuse_index;
-  repair_options.use_encoded = options.encoded;
-  repair_options.vfree.decompose = options.decompose;
-  repair_options.vfree.max_component = options.max_component;
-  if (!ApplyStrategyOptions(options, data.schema(), &repair_options.vfree)) {
+  if (!MakeRepairOptions(options, data.schema(), space,
+                         &serve_options.session.repair)) {
     return 2;
   }
   serve_options.session.num_shards = options.shards;
@@ -719,15 +736,7 @@ int RunRepair(const CliOptions& options, const Relation& data,
   RepairResult result;
   if (options.algorithm == "cvtolerant") {
     CVTolerantOptions repair_options;
-    repair_options.variants.theta = options.theta;
-    repair_options.variants.cost_model.lambda = options.lambda;
-    if (space) repair_options.variants.space = *space;
-    repair_options.threads = options.threads;
-    repair_options.reuse_index = options.reuse_index;
-    repair_options.use_encoded = options.encoded;
-    repair_options.vfree.decompose = options.decompose;
-    repair_options.vfree.max_component = options.max_component;
-    if (!ApplyStrategyOptions(options, data.schema(), &repair_options.vfree)) {
+    if (!MakeRepairOptions(options, data.schema(), space, &repair_options)) {
       return 2;
     }
     result = CVTolerantRepair(data, sigma, repair_options);
@@ -812,12 +821,10 @@ int RunRepair(const CliOptions& options, const Relation& data,
               << " (bound-pruned " << result.stats.variants_pruned_bounds
               << ", DataRepair calls " << result.stats.datarepair_calls
               << ", shared solutions " << result.stats.cache_hits << ")\n";
-    std::cout << "index cache:      " << result.stats.index_partition_builds
-              << " partition builds, " << result.stats.index_partition_reuses
-              << " reuses, " << result.stats.index_predicate_evals
+    std::cout << "scan work:        " << result.stats.index_partition_builds
+              << " partition builds, " << result.stats.index_predicate_evals
               << " predicate evals, " << result.stats.index_code_evals
-              << " code evals, " << result.stats.index_memo_hits
-              << " memo hits, " << result.stats.bound_memo_hits
+              << " code evals, " << result.stats.bound_memo_hits
               << " bound memo hits, " << result.stats.index_truncated_scans
               << " truncated scans\n";
     std::cout << "zone maps:        " << result.stats.index_blocks_scanned
