@@ -1,19 +1,19 @@
 // Microbench for the repair-as-a-service subsystem (serve/server.h):
-// hosts a HOSP replay behind a RepairServer session whose ShardedSession
-// hash-partitions detection across 4 shards, then drives the same stream
-// through a backpressured (watermark 2) session with the closed-loop
-// submit/pump retry discipline the load generator uses. Appends latency
-// percentiles and throughput to BENCH_serve.json.
+// hosts a HOSP replay behind a RepairServer session whose
+// StreamingRepairer hash-partitions detection across 4 shards, then
+// drives the same stream through a backpressured (watermark 2) session
+// with the closed-loop submit/pump retry discipline the load generator
+// uses. Appends latency percentiles and throughput to BENCH_serve.json.
 //
-// The acceptance claims live in the serve.* counters: sharding must keep
-// most conflict components shard-local (serve.shard_local_components > 0,
-// with the cross-shard merges counted separately), and admission control
-// must reject deterministically at the watermark
-// (serve.batches_rejected). The checked-in baseline pins both for the
-// serve_smoke CI gate. A FATAL guard re-runs the stream through a
-// single-session StreamingRepairer and requires the sharded final
-// instance to match cell for cell — the correctness contract sharding
-// must not bend.
+// The acceptance claims live in the serve.* counters, which
+// ServeSession::Pump publishes from each batch result: sharding must keep
+// conflict components shard-local (serve.shard_local_components > 0, with
+// the cross-shard merges counted separately), and admission control must
+// reject deterministically at the watermark (serve.batches_rejected). The
+// checked-in baseline pins both for the serve_smoke CI gate. A FATAL
+// guard re-runs the stream through a one-shard StreamingRepairer and
+// requires the sharded final instance to match cell for cell — the
+// correctness contract sharding must not bend.
 #include "bench_util.h"
 
 #include "repair/streaming.h"
@@ -148,8 +148,8 @@ int main() {
   }
 
   // Correctness guard, enforced even in metrics-only CI runs: the sharded
-  // final instance must match a single-session StreamingRepairer replay of
-  // the same stream cell for cell, fresh ids included.
+  // final instance must match a one-shard StreamingRepairer replay of the
+  // same stream cell for cell, fresh ids included.
   {
     StreamingOptions stream_options;
     stream_options.repair = serve_options.session.repair;
@@ -159,11 +159,11 @@ int main() {
       streamer.ApplyBatch(batch);
     }
     if (!SameRelation(sharded_final, streamer.current())) {
-      std::cerr << "FATAL: sharded replay diverged from the single-session "
+      std::cerr << "FATAL: sharded replay diverged from the one-shard "
                    "StreamingRepairer result\n";
       return 1;
     }
-    std::cout << "equivalence: sharded == single-session ("
+    std::cout << "equivalence: sharded == one shard ("
               << sharded_final.num_rows() << " rows)\n";
   }
   if (MetricsOnly()) return 0;

@@ -383,17 +383,6 @@ std::vector<int> ViolationIndex::ApplyBatch(const std::vector<RowEdit>& edits) {
   return touched;
 }
 
-std::vector<int> ViolationIndex::RowsWithViolations() const {
-  std::vector<int> rows;
-  for (const StoredViolation& sv : store_) {
-    if (!sv.alive) continue;
-    rows.insert(rows.end(), sv.violation.rows.begin(), sv.violation.rows.end());
-  }
-  std::sort(rows.begin(), rows.end());
-  rows.erase(std::unique(rows.begin(), rows.end()), rows.end());
-  return rows;
-}
-
 std::vector<Violation> ViolationIndex::CurrentViolations() {
   std::vector<Violation> out;
   out.reserve(alive_count_);

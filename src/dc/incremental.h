@@ -86,12 +86,6 @@ class ViolationIndex {
   /// no-op edits are all legal.
   std::vector<int> ApplyBatch(const std::vector<RowEdit>& edits);
 
-  /// Distinct rows involved in at least one live violation (sorted). With
-  /// the instance violation-free before a batch, this is the closure of
-  /// the batch's dirty region: touched rows plus every row sharing a
-  /// violation with them.
-  std::vector<int> RowsWithViolations() const;
-
   /// Current violations (compacted on demand).
   std::vector<Violation> CurrentViolations();
 

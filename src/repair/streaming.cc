@@ -4,14 +4,17 @@
 #include <cassert>
 #include <chrono>
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <random>
 #include <set>
 #include <utility>
 
+#include "dc/predicate_space.h"
 #include "graph/bounds.h"
 #include "graph/conflict_hypergraph.h"
 #include "util/metrics.h"
+#include "util/thread_pool.h"
 #include "util/trace.h"
 
 namespace cvrepair {
@@ -49,6 +52,50 @@ struct StreamCounters {
     return c;
   }
 };
+
+template <typename T>
+void SortUnique(std::vector<T>* v) {
+  std::sort(v->begin(), v->end());
+  v->erase(std::unique(v->begin(), v->end()), v->end());
+}
+
+/// FNV-1a over the shard-key values of a row. Deliberately not Value::Hash
+/// or std::hash: the shard a row lands in decides which index detects its
+/// violations, and the serve CI baselines pin exact per-shard counts, so
+/// the hash must be identical across standard libraries and platforms.
+/// Numerics hash their canonical double bit pattern (Int 5 and Double 5.0
+/// satisfy the same equality predicates, so they must share a shard; -0.0
+/// is folded into +0.0 for the same reason); strings hash their bytes.
+uint64_t HashKeyValue(uint64_t h, const Value& v) {
+  constexpr uint64_t kPrime = 0x100000001b3ull;
+  auto mix_byte = [&](unsigned char b) {
+    h ^= b;
+    h *= kPrime;
+  };
+  if (v.is_numeric()) {
+    mix_byte('n');
+    double d = v.numeric();
+    if (d == 0.0) d = 0.0;  // fold -0.0
+    unsigned char bytes[sizeof(double)];
+    std::memcpy(bytes, &d, sizeof(double));
+    for (unsigned char b : bytes) mix_byte(b);
+  } else {
+    mix_byte('s');
+    for (char c : v.ToString()) mix_byte(static_cast<unsigned char>(c));
+  }
+  return h;
+}
+
+/// A tombstoned (deleted) row: every cell NULL — what the delete and
+/// hybrid repair strategies leave behind (repair/subset.h). Such a row
+/// satisfies no predicate, so no index can ever implicate it in a
+/// violation again; its shard placement is irrelevant for detection.
+bool IsTombstone(const Relation& I, int row) {
+  for (AttrId a = 0; a < I.num_attributes(); ++a) {
+    if (!I.Get(row, a).is_null()) return false;
+  }
+  return true;
+}
 
 }  // namespace
 
@@ -208,6 +255,57 @@ double VariantTracker::BestRivalBound(const ConstraintSet& incumbent) const {
 }
 
 // ---------------------------------------------------------------------------
+// Shard planning
+
+ShardPlan PlanShards(const ConstraintSet& variant) {
+  ShardPlan plan;
+  // Candidate keys: every two-tuple constraint's non-empty equality-join
+  // attribute set, plus each of its single-attribute subsets (a smaller key
+  // can cover constraints whose full sets differ but intersect).
+  std::set<std::vector<AttrId>> candidates;
+  std::vector<std::vector<AttrId>> eq_sets(variant.size());
+  for (size_t k = 0; k < variant.size(); ++k) {
+    if (variant[k].NumTupleVars() < 2) continue;
+    eq_sets[k] = EqualityJoinAttrs(variant[k].predicates());
+    if (eq_sets[k].empty()) continue;
+    candidates.insert(eq_sets[k]);
+    for (AttrId a : eq_sets[k]) candidates.insert({a});
+  }
+  // Winner: localizes the most two-tuple constraints (its attributes are a
+  // subset of the constraint's equality-join set); ties prefer fewer key
+  // attributes, then the lexicographically smaller set — all deterministic.
+  int best_score = 0;
+  for (const std::vector<AttrId>& key : candidates) {
+    int score = 0;
+    for (size_t k = 0; k < variant.size(); ++k) {
+      if (variant[k].NumTupleVars() < 2) continue;
+      if (std::includes(eq_sets[k].begin(), eq_sets[k].end(), key.begin(),
+                        key.end())) {
+        ++score;
+      }
+    }
+    const bool wins =
+        score > best_score ||
+        (score == best_score && score > 0 &&
+         (key.size() < plan.key.size() ||
+          (key.size() == plan.key.size() && key < plan.key)));
+    if (wins) {
+      best_score = score;
+      plan.key = key;
+    }
+  }
+  for (size_t k = 0; k < variant.size(); ++k) {
+    const bool is_local =
+        variant[k].NumTupleVars() < 2 ||
+        (!plan.key.empty() &&
+         std::includes(eq_sets[k].begin(), eq_sets[k].end(), plan.key.begin(),
+                       plan.key.end()));
+    (is_local ? plan.local : plan.straddling).push_back(static_cast<int>(k));
+  }
+  return plan;
+}
+
+// ---------------------------------------------------------------------------
 // StreamingRepairer
 
 StreamingRepairer::StreamingRepairer(const Relation& I,
@@ -215,6 +313,8 @@ StreamingRepairer::StreamingRepairer(const Relation& I,
                                      const StreamingOptions& options)
     : options_(options) {
   TraceSpan span("stream/initial_repair");
+  options_.num_shards = std::max(1, options_.num_shards);
+  span.AddArg("shards", static_cast<int64_t>(options_.num_shards));
   RepairResult initial;
   if (options_.reopen_variants) {
     // The unfrozen path runs the factored search over tracker-maintained
@@ -235,44 +335,227 @@ StreamingRepairer::StreamingRepairer(const Relation& I,
   }
   variant_ = initial.satisfied_constraints;
   initial_stats_ = initial.stats;
-  // Continue fresh ids above any the initial repair minted (the Σ
+  Adopt(initial.repaired);
+}
+
+void StreamingRepairer::Adopt(const Relation& repaired) {
+  // Continue fresh ids above any the adopted instance holds (the Σ
   // fallback draws its own from 1), so streamed fixes never alias an
   // existing fv.
-  for (int r = 0; r < initial.repaired.num_rows(); ++r) {
-    for (AttrId a = 0; a < initial.repaired.num_attributes(); ++a) {
-      const Value& v = initial.repaired.Get(r, a);
+  for (int r = 0; r < repaired.num_rows(); ++r) {
+    for (AttrId a = 0; a < repaired.num_attributes(); ++a) {
+      const Value& v = repaired.Get(r, a);
       if (v.is_fresh()) {
         fresh_counter_ = std::max(fresh_counter_, v.fresh_id() + 1);
       }
     }
   }
-  index_ = std::make_unique<ViolationIndex>(initial.repaired, variant_,
-                                            options_.repair.use_encoded);
+  // The replaced indexes' re-scans stay counted, so rows_rechecked is
+  // monotone across a variant switch.
+  if (master_) retired_rechecked_ = RowsRechecked();
+  shards_.clear();
+  if (options_.num_shards == 1) {
+    master_ = std::make_unique<ViolationIndex>(repaired, variant_,
+                                               options_.repair.use_encoded);
+    return;
+  }
+  plan_ = PlanShards(variant_);
+  local_sigma_.clear();
+  ConstraintSet straddling_sigma;
+  for (int k : plan_.local) local_sigma_.push_back(variant_[k]);
+  for (int k : plan_.straddling) straddling_sigma.push_back(variant_[k]);
+  master_ = std::make_unique<ViolationIndex>(repaired, straddling_sigma,
+                                             options_.repair.use_encoded);
+  home_.resize(static_cast<size_t>(repaired.num_rows()));
+  for (int r = 0; r < repaired.num_rows(); ++r) {
+    home_[static_cast<size_t>(r)] = RouteOf(r);
+  }
+  shards_.resize(static_cast<size_t>(options_.num_shards));
+  for (int s = 0; s < options_.num_shards; ++s) RebuildShard(s);
+}
+
+int StreamingRepairer::RouteOf(int row) const {
+  const int num_shards = options_.num_shards;
+  if (!plan_.key.empty()) {
+    uint64_t h = 0xcbf29ce484222325ull;  // FNV-1a offset basis
+    bool concrete = true;
+    for (AttrId a : plan_.key) {
+      const Value& v = master_->relation().Get(row, a);
+      if (v.is_null() || v.is_fresh()) {
+        concrete = false;
+        break;
+      }
+      h = HashKeyValue(h, v);
+    }
+    if (concrete) {
+      return static_cast<int>(h % static_cast<uint64_t>(num_shards));
+    }
+  }
+  return row % num_shards;
+}
+
+void StreamingRepairer::RebuildShard(int s) {
+  Shard& shard = shards_[static_cast<size_t>(s)];
+  if (shard.index != nullptr) {
+    shard.retired_rechecked += shard.index->rows_rechecked();
+  }
+  shard.rows.clear();
+  shard.local_of.clear();
+  const Relation& master = master_->relation();
+  Relation sub(master.schema());
+  for (int r = 0; r < master.num_rows(); ++r) {
+    if (home_[static_cast<size_t>(r)] != s) continue;
+    shard.local_of.emplace(r, static_cast<int>(shard.rows.size()));
+    shard.rows.push_back(r);
+    sub.AddRow(master.row(r));
+  }
+  shard.index = std::make_unique<ViolationIndex>(sub, local_sigma_,
+                                                 options_.repair.use_encoded);
+}
+
+bool StreamingRepairer::IsViolationFree() const {
+  if (master_->HasViolations()) return false;
+  for (const Shard& shard : shards_) {
+    if (shard.index->HasViolations()) return false;
+  }
+  return true;
+}
+
+int64_t StreamingRepairer::RowsRechecked() const {
+  int64_t total = retired_rechecked_ + master_->rows_rechecked();
+  for (const Shard& shard : shards_) {
+    total += shard.retired_rechecked + shard.index->rows_rechecked();
+  }
+  return total;
+}
+
+std::vector<char> StreamingRepairer::Rehome(const std::vector<int>& rows,
+                                            int old_rows,
+                                            StreamBatchResult* out) {
+  // Inserted rows join their shard, and other rows whose key cells now
+  // hash elsewhere migrate. A migration invalidates the source shard's
+  // sub-relation (ViolationIndex has no row removal), so both endpoints
+  // rebuild from the master copy. A tombstoned row keeps the home it died
+  // in: its all-NULL cells can never join a violation again, and moving it
+  // to the round-robin slot its NULL key falls back to would rebuild two
+  // shards per deletion — under the delete strategy nearly every batch
+  // deletes.
+  const Relation& master = master_->relation();
+  home_.resize(static_cast<size_t>(master.num_rows()), -1);
+  std::vector<char> rebuild(static_cast<size_t>(options_.num_shards), 0);
+  for (int r : rows) {
+    const int target = RouteOf(r);
+    int& home = home_[static_cast<size_t>(r)];
+    if (r >= old_rows) {
+      home = target;
+    } else if (home != target && !IsTombstone(master, r)) {
+      rebuild[static_cast<size_t>(home)] = 1;
+      rebuild[static_cast<size_t>(target)] = 1;
+      home = target;
+      ++out->rows_migrated;
+    }
+  }
+  return rebuild;
+}
+
+void StreamingRepairer::SyncShards(const std::vector<int>& touched,
+                                   int old_rows,
+                                   const std::vector<char>& rebuild) {
+  // Each shard catches up independently (a thread-pool slice each; the
+  // master copy is read-only here). Synthesized per-shard edits carry the
+  // master's post-batch values, so repeated edits of one cell collapse and
+  // shard state converges to the master's regardless of in-batch ordering.
+  const Relation& master = master_->relation();
+  ThreadPool::ParallelFor(
+      options_.num_shards,
+      [&](int64_t si) {
+        const int s = static_cast<int>(si);
+        if (rebuild[static_cast<size_t>(s)] != 0) {
+          RebuildShard(s);
+          return;
+        }
+        Shard& shard = shards_[static_cast<size_t>(s)];
+        std::vector<RowEdit> shard_edits;
+        for (int r : touched) {
+          if (r < old_rows || home_[static_cast<size_t>(r)] != s) continue;
+          shard.local_of.emplace(r, static_cast<int>(shard.rows.size()));
+          shard.rows.push_back(r);
+          shard_edits.push_back(RowEdit::Insert(master.row(r)));
+        }
+        for (int r : touched) {
+          if (r >= old_rows || home_[static_cast<size_t>(r)] != s) continue;
+          const int local = shard.local_of.at(r);
+          for (AttrId a = 0; a < master.num_attributes(); ++a) {
+            const Value& now = master.Get(r, a);
+            if (shard.index->relation().Get(local, a) == now) continue;
+            shard_edits.push_back(RowEdit::Update(local, a, now));
+          }
+        }
+        if (!shard_edits.empty()) shard.index->ApplyBatch(shard_edits);
+      },
+      options_.repair.threads);
+}
+
+std::vector<Violation> StreamingRepairer::CollectViolations() {
+  std::vector<Violation> out = master_->CurrentViolations();
+  if (shards_.empty()) return out;
+  for (Violation& v : out) {
+    v.constraint_index =
+        plan_.straddling[static_cast<size_t>(v.constraint_index)];
+  }
+  for (Shard& shard : shards_) {
+    for (Violation& v : shard.index->CurrentViolations()) {
+      v.constraint_index =
+          plan_.local[static_cast<size_t>(v.constraint_index)];
+      for (int& row : v.rows) row = shard.rows[static_cast<size_t>(row)];
+      out.push_back(std::move(v));
+    }
+  }
+  CanonicalizeViolations(&out);
+  return out;
+}
+
+void StreamingRepairer::CountComponents(
+    const std::vector<Violation>& violations, StreamBatchResult* out) const {
+  // Union-find over the violations' rows; a component spans shards when
+  // its rows have two homes.
+  std::unordered_map<int, int> parent;
+  for (const Violation& v : violations) {
+    for (int r : v.rows) parent.emplace(r, r);
+  }
+  auto find = [&parent](int r) {
+    while (parent[r] != r) r = parent[r] = parent[parent[r]];
+    return r;
+  };
+  for (const Violation& v : violations) {
+    for (int r : v.rows) parent[find(r)] = find(v.rows[0]);
+  }
+  std::unordered_map<int, int> home_of;  // root -> home, -1 once it spans
+  for (const auto& [row, unused] : parent) {
+    auto [it, inserted] = home_of.try_emplace(find(row), HomeOf(row));
+    if (it->second != HomeOf(row)) it->second = -1;
+  }
+  for (const auto& [root, home] : home_of) {
+    ++(home < 0 ? out->cross_shard_components : out->shard_local_components);
+  }
 }
 
 void StreamingRepairer::EvictForEdits(const std::vector<RowEdit>& edits,
                                       StreamBatchResult* out) {
-  bool any_insert = false;
   std::vector<int> rows;
   std::vector<AttrId> attrs;
   for (const RowEdit& e : edits) {
     if (e.insert) {
-      any_insert = true;
-      break;
+      // An insert shifts every attribute's active domain and frequency
+      // ranking, so no prior solution's solver inputs are reproducible.
+      out->cache_invalidations += cross_batch_cache_.Clear();
+      return;
     }
     rows.push_back(e.row);
     attrs.push_back(e.attr);
   }
-  if (any_insert) {
-    // An insert shifts every attribute's active domain and frequency
-    // ranking, so no prior solution's solver inputs are reproducible.
-    out->cache_invalidations += cross_batch_cache_.Clear();
-    return;
-  }
-  std::sort(rows.begin(), rows.end());
-  rows.erase(std::unique(rows.begin(), rows.end()), rows.end());
-  std::sort(attrs.begin(), attrs.end());
-  attrs.erase(std::unique(attrs.begin(), attrs.end()), attrs.end());
+  SortUnique(&rows);
+  SortUnique(&attrs);
   out->cache_invalidations += cross_batch_cache_.EvictTouching(rows, attrs);
 }
 
@@ -284,7 +567,7 @@ StreamBatchResult StreamingRepairer::ApplyBatch(
 
   StreamBatchResult out;
   out.edits = static_cast<int>(edits.size());
-  const int64_t rechecked_before = index_->rows_rechecked();
+  const int64_t rechecked_before = RowsRechecked();
 
   // Everything materialized before this batch becomes prior-epoch: from
   // here on it answers lookups only on exact atom equality, and only if it
@@ -293,10 +576,17 @@ StreamBatchResult StreamingRepairer::ApplyBatch(
   if (options_.cross_batch_cache) EvictForEdits(edits, &out);
   if (tracker_) out.bound_updates = tracker_->Ingest(edits);
 
-  std::vector<int> touched = index_->ApplyBatch(edits);
+  // The master copy absorbs the raw batch first; shards then follow its
+  // post-batch values, so a mid-batch shard-key edit can never leave
+  // detection running against a stale home.
+  const int old_rows = master_->relation().num_rows();
+  std::vector<int> touched = master_->ApplyBatch(edits);
   out.rows_touched = static_cast<int>(touched.size());
+  if (!shards_.empty()) {
+    SyncShards(touched, old_rows, Rehome(touched, old_rows, &out));
+  }
 
-  std::vector<Violation> violations = index_->CurrentViolations();
+  std::vector<Violation> violations = CollectViolations();
   out.violations = static_cast<int>(violations.size());
 
   if (!violations.empty()) {
@@ -304,14 +594,16 @@ StreamBatchResult StreamingRepairer::ApplyBatch(
     // with them. (The instance was violation-free before the batch, so
     // every live violation involves a touched row.)
     {
-      std::vector<int> dirty = index_->RowsWithViolations();
-      dirty.insert(dirty.end(), touched.begin(), touched.end());
-      std::sort(dirty.begin(), dirty.end());
-      dirty.erase(std::unique(dirty.begin(), dirty.end()), dirty.end());
+      std::vector<int> dirty = touched;
+      for (const Violation& v : violations) {
+        dirty.insert(dirty.end(), v.rows.begin(), v.rows.end());
+      }
+      SortUnique(&dirty);
       out.dirty_rows = static_cast<int>(dirty.size());
     }
+    if (!shards_.empty()) CountComponents(violations, &out);
 
-    const Relation& W = index_->relation();
+    const Relation& W = master_->relation();
     // Recomputed per batch so the scoped solve sees exactly the stats a
     // from-scratch repair of the accumulated instance would — the contract
     // is bit-identity with scratch, and frequencies steer the solver.
@@ -322,7 +614,7 @@ StreamBatchResult StreamingRepairer::ApplyBatch(
         options_.cross_batch_cache ? &cross_batch_cache_ : &local_cache;
     std::optional<ScopedRepair> fix = CVTolerantResolveComponents(
         W, stats_of_W, variant_, std::move(violations), options_.repair,
-        cache, &batch_stats, &fresh_counter_, index_->encoded());
+        cache, &batch_stats, &fresh_counter_, master_->encoded());
     // delta_min defaults to +inf, so the scoped solve cannot abort.
     assert(fix.has_value());
     out.components = fix->components;
@@ -333,35 +625,43 @@ StreamBatchResult StreamingRepairer::ApplyBatch(
       // Solutions may keep a cell's current value; skip those entirely —
       // the instance is unchanged, so no violation can have appeared and
       // no re-scan is owed.
-      if (index_->relation().Get(cell) == value) continue;
+      if (master_->relation().Get(cell) == value) continue;
       ++out.cells_changed;
       fix_rows.push_back(cell.row);
       fix_attrs.push_back(cell.attr);
-      index_->ApplyChange(cell, std::move(value));
+      if (!shards_.empty()) {
+        Shard& shard = shards_[static_cast<size_t>(HomeOf(cell.row))];
+        shard.index->ApplyChange(
+            Cell{shard.local_of.at(cell.row), cell.attr}, value);
+      }
+      master_->ApplyChange(cell, std::move(value));
+    }
+    SortUnique(&fix_rows);
+    SortUnique(&fix_attrs);
+    if (!shards_.empty()) {
+      // Rows whose key cells the fixes rewrote re-home; the write-backs
+      // above already reached every other shard.
+      std::vector<char> rebuild =
+          Rehome(fix_rows, master_->relation().num_rows(), &out);
+      for (int s = 0; s < options_.num_shards; ++s) {
+        if (rebuild[static_cast<size_t>(s)] != 0) RebuildShard(s);
+      }
     }
     // Every live violation had a covering cell assigned a changed value
-    // (atoms force it), and that cell's ApplyChange retired it.
-    assert(!index_->HasViolations());
+    // (atoms force it), and that cell's write-backs retired it.
+    assert(IsViolationFree());
     if (options_.cross_batch_cache && !fix_rows.empty()) {
       // The fixes themselves changed cells (and domain frequencies) that
       // prior entries — including ones stored moments ago in this batch —
       // may depend on.
-      std::sort(fix_rows.begin(), fix_rows.end());
-      fix_rows.erase(std::unique(fix_rows.begin(), fix_rows.end()),
-                     fix_rows.end());
-      std::sort(fix_attrs.begin(), fix_attrs.end());
-      fix_attrs.erase(std::unique(fix_attrs.begin(), fix_attrs.end()),
-                      fix_attrs.end());
       out.cache_invalidations +=
           cross_batch_cache_.EvictTouching(fix_rows, fix_attrs);
     }
-  } else {
-    out.dirty_rows = 0;
   }
 
   if (tracker_) MaybeReopen(&out);
 
-  out.rows_rechecked = index_->rows_rechecked() - rechecked_before;
+  out.rows_rechecked = RowsRechecked() - rechecked_before;
   out.elapsed_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();
@@ -374,6 +674,9 @@ StreamBatchResult StreamingRepairer::ApplyBatch(
   totals_.rows_rechecked += out.rows_rechecked;
   totals_.components_resolved += out.components;
   totals_.cells_changed += out.cells_changed;
+  totals_.shard_local_components += out.shard_local_components;
+  totals_.cross_shard_components += out.cross_shard_components;
+  totals_.rows_migrated += out.rows_migrated;
   totals_.variant_reopens += out.reopened ? 1 : 0;
   totals_.variant_switches += out.variant_switched ? 1 : 0;
   totals_.bound_updates += out.bound_updates;
@@ -394,8 +697,7 @@ StreamBatchResult StreamingRepairer::ApplyBatch(
 
 void StreamingRepairer::MaybeReopen(StreamBatchResult* out) {
   const CostModel& cost = options_.repair.vfree.cost;
-  realized_cost_ =
-      RepairCost(tracker_->dirty(), index_->relation(), cost);
+  realized_cost_ = RepairCost(tracker_->dirty(), master_->relation(), cost);
   out->realized_cost = realized_cost_;
   out->rival_bound = tracker_->BestRivalBound(variant_);
   // Skip only when every rival bound clears realized + margin: any bound
@@ -437,7 +739,7 @@ void StreamingRepairer::MaybeReopen(StreamBatchResult* out) {
       // adopted repair rewrote cells (or attribute domains) under them.
       std::vector<int> diff_rows;
       std::vector<AttrId> diff_attrs;
-      const Relation& old_W = index_->relation();
+      const Relation& old_W = master_->relation();
       for (int r = 0; r < old_W.num_rows(); ++r) {
         for (AttrId a = 0; a < old_W.num_attributes(); ++a) {
           if (old_W.Get(r, a) == sr.repaired.Get(r, a)) continue;
@@ -445,12 +747,8 @@ void StreamingRepairer::MaybeReopen(StreamBatchResult* out) {
           diff_attrs.push_back(a);
         }
       }
-      std::sort(diff_rows.begin(), diff_rows.end());
-      diff_rows.erase(std::unique(diff_rows.begin(), diff_rows.end()),
-                      diff_rows.end());
-      std::sort(diff_attrs.begin(), diff_attrs.end());
-      diff_attrs.erase(std::unique(diff_attrs.begin(), diff_attrs.end()),
-                       diff_attrs.end());
+      SortUnique(&diff_rows);
+      SortUnique(&diff_attrs);
       out->cache_invalidations +=
           cross_batch_cache_.EvictTouching(diff_rows, diff_attrs);
     }
@@ -458,8 +756,7 @@ void StreamingRepairer::MaybeReopen(StreamBatchResult* out) {
   variant_ = std::move(sr.variant);
   realized_cost_ = sr.cost;
   out->realized_cost = realized_cost_;
-  index_ = std::make_unique<ViolationIndex>(sr.repaired, variant_,
-                                            options_.repair.use_encoded);
+  Adopt(sr.repaired);
 }
 
 ReplayWorkload MakeReplayWorkload(const Relation& dirty, int num_batches,

@@ -10,18 +10,30 @@ namespace cvrepair {
 
 namespace {
 
-struct AdmissionCounters {
+/// Cached "serve." counter handles (handles are stable for the process
+/// lifetime; ResetAll only zeroes values).
+struct ServeCounters {
   MetricCounter* batches_admitted;
   MetricCounter* batches_rejected;
   MetricCounter* sessions_opened;
+  MetricCounter* batches_applied;
+  MetricCounter* cells_changed;
+  MetricCounter* shard_local_components;
+  MetricCounter* cross_shard_components;
+  MetricCounter* rows_migrated;
 
-  static const AdmissionCounters& Get() {
-    static AdmissionCounters c = [] {
+  static const ServeCounters& Get() {
+    static ServeCounters c = [] {
       MetricsRegistry& r = MetricsRegistry::Global();
-      AdmissionCounters out;
+      ServeCounters out;
       out.batches_admitted = r.GetCounter("serve.batches_admitted");
       out.batches_rejected = r.GetCounter("serve.batches_rejected");
       out.sessions_opened = r.GetCounter("serve.sessions_opened");
+      out.batches_applied = r.GetCounter("serve.batches_applied");
+      out.cells_changed = r.GetCounter("serve.cells_changed");
+      out.shard_local_components = r.GetCounter("serve.shard_local_components");
+      out.cross_shard_components = r.GetCounter("serve.cross_shard_components");
+      out.rows_migrated = r.GetCounter("serve.rows_migrated");
       return out;
     }();
     return c;
@@ -43,7 +55,7 @@ ServeSession::ServeSession(std::string name, const Relation& I,
         return a;
       }()),
       session_(I, sigma, options.session) {
-  AdmissionCounters::Get().sessions_opened->Increment();
+  ServeCounters::Get().sessions_opened->Increment();
   if (admission_.background) StartWorker();
 }
 
@@ -60,7 +72,7 @@ SubmitOutcome ServeSession::Submit(std::vector<RowEdit> edits) {
       ++rejected_;
       out.retry_after_seconds = admission_.retry_after_seconds;
       out.queue_depth = static_cast<int>(queue_.size());
-      AdmissionCounters::Get().batches_rejected->Increment();
+      ServeCounters::Get().batches_rejected->Increment();
       return out;
     }
     queue_.push_back(std::move(edits));
@@ -68,7 +80,7 @@ SubmitOutcome ServeSession::Submit(std::vector<RowEdit> edits) {
     out.ticket = admitted_++;
     out.queue_depth = static_cast<int>(queue_.size());
   }
-  AdmissionCounters::Get().batches_admitted->Increment();
+  ServeCounters::Get().batches_admitted->Increment();
   queue_cv_.notify_one();
   return out;
 }
@@ -84,7 +96,13 @@ int ServeSession::Pump() {
     batch = std::move(queue_.front());
     queue_.pop_front();
   }
-  ServeBatchResult result = session_.ApplyBatch(batch);
+  const StreamBatchResult result = session_.ApplyBatch(batch);
+  const ServeCounters& c = ServeCounters::Get();
+  c.batches_applied->Increment();
+  c.cells_changed->Add(result.cells_changed);
+  c.shard_local_components->Add(result.shard_local_components);
+  c.cross_shard_components->Add(result.cross_shard_components);
+  c.rows_migrated->Add(result.rows_migrated);
   {
     std::lock_guard<std::mutex> lock(mu_);
     ++applied_;

@@ -2,16 +2,17 @@
 #define CVREPAIR_SERVE_SERVER_H_
 
 // Repair-as-a-service front end (DESIGN.md §13): a RepairServer hosts
-// named dataset sessions, each wrapping a ShardedSession behind a bounded
-// request queue with admission control. Submit is the client edge — it
-// either enqueues a batch (admitted, with a monotone ticket) or rejects it
-// with a retry-after hint once the queue depth reaches the watermark
-// (backpressure; nothing is dropped silently). Accepted batches are
-// applied strictly in ticket order, either synchronously (Pump/Flush — the
-// deterministic mode the CI gate and the load generator's metrics sections
-// drive) or by an optional background worker thread. Closing a session
-// flushes every accepted batch before the session is destroyed, so
-// admission is a promise: admitted edits are always applied.
+// named dataset sessions, each wrapping a StreamingRepairer (usually with
+// sharded detection) behind a bounded request queue with admission
+// control. Submit is the client edge — it either enqueues a batch
+// (admitted, with a monotone ticket) or rejects it with a retry-after hint
+// once the queue depth reaches the watermark (backpressure; nothing is
+// dropped silently). Accepted batches are applied strictly in ticket
+// order, either synchronously (Pump/Flush — the deterministic mode the CI
+// gate and the load generator's metrics sections drive) or by an optional
+// background worker thread. Closing a session flushes every accepted batch
+// before the session is destroyed, so admission is a promise: admitted
+// edits are always applied.
 
 #include <condition_variable>
 #include <cstdint>
@@ -24,9 +25,13 @@
 #include <thread>
 #include <vector>
 
-#include "serve/sharded_session.h"
+#include "repair/streaming.h"
 
 namespace cvrepair {
+
+// perfbench/src/main.cc, frozen outside benchmark changes, still names these.
+using ShardedSession = StreamingRepairer;
+using ServeTotals = StreamTotals;
 
 /// Admission-control policy of one session's request queue.
 struct AdmissionOptions {
@@ -44,9 +49,9 @@ struct AdmissionOptions {
   bool background = false;
 };
 
-/// Per-session configuration: the sharded engine plus the admission edge.
+/// Per-session configuration: the engine plus the admission edge.
 struct ServeOptions {
-  ShardedOptions session;
+  StreamingOptions session;
   AdmissionOptions admission;
 };
 
@@ -61,7 +66,7 @@ struct SubmitOutcome {
   int queue_depth = 0;
 };
 
-/// One named dataset session: a ShardedSession fed by a bounded queue.
+/// One named dataset session: a StreamingRepairer fed by a bounded queue.
 /// Thread-safe: any number of client threads may Submit while one drainer
 /// (Pump/Flush caller or the background worker) applies.
 class ServeSession {
@@ -76,8 +81,8 @@ class ServeSession {
   /// watermark. Never blocks on repair work.
   SubmitOutcome Submit(std::vector<RowEdit> edits);
 
-  /// Applies the oldest pending batch, if any. Returns batches applied
-  /// (0 or 1).
+  /// Applies the oldest pending batch, if any, and publishes its serve.*
+  /// counters. Returns batches applied (0 or 1).
   int Pump();
 
   /// Applies every pending batch. Returns batches applied.
@@ -95,7 +100,7 @@ class ServeSession {
 
   /// The engine. Safe to read between Pump/Flush calls in synchronous
   /// mode; with a background worker, only after StopWorker/Close.
-  const ShardedSession& repair() const { return session_; }
+  const StreamingRepairer& repair() const { return session_; }
 
  private:
   friend class RepairServer;
@@ -105,7 +110,7 @@ class ServeSession {
 
   const std::string name_;
   const AdmissionOptions admission_;
-  ShardedSession session_;
+  StreamingRepairer session_;
 
   mutable std::mutex mu_;  // queue, counters, latency sample
   std::condition_variable queue_cv_;

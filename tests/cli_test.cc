@@ -248,6 +248,21 @@ TEST_F(CliTest, StreamBatchesWritesMetricsAndCsv) {
   EXPECT_FALSE(ReadWholeFile(dir_ + "/streamed.csv").empty());
 }
 
+// --serve-bench honours --reopen-variants: the served session re-opens
+// the variant search on the drift stream and still ends violation-free.
+TEST_F(CliTest, ServeBenchReopensVariants) {
+  // Run inside the scratch dir: --serve-bench appends to BENCH_serve.json.
+  std::string out = RunAndCapture(
+      "cd " + dir_ + " && " + cli_ +
+      " --generate hosp --size 6 --serve-bench --drift --reopen-variants 1" +
+      " --stream-batches 6 --batch-size 10 --shards 2");
+  const std::string label = "variant reopens:  ";
+  size_t at = out.find(label);
+  ASSERT_NE(at, std::string::npos) << out;
+  EXPECT_GT(std::atoi(out.c_str() + at + label.size()), 0) << out;
+  EXPECT_NE(out.find("violation-free:   yes"), std::string::npos) << out;
+}
+
 TEST_F(CliTest, StreamBatchesRejectsOtherAlgorithmsAndBadSizes) {
   std::string wrong = RunAndCapture(
       cli_ + " --generate hosp --stream-batches 2 --algorithm vfree");

@@ -1,7 +1,7 @@
-// Repair-as-a-service (serve/): the sharded session must stay
-// violation-free under the frozen Σ' and bit-identical — cost, changed
-// cells, components, fresh ids included — to a single-session
-// StreamingRepairer replay of the same edit sequence, across shard counts,
+// Repair-as-a-service (serve/) and sharded detection (repair/streaming.h):
+// a StreamingRepairer with N shards must stay violation-free under Σ' and
+// bit-identical — cost, changed cells, components, fresh ids included — to
+// a one-shard replay of the same edit sequence, across shard counts,
 // backends, and thread counts; the admission edge must reject at the
 // watermark deterministically, re-admit after a drain, and never lose an
 // accepted batch, even across Close.
@@ -22,7 +22,6 @@
 #include "dc/predicate_space.h"
 #include "dc/violation.h"
 #include "repair/streaming.h"
-#include "serve/sharded_session.h"
 
 namespace cvrepair {
 namespace {
@@ -54,22 +53,13 @@ Workload MakeCensusWorkload() {
   return {InjectNoise(census.clean, noise).dirty, census.given, {}};
 }
 
-ShardedOptions MakeShardedOptions(const Workload& w, bool encoded,
-                                  int threads, int shards) {
-  ShardedOptions options;
-  options.repair.variants.space = w.space;
-  options.repair.threads = threads;
-  options.repair.use_encoded = encoded;
-  options.num_shards = shards;
-  return options;
-}
-
 StreamingOptions MakeStreamingOptions(const Workload& w, bool encoded,
-                                      int threads) {
+                                      int threads, int shards = 1) {
   StreamingOptions options;
   options.repair.variants.space = w.space;
   options.repair.threads = threads;
   options.repair.use_encoded = encoded;
+  options.num_shards = shards;
   return options;
 }
 
@@ -85,7 +75,7 @@ void ExpectExactlyEqual(const Relation& a, const Relation& b) {
   }
 }
 
-/// Streams the same replay through a ShardedSession and a single-session
+/// Streams the same replay through an N-shard and a one-shard
 /// StreamingRepairer and pins batch-by-batch bit-identity: same variant,
 /// same violation count, same cost/cells/components, same cells including
 /// fresh ids.
@@ -93,8 +83,8 @@ void RunShardedVsStreamed(const Workload& w, bool encoded, int threads,
                           int shards) {
   ReplayWorkload replay = MakeReplayWorkload(w.dirty, /*num_batches=*/4,
                                              /*batch_size=*/8, /*seed=*/7);
-  ShardedSession sharded(replay.base, w.sigma,
-                         MakeShardedOptions(w, encoded, threads, shards));
+  StreamingRepairer sharded(replay.base, w.sigma,
+                            MakeStreamingOptions(w, encoded, threads, shards));
   StreamingRepairer streamer(replay.base, w.sigma,
                              MakeStreamingOptions(w, encoded, threads));
   ASSERT_TRUE(sharded.variant() == streamer.variant());
@@ -103,7 +93,7 @@ void RunShardedVsStreamed(const Workload& w, bool encoded, int threads,
 
   for (size_t b = 0; b < replay.batches.size(); ++b) {
     SCOPED_TRACE("batch " + std::to_string(b));
-    ServeBatchResult rs = sharded.ApplyBatch(replay.batches[b]);
+    StreamBatchResult rs = sharded.ApplyBatch(replay.batches[b]);
     StreamBatchResult rt = streamer.ApplyBatch(replay.batches[b]);
     EXPECT_TRUE(sharded.IsViolationFree());
     EXPECT_EQ(rs.violations, rt.violations);
@@ -189,13 +179,13 @@ TEST(ServeTest, AllConstraintsLocalRunsWithEmptyResidual) {
   Workload w = MakeHospWorkload();
   w.sigma = {w.sigma[0]};  // fd_phone_oversimplified alone, eq-join {Name}
   ReplayWorkload replay = MakeReplayWorkload(w.dirty, 3, 6, /*seed=*/5);
-  ShardedSession sharded(replay.base, w.sigma,
-                         MakeShardedOptions(w, true, 1, 3));
+  StreamingRepairer sharded(replay.base, w.sigma,
+                            MakeStreamingOptions(w, true, 1, 3));
   EXPECT_TRUE(sharded.plan().straddling.empty());
   StreamingRepairer streamer(replay.base, w.sigma,
                              MakeStreamingOptions(w, true, 1));
   for (const std::vector<RowEdit>& batch : replay.batches) {
-    ServeBatchResult rs = sharded.ApplyBatch(batch);
+    StreamBatchResult rs = sharded.ApplyBatch(batch);
     StreamBatchResult rt = streamer.ApplyBatch(batch);
     EXPECT_EQ(rs.repair_cost, rt.repair_cost);
     EXPECT_EQ(rs.cells_changed, rt.cells_changed);
@@ -209,7 +199,7 @@ TEST(ServeTest, AllConstraintsLocalRunsWithEmptyResidual) {
 /// least one violation spanning two shards (want_cross) or contained in
 /// one (want_cross = false), by simulating candidate edits on a copy.
 /// Returns false if no candidate qualifies.
-bool FindProbeEdit(ShardedSession& session, AttrId target_attr,
+bool FindProbeEdit(StreamingRepairer& session, AttrId target_attr,
                    bool want_cross, RowEdit* out) {
   const Relation& W = session.current();
   for (int src = 0; src < W.num_rows(); ++src) {
@@ -247,13 +237,14 @@ bool FindProbeEdit(ShardedSession& session, AttrId target_attr,
 // component — and the repair still retires it.
 TEST(ServeTest, CrossShardComponentIsMergedAndRepaired) {
   Workload w = MakeHospWorkload();
-  ShardedSession session(w.dirty, w.sigma, MakeShardedOptions(w, true, 1, 2));
+  StreamingRepairer session(w.dirty, w.sigma,
+                            MakeStreamingOptions(w, true, 1, 2));
   // MeasureCode → MeasureName/Condition straddle the Name-keyed shards.
   RowEdit probe;
   ASSERT_TRUE(
       FindProbeEdit(session, HospAttrs::kMeasureCode, /*want_cross=*/true,
                     &probe));
-  ServeBatchResult r = session.ApplyBatch({probe});
+  StreamBatchResult r = session.ApplyBatch({probe});
   EXPECT_GE(r.cross_shard_components, 1);
   EXPECT_TRUE(session.IsViolationFree());
   EXPECT_GE(session.totals().cross_shard_components, 1);
@@ -263,11 +254,12 @@ TEST(ServeTest, CrossShardComponentIsMergedAndRepaired) {
 // shard index and is counted shard-local.
 TEST(ServeTest, ShardLocalComponentStaysLocal) {
   Workload w = MakeHospWorkload();
-  ShardedSession session(w.dirty, w.sigma, MakeShardedOptions(w, true, 1, 4));
+  StreamingRepairer session(w.dirty, w.sigma,
+                            MakeStreamingOptions(w, true, 1, 4));
   RowEdit probe;
   ASSERT_TRUE(FindProbeEdit(session, HospAttrs::kPhone, /*want_cross=*/false,
                             &probe));
-  ServeBatchResult r = session.ApplyBatch({probe});
+  StreamBatchResult r = session.ApplyBatch({probe});
   EXPECT_GE(r.shard_local_components, 1);
   EXPECT_TRUE(session.IsViolationFree());
 }
@@ -279,7 +271,8 @@ TEST(ServeTest, ShardLocalComponentStaysLocal) {
 // the equality joins (it does on hosp: fd_phone's key becomes Address).
 TEST(ServeTest, ShardKeyEditMigratesRow) {
   Workload w = MakeHospWorkload();
-  ShardedSession sharded(w.dirty, w.sigma, MakeShardedOptions(w, true, 1, 4));
+  StreamingRepairer sharded(w.dirty, w.sigma,
+                            MakeStreamingOptions(w, true, 1, 4));
   StreamingRepairer streamer(w.dirty, w.sigma,
                              MakeStreamingOptions(w, true, 1));
   const std::vector<AttrId>& key = sharded.plan().key;
@@ -308,7 +301,7 @@ TEST(ServeTest, ShardKeyEditMigratesRow) {
   for (AttrId at : key) {
     batch.push_back(RowEdit::Update(victim, at, W.Get(donor, at)));
   }
-  ServeBatchResult rs = sharded.ApplyBatch(batch);
+  StreamBatchResult rs = sharded.ApplyBatch(batch);
   StreamBatchResult rt = streamer.ApplyBatch(batch);
   EXPECT_GE(rs.rows_migrated, 1);
   EXPECT_EQ(rs.repair_cost, rt.repair_cost);
@@ -334,9 +327,9 @@ TEST(ServeTest, ShardKeyEditMigratesRow) {
 // stay bit-identical to the unsharded replay.
 TEST(ServeTest, DeletedRowStaysHomeAndRetiresFromShardIndex) {
   Workload w = MakeHospWorkload();
-  ShardedOptions sharded_options = MakeShardedOptions(w, true, 1, 4);
+  StreamingOptions sharded_options = MakeStreamingOptions(w, true, 1, 4);
   sharded_options.repair.vfree.strategy = RepairStrategy::kDelete;
-  ShardedSession sharded(w.dirty, w.sigma, sharded_options);
+  StreamingRepairer sharded(w.dirty, w.sigma, sharded_options);
   StreamingOptions streaming_options = MakeStreamingOptions(w, true, 1);
   streaming_options.repair.vfree.strategy = RepairStrategy::kDelete;
   StreamingRepairer streamer(w.dirty, w.sigma, streaming_options);
@@ -356,7 +349,7 @@ TEST(ServeTest, DeletedRowStaysHomeAndRetiresFromShardIndex) {
   }
   const int64_t migrated_before = sharded.totals().rows_migrated;
 
-  ServeBatchResult rs = sharded.ApplyBatch({probe});
+  StreamBatchResult rs = sharded.ApplyBatch({probe});
   StreamBatchResult rt = streamer.ApplyBatch({probe});
   EXPECT_EQ(rs.repair_cost, rt.repair_cost);
   EXPECT_EQ(rs.cells_changed, rt.cells_changed);
@@ -378,7 +371,7 @@ TEST(ServeTest, DeletedRowStaysHomeAndRetiresFromShardIndex) {
 
   // The shard indexes really retired the rows: a no-op batch detects
   // nothing and changes nothing.
-  ServeBatchResult idle = sharded.ApplyBatch({});
+  StreamBatchResult idle = sharded.ApplyBatch({});
   EXPECT_EQ(idle.violations, 0);
   EXPECT_EQ(idle.cells_changed, 0);
 }
@@ -393,16 +386,16 @@ TEST(ServeTest, DeleteStrategyShardedMatchesStreamedReplay) {
       Workload w = MakeHospWorkload();
       ReplayWorkload replay = MakeReplayWorkload(w.dirty, /*num_batches=*/3,
                                                  /*batch_size=*/8, /*seed=*/7);
-      ShardedOptions sharded_options =
-          MakeShardedOptions(w, encoded, threads, 3);
+      StreamingOptions sharded_options =
+          MakeStreamingOptions(w, encoded, threads, 3);
       sharded_options.repair.vfree.strategy = RepairStrategy::kDelete;
-      ShardedSession sharded(replay.base, w.sigma, sharded_options);
+      StreamingRepairer sharded(replay.base, w.sigma, sharded_options);
       StreamingOptions streaming_options =
           MakeStreamingOptions(w, encoded, threads);
       streaming_options.repair.vfree.strategy = RepairStrategy::kDelete;
       StreamingRepairer streamer(replay.base, w.sigma, streaming_options);
       for (const std::vector<RowEdit>& batch : replay.batches) {
-        ServeBatchResult rs = sharded.ApplyBatch(batch);
+        StreamBatchResult rs = sharded.ApplyBatch(batch);
         StreamBatchResult rt = streamer.ApplyBatch(batch);
         EXPECT_EQ(rs.repair_cost, rt.repair_cost);
         EXPECT_EQ(rs.cells_changed, rt.cells_changed);
@@ -411,6 +404,57 @@ TEST(ServeTest, DeleteStrategyShardedMatchesStreamedReplay) {
       ExpectExactlyEqual(sharded.current(), streamer.current());
       EXPECT_TRUE(
           FindViolations(sharded.current(), sharded.variant()).empty());
+    }
+  }
+}
+
+// Sharded sessions inherit the unfrozen variant: on the drift stream, 2
+// and 4 shards match one shard batch by batch — reopen decisions, variant,
+// costs, every cell with fresh ids — and a switch re-plans the shard key
+// and re-homes every live row under the new plan.
+TEST(ServeTest, ShardedUnfrozenStreamMatchesUnsharded) {
+  Workload w = MakeHospWorkload();
+  ReplayWorkload replay = MakeDriftWorkload(w.dirty, /*num_batches=*/6,
+                                            /*batch_size=*/10, /*seed=*/29);
+  for (int threads : {1, 4}) {
+    for (int shards : {2, 4}) {
+      SCOPED_TRACE("threads=" + std::to_string(threads) +
+                   " shards=" + std::to_string(shards));
+      StreamingOptions options = MakeStreamingOptions(w, true, threads);
+      options.reopen_variants = true;
+      StreamingRepairer unsharded(replay.base, w.sigma, options);
+      options.num_shards = shards;
+      StreamingRepairer sharded(replay.base, w.sigma, options);
+      int switched = 0;
+      for (size_t b = 0; b < replay.batches.size(); ++b) {
+        SCOPED_TRACE("batch " + std::to_string(b));
+        StreamBatchResult rs = sharded.ApplyBatch(replay.batches[b]);
+        StreamBatchResult ru = unsharded.ApplyBatch(replay.batches[b]);
+        EXPECT_TRUE(sharded.IsViolationFree());
+        EXPECT_EQ(rs.reopened, ru.reopened);
+        EXPECT_EQ(rs.variant_switched, ru.variant_switched);
+        EXPECT_TRUE(sharded.variant() == unsharded.variant());
+        EXPECT_EQ(sharded.realized_cost(), unsharded.realized_cost());
+        EXPECT_EQ(rs.repair_cost, ru.repair_cost);
+        ExpectExactlyEqual(sharded.current(), unsharded.current());
+        if (!rs.variant_switched) continue;
+        ++switched;
+        const ShardPlan replanned = PlanShards(sharded.variant());
+        EXPECT_EQ(sharded.plan().key, replanned.key);
+        EXPECT_EQ(sharded.plan().local, replanned.local);
+        EXPECT_EQ(sharded.plan().straddling, replanned.straddling);
+        const Relation& W = sharded.current();
+        for (int r = 0; r < W.num_rows(); ++r) {
+          bool tombstone = true;
+          for (AttrId a = 0; a < W.num_attributes(); ++a) {
+            tombstone &= W.Get(r, a).is_null();
+          }
+          if (!tombstone) {
+            EXPECT_EQ(sharded.HomeOf(r), sharded.RouteOf(r));
+          }
+        }
+      }
+      EXPECT_GT(switched, 0) << "no batch switched variants";
     }
   }
 }
@@ -489,7 +533,7 @@ TEST(ServeTest, CloseFlushesAcceptedBatchesWithoutLoss) {
   ASSERT_TRUE(final_instance.has_value());
   EXPECT_EQ(server.Find("hosp"), nullptr);
 
-  ShardedSession twin(replay.base, w.sigma, options.session);
+  StreamingRepairer twin(replay.base, w.sigma, options.session);
   for (const std::vector<RowEdit>& batch : replay.batches) {
     twin.ApplyBatch(batch);
   }
@@ -514,7 +558,7 @@ TEST(ServeTest, BackgroundWorkerMatchesSynchronousDrain) {
   ASSERT_TRUE(final_instance.has_value());
 
   options.admission.background = false;
-  ShardedSession twin(replay.base, w.sigma, options.session);
+  StreamingRepairer twin(replay.base, w.sigma, options.session);
   for (const std::vector<RowEdit>& batch : replay.batches) {
     twin.ApplyBatch(batch);
   }

@@ -152,6 +152,30 @@ TEST(VariantDriftTest, EncodedThreaded) {
   RunDriftStreamVsScratch(/*encoded=*/true, /*threads=*/4);
 }
 
+// A variant switch replaces the detection index in the middle of a batch;
+// the batch's re-scan count must still include what the retired index
+// did, so every batch reports positive work and the totals add up.
+TEST(VariantDriftTest, RecheckCountSurvivesVariantSwitch) {
+  Workload w = MakeDriftableWorkload();
+  StreamingOptions options;
+  options.repair.variants.space = w.space;
+  options.reopen_variants = true;
+  ReplayWorkload replay = MakeDriftWorkload(w.dirty, /*num_batches=*/6,
+                                            /*batch_size=*/10, /*seed=*/29);
+  StreamingRepairer streamer(replay.base, w.sigma, options);
+  int64_t rechecked = 0;
+  int switched = 0;
+  for (size_t b = 0; b < replay.batches.size(); ++b) {
+    SCOPED_TRACE("batch " + std::to_string(b));
+    StreamBatchResult r = streamer.ApplyBatch(replay.batches[b]);
+    EXPECT_GT(r.rows_rechecked, 0);
+    rechecked += r.rows_rechecked;
+    switched += r.variant_switched ? 1 : 0;
+  }
+  EXPECT_GT(switched, 0) << "no batch switched variants";
+  EXPECT_EQ(streamer.totals().rows_rechecked, rechecked);
+}
+
 // The skip regime of the reopen trigger: a batch whose edits change no
 // cell — rewriting values the dirty instance and the held instance both
 // already carry — moves no violation epoch, so every rival bound keeps

@@ -163,10 +163,11 @@ int Usage(const char* argv0) {
          "                     admission control rejects submissions while\n"
          "                     this many batches are pending (default 8)\n"
       << "  --reopen-variants 0|1\n"
-         "                     unfreeze the streamed variant: track per-\n"
-         "                     variant cost bounds across batches and re-\n"
-         "                     open the Σ' search when a rival's bound\n"
-         "                     reaches the incumbent's realized cost\n"
+         "                     unfreeze the streamed or served variant:\n"
+         "                     track per-variant cost bounds across\n"
+         "                     batches and re-open the Σ' search when a\n"
+         "                     rival's bound reaches the incumbent's\n"
+         "                     realized cost\n"
          "                     (default 0: frozen incumbent)\n"
       << "  --cross-batch-cache 0|1\n"
          "                     reuse materialized component solutions\n"
@@ -404,6 +405,24 @@ bool MakeRepairOptions(const CliOptions& options, const Schema& schema,
   return ApplyStrategyOptions(options, schema, &repair->vfree);
 }
 
+/// The session options shared by --stream-batches and --serve-bench: the
+/// repair options plus the reopen and cache toggles (--shards is set by
+/// --serve-bench alone). Returns false like MakeRepairOptions.
+bool MakeStreamingOptions(const CliOptions& options, const Schema& schema,
+                          const PredicateSpaceOptions* space,
+                          StreamingOptions* stream) {
+  stream->reopen_variants = options.reopen_variants;
+  stream->cross_batch_cache = options.cross_batch_cache;
+  return MakeRepairOptions(options, schema, space, &stream->repair);
+}
+
+/// The --reopen-variants summary lines of both session modes.
+void PrintVariantTotals(const StreamTotals& t) {
+  std::cout << "variant reopens:  " << t.variant_reopens << "\n"
+            << "variant switches: " << t.variant_switches << "\n"
+            << "bound updates:    " << t.bound_updates << "\n";
+}
+
 /// A --generate workload: dirty instance, constraints, and the predicate
 /// space the variant generator should use (hosp recommends one).
 struct GeneratedWorkload {
@@ -486,12 +505,9 @@ int RunStream(const CliOptions& options, const Relation& data,
   if (!options.trace_out.empty()) Tracer::SetEnabled(true);
 
   StreamingOptions stream_options;
-  if (!MakeRepairOptions(options, data.schema(), space,
-                         &stream_options.repair)) {
+  if (!MakeStreamingOptions(options, data.schema(), space, &stream_options)) {
     return 2;
   }
-  stream_options.reopen_variants = options.reopen_variants;
-  stream_options.cross_batch_cache = options.cross_batch_cache;
 
   ReplayWorkload workload =
       options.drift
@@ -532,11 +548,7 @@ int RunStream(const CliOptions& options, const Relation& data,
             << "rows rechecked:   " << t.rows_rechecked << "\n"
             << "components:       " << t.components_resolved << "\n"
             << "cells changed:    " << t.cells_changed << "\n";
-  if (options.reopen_variants) {
-    std::cout << "variant reopens:  " << t.variant_reopens << "\n"
-              << "variant switches: " << t.variant_switches << "\n"
-              << "bound updates:    " << t.bound_updates << "\n";
-  }
+  if (options.reopen_variants) PrintVariantTotals(t);
   std::cout << "cache evictions:  " << t.cache_invalidations << "\n"
             << "violation-free:   "
             << (repairer.IsViolationFree() ? "yes" : "NO") << "\n";
@@ -587,8 +599,8 @@ int RunServeBench(const CliOptions& options, const Relation& data,
   ThreadPool::SetNumThreads(options.threads);
 
   ServeOptions serve_options;
-  if (!MakeRepairOptions(options, data.schema(), space,
-                         &serve_options.session.repair)) {
+  if (!MakeStreamingOptions(options, data.schema(), space,
+                            &serve_options.session)) {
     return 2;
   }
   serve_options.session.num_shards = options.shards;
@@ -607,14 +619,23 @@ int RunServeBench(const CliOptions& options, const Relation& data,
     std::cerr << "cannot open serve session\n";
     return 1;
   }
-  const ShardedSession& engine = session->repair();
-  std::ostringstream key_names;
-  for (size_t i = 0; i < engine.plan().key.size(); ++i) {
-    key_names << (i ? "," : "") << data.schema().name(engine.plan().key[i]);
+  const StreamingRepairer& engine = session->repair();
+  std::ostringstream shard_key;
+  if (engine.num_shards() == 1) {
+    shard_key << "none (one shard)";
+  } else {
+    const ShardPlan& plan = engine.plan();
+    for (size_t i = 0; i < plan.key.size(); ++i) {
+      shard_key << (i ? "," : "") << data.schema().name(plan.key[i]);
+    }
+    if (plan.key.empty()) shard_key << "none (round-robin)";
+    shard_key << " (" << plan.local.size() << " local / "
+              << plan.straddling.size() << " straddling constraints)";
   }
   std::cout << "algorithm:        cvtolerant (serve, " << options.shards
             << " shards, " << options.clients << " clients"
-            << (options.drift ? ", drift" : "");
+            << (options.drift ? ", drift" : "")
+            << (options.reopen_variants ? ", unfrozen variant" : "");
   if (options.strategy != RepairStrategy::kUpdate) {
     std::cout << ", strategy=" << RepairStrategyToString(options.strategy);
   }
@@ -624,12 +645,7 @@ int RunServeBench(const CliOptions& options, const Relation& data,
             << engine.initial_stats().repair_cost << ", "
             << engine.initial_stats().changed_cells << " cells, "
             << engine.initial_stats().elapsed_seconds << "s\n"
-            << "shard key:        "
-            << (engine.plan().key.empty() ? "none (round-robin)"
-                                          : key_names.str())
-            << " (" << engine.plan().local.size() << " local / "
-            << engine.plan().straddling.size()
-            << " straddling constraints)\n"
+            << "shard key:        " << shard_key.str() << "\n"
             << "stream:           " << num_batches << " batches x "
             << options.batch_size << " edits, watermark "
             << options.queue_watermark << "\n";
@@ -655,7 +671,7 @@ int RunServeBench(const CliOptions& options, const Relation& data,
 
   bench::LatencyHistogram latency;
   latency.RecordAll(session->batch_seconds());
-  const ServeTotals& totals = engine.totals();
+  const StreamTotals& totals = engine.totals();
   const double busy = latency.TotalSeconds();
   const double edits_per_sec =
       busy > 0.0 ? static_cast<double>(totals.edits) / busy : 0.0;
@@ -666,13 +682,14 @@ int RunServeBench(const CliOptions& options, const Relation& data,
             << "p50 latency:      " << latency.p50() * 1e3 << " ms\n"
             << "p99 latency:      " << latency.p99() * 1e3 << " ms\n"
             << "edits/sec:        " << edits_per_sec << "\n"
-            << "components:       " << totals.components << " ("
+            << "components:       " << totals.components_resolved << " ("
             << totals.shard_local_components << " shard-local, "
             << totals.cross_shard_components << " cross-shard)\n"
             << "rows migrated:    " << totals.rows_migrated << "\n"
             << "rows rechecked:   " << totals.rows_rechecked << "\n"
             << "cells changed:    " << totals.cells_changed << "\n"
             << "wall time:        " << wall_seconds << "s\n";
+  if (options.reopen_variants) PrintVariantTotals(totals);
 
   bench::BenchJsonWriter json("BENCH_serve.json");
   json.Record("serve_cli/p50", options.threads, latency.p50() * 1e3);
