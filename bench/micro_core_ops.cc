@@ -75,13 +75,11 @@ void BM_SuspectsAndContext(benchmark::State& state) {
   HospEnv& env = Env();
   RepairCostBounds bounds =
       ComputeBounds(env.noisy.dirty, env.hosp.given_oversimplified);
-  CellSet changing(bounds.cover_cells.begin(), bounds.cover_cells.end());
   for (auto _ : state) {
-    std::vector<Violation> suspects =
-        FindSuspects(env.noisy.dirty, env.hosp.given_oversimplified, changing);
-    benchmark::DoNotOptimize(
-        RepairContext::Build(env.noisy.dirty, env.hosp.given_oversimplified,
-                             bounds.cover_cells, suspects));
+    int64_t suspects = 0;
+    benchmark::DoNotOptimize(RepairContext::BuildFromScan(
+        env.noisy.dirty, nullptr, env.hosp.given_oversimplified,
+        bounds.cover_cells, &suspects));
   }
 }
 BENCHMARK(BM_SuspectsAndContext);
@@ -90,13 +88,11 @@ void BM_ComponentSolve(benchmark::State& state) {
   HospEnv& env = Env();
   RepairCostBounds bounds =
       ComputeBounds(env.noisy.dirty, env.hosp.given_oversimplified);
-  CellSet changing(bounds.cover_cells.begin(), bounds.cover_cells.end());
-  std::vector<Violation> suspects =
-      FindSuspects(env.noisy.dirty, env.hosp.given_oversimplified, changing);
-  RepairContext rc =
-      RepairContext::Build(env.noisy.dirty, env.hosp.given_oversimplified,
-                           bounds.cover_cells, suspects);
-  std::vector<Component> components = DecomposeComponents(rc);
+  int64_t suspects = 0;
+  std::vector<Component> components =
+      DecomposeComponents(RepairContext::BuildFromScan(
+          env.noisy.dirty, nullptr, env.hosp.given_oversimplified,
+          bounds.cover_cells, &suspects));
   DomainStats stats(env.noisy.dirty);
   for (auto _ : state) {
     int64_t fresh = 1;

@@ -63,12 +63,10 @@ int main() {
   VertexCover cover = ApproximateVertexCover(
       g, CoverHeuristic::kGreedyDegree, &stats);
   std::vector<Cell> changing = cover.Cells(g);
-  CellSet changing_set(changing.begin(), changing.end());
-  std::vector<Violation> suspects =
-      FindSuspects(dense.dirty, dense.sigma, changing_set);
-  RepairContext rc =
-      RepairContext::Build(dense.dirty, dense.sigma, changing, suspects);
-  std::vector<Component> components = DecomposeComponents(rc);
+  int64_t suspects = 0;
+  std::vector<Component> components =
+      DecomposeComponents(RepairContext::BuildFromScan(
+          dense.dirty, nullptr, dense.sigma, changing, &suspects));
 
   size_t largest = 0;
   int over_threshold = 0;

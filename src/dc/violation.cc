@@ -1130,6 +1130,7 @@ struct EncodedSuspectOps {
   const EncodedRelation* E;
   const ConstraintSet* sigma;
   const CellSet* changing;
+  EvalCounters* zone_counts;  // nullptr: the process-wide counters
   const DenialConstraint* c = nullptr;
   std::vector<EncodedPredicateEval> evals{};
   std::vector<char> attr_changing{};  // attrs owning any changing cell
@@ -1238,19 +1239,26 @@ struct EncodedSuspectOps {
         ++zc.blocks_skipped;
       }
     }
-    eval_counters::Add(zc);
+    if (zone_counts) {
+      *zone_counts += zc;
+    } else {
+      eval_counters::Add(zc);
+    }
   }
 };
 
 template <typename Ops>
-std::vector<Violation> FindSuspectsImpl(Ops& ops, int n, int num_attributes,
-                                        const ConstraintSet& sigma,
-                                        const CellSet& changing) {
-  std::vector<Violation> out;
+void FindSuspectsImpl(Ops& ops, int n, int num_attributes,
+                      const ConstraintSet& sigma, const CellSet& changing,
+                      const SuspectVisitor& visit) {
+  // One buffer for every emitted suspect: `rows` is its tuple list.
+  Violation suspect;
+  std::vector<int>& rows = suspect.rows;
   for (size_t k = 0; k < sigma.size(); ++k) {
     const DenialConstraint& c = sigma[k];
     if (c.predicates().empty()) continue;
     ops.SetConstraint(k);
+    suspect.constraint_index = static_cast<int>(k);
 
     // Attributes the constraint's predicates can instantiate.
     std::vector<bool> used_attr(num_attributes, false);
@@ -1273,12 +1281,10 @@ std::vector<Violation> FindSuspectsImpl(Ops& ops, int n, int num_attributes,
 
     bool touches = false;
     if (c.NumTupleVars() == 1) {
-      std::vector<int> rows(1);
+      rows.resize(1);
       for (int r : rwc) {
         rows[0] = r;
-        if (ops.Condition(rows, &touches) && touches) {
-          out.push_back({static_cast<int>(k), rows});
-        }
+        if (ops.Condition(rows, &touches) && touches) visit(suspect);
       }
       continue;
     }
@@ -1298,18 +1304,14 @@ std::vector<Violation> FindSuspectsImpl(Ops& ops, int n, int num_attributes,
     eq_attrs.erase(std::unique(eq_attrs.begin(), eq_attrs.end()),
                    eq_attrs.end());
 
-    std::vector<int> rows(2);
+    rows.resize(2);
     auto check_pair = [&](int r, int j) {
       rows[0] = r;
       rows[1] = j;
-      if (ops.Condition(rows, &touches) && touches) {
-        out.push_back({static_cast<int>(k), rows});
-      }
+      if (ops.Condition(rows, &touches) && touches) visit(suspect);
       rows[0] = j;
       rows[1] = r;
-      if (ops.Condition(rows, &touches) && touches) {
-        out.push_back({static_cast<int>(k), rows});
-      }
+      if (ops.Condition(rows, &touches) && touches) visit(suspect);
     };
 
     if (eq_attrs.empty()) {
@@ -1384,26 +1386,41 @@ std::vector<Violation> FindSuspectsImpl(Ops& ops, int n, int num_attributes,
       for (int j : partners) seen_partner[j] = false;
     }
   }
-  return out;
 }
 
 }  // namespace
 
+void ForEachSuspect(const Relation& I, const EncodedRelation* encoded,
+                    const ConstraintSet& sigma, const CellSet& changing,
+                    const SuspectVisitor& visit, EvalCounters* zone_counts) {
+  if (encoded == nullptr) {
+    PlainSuspectOps ops{&I, &sigma, &changing};
+    FindSuspectsImpl(ops, I.num_rows(), I.num_attributes(), sigma, changing,
+                     visit);
+    return;
+  }
+  assert(encoded->in_sync());
+  EncodedSuspectOps ops{encoded, &sigma, &changing, zone_counts};
+  FindSuspectsImpl(ops, encoded->num_rows(), encoded->num_attributes(), sigma,
+                   changing, visit);
+}
+
 std::vector<Violation> FindSuspects(const Relation& I,
                                     const ConstraintSet& sigma,
                                     const CellSet& changing) {
-  PlainSuspectOps ops{&I, &sigma, &changing};
-  return FindSuspectsImpl(ops, I.num_rows(), I.num_attributes(), sigma,
-                          changing);
+  std::vector<Violation> out;
+  ForEachSuspect(I, nullptr, sigma, changing,
+                 [&out](const Violation& s) { out.push_back(s); });
+  return out;
 }
 
 std::vector<Violation> FindSuspects(const EncodedRelation& E,
                                     const ConstraintSet& sigma,
                                     const CellSet& changing) {
-  assert(E.in_sync());
-  EncodedSuspectOps ops{&E, &sigma, &changing};
-  return FindSuspectsImpl(ops, E.num_rows(), E.num_attributes(), sigma,
-                          changing);
+  std::vector<Violation> out;
+  ForEachSuspect(E.relation(), &E, sigma, changing,
+                 [&out](const Violation& s) { out.push_back(s); });
+  return out;
 }
 
 }  // namespace cvrepair

@@ -1,6 +1,7 @@
 #ifndef CVREPAIR_DC_VIOLATION_H_
 #define CVREPAIR_DC_VIOLATION_H_
 
+#include <functional>
 #include <unordered_set>
 #include <vector>
 
@@ -10,6 +11,7 @@
 namespace cvrepair {
 
 class EncodedRelation;  // relation/encoded.h
+struct EvalCounters;    // dc/eval_index.h
 
 /// A set of cell addresses (the changing set C, covers, truth sets, ...).
 using CellSet = std::unordered_set<Cell, CellHash>;
@@ -71,9 +73,27 @@ bool Satisfies(const Relation& I, const ConstraintSet& sigma);
 /// cannot become violations when only C changes.
 ///
 /// By Lemma 4, the result is a superset of the violations that involve C.
+/// A collecting wrapper over ForEachSuspect.
 std::vector<Violation> FindSuspects(const Relation& I,
                                     const ConstraintSet& sigma,
                                     const CellSet& changing);
+
+/// Receives one suspect tuple list. The reference is only valid during the
+/// call (the scan reuses one buffer for every suspect).
+using SuspectVisitor = std::function<void(const Violation&)>;
+
+/// The suspect scan behind FindSuspects, emitting each suspect to `visit`
+/// in FindSuspects order instead of collecting them — so a consumer such as
+/// RepairContext::BuildFromScan never holds the suspect list. Scans
+/// dictionary codes when `encoded` is given (it must mirror `I`), boxed
+/// Values otherwise; both emit the same sequence. The encoded scan's
+/// zone-map consults are added to `*zone_counts` when given, else to the
+/// process-wide eval counters: a caller that may discard the scan's result
+/// carries the counts and publishes them once it commits.
+void ForEachSuspect(const Relation& I, const EncodedRelation* encoded,
+                    const ConstraintSet& sigma, const CellSet& changing,
+                    const SuspectVisitor& visit,
+                    EvalCounters* zone_counts = nullptr);
 
 /// Encoded counterparts of the scans above, consuming the dictionary-coded
 /// column store (relation/encoded.h) instead of boxed Values: partitions

@@ -10,6 +10,7 @@
 #include "graph/bounds.h"
 #include "relation/encoded.h"
 #include "solver/materialized_cache.h"
+#include "util/metrics.h"
 #include "util/thread_pool.h"
 #include "util/trace.h"
 
@@ -25,6 +26,35 @@ VfreeOptions EngineOptions(const CVTolerantOptions& options) {
   if (vfree.threads == 0) vfree.threads = options.threads;
   vfree.use_encoded = options.use_encoded;
   return vfree;
+}
+
+// Speculative work of the candidate search: plans built ahead of their
+// replay, and plans dropped because their candidate became bound-pruned
+// first. Both depend on the thread count, hence kRuntime.
+MetricCounter* PlansBuiltCounter() {
+  static MetricCounter* c = MetricsRegistry::Global().GetCounter(
+      "search.plans_built", MetricKind::kRuntime);
+  return c;
+}
+MetricCounter* PlansDiscardedCounter() {
+  static MetricCounter* c = MetricsRegistry::Global().GetCounter(
+      "search.plans_discarded", MetricKind::kRuntime);
+  return c;
+}
+
+// A candidate's union violations, stamped with their positions in Σ'.
+std::vector<Violation> UnionViolations(const ConstraintSet& set,
+                                       const VariantFactsFn& facts_of,
+                                       int num_violations) {
+  std::vector<Violation> violations;
+  violations.reserve(static_cast<size_t>(num_violations));
+  for (size_t i = 0; i < set.size(); ++i) {
+    for (Violation v : facts_of(set[i]).violations) {
+      v.constraint_index = static_cast<int>(i);
+      violations.push_back(std::move(v));
+    }
+  }
+  return violations;
 }
 
 }  // namespace
@@ -207,6 +237,7 @@ VariantSearchResult CVTolerantSearchWithFacts(
   };
   std::vector<Candidate> candidates;
   candidates.reserve(variants.size());
+  int hopeless_count = 0;
   for (size_t vi = 0; vi < variants.size(); ++vi) {
     Candidate c;
     c.index = vi;
@@ -218,6 +249,7 @@ VariantSearchResult CVTolerantSearchWithFacts(
       c.num_violations += static_cast<int>(f.violations.size());
     }
     if (hopeless) {
+      ++hopeless_count;
       ++result.variants_pruned;
       continue;
     }
@@ -246,83 +278,149 @@ VariantSearchResult CVTolerantSearchWithFacts(
       vfree_options.strategy != RepairStrategy::kDelete) {
     delta_min = sigma_upper;
   }
+  auto pruned = [&](const Candidate& c) {
+    return options.enable_bound_pruning && c.delta_l > delta_min + 1e-9;
+  };
 
+  // Speculative candidates (DESIGN.md §7): a Vfree DataRepair round splits
+  // into a pure plan (hypergraph, cover, suspects, context, components) and
+  // a serial replay (cache, solves, fresh ids, cost abort). Each window
+  // plans the next `width` unpruned candidates at the current δ_min in one
+  // ParallelFor, then replays them in δ_l order under the same pruning and
+  // budget tests as the serial loop. δ_min never increases, so every
+  // candidate that reaches the replay unpruned was planned; a plan whose
+  // candidate has been pruned since is dropped. Planning only covers the
+  // Vfree update and hybrid rounds, and at one thread (or inside a pool
+  // worker) the loop below is the plain serial loop.
+  const bool plannable = options.use_vfree &&
+                         vfree_options.strategy != RepairStrategy::kDelete;
+  const int width =
+      plannable ? ThreadPool::EffectiveThreads(options.threads) : 1;
   MaterializedCache cache;
-  for (const Candidate& c : candidates) {
-    if (options.enable_bound_pruning && c.delta_l > delta_min + 1e-9) {
-      ++result.variants_pruned;
-      continue;
-    }
-    if (result.datarepair_calls >= options.max_datarepair_calls) break;
-    ++result.datarepair_calls;
-    TraceSpan solve_span("cvtolerant/solve_candidate");
-    solve_span.AddArg("call", result.datarepair_calls);
-    solve_span.AddArg("violations", c.num_violations);
-
-    // The candidate's union violations, stamped with their positions in Σ'.
-    std::vector<Violation> violations;
-    violations.reserve(static_cast<size_t>(c.num_violations));
-    const ConstraintSet& set = variants[c.index].constraints;
-    for (size_t i = 0; i < set.size(); ++i) {
-      for (Violation v : facts(set[i]).violations) {
-        v.constraint_index = static_cast<int>(i);
-        violations.push_back(std::move(v));
+  size_t next = 0;
+  bool budget_spent = false;
+  while (next < candidates.size() && !budget_spent) {
+    std::vector<size_t> window;  // candidate positions to plan
+    if (width > 1) {
+      int room = options.max_datarepair_calls - result.datarepair_calls;
+      room = std::min(room, width);
+      for (size_t j = next; j < candidates.size() && room > 0; ++j) {
+        if (pruned(candidates[j])) continue;
+        window.push_back(j);
+        --room;
       }
     }
-    Relation repaired;
-    std::optional<ScopedRepair> scoped;
-    if (options.use_vfree ||
-        vfree_options.strategy == RepairStrategy::kDelete) {
-      const double abort_at = options.enable_bound_pruning
-                                  ? delta_min + 1e-9
-                                  : std::numeric_limits<double>::infinity();
-      scoped = SolveDirtyComponents(
-          I, stats_of_I, set, std::move(violations), abort_at, vfree_options,
-          options.enable_sharing ? &cache : nullptr, stats, fresh_counter, E);
-      if (!scoped) {
-        // δ_min abort: the candidate's cost strictly exceeds the threshold
-        // it was solving under — worth recording as a lower bound.
-        result.abort_bounds[c.index] = abort_at;
+    std::vector<std::optional<ComponentPlan>> plans(window.size());
+    if (!window.empty()) {
+      TraceSpan plan_span("cvtolerant/plan_candidates");
+      ThreadPool::ParallelFor(
+          static_cast<int64_t>(window.size()),
+          [&](int64_t i) {
+            const Candidate& c = candidates[window[static_cast<size_t>(i)]];
+            if (c.num_violations == 0) return;  // replays as an empty repair
+            const ConstraintSet& set = variants[c.index].constraints;
+            plans[static_cast<size_t>(i)] = PlanDirtyComponents(
+                I, stats_of_I, set,
+                UnionViolations(set, facts_of, c.num_violations),
+                vfree_options, E);
+          },
+          options.threads);
+      int64_t built = 0;
+      for (const std::optional<ComponentPlan>& p : plans) built += p ? 1 : 0;
+      plan_span.AddArg("plans", built);
+      PlansBuiltCounter()->Add(built);
+    }
+    // The replay: the serial candidate loop over [next, end). Without a
+    // window it runs to the end of the candidate list.
+    const size_t end = window.empty() ? candidates.size() : window.back() + 1;
+    size_t w = 0;  // next unconsumed window slot
+    for (; next < end; ++next) {
+      const Candidate& c = candidates[next];
+      std::optional<ComponentPlan> plan;
+      if (w < window.size() && window[w] == next) plan = std::move(plans[w++]);
+      if (pruned(c)) {
+        ++result.variants_pruned;
+        if (plan) PlansDiscardedCounter()->Increment();
         continue;
       }
-      repaired = I;
-      for (auto& [cell, value] : scoped->assignments) {
-        repaired.SetValue(cell, std::move(value));
+      if (result.datarepair_calls >= options.max_datarepair_calls) {
+        budget_spent = true;
+        break;
       }
-    } else {
-      // CVtolerant+Holistic (Figure 5): the multi-round Holistic engine
-      // repairs the candidate, without sharing or the cost abort.
-      HolisticOptions hopts = options.holistic;
-      hopts.cost = cost;
-      hopts.use_encoded = options.use_encoded;
-      RepairResult hr = HolisticRepair(I, set, hopts);
-      if (stats) {
-        stats->solver_calls += hr.stats.solver_calls;
-        stats->rounds += hr.stats.rounds;
-        stats->fresh_assignments += hr.stats.fresh_assignments;
+      ++result.datarepair_calls;
+      TraceSpan solve_span("cvtolerant/solve_candidate");
+      solve_span.AddArg("call", result.datarepair_calls);
+      solve_span.AddArg("violations", c.num_violations);
+
+      const ConstraintSet& set = variants[c.index].constraints;
+      lookups += static_cast<int64_t>(set.size());  // its union's facts
+      Relation repaired;
+      std::optional<ScopedRepair> scoped;
+      if (options.use_vfree ||
+          vfree_options.strategy == RepairStrategy::kDelete) {
+        const double abort_at = options.enable_bound_pruning
+                                    ? delta_min + 1e-9
+                                    : std::numeric_limits<double>::infinity();
+        MaterializedCache* shared = options.enable_sharing ? &cache : nullptr;
+        if (plan) {
+          scoped = ReplayComponents(I, stats_of_I, *plan, abort_at,
+                                    vfree_options, shared, stats,
+                                    fresh_counter);
+          plan.reset();
+        } else {
+          scoped = SolveDirtyComponents(
+              I, stats_of_I, set,
+              UnionViolations(set, facts_of, c.num_violations), abort_at,
+              vfree_options, shared, stats, fresh_counter, E);
+        }
+        if (!scoped) {
+          // δ_min abort: the candidate's cost strictly exceeds the
+          // threshold it was solving under — worth recording as a lower
+          // bound.
+          result.abort_bounds[c.index] = abort_at;
+          continue;
+        }
+        repaired = I;
+        for (auto& [cell, value] : scoped->assignments) {
+          repaired.SetValue(cell, std::move(value));
+        }
+      } else {
+        // CVtolerant+Holistic (Figure 5): the multi-round Holistic engine
+        // repairs the candidate, without sharing or the cost abort.
+        HolisticOptions hopts = options.holistic;
+        hopts.cost = cost;
+        hopts.use_encoded = options.use_encoded;
+        RepairResult hr = HolisticRepair(I, set, hopts);
+        if (stats) {
+          stats->solver_calls += hr.stats.solver_calls;
+          stats->rounds += hr.stats.rounds;
+          stats->fresh_assignments += hr.stats.fresh_assignments;
+        }
+        repaired = std::move(hr.repaired);
       }
-      repaired = std::move(hr.repaired);
-    }
-    // The candidate's cost under the active strategy: a subset repair's
-    // scoped cost is its summed deletion weights; otherwise deleted tuples
-    // price at their deletion weight and every other cell at its distance.
-    const double delta =
-        vfree_options.strategy == RepairStrategy::kDelete
-            ? scoped->cost
-            : StrategyRepairCost(I, repaired, cost, vfree_options.strategy,
-                                 vfree_options.subset, stats_of_I);
-    result.solved_costs[c.index] = delta;
-    if (delta < result.cost) {
-      result.cost = delta;
-      delta_min = std::min(delta_min, delta);
-      result.repaired = std::move(repaired);
-      result.variant = set;
-      result.have_result = true;
+      // The candidate's cost under the active strategy: a subset repair's
+      // scoped cost is its summed deletion weights; otherwise deleted
+      // tuples price at their deletion weight and every other cell at its
+      // distance.
+      const double delta =
+          vfree_options.strategy == RepairStrategy::kDelete
+              ? scoped->cost
+              : StrategyRepairCost(I, repaired, cost, vfree_options.strategy,
+                                   vfree_options.subset, stats_of_I);
+      result.solved_costs[c.index] = delta;
+      if (delta < result.cost) {
+        result.cost = delta;
+        delta_min = std::min(delta_min, delta);
+        result.repaired = std::move(repaired);
+        result.variant = set;
+        result.have_result = true;
+      }
     }
   }
   if (stats) {
     stats->initial_violations = sigma_violations;
     stats->variants_enumerated = static_cast<int>(variants.size());
+    stats->variants_hopeless = hopeless_count;
     stats->variants_pruned_bounds = result.variants_pruned;
     stats->datarepair_calls = result.datarepair_calls;
     stats->cache_hits = static_cast<int>(cache.hits());

@@ -41,9 +41,13 @@ struct CVTolerantOptions {
   /// disables the cap.
   double max_violations_per_tuple = 50.0;
   /// Thread budget for this repair: 0 = the global ThreadPool setting,
-  /// 1 = the exact legacy serial path, N = up to N threads. Propagated to
-  /// the Vfree engine when `vfree.threads` is 0. Every thread count yields
-  /// bit-identical RepairResults; only wall-clock time changes.
+  /// 1 = the exact legacy serial path, N = up to N threads. It bounds the
+  /// parallel fact scans and the candidate search's speculation window —
+  /// up to ThreadPool::EffectiveThreads(threads) candidates are planned at
+  /// once (DESIGN.md §7) — and is propagated to the Vfree engine's
+  /// component solve when `vfree.threads` is 0. Every thread count yields
+  /// bit-identical RepairResults, RepairStats and work counters; only
+  /// wall-clock time changes.
   int threads = 0;
   /// Detect violations and suspects on the dictionary-encoded columnar
   /// backend (relation/encoded.h): one EncodedRelation of I is built up
@@ -112,7 +116,9 @@ struct VariantFacts {
 };
 
 /// Facts provider: returns the facts of one constraint. The reference must
-/// stay valid for the duration of the search call.
+/// stay valid for the duration of the search call. The search calls it
+/// concurrently from pool workers while it plans candidates, so it must be
+/// read-only (a lookup in a map that is not mutated during the search).
 using VariantFactsFn =
     std::function<const VariantFacts&(const DenialConstraint&)>;
 
@@ -146,17 +152,21 @@ struct VariantSearchResult {
 /// DataRepair budget, and repairs each survivor through the canonicalized
 /// SolveDirtyComponents pipeline with one shared MaterializedCache — or,
 /// with use_vfree off, through HolisticRepair (Figure 5's
-/// CVtolerant+Holistic). CVTolerantRepair (facts from ScanVariantFacts) and
-/// the streaming reopen path (facts delta-maintained by a VariantTracker)
-/// both run this one loop, which is what makes streamed-vs-scratch
-/// equivalence exact: equal facts in, bit-identical chosen variant and
-/// repair out (modulo fresh-id numbering from `fresh_counter`). It has no
-/// repair-of-Σ fallback: `have_result` is false when every candidate was
-/// pruned or aborted, and the caller decides (FinishCVTolerantRepair falls
-/// back; a streaming reopen keeps its incumbent). `stats` (optional)
-/// accumulates the DataRepair counters of every candidate solve and
-/// receives the search's own: initial violations of Σ, variants, pruned,
-/// DataRepair calls, cache hits, and δ-bound lookups.
+/// CVtolerant+Holistic). Under the update and hybrid strategies with more
+/// than one thread, the next unpruned candidates are planned concurrently
+/// (PlanDirtyComponents) and replayed in order (ReplayComponents); the
+/// result, the stats and the work counters are those of the serial loop.
+/// CVTolerantRepair (facts from ScanVariantFacts) and the streaming reopen
+/// path (facts delta-maintained by a VariantTracker) both run this one
+/// loop, which is what makes streamed-vs-scratch equivalence exact: equal
+/// facts in, bit-identical chosen variant and repair out (modulo fresh-id
+/// numbering from `fresh_counter`). It has no repair-of-Σ fallback:
+/// `have_result` is false when every candidate was pruned or aborted, and
+/// the caller decides (FinishCVTolerantRepair falls back; a streaming
+/// reopen keeps its incumbent). `stats` (optional) accumulates the
+/// DataRepair counters of every candidate solve and receives the search's
+/// own: initial violations of Σ, variants, hopeless and pruned, DataRepair
+/// calls, cache hits, and δ-bound lookups.
 VariantSearchResult CVTolerantSearchWithFacts(
     const Relation& I, const ConstraintSet& sigma,
     const std::vector<SigmaVariant>& variants, const VariantFactsFn& facts_of,

@@ -49,6 +49,7 @@ void PublishRepairStats(const RepairStats& stats) {
       ->Add(stats.variants_pruned_nonmaximal);
   r.GetCounter("repair.variants_pruned_bounds")
       ->Add(stats.variants_pruned_bounds);
+  r.GetCounter("repair.variants_hopeless")->Add(stats.variants_hopeless);
   r.GetCounter("repair.datarepair_calls")->Add(stats.datarepair_calls);
   r.GetCounter("repair.bound_memo_hits")->Add(stats.bound_memo_hits);
   // The decomposition fields (components_split / stitch_merges /

@@ -36,7 +36,14 @@ struct RepairStats {
   // Constraint-variation counters (CVTolerant only).
   int variants_enumerated = 0;      ///< |D| after generation
   int variants_pruned_nonmaximal = 0;
-  int variants_pruned_bounds = 0;   ///< skipped by delta_l > delta_min
+  /// Skipped without a DataRepair call: hopeless (variants_hopeless) or
+  /// bound-pruned by delta_l > delta_min. The variants a spent
+  /// max_datarepair_calls budget cut are enumerated - pruned - calls.
+  int variants_pruned_bounds = 0;
+  /// Abandoned because a constraint hit the violation cap
+  /// (CVTolerantOptions::max_violations_per_tuple); part of
+  /// variants_pruned_bounds.
+  int variants_hopeless = 0;
   int datarepair_calls = 0;         ///< DataRepair invocations (Alg. 1 line 4)
 
   // Detection-scan counters (CVTolerant only): per-run deltas of the

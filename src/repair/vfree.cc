@@ -22,9 +22,9 @@ namespace cvrepair {
 namespace {
 
 // Cached handles for the "solve.*" decomposition work counters. The split
-// plan is computed serially before the presolve and stitching runs in the
-// serial replay, so all three are thread-count invariant (metrics.json
-// safe).
+// plan is a pure function of the components, published by the replay, and
+// stitching runs in the serial replay, so all three are thread-count
+// invariant (metrics.json safe).
 MetricCounter* SplitCounter() {
   static MetricCounter* c =
       MetricsRegistry::Global().GetCounter("solve.components_split");
@@ -126,15 +126,72 @@ void ApplyHybridDeletions(const Relation& I, const DomainStats& stats_of_I,
   repair->assignments = std::move(kept);
 }
 
+// The changing set of one repair round: an approximate minimum vertex
+// cover of the conflict hypergraph of `violations`.
+std::vector<Cell> CoverCells(const Relation& I, const DomainStats& stats_of_I,
+                             const ConstraintSet& sigma,
+                             const std::vector<Violation>& violations,
+                             const VfreeOptions& options) {
+  TraceSpan span("vfree/cover");
+  ConflictHypergraph g =
+      ConflictHypergraph::Build(I, sigma, violations, options.cost);
+  VertexCover cover = ApproximateVertexCover(g, options.cover, &stats_of_I);
+  return cover.Cells(g);
+}
+
 }  // namespace
 
-std::optional<ScopedRepair> SolveComponents(
-    const Relation& I, const DomainStats& stats_of_I,
-    const ConstraintSet& sigma, const std::vector<Cell>& changing,
+ComponentPlan PlanComponents(const Relation& I, const ConstraintSet& sigma,
+                             const std::vector<Cell>& changing,
+                             const VfreeOptions& options,
+                             const EncodedRelation* encoded) {
+  TraceSpan span("vfree/context");
+  ComponentPlan plan;
+  plan.components = DecomposeComponents(RepairContext::BuildFromScan(
+      I, encoded, sigma, changing, &plan.suspects, &plan.zone_counts));
+  span.AddArg("suspects", plan.suspects);
+
+  // Topology-aware decomposition (DESIGN.md §12): plan the splits before
+  // the presolve so the parallel and the serial paths see the same
+  // flattened work list. The plan is a pure function of the components, so
+  // the solve.* counters stay thread-count invariant.
+  if (options.decompose) {
+    DecomposeOptions dopts;
+    dopts.max_component = options.max_component;
+    plan.splits.resize(plan.components.size());
+    for (size_t ci = 0; ci < plan.components.size(); ++ci) {
+      const Component& comp = plan.components[ci];
+      if (static_cast<int>(comp.cells.size()) <= options.max_component) {
+        continue;
+      }
+      plan.giant_component_cells += static_cast<int64_t>(comp.cells.size());
+      plan.splits[ci] = SplitComponent(comp, dopts);
+      if (plan.splits[ci].split()) ++plan.components_split;
+    }
+  }
+  return plan;
+}
+
+ComponentPlan PlanDirtyComponents(const Relation& I,
+                                  const DomainStats& stats_of_I,
+                                  const ConstraintSet& sigma,
+                                  std::vector<Violation> violations,
+                                  const VfreeOptions& options,
+                                  const EncodedRelation* encoded) {
+  CanonicalizeViolations(&violations);
+  std::vector<Cell> changing =
+      CoverCells(I, stats_of_I, sigma, violations, options);
+  std::vector<Violation>().swap(violations);
+  return PlanComponents(I, sigma, changing, options, encoded);
+}
+
+std::optional<ScopedRepair> ReplayComponents(
+    const Relation& I, const DomainStats& stats_of_I, const ComponentPlan& plan,
     double delta_min, const VfreeOptions& options, MaterializedCache* cache,
-    RepairStats* stats, int64_t* fresh_counter,
-    const EncodedRelation* encoded) {
+    RepairStats* stats, int64_t* fresh_counter) {
   TraceSpan repair_span("vfree/data_repair");
+  const std::vector<Component>& components = plan.components;
+  repair_span.AddArg("components", static_cast<int64_t>(components.size()));
   // Touch the solve.* counters up front so they appear (as zeros) in every
   // metrics snapshot — require_zero baselines distinguish "0" from
   // "missing".
@@ -145,48 +202,19 @@ std::optional<ScopedRepair> SolveComponents(
   OversizedCellsCounter();
   IntervalNarrowCounter();
   FreshFallbackCounter();
-  CellSet changing_set(changing.begin(), changing.end());
-  std::vector<Violation> suspects;
-  {
-    TraceSpan span("vfree/find_suspects");
-    suspects = encoded ? FindSuspects(*encoded, sigma, changing_set)
-                       : FindSuspects(I, sigma, changing_set);
-    span.AddArg("suspects", static_cast<int64_t>(suspects.size()));
+  // The planning's work, published now that the round is committed.
+  eval_counters::Add(plan.zone_counts);
+  GiantCellsCounter()->Add(plan.giant_component_cells);
+  SplitCounter()->Add(plan.components_split);
+  if (stats) {
+    stats->suspects += static_cast<int>(plan.suspects);
+    stats->giant_component_cells += plan.giant_component_cells;
+    stats->components_split += plan.components_split;
   }
-  if (stats) stats->suspects += static_cast<int>(suspects.size());
-
-  RepairContext rc = RepairContext::Build(I, sigma, changing, suspects);
-  std::vector<Component> components = DecomposeComponents(rc);
-  repair_span.AddArg("components", static_cast<int64_t>(components.size()));
 
   CspSolver solver(I, stats_of_I, options.cost, fresh_counter, options.solver);
 
-  // Topology-aware decomposition (DESIGN.md §12): plan the splits before
-  // the presolve so the parallel and the serial paths see the same
-  // flattened work list. The plan is a pure function of the components, so
-  // the solve.* counters stay thread-count invariant.
-  std::vector<SplitPlan> plans;
-  if (options.decompose) {
-    DecomposeOptions dopts;
-    dopts.max_component = options.max_component;
-    plans.resize(components.size());
-    for (size_t ci = 0; ci < components.size(); ++ci) {
-      const Component& comp = components[ci];
-      if (static_cast<int>(comp.cells.size()) <= options.max_component) {
-        continue;
-      }
-      GiantCellsCounter()->Add(static_cast<int64_t>(comp.cells.size()));
-      if (stats) {
-        stats->giant_component_cells +=
-            static_cast<int64_t>(comp.cells.size());
-      }
-      plans[ci] = SplitComponent(comp, dopts);
-      if (plans[ci].split()) {
-        SplitCounter()->Increment();
-        if (stats) ++stats->components_split;
-      }
-    }
-  }
+  const std::vector<SplitPlan>& plans = plan.splits;
   auto is_split = [&](size_t ci) {
     return !plans.empty() && plans[ci].split();
   };
@@ -317,20 +345,20 @@ std::optional<ScopedRepair> SolveComponents(
     // strictly decreases the live part count, so the loop terminates; the
     // worst case degenerates to the original undecomposed component, whose
     // solve satisfies every atom by construction.
-    const SplitPlan& plan = plans[ci];
+    const SplitPlan& split = plans[ci];
     const int n = static_cast<int>(comp.cells.size());
-    const size_t num_parts = plan.parts.size();
+    const size_t num_parts = split.parts.size();
     std::vector<double> part_cost(num_parts, 0.0);
     std::vector<bool> live(num_parts, true);
     std::vector<Value> combined(n);
     std::vector<int> cur_part(n);
     std::vector<std::vector<int>> part_vars(num_parts);
     for (int v = 0; v < n; ++v) {
-      cur_part[v] = plan.part_of[v];
-      part_vars[plan.part_of[v]].push_back(v);  // ascending = local id order
+      cur_part[v] = split.part_of[v];
+      part_vars[split.part_of[v]].push_back(v);  // ascending = local id order
     }
     for (size_t p = 0; p < num_parts; ++p) {
-      ComponentSolution psol = resolve(plan.parts[p], unit_of[ci] + p);
+      ComponentSolution psol = resolve(split.parts[p], unit_of[ci] + p);
       part_cost[p] = psol.cost;
       for (size_t i = 0; i < part_vars[p].size(); ++i) {
         combined[part_vars[p][i]] = psol.values[i];
@@ -349,7 +377,7 @@ std::optional<ScopedRepair> SolveComponents(
         return x;
       };
       bool any_violated = false;
-      for (const RcAtom& a : plan.cross_atoms) {
+      for (const RcAtom& a : split.cross_atoms) {
         const int pl = cur_part[a.lhs_var];
         const int pr = cur_part[a.rhs_var];
         if (pl == pr) continue;  // merged earlier: satisfied internally
@@ -404,6 +432,17 @@ std::optional<ScopedRepair> SolveComponents(
   return result;
 }
 
+std::optional<ScopedRepair> SolveComponents(
+    const Relation& I, const DomainStats& stats_of_I,
+    const ConstraintSet& sigma, const std::vector<Cell>& changing,
+    double delta_min, const VfreeOptions& options, MaterializedCache* cache,
+    RepairStats* stats, int64_t* fresh_counter,
+    const EncodedRelation* encoded) {
+  return ReplayComponents(I, stats_of_I,
+                          PlanComponents(I, sigma, changing, options, encoded),
+                          delta_min, options, cache, stats, fresh_counter);
+}
+
 std::optional<Relation> DataRepairVfree(
     const Relation& I, const DomainStats& stats_of_I,
     const ConstraintSet& sigma, const std::vector<Cell>& changing,
@@ -438,8 +477,8 @@ std::optional<ScopedRepair> SolveDirtyComponents(
     RepairStats* stats, int64_t* fresh_counter,
     const EncodedRelation* encoded) {
   if (violations.empty()) return ScopedRepair{};
-  CanonicalizeViolations(&violations);
   if (options.strategy == RepairStrategy::kDelete) {
+    CanonicalizeViolations(&violations);
     // Subset repair: resolve by tuple deletion over the tuple projection —
     // no repair contexts, no solver, no cache. One cover pass is always
     // violation-free (NULL discharges every predicate) and deletions can
@@ -454,12 +493,11 @@ std::optional<ScopedRepair> SolveDirtyComponents(
     if (result.cost > delta_min) return std::nullopt;  // Alg. 2 lines 18-19
     return result;
   }
-  ConflictHypergraph g =
-      ConflictHypergraph::Build(I, sigma, violations, options.cost);
-  VertexCover cover = ApproximateVertexCover(g, options.cover, &stats_of_I);
-  std::vector<Cell> changing = cover.Cells(g);
-  return SolveComponents(I, stats_of_I, sigma, changing, delta_min, options,
-                         cache, stats, fresh_counter, encoded);
+  return ReplayComponents(
+      I, stats_of_I,
+      PlanDirtyComponents(I, stats_of_I, sigma, std::move(violations), options,
+                          encoded),
+      delta_min, options, cache, stats, fresh_counter);
 }
 
 RepairResult VfreeRepair(const Relation& I, const ConstraintSet& sigma,
@@ -492,10 +530,8 @@ RepairResult VfreeRepair(const Relation& I, const ConstraintSet& sigma,
             .count();
     return result;
   }
-  ConflictHypergraph g =
-      ConflictHypergraph::Build(I, sigma, violations, options.cost);
-  VertexCover cover = ApproximateVertexCover(g, options.cover, &stats_of_I);
-  std::vector<Cell> changing = cover.Cells(g);
+  std::vector<Cell> changing =
+      CoverCells(I, stats_of_I, sigma, violations, options);
 
   int64_t fresh_counter = 1;
   std::optional<Relation> repaired = DataRepairVfree(

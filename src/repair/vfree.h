@@ -4,12 +4,15 @@
 #include <optional>
 #include <utility>
 
+#include "dc/eval_index.h"
 #include "dc/violation.h"
+#include "graph/decompose.h"
 #include "graph/vertex_cover.h"
 #include "relation/domain_stats.h"
 #include "repair/costs.h"
 #include "repair/repair_result.h"
 #include "repair/subset.h"
+#include "solver/components.h"
 #include "solver/csp_solver.h"
 #include "solver/materialized_cache.h"
 
@@ -87,13 +90,60 @@ struct ScopedRepair {
   int components = 0;  ///< components solved or answered by the cache
 };
 
+/// The pure half of one DataRepair round (Algorithm 2 up to the component
+/// list): a function of (I, Σ, C) and the options alone, so plans for
+/// different rounds can be built concurrently and in any order. The work
+/// counters the planning spent are carried here instead of published, and
+/// ReplayComponents publishes them — a plan that is never replayed leaves
+/// no trace in RepairStats or the work counters.
+struct ComponentPlan {
+  std::vector<Component> components;
+  /// Per component when decomposition is on, else empty (DESIGN.md §12).
+  std::vector<SplitPlan> splits;
+  int64_t suspects = 0;
+  int64_t giant_component_cells = 0;
+  int64_t components_split = 0;
+  /// Zone-map consults of the suspect scan (blocks_scanned/_skipped).
+  EvalCounters zone_counts;
+};
+
+/// Plans the repair of the changing cells `changing`: the suspects of C
+/// stream into the repair context (RepairContext::BuildFromScan, on
+/// `encoded` when given), which is decomposed into components; oversized
+/// ones get split plans under `options.decompose`. Pure: touches no shared
+/// state, so it may run on any pool thread.
+ComponentPlan PlanComponents(const Relation& I, const ConstraintSet& sigma,
+                             const std::vector<Cell>& changing,
+                             const VfreeOptions& options,
+                             const EncodedRelation* encoded = nullptr);
+
+/// PlanComponents for an already-detected violation set, under the update
+/// and hybrid strategies: canonicalize -> conflict hypergraph -> vertex
+/// cover -> PlanComponents. The violations and the hypergraph are freed
+/// before the suspect scan. Pure, like PlanComponents.
+ComponentPlan PlanDirtyComponents(const Relation& I,
+                                  const DomainStats& stats_of_I,
+                                  const ConstraintSet& sigma,
+                                  std::vector<Violation> violations,
+                                  const VfreeOptions& options,
+                                  const EncodedRelation* encoded = nullptr);
+
+/// The serial half of a DataRepair round: publishes the counters `plan`
+/// carries, then resolves each component — cache lookups and stores,
+/// solves (parallel pre-solve + serial replay under `options.threads`),
+/// fresh-id minting from `fresh_counter`, stitching of split components,
+/// the Alg. 2 cost abort, and the hybrid post-pass. Returns std::nullopt
+/// when the cost exceeds `delta_min`.
+std::optional<ScopedRepair> ReplayComponents(
+    const Relation& I, const DomainStats& stats_of_I, const ComponentPlan& plan,
+    double delta_min, const VfreeOptions& options, MaterializedCache* cache,
+    RepairStats* stats, int64_t* fresh_counter);
+
 /// The component pipeline of Algorithm 2 without the whole-instance copy:
-/// suspects of `changing` are collected, the repair context assembled and
-/// decomposed, and each component solved (parallel pre-solve + serial
-/// replay under `options.threads`, exactly as DataRepairVfree). Returns
-/// std::nullopt on a `delta_min` cost abort. Applying the assignments to
-/// `I` yields precisely DataRepairVfree's result — DataRepairVfree is
-/// this function plus the copy.
+/// ReplayComponents(PlanComponents(...)). Returns std::nullopt on a
+/// `delta_min` cost abort. Applying the assignments to `I` yields
+/// precisely DataRepairVfree's result — DataRepairVfree is this function
+/// plus the copy.
 std::optional<ScopedRepair> SolveComponents(
     const Relation& I, const DomainStats& stats_of_I,
     const ConstraintSet& sigma, const std::vector<Cell>& changing,
@@ -110,9 +160,11 @@ void CanonicalizeViolations(std::vector<Violation>* violations);
 
 /// One violation-free repair round driven by an already-detected
 /// violation set (e.g. the delta-maintained set of a StreamingRepairer):
-/// canonicalize -> conflict hypergraph -> vertex cover -> SolveComponents.
-/// Rows not reachable from `violations` are never touched, which is what
-/// scopes a streaming batch's work to its dirty components.
+/// ReplayComponents(PlanDirtyComponents(...)) under the update and hybrid
+/// strategies, a subset cover under kDelete, and an empty repair when
+/// there are no violations. Rows not reachable from `violations` are never
+/// touched, which is what scopes a streaming batch's work to its dirty
+/// components.
 std::optional<ScopedRepair> SolveDirtyComponents(
     const Relation& I, const DomainStats& stats_of_I,
     const ConstraintSet& sigma, std::vector<Violation> violations,

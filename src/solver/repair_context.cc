@@ -1,118 +1,182 @@
 #include "solver/repair_context.h"
 
 #include <algorithm>
+#include <array>
+#include <optional>
 #include <set>
 #include <sstream>
 
 namespace cvrepair {
+
+namespace {
+
+// Collects the atoms of one repair context as they arrive. Exact duplicates
+// collapse in a set. A numeric bound atom (>, >=, <, <= against a numeric
+// constant) instead competes for its (variable, operator) slot, which keeps
+// the tightest bound and, among equally tight ones, the smallest RcAtom —
+// exactly the atom a pass over the sorted, deduplicated set would keep, so
+// the result does not depend on arrival order.
+class AtomCollector {
+ public:
+  void Add(RcAtom atom) {
+    const int slot = BoundSlot(atom);
+    if (slot < 0) {
+      atoms_.insert(std::move(atom));
+      return;
+    }
+    std::optional<RcAtom>& best = bounds_[atom.lhs_var][slot];
+    if (!best || Beats(atom, *best)) best = std::move(atom);
+  }
+
+  // The collected atoms in ascending RcAtom order.
+  std::vector<RcAtom> Finish() {
+    std::vector<RcAtom> out(atoms_.begin(), atoms_.end());
+    for (auto& [var, slots] : bounds_) {
+      (void)var;
+      for (std::optional<RcAtom>& a : slots) {
+        if (a) out.push_back(std::move(*a));
+      }
+    }
+    std::sort(out.begin(), out.end());
+    return out;
+  }
+
+ private:
+  // 0..3 for a numeric bound atom (>, >=, <, <=), -1 otherwise.
+  static int BoundSlot(const RcAtom& a) {
+    if (a.rhs_is_var || !a.rhs_const.is_numeric()) return -1;
+    switch (a.op) {
+      case Op::kGt:
+        return 0;
+      case Op::kGeq:
+        return 1;
+      case Op::kLt:
+        return 2;
+      case Op::kLeq:
+        return 3;
+      default:
+        return -1;
+    }
+  }
+
+  // True iff bound `a` should replace `best` in their shared slot.
+  static bool Beats(const RcAtom& a, const RcAtom& best) {
+    const double x = a.rhs_const.numeric();
+    const double y = best.rhs_const.numeric();
+    const bool lower = a.op == Op::kGt || a.op == Op::kGeq;
+    if (lower ? x > y : x < y) return true;   // tighter
+    if (lower ? x < y : x > y) return false;  // looser
+    return a < best;
+  }
+
+  std::set<RcAtom> atoms_;
+  std::unordered_map<int, std::array<std::optional<RcAtom>, 4>> bounds_;
+};
+
+// Adds the atoms suspect `s` contributes to rc(C, Σ): the inverse of each
+// predicate of its constraint that touches a changing cell.
+void CollectSuspectAtoms(const Relation& I, const ConstraintSet& sigma,
+                         const RepairContext& rc, const Violation& s,
+                         AtomCollector* atoms) {
+  const DenialConstraint& c = sigma[s.constraint_index];
+  for (const Predicate& p : c.predicates()) {
+    Cell lhs{s.rows[p.lhs().tuple], p.lhs().attr};
+    int lv = rc.VarOf(lhs);
+    if (p.has_constant()) {
+      if (lv < 0) continue;  // suspect-condition predicate, not rc
+      RcAtom atom;
+      atom.lhs_var = lv;
+      atom.op = Inverse(p.op());
+      atom.rhs_is_var = false;
+      atom.rhs_const = p.constant();
+      if (atom.rhs_const.is_null() || atom.rhs_const.is_fresh()) continue;
+      atoms->Add(std::move(atom));
+      continue;
+    }
+    Cell rhs{s.rows[p.rhs_cell().tuple], p.rhs_cell().attr};
+    int rv = rc.VarOf(rhs);
+    if (lv < 0 && rv < 0) continue;  // neither side changes
+    RcAtom atom;
+    Op inv = Inverse(p.op());
+    if (lv >= 0 && rv >= 0) {
+      if (lv == rv) continue;  // degenerate self-comparison
+      // Canonical order: smaller var id on the left.
+      if (lv <= rv) {
+        atom.lhs_var = lv;
+        atom.op = inv;
+        atom.rhs_is_var = true;
+        atom.rhs_var = rv;
+      } else {
+        atom.lhs_var = rv;
+        atom.op = FlipOperands(inv);
+        atom.rhs_is_var = true;
+        atom.rhs_var = lv;
+      }
+    } else if (lv >= 0) {
+      atom.lhs_var = lv;
+      atom.op = inv;
+      atom.rhs_is_var = false;
+      atom.rhs_const = I.Get(rhs);
+    } else {  // rv >= 0: I(lhs) inv I'(rhs)  ==>  I'(rhs) flip(inv) I(lhs)
+      atom.lhs_var = rv;
+      atom.op = FlipOperands(inv);
+      atom.rhs_is_var = false;
+      atom.rhs_const = I.Get(lhs);
+    }
+    // A NULL/fv fixed operand makes the original predicate unconditionally
+    // false, so the inverse constraint is vacuous.
+    if (!atom.rhs_is_var &&
+        (atom.rhs_const.is_null() || atom.rhs_const.is_fresh())) {
+      continue;
+    }
+    atoms->Add(std::move(atom));
+  }
+}
+
+}  // namespace
+
+void RepairContext::SetCells(const std::vector<Cell>& changing) {
+  cells_ = changing;
+  std::sort(cells_.begin(), cells_.end());
+  cells_.erase(std::unique(cells_.begin(), cells_.end()), cells_.end());
+  for (int v = 0; v < static_cast<int>(cells_.size()); ++v) {
+    var_of_[cells_[v]] = v;
+  }
+}
 
 RepairContext RepairContext::Build(const Relation& I,
                                    const ConstraintSet& sigma,
                                    const std::vector<Cell>& changing,
                                    const std::vector<Violation>& suspects) {
   RepairContext rc;
-  rc.cells_ = changing;
-  std::sort(rc.cells_.begin(), rc.cells_.end());
-  rc.cells_.erase(std::unique(rc.cells_.begin(), rc.cells_.end()),
-                  rc.cells_.end());
-  for (int v = 0; v < static_cast<int>(rc.cells_.size()); ++v) {
-    rc.var_of_[rc.cells_[v]] = v;
-  }
-
-  std::set<RcAtom> atoms;
+  rc.SetCells(changing);
+  AtomCollector atoms;
   for (const Violation& s : suspects) {
-    const DenialConstraint& c = sigma[s.constraint_index];
-    for (const Predicate& p : c.predicates()) {
-      Cell lhs{s.rows[p.lhs().tuple], p.lhs().attr};
-      int lv = rc.VarOf(lhs);
-      if (p.has_constant()) {
-        if (lv < 0) continue;  // suspect-condition predicate, not rc
-        RcAtom atom;
-        atom.lhs_var = lv;
-        atom.op = Inverse(p.op());
-        atom.rhs_is_var = false;
-        atom.rhs_const = p.constant();
-        if (atom.rhs_const.is_null() || atom.rhs_const.is_fresh()) continue;
-        atoms.insert(std::move(atom));
-        continue;
-      }
-      Cell rhs{s.rows[p.rhs_cell().tuple], p.rhs_cell().attr};
-      int rv = rc.VarOf(rhs);
-      if (lv < 0 && rv < 0) continue;  // neither side changes
-      RcAtom atom;
-      Op inv = Inverse(p.op());
-      if (lv >= 0 && rv >= 0) {
-        if (lv == rv) continue;  // degenerate self-comparison
-        // Canonical order: smaller var id on the left.
-        if (lv <= rv) {
-          atom.lhs_var = lv;
-          atom.op = inv;
-          atom.rhs_is_var = true;
-          atom.rhs_var = rv;
-        } else {
-          atom.lhs_var = rv;
-          atom.op = FlipOperands(inv);
-          atom.rhs_is_var = true;
-          atom.rhs_var = lv;
-        }
-      } else if (lv >= 0) {
-        atom.lhs_var = lv;
-        atom.op = inv;
-        atom.rhs_is_var = false;
-        atom.rhs_const = I.Get(rhs);
-      } else {  // rv >= 0: I(lhs) inv I'(rhs)  ==>  I'(rhs) flip(inv) I(lhs)
-        atom.lhs_var = rv;
-        atom.op = FlipOperands(inv);
-        atom.rhs_is_var = false;
-        atom.rhs_const = I.Get(lhs);
-      }
-      // A NULL/fv fixed operand makes the original predicate unconditionally
-      // false, so the inverse constraint is vacuous.
-      if (!atom.rhs_is_var &&
-          (atom.rhs_const.is_null() || atom.rhs_const.is_fresh())) {
-        continue;
-      }
-      atoms.insert(std::move(atom));
-    }
+    CollectSuspectAtoms(I, sigma, rc, s, &atoms);
   }
-  // Compress numeric bound atoms: for one variable, {>= c1, >= c2, ...}
-  // is equivalent to the single tightest bound (same for >, <, <=). This
-  // keeps order-DC contexts linear in the number of variables instead of
-  // quadratic in the instance, without changing the feasible sets.
-  struct NumericBounds {
-    const RcAtom* gt = nullptr;
-    const RcAtom* geq = nullptr;
-    const RcAtom* lt = nullptr;
-    const RcAtom* leq = nullptr;
-  };
-  std::unordered_map<int, NumericBounds> bounds;
-  rc.atoms_.reserve(atoms.size());
-  for (const RcAtom& a : atoms) {
-    if (a.rhs_is_var || !a.rhs_const.is_numeric() ||
-        (a.op != Op::kGt && a.op != Op::kGeq && a.op != Op::kLt &&
-         a.op != Op::kLeq)) {
-      rc.atoms_.push_back(a);
-      continue;
-    }
-    NumericBounds& b = bounds[a.lhs_var];
-    const RcAtom** slot = a.op == Op::kGt    ? &b.gt
-                          : a.op == Op::kGeq ? &b.geq
-                          : a.op == Op::kLt  ? &b.lt
-                                             : &b.leq;
-    bool lower = a.op == Op::kGt || a.op == Op::kGeq;
-    if (*slot == nullptr ||
-        (lower ? a.rhs_const.numeric() > (*slot)->rhs_const.numeric()
-               : a.rhs_const.numeric() < (*slot)->rhs_const.numeric())) {
-      *slot = &a;
-    }
-  }
-  for (const auto& [var, b] : bounds) {
-    (void)var;
-    for (const RcAtom* a : {b.gt, b.geq, b.lt, b.leq}) {
-      if (a != nullptr) rc.atoms_.push_back(*a);
-    }
-  }
-  std::sort(rc.atoms_.begin(), rc.atoms_.end());
+  rc.atoms_ = atoms.Finish();
+  return rc;
+}
+
+RepairContext RepairContext::BuildFromScan(const Relation& I,
+                                           const EncodedRelation* encoded,
+                                           const ConstraintSet& sigma,
+                                           const std::vector<Cell>& changing,
+                                           int64_t* suspects,
+                                           EvalCounters* zone_counts) {
+  RepairContext rc;
+  rc.SetCells(changing);
+  AtomCollector atoms;
+  int64_t count = 0;
+  ForEachSuspect(
+      I, encoded, sigma, CellSet(changing.begin(), changing.end()),
+      [&](const Violation& s) {
+        ++count;
+        CollectSuspectAtoms(I, sigma, rc, s, &atoms);
+      },
+      zone_counts);
+  if (suspects) *suspects = count;
+  rc.atoms_ = atoms.Finish();
   return rc;
 }
 

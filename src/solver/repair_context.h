@@ -1,6 +1,7 @@
 #ifndef CVREPAIR_SOLVER_REPAIR_CONTEXT_H_
 #define CVREPAIR_SOLVER_REPAIR_CONTEXT_H_
 
+#include <cstdint>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -48,6 +49,13 @@ struct RcAtom {
 /// The assembled repair context rc(C, Σ) for a changing set C: variables
 /// (one per changing cell) plus deduplicated atoms collected from every
 /// suspect tuple list (formula (3) of the paper).
+///
+/// Numeric bound atoms are compressed: for one variable, {>= c1, >= c2, ...}
+/// is equivalent to the single tightest bound (same for >, <, <=), so only
+/// that one is kept — the smallest RcAtom among equally tight ones. This
+/// keeps order-DC contexts linear in the number of variables instead of
+/// quadratic in the instance, without changing the feasible sets. Atoms are
+/// in ascending RcAtom order.
 class RepairContext {
  public:
   /// Builds rc(C, Σ) from the suspects of C (see FindSuspects). Every
@@ -57,6 +65,19 @@ class RepairContext {
   static RepairContext Build(const Relation& I, const ConstraintSet& sigma,
                              const std::vector<Cell>& changing,
                              const std::vector<Violation>& suspects);
+
+  /// Build(I, Σ, C, FindSuspects(I, Σ, C)) without the suspect list: the
+  /// suspect scan (ForEachSuspect, on `encoded` when given) feeds the atom
+  /// collector directly and numeric bounds are compressed as they arrive,
+  /// so memory stays at the compressed context. `*suspects` receives the
+  /// suspect count; the scan's zone-map consults go to `*zone_counts` when
+  /// given, else to the process-wide eval counters.
+  static RepairContext BuildFromScan(const Relation& I,
+                                     const EncodedRelation* encoded,
+                                     const ConstraintSet& sigma,
+                                     const std::vector<Cell>& changing,
+                                     int64_t* suspects,
+                                     EvalCounters* zone_counts = nullptr);
 
   int num_vars() const { return static_cast<int>(cells_.size()); }
   const std::vector<Cell>& cells() const { return cells_; }
@@ -73,6 +94,9 @@ class RepairContext {
   std::string ToString(const Relation& I) const;
 
  private:
+  // The variables of C: sorted, deduplicated cells and their ids.
+  void SetCells(const std::vector<Cell>& changing);
+
   std::vector<Cell> cells_;
   std::unordered_map<Cell, int, CellHash> var_of_;
   std::vector<RcAtom> atoms_;

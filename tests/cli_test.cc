@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <regex>
 #include <sstream>
 
 namespace cvrepair {
@@ -197,6 +198,39 @@ TEST_F(CliTest, TraceOutWritesPhaseSpans) {
   EXPECT_NE(trace.find("\"traceEvents\""), std::string::npos);
   EXPECT_NE(trace.find("cvtolerant/repair"), std::string::npos);
   EXPECT_NE(trace.find("vfree/data_repair"), std::string::npos);
+  EXPECT_NE(trace.find("vfree/context"), std::string::npos);
+
+  // With several DataRepair calls and threads to spare, the candidate
+  // search plans candidates ahead of their replay.
+  std::string threaded = RunAndCapture(
+      cli_ + " --generate hosp --size 6 --threads 4 --trace-out " + dir_ +
+      "/trace4.json");
+  EXPECT_NE(threaded.find("trace:"), std::string::npos) << threaded;
+  std::string trace4 = ReadWholeFile(dir_ + "/trace4.json");
+  EXPECT_NE(trace4.find("cvtolerant/plan_candidates"), std::string::npos);
+  EXPECT_NE(trace4.find("vfree/cover"), std::string::npos);
+}
+
+// The variants line sorts every enumerated variant into exactly one
+// outcome: hopeless under the violation cap, bound-pruned, cut by the
+// DataRepair budget, or repaired. hosp@24 exhausts the 64-call budget.
+TEST_F(CliTest, VariantOutcomesAddUp) {
+  std::string out = RunAndCapture(cli_ + " --generate hosp --size 24");
+  std::smatch m;
+  ASSERT_TRUE(std::regex_search(
+      out, m,
+      std::regex(R"(variants tried:\s+(\d+) \(hopeless (\d+), )"
+                 R"(bound-pruned (\d+), budget-cut (\d+), )"
+                 R"(DataRepair calls (\d+),)")))
+      << out;
+  const int tried = std::stoi(m[1]);
+  const int hopeless = std::stoi(m[2]);
+  const int bound_pruned = std::stoi(m[3]);
+  const int budget_cut = std::stoi(m[4]);
+  const int calls = std::stoi(m[5]);
+  EXPECT_EQ(hopeless + bound_pruned + budget_cut + calls, tried) << out;
+  EXPECT_GT(budget_cut, 0) << out;
+  EXPECT_GE(bound_pruned, 0) << out;
 }
 
 // The generator mode runs without any input files.

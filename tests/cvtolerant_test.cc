@@ -2,7 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <map>
+#include <string>
+
+#include "dc/violation.h"
 #include "paper_example.h"
+#include "util/metrics.h"
+#include "util/thread_pool.h"
 
 namespace cvrepair {
 namespace {
@@ -135,6 +143,154 @@ TEST(CVTolerantTest, CleanDataStaysClean) {
   options.variants.data = &rel;
   RepairResult r = CVTolerantRepair(rel, {Phi2(rel)}, options);
   EXPECT_EQ(r.stats.changed_cells, 0);
+}
+
+// Facts for one constraint of the paper example: its real violations
+// (canonical rows order) with hand-set δ bounds.
+VariantFacts HandFacts(const Relation& rel, const DenialConstraint& c,
+                       double delta_l, double delta_u) {
+  VariantFacts f;
+  f.violations = FindViolationsOf(rel, c);
+  std::sort(f.violations.begin(), f.violations.end(),
+            [](const Violation& a, const Violation& b) {
+              return a.rows < b.rows;
+            });
+  f.delta_l = delta_l;
+  f.delta_u = delta_u;
+  return f;
+}
+
+struct WindowRun {
+  VariantSearchResult search;
+  RepairStats stats;
+  MetricsSnapshot work;
+  int64_t plans_built = 0;
+  int64_t plans_discarded = 0;
+};
+
+// One search over four hand-built candidates in δ_l order φ4' (0), φ4
+// (500), φ2 (600), φ3 (700), with δ_min seeded at δ_u(Σ = {φ4}) = 1000.
+// φ4' repairs for far less than 500, so every later candidate is
+// bound-pruned once its replay comes — after a wide window planned it.
+WindowRun RunWindowSearch(int threads, const CVTolerantOptions& base) {
+  Relation rel = PaperIncomeRelation();
+  const DenialConstraint phi4 = Phi4(rel);
+  const DenialConstraint phi4p = Phi4Prime(rel);
+  const DenialConstraint phi2 = Phi2(rel);
+  const DenialConstraint phi3 = Phi3(rel);
+  std::map<DenialConstraint, VariantFacts> facts;
+  facts[phi4p] = HandFacts(rel, phi4p, 0.0, 2.0);
+  facts[phi4] = HandFacts(rel, phi4, 500.0, 1000.0);
+  facts[phi2] = HandFacts(rel, phi2, 600.0, 1000.0);
+  facts[phi3] = HandFacts(rel, phi3, 700.0, 1000.0);
+  const std::vector<SigmaVariant> variants = {
+      {{phi3}, 0.0}, {{phi4}, 0.0}, {{phi2}, 0.0}, {{phi4p}, 0.0}};
+
+  ThreadPool::SetNumThreads(threads);
+  CVTolerantOptions options = base;
+  options.threads = threads;
+  MetricsRegistry& registry = MetricsRegistry::Global();
+  registry.ResetAll();
+  WindowRun run;
+  int64_t fresh = 1;
+  run.search = CVTolerantSearchWithFacts(
+      rel, {phi4}, variants,
+      [&facts](const DenialConstraint& c) -> const VariantFacts& {
+        return facts.at(c);
+      },
+      options, &fresh, nullptr, &run.stats);
+  run.work = registry.SnapshotWork();
+  MetricsSnapshot all = registry.SnapshotAll();
+  run.plans_built = all["search.plans_built"];
+  run.plans_discarded = all["search.plans_discarded"];
+  return run;
+}
+
+bool SameDouble(double a, double b) {
+  return (std::isnan(a) && std::isnan(b)) || a == b;
+}
+
+void ExpectSameRun(const WindowRun& a, const WindowRun& b,
+                   const std::string& context) {
+  SCOPED_TRACE(context);
+  const VariantSearchResult& x = a.search;
+  const VariantSearchResult& y = b.search;
+  ASSERT_EQ(x.have_result, y.have_result);
+  EXPECT_TRUE(x.variant == y.variant);
+  EXPECT_EQ(x.cost, y.cost);
+  ASSERT_EQ(x.repaired.num_rows(), y.repaired.num_rows());
+  for (int r = 0; r < x.repaired.num_rows(); ++r) {
+    for (AttrId attr = 0; attr < x.repaired.num_attributes(); ++attr) {
+      EXPECT_EQ(x.repaired.Get(r, attr), y.repaired.Get(r, attr))
+          << "t" << r << "." << attr;
+    }
+  }
+  EXPECT_EQ(x.datarepair_calls, y.datarepair_calls);
+  EXPECT_EQ(x.variants_pruned, y.variants_pruned);
+  ASSERT_EQ(x.solved_costs.size(), y.solved_costs.size());
+  for (size_t i = 0; i < x.solved_costs.size(); ++i) {
+    EXPECT_TRUE(SameDouble(x.solved_costs[i], y.solved_costs[i])) << i;
+    EXPECT_TRUE(SameDouble(x.abort_bounds[i], y.abort_bounds[i])) << i;
+  }
+  const RepairStats& s = a.stats;
+  const RepairStats& t = b.stats;
+  EXPECT_EQ(s.rounds, t.rounds);
+  EXPECT_EQ(s.solver_calls, t.solver_calls);
+  EXPECT_EQ(s.cache_hits, t.cache_hits);
+  EXPECT_EQ(s.fresh_assignments, t.fresh_assignments);
+  EXPECT_EQ(s.changed_cells, t.changed_cells);
+  EXPECT_EQ(s.repair_cost, t.repair_cost);
+  EXPECT_EQ(s.initial_violations, t.initial_violations);
+  EXPECT_EQ(s.suspects, t.suspects);
+  EXPECT_EQ(s.rows_deleted, t.rows_deleted);
+  EXPECT_EQ(s.components_split, t.components_split);
+  EXPECT_EQ(s.stitch_merges, t.stitch_merges);
+  EXPECT_EQ(s.giant_component_cells, t.giant_component_cells);
+  EXPECT_EQ(s.variants_enumerated, t.variants_enumerated);
+  EXPECT_EQ(s.variants_pruned_bounds, t.variants_pruned_bounds);
+  EXPECT_EQ(s.variants_hopeless, t.variants_hopeless);
+  EXPECT_EQ(s.datarepair_calls, t.datarepair_calls);
+  EXPECT_EQ(s.bound_memo_hits, t.bound_memo_hits);
+  EXPECT_EQ(a.work, b.work);
+}
+
+// A plan built for a candidate that is bound-pruned by the time its replay
+// comes is dropped without a trace: output, stats and work counters match
+// the serial loop at every window width.
+TEST(CVTolerantSearchWindowTest, DiscardedPlansLeaveNoTrace) {
+  const int saved = ThreadPool::num_threads();
+  const CVTolerantOptions options;
+  WindowRun serial = RunWindowSearch(1, options);
+  ASSERT_TRUE(serial.search.have_result);
+  EXPECT_LT(serial.search.cost, 500.0) << "φ4' must undercut δ_l(φ4)";
+  EXPECT_EQ(serial.search.datarepair_calls, 1);
+  EXPECT_EQ(serial.search.variants_pruned, 3);
+  EXPECT_EQ(serial.plans_built, 0);
+  for (int threads : {2, 4}) {
+    WindowRun parallel = RunWindowSearch(threads, options);
+    ExpectSameRun(serial, parallel, std::to_string(threads) + " threads");
+    EXPECT_GE(parallel.plans_built, 2);
+    if (threads == 4) {
+      EXPECT_GE(parallel.plans_discarded, 1);
+    }
+  }
+  ThreadPool::SetNumThreads(saved);
+}
+
+// The window never plans past the DataRepair budget: with 3 calls left
+// and 4 threads, exactly the 3 candidates the budget admits are planned.
+TEST(CVTolerantSearchWindowTest, WindowStopsAtCallBudget) {
+  const int saved = ThreadPool::num_threads();
+  CVTolerantOptions options;
+  options.enable_bound_pruning = false;
+  options.max_datarepair_calls = 3;
+  WindowRun serial = RunWindowSearch(1, options);
+  WindowRun parallel = RunWindowSearch(4, options);
+  ExpectSameRun(serial, parallel, "budget 3");
+  EXPECT_EQ(parallel.search.datarepair_calls, 3);
+  EXPECT_EQ(parallel.plans_built, 3);
+  EXPECT_EQ(parallel.plans_discarded, 0);
+  ThreadPool::SetNumThreads(saved);
 }
 
 }  // namespace

@@ -151,46 +151,72 @@ TEST(ParallelEquivalence, VfreeRepairIdentical) {
   }
 }
 
+// Every arm of the candidate search — serial, and the speculative window at
+// 2, 3 and 4 threads — under the update and hybrid strategies, with and
+// without component decomposition (a low threshold, so components do split).
 TEST(ParallelEquivalence, CVTolerantRepairIdentical) {
   PoolGuard guard;
   for (const Workload& w : MakeWorkloads()) {
-    auto run = [&](int threads) {
-      ThreadPool::SetNumThreads(threads);
-      CVTolerantOptions options;
-      options.variants.theta = 1.0;
-      options.variants.space = w.space;
-      options.max_datarepair_calls = 8;
-      options.threads = threads;
-      return CVTolerantRepair(w.dirty, w.sigma, options);
-    };
-    RepairResult serial = run(1);
-    RepairResult parallel = run(4);
-
-    ExpectSameRelation(serial.repaired, parallel.repaired,
-                       w.name + "/cvtolerant");
-    // Θ is folded into the chosen variant: the satisfied constraint sets
-    // must match exactly, as must the repair cost.
-    ASSERT_EQ(serial.satisfied_constraints.size(),
-              parallel.satisfied_constraints.size())
-        << w.name;
-    for (size_t i = 0; i < serial.satisfied_constraints.size(); ++i) {
-      EXPECT_EQ(serial.satisfied_constraints[i].ToString(w.dirty.schema()),
+    for (RepairStrategy strategy :
+         {RepairStrategy::kUpdate, RepairStrategy::kHybrid}) {
+      for (bool decompose : {false, true}) {
+        const std::string arm = w.name + "/" +
+                                RepairStrategyToString(strategy) +
+                                (decompose ? "/decompose" : "");
+        auto run = [&](int threads) {
+          ThreadPool::SetNumThreads(threads);
+          CVTolerantOptions options;
+          options.variants.theta = 1.0;
+          options.variants.space = w.space;
+          options.max_datarepair_calls = 8;
+          options.threads = threads;
+          options.vfree.strategy = strategy;
+          options.vfree.decompose = decompose;
+          options.vfree.max_component = 6;
+          return CVTolerantRepair(w.dirty, w.sigma, options);
+        };
+        RepairResult serial = run(1);
+        for (int threads : {2, 3, 4}) {
+          RepairResult parallel = run(threads);
+          const std::string context =
+              arm + "@" + std::to_string(threads) + " threads";
+          ExpectSameRelation(serial.repaired, parallel.repaired, context);
+          // Θ is folded into the chosen variant: the satisfied constraint
+          // sets must match exactly, as must the repair cost.
+          ASSERT_EQ(serial.satisfied_constraints.size(),
+                    parallel.satisfied_constraints.size())
+              << context;
+          for (size_t i = 0; i < serial.satisfied_constraints.size(); ++i) {
+            EXPECT_EQ(
+                serial.satisfied_constraints[i].ToString(w.dirty.schema()),
                 parallel.satisfied_constraints[i].ToString(w.dirty.schema()))
-          << w.name;
+                << context;
+          }
+          const RepairStats& s = serial.stats;
+          const RepairStats& p = parallel.stats;
+          EXPECT_EQ(s.repair_cost, p.repair_cost) << context;
+          EXPECT_EQ(s.changed_cells, p.changed_cells) << context;
+          EXPECT_EQ(s.fresh_assignments, p.fresh_assignments) << context;
+          EXPECT_EQ(s.rows_deleted, p.rows_deleted) << context;
+          EXPECT_EQ(s.cache_hits, p.cache_hits) << context;
+          EXPECT_EQ(s.solver_calls, p.solver_calls) << context;
+          EXPECT_EQ(s.suspects, p.suspects) << context;
+          EXPECT_EQ(s.components_split, p.components_split) << context;
+          EXPECT_EQ(s.stitch_merges, p.stitch_merges) << context;
+          EXPECT_EQ(s.giant_component_cells, p.giant_component_cells)
+              << context;
+          EXPECT_EQ(s.datarepair_calls, p.datarepair_calls) << context;
+          EXPECT_EQ(s.variants_pruned_bounds, p.variants_pruned_bounds)
+              << context;
+          EXPECT_EQ(s.variants_hopeless, p.variants_hopeless) << context;
+          EXPECT_EQ(s.bound_memo_hits, p.bound_memo_hits) << context;
+          EXPECT_EQ(s.index_blocks_scanned, p.index_blocks_scanned)
+              << context;
+          EXPECT_EQ(s.index_blocks_skipped, p.index_blocks_skipped)
+              << context;
+        }
+      }
     }
-    EXPECT_EQ(serial.stats.repair_cost, parallel.stats.repair_cost) << w.name;
-    EXPECT_EQ(serial.stats.changed_cells, parallel.stats.changed_cells)
-        << w.name;
-    EXPECT_EQ(serial.stats.fresh_assignments, parallel.stats.fresh_assignments)
-        << w.name;
-    EXPECT_EQ(serial.stats.cache_hits, parallel.stats.cache_hits) << w.name;
-    EXPECT_EQ(serial.stats.solver_calls, parallel.stats.solver_calls)
-        << w.name;
-    EXPECT_EQ(serial.stats.datarepair_calls, parallel.stats.datarepair_calls)
-        << w.name;
-    EXPECT_EQ(serial.stats.variants_pruned_bounds,
-              parallel.stats.variants_pruned_bounds)
-        << w.name;
   }
 }
 

@@ -2,7 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
+#include "data/census.h"
+#include "data/hosp.h"
+#include "data/noise.h"
+#include "data/tax.h"
+#include "dc/eval_index.h"
+#include "graph/conflict_hypergraph.h"
+#include "graph/vertex_cover.h"
 #include "paper_example.h"
+#include "relation/encoded.h"
 #include "solver/components.h"
 #include "solver/materialized_cache.h"
 #include "solver/repair_context.h"
@@ -35,6 +46,139 @@ TEST(RepairContextTest, Example10AtomsCompressToTightBounds) {
     EXPECT_FALSE(a.rhs_is_var);
     EXPECT_DOUBLE_EQ(a.rhs_const.numeric(), 0.0);
     EXPECT_TRUE(a.op == Op::kGeq || a.op == Op::kLeq);
+  }
+}
+
+// The changing set the repair pipeline would pick for (I, Σ): a greedy
+// vertex cover of the conflict hypergraph of its violations.
+std::vector<Cell> CoverOf(const Relation& I, const ConstraintSet& sigma) {
+  std::vector<Violation> violations = FindViolations(I, sigma);
+  ConflictHypergraph g = ConflictHypergraph::Build(I, sigma, violations);
+  DomainStats stats(I);
+  return ApproximateVertexCover(g, CoverHeuristic::kGreedyDegree, &stats)
+      .Cells(g);
+}
+
+void ExpectSameContext(const RepairContext& a, const RepairContext& b) {
+  EXPECT_EQ(a.cells(), b.cells());
+  ASSERT_EQ(a.atoms().size(), b.atoms().size());
+  for (size_t i = 0; i < a.atoms().size(); ++i) {
+    const RcAtom& x = a.atoms()[i];
+    const RcAtom& y = b.atoms()[i];
+    EXPECT_TRUE(x == y && x.op == y.op) << "atom " << i;
+    // Storage-exact constants: Int 5 and Double 5.0 are different atoms.
+    EXPECT_EQ(x.rhs_const.kind(), y.rhs_const.kind()) << "atom " << i;
+  }
+}
+
+// Streams the suspects of C into the context and compares it with the
+// context built from the materialized suspect list, on the boxed and the
+// encoded backend. The sink must receive exactly the zone consults the
+// collecting scan publishes globally, and nothing may reach the global
+// counters while a sink is given. Returns the encoded scan's zone consults.
+int64_t ExpectScanMatchesBuild(const Relation& I, const ConstraintSet& sigma,
+                               const std::vector<Cell>& changing,
+                               const std::string& name) {
+  const CellSet changing_set(changing.begin(), changing.end());
+  EncodedRelation E(I);
+  int64_t consults = 0;
+  const EncodedRelation* backends[] = {nullptr, &E};
+  for (const EncodedRelation* encoded : backends) {
+    SCOPED_TRACE(name + (encoded ? "/encoded" : "/boxed"));
+    const EvalCounters before = eval_counters::Snapshot();
+    const std::vector<Violation> suspects =
+        encoded ? FindSuspects(*encoded, sigma, changing_set)
+                : FindSuspects(I, sigma, changing_set);
+    const EvalCounters global = eval_counters::Snapshot() - before;
+    const RepairContext built =
+        RepairContext::Build(I, sigma, changing, suspects);
+
+    int64_t count = -1;
+    EvalCounters sink;
+    const EvalCounters before_scan = eval_counters::Snapshot();
+    const RepairContext streamed = RepairContext::BuildFromScan(
+        I, encoded, sigma, changing, &count, &sink);
+    const EvalCounters leaked = eval_counters::Snapshot() - before_scan;
+
+    EXPECT_GT(suspects.size(), 0u);
+    EXPECT_EQ(count, static_cast<int64_t>(suspects.size()));
+    ExpectSameContext(built, streamed);
+    EXPECT_EQ(sink.blocks_scanned, global.blocks_scanned);
+    EXPECT_EQ(sink.blocks_skipped, global.blocks_skipped);
+    EXPECT_EQ(leaked.blocks_scanned, 0);
+    EXPECT_EQ(leaked.blocks_skipped, 0);
+    consults = sink.blocks_scanned + sink.blocks_skipped;
+  }
+  return consults;
+}
+
+Relation Corrupted(const Relation& clean, const std::vector<AttrId>& attrs) {
+  NoiseConfig noise;
+  noise.error_rate = 0.05;
+  noise.target_attrs = attrs;
+  noise.seed = 5;
+  return InjectNoise(clean, noise).dirty;
+}
+
+TEST(RepairContextTest, StreamedContextEqualsBuiltOnHospFds) {
+  HospConfig config;
+  config.num_hospitals = 10;
+  HospData hosp = MakeHosp(config);
+  Relation dirty = Corrupted(hosp.clean, hosp.noise_attrs);
+  ExpectScanMatchesBuild(dirty, hosp.given_oversimplified,
+                         CoverOf(dirty, hosp.given_oversimplified), "hosp");
+}
+
+TEST(RepairContextTest, StreamedContextEqualsBuiltOnCensusOrderDcs) {
+  CensusConfig config;
+  config.num_rows = 1100;  // two storage blocks, so zone maps can skip
+  CensusData census = MakeCensus(config);
+  Relation dirty = Corrupted(census.clean, {CensusAttrs::kTax});
+  // Only Tax cells change, so the Income predicates prune partner blocks.
+  std::vector<Cell> changing;
+  for (const Cell& cell : CoverOf(dirty, census.given)) {
+    if (cell.attr == CensusAttrs::kTax) changing.push_back(cell);
+  }
+  ASSERT_FALSE(changing.empty());
+  EXPECT_GT(ExpectScanMatchesBuild(dirty, census.given, changing, "census"),
+            0)
+      << "no zone consults: the sink comparison is vacuous";
+}
+
+TEST(RepairContextTest, StreamedContextEqualsBuiltOnTaxConstantDcs) {
+  TaxConfig config;
+  config.num_rows = 300;
+  TaxData tax = MakeTax(config);
+  Relation dirty = Corrupted(tax.clean, tax.noise_attrs);
+  ExpectScanMatchesBuild(dirty, tax.given, CoverOf(dirty, tax.given), "tax");
+}
+
+// Two equally tight bounds on one variable, I'(t4.Tax) >= 5 as an Int and
+// as a Double constant: compression keeps the smaller RcAtom (Int sorts
+// before Double), whichever arrives first.
+TEST(RepairContextTest, EqualBoundsKeepTheSmallestAtom) {
+  Relation rel = PaperIncomeRelation();
+  AttrId tax = *rel.schema().Find("Tax");
+  const DenialConstraint as_int(
+      {Predicate::WithConstant(0, tax, Op::kLt, Value::Int(5))}, "int");
+  const DenialConstraint as_double(
+      {Predicate::WithConstant(0, tax, Op::kLt, Value::Double(5.0))},
+      "double");
+  const std::vector<Cell> changing = {{3, tax}};
+  for (const ConstraintSet& sigma :
+       {ConstraintSet{as_int, as_double}, ConstraintSet{as_double, as_int}}) {
+    const RepairContext built = RepairContext::Build(
+        rel, sigma, changing,
+        FindSuspects(rel, sigma, CellSet(changing.begin(), changing.end())));
+    int64_t count = 0;
+    const RepairContext streamed =
+        RepairContext::BuildFromScan(rel, nullptr, sigma, changing, &count);
+    EXPECT_EQ(count, 2);
+    ExpectSameContext(built, streamed);
+    ASSERT_EQ(streamed.atoms().size(), 1u);
+    const RcAtom& kept = streamed.atoms()[0];
+    EXPECT_EQ(kept.op, Op::kGeq);
+    EXPECT_EQ(kept.rhs_const, Value::Int(5));
   }
 }
 

@@ -834,10 +834,16 @@ int RunRepair(const CliOptions& options, const Relation& data,
               << " giant-component cells\n";
   }
   if (options.algorithm == "cvtolerant") {
-    std::cout << "variants tried:   " << result.stats.variants_enumerated
-              << " (bound-pruned " << result.stats.variants_pruned_bounds
-              << ", DataRepair calls " << result.stats.datarepair_calls
-              << ", shared solutions " << result.stats.cache_hits << ")\n";
+    // hopeless + bound-pruned + budget-cut + calls = variants tried.
+    const RepairStats& st = result.stats;
+    std::cout << "variants tried:   " << st.variants_enumerated
+              << " (hopeless " << st.variants_hopeless << ", bound-pruned "
+              << st.variants_pruned_bounds - st.variants_hopeless
+              << ", budget-cut "
+              << st.variants_enumerated - st.variants_pruned_bounds -
+                     st.datarepair_calls
+              << ", DataRepair calls " << st.datarepair_calls
+              << ", shared solutions " << st.cache_hits << ")\n";
     std::cout << "scan work:        " << result.stats.index_partition_builds
               << " partition builds, " << result.stats.index_predicate_evals
               << " predicate evals, " << result.stats.index_code_evals
