@@ -10,6 +10,7 @@
 #include "data/hosp.h"
 #include "data/noise.h"
 #include "graph/bounds.h"
+#include "relation/encoded.h"
 #include "solver/components.h"
 #include "solver/csp_solver.h"
 #include "solver/repair_context.h"
@@ -75,11 +76,12 @@ void BM_SuspectsAndContext(benchmark::State& state) {
   HospEnv& env = Env();
   RepairCostBounds bounds =
       ComputeBounds(env.noisy.dirty, env.hosp.given_oversimplified);
+  EncodedRelation encoded(env.noisy.dirty);
   for (auto _ : state) {
     int64_t suspects = 0;
     benchmark::DoNotOptimize(RepairContext::BuildFromScan(
-        env.noisy.dirty, nullptr, env.hosp.given_oversimplified,
-        bounds.cover_cells, &suspects));
+        encoded, env.hosp.given_oversimplified, bounds.cover_cells,
+        &suspects));
   }
 }
 BENCHMARK(BM_SuspectsAndContext);
@@ -91,7 +93,7 @@ void BM_ComponentSolve(benchmark::State& state) {
   int64_t suspects = 0;
   std::vector<Component> components =
       DecomposeComponents(RepairContext::BuildFromScan(
-          env.noisy.dirty, nullptr, env.hosp.given_oversimplified,
+          EncodedRelation(env.noisy.dirty), env.hosp.given_oversimplified,
           bounds.cover_cells, &suspects));
   DomainStats stats(env.noisy.dirty);
   for (auto _ : state) {

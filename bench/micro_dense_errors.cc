@@ -21,6 +21,7 @@
 #include "graph/conflict_hypergraph.h"
 #include "graph/decompose.h"
 #include "graph/vertex_cover.h"
+#include "relation/encoded.h"
 #include "solver/components.h"
 #include "solver/repair_context.h"
 
@@ -66,7 +67,7 @@ int main() {
   int64_t suspects = 0;
   std::vector<Component> components =
       DecomposeComponents(RepairContext::BuildFromScan(
-          dense.dirty, nullptr, dense.sigma, changing, &suspects));
+          EncodedRelation(dense.dirty), dense.sigma, changing, &suspects));
 
   size_t largest = 0;
   int over_threshold = 0;

@@ -129,8 +129,7 @@ int main() {
         MaterializedCache cold;
         std::optional<ScopedRepair> fix = CVTolerantResolveComponents(
             W, stats_of_W, initial.satisfied_constraints,
-            std::move(violations), scratch_options, &cold, &stats, &fresh,
-            &E);
+            std::move(violations), scratch_options, &cold, &stats, &fresh, E);
         for (auto& [cell, value] : fix->assignments) {
           W.SetValue(cell, std::move(value));
         }

@@ -60,16 +60,15 @@ ScratchStream RunScratchPerBatch(const ReplayWorkload& replay,
   int64_t fresh = 1000000;
   for (const std::vector<RowEdit>& batch : replay.batches) {
     ApplyEditsToRelation(batch, &D);
-    std::optional<EncodedRelation> E;
-    if (options.use_encoded) E.emplace(D);
+    EncodedRelation E(D);
     std::map<DenialConstraint, VariantFacts> facts =
-        ScanVariantFacts(D, sigma, family, options, E ? &*E : nullptr);
+        ScanVariantFacts(D, sigma, family, options, E);
     out.final_result = CVTolerantSearchWithFacts(
         D, sigma, family,
         [&facts](const DenialConstraint& c) -> const VariantFacts& {
           return facts.at(c);
         },
-        options, &fresh, E ? &*E : nullptr);
+        options, &fresh, E);
     out.per_batch.push_back(out.final_result.variant);
   }
   return out;

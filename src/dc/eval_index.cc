@@ -133,34 +133,16 @@ using scan_internal::kMinParallelWork;
 using scan_internal::LocalCap;
 using scan_internal::MergeShards;
 using scan_internal::ShardResult;
-using scan_internal::ValueVecHash;
 
 bool IsPartitionPredicate(const Predicate& p) {
   return !p.has_constant() && p.op() == Op::kEq &&
          p.IsSameAttributeAcrossTuples();
 }
 
-// The row's key on `attrs`; *usable is false when any value is NULL/fresh
-// (such rows never satisfy '=' and are excluded from partitions).
-std::vector<Value> KeyOf(const Relation& I, int row,
-                         const std::vector<AttrId>& attrs, bool* usable) {
-  std::vector<Value> key;
-  key.reserve(attrs.size());
-  *usable = true;
-  for (AttrId a : attrs) {
-    const Value& v = I.Get(row, a);
-    if (v.is_null() || v.is_fresh()) {
-      *usable = false;
-      return key;
-    }
-    key.push_back(v);
-  }
-  return key;
-}
-
-// Code twin of KeyOf: dictionary codes identify exactly the EvalOp
-// equality classes, and sentinel codes are negative, so the produced
-// groups match the Value-keyed ones block for block.
+// The row's code key on `attrs`: dictionary codes identify exactly the
+// EvalOp equality classes. *usable is false when any cell is NULL/fresh
+// (negative sentinel codes; such rows never satisfy '=' and are excluded
+// from partitions).
 std::vector<Code> CodeKeyOf(const EncodedRelation& E, int row,
                             const std::vector<AttrId>& attrs, bool* usable) {
   std::vector<Code> key;
@@ -200,12 +182,8 @@ void CanonicalizeBlocks(std::vector<std::vector<int>>* blocks) {
 
 EvalIndex::EvalIndex(const Relation& I, const DenialConstraint& base,
                      int64_t memo_budget, const EncodedRelation* encoded)
-    : I_(&I),
-      E_(encoded),
-      base_(base),
-      n_(I.num_rows()),
-      memo_budget_(memo_budget) {
-  assert(!E_ || (&E_->relation() == I_ && E_->in_sync()));
+    : E_(encoded), base_(base), n_(I.num_rows()), memo_budget_(memo_budget) {
+  assert(&E_->relation() == &I && E_->in_sync());
   if (base_.predicates().empty()) return;
   if (base_.NumTupleVars() == 2) {
     base_eq_ = EqualityJoinAttrs(base_.predicates());
@@ -228,23 +206,14 @@ void EvalIndex::BuildMemo() {
   span.AddArg("memo_preds", static_cast<int64_t>(memo_preds_.size()));
   EvalCounters local;
   std::vector<EncodedPredicateEval> enc;
-  if (E_) {
-    enc.reserve(memo_preds_.size());
-    for (const Predicate& p : memo_preds_) enc.emplace_back(*E_, p);
-  }
+  enc.reserve(memo_preds_.size());
+  for (const Predicate& p : memo_preds_) enc.emplace_back(*E_, p);
   // All predicates are evaluated (no short-circuit): the memo answers
   // any subset of them, and the build cost is deterministic.
   auto bits_of = [&](const std::vector<int>& rows) {
     uint32_t bits = 0;
     for (size_t p = 0; p < memo_preds_.size(); ++p) {
-      bool holds;
-      if (E_) {
-        holds = EvalCounted(enc[p], rows, &local);
-      } else {
-        ++local.predicate_evals;
-        holds = memo_preds_[p].Eval(*I_, rows);
-      }
-      if (holds) bits |= uint32_t{1} << p;
+      if (EvalCounted(enc[p], rows, &local)) bits |= uint32_t{1} << p;
     }
     return bits;
   };
@@ -252,54 +221,42 @@ void EvalIndex::BuildMemo() {
   if (base_.NumTupleVars() == 1) {
     if (static_cast<int64_t>(n_) > memo_budget_) return;
     row_memo_.assign(static_cast<size_t>(n_), 0);
-    if (E_ && scan_kernels::BlockScanEnabled()) {
-      // Kernel path: constant predicates fill their memo bit one block
-      // at a time (zone-skipped blocks keep the bit 0 — the predicate
-      // provably holds for no row there); other predicates fall back to
-      // the row loop. Bit assignments match bits_of exactly.
-      int nb = E_->num_blocks();
-      std::vector<uint64_t> bitmap(
-          static_cast<size_t>(EncodedRelation::kBlockSize) / 64);
-      rows.assign(1, 0);
-      for (size_t p = 0; p < memo_preds_.size(); ++p) {
-        if (enc[p].is_constant()) {
-          scan_kernels::BlockPredicate bp =
-              scan_kernels::CompileConstant(enc[p].op(), enc[p].bounds());
-          for (int b = 0; b < nb; ++b) {
-            if (!scan_kernels::MayMatch(bp, E_->block_meta(enc[p].lhs_attr(), b),
-                                        enc[p].ranks())) {
-              ++local.blocks_skipped;
-              continue;
-            }
-            ++local.blocks_scanned;
-            int rows_in = E_->block_rows(b);
-            int begin = b << EncodedRelation::kBlockShift;
-            scan_kernels::EvalBlock(bp, E_->block_codes(enc[p].lhs_attr(), b),
-                                    rows_in, enc[p].ranks(), bitmap.data());
-            local.code_predicate_evals += rows_in;
-            for (int x = 0; x < rows_in; ++x) {
-              row_memo_[static_cast<size_t>(begin + x)] |=
-                  static_cast<uint32_t>((bitmap[x >> 6] >> (x & 63)) & 1)
-                  << p;
-            }
+    // Constant predicates fill their memo bit one block at a time
+    // (zone-skipped blocks keep the bit 0 — the predicate provably holds
+    // for no row there); other predicates run the row loop.
+    int nb = E_->num_blocks();
+    std::vector<uint64_t> bitmap(
+        static_cast<size_t>(EncodedRelation::kBlockSize) / 64);
+    rows.assign(1, 0);
+    for (size_t p = 0; p < memo_preds_.size(); ++p) {
+      if (enc[p].is_constant()) {
+        scan_kernels::BlockPredicate bp =
+            scan_kernels::CompileConstant(enc[p].op(), enc[p].bounds());
+        for (int b = 0; b < nb; ++b) {
+          if (!scan_kernels::MayMatch(bp, E_->block_meta(enc[p].lhs_attr(), b),
+                                      enc[p].ranks())) {
+            ++local.blocks_skipped;
+            continue;
           }
-          continue;
+          ++local.blocks_scanned;
+          int rows_in = E_->block_rows(b);
+          int begin = b << EncodedRelation::kBlockShift;
+          scan_kernels::EvalBlock(bp, E_->block_codes(enc[p].lhs_attr(), b),
+                                  rows_in, enc[p].ranks(), bitmap.data());
+          local.code_predicate_evals += rows_in;
+          for (int x = 0; x < rows_in; ++x) {
+            row_memo_[static_cast<size_t>(begin + x)] |=
+                static_cast<uint32_t>((bitmap[x >> 6] >> (x & 63)) & 1) << p;
+          }
         }
-        for (int i = 0; i < n_; ++i) {
-          rows[0] = i;
-          if (EvalCounted(enc[p], rows, &local)) {
-            row_memo_[static_cast<size_t>(i)] |= uint32_t{1} << p;
-          }
+        continue;
+      }
+      for (int i = 0; i < n_; ++i) {
+        rows[0] = i;
+        if (EvalCounted(enc[p], rows, &local)) {
+          row_memo_[static_cast<size_t>(i)] |= uint32_t{1} << p;
         }
       }
-      row_memo_built_ = true;
-      eval_counters::Add(local);
-      return;
-    }
-    rows.assign(1, 0);
-    for (int i = 0; i < n_; ++i) {
-      rows[0] = i;
-      row_memo_[static_cast<size_t>(i)] = bits_of(rows);
     }
     row_memo_built_ = true;
     eval_counters::Add(local);
@@ -333,24 +290,17 @@ const std::vector<int>& EvalIndex::NullRows(AttrId attr) {
   auto it = null_rows_.find(attr);
   if (it != null_rows_.end()) return it->second;
   std::vector<int>& rows = null_rows_[attr];
-  if (E_) {
-    // Blocks whose zone map reports no sentinel hold no NULL/fresh row;
-    // the bit is exact (eagerly maintained), not merely conservative.
-    int nb = E_->num_blocks();
-    for (int b = 0; b < nb; ++b) {
-      if (!E_->block_meta(attr, b).has_sentinel) continue;
-      const Code* seg = E_->block_codes(attr, b);
-      int rows_in = E_->block_rows(b);
-      int begin = b << EncodedRelation::kBlockShift;
-      for (int x = 0; x < rows_in; ++x) {
-        if (seg[x] < 0) rows.push_back(begin + x);
-      }
+  // Blocks whose zone map reports no sentinel hold no NULL/fresh row; the
+  // bit is exact (eagerly maintained), not merely conservative.
+  int nb = E_->num_blocks();
+  for (int b = 0; b < nb; ++b) {
+    if (!E_->block_meta(attr, b).has_sentinel) continue;
+    const Code* seg = E_->block_codes(attr, b);
+    int rows_in = E_->block_rows(b);
+    int begin = b << EncodedRelation::kBlockShift;
+    for (int x = 0; x < rows_in; ++x) {
+      if (seg[x] < 0) rows.push_back(begin + x);
     }
-    return rows;
-  }
-  for (int i = 0; i < n_; ++i) {
-    const Value& v = I_->Get(i, attr);
-    if (v.is_null() || v.is_fresh()) rows.push_back(i);
   }
   return rows;
 }
@@ -368,51 +318,34 @@ EvalIndex::Partition EvalIndex::BuildByScan(const std::vector<AttrId>& attrs,
     return out;
   }
   ++local->partition_builds;
-  if (E_) {
-    if (attrs.size() == 1) {
-      // Single-attribute build: bucket densely by code, one storage
-      // block's segment at a time (same layout the violation scans use).
-      // Codes are 0..dict.size()-1, rows ascend, and the canonical sort
-      // erases the bucket-order difference from the hashed build.
-      std::vector<std::vector<int>> by_code(
-          static_cast<size_t>(E_->dict(attrs[0]).size()));
-      int nb = E_->num_blocks();
-      for (int b = 0; b < nb; ++b) {
-        const Code* seg = E_->block_codes(attrs[0], b);
-        int rows_in = E_->block_rows(b);
-        int begin = b << EncodedRelation::kBlockShift;
-        for (int x = 0; x < rows_in; ++x) {
-          if (seg[x] >= 0) {
-            by_code[static_cast<size_t>(seg[x])].push_back(begin + x);
-          }
+  if (attrs.size() == 1) {
+    // Single-attribute build: bucket densely by code, one storage block's
+    // segment at a time (same layout the violation scans use). Codes are
+    // 0..dict.size()-1, rows ascend, and the canonical sort erases the
+    // bucket-order difference from the hashed build.
+    std::vector<std::vector<int>> by_code(
+        static_cast<size_t>(E_->dict(attrs[0]).size()));
+    int nb = E_->num_blocks();
+    for (int b = 0; b < nb; ++b) {
+      const Code* seg = E_->block_codes(attrs[0], b);
+      int rows_in = E_->block_rows(b);
+      int begin = b << EncodedRelation::kBlockShift;
+      for (int x = 0; x < rows_in; ++x) {
+        if (seg[x] >= 0) {
+          by_code[static_cast<size_t>(seg[x])].push_back(begin + x);
         }
       }
-      for (std::vector<int>& members : by_code) {
-        if (!members.empty()) out.blocks.push_back(std::move(members));
-      }
-      CanonicalizeBlocks(&out.blocks);
-      return out;
     }
-    std::unordered_map<std::vector<Code>, std::vector<int>, CodeVecHash>
-        buckets;
-    for (int i = 0; i < n_; ++i) {
-      bool usable = false;
-      std::vector<Code> key = CodeKeyOf(*E_, i, attrs, &usable);
-      if (usable) buckets[std::move(key)].push_back(i);
-    }
-    out.blocks.reserve(buckets.size());
-    for (auto& [key, members] : buckets) {
-      (void)key;
-      out.blocks.push_back(std::move(members));
+    for (std::vector<int>& members : by_code) {
+      if (!members.empty()) out.blocks.push_back(std::move(members));
     }
     CanonicalizeBlocks(&out.blocks);
     return out;
   }
-  std::unordered_map<std::vector<Value>, std::vector<int>, ValueVecHash>
-      buckets;
+  std::unordered_map<std::vector<Code>, std::vector<int>, CodeVecHash> buckets;
   for (int i = 0; i < n_; ++i) {
     bool usable = false;
-    std::vector<Value> key = KeyOf(*I_, i, attrs, &usable);
+    std::vector<Code> key = CodeKeyOf(*E_, i, attrs, &usable);
     if (usable) buckets[std::move(key)].push_back(i);
   }
   out.blocks.reserve(buckets.size());
@@ -431,29 +364,12 @@ EvalIndex::Partition EvalIndex::RefineFrom(const Partition& src,
   std::set_difference(target.begin(), target.end(), src_attrs.begin(),
                       src_attrs.end(), std::back_inserter(added));
   Partition out;
-  if (E_) {
-    std::unordered_map<std::vector<Code>, std::vector<int>, CodeVecHash> sub;
-    for (const std::vector<int>& block : src.blocks) {
-      sub.clear();
-      for (int i : block) {
-        bool usable = false;
-        std::vector<Code> key = CodeKeyOf(*E_, i, added, &usable);
-        if (usable) sub[std::move(key)].push_back(i);
-      }
-      for (auto& [key, members] : sub) {
-        (void)key;
-        out.blocks.push_back(std::move(members));
-      }
-    }
-    CanonicalizeBlocks(&out.blocks);
-    return out;
-  }
-  std::unordered_map<std::vector<Value>, std::vector<int>, ValueVecHash> sub;
+  std::unordered_map<std::vector<Code>, std::vector<int>, CodeVecHash> sub;
   for (const std::vector<int>& block : src.blocks) {
     sub.clear();
     for (int i : block) {
       bool usable = false;
-      std::vector<Value> key = KeyOf(*I_, i, added, &usable);
+      std::vector<Code> key = CodeKeyOf(*E_, i, added, &usable);
       // Rows NULL/fresh on an added attribute drop out of the refined
       // partition entirely, exactly as a fresh scan would exclude them.
       if (usable) sub[std::move(key)].push_back(i);
@@ -473,41 +389,10 @@ EvalIndex::Partition EvalIndex::MergeFrom(const Partition& src,
   std::vector<AttrId> dropped;
   std::set_difference(src_attrs.begin(), src_attrs.end(), target.begin(),
                       target.end(), std::back_inserter(dropped));
-  if (E_) {
-    std::unordered_map<std::vector<Code>, std::vector<int>, CodeVecHash>
-        groups;
-    for (const std::vector<int>& block : src.blocks) {
-      bool usable = false;
-      std::vector<Code> key = CodeKeyOf(*E_, block.front(), target, &usable);
-      std::vector<int>& g = groups[std::move(key)];
-      g.insert(g.end(), block.begin(), block.end());
-      (void)usable;
-    }
-    std::vector<bool> recovered(static_cast<size_t>(n_), false);
-    for (AttrId a : dropped) {
-      for (int r : NullRows(a)) recovered[static_cast<size_t>(r)] = true;
-    }
-    for (int r = 0; r < n_; ++r) {
-      if (!recovered[static_cast<size_t>(r)]) continue;
-      bool usable = false;
-      std::vector<Code> key = CodeKeyOf(*E_, r, target, &usable);
-      if (usable) groups[std::move(key)].push_back(r);
-    }
-    Partition out;
-    out.blocks.reserve(groups.size());
-    for (auto& [key, members] : groups) {
-      (void)key;
-      std::sort(members.begin(), members.end());
-      out.blocks.push_back(std::move(members));
-    }
-    CanonicalizeBlocks(&out.blocks);
-    return out;
-  }
-  std::unordered_map<std::vector<Value>, std::vector<int>, ValueVecHash>
-      groups;
+  std::unordered_map<std::vector<Code>, std::vector<int>, CodeVecHash> groups;
   for (const std::vector<int>& block : src.blocks) {
     bool usable = false;
-    std::vector<Value> key = KeyOf(*I_, block.front(), target, &usable);
+    std::vector<Code> key = CodeKeyOf(*E_, block.front(), target, &usable);
     // Members agree (and are non-NULL) on every src attribute, and
     // target ⊆ src, so the front row's key is the block's key.
     std::vector<int>& g = groups[std::move(key)];
@@ -523,7 +408,7 @@ EvalIndex::Partition EvalIndex::MergeFrom(const Partition& src,
   for (int r = 0; r < n_; ++r) {
     if (!recovered[static_cast<size_t>(r)]) continue;
     bool usable = false;
-    std::vector<Value> key = KeyOf(*I_, r, target, &usable);
+    std::vector<Code> key = CodeKeyOf(*E_, r, target, &usable);
     if (usable) groups[std::move(key)].push_back(r);
   }
   Partition out;
@@ -625,10 +510,8 @@ void EvalIndex::SplitPredicates(const DenialConstraint& variant,
 
 bool EvalIndex::ViolatedViaIndex(
     const std::vector<int>& rows, uint32_t shared_mask,
-    const std::vector<const Predicate*>& shared,
-    const std::vector<const Predicate*>& delta,
-    const std::vector<EncodedPredicateEval>* shared_enc,
-    const std::vector<EncodedPredicateEval>* delta_enc,
+    const std::vector<EncodedPredicateEval>& shared,
+    const std::vector<EncodedPredicateEval>& delta,
     EvalCounters* local) const {
   if (shared_mask != 0) {
     bool answered = false;
@@ -650,27 +533,13 @@ bool EvalIndex::ViolatedViaIndex(
       }
     }
     if (!answered) {
-      if (shared_enc) {
-        for (size_t k = 0; k < shared.size(); ++k) {
-          if (!EvalCounted((*shared_enc)[k], rows, local)) return false;
-        }
-      } else {
-        for (const Predicate* p : shared) {
-          ++local->predicate_evals;
-          if (!p->Eval(*I_, rows)) return false;
-        }
+      for (const EncodedPredicateEval& p : shared) {
+        if (!EvalCounted(p, rows, local)) return false;
       }
     }
   }
-  if (delta_enc) {
-    for (size_t k = 0; k < delta.size(); ++k) {
-      if (!EvalCounted((*delta_enc)[k], rows, local)) return false;
-    }
-  } else {
-    for (const Predicate* p : delta) {
-      ++local->predicate_evals;
-      if (!p->Eval(*I_, rows)) return false;
-    }
+  for (const EncodedPredicateEval& p : delta) {
+    if (!EvalCounted(p, rows, local)) return false;
   }
   return true;
 }
@@ -685,32 +554,21 @@ std::vector<Violation> EvalIndex::FindViolationsCapped(
     // A variant that dropped to a different arity (e.g. every remaining
     // predicate references one tuple variable) shares no scan structure
     // with the base; defer to the plain detector.
-    if (E_) {
-      return FindViolationsOfCapped(*E_, variant, constraint_index, cap,
-                                    truncated);
-    }
-    return FindViolationsOfCapped(*I_, variant, constraint_index, cap,
+    return FindViolationsOfCapped(*E_, variant, constraint_index, cap,
                                   truncated);
   }
   uint32_t shared_mask = 0;
-  std::vector<const Predicate*> shared;
-  std::vector<const Predicate*> delta;
-  SplitPredicates(variant, &shared_mask, &shared, &delta);
-  // Code-compiled twins, aligned index-for-index with shared/delta. The
-  // evaluators only read the coded columns, so compiling per call (not per
-  // pair) keeps this scan valid across concurrent use.
-  std::vector<EncodedPredicateEval> shared_enc_store;
-  std::vector<EncodedPredicateEval> delta_enc_store;
-  const std::vector<EncodedPredicateEval>* shared_enc = nullptr;
-  const std::vector<EncodedPredicateEval>* delta_enc = nullptr;
-  if (E_) {
-    shared_enc_store.reserve(shared.size());
-    for (const Predicate* p : shared) shared_enc_store.emplace_back(*E_, *p);
-    delta_enc_store.reserve(delta.size());
-    for (const Predicate* p : delta) delta_enc_store.emplace_back(*E_, *p);
-    shared_enc = &shared_enc_store;
-    delta_enc = &delta_enc_store;
-  }
+  std::vector<const Predicate*> shared_preds;
+  std::vector<const Predicate*> delta_preds;
+  SplitPredicates(variant, &shared_mask, &shared_preds, &delta_preds);
+  // Compiled per call (not per pair): the evaluators only read the coded
+  // columns, which keeps this scan valid across concurrent use.
+  std::vector<EncodedPredicateEval> shared;
+  std::vector<EncodedPredicateEval> delta;
+  shared.reserve(shared_preds.size());
+  for (const Predicate* p : shared_preds) shared.emplace_back(*E_, *p);
+  delta.reserve(delta_preds.size());
+  for (const Predicate* p : delta_preds) delta.emplace_back(*E_, *p);
 
   if (variant.NumTupleVars() == 1) {
     TraceSpan span("index/scan_rows");
@@ -720,45 +578,41 @@ std::vector<Violation> EvalIndex::FindViolationsCapped(
     // verdict). Consults are counted here, before sharding, so the totals
     // stay thread-invariant.
     std::vector<char> skip_block;
-    if (E_ && scan_kernels::BlockScanEnabled()) {
-      struct Zone {
-        scan_kernels::BlockPredicate bp;
-        const int32_t* ranks;
-        AttrId attr;
-      };
-      std::vector<Zone> zs;
-      auto collect = [&](const std::vector<EncodedPredicateEval>& v) {
-        for (const EncodedPredicateEval& pe : v) {
-          if (pe.is_constant()) {
-            zs.push_back({scan_kernels::CompileConstant(pe.op(), pe.bounds()),
-                          pe.ranks(), pe.lhs_attr()});
-          }
+    struct Zone {
+      scan_kernels::BlockPredicate bp;
+      const int32_t* ranks;
+      AttrId attr;
+    };
+    std::vector<Zone> zs;
+    for (const std::vector<EncodedPredicateEval>* v : {&shared, &delta}) {
+      for (const EncodedPredicateEval& pe : *v) {
+        if (pe.is_constant()) {
+          zs.push_back({scan_kernels::CompileConstant(pe.op(), pe.bounds()),
+                        pe.ranks(), pe.lhs_attr()});
         }
-      };
-      collect(shared_enc_store);
-      collect(delta_enc_store);
-      if (!zs.empty()) {
-        int nb = E_->num_blocks();
-        skip_block.assign(static_cast<size_t>(nb), 0);
-        EvalCounters zc;
-        for (int b = 0; b < nb; ++b) {
-          bool may = true;
-          for (const Zone& z : zs) {
-            if (!scan_kernels::MayMatch(z.bp, E_->block_meta(z.attr, b),
-                                        z.ranks)) {
-              may = false;
-              break;
-            }
-          }
-          skip_block[static_cast<size_t>(b)] = !may;
-          if (may) {
-            ++zc.blocks_scanned;
-          } else {
-            ++zc.blocks_skipped;
-          }
-        }
-        eval_counters::Add(zc);
       }
+    }
+    if (!zs.empty()) {
+      int nb = E_->num_blocks();
+      skip_block.assign(static_cast<size_t>(nb), 0);
+      EvalCounters zc;
+      for (int b = 0; b < nb; ++b) {
+        bool may = true;
+        for (const Zone& z : zs) {
+          if (!scan_kernels::MayMatch(z.bp, E_->block_meta(z.attr, b),
+                                      z.ranks)) {
+            may = false;
+            break;
+          }
+        }
+        skip_block[static_cast<size_t>(b)] = !may;
+        if (may) {
+          ++zc.blocks_scanned;
+        } else {
+          ++zc.blocks_skipped;
+        }
+      }
+      eval_counters::Add(zc);
     }
     auto row_skipped = [&](int i) {
       return !skip_block.empty() &&
@@ -781,8 +635,8 @@ std::vector<Violation> EvalIndex::FindViolationsCapped(
         for (int i = static_cast<int>(begin); i < static_cast<int>(end); ++i) {
           if (row_skipped(i)) continue;
           rows[0] = i;
-          if (ViolatedViaIndex(rows, shared_mask, shared, delta, shared_enc,
-                               delta_enc, &result.counters)) {
+          if (ViolatedViaIndex(rows, shared_mask, shared, delta,
+                               &result.counters)) {
             if (static_cast<int64_t>(result.found.size()) >= local_cap) break;
             result.found.push_back({constraint_index, rows});
           }
@@ -797,8 +651,7 @@ std::vector<Violation> EvalIndex::FindViolationsCapped(
     for (int i = 0; i < n_; ++i) {
       if (row_skipped(i)) continue;
       rows[0] = i;
-      if (ViolatedViaIndex(rows, shared_mask, shared, delta, shared_enc,
-                           delta_enc, &local)) {
+      if (ViolatedViaIndex(rows, shared_mask, shared, delta, &local)) {
         if (static_cast<int64_t>(out.size()) >= cap) {
           if (truncated) *truncated = true;
           hit_cap = true;
@@ -815,11 +668,7 @@ std::vector<Violation> EvalIndex::FindViolationsCapped(
   auto part_it = partitions_.find(eq);
   if (part_it == partitions_.end()) {
     // Prepare() was not called for this signature; stay correct.
-    if (E_) {
-      return FindViolationsOfCapped(*E_, variant, constraint_index, cap,
-                                    truncated);
-    }
-    return FindViolationsOfCapped(*I_, variant, constraint_index, cap,
+    return FindViolationsOfCapped(*E_, variant, constraint_index, cap,
                                   truncated);
   }
   const Partition& part = part_it->second;
@@ -843,8 +692,7 @@ std::vector<Violation> EvalIndex::FindViolationsCapped(
         if (i == j) continue;
         (*rows)[0] = i;
         (*rows)[1] = j;
-        if (ViolatedViaIndex(*rows, shared_mask, shared, delta, shared_enc,
-                             delta_enc, local)) {
+        if (ViolatedViaIndex(*rows, shared_mask, shared, delta, local)) {
           if (static_cast<int64_t>(found->size()) >= block_cap) return false;
           found->push_back({constraint_index, *rows});
         }

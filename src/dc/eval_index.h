@@ -13,7 +13,7 @@
 
 namespace cvrepair {
 
-/// Process-wide evaluation counters, shared by the plain violation scans
+/// Process-wide evaluation counters, shared by the violation scans
 /// (dc/violation.cc) and the shared evaluation index below. They make
 /// detection work *checkable*: RepairStats::index_* report a run's delta,
 /// and the eval.* metrics baselines pin them.
@@ -111,9 +111,10 @@ void AddScan(const EvalCounters& delta, bool truncated);
 ///     *delta* predicates — the ones not shared with the base.
 ///
 /// Not on the repair path: CVTolerantRepair detects each distinct
-/// constraint with one plain capped scan (ScanVariantFacts), which also
-/// keeps the zone maps in play. The index remains for the benchmark's
-/// staged mirror of Algorithm 1 (perfbench/src/staged.cc).
+/// constraint with one capped scan (ScanVariantFacts), which also keeps
+/// the zone maps in play. The index remains only for the benchmark's
+/// staged mirror of Algorithm 1 (perfbench/src/staged.cc), and is deleted
+/// in the next benchmark change.
 ///
 /// Thread safety: construction and Prepare() are serial; afterwards every
 /// method is const and the index may be shared read-only across pool
@@ -128,13 +129,11 @@ class EvalIndex {
   /// memory with no cap to stop it).
   static constexpr int64_t kDefaultMemoBudget = int64_t{1} << 22;
 
-  /// `encoded`, when given, must mirror `I` (in_sync) and outlive the
-  /// index; partitions are then keyed on dictionary codes and memo/delta
-  /// predicates evaluate on codes (EvalCounters::code_predicate_evals)
-  /// instead of boxed Values. Results are bit-identical either way.
+  /// `encoded` must mirror `I` (in_sync) and outlive the index:
+  /// partitions are keyed on dictionary codes and memo/delta predicates
+  /// evaluate on codes (EvalCounters::code_predicate_evals).
   EvalIndex(const Relation& I, const DenialConstraint& base,
-            int64_t memo_budget = kDefaultMemoBudget,
-            const EncodedRelation* encoded = nullptr);
+            int64_t memo_budget, const EncodedRelation* encoded);
 
   /// Derives (and caches) the partition a variant with these predicates
   /// scans. Call serially for every variant before concurrent
@@ -188,17 +187,13 @@ class EvalIndex {
                        std::vector<const Predicate*>* shared,
                        std::vector<const Predicate*>* delta) const;
 
-  /// shared_enc/delta_enc are the code-compiled twins of shared/delta
-  /// (null on the unencoded path).
+  /// shared/delta are the code-compiled shared and delta predicates.
   bool ViolatedViaIndex(const std::vector<int>& rows, uint32_t shared_mask,
-                        const std::vector<const Predicate*>& shared,
-                        const std::vector<const Predicate*>& delta,
-                        const std::vector<EncodedPredicateEval>* shared_enc,
-                        const std::vector<EncodedPredicateEval>* delta_enc,
+                        const std::vector<EncodedPredicateEval>& shared,
+                        const std::vector<EncodedPredicateEval>& delta,
                         EvalCounters* local) const;
 
-  const Relation* I_;
-  const EncodedRelation* E_ = nullptr;  // optional coded mirror of *I_
+  const EncodedRelation* E_;  // coded mirror of the indexed relation
   DenialConstraint base_;
   int n_ = 0;
   int64_t memo_budget_ = 0;

@@ -9,24 +9,9 @@ namespace cvrepair {
 
 namespace {
 
-size_t HashValues(const Relation& I, int row, const std::vector<AttrId>& attrs,
-                  bool* usable) {
-  *usable = true;
-  size_t seed = 0x9e3779b97f4a7c15ULL;
-  for (AttrId a : attrs) {
-    const Value& v = I.Get(row, a);
-    if (v.is_null() || v.is_fresh()) {
-      *usable = false;
-      return 0;
-    }
-    seed = seed * 1000003 ^ v.Hash();
-  }
-  return seed;
-}
-
-// Code twin of HashValues: sentinel codes are negative, and codes are
-// stable under dictionary growth, so a row's group hash only changes when
-// one of its keyed cells changes.
+// A row's equality-join group hash: sentinel codes are negative (NULL/fv
+// join keys cannot violate), and codes are stable under dictionary growth,
+// so a row's group hash only changes when one of its keyed cells changes.
 size_t HashCodes(const EncodedRelation& E, int row,
                  const std::vector<AttrId>& attrs, bool* usable) {
   *usable = true;
@@ -45,9 +30,8 @@ size_t HashCodes(const EncodedRelation& E, int row,
 }  // namespace
 
 ViolationIndex::ViolationIndex(const Relation& I, const ConstraintSet& sigma,
-                               bool use_encoded)
-    : relation_(I), sigma_(sigma) {
-  if (use_encoded) encoded_.emplace(relation_);
+                               bool /*ignored*/)
+    : relation_(I), sigma_(sigma), encoded_(relation_) {
   groups_.resize(sigma_.size());
   alive_by_constraint_.assign(sigma_.size(), 0);
   violation_epochs_.assign(sigma_.size(), 0);
@@ -67,25 +51,22 @@ ViolationIndex::ViolationIndex(const Relation& I, const ConstraintSet& sigma,
   }
   for (size_t k = 0; k < sigma_.size(); ++k) {
     std::vector<Violation> initial =
-        encoded_ ? FindViolationsOf(*encoded_, sigma_[k], static_cast<int>(k))
-                 : FindViolationsOf(relation_, sigma_[k], static_cast<int>(k));
+        FindViolationsOf(encoded_, sigma_[k], static_cast<int>(k));
     for (Violation& v : initial) AddViolation(std::move(v));
   }
   EnsureEvalsCurrent();
 }
 
 size_t ViolationIndex::GroupHash(size_t k, int row, bool* usable) const {
-  if (encoded_) return HashCodes(*encoded_, row, groups_[k].attrs, usable);
-  return HashValues(relation_, row, groups_[k].attrs, usable);
+  return HashCodes(encoded_, row, groups_[k].attrs, usable);
 }
 
 void ViolationIndex::EnsureEvalsCurrent() {
-  if (!encoded_) return;
   if (!evals_built_) {
     evals_.clear();
     evals_.reserve(sigma_.size());
     for (size_t k = 0; k < sigma_.size(); ++k) {
-      evals_.emplace_back(*encoded_, sigma_[k]);
+      evals_.emplace_back(encoded_, sigma_[k]);
     }
     evals_recompiled_ += static_cast<int64_t>(sigma_.size());
     evals_built_ = true;
@@ -95,8 +76,8 @@ void ViolationIndex::EnsureEvalsCurrent() {
   // cached: growth in a dictionary none of a constraint's predicates read
   // leaves that evaluator untouched.
   for (size_t k = 0; k < sigma_.size(); ++k) {
-    if (evals_[k].valid_for(*encoded_)) continue;
-    evals_[k] = EncodedConstraintEval(*encoded_, sigma_[k]);
+    if (evals_[k].valid_for(encoded_)) continue;
+    evals_[k] = EncodedConstraintEval(encoded_, sigma_[k]);
     ++evals_recompiled_;
   }
 }
@@ -160,15 +141,11 @@ void ViolationIndex::RemoveViolationsOfRow(int row) {
 
 void ViolationIndex::ScanRow(size_t k, int row,
                              const std::vector<char>* skip_partner) {
-  const DenialConstraint& c = sigma_[k];
-  const EncodedConstraintEval* ev = encoded_ ? &evals_[k] : nullptr;
+  const EncodedConstraintEval& ev = evals_[k];
   ++rows_rechecked_;
-  auto violated = [&](const std::vector<int>& rows) {
-    return ev ? ev->IsViolated(rows) : c.IsViolated(relation_, rows);
-  };
-  if (c.NumTupleVars() < 2) {
+  if (sigma_[k].NumTupleVars() < 2) {
     std::vector<int> rows = {row};
-    if (violated(rows)) {
+    if (ev.IsViolated(rows)) {
       AddViolation({static_cast<int>(k), rows});
     }
     return;
@@ -181,12 +158,12 @@ void ViolationIndex::ScanRow(size_t k, int row,
     }
     rows[0] = row;
     rows[1] = j;
-    if (violated(rows)) {
+    if (ev.IsViolated(rows)) {
       AddViolation({static_cast<int>(k), rows});
     }
     rows[0] = j;
     rows[1] = row;
-    if (violated(rows)) {
+    if (ev.IsViolated(rows)) {
       AddViolation({static_cast<int>(k), rows});
     }
   };
@@ -200,10 +177,6 @@ void ViolationIndex::ScanRow(size_t k, int row,
     for (int j : it->second) check(j);
     return;
   }
-  if (!encoded_ || !scan_kernels::BlockScanEnabled()) {
-    for (int j = 0; j < relation_.num_rows(); ++j) check(j);
-    return;
-  }
   // Blocked partner loop (no equality join to narrow the candidates):
   // per pair orientation, the predicates the kernels can evaluate with
   // the partner varying — constants binding the partner's tuple variable
@@ -211,10 +184,10 @@ void ViolationIndex::ScanRow(size_t k, int row,
   // whole partner blocks out through the zone maps (a block is skipped
   // only when *both* orientations are impossible); a surviving block
   // then runs one lead kernel per orientation so only matching lanes
-  // reach the full re-check. Results and order match the plain loop:
-  // ascending j, (row, j) before (j, row).
-  const EncodedRelation& E = *encoded_;
-  const std::vector<EncodedPredicateEval>& preds = ev->predicate_evals();
+  // reach the full re-check. Partners are visited in ascending j, (row, j)
+  // before (j, row).
+  const EncodedRelation& E = encoded_;
+  const std::vector<EncodedPredicateEval>& preds = ev.predicate_evals();
   struct Zone {
     scan_kernels::BlockPredicate bp;
     const int32_t* ranks;
@@ -283,12 +256,12 @@ void ViolationIndex::ScanRow(size_t k, int row,
       if (may_fwd && (!sel_fwd || ((sel_fwd[x >> 6] >> (x & 63)) & 1))) {
         rows[0] = row;
         rows[1] = j;
-        if (violated(rows)) AddViolation({static_cast<int>(k), rows});
+        if (ev.IsViolated(rows)) AddViolation({static_cast<int>(k), rows});
       }
       if (may_rev && (!sel_rev || ((sel_rev[x >> 6] >> (x & 63)) & 1))) {
         rows[0] = j;
         rows[1] = row;
-        if (violated(rows)) AddViolation({static_cast<int>(k), rows});
+        if (ev.IsViolated(rows)) AddViolation({static_cast<int>(k), rows});
       }
     }
   }
@@ -309,10 +282,8 @@ void ViolationIndex::ApplyChange(const Cell& cell, Value value) {
     }
   }
   relation_.SetValue(cell, std::move(value));
-  if (encoded_) {
-    encoded_->ApplyChange(row, cell.attr);
-    EnsureEvalsCurrent();
-  }
+  encoded_.ApplyChange(row, cell.attr);
+  EnsureEvalsCurrent();
   for (size_t k = 0; k < sigma_.size(); ++k) {
     if (std::find(groups_[k].attrs.begin(), groups_[k].attrs.end(),
                   cell.attr) != groups_[k].attrs.end()) {
@@ -324,7 +295,7 @@ void ViolationIndex::ApplyChange(const Cell& cell, Value value) {
 
 int ViolationIndex::AppendRowInternal(std::vector<Value> values) {
   int row = relation_.AddRow(std::move(values));
-  if (encoded_) encoded_->AppendRow();
+  encoded_.AppendRow();
   for (size_t k = 0; k < sigma_.size(); ++k) GroupInsert(k, row);
   return row;
 }
@@ -361,7 +332,7 @@ std::vector<int> ViolationIndex::ApplyBatch(const std::vector<RowEdit>& edits) {
       }
     }
     relation_.SetValue(e.row, e.attr, e.value);
-    if (encoded_) encoded_->ApplyChange(e.row, e.attr);
+    encoded_.ApplyChange(e.row, e.attr);
     for (size_t k = 0; k < sigma_.size(); ++k) {
       if (std::find(groups_[k].attrs.begin(), groups_[k].attrs.end(),
                     e.attr) != groups_[k].attrs.end()) {

@@ -2,7 +2,6 @@
 #define CVREPAIR_DC_INCREMENTAL_H_
 
 #include <cstdint>
-#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -51,10 +50,11 @@ struct RowEdit {
 /// lists stay consistent.
 class ViolationIndex {
  public:
-  /// Builds the initial violation set for (I, sigma). With `use_encoded`
-  /// (the default) the index keeps a dictionary-coded mirror of its
-  /// working copy and re-checks rows through integer-code evaluators;
-  /// violations are identical either way.
+  /// Builds the initial violation set for (I, sigma). The index keeps a
+  /// dictionary-coded mirror of its working copy and re-checks rows
+  /// through integer-code evaluators. The third parameter is ignored: it
+  /// is kept only for the benchmark's staged replica (perfbench/), and is
+  /// deleted together with EvalIndex in the next benchmark change.
   ViolationIndex(const Relation& I, const ConstraintSet& sigma,
                  bool use_encoded = true);
 
@@ -65,13 +65,10 @@ class ViolationIndex {
   const Relation& relation() const { return relation_; }
   const ConstraintSet& sigma() const { return sigma_; }
 
-  /// The dictionary-coded mirror of the working copy, or nullptr when the
-  /// index was built with use_encoded off. Always in_sync() outside of
-  /// ApplyChange/ApplyBatch — consumers (suspect scans, component solves)
-  /// may run encoded fast paths against it between mutations.
-  const EncodedRelation* encoded() const {
-    return encoded_ ? &*encoded_ : nullptr;
-  }
+  /// The dictionary-coded mirror of the working copy; never null. Always
+  /// in_sync() outside of ApplyChange/ApplyBatch — consumers (suspect
+  /// scans, component solves) may scan it between mutations.
+  const EncodedRelation* encoded() const { return &encoded_; }
 
   /// Applies one cell modification and delta-maintains the violations.
   void ApplyChange(const Cell& cell, Value value);
@@ -147,7 +144,7 @@ class ViolationIndex {
 
   Relation relation_;
   ConstraintSet sigma_;
-  std::optional<EncodedRelation> encoded_;  // coded mirror of relation_
+  EncodedRelation encoded_;  // coded mirror of relation_
   std::vector<EncodedConstraintEval> evals_;
   bool evals_built_ = false;
   int64_t evals_recompiled_ = 0;

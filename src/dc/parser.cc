@@ -1,6 +1,8 @@
 #include "dc/parser.h"
 
 #include <cctype>
+#include <cerrno>
+#include <cmath>
 #include <cstdlib>
 #include <vector>
 
@@ -67,18 +69,24 @@ bool FindOperator(const std::string& s, size_t* pos, size_t* len, Op* op) {
   return false;
 }
 
-// Parses "t0.Name" into a CellRef. Returns false if not of that shape.
+// Parses "t0.Name" into a CellRef. Returns false if not of that shape; a
+// token that starts like one ('t', a digit, then a '.') but whose tuple
+// variable is not exactly t0 or t1 is an error, not a constant.
 bool ParseCellRef(const Schema& schema, const std::string& text, CellRef* ref,
                   std::string* error) {
   std::string s = Trim(text);
-  if (s.size() < 4 || s[0] != 't' || !std::isdigit(s[1])) return false;
-  size_t dot = s.find('.');
-  if (dot == std::string::npos) return false;
-  int tuple = std::atoi(s.substr(1, dot - 1).c_str());
-  if (tuple < 0 || tuple > 1) {
-    *error = "tuple variable out of range in '" + s + "' (only t0/t1)";
+  if (s.size() < 4 || s[0] != 't' ||
+      !std::isdigit(static_cast<unsigned char>(s[1]))) {
     return false;
   }
+  size_t dot = s.find('.');
+  if (dot == std::string::npos) return false;
+  std::string var = s.substr(0, dot);
+  if (var != "t0" && var != "t1") {
+    *error = "tuple variable '" + var + "' in '" + s + "' must be t0 or t1";
+    return false;
+  }
+  int tuple = var[1] - '0';
   std::string attr = s.substr(dot + 1);
   std::optional<AttrId> id = schema.Find(attr);
   if (!id) {
@@ -107,8 +115,9 @@ bool ParseConstant(const Schema& schema, AttrId lhs_attr,
       return true;
     case AttrType::kInt: {
       char* end = nullptr;
+      errno = 0;
       long long v = std::strtoll(s.c_str(), &end, 10);
-      if (end == nullptr || *end != '\0') {
+      if (*end != '\0' || errno == ERANGE) {
         *error = "cannot parse integer constant '" + s + "'";
         return false;
       }
@@ -116,10 +125,12 @@ bool ParseConstant(const Schema& schema, AttrId lhs_attr,
       return true;
     }
     case AttrType::kDouble: {
+      // Only finite numbers: nan, inf and overflowing literals would
+      // break the order every scan relies on (EvalOp gives NaN != NaN).
       char* end = nullptr;
       double v = std::strtod(s.c_str(), &end);
-      if (end == nullptr || *end != '\0') {
-        *error = "cannot parse numeric constant '" + s + "'";
+      if (*end != '\0' || !std::isfinite(v)) {
+        *error = "cannot parse finite numeric constant '" + s + "'";
         return false;
       }
       *out = Value::Double(v);

@@ -1,7 +1,7 @@
 #ifndef CVREPAIR_DC_SCAN_INTERNAL_H_
 #define CVREPAIR_DC_SCAN_INTERNAL_H_
 
-// Shared plumbing of the capped violation scans, used by both the plain
+// Shared plumbing of the capped violation scans, used by both the
 // detector (dc/violation.cc) and the shared evaluation index
 // (dc/eval_index.cc). Keeping the shard/merge mechanics in one place is
 // what guarantees the two paths stay bit-identical: they split work and
@@ -14,7 +14,6 @@
 
 #include "dc/eval_index.h"
 #include "dc/violation.h"
-#include "relation/value.h"
 
 namespace cvrepair {
 namespace scan_internal {
@@ -24,19 +23,8 @@ namespace scan_internal {
 // scan.
 constexpr int64_t kMinParallelWork = 1 << 13;
 
-struct ValueVecHash {
-  size_t operator()(const std::vector<Value>& vs) const {
-    size_t seed = 0x345678;
-    for (const Value& v : vs) {
-      seed = seed * 1000003 ^ v.Hash();
-    }
-    return seed;
-  }
-};
-
-// Hash for dictionary-code join keys (the encoded scans' counterpart of
-// ValueVecHash). Bucket contents are canonicalized before enumeration, so
-// the two hashes producing different bucket orders cannot affect results.
+// Hash for dictionary-code join keys. Bucket contents are canonicalized
+// before enumeration, so bucket order cannot affect results.
 struct CodeVecHash {
   size_t operator()(const std::vector<int32_t>& vs) const {
     size_t seed = 0x345678;

@@ -1,7 +1,9 @@
 #ifndef CVREPAIR_DC_SCAN_KERNELS_H_
 #define CVREPAIR_DC_SCAN_KERNELS_H_
 
-// Branchless block kernels for the encoded scans.
+// Branchless block kernels for the violation, suspect and incremental
+// scans (dc/violation.cc, dc/incremental.cc) and the shared evaluation
+// index (dc/eval_index.cc) — the only scan implementation over I.
 //
 // Every code-evaluable predicate shape — equality against a constant's
 // code, a rank threshold from Dictionary::BoundsOf, or an inequality-join
@@ -34,11 +36,6 @@
 // (EncodedRelation::BlockMeta, or ComputeZone over a gathered candidate
 // list), it returns false only when *no* code in that range can satisfy
 // the predicate — a sound skip, never required for correctness.
-//
-// SetBlockScanEnabled(false) reverts every consumer (dc/violation.cc,
-// dc/eval_index.cc, dc/incremental.cc) to the row-at-a-time scan; the
-// benches use it to compare work counters and the tests to prove result
-// equality.
 
 #include <cstdint>
 
@@ -107,12 +104,6 @@ bool SimdCompiledIn();
 /// (no-op when SIMD is not compiled in). Defaults to enabled.
 void SetSimdEnabled(bool enabled);
 bool SimdEnabled();
-
-/// Runtime switch for the block-at-a-time consumers: disabled, every scan
-/// takes its legacy row-at-a-time path (same results, no zone skips, no
-/// blocks_scanned/blocks_skipped counters). Defaults to enabled.
-void SetBlockScanEnabled(bool enabled);
-bool BlockScanEnabled();
 
 }  // namespace scan_kernels
 }  // namespace cvrepair

@@ -22,250 +22,13 @@ using scan_internal::kMinParallelWork;
 using scan_internal::LocalCap;
 using scan_internal::MergeShards;
 using scan_internal::ShardResult;
-using scan_internal::ValueVecHash;
-
-// The scans below are templated on an evaluator with
-//   bool IsViolated(const std::vector<int>& rows, EvalCounters* local);
-// counting each predicate evaluation (same short-circuit order as
-// DenialConstraint::IsViolated) so indexed, encoded, and plain scans of
-// the same workload stay comparable. PlainEval counts boxed-Value evals;
-// EncodedConstraintEval (relation/encoded.h) counts code evals.
-struct PlainEval {
-  const Relation* I;
-  const DenialConstraint* c;
-
-  bool IsViolated(const std::vector<int>& rows, EvalCounters* local) const {
-    for (const Predicate& p : c->predicates()) {
-      ++local->predicate_evals;
-      if (!p.Eval(*I, rows)) return false;
-    }
-    return !c->predicates().empty();
-  }
-};
-
-// Enumerates the violating ordered pairs within one hash-partition block,
-// in the same (i, j) order as the serial scan. Returns false once `cap`
-// violations have been collected (caller stops).
-template <typename Eval>
-bool EnumerateBlockPairs(const Eval& ev, int index,
-                         const std::vector<int>& members, int64_t cap,
-                         std::vector<int>* rows, std::vector<Violation>* out,
-                         EvalCounters* local) {
-  for (int i : members) {
-    for (int j : members) {
-      if (i == j) continue;
-      (*rows)[0] = i;
-      (*rows)[1] = j;
-      if (ev.IsViolated(*rows, local)) {
-        if (static_cast<int64_t>(out->size()) >= cap) return false;
-        out->push_back({index, *rows});
-      }
-    }
-  }
-  return true;
-}
-
-// Scans the >=2-member blocks of a join partition in canonical order
-// (blocks sorted by first member, members ascending), sharding contiguous
-// block ranges balanced by pair count when the pool and the work size
-// warrant it. `enumerate(members, cap, rows, out, local)` must emit the
-// block's violations in (i, j) member order and return false once `cap`
-// of them have been collected — both the row-at-a-time and the
-// block-kernel enumerators below satisfy that contract.
-template <typename Enumerate>
-void ScanJoinBlocksWith(std::vector<std::vector<int>>& all_blocks,
-                        const Enumerate& enumerate,
-                        std::vector<Violation>* out, int64_t cap,
-                        bool* truncated) {
-  std::vector<const std::vector<int>*> blocks;
-  int64_t work = 0;
-  for (const std::vector<int>& members : all_blocks) {
-    if (members.size() < 2) continue;
-    blocks.push_back(&members);
-    work += static_cast<int64_t>(members.size()) * members.size();
-  }
-  // Blocks sorted by first member — a canonical scan order that any
-  // other producer of the same partition (e.g. the shared EvalIndex,
-  // which derives partitions instead of hashing, or the encoded scan,
-  // which buckets on codes instead of values) reproduces exactly.
-  // Members are ascending within a block, so first-member order is
-  // well-defined and unique.
-  std::sort(blocks.begin(), blocks.end(),
-            [](const std::vector<int>* a, const std::vector<int>* b) {
-              return a->front() < b->front();
-            });
-  TraceSpan span("scan/join_blocks");
-  span.AddArg("blocks", static_cast<int64_t>(blocks.size()));
-  int threads = ThreadPool::EffectiveThreads();
-  if (threads > 1 && blocks.size() > 1 && work >= kMinParallelWork) {
-    // Contiguous block ranges balanced by pair count, so one giant block
-    // does not serialize the scan.
-    int64_t num_shards = std::min<int64_t>(
-        static_cast<int64_t>(blocks.size()), static_cast<int64_t>(threads) * 4);
-    std::vector<size_t> shard_begin;
-    int64_t per_shard = (work + num_shards - 1) / num_shards;
-    int64_t acc = 0;
-    for (size_t b = 0; b < blocks.size(); ++b) {
-      if (shard_begin.empty() || acc >= per_shard) {
-        shard_begin.push_back(b);
-        acc = 0;
-      }
-      acc += static_cast<int64_t>(blocks[b]->size()) * blocks[b]->size();
-    }
-    shard_begin.push_back(blocks.size());
-    size_t shards = shard_begin.size() - 1;
-    span.AddArg("shards", static_cast<int64_t>(shards));
-    std::vector<ShardResult> results(shards);
-    int64_t local_cap = LocalCap(cap);
-    ThreadPool::ParallelFor(static_cast<int64_t>(shards), [&](int64_t s) {
-      std::vector<int> rows(2);
-      for (size_t b = shard_begin[s]; b < shard_begin[s + 1]; ++b) {
-        if (!enumerate(*blocks[b], local_cap, &rows, &results[s].found,
-                       &results[s].counters)) {
-          break;
-        }
-      }
-    });
-    MergeShards(results, cap, out, truncated);
-    return;
-  }
-  std::vector<int> rows(2);
-  EvalCounters local;
-  for (const std::vector<int>* members : blocks) {
-    if (!enumerate(*members, cap, &rows, out, &local)) {
-      if (truncated) *truncated = true;
-      eval_counters::AddScan(local, /*truncated=*/true);
-      return;
-    }
-  }
-  eval_counters::AddScan(local, /*truncated=*/false);
-}
-
-template <typename Eval>
-void ScanJoinBlocks(std::vector<std::vector<int>>& all_blocks, const Eval& ev,
-                    int index, std::vector<Violation>* out, int64_t cap,
-                    bool* truncated) {
-  ScanJoinBlocksWith(
-      all_blocks,
-      [&](const std::vector<int>& members, int64_t block_cap,
-          std::vector<int>* rows, std::vector<Violation>* found,
-          EvalCounters* local) {
-        return EnumerateBlockPairs(ev, index, members, block_cap, rows, found,
-                                   local);
-      },
-      out, cap, truncated);
-}
-
-// The full O(n²) ordered-pair scan (constraints with no equality join),
-// split into contiguous ranges of the outer row.
-template <typename Eval>
-void ScanAllPairs(int n, const Eval& ev, int index,
-                  std::vector<Violation>* out, int64_t cap, bool* truncated) {
-  TraceSpan span("scan/all_pairs");
-  int threads = ThreadPool::EffectiveThreads();
-  if (threads > 1 && static_cast<int64_t>(n) * n >= kMinParallelWork) {
-    int64_t num_shards =
-        std::min<int64_t>(n, static_cast<int64_t>(threads) * 4);
-    span.AddArg("shards", num_shards);
-    std::vector<ShardResult> results(static_cast<size_t>(num_shards));
-    int64_t local_cap = LocalCap(cap);
-    int64_t per = n / num_shards;
-    int64_t extra = n % num_shards;
-    ThreadPool::ParallelFor(num_shards, [&](int64_t s) {
-      int64_t begin = s * per + std::min(s, extra);
-      int64_t end = begin + per + (s < extra ? 1 : 0);
-      std::vector<int> rows(2);
-      ShardResult& result = results[static_cast<size_t>(s)];
-      for (int i = static_cast<int>(begin); i < static_cast<int>(end); ++i) {
-        for (int j = 0; j < n; ++j) {
-          if (i == j) continue;
-          rows[0] = i;
-          rows[1] = j;
-          if (ev.IsViolated(rows, &result.counters)) {
-            if (static_cast<int64_t>(result.found.size()) >= local_cap) {
-              return;
-            }
-            result.found.push_back({index, rows});
-          }
-        }
-      }
-    });
-    MergeShards(results, cap, out, truncated);
-    return;
-  }
-  std::vector<int> rows(2);
-  EvalCounters local;
-  for (int i = 0; i < n; ++i) {
-    for (int j = 0; j < n; ++j) {
-      if (i == j) continue;
-      rows[0] = i;
-      rows[1] = j;
-      if (ev.IsViolated(rows, &local)) {
-        if (static_cast<int64_t>(out->size()) >= cap) {
-          if (truncated) *truncated = true;
-          eval_counters::AddScan(local, /*truncated=*/true);
-          return;
-        }
-        out->push_back({index, rows});
-      }
-    }
-  }
-  eval_counters::AddScan(local, /*truncated=*/false);
-}
-
-// Row scan for 1-tuple constraints.
-template <typename Eval>
-void ScanRowsCapped(int n, const Eval& ev, int index,
-                    std::vector<Violation>* out, int64_t cap,
-                    bool* truncated) {
-  TraceSpan span("scan/rows");
-  int threads = ThreadPool::EffectiveThreads();
-  if (threads > 1 && n >= kMinParallelWork) {
-    int64_t num_shards =
-        std::min<int64_t>(n, static_cast<int64_t>(threads) * 4);
-    span.AddArg("shards", num_shards);
-    std::vector<ShardResult> results(static_cast<size_t>(num_shards));
-    int64_t local_cap = LocalCap(cap);
-    int64_t per = n / num_shards;
-    int64_t extra = n % num_shards;
-    ThreadPool::ParallelFor(num_shards, [&](int64_t s) {
-      int64_t begin = s * per + std::min(s, extra);
-      int64_t end = begin + per + (s < extra ? 1 : 0);
-      std::vector<int> rows(1);
-      ShardResult& result = results[static_cast<size_t>(s)];
-      for (int i = static_cast<int>(begin); i < static_cast<int>(end); ++i) {
-        rows[0] = i;
-        if (ev.IsViolated(rows, &result.counters)) {
-          if (static_cast<int64_t>(result.found.size()) >= local_cap) {
-            return;
-          }
-          result.found.push_back({index, rows});
-        }
-      }
-    });
-    MergeShards(results, cap, out, truncated);
-    return;
-  }
-  std::vector<int> rows(1);
-  EvalCounters local;
-  for (int i = 0; i < n; ++i) {
-    rows[0] = i;
-    if (ev.IsViolated(rows, &local)) {
-      if (static_cast<int64_t>(out->size()) >= cap) {
-        if (truncated) *truncated = true;
-        eval_counters::AddScan(local, /*truncated=*/true);
-        return;
-      }
-      out->push_back({index, rows});
-    }
-  }
-  eval_counters::AddScan(local, /*truncated=*/false);
-}
 
 // =====================================================================
-// Block-vectorized encoded scans (dc/scan_kernels.h). Identical results,
-// order, and capped semantics to the row-at-a-time templates above —
-// tests/scan_kernel_test.cc proves it bit-for-bit — with three levers:
+// Block-vectorized scans over the dictionary-coded columns
+// (dc/scan_kernels.h). Every predicate evaluation is counted, in the
+// short-circuit order of DenialConstraint::IsViolated, and the result is
+// exactly viol(I, φ) (tests/reference_scan.h checks it against a naive
+// enumeration). Three levers cut the work:
 //   * zone-map skips: blocks no constant predicate (or per-row probe)
 //     can match are never entered (blocks_scanned / blocks_skipped);
 //   * a lead kernel: the first predicate the kernels can evaluate with
@@ -430,12 +193,11 @@ void ScanRowsBlocked(const EncodedRelation& E, const EncodedConstraintEval& ev,
   eval_counters::AddScan(local, /*truncated=*/false);
 }
 
-// The O(n²) scan, blocked: upfront skip vectors over the outer (t0
-// constants) and inner (t1 constants) blocks, a per-(outer row, inner
-// block) probe consult for same-attribute predicates, and a lead kernel
-// over each surviving inner block. Outer sharding is identical to
-// ScanAllPairs (contiguous ranges of i), so the merge semantics carry
-// over unchanged.
+// The O(n²) ordered-pair scan (constraints with no equality join),
+// blocked: upfront skip vectors over the outer (t0 constants) and inner
+// (t1 constants) blocks, a per-(outer row, inner block) probe consult for
+// same-attribute predicates, and a lead kernel over each surviving inner
+// block. Shards are contiguous ranges of the outer row i.
 void ScanAllPairsBlocked(const EncodedRelation& E,
                          const EncodedConstraintEval& ev, int index,
                          std::vector<Violation>* out, int64_t cap,
@@ -810,49 +572,12 @@ class BlockedJoinEnumerator {
   scan_kernels::BlockPredicate lead_const_;
   size_t lead_slot_ = 0;
 };
-
-// Hash-partition blocks on the join attributes, keyed by boxed Values.
-// Rows NULL/fresh on a join attribute never satisfy '=' and are excluded.
-std::vector<std::vector<int>> BuildJoinBlocks(const Relation& I,
-                                              const std::vector<AttrId>& join) {
-  TraceSpan span("scan/build_join_blocks");
-  {
-    EvalCounters delta;
-    delta.partition_builds = 1;
-    eval_counters::Add(delta);
-  }
-  int n = I.num_rows();
-  std::unordered_map<std::vector<Value>, std::vector<int>, ValueVecHash>
-      buckets;
-  for (int i = 0; i < n; ++i) {
-    std::vector<Value> key;
-    key.reserve(join.size());
-    bool usable = true;
-    for (AttrId a : join) {
-      const Value& v = I.Get(i, a);
-      if (v.is_null() || v.is_fresh()) {
-        usable = false;
-        break;
-      }
-      key.push_back(v);
-    }
-    if (usable) buckets[std::move(key)].push_back(i);
-  }
-  std::vector<std::vector<int>> blocks;
-  blocks.reserve(buckets.size());
-  for (auto& [key, members] : buckets) {
-    (void)key;
-    blocks.push_back(std::move(members));
-  }
-  return blocks;
-}
-
-// Same partition, built from integer codes. A single join attribute
+// Hash-partition blocks on the join attributes. A single join attribute
 // buckets densely by code (codes are 0..dict.size()-1); multi-attribute
 // joins hash the code vector. Codes identify exactly the EvalOp equality
-// classes the Value-keyed build groups by, so the resulting blocks are
-// identical (the canonical sort by first member erases any bucket-order
-// difference).
+// classes, so two rows share a block iff they agree on every join
+// attribute under '='. Rows NULL/fresh on a join attribute (negative
+// sentinel codes) never satisfy '=' and are excluded.
 std::vector<std::vector<int>> BuildJoinBlocks(const EncodedRelation& E,
                                               const std::vector<AttrId>& join) {
   TraceSpan span("scan/build_join_blocks");
@@ -904,28 +629,76 @@ std::vector<std::vector<int>> BuildJoinBlocks(const EncodedRelation& E,
   return blocks;
 }
 
-template <typename Source, typename Eval>
-std::vector<Violation> FindViolationsOfCappedImpl(
-    const Source& src, const Eval& ev, const DenialConstraint& constraint,
-    int constraint_index, int64_t max_violations, bool* truncated) {
-  std::vector<Violation> out;
-  if (truncated) *truncated = false;
-  if (constraint.predicates().empty()) return out;
-  if (constraint.NumTupleVars() == 1) {
-    ScanRowsCapped(src.num_rows(), ev, constraint_index, &out, max_violations,
-                   truncated);
-    return out;
+// Scans the >=2-member blocks of a join partition in canonical order
+// (blocks sorted by first member, members ascending), sharding contiguous
+// block ranges balanced by pair count when the pool and the work size
+// warrant it. `enumerate` emits each block's violations in (i, j) member
+// order and returns false once `cap` of them have been collected.
+void ScanJoinBlocks(std::vector<std::vector<int>>& all_blocks,
+                    const BlockedJoinEnumerator& enumerate,
+                    std::vector<Violation>* out, int64_t cap,
+                    bool* truncated) {
+  std::vector<const std::vector<int>*> blocks;
+  int64_t work = 0;
+  for (const std::vector<int>& members : all_blocks) {
+    if (members.size() < 2) continue;
+    blocks.push_back(&members);
+    work += static_cast<int64_t>(members.size()) * members.size();
   }
-  std::vector<AttrId> join = EqualityJoinAttrs(constraint.predicates());
-  if (!join.empty()) {
-    std::vector<std::vector<int>> blocks = BuildJoinBlocks(src, join);
-    ScanJoinBlocks(blocks, ev, constraint_index, &out, max_violations,
-                   truncated);
-    return out;
+  // Blocks sorted by first member — a canonical scan order that any other
+  // producer of the same partition (e.g. the shared EvalIndex, which
+  // derives partitions instead of hashing) reproduces exactly. Members are
+  // ascending within a block, so first-member order is well-defined and
+  // unique.
+  std::sort(blocks.begin(), blocks.end(),
+            [](const std::vector<int>* a, const std::vector<int>* b) {
+              return a->front() < b->front();
+            });
+  TraceSpan span("scan/join_blocks");
+  span.AddArg("blocks", static_cast<int64_t>(blocks.size()));
+  int threads = ThreadPool::EffectiveThreads();
+  if (threads > 1 && blocks.size() > 1 && work >= kMinParallelWork) {
+    // Contiguous block ranges balanced by pair count, so one giant block
+    // does not serialize the scan.
+    int64_t num_shards = std::min<int64_t>(
+        static_cast<int64_t>(blocks.size()), static_cast<int64_t>(threads) * 4);
+    std::vector<size_t> shard_begin;
+    int64_t per_shard = (work + num_shards - 1) / num_shards;
+    int64_t acc = 0;
+    for (size_t b = 0; b < blocks.size(); ++b) {
+      if (shard_begin.empty() || acc >= per_shard) {
+        shard_begin.push_back(b);
+        acc = 0;
+      }
+      acc += static_cast<int64_t>(blocks[b]->size()) * blocks[b]->size();
+    }
+    shard_begin.push_back(blocks.size());
+    size_t shards = shard_begin.size() - 1;
+    span.AddArg("shards", static_cast<int64_t>(shards));
+    std::vector<ShardResult> results(shards);
+    int64_t local_cap = LocalCap(cap);
+    ThreadPool::ParallelFor(static_cast<int64_t>(shards), [&](int64_t s) {
+      std::vector<int> rows(2);
+      for (size_t b = shard_begin[s]; b < shard_begin[s + 1]; ++b) {
+        if (!enumerate(*blocks[b], local_cap, &rows, &results[s].found,
+                       &results[s].counters)) {
+          break;
+        }
+      }
+    });
+    MergeShards(results, cap, out, truncated);
+    return;
   }
-  ScanAllPairs(src.num_rows(), ev, constraint_index, &out, max_violations,
-               truncated);
-  return out;
+  std::vector<int> rows(2);
+  EvalCounters local;
+  for (const std::vector<int>* members : blocks) {
+    if (!enumerate(*members, cap, &rows, out, &local)) {
+      if (truncated) *truncated = true;
+      eval_counters::AddScan(local, /*truncated=*/true);
+      return;
+    }
+  }
+  eval_counters::AddScan(local, /*truncated=*/false);
 }
 
 }  // namespace
@@ -943,53 +716,6 @@ std::vector<Cell> ViolationCells(const DenialConstraint& constraint,
   return cells;
 }
 
-std::vector<Violation> FindViolationsOf(const Relation& I,
-                                        const DenialConstraint& constraint,
-                                        int constraint_index) {
-  return FindViolationsOfCapped(I, constraint, constraint_index,
-                                std::numeric_limits<int64_t>::max(), nullptr);
-}
-
-std::vector<Violation> FindViolationsOfCapped(
-    const Relation& I, const DenialConstraint& constraint,
-    int constraint_index, int64_t max_violations, bool* truncated) {
-  return FindViolationsOfCappedImpl(I, PlainEval{&I, &constraint}, constraint,
-                                    constraint_index, max_violations,
-                                    truncated);
-}
-
-std::vector<Violation> FindViolations(const Relation& I,
-                                      const ConstraintSet& sigma) {
-  std::vector<Violation> out;
-  for (size_t k = 0; k < sigma.size(); ++k) {
-    std::vector<Violation> part =
-        FindViolationsOf(I, sigma[k], static_cast<int>(k));
-    out.insert(out.end(), part.begin(), part.end());
-  }
-  return out;
-}
-
-bool Satisfies(const Relation& I, const ConstraintSet& sigma) {
-  for (size_t k = 0; k < sigma.size(); ++k) {
-    const DenialConstraint& c = sigma[k];
-    if (c.predicates().empty()) continue;
-    if (c.NumTupleVars() == 1) {
-      std::vector<int> rows(1);
-      for (int i = 0; i < I.num_rows(); ++i) {
-        rows[0] = i;
-        if (c.IsViolated(I, rows)) return false;
-      }
-    } else {
-      // Reuse the bucketed enumerator; one violation suffices.
-      bool truncated = false;
-      std::vector<Violation> part =
-          FindViolationsOfCapped(I, c, static_cast<int>(k), 1, &truncated);
-      if (!part.empty()) return false;
-    }
-  }
-  return true;
-}
-
 std::vector<Violation> FindViolationsOf(const EncodedRelation& E,
                                         const DenialConstraint& constraint,
                                         int constraint_index) {
@@ -1001,14 +727,10 @@ std::vector<Violation> FindViolationsOfCapped(
     const EncodedRelation& E, const DenialConstraint& constraint,
     int constraint_index, int64_t max_violations, bool* truncated) {
   assert(E.in_sync());
-  EncodedConstraintEval ev(E, constraint);
-  if (!scan_kernels::BlockScanEnabled()) {
-    return FindViolationsOfCappedImpl(E, ev, constraint, constraint_index,
-                                      max_violations, truncated);
-  }
   std::vector<Violation> out;
   if (truncated) *truncated = false;
   if (constraint.predicates().empty()) return out;
+  EncodedConstraintEval ev(E, constraint);
   if (constraint.NumTupleVars() == 1) {
     ScanRowsBlocked(E, ev, constraint_index, &out, max_violations, truncated);
     return out;
@@ -1017,7 +739,7 @@ std::vector<Violation> FindViolationsOfCapped(
   if (!join.empty()) {
     std::vector<std::vector<int>> blocks = BuildJoinBlocks(E, join);
     BlockedJoinEnumerator enumerate(E, ev, constraint_index);
-    ScanJoinBlocksWith(blocks, enumerate, &out, max_violations, truncated);
+    ScanJoinBlocks(blocks, enumerate, &out, max_violations, truncated);
     return out;
   }
   ScanAllPairsBlocked(E, ev, constraint_index, &out, max_violations,
@@ -1049,6 +771,7 @@ bool Satisfies(const EncodedRelation& E, const ConstraintSet& sigma) {
         if (ev.IsViolated(rows)) return false;
       }
     } else {
+      // Reuse the bucketed enumerator; one violation suffices.
       bool truncated = false;
       std::vector<Violation> part =
           FindViolationsOfCapped(E, c, static_cast<int>(k), 1, &truncated);
@@ -1058,75 +781,20 @@ bool Satisfies(const EncodedRelation& E, const ConstraintSet& sigma) {
   return true;
 }
 
+std::vector<Violation> FindViolations(const Relation& I,
+                                      const ConstraintSet& sigma) {
+  return FindViolations(EncodedRelation(I), sigma);
+}
+
+bool Satisfies(const Relation& I, const ConstraintSet& sigma) {
+  return Satisfies(EncodedRelation(I), sigma);
+}
+
 namespace {
 
-// The suspect scans for the plain and encoded paths share their entire
-// structure (rows-with-changing filter, equality groups, partner
-// enumeration, dedup); only the predicate evaluation and the group-key
-// representation differ, supplied by an Ops policy:
-//   void SetConstraint(size_t k)           — compile/point at sigma[k]
-//   bool Condition(rows, touches)          — sc(rows; φ) w.r.t. changing
-//   Key KeyOf(row, attrs, usable), KeyHash — group keys on eq attributes
-// Both policies produce identical groups (codes are EvalOp equality
-// classes) and identical conditions, so the outputs match exactly.
-struct PlainSuspectOps {
-  using Key = std::vector<Value>;
-  using KeyHash = ValueVecHash;
-
-  const Relation* I;
-  const ConstraintSet* sigma;
-  const CellSet* changing;
-  const DenialConstraint* c = nullptr;
-
-  void SetConstraint(size_t k) { c = &(*sigma)[k]; }
-
-  // Evaluates the suspect condition sc(rows; φ) w.r.t. `changing` and
-  // reports whether any predicate involves a changing cell.
-  bool Condition(const std::vector<int>& rows, bool* touches_changing) const {
-    *touches_changing = false;
-    for (const Predicate& p : c->predicates()) {
-      bool on_changing = false;
-      for (const Cell& cell : p.Cells(rows)) {
-        if (changing->count(cell)) {
-          on_changing = true;
-          break;
-        }
-      }
-      if (on_changing) {
-        *touches_changing = true;
-        continue;  // predicate on C: excluded from the suspect condition
-      }
-      if (!p.Eval(*I, rows)) return false;
-    }
-    return true;
-  }
-
-  Key KeyOf(int i, const std::vector<AttrId>& attrs, bool* usable) const {
-    Key key;
-    key.reserve(attrs.size());
-    *usable = true;
-    for (AttrId a : attrs) {
-      const Value& v = I->Get(i, a);
-      if (v.is_null() || v.is_fresh()) {
-        *usable = false;
-        return key;
-      }
-      key.push_back(v);
-    }
-    return key;
-  }
-
-  // Block-level partner pruning for the no-equality-join loop; the boxed
-  // path has no zone maps, so no pruning (skip stays empty).
-  void PartnerBlockSkips(int /*r*/, std::vector<char>* skip) const {
-    skip->clear();
-  }
-};
-
-struct EncodedSuspectOps {
-  using Key = std::vector<Code>;
-  using KeyHash = CodeVecHash;
-
+// The suspect condition sc(rows; φ) of one constraint on the coded
+// columns, plus the zone-map partner pruning of the no-equality-join loop.
+struct SuspectOps {
   const EncodedRelation* E;
   const ConstraintSet* sigma;
   const CellSet* changing;
@@ -1150,6 +818,8 @@ struct EncodedSuspectOps {
     }
   }
 
+  // Evaluates the suspect condition sc(rows; φ) w.r.t. `changing` and
+  // reports whether any predicate involves a changing cell.
   bool Condition(const std::vector<int>& rows, bool* touches_changing) const {
     *touches_changing = false;
     const std::vector<Predicate>& preds = c->predicates();
@@ -1163,15 +833,18 @@ struct EncodedSuspectOps {
       }
       if (on_changing) {
         *touches_changing = true;
-        continue;
+        continue;  // predicate on C: excluded from the suspect condition
       }
       if (!evals[pi].Eval(rows)) return false;
     }
     return true;
   }
 
-  Key KeyOf(int i, const std::vector<AttrId>& attrs, bool* usable) const {
-    Key key;
+  // The row's code key on `attrs`; *usable is false when any cell is
+  // NULL/fresh (such rows never satisfy '=').
+  std::vector<Code> KeyOf(int i, const std::vector<AttrId>& attrs,
+                          bool* usable) const {
+    std::vector<Code> key;
     key.reserve(attrs.size());
     *usable = true;
     for (AttrId a : attrs) {
@@ -1192,7 +865,7 @@ struct EncodedSuspectOps {
   // is counted per block.
   void PartnerBlockSkips(int r, std::vector<char>* skip) const {
     skip->clear();
-    if (!scan_kernels::BlockScanEnabled() || attr_changing.empty()) return;
+    if (attr_changing.empty()) return;
     // fwd prunes orientation (r, j) — the partner binds t1; rev prunes
     // (j, r) — the partner binds t0.
     std::vector<ZonePred> fwd, rev;
@@ -1247,10 +920,15 @@ struct EncodedSuspectOps {
   }
 };
 
-template <typename Ops>
-void FindSuspectsImpl(Ops& ops, int n, int num_attributes,
-                      const ConstraintSet& sigma, const CellSet& changing,
-                      const SuspectVisitor& visit) {
+}  // namespace
+
+void ForEachSuspect(const EncodedRelation& E, const ConstraintSet& sigma,
+                    const CellSet& changing, const SuspectVisitor& visit,
+                    EvalCounters* zone_counts) {
+  assert(E.in_sync());
+  const int n = E.num_rows();
+  const int num_attributes = E.num_attributes();
+  SuspectOps ops{&E, &sigma, &changing, zone_counts};
   // One buffer for every emitted suspect: `rows` is its tuple list.
   Violation suspect;
   std::vector<int>& rows = suspect.rows;
@@ -1334,12 +1012,11 @@ void FindSuspectsImpl(Ops& ops, int n, int num_attributes,
     }
 
     // Hash groups on the equality attributes.
-    std::unordered_map<typename Ops::Key, std::vector<int>,
-                       typename Ops::KeyHash>
+    std::unordered_map<std::vector<Code>, std::vector<int>, CodeVecHash>
         groups;
     for (int i = 0; i < n; ++i) {
       bool usable = false;
-      typename Ops::Key key = ops.KeyOf(i, eq_attrs, &usable);
+      std::vector<Code> key = ops.KeyOf(i, eq_attrs, &usable);
       if (usable) groups[std::move(key)].push_back(i);
     }
     // Rows whose equality-attribute cells are in C: their join values may
@@ -1373,7 +1050,7 @@ void FindSuspectsImpl(Ops& ops, int n, int num_attributes,
         for (int j = 0; j < n; ++j) add_partner(j);
       } else {
         bool usable = false;
-        typename Ops::Key key = ops.KeyOf(r, eq_attrs, &usable);
+        std::vector<Code> key = ops.KeyOf(r, eq_attrs, &usable);
         if (usable) {
           auto it = groups.find(key);
           if (it != groups.end()) {
@@ -1388,37 +1065,11 @@ void FindSuspectsImpl(Ops& ops, int n, int num_attributes,
   }
 }
 
-}  // namespace
-
-void ForEachSuspect(const Relation& I, const EncodedRelation* encoded,
-                    const ConstraintSet& sigma, const CellSet& changing,
-                    const SuspectVisitor& visit, EvalCounters* zone_counts) {
-  if (encoded == nullptr) {
-    PlainSuspectOps ops{&I, &sigma, &changing};
-    FindSuspectsImpl(ops, I.num_rows(), I.num_attributes(), sigma, changing,
-                     visit);
-    return;
-  }
-  assert(encoded->in_sync());
-  EncodedSuspectOps ops{encoded, &sigma, &changing, zone_counts};
-  FindSuspectsImpl(ops, encoded->num_rows(), encoded->num_attributes(), sigma,
-                   changing, visit);
-}
-
-std::vector<Violation> FindSuspects(const Relation& I,
-                                    const ConstraintSet& sigma,
-                                    const CellSet& changing) {
-  std::vector<Violation> out;
-  ForEachSuspect(I, nullptr, sigma, changing,
-                 [&out](const Violation& s) { out.push_back(s); });
-  return out;
-}
-
 std::vector<Violation> FindSuspects(const EncodedRelation& E,
                                     const ConstraintSet& sigma,
                                     const CellSet& changing) {
   std::vector<Violation> out;
-  ForEachSuspect(E.relation(), &E, sigma, changing,
+  ForEachSuspect(E, sigma, changing,
                  [&out](const Violation& s) { out.push_back(s); });
   return out;
 }

@@ -32,24 +32,29 @@ struct Violation {
 std::vector<Cell> ViolationCells(const DenialConstraint& constraint,
                                  const std::vector<int>& rows);
 
-/// Computes viol(I, Σ): every tuple list (single rows for 1-tuple DCs,
-/// ordered pairs of distinct rows for 2-tuple DCs) satisfying all
-/// predicates of some φ ∈ Σ (Definition 5).
+/// Computes viol(I, Σ) on the dictionary-coded columns of I: every tuple
+/// list (single rows for 1-tuple DCs, ordered pairs of distinct rows for
+/// 2-tuple DCs) satisfying all predicates of some φ ∈ Σ (Definition 5).
+/// E must be in_sync() with its backing relation.
 ///
-/// Two-tuple constraints with equality predicates t0.A = t1.A are
-/// evaluated with hash partitioning on those attributes, so FD-style
-/// constraints cost roughly O(|I| + Σ_blocks |block|²) instead of O(|I|²).
+/// Predicates evaluate as integer code/rank compares (counted as
+/// EvalCounters::code_predicate_evals; only cross-attribute two-cell
+/// predicates still touch Values) through the block kernels of
+/// dc/scan_kernels.h, with zone-map skips. Two-tuple constraints with
+/// equality predicates t0.A = t1.A are evaluated with hash partitioning on
+/// those attributes, so FD-style constraints cost roughly
+/// O(|I| + Σ_blocks |block|²) instead of O(|I|²).
 ///
-/// Large scans are sharded across the ThreadPool budget (row ranges for
-/// 1-tuple DCs and the no-join pair scan, partition-block ranges for
-/// FD-style DCs); shard results are merged in shard order, so the output
-/// — order included — is bit-identical at any thread count.
-std::vector<Violation> FindViolations(const Relation& I,
+/// Large scans are sharded across the ThreadPool budget (block ranges for
+/// 1-tuple DCs, outer-row ranges for the no-join pair scan, partition-block
+/// ranges for FD-style DCs); shard results are merged in shard order, so
+/// the output — order included — is bit-identical at any thread count.
+std::vector<Violation> FindViolations(const EncodedRelation& E,
                                       const ConstraintSet& sigma);
 
 /// Violations of one constraint (see FindViolations); constraint_index is
 /// set to `constraint_index` in the result.
-std::vector<Violation> FindViolationsOf(const Relation& I,
+std::vector<Violation> FindViolationsOf(const EncodedRelation& E,
                                         const DenialConstraint& constraint,
                                         int constraint_index = 0);
 
@@ -60,58 +65,39 @@ std::vector<Violation> FindViolationsOf(const Relation& I,
 /// hits and the in-order merge trims to the cap, reproducing exactly the
 /// serial prefix and truncated flag.
 std::vector<Violation> FindViolationsOfCapped(
-    const Relation& I, const DenialConstraint& constraint,
+    const EncodedRelation& E, const DenialConstraint& constraint,
     int constraint_index, int64_t max_violations, bool* truncated);
 
 /// True iff I ⊨ Σ (no violations). Short-circuits on the first violation.
-bool Satisfies(const Relation& I, const ConstraintSet& sigma);
+bool Satisfies(const EncodedRelation& E, const ConstraintSet& sigma);
 
-/// Computes susp(C, φ) for every φ ∈ Σ (Definition 6): tuple lists that
-/// satisfy all predicates *not* involving cells from C. Only suspects with
-/// at least one predicate on a C cell are returned — tuple lists whose
-/// predicates never touch C contribute no repair-context constraints and
-/// cannot become violations when only C changes.
-///
-/// By Lemma 4, the result is a superset of the violations that involve C.
-/// A collecting wrapper over ForEachSuspect.
-std::vector<Violation> FindSuspects(const Relation& I,
-                                    const ConstraintSet& sigma,
-                                    const CellSet& changing);
+/// FindViolations / Satisfies for callers that hold only the Relation:
+/// encode I once, then run the scan above.
+std::vector<Violation> FindViolations(const Relation& I,
+                                      const ConstraintSet& sigma);
+bool Satisfies(const Relation& I, const ConstraintSet& sigma);
 
 /// Receives one suspect tuple list. The reference is only valid during the
 /// call (the scan reuses one buffer for every suspect).
 using SuspectVisitor = std::function<void(const Violation&)>;
 
-/// The suspect scan behind FindSuspects, emitting each suspect to `visit`
-/// in FindSuspects order instead of collecting them — so a consumer such as
-/// RepairContext::BuildFromScan never holds the suspect list. Scans
-/// dictionary codes when `encoded` is given (it must mirror `I`), boxed
-/// Values otherwise; both emit the same sequence. The encoded scan's
+/// Computes susp(C, φ) for every φ ∈ Σ (Definition 6): tuple lists that
+/// satisfy all predicates *not* involving cells from C. Only suspects with
+/// at least one predicate on a C cell are emitted — tuple lists whose
+/// predicates never touch C contribute no repair-context constraints and
+/// cannot become violations when only C changes. By Lemma 4, the result is
+/// a superset of the violations that involve C.
+///
+/// Each suspect goes to `visit` instead of into a list, so a consumer such
+/// as RepairContext::BuildFromScan never holds the suspect list. The scan's
 /// zone-map consults are added to `*zone_counts` when given, else to the
 /// process-wide eval counters: a caller that may discard the scan's result
 /// carries the counts and publishes them once it commits.
-void ForEachSuspect(const Relation& I, const EncodedRelation* encoded,
-                    const ConstraintSet& sigma, const CellSet& changing,
-                    const SuspectVisitor& visit,
+void ForEachSuspect(const EncodedRelation& E, const ConstraintSet& sigma,
+                    const CellSet& changing, const SuspectVisitor& visit,
                     EvalCounters* zone_counts = nullptr);
 
-/// Encoded counterparts of the scans above, consuming the dictionary-coded
-/// column store (relation/encoded.h) instead of boxed Values: partitions
-/// key on raw codes and predicates evaluate as integer code/rank compares
-/// (counted as EvalCounters::code_predicate_evals; only cross-attribute
-/// two-cell predicates still touch Values). Each is bit-identical —
-/// violation order, capped prefix, truncated flag — to its unencoded
-/// sibling on the backing relation, at any thread count; E must be
-/// in_sync() with it.
-std::vector<Violation> FindViolations(const EncodedRelation& E,
-                                      const ConstraintSet& sigma);
-std::vector<Violation> FindViolationsOf(const EncodedRelation& E,
-                                        const DenialConstraint& constraint,
-                                        int constraint_index = 0);
-std::vector<Violation> FindViolationsOfCapped(
-    const EncodedRelation& E, const DenialConstraint& constraint,
-    int constraint_index, int64_t max_violations, bool* truncated);
-bool Satisfies(const EncodedRelation& E, const ConstraintSet& sigma);
+/// The suspects of ForEachSuspect, collected in emission order.
 std::vector<Violation> FindSuspects(const EncodedRelation& E,
                                     const ConstraintSet& sigma,
                                     const CellSet& changing);

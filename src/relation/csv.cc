@@ -1,5 +1,7 @@
 #include "relation/csv.h"
 
+#include <cerrno>
+#include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -84,6 +86,11 @@ std::string QuoteField(const std::string& s) {
   return out;
 }
 
+// A numeric field becomes a value only when the whole token parses into a
+// finite, in-range number; anything else (garbage, trailing text, nan,
+// inf, overflow) becomes NULL. NaN in particular must never enter a
+// relation: EvalOp gives NaN != NaN, which no order-preserving dictionary
+// code can represent.
 Value ParseField(AttrType type, const std::string& field) {
   if (field.empty()) return Value::Null();
   switch (type) {
@@ -91,14 +98,15 @@ Value ParseField(AttrType type, const std::string& field) {
       return Value::String(field);
     case AttrType::kInt: {
       char* end = nullptr;
+      errno = 0;
       long long v = std::strtoll(field.c_str(), &end, 10);
-      if (end == nullptr || *end != '\0') return Value::Null();
+      if (*end != '\0' || errno == ERANGE) return Value::Null();
       return Value::Int(v);
     }
     case AttrType::kDouble: {
       char* end = nullptr;
       double v = std::strtod(field.c_str(), &end);
-      if (end == nullptr || *end != '\0') return Value::Null();
+      if (*end != '\0' || !std::isfinite(v)) return Value::Null();
       return Value::Double(v);
     }
   }

@@ -18,7 +18,10 @@ struct CsvResult {
 
 /// Parses CSV text (first record = header) into a relation using `schema`
 /// for types. Header names must match the schema's attribute names and
-/// order. Numeric fields that fail to parse and empty fields become NULL.
+/// order. Empty fields become NULL, and so does a numeric field unless the
+/// whole token parses into a finite, in-range number of its column type:
+/// `abc`, `5x`, `nan`, `inf`, `1e999` and, in an int column,
+/// `99999999999999999999` all load as NULL.
 ///
 /// Quoting follows RFC 4180: fields may be double-quoted, `""` escapes a
 /// quote, and a quoted field may contain commas and newlines (one record

@@ -48,7 +48,7 @@ Code Dictionary::EncodeInsert(const Value& v) {
   if (v.is_null()) return kNullCode;
   if (v.is_fresh()) return kFreshCode;
   // EvalOp gives NaN != NaN — no total order can encode that; the
-  // generators and CSV loader never produce NaN (see header).
+  // generators, the CSV reader and the DC parser never produce NaN.
   assert(!IsNanDouble(v));
   int32_t cls = ClassOf(v);
   bool found = false;

@@ -3,10 +3,10 @@
 
 // Dictionary-encoded columnar view of a Relation.
 //
-// Every hot scan in the system (violation detection, the shared
-// evaluation index, suspect enumeration, incremental maintenance)
-// ultimately compares boxed Value variants stored row-major. This header
-// provides the integer-coded mirror those scans consume instead:
+// Every scan in the system (violation detection, the shared evaluation
+// index, suspect enumeration, incremental maintenance) runs on this
+// integer-coded mirror, never on the row-major boxed Values; the Relation
+// stays the storage and mutation interface. This header provides:
 //
 //  * a per-attribute, order-preserving `Dictionary` mapping each distinct
 //    value (one code per EvalOp-equality class) to a stable int32 code and
@@ -55,12 +55,11 @@
 // (fv_i == fv_i storage equality) reads the row-major Relation, which
 // remains the sole mutation interface and the source of truth.
 //
-// Semantics note: codes identify *EvalOp-equality* classes, so Int(1) and
-// Double(1.0) share a code while representational Value equality keeps
-// them distinct. On schema-typed columns (every generator and CSV load)
-// the two notions coincide. Double NaN is unsupported in the encoded path
-// (EvalOp gives NaN != NaN, which no total order can encode); a debug
-// assert rejects it.
+// Semantics note: codes identify *EvalOp-equality* classes — the equality
+// Definition 5 evaluates — so Int(1) and Double(1.0) share a code and join
+// wherever '=' holds between them. Double NaN is not representable (EvalOp
+// gives NaN != NaN, which no total order can encode): the CSV reader and
+// the DC parser never produce it, and a debug assert rejects it.
 
 #include <cassert>
 #include <cstdint>

@@ -19,12 +19,10 @@ namespace cvrepair {
 namespace {
 
 // The data-repair engine inherits the repair-level thread budget unless it
-// was given its own, and its detection backend follows the repair-level
-// flag.
+// was given its own.
 VfreeOptions EngineOptions(const CVTolerantOptions& options) {
   VfreeOptions vfree = options.vfree;
   if (vfree.threads == 0) vfree.threads = options.threads;
-  vfree.use_encoded = options.use_encoded;
   return vfree;
 }
 
@@ -89,9 +87,7 @@ RepairResult CVTolerantRepair(const Relation& I, const ConstraintSet& sigma,
   // One coded mirror of I, shared by the fact scans and every candidate
   // solve. I is never mutated during the run (repairs are built on copies),
   // so the mirror stays in sync for the whole repair.
-  std::optional<EncodedRelation> encoded;
-  if (options.use_encoded) encoded.emplace(I);
-  const EncodedRelation* E = encoded ? &*encoded : nullptr;
+  EncodedRelation E(I);
   DomainStats stats_of_I(I);
   std::map<DenialConstraint, VariantFacts> facts =
       ScanVariantFacts(I, sigma, variants, options, E, &stats_of_I);
@@ -126,23 +122,21 @@ std::optional<ScopedRepair> CVTolerantResolveComponents(
     const ConstraintSet& frozen_variant, std::vector<Violation> violations,
     const CVTolerantOptions& options, MaterializedCache* cache,
     RepairStats* stats, int64_t* fresh_counter,
-    const EncodedRelation* encoded, double delta_min) {
+    const EncodedRelation& encoded, double delta_min) {
   TraceSpan span("cvtolerant/resolve_components");
   span.AddArg("violations", static_cast<int64_t>(violations.size()));
   return SolveDirtyComponents(I, stats_of_I, frozen_variant,
                               std::move(violations), delta_min,
                               EngineOptions(options), cache, stats,
-                              fresh_counter,
-                              options.use_encoded ? encoded : nullptr);
+                              fresh_counter, encoded);
 }
 
 std::map<DenialConstraint, VariantFacts> ScanVariantFacts(
     const Relation& I, const ConstraintSet& sigma,
     const std::vector<SigmaVariant>& variants,
-    const CVTolerantOptions& options, const EncodedRelation* encoded,
+    const CVTolerantOptions& options, const EncodedRelation& encoded,
     const DomainStats* stats) {
   TraceSpan span("cvtolerant/detect_facts");
-  const EncodedRelation* E = options.use_encoded ? encoded : nullptr;
   const CostModel& cost = options.vfree.cost;
   int64_t violation_cap =
       options.max_violations_per_tuple > 0
@@ -167,17 +161,16 @@ std::map<DenialConstraint, VariantFacts> ScanVariantFacts(
   // mutated during the parallel phase.
   auto compute = [&](const DenialConstraint& c, VariantFacts* f) {
     f->violations =
-        E ? FindViolationsOfCapped(*E, c, 0, violation_cap, &f->hopeless)
-          : FindViolationsOfCapped(I, c, 0, violation_cap, &f->hopeless);
+        FindViolationsOfCapped(encoded, c, 0, violation_cap, &f->hopeless);
     if (f->hopeless) {
       f->violations.clear();
       f->delta_l = std::numeric_limits<double>::infinity();
       f->delta_u = std::numeric_limits<double>::infinity();
       return;
     }
-    // Canonical rows order: scan order depends on the detection backend's
-    // partition layout, and the search must see identical facts no matter
-    // which provider produced them.
+    // Canonical rows order: scan order depends on the partition layout,
+    // and the search must see identical facts no matter which provider
+    // (this scan or a VariantTracker) produced them.
     std::sort(f->violations.begin(), f->violations.end(),
               [](const Violation& a, const Violation& b) {
                 return a.rows < b.rows;
@@ -205,7 +198,7 @@ VariantSearchResult CVTolerantSearchWithFacts(
     const Relation& I, const ConstraintSet& sigma,
     const std::vector<SigmaVariant>& variants, const VariantFactsFn& facts_of,
     const CVTolerantOptions& options, int64_t* fresh_counter,
-    const EncodedRelation* encoded, RepairStats* stats) {
+    const EncodedRelation& encoded, RepairStats* stats) {
   TraceSpan span("cvtolerant/search_with_facts");
   span.AddArg("variants", static_cast<int64_t>(variants.size()));
   VariantSearchResult result;
@@ -216,7 +209,6 @@ VariantSearchResult CVTolerantSearchWithFacts(
 
   const VfreeOptions vfree_options = EngineOptions(options);
   const CostModel& cost = vfree_options.cost;
-  const EncodedRelation* E = options.use_encoded ? encoded : nullptr;
   DomainStats stats_of_I(I);
   // Every lookup is a δ-bound reuse: facts are computed once per distinct
   // constraint, before the search.
@@ -322,7 +314,7 @@ VariantSearchResult CVTolerantSearchWithFacts(
             plans[static_cast<size_t>(i)] = PlanDirtyComponents(
                 I, stats_of_I, set,
                 UnionViolations(set, facts_of, c.num_violations),
-                vfree_options, E);
+                vfree_options, encoded);
           },
           options.threads);
       int64_t built = 0;
@@ -371,7 +363,7 @@ VariantSearchResult CVTolerantSearchWithFacts(
           scoped = SolveDirtyComponents(
               I, stats_of_I, set,
               UnionViolations(set, facts_of, c.num_violations), abort_at,
-              vfree_options, shared, stats, fresh_counter, E);
+              vfree_options, shared, stats, fresh_counter, encoded);
         }
         if (!scoped) {
           // δ_min abort: the candidate's cost strictly exceeds the
@@ -389,7 +381,6 @@ VariantSearchResult CVTolerantSearchWithFacts(
         // repairs the candidate, without sharing or the cost abort.
         HolisticOptions hopts = options.holistic;
         hopts.cost = cost;
-        hopts.use_encoded = options.use_encoded;
         RepairResult hr = HolisticRepair(I, set, hopts);
         if (stats) {
           stats->solver_calls += hr.stats.solver_calls;

@@ -49,12 +49,8 @@ struct CVTolerantOptions {
   /// bit-identical RepairResults, RepairStats and work counters; only
   /// wall-clock time changes.
   int threads = 0;
-  /// Detect violations and suspects on the dictionary-encoded columnar
-  /// backend (relation/encoded.h): one EncodedRelation of I is built up
-  /// front and shared by the fact scans and the Vfree engine. Predicates
-  /// then evaluate on integer codes (stats.index_code_evals) instead of
-  /// boxed Values (stats.index_predicate_evals). The RepairResult is
-  /// bit-identical either way, at any thread count.
+  /// Ignored. Kept only for the benchmark's staged replica (perfbench/),
+  /// and deleted together with EvalIndex in the next benchmark change.
   bool use_encoded = true;
 };
 
@@ -90,17 +86,17 @@ std::vector<SigmaVariant> EnumerateVariants(const Relation& I,
 /// StreamingRepairer after a batch of edits. Only the components reachable
 /// from those violations are repaired; `cache` and `fresh_counter` persist
 /// across calls so component solutions are shared and fresh ids stay
-/// globally unique. Derives the engine options (threads, encoded backend)
-/// from `options` exactly as CVTolerantRepair does, so a scoped re-solve
-/// is bit-identical to the candidate solve the full pipeline would run on
-/// the same violations. Returns std::nullopt only on a delta_min abort
-/// (never with the default +inf bound).
+/// globally unique; `encoded` must mirror `I`. Derives the engine options
+/// (threads) from `options` exactly as CVTolerantRepair does, so a scoped
+/// re-solve is bit-identical to the candidate solve the full pipeline would
+/// run on the same violations. Returns std::nullopt only on a delta_min
+/// abort (never with the default +inf bound).
 std::optional<ScopedRepair> CVTolerantResolveComponents(
     const Relation& I, const DomainStats& stats_of_I,
     const ConstraintSet& frozen_variant, std::vector<Violation> violations,
     const CVTolerantOptions& options, MaterializedCache* cache,
     RepairStats* stats, int64_t* fresh_counter,
-    const EncodedRelation* encoded = nullptr,
+    const EncodedRelation& encoded,
     double delta_min = std::numeric_limits<double>::infinity());
 
 /// Per-constraint detection facts consumed by the factored variant search
@@ -163,15 +159,16 @@ struct VariantSearchResult {
 /// numbering from `fresh_counter`). It has no repair-of-Σ fallback:
 /// `have_result` is false when every candidate was pruned or aborted, and
 /// the caller decides (FinishCVTolerantRepair falls back; a streaming
-/// reopen keeps its incumbent). `stats` (optional) accumulates the
-/// DataRepair counters of every candidate solve and receives the search's
-/// own: initial violations of Σ, variants, hopeless and pruned, DataRepair
-/// calls, cache hits, and δ-bound lookups.
+/// reopen keeps its incumbent). Suspect scans run on `encoded`, the mirror
+/// of I. `stats` (optional) accumulates the DataRepair counters of every
+/// candidate solve and receives the search's own: initial violations of Σ,
+/// variants, hopeless and pruned, DataRepair calls, cache hits, and
+/// δ-bound lookups.
 VariantSearchResult CVTolerantSearchWithFacts(
     const Relation& I, const ConstraintSet& sigma,
     const std::vector<SigmaVariant>& variants, const VariantFactsFn& facts_of,
     const CVTolerantOptions& options, int64_t* fresh_counter,
-    const EncodedRelation* encoded = nullptr, RepairStats* stats = nullptr);
+    const EncodedRelation& encoded, RepairStats* stats = nullptr);
 
 /// The tail of Algorithm 1, shared by CVTolerantRepair and the unfrozen
 /// StreamingRepairer: adopts the search's repair, or — when no candidate
@@ -186,16 +183,15 @@ RepairResult FinishCVTolerantRepair(const Relation& I,
                                     const RepairStats& stats);
 
 /// Computes VariantFacts for every distinct constraint of Σ and `variants`
-/// by full capped detection scans on I, in parallel over the constraints
-/// under options.threads — the from-scratch twin of a VariantTracker's
-/// delta-maintained facts. Scans run on `encoded` when given (and
-/// options.use_encoded), boxed otherwise; the facts are identical either
-/// way and at any thread count. `stats` (optional) feeds the entropy term
-/// of the kEntropyDensity cover behind δ_u.
+/// by full capped detection scans of `encoded`, the mirror of I, in
+/// parallel over the constraints under options.threads — the from-scratch
+/// twin of a VariantTracker's delta-maintained facts. The facts are
+/// identical at any thread count. `stats` (optional) feeds the entropy
+/// term of the kEntropyDensity cover behind δ_u.
 std::map<DenialConstraint, VariantFacts> ScanVariantFacts(
     const Relation& I, const ConstraintSet& sigma,
     const std::vector<SigmaVariant>& variants,
-    const CVTolerantOptions& options, const EncodedRelation* encoded = nullptr,
+    const CVTolerantOptions& options, const EncodedRelation& encoded,
     const DomainStats* stats = nullptr);
 
 }  // namespace cvrepair

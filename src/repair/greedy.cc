@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <optional>
 #include <unordered_map>
 
 #include "dc/violation.h"
@@ -38,20 +37,17 @@ RepairResult GreedyRepair(const Relation& I, const ConstraintSet& sigma,
   int iterations = 0;
 
   // Coded mirror of the working copy, delta-updated beside every SetValue.
-  std::optional<EncodedRelation> encoded;
-  if (options.use_encoded) encoded.emplace(current);
+  EncodedRelation encoded(current);
   auto set_value = [&](const Cell& cell, Value value) {
     current.SetValue(cell, std::move(value));
-    if (encoded) encoded->ApplyChange(cell.row, cell.attr);
+    encoded.ApplyChange(cell.row, cell.attr);
   };
 
   TraceSpan repair_span("greedy/repair");
   for (int round = 0; round < kMaxRounds; ++round) {
     TraceSpan round_span("greedy/round");
     round_span.AddArg("round", round);
-    std::vector<Violation> violations = encoded
-                                            ? FindViolations(*encoded, sigma)
-                                            : FindViolations(current, sigma);
+    std::vector<Violation> violations = FindViolations(encoded, sigma);
     if (round == 0) {
       result.stats.initial_violations = static_cast<int>(violations.size());
     }
@@ -133,9 +129,7 @@ RepairResult GreedyRepair(const Relation& I, const ConstraintSet& sigma,
   }
 
   // Safety net: force fresh variables over any remaining conflicts.
-  std::vector<Violation> remaining = encoded
-                                         ? FindViolations(*encoded, sigma)
-                                         : FindViolations(current, sigma);
+  std::vector<Violation> remaining = FindViolations(encoded, sigma);
   if (!remaining.empty()) {
     ConflictHypergraph g =
         ConflictHypergraph::Build(current, sigma, remaining, options.cost);

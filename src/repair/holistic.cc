@@ -22,19 +22,16 @@ RepairResult HolisticRepair(const Relation& I, const ConstraintSet& sigma,
   int64_t fresh_counter = 1;
   bool clean = false;
   std::optional<ViolationIndex> index;
-  if (options.incremental) index.emplace(I, sigma, options.use_encoded);
-  // Full-scan mode keeps a coded mirror of the working copy, delta-updated
-  // beside every SetValue (never rebuilt per round).
-  std::optional<EncodedRelation> encoded;
-  if (!options.incremental && options.use_encoded) encoded.emplace(current);
+  if (options.incremental) index.emplace(I, sigma);
+  // A coded mirror of the working copy, delta-updated beside every
+  // SetValue (never rebuilt per round).
+  EncodedRelation encoded(current);
   TraceSpan repair_span("holistic/repair");
   for (int round = 0; round < options.max_rounds; ++round) {
     TraceSpan round_span("holistic/round");
     round_span.AddArg("round", round);
     std::vector<Violation> violations =
-        index     ? index->CurrentViolations()
-        : encoded ? FindViolations(*encoded, sigma)
-                  : FindViolations(current, sigma);
+        index ? index->CurrentViolations() : FindViolations(encoded, sigma);
     if (round == 0) {
       result.stats.initial_violations = static_cast<int>(violations.size());
     }
@@ -63,7 +60,7 @@ RepairResult HolisticRepair(const Relation& I, const ConstraintSet& sigma,
       for (size_t v = 0; v < comp.cells.size(); ++v) {
         if (solution.values[v].is_fresh()) ++result.stats.fresh_assignments;
         current.SetValue(comp.cells[v], solution.values[v]);
-        if (encoded) encoded->ApplyChange(comp.cells[v].row, comp.cells[v].attr);
+        encoded.ApplyChange(comp.cells[v].row, comp.cells[v].attr);
         if (index) index->ApplyChange(comp.cells[v], solution.values[v]);
       }
     }
@@ -73,9 +70,7 @@ RepairResult HolisticRepair(const Relation& I, const ConstraintSet& sigma,
     // Round budget exhausted: force fresh variables onto a cover of the
     // remaining violations. fv satisfies no predicate, so this pass cannot
     // create new violations and the instance becomes clean.
-    std::vector<Violation> violations =
-        encoded ? FindViolations(*encoded, sigma)
-                : FindViolations(current, sigma);
+    std::vector<Violation> violations = FindViolations(encoded, sigma);
     if (!violations.empty()) {
       ++result.stats.rounds;
       ConflictHypergraph g =

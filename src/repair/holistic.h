@@ -21,10 +21,6 @@ struct HolisticOptions {
   /// instead of re-detecting from scratch — same violation sets, less
   /// work per round when few cells change.
   bool incremental = false;
-  /// Detect violations on the dictionary-encoded columnar backend
-  /// (relation/encoded.h), delta-maintained across rounds beside the
-  /// working copy. Same violation sets either way.
-  bool use_encoded = true;
 };
 
 /// Holistic data repairing (Chu, Ilyas, Papotti, ICDE 2013 [8]),

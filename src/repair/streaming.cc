@@ -126,8 +126,7 @@ VariantTracker::VariantTracker(const Relation& dirty,
   }
   span.AddArg("family", static_cast<int64_t>(family_.size()));
 
-  index_ = std::make_unique<ViolationIndex>(dirty, family_,
-                                            options_.use_encoded);
+  index_ = std::make_unique<ViolationIndex>(dirty, family_);
   facts_.resize(family_.size());
   seen_epochs_.assign(family_.size(), -1);
   changed_gen_.assign(family_.size(), 0);
@@ -355,8 +354,7 @@ void StreamingRepairer::Adopt(const Relation& repaired) {
   if (master_) retired_rechecked_ = RowsRechecked();
   shards_.clear();
   if (options_.num_shards == 1) {
-    master_ = std::make_unique<ViolationIndex>(repaired, variant_,
-                                               options_.repair.use_encoded);
+    master_ = std::make_unique<ViolationIndex>(repaired, variant_);
     return;
   }
   plan_ = PlanShards(variant_);
@@ -364,8 +362,7 @@ void StreamingRepairer::Adopt(const Relation& repaired) {
   ConstraintSet straddling_sigma;
   for (int k : plan_.local) local_sigma_.push_back(variant_[k]);
   for (int k : plan_.straddling) straddling_sigma.push_back(variant_[k]);
-  master_ = std::make_unique<ViolationIndex>(repaired, straddling_sigma,
-                                             options_.repair.use_encoded);
+  master_ = std::make_unique<ViolationIndex>(repaired, straddling_sigma);
   home_.resize(static_cast<size_t>(repaired.num_rows()));
   for (int r = 0; r < repaired.num_rows(); ++r) {
     home_[static_cast<size_t>(r)] = RouteOf(r);
@@ -409,8 +406,7 @@ void StreamingRepairer::RebuildShard(int s) {
     shard.rows.push_back(r);
     sub.AddRow(master.row(r));
   }
-  shard.index = std::make_unique<ViolationIndex>(sub, local_sigma_,
-                                                 options_.repair.use_encoded);
+  shard.index = std::make_unique<ViolationIndex>(sub, local_sigma_);
 }
 
 bool StreamingRepairer::IsViolationFree() const {
@@ -614,7 +610,7 @@ StreamBatchResult StreamingRepairer::ApplyBatch(
         options_.cross_batch_cache ? &cross_batch_cache_ : &local_cache;
     std::optional<ScopedRepair> fix = CVTolerantResolveComponents(
         W, stats_of_W, variant_, std::move(violations), options_.repair,
-        cache, &batch_stats, &fresh_counter_, master_->encoded());
+        cache, &batch_stats, &fresh_counter_, *master_->encoded());
     // delta_min defaults to +inf, so the scoped solve cannot abort.
     assert(fix.has_value());
     out.components = fix->components;

@@ -141,14 +141,14 @@ std::vector<Cell> CoverCells(const Relation& I, const DomainStats& stats_of_I,
 
 }  // namespace
 
-ComponentPlan PlanComponents(const Relation& I, const ConstraintSet& sigma,
+ComponentPlan PlanComponents(const ConstraintSet& sigma,
                              const std::vector<Cell>& changing,
                              const VfreeOptions& options,
-                             const EncodedRelation* encoded) {
+                             const EncodedRelation& encoded) {
   TraceSpan span("vfree/context");
   ComponentPlan plan;
   plan.components = DecomposeComponents(RepairContext::BuildFromScan(
-      I, encoded, sigma, changing, &plan.suspects, &plan.zone_counts));
+      encoded, sigma, changing, &plan.suspects, &plan.zone_counts));
   span.AddArg("suspects", plan.suspects);
 
   // Topology-aware decomposition (DESIGN.md §12): plan the splits before
@@ -177,12 +177,12 @@ ComponentPlan PlanDirtyComponents(const Relation& I,
                                   const ConstraintSet& sigma,
                                   std::vector<Violation> violations,
                                   const VfreeOptions& options,
-                                  const EncodedRelation* encoded) {
+                                  const EncodedRelation& encoded) {
   CanonicalizeViolations(&violations);
   std::vector<Cell> changing =
       CoverCells(I, stats_of_I, sigma, violations, options);
   std::vector<Violation>().swap(violations);
-  return PlanComponents(I, sigma, changing, options, encoded);
+  return PlanComponents(sigma, changing, options, encoded);
 }
 
 std::optional<ScopedRepair> ReplayComponents(
@@ -437,9 +437,9 @@ std::optional<ScopedRepair> SolveComponents(
     const ConstraintSet& sigma, const std::vector<Cell>& changing,
     double delta_min, const VfreeOptions& options, MaterializedCache* cache,
     RepairStats* stats, int64_t* fresh_counter,
-    const EncodedRelation* encoded) {
+    const EncodedRelation& encoded) {
   return ReplayComponents(I, stats_of_I,
-                          PlanComponents(I, sigma, changing, options, encoded),
+                          PlanComponents(sigma, changing, options, encoded),
                           delta_min, options, cache, stats, fresh_counter);
 }
 
@@ -448,7 +448,7 @@ std::optional<Relation> DataRepairVfree(
     const ConstraintSet& sigma, const std::vector<Cell>& changing,
     double delta_min, const VfreeOptions& options, MaterializedCache* cache,
     RepairStats* stats, int64_t* fresh_counter,
-    const EncodedRelation* encoded) {
+    const EncodedRelation& encoded) {
   std::optional<ScopedRepair> scoped =
       SolveComponents(I, stats_of_I, sigma, changing, delta_min, options,
                       cache, stats, fresh_counter, encoded);
@@ -475,7 +475,7 @@ std::optional<ScopedRepair> SolveDirtyComponents(
     const ConstraintSet& sigma, std::vector<Violation> violations,
     double delta_min, const VfreeOptions& options, MaterializedCache* cache,
     RepairStats* stats, int64_t* fresh_counter,
-    const EncodedRelation* encoded) {
+    const EncodedRelation& encoded) {
   if (violations.empty()) return ScopedRepair{};
   if (options.strategy == RepairStrategy::kDelete) {
     CanonicalizeViolations(&violations);
@@ -507,10 +507,8 @@ RepairResult VfreeRepair(const Relation& I, const ConstraintSet& sigma,
   result.satisfied_constraints = sigma;
   result.stats.rounds = 1;
 
-  std::optional<EncodedRelation> E;
-  if (options.use_encoded) E.emplace(I);
-  std::vector<Violation> violations =
-      E ? FindViolations(*E, sigma) : FindViolations(I, sigma);
+  EncodedRelation E(I);
+  std::vector<Violation> violations = FindViolations(E, sigma);
   result.stats.initial_violations = static_cast<int>(violations.size());
 
   DomainStats stats_of_I(I);
@@ -537,8 +535,7 @@ RepairResult VfreeRepair(const Relation& I, const ConstraintSet& sigma,
   std::optional<Relation> repaired = DataRepairVfree(
       I, stats_of_I, sigma, changing,
       std::numeric_limits<double>::infinity(), options,
-      /*cache=*/nullptr, &result.stats, &fresh_counter,
-      E ? &*E : nullptr);
+      /*cache=*/nullptr, &result.stats, &fresh_counter, E);
   // With an infinite bound DataRepairVfree always succeeds.
   result.repaired = std::move(*repaired);
   result.stats.changed_cells = ChangedCellCount(I, result.repaired);

@@ -28,9 +28,8 @@ struct VfreeOptions {
   /// across thread counts (components share no cells; fresh-variable ids
   /// are replayed in serial order).
   int threads = 0;
-  /// Run violation/suspect detection on the dictionary-encoded columnar
-  /// backend (relation/encoded.h) instead of boxed Values. Results are
-  /// bit-identical either way; off = the legacy row-major scans.
+  /// Ignored. Kept only for the benchmark's staged replica (perfbench/),
+  /// and deleted together with EvalIndex in the next benchmark change.
   bool use_encoded = true;
   /// Topology-aware decomposition of giant components (DESIGN.md §12):
   /// components with more than `max_component` cells are split at
@@ -71,14 +70,13 @@ struct VfreeOptions {
 /// `stats` collects solver calls / cache hits / fresh assignments;
 /// `fresh_counter` supplies globally unique fresh-variable ids.
 ///
-/// `encoded`, when given, must mirror `I` (in_sync); suspect detection
-/// then runs on dictionary codes.
+/// `encoded` must mirror `I` (in_sync); suspect detection scans it.
 std::optional<Relation> DataRepairVfree(
     const Relation& I, const DomainStats& stats_of_I,
     const ConstraintSet& sigma, const std::vector<Cell>& changing,
     double delta_min, const VfreeOptions& options, MaterializedCache* cache,
     RepairStats* stats, int64_t* fresh_counter,
-    const EncodedRelation* encoded = nullptr);
+    const EncodedRelation& encoded);
 
 /// A component-scoped repair: the cell assignments that fix the dirty
 /// components, without materializing a copy of the untouched remainder of
@@ -108,14 +106,14 @@ struct ComponentPlan {
 };
 
 /// Plans the repair of the changing cells `changing`: the suspects of C
-/// stream into the repair context (RepairContext::BuildFromScan, on
-/// `encoded` when given), which is decomposed into components; oversized
-/// ones get split plans under `options.decompose`. Pure: touches no shared
-/// state, so it may run on any pool thread.
-ComponentPlan PlanComponents(const Relation& I, const ConstraintSet& sigma,
+/// stream into the repair context (RepairContext::BuildFromScan over
+/// `encoded`, the mirror of I), which is decomposed into components;
+/// oversized ones get split plans under `options.decompose`. Pure: touches
+/// no shared state, so it may run on any pool thread.
+ComponentPlan PlanComponents(const ConstraintSet& sigma,
                              const std::vector<Cell>& changing,
                              const VfreeOptions& options,
-                             const EncodedRelation* encoded = nullptr);
+                             const EncodedRelation& encoded);
 
 /// PlanComponents for an already-detected violation set, under the update
 /// and hybrid strategies: canonicalize -> conflict hypergraph -> vertex
@@ -126,7 +124,7 @@ ComponentPlan PlanDirtyComponents(const Relation& I,
                                   const ConstraintSet& sigma,
                                   std::vector<Violation> violations,
                                   const VfreeOptions& options,
-                                  const EncodedRelation* encoded = nullptr);
+                                  const EncodedRelation& encoded);
 
 /// The serial half of a DataRepair round: publishes the counters `plan`
 /// carries, then resolves each component — cache lookups and stores,
@@ -149,7 +147,7 @@ std::optional<ScopedRepair> SolveComponents(
     const ConstraintSet& sigma, const std::vector<Cell>& changing,
     double delta_min, const VfreeOptions& options, MaterializedCache* cache,
     RepairStats* stats, int64_t* fresh_counter,
-    const EncodedRelation* encoded = nullptr);
+    const EncodedRelation& encoded);
 
 /// Sorts violations into the canonical (constraint_index, rows) order —
 /// the order ViolationIndex::CurrentViolations emits. Entry points taking
@@ -170,7 +168,7 @@ std::optional<ScopedRepair> SolveDirtyComponents(
     const ConstraintSet& sigma, std::vector<Violation> violations,
     double delta_min, const VfreeOptions& options, MaterializedCache* cache,
     RepairStats* stats, int64_t* fresh_counter,
-    const EncodedRelation* encoded = nullptr);
+    const EncodedRelation& encoded);
 
 /// The standalone Vfree repair algorithm (Section 4): detects violations,
 /// picks an approximate minimum vertex cover as the changing set, and runs

@@ -6,6 +6,8 @@
 #include <set>
 #include <sstream>
 
+#include "relation/encoded.h"
+
 namespace cvrepair {
 
 namespace {
@@ -158,18 +160,18 @@ RepairContext RepairContext::Build(const Relation& I,
   return rc;
 }
 
-RepairContext RepairContext::BuildFromScan(const Relation& I,
-                                           const EncodedRelation* encoded,
+RepairContext RepairContext::BuildFromScan(const EncodedRelation& E,
                                            const ConstraintSet& sigma,
                                            const std::vector<Cell>& changing,
                                            int64_t* suspects,
                                            EvalCounters* zone_counts) {
+  const Relation& I = E.relation();
   RepairContext rc;
   rc.SetCells(changing);
   AtomCollector atoms;
   int64_t count = 0;
   ForEachSuspect(
-      I, encoded, sigma, CellSet(changing.begin(), changing.end()),
+      E, sigma, CellSet(changing.begin(), changing.end()),
       [&](const Violation& s) {
         ++count;
         CollectSuspectAtoms(I, sigma, rc, s, &atoms);

@@ -66,14 +66,14 @@ class RepairContext {
                              const std::vector<Cell>& changing,
                              const std::vector<Violation>& suspects);
 
-  /// Build(I, Σ, C, FindSuspects(I, Σ, C)) without the suspect list: the
-  /// suspect scan (ForEachSuspect, on `encoded` when given) feeds the atom
-  /// collector directly and numeric bounds are compressed as they arrive,
-  /// so memory stays at the compressed context. `*suspects` receives the
-  /// suspect count; the scan's zone-map consults go to `*zone_counts` when
-  /// given, else to the process-wide eval counters.
-  static RepairContext BuildFromScan(const Relation& I,
-                                     const EncodedRelation* encoded,
+  /// Build(I, Σ, C, FindSuspects(E, Σ, C)) for the instance I that E
+  /// mirrors, without the suspect list: the suspect scan (ForEachSuspect)
+  /// feeds the atom collector directly and numeric bounds are compressed
+  /// as they arrive, so memory stays at the compressed context.
+  /// `*suspects` receives the suspect count; the scan's zone-map consults
+  /// go to `*zone_counts` when given, else to the process-wide eval
+  /// counters.
+  static RepairContext BuildFromScan(const EncodedRelation& E,
                                      const ConstraintSet& sigma,
                                      const std::vector<Cell>& changing,
                                      int64_t* suspects,

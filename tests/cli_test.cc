@@ -144,21 +144,38 @@ TEST_F(CliTest, OverflowingShardsRejected) {
   EXPECT_NE(out.find("usage:"), std::string::npos) << out;
 }
 
-TEST_F(CliTest, BadEncodedValueRejected) {
-  std::string out = RunAndCapture(
-      cli_ + " --schema " + dir_ + "/schema.txt --data " + dir_ +
-      "/data.csv --constraints " + dir_ + "/rules.txt --encoded yes");
-  EXPECT_NE(out.find("--encoded must be 0 or 1"), std::string::npos) << out;
-}
-
-// --encoded only moves work between the predicate-eval and code-eval
-// counters, never the repair: both modes must report the same changed
-// cells, and the stats line must say which backend ran.
 std::string ReadWholeFile(const std::string& path) {
   std::ifstream in(path);
   std::stringstream buf;
   buf << in.rdbuf();
   return buf.str();
+}
+
+// A `nan` in a numeric CSV field loads as NULL, exactly like an empty
+// field: detection must report the same violations for both files, never
+// the NaN != 3 "violation" a Value comparison would see, and the repaired
+// CSVs must be the same file.
+TEST_F(CliTest, NanNumericFieldLoadsAsNull) {
+  WriteFile(dir_ + "/nan_schema.txt", "A:string\nB:double\n");
+  WriteFile(dir_ + "/nan_rules.txt", "A -> B\n");
+  WriteFile(dir_ + "/nan.csv", "A,B\nx,nan\nx,3\n");
+  WriteFile(dir_ + "/empty.csv", "A,B\nx,\nx,3\n");
+  auto violations_line = [&](const std::string& data) {
+    std::remove((dir_ + "/" + data + "_repaired.csv").c_str());
+    std::string out = RunAndCapture(
+        cli_ + " --schema " + dir_ + "/nan_schema.txt --data " + dir_ + "/" +
+        data + ".csv --constraints " + dir_ + "/nan_rules.txt --output " +
+        dir_ + "/" + data + "_repaired.csv");
+    std::smatch m;
+    const std::regex line("violations found: *\\d+");
+    EXPECT_TRUE(std::regex_search(out, m, line)) << out;
+    return m.empty() ? std::string() : m.str();
+  };
+  const std::string with_nan = violations_line("nan");
+  EXPECT_EQ(with_nan, violations_line("empty"));
+  EXPECT_EQ(with_nan, "violations found: 0");
+  EXPECT_EQ(ReadWholeFile(dir_ + "/nan_repaired.csv"),
+            ReadWholeFile(dir_ + "/empty_repaired.csv"));
 }
 
 // --metrics-out writes the deterministic work-counter snapshot: the file
@@ -306,18 +323,23 @@ TEST_F(CliTest, StreamBatchesRejectsOtherAlgorithmsAndBadSizes) {
   EXPECT_NE(bad.find("--batch-size must be > 0"), std::string::npos) << bad;
 }
 
-TEST_F(CliTest, EncodedTogglesBackendNotResults) {
+// Scans run on the dictionary-coded columns only: the stats line counts
+// their code evals, and there is no backend switch — --encoded is an
+// unknown argument like any other.
+TEST_F(CliTest, CodeEvalsReportedWithoutEncodedFlag) {
   std::string base = cli_ + " --schema " + dir_ + "/schema.txt --data " +
                      dir_ + "/data.csv --constraints " + dir_ +
                      "/rules.txt --theta 0";
-  std::string with = RunAndCapture(base + " --encoded 1");
-  std::string without = RunAndCapture(base + " --encoded 0");
-  EXPECT_NE(with.find("cells changed:    1"), std::string::npos) << with;
-  EXPECT_NE(without.find("cells changed:    1"), std::string::npos) << without;
-  EXPECT_NE(with.find("encoded:          on"), std::string::npos) << with;
-  EXPECT_NE(without.find("encoded:          off"), std::string::npos)
-      << without;
-  EXPECT_NE(with.find("code evals"), std::string::npos) << with;
+  std::string out = RunAndCapture(base);
+  EXPECT_NE(out.find("cells changed:    1"), std::string::npos) << out;
+  EXPECT_NE(out.find("code evals"), std::string::npos) << out;
+  EXPECT_EQ(out.find("encoded:"), std::string::npos) << out;
+  std::string flag = RunAndCapture(base + " --encoded 1");
+  EXPECT_NE(flag.find("unknown or incomplete argument: --encoded"),
+            std::string::npos)
+      << flag;
+  EXPECT_NE(flag.find("usage:"), std::string::npos) << flag;
+  EXPECT_EQ(flag.find("cells changed:"), std::string::npos) << flag;
 }
 
 }  // namespace

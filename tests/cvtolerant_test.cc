@@ -9,6 +9,7 @@
 
 #include "dc/violation.h"
 #include "paper_example.h"
+#include "relation/encoded.h"
 #include "util/metrics.h"
 #include "util/thread_pool.h"
 
@@ -150,7 +151,7 @@ TEST(CVTolerantTest, CleanDataStaysClean) {
 VariantFacts HandFacts(const Relation& rel, const DenialConstraint& c,
                        double delta_l, double delta_u) {
   VariantFacts f;
-  f.violations = FindViolationsOf(rel, c);
+  f.violations = FindViolationsOf(EncodedRelation(rel), c);
   std::sort(f.violations.begin(), f.violations.end(),
             [](const Violation& a, const Violation& b) {
               return a.rows < b.rows;
@@ -193,12 +194,13 @@ WindowRun RunWindowSearch(int threads, const CVTolerantOptions& base) {
   registry.ResetAll();
   WindowRun run;
   int64_t fresh = 1;
+  const EncodedRelation encoded(rel);
   run.search = CVTolerantSearchWithFacts(
       rel, {phi4}, variants,
       [&facts](const DenialConstraint& c) -> const VariantFacts& {
         return facts.at(c);
       },
-      options, &fresh, nullptr, &run.stats);
+      options, &fresh, encoded, &run.stats);
   run.work = registry.SnapshotWork();
   MetricsSnapshot all = registry.SnapshotAll();
   run.plans_built = all["search.plans_built"];

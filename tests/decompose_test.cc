@@ -12,6 +12,7 @@
 #include "data/dense.h"
 #include "dc/violation.h"
 #include "graph/decompose.h"
+#include "relation/encoded.h"
 #include "relation/domain_stats.h"
 #include "repair/vfree.h"
 #include "solver/components.h"
@@ -269,7 +270,7 @@ TEST(DecomposeTest, StitchMergeRepairsCrossAtomViolations) {
     std::optional<Relation> repaired = DataRepairVfree(
         rel, stats, sigma, changing,
         std::numeric_limits<double>::infinity(), options, nullptr, &rstats,
-        &fresh);
+        &fresh, EncodedRelation(rel));
     return std::make_pair(std::move(repaired), rstats);
   };
 

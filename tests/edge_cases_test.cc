@@ -5,6 +5,7 @@
 #include "data/noise.h"
 #include "dc/predicate_space.h"
 #include "paper_example.h"
+#include "relation/encoded.h"
 #include "repair/cvtolerant.h"
 #include "repair/greedy.h"
 #include "repair/vfree.h"
@@ -48,7 +49,7 @@ TEST(EdgeCaseTest, NullCellsNeverViolate) {
   AttrId cp = *rel.schema().Find("CP");
   // NULL out the whole Ayres group's names: those pairs stop violating φ1.
   for (int i : {0, 1, 2}) rel.SetValue(i, name, Value::Null());
-  for (const Violation& v : FindViolationsOf(rel, Phi1(rel))) {
+  for (const Violation& v : FindViolationsOf(EncodedRelation(rel), Phi1(rel))) {
     for (int row : v.rows) {
       EXPECT_FALSE(rel.Get(row, name).is_null());
     }

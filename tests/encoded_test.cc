@@ -1,24 +1,27 @@
-// Tests of the dictionary-encoded columnar backend (relation/encoded.h):
+// Tests of the dictionary-encoded columnar store (relation/encoded.h):
 // dictionary code stability and rank recovery, sentinel semantics,
 // constant-predicate thresholds, random EvalOp equivalence of the
-// compiled evaluators, scan-level bit-identity against the boxed-Value
-// detectors on the paper's generators, the ApplyChange/epoch protocol,
-// and the work-counter reduction the backend exists for.
+// compiled evaluators, scans against the naive Definition 5/6 reference
+// (reference_scan.h) on the paper's generators, and the
+// ApplyChange/AppendRow maintenance protocol.
 #include "relation/encoded.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <random>
 #include <string>
 #include <vector>
 
 #include "data/census.h"
+#include "data/dense.h"
 #include "data/hosp.h"
 #include "data/noise.h"
-#include "dc/eval_index.h"
+#include "data/tax.h"
 #include "dc/predicate.h"
 #include "dc/violation.h"
+#include "reference_scan.h"
 
 namespace cvrepair {
 namespace {
@@ -173,6 +176,7 @@ TEST(EncodedPredicateTest, RandomPredicatesMatchBoxedEvaluation) {
 }
 
 struct GeneratorCase {
+  std::string name;
   Relation dirty;
   ConstraintSet sigma;
 };
@@ -185,7 +189,8 @@ GeneratorCase MakeHospCase() {
   noise.error_rate = 0.06;
   noise.target_attrs = hosp.noise_attrs;
   noise.seed = 5;
-  return {InjectNoise(hosp.clean, noise).dirty, hosp.given_oversimplified};
+  return {"hosp", InjectNoise(hosp.clean, noise).dirty,
+          hosp.given_oversimplified};
 }
 
 GeneratorCase MakeCensusCase() {
@@ -197,48 +202,74 @@ GeneratorCase MakeCensusCase() {
   noise.error_rate = 0.06;
   noise.target_attrs = census.noise_attrs;
   noise.seed = 5;
-  return {InjectNoise(census.clean, noise).dirty, census.given};
+  return {"census", InjectNoise(census.clean, noise).dirty, census.given};
 }
 
-// Scan-level bit-identity: encoded FindViolations / Satisfies /
-// FindViolationsOfCapped / FindSuspects equal their boxed siblings on the
-// generators — result order, capped prefix, and truncated flag included.
-TEST(EncodedScanTest, ScansAreBitIdenticalToBoxedScansOnGenerators) {
-  for (const GeneratorCase& gc : {MakeHospCase(), MakeCensusCase()}) {
+GeneratorCase MakeTaxCase() {
+  TaxConfig config;
+  config.num_rows = 150;
+  TaxData tax = MakeTax(config);
+  NoiseConfig noise;
+  noise.error_rate = 0.06;
+  noise.target_attrs = tax.noise_attrs;
+  noise.seed = 5;
+  return {"tax", InjectNoise(tax.clean, noise).dirty, tax.given};
+}
+
+GeneratorCase MakeDenseCase() {
+  DenseConfig config;
+  config.rows_per_track = 60;
+  DenseData dense = MakeDense(config);
+  return {"dense", dense.dirty, dense.sigma};
+}
+
+// Every scan equals the naive reference on the generators: the full scan
+// as a set (its order is the scan's own), Satisfies, each capped scan as
+// the prefix of the full scan with truncated == (total > cap), and the
+// suspects of the first violations' cells.
+TEST(EncodedScanTest, ScansMatchReferenceOnGenerators) {
+  for (const GeneratorCase& gc : {MakeHospCase(), MakeCensusCase(),
+                                  MakeTaxCase(), MakeDenseCase()}) {
+    SCOPED_TRACE(gc.name);
     EncodedRelation E(gc.dirty);
-    std::vector<Violation> plain = FindViolations(gc.dirty, gc.sigma);
-    std::vector<Violation> coded = FindViolations(E, gc.sigma);
-    ASSERT_EQ(plain.size(), coded.size());
-    for (size_t i = 0; i < plain.size(); ++i) {
-      EXPECT_EQ(plain[i], coded[i]) << "violation " << i;
-    }
-    EXPECT_EQ(Satisfies(gc.dirty, gc.sigma), Satisfies(E, gc.sigma));
+    std::vector<Violation> found = FindViolations(E, gc.sigma);
+    std::vector<reference::TupleList> expected =
+        reference::ReferenceViolations(gc.dirty, gc.sigma);
+    ASSERT_FALSE(expected.empty()) << "workload violates nothing";
+    EXPECT_EQ(reference::Sorted(found), expected);
+    EXPECT_FALSE(Satisfies(E, gc.sigma));
 
     for (size_t k = 0; k < gc.sigma.size(); ++k) {
-      for (int64_t cap : {int64_t{1}, int64_t{5}, int64_t{1000000}}) {
-        bool trunc_plain = false;
-        bool trunc_coded = false;
-        std::vector<Violation> a = FindViolationsOfCapped(
-            gc.dirty, gc.sigma[k], static_cast<int>(k), cap, &trunc_plain);
-        std::vector<Violation> b = FindViolationsOfCapped(
-            E, gc.sigma[k], static_cast<int>(k), cap, &trunc_coded);
-        EXPECT_EQ(a, b) << "constraint " << k << " cap " << cap;
-        EXPECT_EQ(trunc_plain, trunc_coded) << "constraint " << k;
+      const int index = static_cast<int>(k);
+      std::vector<Violation> full = FindViolationsOf(E, gc.sigma[k], index);
+      const int64_t total = static_cast<int64_t>(full.size());
+      for (int64_t cap : {int64_t{1}, int64_t{5}, total - 1, total}) {
+        if (cap < 0) continue;
+        bool truncated = false;
+        std::vector<Violation> capped =
+            FindViolationsOfCapped(E, gc.sigma[k], index, cap, &truncated);
+        EXPECT_EQ(truncated, total > cap) << "constraint " << k << " cap "
+                                          << cap;
+        ASSERT_EQ(static_cast<int64_t>(capped.size()), std::min(cap, total));
+        EXPECT_TRUE(std::equal(capped.begin(), capped.end(), full.begin()))
+            << "constraint " << k << " cap " << cap
+            << ": not a prefix of the full scan";
       }
     }
 
     // Suspects over the cells of the first violations.
     CellSet changing;
-    for (size_t i = 0; i < plain.size() && i < 10; ++i) {
-      const DenialConstraint& c = gc.sigma[plain[i].constraint_index];
-      for (const Cell& cell : ViolationCells(c, plain[i].rows)) {
+    for (size_t i = 0; i < found.size() && i < 10; ++i) {
+      const DenialConstraint& c = gc.sigma[found[i].constraint_index];
+      for (const Cell& cell : ViolationCells(c, found[i].rows)) {
         changing.insert(cell);
       }
     }
-    std::vector<Violation> susp_plain =
-        FindSuspects(gc.dirty, gc.sigma, changing);
-    std::vector<Violation> susp_coded = FindSuspects(E, gc.sigma, changing);
-    EXPECT_EQ(susp_plain, susp_coded);
+    std::vector<reference::TupleList> expected_suspects =
+        reference::ReferenceSuspects(gc.dirty, gc.sigma, changing);
+    EXPECT_FALSE(expected_suspects.empty());
+    EXPECT_EQ(reference::Sorted(FindSuspects(E, gc.sigma, changing)),
+              expected_suspects);
   }
 }
 
@@ -282,13 +313,13 @@ TEST(EncodedRelationTest, ApplyChangeKeepsMirrorConsistent) {
   EXPECT_TRUE(E.in_sync());
 
   // After the whole edit sequence the delta-maintained mirror scans
-  // exactly like a freshly encoded one — and like the boxed path.
+  // exactly like a freshly encoded one, and finds viol(I, Σ).
   EncodedRelation fresh(rel);
   std::vector<Violation> via_mirror = FindViolations(E, gc.sigma);
   std::vector<Violation> via_fresh = FindViolations(fresh, gc.sigma);
-  std::vector<Violation> via_boxed = FindViolations(rel, gc.sigma);
   EXPECT_EQ(via_mirror, via_fresh);
-  EXPECT_EQ(via_mirror, via_boxed);
+  EXPECT_EQ(reference::Sorted(via_mirror),
+            reference::ReferenceViolations(rel, gc.sigma));
 }
 
 // AppendRow zone-map soundness at the 1024-code arena block boundary:
@@ -323,7 +354,7 @@ TEST(EncodedRelationTest, AppendRowAcrossBlockBoundaryKeepsZoneMapsSound) {
                        "order"),
       DenialConstraint(
           {Predicate::WithConstant(0, 1, Op::kGt, Value::Int(2000))}, "cap")};
-  ASSERT_TRUE(FindViolations(rel, sigma).empty());
+  ASSERT_TRUE(reference::ReferenceViolations(rel, sigma).empty());
 
   EncodedRelation E(rel);
   ASSERT_EQ(E.num_blocks(), 1);
@@ -346,10 +377,11 @@ TEST(EncodedRelationTest, AppendRowAcrossBlockBoundaryKeepsZoneMapsSound) {
     E.AppendRow();
     ASSERT_TRUE(E.in_sync());
     // The delta-maintained mirror must scan exactly like a freshly
-    // encoded relation and like the boxed path after every append.
+    // encoded relation after every append, and find viol(I, Σ).
     EncodedRelation fresh(rel);
     EXPECT_EQ(FindViolations(E, sigma), FindViolations(fresh, sigma));
-    EXPECT_EQ(FindViolations(E, sigma), FindViolations(rel, sigma));
+    EXPECT_EQ(reference::Sorted(FindViolations(E, sigma)),
+              reference::ReferenceViolations(rel, sigma));
   }
   EXPECT_EQ(E.num_blocks(), 2);
   EXPECT_EQ(E.num_rows(), EncodedRelation::kBlockSize + 4);
@@ -357,37 +389,6 @@ TEST(EncodedRelationTest, AppendRowAcrossBlockBoundaryKeepsZoneMapsSound) {
   EXPECT_FALSE(FindViolations(E, {sigma[0]}).empty());
   EXPECT_FALSE(FindViolations(E, {sigma[1]}).empty());
   EXPECT_FALSE(FindViolations(E, {sigma[2]}).empty());
-}
-
-// The point of the backend: detection does (far) fewer boxed-Value
-// predicate evaluations. The wall-clock claim lives in
-// bench/micro_encoded_scan; here we pin the work counters — the encoded
-// scan must cut boxed evals by at least 2x (in fact it only keeps the
-// cross-attribute fallbacks), shifting the rest to integer code evals.
-TEST(EncodedScanTest, EncodedScanHalvesBoxedPredicateEvals) {
-  for (const GeneratorCase& gc : {MakeHospCase(), MakeCensusCase()}) {
-    EncodedRelation E(gc.dirty);
-
-    eval_counters::Reset();
-    std::vector<Violation> plain = FindViolations(gc.dirty, gc.sigma);
-    EvalCounters boxed_run = eval_counters::Snapshot();
-
-    eval_counters::Reset();
-    std::vector<Violation> coded = FindViolations(E, gc.sigma);
-    EvalCounters coded_run = eval_counters::Snapshot();
-    eval_counters::Reset();
-
-    ASSERT_EQ(plain, coded);
-    ASSERT_GT(boxed_run.predicate_evals, 0);
-    EXPECT_GT(coded_run.code_predicate_evals, 0);
-    // >= 2x fewer boxed evaluations (acceptance floor; typically the
-    // encoded scan does none at all on these constraint sets).
-    EXPECT_LE(coded_run.predicate_evals * 2, boxed_run.predicate_evals);
-    // No work is invented: the encoded scan's total predicate
-    // evaluations never exceed the boxed scan's.
-    EXPECT_LE(coded_run.predicate_evals + coded_run.code_predicate_evals,
-              boxed_run.predicate_evals);
-  }
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 #include "dc/eval_index.h"
 #include "dc/violation.h"
 #include "paper_example.h"
+#include "relation/encoded.h"
 
 namespace cvrepair {
 namespace {
@@ -48,7 +49,8 @@ TEST(EvalIndexTest, DerivedPartitionsMatchFreshScans) {
   Relation rel = NullableRelation();
   // Base: the FD {A,B} -> C.
   DenialConstraint base({Eq(0), Eq(1), Neq(2)});
-  EvalIndex index(rel, base);
+  EncodedRelation E(rel);
+  EvalIndex index(rel, base, EvalIndex::kDefaultMemoBudget, &E);
 
   std::vector<DenialConstraint> variants = {
       base,
@@ -66,7 +68,7 @@ TEST(EvalIndexTest, DerivedPartitionsMatchFreshScans) {
                         int64_t{1}}) {
       bool plain_truncated = false;
       std::vector<Violation> plain = FindViolationsOfCapped(
-          rel, variants[k], static_cast<int>(k), cap, &plain_truncated);
+          E, variants[k], static_cast<int>(k), cap, &plain_truncated);
       bool indexed_truncated = false;
       std::vector<Violation> indexed = index.FindViolationsCapped(
           variants[k], static_cast<int>(k), cap, &indexed_truncated);
@@ -80,8 +82,9 @@ TEST(EvalIndexTest, DerivedPartitionsMatchFreshScans) {
 TEST(EvalIndexTest, DerivationsAreCountedInsteadOfBuilds) {
   Relation rel = NullableRelation();
   DenialConstraint base({Eq(0), Eq(1), Neq(2)});
+  EncodedRelation E(rel);
   eval_counters::Reset();
-  EvalIndex index(rel, base);
+  EvalIndex index(rel, base, EvalIndex::kDefaultMemoBudget, &E);
   index.Prepare(DenialConstraint({Eq(0), Eq(1), Eq(3), Neq(2)}));  // refine
   index.Prepare(DenialConstraint({Eq(0), Neq(2)}));                // merge
   index.Prepare(DenialConstraint({Eq(0), Eq(1), Neq(2)}));         // hit
@@ -98,7 +101,8 @@ TEST(EvalIndexTest, DerivationsAreCountedInsteadOfBuilds) {
 TEST(EvalIndexTest, MemoAnswersSharedPredicates) {
   Relation rel = PaperIncomeRelation();
   DenialConstraint phi1 = Phi1(rel);
-  EvalIndex index(rel, phi1);
+  EncodedRelation E(rel);
+  EvalIndex index(rel, phi1, EvalIndex::kDefaultMemoBudget, &E);
   ASSERT_TRUE(index.pair_memo_built());
 
   eval_counters::Reset();
@@ -107,9 +111,10 @@ TEST(EvalIndexTest, MemoAnswersSharedPredicates) {
       phi1, 0, std::numeric_limits<int64_t>::max(), &truncated);
   EvalCounters after = eval_counters::Snapshot();
   EXPECT_EQ(after.predicate_evals, 0);
+  EXPECT_EQ(after.code_predicate_evals, 0);
   EXPECT_GT(after.memo_hits, 0);
 
-  std::vector<Violation> plain = FindViolationsOf(rel, phi1, 0);
+  std::vector<Violation> plain = FindViolationsOf(E, phi1, 0);
   EXPECT_EQ(plain, indexed);
 }
 

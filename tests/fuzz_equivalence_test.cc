@@ -13,6 +13,8 @@
 #include "dc/parser.h"
 #include "eval/metrics.h"
 #include "paper_example.h"
+#include "reference_scan.h"
+#include "relation/encoded.h"
 #include "repair/vfree.h"
 #include "solver/components.h"
 #include "solver/csp_solver.h"
@@ -120,7 +122,8 @@ TEST_P(CompressionFuzz, CompressedContextsAcceptTheSameValues) {
                  changing.end());
 
   CellSet cs(changing.begin(), changing.end());
-  std::vector<Violation> suspects = FindSuspects(rel, sigma, cs);
+  std::vector<Violation> suspects =
+      FindSuspects(EncodedRelation(rel), sigma, cs);
   RepairContext rc = RepairContext::Build(rel, sigma, changing, suspects);
 
   DomainStats stats(rel);
@@ -169,10 +172,10 @@ INSTANTIATE_TEST_SUITE_P(Seeds, CompressionFuzz,
 
 // The split/stitch contract of graph/decompose.h + repair/vfree.cc on
 // noisy hosp/census instances, swept across random noise seeds: with
-// --decompose on or off, on the boxed or encoded backend, at 1 or 4
-// threads, the repair is violation-free, and decomposing never costs more
-// than the undecomposed solve. A small max_component forces splits on
-// whatever components the seed produces.
+// --decompose on or off, at 1 or 4 threads, the repair is violation-free
+// (by the engine's scan and by the naive reference), and decomposing never
+// costs more than the undecomposed solve. A small max_component forces
+// splits on whatever components the seed produces.
 class DecomposeFuzz : public ::testing::TestWithParam<int> {};
 
 TEST_P(DecomposeFuzz, DecomposedRepairStaysViolationFreeAtNoExtraCost) {
@@ -205,27 +208,27 @@ TEST_P(DecomposeFuzz, DecomposedRepairStaysViolationFreeAtNoExtraCost) {
       {"census", corrupt(census.clean, census.noise_attrs), census.given});
 
   for (const Workload& w : workloads) {
-    for (bool use_encoded : {false, true}) {
-      for (int threads : {1, 4}) {
-        ThreadPool::SetNumThreads(threads);
-        auto run = [&](bool decompose) {
-          VfreeOptions options;
-          options.decompose = decompose;
-          options.max_component = 8;
-          options.threads = threads;
-          options.use_encoded = use_encoded;
-          return VfreeRepair(w.dirty, w.sigma, options);
-        };
-        RepairResult off = run(false);
-        RepairResult on = run(true);
-        std::string context = w.name + (use_encoded ? "/encoded" : "/boxed") +
-                              "/t" + std::to_string(threads) + " (seed " +
-                              std::to_string(GetParam()) + ")";
-        EXPECT_TRUE(Satisfies(off.repaired, w.sigma)) << context;
-        EXPECT_TRUE(Satisfies(on.repaired, w.sigma)) << context;
-        EXPECT_LE(on.stats.repair_cost, off.stats.repair_cost + 1e-9)
-            << context;
-      }
+    for (int threads : {1, 4}) {
+      ThreadPool::SetNumThreads(threads);
+      auto run = [&](bool decompose) {
+        VfreeOptions options;
+        options.decompose = decompose;
+        options.max_component = 8;
+        options.threads = threads;
+        return VfreeRepair(w.dirty, w.sigma, options);
+      };
+      RepairResult off = run(false);
+      RepairResult on = run(true);
+      std::string context = w.name + "/t" + std::to_string(threads) +
+                            " (seed " + std::to_string(GetParam()) + ")";
+      EXPECT_TRUE(Satisfies(off.repaired, w.sigma)) << context;
+      EXPECT_TRUE(Satisfies(on.repaired, w.sigma)) << context;
+      EXPECT_TRUE(reference::ReferenceViolations(off.repaired, w.sigma).empty())
+          << context;
+      EXPECT_TRUE(reference::ReferenceViolations(on.repaired, w.sigma).empty())
+          << context;
+      EXPECT_LE(on.stats.repair_cost, off.stats.repair_cost + 1e-9)
+          << context;
     }
   }
 }

@@ -3,13 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <random>
-#include <set>
-#include <tuple>
 
 #include "data/census.h"
 #include "data/hosp.h"
 #include "data/noise.h"
 #include "paper_example.h"
+#include "reference_scan.h"
 
 namespace cvrepair {
 namespace {
@@ -19,19 +18,20 @@ using testing_fixture::Phi1;
 using testing_fixture::Phi2;
 using testing_fixture::Phi4Prime;
 
-std::set<std::pair<int, std::vector<int>>> AsSet(
-    const std::vector<Violation>& vs) {
-  std::set<std::pair<int, std::vector<int>>> out;
-  for (const Violation& v : vs) out.insert({v.constraint_index, v.rows});
-  return out;
+// The index's live violations, and viol(I, Σ) of its working copy as the
+// naive reference computes it from scratch.
+std::vector<reference::TupleList> Live(ViolationIndex& index) {
+  return reference::Sorted(index.CurrentViolations());
+}
+std::vector<reference::TupleList> Expected(const ViolationIndex& index) {
+  return reference::ReferenceViolations(index.relation(), index.sigma());
 }
 
 TEST(ViolationIndexTest, InitialStateMatchesFullDetection) {
   Relation rel = PaperIncomeRelation();
   ConstraintSet sigma = {Phi1(rel), Phi4Prime(rel)};
   ViolationIndex index(rel, sigma);
-  EXPECT_EQ(AsSet(index.CurrentViolations()),
-            AsSet(FindViolations(rel, sigma)));
+  EXPECT_EQ(Live(index), Expected(index));
   EXPECT_TRUE(index.HasViolations());
 }
 
@@ -59,8 +59,7 @@ TEST(ViolationIndexTest, IntroducingAnErrorAddsViolations) {
   AttrId bday = *rel.schema().Find("Birthday");
   index.ApplyChange({9, bday}, Value::String("5-9-1980"));
   EXPECT_GT(index.CurrentViolations().size(), before);
-  EXPECT_EQ(AsSet(index.CurrentViolations()),
-            AsSet(FindViolations(index.relation(), sigma)));
+  EXPECT_EQ(Live(index), Expected(index));
 }
 
 TEST(ViolationIndexTest, GroupMembershipFollowsJoinKeyChanges) {
@@ -70,12 +69,10 @@ TEST(ViolationIndexTest, GroupMembershipFollowsJoinKeyChanges) {
   ViolationIndex index(rel, sigma);
   // Move t1 into the Dustin group: its CP conflicts with all Dustins.
   index.ApplyChange({0, name}, Value::String("Dustin"));
-  EXPECT_EQ(AsSet(index.CurrentViolations()),
-            AsSet(FindViolations(index.relation(), sigma)));
+  EXPECT_EQ(Live(index), Expected(index));
   // And move it out to a fresh name: those violations must vanish.
   index.ApplyChange({0, name}, Value::String("Nobody"));
-  EXPECT_EQ(AsSet(index.CurrentViolations()),
-            AsSet(FindViolations(index.relation(), sigma)));
+  EXPECT_EQ(Live(index), Expected(index));
 }
 
 class IncrementalFuzz : public ::testing::TestWithParam<int> {};
@@ -103,10 +100,7 @@ TEST_P(IncrementalFuzz, RandomEditSequencesMatchFullDetection) {
       DenialConstraint(
           {Predicate::WithConstant(0, 3, Op::kGt, Value::Int(8))}, "cap")};
 
-  // Maintain the coded and the plain index side by side: both must track
-  // the full re-scan exactly, which also pins them to each other.
-  ViolationIndex index(rel, sigma, /*use_encoded=*/true);
-  ViolationIndex plain(rel, sigma, /*use_encoded=*/false);
+  ViolationIndex index(rel, sigma);
   std::uniform_int_distribution<int> row(0, 24);
   std::uniform_int_distribution<int> attr(0, 3);
   for (int step = 0; step < 40; ++step) {
@@ -124,29 +118,21 @@ TEST_P(IncrementalFuzz, RandomEditSequencesMatchFullDetection) {
         }
     }
     index.ApplyChange(cell, value);
-    plain.ApplyChange(cell, value);
-    ASSERT_EQ(AsSet(index.CurrentViolations()),
-              AsSet(FindViolations(index.relation(), sigma)))
+    ASSERT_EQ(Live(index), Expected(index))
         << "divergence at step " << step << " (seed " << GetParam() << ")";
-    ASSERT_EQ(AsSet(plain.CurrentViolations()),
-              AsSet(index.CurrentViolations()))
-        << "encoded/plain divergence at step " << step << " (seed "
-        << GetParam() << ")";
   }
   EXPECT_GT(index.rows_rechecked(), 0);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, IncrementalFuzz, ::testing::Range(1, 8));
 
-// Satellite of the encoded-backend work: randomized repair-like edit
-// sequences on the paper's generators, delta-maintained violations checked
-// against a full re-scan after every change, in both backends.
-class IncrementalGeneratorFuzz
-    : public ::testing::TestWithParam<std::tuple<bool, bool>> {};
+// Randomized repair-like edit sequences on the paper's generators,
+// delta-maintained violations checked against the reference after every
+// change.
+class IncrementalGeneratorFuzz : public ::testing::TestWithParam<bool> {};
 
 TEST_P(IncrementalGeneratorFuzz, DeltaMaintenanceMatchesFullRescan) {
-  const bool use_encoded = std::get<0>(GetParam());
-  const bool use_census = std::get<1>(GetParam());
+  const bool use_census = GetParam();
   Relation dirty;
   ConstraintSet sigma;
   if (use_census) {
@@ -172,9 +158,8 @@ TEST_P(IncrementalGeneratorFuzz, DeltaMaintenanceMatchesFullRescan) {
     sigma = hosp.given_oversimplified;
   }
 
-  ViolationIndex index(dirty, sigma, use_encoded);
-  EXPECT_EQ(AsSet(index.CurrentViolations()),
-            AsSet(FindViolations(dirty, sigma)));
+  ViolationIndex index(dirty, sigma);
+  EXPECT_EQ(Live(index), Expected(index));
 
   // Repair-like sequence: overwrite random cells with another row's value
   // on the same attribute (domain repairs) or a fresh variable.
@@ -189,23 +174,20 @@ TEST_P(IncrementalGeneratorFuzz, DeltaMaintenanceMatchesFullRescan) {
                       ? Value::Fresh(fresh_id++)
                       : index.relation().Get(row(rng), cell.attr);
     index.ApplyChange(cell, value);
-    ASSERT_EQ(AsSet(index.CurrentViolations()),
-              AsSet(FindViolations(index.relation(), sigma)))
-        << (use_census ? "census" : "hosp") << " encoded=" << use_encoded
-        << " step " << step;
+    ASSERT_EQ(Live(index), Expected(index))
+        << (use_census ? "census" : "hosp") << " step " << step;
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(Generators, IncrementalGeneratorFuzz,
-                         ::testing::Combine(::testing::Bool(),
-                                            ::testing::Bool()));
+                         ::testing::Bool());
 
 // Zone-map soundness under streaming inserts: batches interleave inserts
 // with updates on a relation that starts just below the 1024-code arena
 // block boundary, so mid-batch AppendRows open fresh segments whose
 // BlockMeta (min/max rank, has_sentinel) must be sound — a stale zone map
 // would make the blocked partner loop of ScanRow silently skip a violating
-// block, which the full-rescan oracle below would catch. The clean data is
+// block, which the reference check below would catch. The clean data is
 // constructed violation-free (X = Y per row; the FD groups nest), so every
 // violation the stream plants is small and attributable.
 class IncrementalInsertFuzz : public ::testing::TestWithParam<int> {};
@@ -236,8 +218,7 @@ TEST_P(IncrementalInsertFuzz, InsertUpdateBatchesCrossBlockBoundary) {
           {Predicate::WithConstant(0, 1, Op::kEq, Value::String("bad"))},
           "cap")};
 
-  ViolationIndex index(rel, sigma, /*use_encoded=*/true);
-  ViolationIndex plain(rel, sigma, /*use_encoded=*/false);
+  ViolationIndex index(rel, sigma);
   ASSERT_FALSE(index.HasViolations());
 
   std::uniform_int_distribution<int> v_dist(0, 1099);  // grows dictionaries
@@ -275,14 +256,8 @@ TEST_P(IncrementalInsertFuzz, InsertUpdateBatchesCrossBlockBoundary) {
       }
     }
     index.ApplyBatch(edits);
-    plain.ApplyBatch(edits);
-    ASSERT_EQ(AsSet(index.CurrentViolations()),
-              AsSet(FindViolations(index.relation(), sigma)))
-        << "encoded delta/rescan divergence at batch " << batch << " (seed "
-        << GetParam() << ")";
-    ASSERT_EQ(AsSet(plain.CurrentViolations()),
-              AsSet(index.CurrentViolations()))
-        << "encoded/plain divergence at batch " << batch << " (seed "
+    ASSERT_EQ(Live(index), Expected(index))
+        << "delta/reference divergence at batch " << batch << " (seed "
         << GetParam() << ")";
   }
   // The stream must actually have crossed the 1024-code block boundary.

@@ -1,7 +1,9 @@
 // Determinism contract of the parallel execution layer: for every dataset
 // generator, the serial path (--threads 1) and the parallel path
 // (--threads 4) must produce bit-identical violation sets, repairs, and
-// Θ costs. Run under ThreadSanitizer by tools/run_tsan.sh.
+// Θ costs, and the violation sets must be viol(I, Σ) as the naive
+// reference (reference_scan.h) computes it. Run under ThreadSanitizer by
+// tools/run_tsan.sh.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -16,6 +18,7 @@
 #include "data/tax.h"
 #include "dc/eval_index.h"
 #include "dc/violation.h"
+#include "reference_scan.h"
 #include "relation/encoded.h"
 #include "repair/cvtolerant.h"
 #include "repair/vfree.h"
@@ -99,23 +102,27 @@ TEST(ParallelEquivalence, ViolationDetectionIdentical) {
     ThreadPool::SetNumThreads(4);
     std::vector<Violation> parallel = FindViolations(w.dirty, w.sigma);
     EXPECT_EQ(serial, parallel) << w.name;
+    EXPECT_EQ(reference::Sorted(serial),
+              reference::ReferenceViolations(w.dirty, w.sigma))
+        << w.name;
   }
 }
 
 TEST(ParallelEquivalence, CappedViolationDetectionIdentical) {
   PoolGuard guard;
   for (const Workload& w : MakeWorkloads()) {
+    EncodedRelation E(w.dirty);
     for (size_t k = 0; k < w.sigma.size(); ++k) {
       for (int64_t cap : {int64_t{1}, int64_t{5}, int64_t{1000}}) {
         ThreadPool::SetNumThreads(1);
         bool serial_truncated = false;
         std::vector<Violation> serial = FindViolationsOfCapped(
-            w.dirty, w.sigma[k], static_cast<int>(k), cap, &serial_truncated);
+            E, w.sigma[k], static_cast<int>(k), cap, &serial_truncated);
         ThreadPool::SetNumThreads(4);
         bool parallel_truncated = false;
         std::vector<Violation> parallel =
-            FindViolationsOfCapped(w.dirty, w.sigma[k], static_cast<int>(k),
-                                   cap, &parallel_truncated);
+            FindViolationsOfCapped(E, w.sigma[k], static_cast<int>(k), cap,
+                                   &parallel_truncated);
         EXPECT_EQ(serial, parallel) << w.name << " #" << k << " cap " << cap;
         EXPECT_EQ(serial_truncated, parallel_truncated)
             << w.name << " #" << k << " cap " << cap;
@@ -236,6 +243,7 @@ TEST(ParallelEquivalence, ShardedScanPathsIdentical) {
   noise.target_attrs = {CensusAttrs::kTax};
   noise.seed = 11;
   Relation dirty = InjectNoise(census.clean, noise).dirty;
+  EncodedRelation E(dirty);
   bool found_unary = false;
   for (size_t k = 0; k < census.given.size(); ++k) {
     if (census.given[k].NumTupleVars() != 1) continue;
@@ -244,12 +252,11 @@ TEST(ParallelEquivalence, ShardedScanPathsIdentical) {
       ThreadPool::SetNumThreads(1);
       bool serial_truncated = false;
       std::vector<Violation> serial = FindViolationsOfCapped(
-          dirty, census.given[k], static_cast<int>(k), cap, &serial_truncated);
+          E, census.given[k], static_cast<int>(k), cap, &serial_truncated);
       ThreadPool::SetNumThreads(4);
       bool parallel_truncated = false;
       std::vector<Violation> parallel = FindViolationsOfCapped(
-          dirty, census.given[k], static_cast<int>(k), cap,
-          &parallel_truncated);
+          E, census.given[k], static_cast<int>(k), cap, &parallel_truncated);
       EXPECT_EQ(serial, parallel) << "census unary #" << k << " cap " << cap;
       EXPECT_EQ(serial_truncated, parallel_truncated)
           << "census unary #" << k << " cap " << cap;
@@ -268,6 +275,7 @@ TEST(ParallelEquivalence, ShardedScanPathsIdentical) {
   hosp_noise.target_attrs = hosp.noise_attrs;
   hosp_noise.seed = 13;
   Relation hosp_dirty = InjectNoise(hosp.clean, hosp_noise).dirty;
+  EncodedRelation hosp_encoded(hosp_dirty);
   for (size_t k = 0; k < hosp.given_oversimplified.size(); ++k) {
     const DenialConstraint& c = hosp.given_oversimplified[k];
     if (c.NumTupleVars() != 2) continue;
@@ -275,11 +283,11 @@ TEST(ParallelEquivalence, ShardedScanPathsIdentical) {
       ThreadPool::SetNumThreads(1);
       bool serial_truncated = false;
       std::vector<Violation> serial = FindViolationsOfCapped(
-          hosp_dirty, c, static_cast<int>(k), cap, &serial_truncated);
+          hosp_encoded, c, static_cast<int>(k), cap, &serial_truncated);
       ThreadPool::SetNumThreads(4);
       bool parallel_truncated = false;
       std::vector<Violation> parallel = FindViolationsOfCapped(
-          hosp_dirty, c, static_cast<int>(k), cap, &parallel_truncated);
+          hosp_encoded, c, static_cast<int>(k), cap, &parallel_truncated);
       EXPECT_EQ(serial, parallel) << "hosp fd #" << k << " cap " << cap;
       EXPECT_EQ(serial_truncated, parallel_truncated)
           << "hosp fd #" << k << " cap " << cap;
@@ -294,15 +302,16 @@ TEST(ParallelEquivalence, ShardedScanPathsIdentical) {
 TEST(ParallelEquivalence, SharedIndexScansIdenticalAcrossThreads) {
   PoolGuard guard;
   for (const Workload& w : MakeWorkloads()) {
+    EncodedRelation E(w.dirty);
     for (size_t k = 0; k < w.sigma.size(); ++k) {
-      EvalIndex index(w.dirty, w.sigma[k]);
+      EvalIndex index(w.dirty, w.sigma[k], EvalIndex::kDefaultMemoBudget, &E);
       index.Prepare(w.sigma[k]);
       for (int64_t cap :
            {int64_t{1}, int64_t{5}, std::numeric_limits<int64_t>::max()}) {
         ThreadPool::SetNumThreads(1);
         bool plain_truncated = false;
         std::vector<Violation> plain = FindViolationsOfCapped(
-            w.dirty, w.sigma[k], static_cast<int>(k), cap, &plain_truncated);
+            E, w.sigma[k], static_cast<int>(k), cap, &plain_truncated);
         for (int threads : {1, 4}) {
           ThreadPool::SetNumThreads(threads);
           // Concurrent scans of one shared index: every pool worker reads
@@ -323,68 +332,6 @@ TEST(ParallelEquivalence, SharedIndexScansIdenticalAcrossThreads) {
                 << w.name << " #" << k << " cap " << cap << " threads "
                 << threads;
           }
-        }
-      }
-    }
-  }
-}
-
-// The dictionary-encoded backend must not perturb determinism: for every
-// generator, encoded and boxed scans agree at 1 and 4 threads, and
-// CVTolerantRepair is bit-identical across the full {encoded, boxed} x
-// {1 thread, 4 threads} grid.
-TEST(ParallelEquivalence, EncodedBackendIdenticalAcrossThreads) {
-  PoolGuard guard;
-  for (const Workload& w : MakeWorkloads()) {
-    EncodedRelation encoded(w.dirty);
-    ThreadPool::SetNumThreads(1);
-    std::vector<Violation> boxed1 = FindViolations(w.dirty, w.sigma);
-    std::vector<Violation> coded1 = FindViolations(encoded, w.sigma);
-    ThreadPool::SetNumThreads(4);
-    std::vector<Violation> boxed4 = FindViolations(w.dirty, w.sigma);
-    std::vector<Violation> coded4 = FindViolations(encoded, w.sigma);
-    EXPECT_EQ(boxed1, coded1) << w.name;
-    EXPECT_EQ(boxed1, coded4) << w.name;
-    EXPECT_EQ(boxed1, boxed4) << w.name;
-  }
-}
-
-TEST(ParallelEquivalence, CVTolerantEncodedGridIdentical) {
-  PoolGuard guard;
-  for (const Workload& w : MakeWorkloads()) {
-    auto run = [&](bool use_encoded, int threads) {
-      ThreadPool::SetNumThreads(threads);
-      CVTolerantOptions options;
-      options.variants.theta = 1.0;
-      options.variants.space = w.space;
-      options.max_datarepair_calls = 8;
-      options.threads = threads;
-      options.use_encoded = use_encoded;
-      return CVTolerantRepair(w.dirty, w.sigma, options);
-    };
-    RepairResult base = run(false, 1);
-    for (bool use_encoded : {true, false}) {
-      for (int threads : {1, 4}) {
-        if (!use_encoded && threads == 1) continue;  // that's `base`
-        RepairResult other = run(use_encoded, threads);
-        std::string context = w.name + (use_encoded ? "/encoded" : "/boxed") +
-                              "/t" + std::to_string(threads);
-        ExpectSameRelation(base.repaired, other.repaired, context);
-        EXPECT_EQ(base.stats.repair_cost, other.stats.repair_cost) << context;
-        EXPECT_EQ(base.stats.changed_cells, other.stats.changed_cells)
-            << context;
-        EXPECT_EQ(base.stats.initial_violations,
-                  other.stats.initial_violations)
-            << context;
-        EXPECT_EQ(base.stats.datarepair_calls, other.stats.datarepair_calls)
-            << context;
-        ASSERT_EQ(base.satisfied_constraints.size(),
-                  other.satisfied_constraints.size())
-            << context;
-        for (size_t i = 0; i < base.satisfied_constraints.size(); ++i) {
-          EXPECT_EQ(base.satisfied_constraints[i].ToString(w.dirty.schema()),
-                    other.satisfied_constraints[i].ToString(w.dirty.schema()))
-              << context;
         }
       }
     }
@@ -437,6 +384,7 @@ TEST(ParallelEquivalence, CappedScanCountersIdenticalAcrossThreads) {
   noise.target_attrs = hosp.noise_attrs;
   noise.seed = 13;
   Relation dirty = InjectNoise(hosp.clean, noise).dirty;
+  EncodedRelation E(dirty);
 
   for (size_t k = 0; k < hosp.given_oversimplified.size(); ++k) {
     for (int64_t cap : {int64_t{5}, int64_t{1000000}}) {
@@ -444,7 +392,7 @@ TEST(ParallelEquivalence, CappedScanCountersIdenticalAcrossThreads) {
         ThreadPool::SetNumThreads(threads);
         eval_counters::Reset();
         bool truncated = false;
-        FindViolationsOfCapped(dirty, hosp.given_oversimplified[k],
+        FindViolationsOfCapped(E, hosp.given_oversimplified[k],
                                static_cast<int>(k), cap, &truncated);
         return eval_counters::Snapshot();
       };

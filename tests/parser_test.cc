@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "paper_example.h"
 
 namespace cvrepair {
@@ -78,6 +81,50 @@ TEST(ParserTest, ErrorMessages) {
   EXPECT_FALSE(ParseConstraint(rel.schema(), "not(t2.Name=t1.Name)").ok());
   EXPECT_FALSE(ParseConstraint(rel.schema(), "Missing -> CP").ok());
   EXPECT_FALSE(ParseConstraint(rel.schema(), " -> CP").ok());
+}
+
+// Tuple variables are exactly t0 or t1, and numeric constants finite
+// numbers in range of the attribute's type; anything else is an error, not
+// a silent reinterpretation: t0x.Name is not t0.Name, an overflowing
+// integer is not clamped to 2^63 - 1, and nan, which no order can place,
+// is no constant.
+TEST(ParserTest, RejectsMalformedOperands) {
+  Relation rel = PaperIncomeRelation();
+  const Schema& schema = rel.schema();
+  const std::vector<std::string> rejected = {
+      "not(t0x.Name=t1.Name)",
+      "not(t0.Name=t1abc.Name)",
+      "not(t00.Name=t1.Name)",
+      "not(t0.Year>99999999999999999999)",
+      "not(t0.Year<-99999999999999999999)",
+      "not(t0.Income>nan)",
+      "not(t0.Income>NaN)",
+      "not(t0.Income<inf)",
+      "not(t0.Income>-inf)",
+      "not(t0.Income>1e999)",
+  };
+  for (const std::string& text : rejected) {
+    ParseConstraintResult r = ParseConstraint(schema, text);
+    EXPECT_FALSE(r.ok()) << text;
+    EXPECT_FALSE(r.error.empty()) << text;
+  }
+  // Every finite in-range constant still parses, signs included.
+  const std::vector<std::string> accepted = {
+      "not(t0.Year>+5)",
+      "not(t0.Year<-5)",
+      "not(t0.Income>+5)",
+      "not(t0.Income>1e300)",
+      "not(t0.Income>-2.5e-3)",
+      "not(t0.Year>9223372036854775807)",
+      "not(t0.Name='t0x.Name')",
+  };
+  for (const std::string& text : accepted) {
+    ParseConstraintResult r = ParseConstraint(schema, text);
+    EXPECT_TRUE(r.ok()) << text << ": " << r.error;
+  }
+  ParseConstraintResult plus = ParseConstraint(schema, "not(t0.Year>+5)");
+  ASSERT_TRUE(plus.ok());
+  EXPECT_EQ(plus.constraint->predicates()[0].constant(), Value::Int(5));
 }
 
 TEST(ParserTest, ConstraintSetWithCommentsAndSeparators) {

@@ -1,0 +1,200 @@
+// The one scan implementation (dc/violation.cc: dictionary codes, block
+// kernels, zone maps, hash partitions, sharding) against the naive
+// Definition 5/6 reference of reference_scan.h: first the reference itself
+// on the paper's worked examples, then random instances — NULLs, fresh
+// variables, Int and Double spellings of one number in one column — under
+// random denial constraints with constants, cross-attribute and
+// same-tuple predicates, at 1 and 4 threads.
+#include "reference_scan.h"
+
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cstdlib>
+#include <random>
+#include <string>
+#include <vector>
+
+#include "dc/violation.h"
+#include "paper_example.h"
+#include "relation/encoded.h"
+#include "util/thread_pool.h"
+
+namespace cvrepair {
+namespace {
+
+using reference::ReferenceSuspects;
+using reference::ReferenceViolations;
+using reference::Sorted;
+using reference::TupleList;
+
+// The reference on Examples 6 and 9 of the paper, by hand: viol(I, φ4')
+// and susp({t4.Tax}, φ4').
+TEST(ReferenceScanTest, ReferenceReproducesExamples6And9) {
+  Relation rel = testing_fixture::PaperIncomeRelation();
+  const ConstraintSet sigma = {testing_fixture::Phi4Prime(rel)};
+  EXPECT_EQ(ReferenceViolations(rel, sigma),
+            (std::vector<TupleList>{{0, {4, 3}}, {0, {5, 3}}, {0, {6, 3}}}));
+  const AttrId tax = *rel.schema().Find("Tax");
+  const CellSet changing = {{3, tax}};
+  std::vector<TupleList> suspects;
+  for (int j : {0, 1, 2}) suspects.push_back({0, {3, j}});
+  for (int i : {4, 5, 6, 7, 8, 9}) suspects.push_back({0, {i, 3}});
+  EXPECT_EQ(ReferenceSuspects(rel, sigma, changing), suspects);
+}
+
+int FuzzScale() {
+  static const int scale = [] {
+    const char* v = std::getenv("CVREPAIR_FUZZ_ITERS");
+    int s = (v != nullptr && v[0] != '\0') ? std::atoi(v) : 1;
+    return s > 0 ? s : 1;
+  }();
+  return scale;
+}
+
+struct Instance {
+  Relation rel;
+  ConstraintSet sigma;
+};
+
+// Columns: two numeric ones mixing Int and Double spellings (3 and 3.0
+// are one value under EvalOp), a string one, and a numeric one with
+// half-steps; about a tenth of the cells are NULL or fresh.
+Instance RandomInstance(std::mt19937_64* rng, int rows) {
+  Schema schema;
+  schema.AddAttribute("A", AttrType::kInt);
+  schema.AddAttribute("B", AttrType::kDouble);
+  schema.AddAttribute("S", AttrType::kString);
+  schema.AddAttribute("C", AttrType::kDouble);
+  auto roll = [rng](int n) { return static_cast<int>((*rng)() % n); };
+  int64_t fresh = 1;
+  auto value = [&](AttrId a) -> Value {
+    int r = roll(20);
+    if (r == 0) return Value::Null();
+    if (r == 1) return Value::Fresh(fresh++);
+    int v = roll(6);
+    if (a == 2) return Value::String("s" + std::to_string(v));
+    if (a == 3) return Value::Double(v + (roll(2) ? 0.5 : 0.0));
+    return roll(2) ? Value::Int(v) : Value::Double(v);
+  };
+  Instance out{Relation(schema), {}};
+  for (int i = 0; i < rows; ++i) {
+    out.rel.AddRow({value(0), value(1), value(2), value(3)});
+  }
+  // Constants: in-domain values of either spelling, values outside the
+  // domain, and the other comparison class.
+  auto constant = [&](AttrId a) -> Value {
+    switch (roll(4)) {
+      case 0:
+        return a == 2 ? Value::Int(roll(6)) : Value::String("s1");
+      case 1:
+        return a == 2 ? Value::String("zz") : Value::Double(roll(9) - 1.5);
+      default:
+        if (a == 2) return Value::String("s" + std::to_string(roll(6)));
+        return roll(2) ? Value::Int(roll(6)) : Value::Double(roll(6));
+    }
+  };
+  const int num_constraints = 1 + roll(3);
+  for (int k = 0; k < num_constraints; ++k) {
+    std::vector<Predicate> preds;
+    const int m = 1 + roll(3);
+    for (int p = 0; p < m; ++p) {
+      const AttrId a = static_cast<AttrId>(roll(4));
+      const Op op = AllOps()[static_cast<size_t>(roll(6))];
+      const int t = roll(2);
+      switch (roll(4)) {
+        case 0:  // same attribute across tuples (joins, order probes)
+          preds.push_back(Predicate::TwoCell(t, a, op, 1 - t, a));
+          break;
+        case 1:  // constant
+          preds.push_back(Predicate::WithConstant(t, a, op, constant(a)));
+          break;
+        case 2:  // cross-attribute, across tuples
+          preds.push_back(Predicate::TwoCell(
+              t, a, op, 1 - t, static_cast<AttrId>((a + 1 + roll(3)) % 4)));
+          break;
+        default:  // cross-attribute, one tuple
+          preds.push_back(Predicate::TwoCell(
+              t, a, op, t, static_cast<AttrId>((a + 1 + roll(3)) % 4)));
+      }
+    }
+    out.sigma.push_back(DenialConstraint(std::move(preds)));
+  }
+  return out;
+}
+
+// Every scan of `inst` at the current thread count against the reference:
+// the full scan, Satisfies, each capped scan as a prefix of its full scan,
+// and the suspects of a random changing set. Returns the full scan so the
+// caller can compare orders across thread counts.
+std::vector<Violation> CheckAgainstReference(const Instance& inst,
+                                             const CellSet& changing) {
+  EncodedRelation E(inst.rel);
+  const std::vector<TupleList> expected =
+      ReferenceViolations(inst.rel, inst.sigma);
+  std::vector<Violation> found = FindViolations(E, inst.sigma);
+  EXPECT_EQ(Sorted(found), expected);
+  EXPECT_EQ(Satisfies(E, inst.sigma), expected.empty());
+  for (size_t k = 0; k < inst.sigma.size(); ++k) {
+    const int index = static_cast<int>(k);
+    std::vector<Violation> full = FindViolationsOf(E, inst.sigma[k], index);
+    const int64_t total = static_cast<int64_t>(full.size());
+    for (int64_t cap : {int64_t{0}, int64_t{1}, int64_t{3}, total}) {
+      bool truncated = false;
+      std::vector<Violation> capped =
+          FindViolationsOfCapped(E, inst.sigma[k], index, cap, &truncated);
+      EXPECT_EQ(truncated, total > cap) << "constraint " << k;
+      const int64_t keep = std::min(cap, total);
+      EXPECT_EQ(capped, std::vector<Violation>(full.begin(),
+                                                full.begin() + keep))
+          << "constraint " << k << " cap " << cap;
+    }
+  }
+  EXPECT_EQ(Sorted(FindSuspects(E, inst.sigma, changing)),
+            ReferenceSuspects(inst.rel, inst.sigma, changing));
+  return found;
+}
+
+class ReferenceScanFuzz : public ::testing::TestWithParam<int> {};
+
+TEST_P(ReferenceScanFuzz, RandomInstancesMatchAtOneAndFourThreads) {
+  struct PoolGuard {
+    ~PoolGuard() { ThreadPool::SetNumThreads(1); }
+  } guard;
+  const int seed = GetParam();
+  std::mt19937_64 rng(static_cast<uint64_t>(seed) * 104729 + 7);
+  // Small instances, plus on even seeds one that spans two storage
+  // blocks and is large enough for the 4-thread scans to shard.
+  std::vector<int> sizes;
+  for (int i = 0; i < 12; ++i) {
+    sizes.push_back(1 + static_cast<int>(rng() % 40));
+  }
+  if (seed % 2 == 0) {
+    sizes.push_back(EncodedRelation::kBlockSize + 1 +
+                    static_cast<int>(rng() % 64));
+  }
+  for (int rows : sizes) {
+    const Instance inst = RandomInstance(&rng, rows);
+    CellSet changing;
+    const int num_changing = 1 + static_cast<int>(rng() % 6);
+    for (int c = 0; c < num_changing; ++c) {
+      changing.insert(Cell{static_cast<int>(rng() % rows),
+                           static_cast<AttrId>(rng() % 4)});
+    }
+    SCOPED_TRACE("seed " + std::to_string(seed) + ", " +
+                 std::to_string(rows) + " rows, sigma:\n" +
+                 ToString(inst.sigma, inst.rel.schema()));
+    ThreadPool::SetNumThreads(1);
+    const std::vector<Violation> serial =
+        CheckAgainstReference(inst, changing);
+    ThreadPool::SetNumThreads(4);
+    EXPECT_EQ(CheckAgainstReference(inst, changing), serial)
+        << "scan order varies with --threads";
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, ReferenceScanFuzz,
+                         ::testing::Range(0, 4 * FuzzScale()));
+
+}  // namespace
+}  // namespace cvrepair

@@ -231,5 +231,37 @@ TEST(CsvTest, BadNumericFieldsBecomeNull) {
   EXPECT_EQ(parsed.relation->Get(1, 0), Value::Int(42));
 }
 
+// A numeric field is a value only if the whole token is a finite, in-range
+// number of its column type; nan, inf and overflow load as NULL, while
+// every finite spelling the parser always accepted still loads.
+TEST(CsvTest, NonFiniteAndOverflowingNumericFieldsBecomeNull) {
+  Schema schema;
+  schema.AddAttribute("D", AttrType::kDouble);
+  schema.AddAttribute("I", AttrType::kInt);
+  CsvResult parsed = ReadCsvString(schema,
+                                   "D,I\n"
+                                   "nan,99999999999999999999\n"
+                                   "inf,-99999999999999999999\n"
+                                   "-inf,1e3\n"
+                                   "1e999,nan\n"
+                                   "NAN,inf\n"
+                                   "+5,+5\n"
+                                   "-2.5e2,-7\n"
+                                   "1e-3,9223372036854775807\n");
+  ASSERT_TRUE(parsed.ok()) << parsed.error;
+  const Relation& rel = *parsed.relation;
+  ASSERT_EQ(rel.num_rows(), 8);
+  for (int r = 0; r < 5; ++r) {
+    EXPECT_TRUE(rel.Get(r, 0).is_null()) << "row " << r;
+    EXPECT_TRUE(rel.Get(r, 1).is_null()) << "row " << r;
+  }
+  EXPECT_EQ(rel.Get(5, 0), Value::Double(5.0));
+  EXPECT_EQ(rel.Get(5, 1), Value::Int(5));
+  EXPECT_EQ(rel.Get(6, 0), Value::Double(-250.0));
+  EXPECT_EQ(rel.Get(6, 1), Value::Int(-7));
+  EXPECT_EQ(rel.Get(7, 0), Value::Double(0.001));
+  EXPECT_EQ(rel.Get(7, 1), Value::Int(9223372036854775807LL));
+}
+
 }  // namespace
 }  // namespace cvrepair

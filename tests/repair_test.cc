@@ -3,6 +3,7 @@
 #include <random>
 
 #include "paper_example.h"
+#include "relation/encoded.h"
 #include "repair/greedy.h"
 #include "repair/holistic.h"
 #include "repair/vfree.h"
@@ -98,7 +99,7 @@ TEST(VfreeTest, DataRepairAbortsWhenCostBoundExceeded) {
   int64_t fresh = 1;
   std::optional<Relation> out = DataRepairVfree(
       rel, stats, sigma, cover.Cells(g), /*delta_min=*/0.5, VfreeOptions{},
-      nullptr, &rstats, &fresh);
+      nullptr, &rstats, &fresh, EncodedRelation(rel));
   EXPECT_FALSE(out.has_value());  // Algorithm 2 lines 18-19
 }
 

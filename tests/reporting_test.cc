@@ -4,6 +4,7 @@
 
 #include "graph/bounds.h"
 #include "paper_example.h"
+#include "relation/encoded.h"
 #include "repair/cell_weights.h"
 #include "repair/vfree.h"
 #include "solver/repair_context.h"
@@ -43,7 +44,8 @@ TEST(ReportingTest, RepairContextToStringRendersAtoms) {
   std::vector<Cell> changing = {{3, tax}};
   ConstraintSet sigma = {Phi4Prime(rel)};
   std::vector<Violation> suspects =
-      FindSuspects(rel, sigma, CellSet(changing.begin(), changing.end()));
+      FindSuspects(EncodedRelation(rel), sigma,
+                   CellSet(changing.begin(), changing.end()));
   RepairContext rc = RepairContext::Build(rel, sigma, changing, suspects);
   std::string text = rc.ToString(rel);
   EXPECT_NE(text.find("I'(t3.Tax)"), std::string::npos);

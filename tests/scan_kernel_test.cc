@@ -5,9 +5,10 @@
 //    sentinel-heavy and partial-tail blocks, and MayMatch == false must
 //    imply an all-zero selection bitmap (zone-map skips are sound);
 //  * scan level — FindViolations / FindViolationsOfCapped / FindSuspects
-//    on every dataset generator must produce identical violations, capped
-//    prefixes, truncated flags, and (thread-invariant) work counters
-//    across block-scan on/off, SIMD on/off, and 1 vs 4 threads;
+//    on every dataset generator must find exactly what the naive
+//    reference (reference_scan.h) finds, and produce identical order,
+//    capped prefixes, truncated flags, and work counters across SIMD
+//    on/off and 1 vs 4 threads;
 //  * maintenance level — all-NULL / all-fresh / tail blocks scan
 //    correctly, zone maps follow ApplyChange (including dictionary-epoch
 //    bumps mid-workload), and ViolationIndex recompiles exactly the
@@ -29,6 +30,7 @@
 #include "dc/incremental.h"
 #include "dc/scan_kernels.h"
 #include "dc/violation.h"
+#include "reference_scan.h"
 #include "relation/encoded.h"
 #include "util/thread_pool.h"
 
@@ -112,14 +114,6 @@ class SimdToggle {
   ~SimdToggle() { scan_kernels::SetSimdEnabled(true); }
 };
 
-class BlockScanToggle {
- public:
-  explicit BlockScanToggle(bool enabled) {
-    scan_kernels::SetBlockScanEnabled(enabled);
-  }
-  ~BlockScanToggle() { scan_kernels::SetBlockScanEnabled(true); }
-};
-
 TEST(ScanKernelTest, ScalarAndSimdBitmapsAreBitIdentical) {
   std::mt19937 rng(17);
   const int kDict = 200;
@@ -199,8 +193,8 @@ TEST(ScanKernelTest, CompileProbeSentinelIsNever) {
 }
 
 // ---------------------------------------------------------------------------
-// Scan level: end-to-end equivalence across every generator and backend
-// configuration.
+// Scan level: every generator against the reference, and identical across
+// kernel and thread configurations.
 // ---------------------------------------------------------------------------
 
 struct Workload {
@@ -247,17 +241,19 @@ std::vector<Workload> MakeWorkloads() {
   return workloads;
 }
 
+constexpr int64_t kCap = 5;
+
 struct ScanOutcome {
   std::vector<Violation> violations;
   std::vector<Violation> capped;
   bool truncated = false;
+  CellSet changing;
   std::vector<Violation> suspects;
   EvalCounters counters;
 };
 
-ScanOutcome RunScans(const Workload& w, const EncodedRelation& E,
-                     bool block_scan, bool simd, int threads) {
-  BlockScanToggle bs(block_scan);
+ScanOutcome RunScans(const Workload& w, const EncodedRelation& E, bool simd,
+                     int threads) {
   SimdToggle st(simd);
   ThreadPool::SetNumThreads(threads);
   eval_counters::Reset();
@@ -266,15 +262,14 @@ ScanOutcome RunScans(const Workload& w, const EncodedRelation& E,
   for (size_t k = 0; k < w.sigma.size(); ++k) {
     bool truncated = false;
     std::vector<Violation> capped = FindViolationsOfCapped(
-        E, w.sigma[k], static_cast<int>(k), 5, &truncated);
+        E, w.sigma[k], static_cast<int>(k), kCap, &truncated);
     out.capped.insert(out.capped.end(), capped.begin(), capped.end());
     out.truncated = out.truncated || truncated;
   }
-  CellSet changing;
   for (int r = 0; r < std::min(4, E.num_rows()); ++r) {
-    changing.insert(Cell{r, 0});
+    out.changing.insert(Cell{r, 0});
   }
-  out.suspects = FindSuspects(E, w.sigma, changing);
+  out.suspects = FindSuspects(E, w.sigma, out.changing);
   out.counters = eval_counters::Snapshot();
   eval_counters::Reset();
   ThreadPool::SetNumThreads(1);
@@ -295,45 +290,44 @@ TEST(ScanKernelEquivalenceTest, AllGeneratorsAllBackendsAllThreadCounts) {
     SCOPED_TRACE(w.name);
     EncodedRelation E(w.dirty);
 
-    // Reference: the row-at-a-time encoded path, serial.
-    ScanOutcome reference = RunScans(w, E, /*block_scan=*/false,
-                                     /*simd=*/false, /*threads=*/1);
-    ASSERT_FALSE(reference.violations.empty() && reference.suspects.empty())
+    // The scalar kernels at one thread, checked against the reference.
+    ScanOutcome base = RunScans(w, E, /*simd=*/false, /*threads=*/1);
+    ASSERT_FALSE(base.violations.empty() && base.suspects.empty())
         << "workload exercises nothing";
+    EXPECT_EQ(reference::Sorted(base.violations),
+              reference::ReferenceViolations(w.dirty, w.sigma));
+    EXPECT_EQ(reference::Sorted(base.suspects),
+              reference::ReferenceSuspects(w.dirty, w.sigma, base.changing));
+    // Each constraint's capped scan is the prefix of its full scan.
+    std::vector<Violation> expected_capped;
+    bool expected_truncated = false;
+    for (size_t k = 0; k < w.sigma.size(); ++k) {
+      std::vector<Violation> full =
+          FindViolationsOf(E, w.sigma[k], static_cast<int>(k));
+      const size_t keep = std::min(full.size(), static_cast<size_t>(kCap));
+      expected_capped.insert(expected_capped.end(), full.begin(),
+                             full.begin() + static_cast<int64_t>(keep));
+      expected_truncated |= full.size() > static_cast<size_t>(kCap);
+    }
+    EXPECT_EQ(base.capped, expected_capped);
+    EXPECT_EQ(base.truncated, expected_truncated);
 
+    // Every other kernel and thread configuration: same order, same work.
     struct Config {
-      bool block_scan;
       bool simd;
       int threads;
     };
-    const Config configs[] = {
-        {false, false, 4}, {true, false, 1}, {true, false, 4},
-        {true, true, 1},   {true, true, 4},
-    };
-    // Counters must be thread-invariant per backend configuration; index
-    // them by (block_scan, simd).
-    std::vector<std::pair<std::pair<bool, bool>, EvalCounters>> seen;
-    seen.push_back({{false, false}, reference.counters});
+    const Config configs[] = {{false, 4}, {true, 1}, {true, 4}};
     for (const Config& c : configs) {
-      SCOPED_TRACE(std::string("block=") + (c.block_scan ? "on" : "off") +
-                   " simd=" + (c.simd ? "on" : "off") +
+      SCOPED_TRACE(std::string("simd=") + (c.simd ? "on" : "off") +
                    " threads=" + std::to_string(c.threads));
-      ScanOutcome got = RunScans(w, E, c.block_scan, c.simd, c.threads);
-      EXPECT_EQ(got.violations, reference.violations);
-      EXPECT_EQ(got.capped, reference.capped);
-      EXPECT_EQ(got.truncated, reference.truncated);
-      EXPECT_EQ(got.suspects, reference.suspects);
-      bool found = false;
-      for (auto& [key, counters] : seen) {
-        if (key == std::make_pair(c.block_scan, c.simd)) {
-          found = true;
-          EXPECT_TRUE(SameCounters(counters, got.counters))
-              << "work counters vary with --threads";
-        }
-      }
-      if (!found) {
-        seen.push_back({{c.block_scan, c.simd}, got.counters});
-      }
+      ScanOutcome got = RunScans(w, E, c.simd, c.threads);
+      EXPECT_EQ(got.violations, base.violations);
+      EXPECT_EQ(got.capped, base.capped);
+      EXPECT_EQ(got.truncated, base.truncated);
+      EXPECT_EQ(got.suspects, base.suspects);
+      EXPECT_TRUE(SameCounters(got.counters, base.counters))
+          << "work counters vary with the kernel or --threads";
     }
   }
 }
@@ -376,7 +370,7 @@ ConstraintSet BlockySigma() {
   return sigma;
 }
 
-TEST(ScanKernelMaintenanceTest, DegenerateBlocksMatchBoxedScan) {
+TEST(ScanKernelMaintenanceTest, DegenerateBlocksMatchReferenceScan) {
   // 3.5 blocks: full, all-NULL, all-fresh, partial tail.
   Relation I = MakeBlockyRelation(3 * EncodedRelation::kBlockSize + 500);
   ConstraintSet sigma = BlockySigma();
@@ -388,13 +382,8 @@ TEST(ScanKernelMaintenanceTest, DegenerateBlocksMatchBoxedScan) {
   EXPECT_EQ(E.num_blocks(), 4);
   EXPECT_EQ(E.block_rows(3), 500);
 
-  std::vector<Violation> boxed = FindViolations(I, sigma);
-  std::vector<Violation> blocked = FindViolations(E, sigma);
-  EXPECT_EQ(boxed, blocked);
-  {
-    BlockScanToggle off(false);
-    EXPECT_EQ(FindViolations(E, sigma), boxed);
-  }
+  EXPECT_EQ(reference::Sorted(FindViolations(E, sigma)),
+            reference::ReferenceViolations(I, sigma));
 }
 
 TEST(ScanKernelMaintenanceTest, ZoneMapsFollowApplyChange) {

@@ -1,8 +1,8 @@
 // Repair-as-a-service (serve/) and sharded detection (repair/streaming.h):
 // a StreamingRepairer with N shards must stay violation-free under Σ' and
 // bit-identical — cost, changed cells, components, fresh ids included — to
-// a one-shard replay of the same edit sequence, across shard counts,
-// backends, and thread counts; the admission edge must reject at the
+// a one-shard replay of the same edit sequence, across shard counts and
+// thread counts; the admission edge must reject at the
 // watermark deterministically, re-admit after a drain, and never lose an
 // accepted batch, even across Close.
 #include "serve/server.h"
@@ -21,6 +21,7 @@
 #include "data/noise.h"
 #include "dc/predicate_space.h"
 #include "dc/violation.h"
+#include "reference_scan.h"
 #include "repair/streaming.h"
 
 namespace cvrepair {
@@ -53,12 +54,11 @@ Workload MakeCensusWorkload() {
   return {InjectNoise(census.clean, noise).dirty, census.given, {}};
 }
 
-StreamingOptions MakeStreamingOptions(const Workload& w, bool encoded,
-                                      int threads, int shards = 1) {
+StreamingOptions MakeStreamingOptions(const Workload& w, int threads,
+                                      int shards = 1) {
   StreamingOptions options;
   options.repair.variants.space = w.space;
   options.repair.threads = threads;
-  options.repair.use_encoded = encoded;
   options.num_shards = shards;
   return options;
 }
@@ -79,14 +79,13 @@ void ExpectExactlyEqual(const Relation& a, const Relation& b) {
 /// StreamingRepairer and pins batch-by-batch bit-identity: same variant,
 /// same violation count, same cost/cells/components, same cells including
 /// fresh ids.
-void RunShardedVsStreamed(const Workload& w, bool encoded, int threads,
-                          int shards) {
+void RunShardedVsStreamed(const Workload& w, int threads, int shards) {
   ReplayWorkload replay = MakeReplayWorkload(w.dirty, /*num_batches=*/4,
                                              /*batch_size=*/8, /*seed=*/7);
   StreamingRepairer sharded(replay.base, w.sigma,
-                            MakeStreamingOptions(w, encoded, threads, shards));
+                            MakeStreamingOptions(w, threads, shards));
   StreamingRepairer streamer(replay.base, w.sigma,
-                             MakeStreamingOptions(w, encoded, threads));
+                             MakeStreamingOptions(w, threads));
   ASSERT_TRUE(sharded.variant() == streamer.variant());
   ASSERT_TRUE(sharded.IsViolationFree());
   ExpectExactlyEqual(sharded.current(), streamer.current());
@@ -108,34 +107,37 @@ void RunShardedVsStreamed(const Workload& w, bool encoded, int threads,
     ExpectExactlyEqual(sharded.current(), streamer.current());
   }
   EXPECT_TRUE(FindViolations(sharded.current(), sharded.variant()).empty());
+  // Independent of the engine's own scans: the naive reference.
+  EXPECT_TRUE(
+      reference::ReferenceViolations(sharded.current(), sharded.variant())
+          .empty());
 }
 
-// The acceptance matrix: hosp and census, boxed and encoded, 1 and 4
-// threads, shard counts 2 and 4 — every dimension covered on both
-// datasets.
-TEST(ServeTest, HospBoxed1Thread2Shards) {
-  RunShardedVsStreamed(MakeHospWorkload(), false, 1, 2);
+// The acceptance matrix: hosp and census, 1 and 4 threads, shard counts 2
+// and 4 — every threads × shards pair covered on both datasets.
+TEST(ServeTest, HospEncoded1Thread2Shards) {
+  RunShardedVsStreamed(MakeHospWorkload(), 1, 2);
 }
-TEST(ServeTest, HospBoxed4Threads4Shards) {
-  RunShardedVsStreamed(MakeHospWorkload(), false, 4, 4);
+TEST(ServeTest, HospEncoded4Threads4Shards) {
+  RunShardedVsStreamed(MakeHospWorkload(), 4, 4);
 }
 TEST(ServeTest, HospEncoded1Thread4Shards) {
-  RunShardedVsStreamed(MakeHospWorkload(), true, 1, 4);
+  RunShardedVsStreamed(MakeHospWorkload(), 1, 4);
 }
 TEST(ServeTest, HospEncoded4Threads2Shards) {
-  RunShardedVsStreamed(MakeHospWorkload(), true, 4, 2);
+  RunShardedVsStreamed(MakeHospWorkload(), 4, 2);
 }
-TEST(ServeTest, CensusBoxed1Thread2Shards) {
-  RunShardedVsStreamed(MakeCensusWorkload(), false, 1, 2);
+TEST(ServeTest, CensusEncoded1Thread2Shards) {
+  RunShardedVsStreamed(MakeCensusWorkload(), 1, 2);
 }
-TEST(ServeTest, CensusBoxed4Threads4Shards) {
-  RunShardedVsStreamed(MakeCensusWorkload(), false, 4, 4);
+TEST(ServeTest, CensusEncoded4Threads4Shards) {
+  RunShardedVsStreamed(MakeCensusWorkload(), 4, 4);
 }
 TEST(ServeTest, CensusEncoded1Thread4Shards) {
-  RunShardedVsStreamed(MakeCensusWorkload(), true, 1, 4);
+  RunShardedVsStreamed(MakeCensusWorkload(), 1, 4);
 }
 TEST(ServeTest, CensusEncoded4Threads2Shards) {
-  RunShardedVsStreamed(MakeCensusWorkload(), true, 4, 2);
+  RunShardedVsStreamed(MakeCensusWorkload(), 4, 2);
 }
 
 // The plan picks the equality-join key covering the most two-tuple
@@ -180,10 +182,10 @@ TEST(ServeTest, AllConstraintsLocalRunsWithEmptyResidual) {
   w.sigma = {w.sigma[0]};  // fd_phone_oversimplified alone, eq-join {Name}
   ReplayWorkload replay = MakeReplayWorkload(w.dirty, 3, 6, /*seed=*/5);
   StreamingRepairer sharded(replay.base, w.sigma,
-                            MakeStreamingOptions(w, true, 1, 3));
+                            MakeStreamingOptions(w, 1, 3));
   EXPECT_TRUE(sharded.plan().straddling.empty());
   StreamingRepairer streamer(replay.base, w.sigma,
-                             MakeStreamingOptions(w, true, 1));
+                             MakeStreamingOptions(w, 1));
   for (const std::vector<RowEdit>& batch : replay.batches) {
     StreamBatchResult rs = sharded.ApplyBatch(batch);
     StreamBatchResult rt = streamer.ApplyBatch(batch);
@@ -238,7 +240,7 @@ bool FindProbeEdit(StreamingRepairer& session, AttrId target_attr,
 TEST(ServeTest, CrossShardComponentIsMergedAndRepaired) {
   Workload w = MakeHospWorkload();
   StreamingRepairer session(w.dirty, w.sigma,
-                            MakeStreamingOptions(w, true, 1, 2));
+                            MakeStreamingOptions(w, 1, 2));
   // MeasureCode → MeasureName/Condition straddle the Name-keyed shards.
   RowEdit probe;
   ASSERT_TRUE(
@@ -255,7 +257,7 @@ TEST(ServeTest, CrossShardComponentIsMergedAndRepaired) {
 TEST(ServeTest, ShardLocalComponentStaysLocal) {
   Workload w = MakeHospWorkload();
   StreamingRepairer session(w.dirty, w.sigma,
-                            MakeStreamingOptions(w, true, 1, 4));
+                            MakeStreamingOptions(w, 1, 4));
   RowEdit probe;
   ASSERT_TRUE(FindProbeEdit(session, HospAttrs::kPhone, /*want_cross=*/false,
                             &probe));
@@ -272,9 +274,9 @@ TEST(ServeTest, ShardLocalComponentStaysLocal) {
 TEST(ServeTest, ShardKeyEditMigratesRow) {
   Workload w = MakeHospWorkload();
   StreamingRepairer sharded(w.dirty, w.sigma,
-                            MakeStreamingOptions(w, true, 1, 4));
+                            MakeStreamingOptions(w, 1, 4));
   StreamingRepairer streamer(w.dirty, w.sigma,
-                             MakeStreamingOptions(w, true, 1));
+                             MakeStreamingOptions(w, 1));
   const std::vector<AttrId>& key = sharded.plan().key;
   ASSERT_FALSE(key.empty());
   const Relation& W = sharded.current();
@@ -327,10 +329,10 @@ TEST(ServeTest, ShardKeyEditMigratesRow) {
 // stay bit-identical to the unsharded replay.
 TEST(ServeTest, DeletedRowStaysHomeAndRetiresFromShardIndex) {
   Workload w = MakeHospWorkload();
-  StreamingOptions sharded_options = MakeStreamingOptions(w, true, 1, 4);
+  StreamingOptions sharded_options = MakeStreamingOptions(w, 1, 4);
   sharded_options.repair.vfree.strategy = RepairStrategy::kDelete;
   StreamingRepairer sharded(w.dirty, w.sigma, sharded_options);
-  StreamingOptions streaming_options = MakeStreamingOptions(w, true, 1);
+  StreamingOptions streaming_options = MakeStreamingOptions(w, 1);
   streaming_options.repair.vfree.strategy = RepairStrategy::kDelete;
   StreamingRepairer streamer(w.dirty, w.sigma, streaming_options);
   ASSERT_TRUE(sharded.variant() == streamer.variant());
@@ -377,34 +379,28 @@ TEST(ServeTest, DeletedRowStaysHomeAndRetiresFromShardIndex) {
 }
 
 // The full delete-strategy equivalence sweep: sharded ≡ unsharded
-// streamed replay, batch by batch, on both backends and thread counts.
+// streamed replay, batch by batch, at both thread counts.
 TEST(ServeTest, DeleteStrategyShardedMatchesStreamedReplay) {
-  for (bool encoded : {false, true}) {
-    for (int threads : {1, 4}) {
-      SCOPED_TRACE(std::string(encoded ? "encoded" : "boxed") + " threads=" +
-                   std::to_string(threads));
-      Workload w = MakeHospWorkload();
-      ReplayWorkload replay = MakeReplayWorkload(w.dirty, /*num_batches=*/3,
-                                                 /*batch_size=*/8, /*seed=*/7);
-      StreamingOptions sharded_options =
-          MakeStreamingOptions(w, encoded, threads, 3);
-      sharded_options.repair.vfree.strategy = RepairStrategy::kDelete;
-      StreamingRepairer sharded(replay.base, w.sigma, sharded_options);
-      StreamingOptions streaming_options =
-          MakeStreamingOptions(w, encoded, threads);
-      streaming_options.repair.vfree.strategy = RepairStrategy::kDelete;
-      StreamingRepairer streamer(replay.base, w.sigma, streaming_options);
-      for (const std::vector<RowEdit>& batch : replay.batches) {
-        StreamBatchResult rs = sharded.ApplyBatch(batch);
-        StreamBatchResult rt = streamer.ApplyBatch(batch);
-        EXPECT_EQ(rs.repair_cost, rt.repair_cost);
-        EXPECT_EQ(rs.cells_changed, rt.cells_changed);
-        EXPECT_TRUE(sharded.IsViolationFree());
-      }
-      ExpectExactlyEqual(sharded.current(), streamer.current());
-      EXPECT_TRUE(
-          FindViolations(sharded.current(), sharded.variant()).empty());
+  for (int threads : {1, 4}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    Workload w = MakeHospWorkload();
+    ReplayWorkload replay = MakeReplayWorkload(w.dirty, /*num_batches=*/3,
+                                               /*batch_size=*/8, /*seed=*/7);
+    StreamingOptions sharded_options = MakeStreamingOptions(w, threads, 3);
+    sharded_options.repair.vfree.strategy = RepairStrategy::kDelete;
+    StreamingRepairer sharded(replay.base, w.sigma, sharded_options);
+    StreamingOptions streaming_options = MakeStreamingOptions(w, threads);
+    streaming_options.repair.vfree.strategy = RepairStrategy::kDelete;
+    StreamingRepairer streamer(replay.base, w.sigma, streaming_options);
+    for (const std::vector<RowEdit>& batch : replay.batches) {
+      StreamBatchResult rs = sharded.ApplyBatch(batch);
+      StreamBatchResult rt = streamer.ApplyBatch(batch);
+      EXPECT_EQ(rs.repair_cost, rt.repair_cost);
+      EXPECT_EQ(rs.cells_changed, rt.cells_changed);
+      EXPECT_TRUE(sharded.IsViolationFree());
     }
+    ExpectExactlyEqual(sharded.current(), streamer.current());
+    EXPECT_TRUE(FindViolations(sharded.current(), sharded.variant()).empty());
   }
 }
 
@@ -420,7 +416,7 @@ TEST(ServeTest, ShardedUnfrozenStreamMatchesUnsharded) {
     for (int shards : {2, 4}) {
       SCOPED_TRACE("threads=" + std::to_string(threads) +
                    " shards=" + std::to_string(shards));
-      StreamingOptions options = MakeStreamingOptions(w, true, threads);
+      StreamingOptions options = MakeStreamingOptions(w, threads);
       options.reopen_variants = true;
       StreamingRepairer unsharded(replay.base, w.sigma, options);
       options.num_shards = shards;
@@ -651,7 +647,6 @@ TEST_P(ServeFuzz, RandomShardingMatchesUnshardedReplay) {
 
   ServeOptions options;
   options.session.repair.variants.space = w.space;
-  options.session.repair.use_encoded = (rng() % 2 == 0);
   options.session.num_shards = shards;
   options.admission.queue_watermark = watermark;
   RepairServer server;

@@ -31,7 +31,8 @@ RepairContext Example10Context(const Relation& rel) {
   std::vector<Cell> changing = {{3, tax}};
   ConstraintSet sigma = {Phi4Prime(rel)};
   std::vector<Violation> suspects =
-      FindSuspects(rel, sigma, CellSet(changing.begin(), changing.end()));
+      FindSuspects(EncodedRelation(rel), sigma,
+                   CellSet(changing.begin(), changing.end()));
   return RepairContext::Build(rel, sigma, changing, suspects);
 }
 
@@ -72,44 +73,37 @@ void ExpectSameContext(const RepairContext& a, const RepairContext& b) {
 }
 
 // Streams the suspects of C into the context and compares it with the
-// context built from the materialized suspect list, on the boxed and the
-// encoded backend. The sink must receive exactly the zone consults the
-// collecting scan publishes globally, and nothing may reach the global
-// counters while a sink is given. Returns the encoded scan's zone consults.
+// context built from the materialized suspect list. The sink must receive
+// exactly the zone consults the collecting scan publishes globally, and
+// nothing may reach the global counters while a sink is given. Returns the
+// scan's zone consults.
 int64_t ExpectScanMatchesBuild(const Relation& I, const ConstraintSet& sigma,
                                const std::vector<Cell>& changing,
                                const std::string& name) {
+  SCOPED_TRACE(name);
   const CellSet changing_set(changing.begin(), changing.end());
   EncodedRelation E(I);
-  int64_t consults = 0;
-  const EncodedRelation* backends[] = {nullptr, &E};
-  for (const EncodedRelation* encoded : backends) {
-    SCOPED_TRACE(name + (encoded ? "/encoded" : "/boxed"));
-    const EvalCounters before = eval_counters::Snapshot();
-    const std::vector<Violation> suspects =
-        encoded ? FindSuspects(*encoded, sigma, changing_set)
-                : FindSuspects(I, sigma, changing_set);
-    const EvalCounters global = eval_counters::Snapshot() - before;
-    const RepairContext built =
-        RepairContext::Build(I, sigma, changing, suspects);
+  const EvalCounters before = eval_counters::Snapshot();
+  const std::vector<Violation> suspects = FindSuspects(E, sigma, changing_set);
+  const EvalCounters global = eval_counters::Snapshot() - before;
+  const RepairContext built =
+      RepairContext::Build(I, sigma, changing, suspects);
 
-    int64_t count = -1;
-    EvalCounters sink;
-    const EvalCounters before_scan = eval_counters::Snapshot();
-    const RepairContext streamed = RepairContext::BuildFromScan(
-        I, encoded, sigma, changing, &count, &sink);
-    const EvalCounters leaked = eval_counters::Snapshot() - before_scan;
+  int64_t count = -1;
+  EvalCounters sink;
+  const EvalCounters before_scan = eval_counters::Snapshot();
+  const RepairContext streamed =
+      RepairContext::BuildFromScan(E, sigma, changing, &count, &sink);
+  const EvalCounters leaked = eval_counters::Snapshot() - before_scan;
 
-    EXPECT_GT(suspects.size(), 0u);
-    EXPECT_EQ(count, static_cast<int64_t>(suspects.size()));
-    ExpectSameContext(built, streamed);
-    EXPECT_EQ(sink.blocks_scanned, global.blocks_scanned);
-    EXPECT_EQ(sink.blocks_skipped, global.blocks_skipped);
-    EXPECT_EQ(leaked.blocks_scanned, 0);
-    EXPECT_EQ(leaked.blocks_skipped, 0);
-    consults = sink.blocks_scanned + sink.blocks_skipped;
-  }
-  return consults;
+  EXPECT_GT(suspects.size(), 0u);
+  EXPECT_EQ(count, static_cast<int64_t>(suspects.size()));
+  ExpectSameContext(built, streamed);
+  EXPECT_EQ(sink.blocks_scanned, global.blocks_scanned);
+  EXPECT_EQ(sink.blocks_skipped, global.blocks_skipped);
+  EXPECT_EQ(leaked.blocks_scanned, 0);
+  EXPECT_EQ(leaked.blocks_skipped, 0);
+  return sink.blocks_scanned + sink.blocks_skipped;
 }
 
 Relation Corrupted(const Relation& clean, const std::vector<AttrId>& attrs) {
@@ -169,10 +163,11 @@ TEST(RepairContextTest, EqualBoundsKeepTheSmallestAtom) {
        {ConstraintSet{as_int, as_double}, ConstraintSet{as_double, as_int}}) {
     const RepairContext built = RepairContext::Build(
         rel, sigma, changing,
-        FindSuspects(rel, sigma, CellSet(changing.begin(), changing.end())));
+        FindSuspects(EncodedRelation(rel), sigma,
+                   CellSet(changing.begin(), changing.end())));
     int64_t count = 0;
-    const RepairContext streamed =
-        RepairContext::BuildFromScan(rel, nullptr, sigma, changing, &count);
+    const RepairContext streamed = RepairContext::BuildFromScan(
+        EncodedRelation(rel), sigma, changing, &count);
     EXPECT_EQ(count, 2);
     ExpectSameContext(built, streamed);
     ASSERT_EQ(streamed.atoms().size(), 1u);
@@ -207,7 +202,8 @@ std::vector<Component> Example11Components(const Relation& rel) {
                                 {6, tax}};
   ConstraintSet sigma = {Phi4(rel)};
   std::vector<Violation> suspects =
-      FindSuspects(rel, sigma, CellSet(changing.begin(), changing.end()));
+      FindSuspects(EncodedRelation(rel), sigma,
+                   CellSet(changing.begin(), changing.end()));
   RepairContext rc = RepairContext::Build(rel, sigma, changing, suspects);
   return DecomposeComponents(rc);
 }
@@ -279,7 +275,8 @@ TEST(ComponentTest, VarVarAtomsGroupTogether) {
   std::vector<Cell> changing = {{3, tax}, {4, tax}, {0, cp}};
   ConstraintSet sigma = {Phi4Prime(rel), testing_fixture::Phi1(rel)};
   std::vector<Violation> suspects =
-      FindSuspects(rel, sigma, CellSet(changing.begin(), changing.end()));
+      FindSuspects(EncodedRelation(rel), sigma,
+                   CellSet(changing.begin(), changing.end()));
   RepairContext rc = RepairContext::Build(rel, sigma, changing, suspects);
   std::vector<Component> comps = DecomposeComponents(rc);
   // Find which component holds t4.Tax and t5.Tax.
@@ -311,7 +308,8 @@ TEST(SolverTest, EqualityAtomForcesCategoricalValue) {
   std::vector<Cell> changing = {{1, cp}};
   ConstraintSet sigma = {testing_fixture::Phi2(rel)};
   std::vector<Violation> suspects =
-      FindSuspects(rel, sigma, CellSet(changing.begin(), changing.end()));
+      FindSuspects(EncodedRelation(rel), sigma,
+                   CellSet(changing.begin(), changing.end()));
   RepairContext rc = RepairContext::Build(rel, sigma, changing, suspects);
   std::vector<Component> comps = DecomposeComponents(rc);
   ASSERT_EQ(comps.size(), 1u);

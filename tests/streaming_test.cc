@@ -2,7 +2,7 @@
 // violation-free under the frozen variant after every batch, and
 // bit-identical in cost — identical cell-for-cell modulo fresh-variable
 // ids — to a from-scratch dirty-component repair of the accumulated
-// instance, in the boxed and encoded backends, serial and threaded.
+// instance, serial and threaded.
 #include "repair/streaming.h"
 
 #include <gtest/gtest.h>
@@ -16,6 +16,7 @@
 #include "data/noise.h"
 #include "dc/incremental.h"
 #include "dc/violation.h"
+#include "reference_scan.h"
 #include "relation/encoded.h"
 #include "repair/cvtolerant.h"
 
@@ -49,11 +50,10 @@ Workload MakeCensusWorkload() {
   return {InjectNoise(census.clean, noise).dirty, census.given, {}};
 }
 
-StreamingOptions MakeOptions(const Workload& w, bool encoded, int threads) {
+StreamingOptions MakeOptions(const Workload& w, int threads) {
   StreamingOptions options;
   options.repair.variants.space = w.space;
   options.repair.threads = threads;
-  options.repair.use_encoded = encoded;
   return options;
 }
 
@@ -104,8 +104,8 @@ void ExpectExactlyEqual(const Relation& a, const Relation& b) {
 /// Streams a replay workload and checks every batch against a from-scratch
 /// dirty-component repair of the accumulated instance: same violation set,
 /// exactly equal cost, same cells modulo fresh ids.
-void RunStreamedVsScratch(const Workload& w, bool encoded, int threads) {
-  StreamingOptions options = MakeOptions(w, encoded, threads);
+void RunStreamedVsScratch(const Workload& w, int threads) {
+  StreamingOptions options = MakeOptions(w, threads);
   ReplayWorkload replay = MakeReplayWorkload(w.dirty, /*num_batches=*/4,
                                              /*batch_size=*/8, /*seed=*/7);
   StreamingRepairer streamer(replay.base, w.sigma, options);
@@ -120,13 +120,13 @@ void RunStreamedVsScratch(const Workload& w, bool encoded, int threads) {
     StreamBatchResult r = streamer.ApplyBatch(replay.batches[b]);
     EXPECT_TRUE(streamer.IsViolationFree());
     EXPECT_TRUE(FindViolations(streamer.current(), streamer.variant()).empty());
+    EXPECT_TRUE(reference::ReferenceViolations(streamer.current(),
+                                               streamer.variant())
+                    .empty());
 
     // From-scratch: full detection on W, then the same scoped solve.
-    std::optional<EncodedRelation> E;
-    if (encoded) E.emplace(W);
-    std::vector<Violation> violations =
-        E ? FindViolations(*E, streamer.variant())
-          : FindViolations(W, streamer.variant());
+    EncodedRelation E(W);
+    std::vector<Violation> violations = FindViolations(E, streamer.variant());
     EXPECT_EQ(static_cast<int>(violations.size()), r.violations);
 
     DomainStats stats_of_W(W);
@@ -135,8 +135,7 @@ void RunStreamedVsScratch(const Workload& w, bool encoded, int threads) {
     int64_t scratch_fresh = 1000000;  // disjoint from the streamed ids
     std::optional<ScopedRepair> fix = CVTolerantResolveComponents(
         W, stats_of_W, streamer.variant(), std::move(violations),
-        options.repair, &cold, &scratch_stats, &scratch_fresh,
-        E ? &*E : nullptr);
+        options.repair, &cold, &scratch_stats, &scratch_fresh, E);
     ASSERT_TRUE(fix.has_value());
     EXPECT_EQ(fix->cost, r.repair_cost);  // bit-identical, not just close
     EXPECT_EQ(fix->components, r.components);
@@ -147,26 +146,16 @@ void RunStreamedVsScratch(const Workload& w, bool encoded, int threads) {
   }
 }
 
-TEST(StreamingTest, HospBoxedMatchesScratch) {
-  RunStreamedVsScratch(MakeHospWorkload(), /*encoded=*/false, /*threads=*/1);
-}
-
 TEST(StreamingTest, HospEncodedMatchesScratch) {
-  RunStreamedVsScratch(MakeHospWorkload(), /*encoded=*/true, /*threads=*/1);
-}
-
-TEST(StreamingTest, CensusBoxedMatchesScratch) {
-  RunStreamedVsScratch(MakeCensusWorkload(), /*encoded=*/false,
-                       /*threads=*/1);
+  RunStreamedVsScratch(MakeHospWorkload(), /*threads=*/1);
 }
 
 TEST(StreamingTest, CensusEncodedMatchesScratch) {
-  RunStreamedVsScratch(MakeCensusWorkload(), /*encoded=*/true,
-                       /*threads=*/1);
+  RunStreamedVsScratch(MakeCensusWorkload(), /*threads=*/1);
 }
 
 TEST(StreamingTest, HospEncodedMatchesScratchAt4Threads) {
-  RunStreamedVsScratch(MakeHospWorkload(), /*encoded=*/true, /*threads=*/4);
+  RunStreamedVsScratch(MakeHospWorkload(), /*threads=*/4);
 }
 
 // Serial and 4-thread streams of the same workload must agree exactly —
@@ -174,8 +163,8 @@ TEST(StreamingTest, HospEncodedMatchesScratchAt4Threads) {
 TEST(StreamingTest, ThreadCountIsInvisible) {
   Workload w = MakeHospWorkload();
   ReplayWorkload replay = MakeReplayWorkload(w.dirty, 3, 10, /*seed=*/11);
-  StreamingRepairer serial(replay.base, w.sigma, MakeOptions(w, true, 1));
-  StreamingRepairer threaded(replay.base, w.sigma, MakeOptions(w, true, 4));
+  StreamingRepairer serial(replay.base, w.sigma, MakeOptions(w, 1));
+  StreamingRepairer threaded(replay.base, w.sigma, MakeOptions(w, 4));
   ExpectExactlyEqual(serial.current(), threaded.current());
   for (const std::vector<RowEdit>& batch : replay.batches) {
     StreamBatchResult rs = serial.ApplyBatch(batch);
@@ -194,9 +183,9 @@ TEST(StreamingTest, ThreadCountIsInvisible) {
 TEST(StreamingTest, ApplyBatchMatchesPerEditAndRebuild) {
   Workload w = MakeHospWorkload();
   std::mt19937_64 rng(13);
-  for (bool encoded : {false, true}) {
-    ViolationIndex batch_index(w.dirty, w.sigma, encoded);
-    ViolationIndex edit_index(w.dirty, w.sigma, encoded);
+  {
+    ViolationIndex batch_index(w.dirty, w.sigma);
+    ViolationIndex edit_index(w.dirty, w.sigma);
     const int n = w.dirty.num_rows();
     const int m = w.dirty.num_attributes();
     // Update-only batch: compare against per-edit ApplyChange.
@@ -227,14 +216,14 @@ TEST(StreamingTest, ApplyBatchMatchesPerEditAndRebuild) {
     }
     std::vector<int> touched = batch_index.ApplyBatch(mixed);
     EXPECT_TRUE(std::is_sorted(touched.begin(), touched.end()));
-    ViolationIndex rebuilt(batch_index.relation(), w.sigma, encoded);
+    ViolationIndex rebuilt(batch_index.relation(), w.sigma);
     EXPECT_EQ(batch_index.CurrentViolations(), rebuilt.CurrentViolations());
   }
 }
 
 TEST(StreamingTest, EdgeCaseBatches) {
   Workload w = MakeHospWorkload();
-  StreamingOptions options = MakeOptions(w, true, 1);
+  StreamingOptions options = MakeOptions(w, 1);
   StreamingRepairer streamer(w.dirty, w.sigma, options);
   ASSERT_TRUE(streamer.IsViolationFree());
   const Relation before = streamer.current();
@@ -283,8 +272,8 @@ TEST(StreamingTest, EdgeCaseBatches) {
 /// and row/attr eviction, a cached stream must be bit-identical — costs,
 /// counters, and every cell including fresh-variable ids — to a stream
 /// that solves every batch cold.
-void RunCacheOnMatchesOff(const Workload& w, bool encoded) {
-  StreamingOptions on = MakeOptions(w, encoded, 1);
+void RunCacheOnMatchesOff(const Workload& w) {
+  StreamingOptions on = MakeOptions(w, 1);
   on.cross_batch_cache = true;
   StreamingOptions off = on;
   off.cross_batch_cache = false;
@@ -305,20 +294,12 @@ void RunCacheOnMatchesOff(const Workload& w, bool encoded) {
   }
 }
 
-TEST(StreamingTest, CacheOnMatchesOffHospBoxed) {
-  RunCacheOnMatchesOff(MakeHospWorkload(), /*encoded=*/false);
-}
-
 TEST(StreamingTest, CacheOnMatchesOffHospEncoded) {
-  RunCacheOnMatchesOff(MakeHospWorkload(), /*encoded=*/true);
-}
-
-TEST(StreamingTest, CacheOnMatchesOffCensusBoxed) {
-  RunCacheOnMatchesOff(MakeCensusWorkload(), /*encoded=*/false);
+  RunCacheOnMatchesOff(MakeHospWorkload());
 }
 
 TEST(StreamingTest, CacheOnMatchesOffCensusEncoded) {
-  RunCacheOnMatchesOff(MakeCensusWorkload(), /*encoded=*/true);
+  RunCacheOnMatchesOff(MakeCensusWorkload());
 }
 
 // The same bit-identity must survive the unfrozen path: a drifting stream
@@ -327,7 +308,7 @@ TEST(StreamingTest, CacheOnMatchesOffCensusEncoded) {
 // entry too many would show up as diverging cells here.
 TEST(StreamingTest, CacheOnMatchesOffWithReopens) {
   Workload w = MakeHospWorkload();
-  StreamingOptions on = MakeOptions(w, /*encoded=*/true, 1);
+  StreamingOptions on = MakeOptions(w, 1);
   on.reopen_variants = true;
   on.cross_batch_cache = true;
   StreamingOptions off = on;
@@ -356,7 +337,7 @@ TEST(StreamingTest, CacheOnMatchesOffWithReopens) {
 // fresh ids. (tests/variant_drift_test.cc pins the per-batch version.)
 TEST(StreamingTest, ScratchEquivalenceHoldsAfterVariantSwitch) {
   Workload w = MakeHospWorkload();
-  StreamingOptions options = MakeOptions(w, /*encoded=*/true, 1);
+  StreamingOptions options = MakeOptions(w, 1);
   options.reopen_variants = true;
   ReplayWorkload replay = MakeDriftWorkload(w.dirty, /*num_batches=*/6,
                                             /*batch_size=*/10, /*seed=*/29);
@@ -372,17 +353,16 @@ TEST(StreamingTest, ScratchEquivalenceHoldsAfterVariantSwitch) {
     // From-scratch twin on the accumulated dirty instance D: full
     // per-constraint fact scans feeding the same factored candidate loop.
     const VariantTracker& t = *streamer.tracker();
-    std::optional<EncodedRelation> E;
-    if (options.repair.use_encoded) E.emplace(t.dirty());
-    std::map<DenialConstraint, VariantFacts> facts = ScanVariantFacts(
-        t.dirty(), w.sigma, t.variants(), options.repair, E ? &*E : nullptr);
+    EncodedRelation E(t.dirty());
+    std::map<DenialConstraint, VariantFacts> facts =
+        ScanVariantFacts(t.dirty(), w.sigma, t.variants(), options.repair, E);
     int64_t scratch_fresh = 1000000;  // disjoint from the streamed ids
     VariantSearchResult sr = CVTolerantSearchWithFacts(
         t.dirty(), w.sigma, t.variants(),
         [&facts](const DenialConstraint& c) -> const VariantFacts& {
           return facts.at(c);
         },
-        options.repair, &scratch_fresh, E ? &*E : nullptr);
+        options.repair, &scratch_fresh, E);
     ASSERT_TRUE(sr.have_result);
     EXPECT_TRUE(sr.variant == streamer.variant());
     EXPECT_EQ(sr.cost, streamer.realized_cost());
@@ -424,7 +404,7 @@ TEST(StreamingTest, UnfrozenStreamFallsBackToRepairOfSigma) {
 // bit-identity to the cold default is pinned by CacheOnMatchesOff*).
 TEST(StreamingTest, CrossBatchCacheStaysViolationFree) {
   Workload w = MakeHospWorkload();
-  StreamingOptions options = MakeOptions(w, true, 1);
+  StreamingOptions options = MakeOptions(w, 1);
   options.cross_batch_cache = true;
   ReplayWorkload replay = MakeReplayWorkload(w.dirty, 4, 8, /*seed=*/17);
   StreamingRepairer streamer(replay.base, w.sigma, options);
@@ -439,7 +419,7 @@ TEST(StreamingTest, CrossBatchCacheStaysViolationFree) {
 // stays well below one full re-detection per batch.
 TEST(StreamingTest, RecheckWorkIsLocalizedToBatches) {
   Workload w = MakeCensusWorkload();
-  StreamingOptions options = MakeOptions(w, true, 1);
+  StreamingOptions options = MakeOptions(w, 1);
   ReplayWorkload replay = MakeReplayWorkload(w.dirty, 5, 6, /*seed=*/19);
   StreamingRepairer streamer(replay.base, w.sigma, options);
   for (const std::vector<RowEdit>& batch : replay.batches) {

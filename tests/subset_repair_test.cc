@@ -1,9 +1,9 @@
 // Subset repair (repair/subset.h): tuple deletion as weighted vertex
 // cover over the conflict hypergraph's tuple projection, the hybrid
 // update-or-delete rule, and the strategy equivalence contracts — delete
-// and hybrid must produce violation-free instances on hosp/census, boxed
-// and encoded, serial and threaded, bit-identical across every axis, and
-// the streamed variant must match a from-scratch dirty-component solve.
+// and hybrid must produce violation-free instances on hosp/census, serial
+// and threaded, bit-identical across every axis, and the streamed variant
+// must match a from-scratch dirty-component solve.
 #include "repair/subset.h"
 
 #include <gtest/gtest.h>
@@ -20,6 +20,7 @@
 #include "data/tax.h"
 #include "dc/parser.h"
 #include "dc/violation.h"
+#include "reference_scan.h"
 #include "relation/domain_stats.h"
 #include "relation/encoded.h"
 #include "repair/cvtolerant.h"
@@ -220,9 +221,9 @@ TEST(SubsetRepairTest, DeleteStrategyTombstonesTheViolatingRow) {
 
 // ---------------------------------------------------------------------------
 // The acceptance matrix: delete and hybrid are violation-free on hosp and
-// census, boxed and encoded, 1 and 4 threads — and bit-identical across
-// every axis (tombstones are concrete NULLs, updates replay serially, so
-// exact equality holds, fresh ids included).
+// census, 1 and 4 threads — and bit-identical across both (tombstones are
+// concrete NULLs, updates replay serially, so exact equality holds, fresh
+// ids included).
 
 struct Workload {
   Relation dirty;
@@ -264,40 +265,29 @@ void ExpectExactlyEqual(const Relation& a, const Relation& b) {
 }
 
 RepairResult RunCVTolerant(const Workload& w, RepairStrategy strategy,
-                           bool encoded, int threads) {
+                           int threads) {
   CVTolerantOptions options;
   options.variants.space = w.space;
   options.threads = threads;
-  options.use_encoded = encoded;
   options.vfree.strategy = strategy;
   return CVTolerantRepair(w.dirty, w.sigma, options);
 }
 
 void RunStrategyMatrix(const Workload& w, RepairStrategy strategy) {
-  RepairResult baseline = RunCVTolerant(w, strategy, /*encoded=*/false,
-                                        /*threads=*/1);
+  RepairResult baseline = RunCVTolerant(w, strategy, /*threads=*/1);
   EXPECT_TRUE(
       FindViolations(baseline.repaired, baseline.satisfied_constraints)
           .empty());
   if (strategy == RepairStrategy::kDelete) {
     EXPECT_GT(baseline.stats.rows_deleted, 0);
   }
-  for (bool encoded : {false, true}) {
-    for (int threads : {1, 4}) {
-      if (!encoded && threads == 1) continue;  // the baseline itself
-      SCOPED_TRACE(std::string(encoded ? "encoded" : "boxed") +
-                   " threads=" + std::to_string(threads));
-      RepairResult result = RunCVTolerant(w, strategy, encoded, threads);
-      EXPECT_TRUE(baseline.satisfied_constraints ==
-                  result.satisfied_constraints);
-      EXPECT_EQ(baseline.stats.repair_cost, result.stats.repair_cost);
-      EXPECT_EQ(baseline.stats.rows_deleted, result.stats.rows_deleted);
-      ExpectExactlyEqual(baseline.repaired, result.repaired);
-      EXPECT_TRUE(
-          FindViolations(result.repaired, result.satisfied_constraints)
-              .empty());
-    }
-  }
+  RepairResult result = RunCVTolerant(w, strategy, /*threads=*/4);
+  EXPECT_TRUE(baseline.satisfied_constraints == result.satisfied_constraints);
+  EXPECT_EQ(baseline.stats.repair_cost, result.stats.repair_cost);
+  EXPECT_EQ(baseline.stats.rows_deleted, result.stats.rows_deleted);
+  ExpectExactlyEqual(baseline.repaired, result.repaired);
+  EXPECT_TRUE(
+      FindViolations(result.repaired, result.satisfied_constraints).empty());
 }
 
 TEST(SubsetRepairTest, DeleteMatrixHosp) {
@@ -356,12 +346,10 @@ void ApplyEditsToRelation(const std::vector<RowEdit>& edits, Relation* W) {
   }
 }
 
-void RunStreamedVsScratchDelete(const Workload& w, bool encoded,
-                                int threads) {
+void RunStreamedVsScratchDelete(const Workload& w, int threads) {
   StreamingOptions options;
   options.repair.variants.space = w.space;
   options.repair.threads = threads;
-  options.repair.use_encoded = encoded;
   options.repair.vfree.strategy = RepairStrategy::kDelete;
   ReplayWorkload replay = MakeReplayWorkload(w.dirty, /*num_batches=*/4,
                                              /*batch_size=*/8, /*seed=*/7);
@@ -377,12 +365,12 @@ void RunStreamedVsScratchDelete(const Workload& w, bool encoded,
     EXPECT_TRUE(streamer.IsViolationFree());
     EXPECT_TRUE(
         FindViolations(streamer.current(), streamer.variant()).empty());
+    EXPECT_TRUE(reference::ReferenceViolations(streamer.current(),
+                                               streamer.variant())
+                    .empty());
 
-    std::optional<EncodedRelation> E;
-    if (encoded) E.emplace(W);
-    std::vector<Violation> violations =
-        E ? FindViolations(*E, streamer.variant())
-          : FindViolations(W, streamer.variant());
+    EncodedRelation E(W);
+    std::vector<Violation> violations = FindViolations(E, streamer.variant());
     EXPECT_EQ(static_cast<int>(violations.size()), r.violations);
 
     DomainStats stats_of_W(W);
@@ -391,8 +379,7 @@ void RunStreamedVsScratchDelete(const Workload& w, bool encoded,
     int64_t scratch_fresh = 1000000;
     std::optional<ScopedRepair> fix = CVTolerantResolveComponents(
         W, stats_of_W, streamer.variant(), std::move(violations),
-        options.repair, &cold, &scratch_stats, &scratch_fresh,
-        E ? &*E : nullptr);
+        options.repair, &cold, &scratch_stats, &scratch_fresh, E);
     ASSERT_TRUE(fix.has_value());
     EXPECT_EQ(fix->cost, r.repair_cost);  // bit-identical
     for (auto& [cell, value] : fix->assignments) {
@@ -404,21 +391,18 @@ void RunStreamedVsScratchDelete(const Workload& w, bool encoded,
 }
 
 TEST(SubsetRepairTest, DeleteStreamedMatchesScratchHospEncoded) {
-  RunStreamedVsScratchDelete(MakeHospWorkload(), /*encoded=*/true,
-                             /*threads=*/1);
+  RunStreamedVsScratchDelete(MakeHospWorkload(), /*threads=*/1);
 }
-TEST(SubsetRepairTest, DeleteStreamedMatchesScratchHospBoxed4Threads) {
-  RunStreamedVsScratchDelete(MakeHospWorkload(), /*encoded=*/false,
-                             /*threads=*/4);
+TEST(SubsetRepairTest, DeleteStreamedMatchesScratchHospEncoded4Threads) {
+  RunStreamedVsScratchDelete(MakeHospWorkload(), /*threads=*/4);
 }
 TEST(SubsetRepairTest, DeleteStreamedMatchesScratchCensusEncoded) {
-  RunStreamedVsScratchDelete(MakeCensusWorkload(), /*encoded=*/true,
-                             /*threads=*/1);
+  RunStreamedVsScratchDelete(MakeCensusWorkload(), /*threads=*/1);
 }
 
 // ---------------------------------------------------------------------------
 // Fuzz arm (scaled by CVREPAIR_FUZZ_ITERS in the nightly job): random
-// workload shape × strategy × backend; the repaired instance must be
+// workload shape × strategy; the repaired instance must be
 // violation-free, deletions bounded by the violating-row count, and the
 // serial run bit-identical to the threaded one.
 
@@ -439,16 +423,14 @@ TEST_P(SubsetRepairFuzz, RandomWorkloadStaysViolationFree) {
   Workload w = (seed % 2 == 0) ? MakeHospWorkload() : MakeCensusWorkload();
   const RepairStrategy strategy =
       (rng() % 2 == 0) ? RepairStrategy::kDelete : RepairStrategy::kHybrid;
-  const bool encoded = rng() % 2 == 0;
   SCOPED_TRACE("seed=" + std::to_string(seed) + " strategy=" +
-               RepairStrategyToString(strategy) +
-               (encoded ? " encoded" : " boxed"));
-  RepairResult serial = RunCVTolerant(w, strategy, encoded, /*threads=*/1);
+               RepairStrategyToString(strategy));
+  RepairResult serial = RunCVTolerant(w, strategy, /*threads=*/1);
   EXPECT_TRUE(
       FindViolations(serial.repaired, serial.satisfied_constraints).empty());
   // The greedy cover deletes at most one row per violation hyperedge.
   EXPECT_LE(serial.stats.rows_deleted, serial.stats.initial_violations);
-  RepairResult threaded = RunCVTolerant(w, strategy, encoded, /*threads=*/4);
+  RepairResult threaded = RunCVTolerant(w, strategy, /*threads=*/4);
   EXPECT_EQ(serial.stats.repair_cost, threaded.stats.repair_cost);
   EXPECT_EQ(serial.stats.rows_deleted, threaded.stats.rows_deleted);
   ExpectExactlyEqual(serial.repaired, threaded.repaired);

@@ -5,17 +5,17 @@
 // must always be the one the from-scratch full variant search would
 // choose, and on reopen batches the held instance must equal the scratch
 // search's repair — cost bit-identical, cells equal modulo fresh ids — at
-// 1 and 4 threads, boxed and encoded.
+// 1 and 4 threads.
 #include <gtest/gtest.h>
 
 #include <map>
-#include <optional>
 #include <string>
 #include <vector>
 
 #include "data/census.h"
 #include "data/hosp.h"
 #include "data/noise.h"
+#include "reference_scan.h"
 #include "relation/encoded.h"
 #include "repair/cvtolerant.h"
 #include "repair/streaming.h"
@@ -63,12 +63,11 @@ void ExpectEqualModuloFresh(const Relation& a, const Relation& b) {
 /// Streams a drift workload with reopen_variants and checks, after every
 /// batch, the tracker state against its from-scratch twin on the
 /// accumulated dirty instance D.
-void RunDriftStreamVsScratch(bool encoded, int threads) {
+void RunDriftStreamVsScratch(int threads) {
   Workload w = MakeDriftableWorkload();
   StreamingOptions options;
   options.repair.variants.space = w.space;
   options.repair.threads = threads;
-  options.repair.use_encoded = encoded;
   options.reopen_variants = true;
   ReplayWorkload replay = MakeDriftWorkload(w.dirty, /*num_batches=*/6,
                                             /*batch_size=*/10, /*seed=*/29);
@@ -81,17 +80,19 @@ void RunDriftStreamVsScratch(bool encoded, int threads) {
     SCOPED_TRACE("batch " + std::to_string(b));
     StreamBatchResult r = streamer.ApplyBatch(replay.batches[b]);
     EXPECT_TRUE(streamer.IsViolationFree());
+    EXPECT_TRUE(reference::ReferenceViolations(streamer.current(),
+                                               streamer.variant())
+                    .empty());
     reopened += r.reopened ? 1 : 0;
     switched += r.variant_switched ? 1 : 0;
 
     const VariantTracker& t = *streamer.tracker();
-    std::optional<EncodedRelation> E;
-    if (encoded) E.emplace(t.dirty());
+    EncodedRelation E(t.dirty());
 
     // Delta-maintained facts == full detection scans on D, constraint by
     // constraint: violation sets, δ_l/δ_u, hopeless verdicts.
-    std::map<DenialConstraint, VariantFacts> scratch_facts = ScanVariantFacts(
-        t.dirty(), w.sigma, t.variants(), options.repair, E ? &*E : nullptr);
+    std::map<DenialConstraint, VariantFacts> scratch_facts =
+        ScanVariantFacts(t.dirty(), w.sigma, t.variants(), options.repair, E);
     for (const auto& [phi, sf] : scratch_facts) {
       const VariantFacts& tf = t.FactsOf(phi);
       EXPECT_EQ(tf.violations, sf.violations);
@@ -109,7 +110,7 @@ void RunDriftStreamVsScratch(bool encoded, int threads) {
         [&scratch_facts](const DenialConstraint& c) -> const VariantFacts& {
           return scratch_facts.at(c);
         },
-        options.repair, &scratch_fresh, E ? &*E : nullptr);
+        options.repair, &scratch_fresh, E);
     ASSERT_TRUE(sr.have_result);
     EXPECT_TRUE(sr.variant == streamer.variant())
         << "held variant diverged from the scratch-optimal choice";
@@ -136,20 +137,12 @@ void RunDriftStreamVsScratch(bool encoded, int threads) {
   EXPECT_GT(streamer.totals().bound_updates, 0);
 }
 
-TEST(VariantDriftTest, BoxedSerial) {
-  RunDriftStreamVsScratch(/*encoded=*/false, /*threads=*/1);
-}
-
-TEST(VariantDriftTest, BoxedThreaded) {
-  RunDriftStreamVsScratch(/*encoded=*/false, /*threads=*/4);
-}
-
 TEST(VariantDriftTest, EncodedSerial) {
-  RunDriftStreamVsScratch(/*encoded=*/true, /*threads=*/1);
+  RunDriftStreamVsScratch(/*threads=*/1);
 }
 
 TEST(VariantDriftTest, EncodedThreaded) {
-  RunDriftStreamVsScratch(/*encoded=*/true, /*threads=*/4);
+  RunDriftStreamVsScratch(/*threads=*/4);
 }
 
 // A variant switch replaces the detection index in the middle of a batch;
@@ -194,7 +187,6 @@ TEST(VariantDriftTest, QuietBatchSkipsReopen) {
   Workload w{InjectNoise(census.clean, noise).dirty, census.given, {}};
   StreamingOptions options;
   options.repair.variants.space = w.space;
-  options.repair.use_encoded = true;
   options.reopen_variants = true;
   StreamingRepairer streamer(w.dirty, w.sigma, options);
   const ConstraintSet held = streamer.variant();
@@ -229,7 +221,6 @@ TEST(VariantDriftTest, ThreadCountIsInvisibleUnderReopens) {
   Workload w = MakeDriftableWorkload();
   StreamingOptions serial_options;
   serial_options.repair.variants.space = w.space;
-  serial_options.repair.use_encoded = true;
   serial_options.reopen_variants = true;
   serial_options.repair.threads = 1;
   StreamingOptions threaded_options = serial_options;

@@ -9,7 +9,10 @@
 #include "data/census.h"
 #include "data/hosp.h"
 #include "data/noise.h"
+#include "dc/incremental.h"
 #include "paper_example.h"
+#include "reference_scan.h"
+#include "relation/encoded.h"
 #include "util/thread_pool.h"
 
 namespace cvrepair {
@@ -28,7 +31,8 @@ std::set<std::pair<int, int>> AsPairs(const std::vector<Violation>& v) {
 
 TEST(ViolationTest, Example6ViolationsOfPhi4Prime) {
   Relation rel = PaperIncomeRelation();
-  std::vector<Violation> v = FindViolationsOf(rel, Phi4Prime(rel));
+  EncodedRelation E(rel);
+  std::vector<Violation> v = FindViolationsOf(E, Phi4Prime(rel));
   // viol(I, φ4') = {<t5,t4>, <t6,t4>, <t7,t4>} (rows 4,5,6 vs 3).
   EXPECT_EQ(AsPairs(v),
             (std::set<std::pair<int, int>>{{4, 3}, {5, 3}, {6, 3}}));
@@ -36,7 +40,8 @@ TEST(ViolationTest, Example6ViolationsOfPhi4Prime) {
 
 TEST(ViolationTest, Phi1FindsAllSameNameDifferentCpPairs) {
   Relation rel = PaperIncomeRelation();
-  std::vector<Violation> v = FindViolationsOf(rel, Phi1(rel));
+  EncodedRelation E(rel);
+  std::vector<Violation> v = FindViolationsOf(E, Phi1(rel));
   // Ayres group {0,1,2}: CPs 322-573, ***-389, 564-389 — all distinct.
   // Each unordered conflicting pair appears in both orientations.
   std::set<std::pair<int, int>> pairs = AsPairs(v);
@@ -58,7 +63,7 @@ TEST(ViolationTest, HashPartitioningAgreesWithBruteForce) {
       if (i != j && phi1.IsViolated(rel, {i, j})) brute.insert({i, j});
     }
   }
-  EXPECT_EQ(AsPairs(FindViolationsOf(rel, phi1)), brute);
+  EXPECT_EQ(AsPairs(FindViolationsOf(EncodedRelation(rel), phi1)), brute);
 }
 
 TEST(ViolationTest, SatisfiesShortCircuit) {
@@ -76,14 +81,47 @@ TEST(ViolationTest, SingleTupleConstraints) {
   AttrId income = *rel.schema().Find("Income");
   // not(Tax > Income) holds everywhere.
   DenialConstraint ok({Predicate::TwoCell(0, tax, Op::kGt, 0, income)});
-  EXPECT_TRUE(FindViolationsOf(rel, ok).empty());
+  EXPECT_TRUE(FindViolationsOf(EncodedRelation(rel), ok).empty());
   // not(Income >= 100) flags t8, t9, t10 (rows 7, 8, 9).
   DenialConstraint rich(
       {Predicate::WithConstant(0, income, Op::kGeq, Value::Double(100))});
-  std::vector<Violation> v = FindViolationsOf(rel, rich);
+  std::vector<Violation> v = FindViolationsOf(EncodedRelation(rel), rich);
   ASSERT_EQ(v.size(), 3u);
   EXPECT_EQ(v[0].rows, std::vector<int>{7});
   EXPECT_EQ(v[2].rows, std::vector<int>{9});
+}
+
+// Definition 5 compares with EvalOp, under which the Int and the Double
+// spelling of one number are equal, so an FD over such a column joins
+// them. Every path pins it: the Relation wrappers, the encoded scans, and
+// the delta-maintained index after an update that introduces the Double.
+TEST(ViolationTest, IntAndDoubleSpellingsOfOneNumberJoin) {
+  Schema schema;
+  schema.AddAttribute("A", AttrType::kInt);
+  schema.AddAttribute("B", AttrType::kString);
+  Relation rel(schema);
+  rel.AddRow({Value::Int(1), Value::String("x")});
+  rel.AddRow({Value::Double(1.0), Value::String("y")});
+  const ConstraintSet sigma = {DenialConstraint::FromFd({0}, 1, "A->B")};
+
+  const std::vector<reference::TupleList> expected =
+      reference::ReferenceViolations(rel, sigma);
+  ASSERT_EQ(expected.size(), 2u);
+  EXPECT_EQ(reference::Sorted(FindViolations(rel, sigma)), expected);
+  EXPECT_FALSE(Satisfies(rel, sigma));
+  EncodedRelation E(rel);
+  EXPECT_EQ(reference::Sorted(FindViolations(E, sigma)), expected);
+  EXPECT_FALSE(Satisfies(E, sigma));
+
+  Relation spelled_int(schema);
+  spelled_int.AddRow({Value::Int(1), Value::String("x")});
+  spelled_int.AddRow({Value::Int(2), Value::String("y")});
+  ViolationIndex index(spelled_int, sigma);
+  EXPECT_FALSE(index.HasViolations());
+  index.ApplyChange({1, 0}, Value::Double(1.0));
+  EXPECT_EQ(index.CurrentViolations().size(), 2u);
+  EXPECT_EQ(reference::Sorted(index.CurrentViolations()),
+            reference::ReferenceViolations(index.relation(), sigma));
 }
 
 TEST(ViolationTest, ViolationCellsExample6) {
@@ -103,7 +141,8 @@ TEST(SuspectTest, Example9SuspectsOfPhi4Prime) {
   Relation rel = PaperIncomeRelation();
   AttrId tax = *rel.schema().Find("Tax");
   CellSet changing = {{3, tax}};  // C = {t4.Tax}
-  std::vector<Violation> s = FindSuspects(rel, {Phi4Prime(rel)}, changing);
+  EncodedRelation E(rel);
+  std::vector<Violation> s = FindSuspects(E, {Phi4Prime(rel)}, changing);
   // susp = {<t4,t1>,<t4,t2>,<t4,t3>,<t5,t4>,<t6,t4>,<t7,t4>,<t8,t4>,
   //         <t9,t4>,<t10,t4>} (Example 9).
   std::set<std::pair<int, int>> expected = {{3, 0}, {3, 1}, {3, 2},
@@ -123,7 +162,8 @@ TEST(SuspectTest, Lemma4ViolationsAreSuspects) {
       changing.insert(c);
     }
   }
-  std::vector<Violation> suspects = FindSuspects(rel, sigma, changing);
+  std::vector<Violation> suspects =
+      FindSuspects(EncodedRelation(rel), sigma, changing);
   std::set<std::pair<int, int>> suspect_pairs;
   for (const Violation& s : suspects) {
     suspect_pairs.insert({s.rows[0], s.rows[1]});
@@ -139,7 +179,8 @@ TEST(SuspectTest, NoSuspectsWhenChangingSetOffConstraintAttrs) {
   Relation rel = PaperIncomeRelation();
   AttrId year = *rel.schema().Find("Year");
   CellSet changing = {{3, year}};
-  EXPECT_TRUE(FindSuspects(rel, {Phi4Prime(rel)}, changing).empty());
+  EncodedRelation E(rel);
+  EXPECT_TRUE(FindSuspects(E, {Phi4Prime(rel)}, changing).empty());
 }
 
 // Exact-cap semantics, pinned for every scan path: with V violations in
@@ -150,16 +191,17 @@ TEST(SuspectTest, NoSuspectsWhenChangingSetOffConstraintAttrs) {
 // always a prefix of the uncapped one.
 void CheckExactCapSemantics(const Relation& I, const DenialConstraint& c,
                             const std::string& context) {
+  EncodedRelation E(I);
   bool truncated = true;
   std::vector<Violation> all = FindViolationsOfCapped(
-      I, c, 0, std::numeric_limits<int64_t>::max(), &truncated);
+      E, c, 0, std::numeric_limits<int64_t>::max(), &truncated);
   ASSERT_FALSE(truncated) << context;
   const int64_t v = static_cast<int64_t>(all.size());
   ASSERT_GE(v, 2) << context << ": need >= 2 violations to pin the cap";
   for (int64_t cap : {v - 1, v, v + 1}) {
     bool capped_truncated = false;
     std::vector<Violation> capped =
-        FindViolationsOfCapped(I, c, 0, cap, &capped_truncated);
+        FindViolationsOfCapped(E, c, 0, cap, &capped_truncated);
     int64_t expect_size = std::min(cap, v);
     ASSERT_EQ(static_cast<int64_t>(capped.size()), expect_size)
         << context << " cap " << cap;
@@ -203,7 +245,8 @@ TEST(ViolationCapTest, ExactCapOnShardedPaths) {
   DenialConstraint high_income({Predicate::WithConstant(
       0, CensusAttrs::kIncome, Op::kGeq,
       Value::Double(census_config.tax_threshold))});
-  ASSERT_GE(FindViolationsOf(census.clean, high_income).size(), 2u);
+  EncodedRelation census_encoded(census.clean);
+  ASSERT_GE(FindViolationsOf(census_encoded, high_income).size(), 2u);
   CheckExactCapSemantics(census.clean, high_income, "sharded 1-tuple rows");
 
   HospConfig hosp_config;
@@ -218,7 +261,7 @@ TEST(ViolationCapTest, ExactCapOnShardedPaths) {
   bool found_fd = false;
   for (const DenialConstraint& c : hosp.given_oversimplified) {
     if (c.NumTupleVars() != 2) continue;
-    if (FindViolationsOf(hosp_dirty, c).size() < 2) continue;
+    if (FindViolationsOf(EncodedRelation(hosp_dirty), c).size() < 2) continue;
     found_fd = true;
     CheckExactCapSemantics(hosp_dirty, c, "sharded partition blocks");
   }
