@@ -1,19 +1,17 @@
 // Microbench for the repair-as-a-service subsystem (serve/server.h):
-// hosts a HOSP replay behind a RepairServer session whose
-// StreamingRepairer hash-partitions detection across 4 shards, then
-// drives the same stream through a backpressured (watermark 2) session
-// with the closed-loop submit/pump retry discipline the load generator
-// uses. Appends latency percentiles and throughput to BENCH_serve.json.
+// hosts a HOSP replay behind a RepairServer session, then drives the same
+// stream through a backpressured (watermark 2) session with the
+// closed-loop submit/pump retry discipline the load generator uses.
+// Appends latency percentiles and throughput to BENCH_serve.json.
 //
 // The acceptance claims live in the serve.* counters, which
-// ServeSession::Pump publishes from each batch result: sharding must keep
-// conflict components shard-local (serve.shard_local_components > 0, with
-// the cross-shard merges counted separately), and admission control must
-// reject deterministically at the watermark (serve.batches_rejected). The
-// checked-in baseline pins both for the serve_smoke CI gate. A FATAL
-// guard re-runs the stream through a one-shard StreamingRepairer and
-// requires the sharded final instance to match cell for cell — the
-// correctness contract sharding must not bend.
+// ServeSession::Pump publishes from each batch result: admission control
+// must reject deterministically at the watermark
+// (serve.batches_rejected), and the checked-in baseline pins it with the
+// rest of the work counters for the serve_smoke CI gate. A FATAL guard
+// re-runs the stream through a directly driven StreamingRepairer and
+// requires the served final instance to match cell for cell, fresh ids
+// included: admission may delay batches, never change them.
 #include "bench_util.h"
 
 #include "repair/streaming.h"
@@ -26,7 +24,6 @@ namespace {
 
 constexpr int kBatches = 8;
 constexpr int kBatchSize = 16;
-constexpr int kShards = 4;
 
 /// Cell-for-cell equality, fresh ids included — the bench-side mirror of
 /// the serve tests' bit-identity expectation.
@@ -87,32 +84,30 @@ int main() {
   ServeOptions serve_options;
   serve_options.session.repair = HospCvOptions(hosp, 1.0);
   serve_options.session.repair.max_datarepair_calls = 8;
-  serve_options.session.num_shards = kShards;
 
   // Deterministic work-counter snapshot for the serve_smoke CI gate
   // (tools/check_metrics.py vs bench/baselines/micro_serve.json). Two
-  // scenarios, one registry snapshot: (A) a 4-shard replay behind a
-  // generous watermark — every batch admitted, sharding does the work, the
-  // baseline pins the shard-local/cross-shard component split; (B) the
-  // same stream against a watermark-2 queue with the closed-loop retry
+  // scenarios, one registry snapshot: (A) the replay behind a generous
+  // watermark — every batch admitted on the first try; (B) the same
+  // stream against a watermark-2 queue with the closed-loop retry
   // discipline — with 8 batches and a synchronous drain, batches 2..7 are
   // each rejected exactly once, so serve.batches_rejected pins admission
   // control as actually engaged.
-  Relation sharded_final;
+  Relation served_final;
   MetricsSnapshot snapshot =
       WriteWorkMetrics("micro_serve.metrics.json", [&] {
         ServeOptions options = serve_options;
         options.session.repair.threads = 1;
         options.admission.queue_watermark = kBatches;  // scenario A
         RepairServer server;
-        sharded_final = DriveClosedLoop(&server, "hosp_sharded", replay.base,
-                                        sigma, options, replay.batches);
+        served_final = DriveClosedLoop(&server, "hosp_served", replay.base,
+                                       sigma, options, replay.batches);
         ServeOptions pressured = options;  // scenario B
         pressured.admission.queue_watermark = 2;
         Relation pressured_final =
             DriveClosedLoop(&server, "hosp_backpressure", replay.base, sigma,
                             pressured, replay.batches);
-        if (!SameRelation(sharded_final, pressured_final)) {
+        if (!SameRelation(served_final, pressured_final)) {
           std::cerr << "FATAL: backpressure changed the repaired instance "
                        "(admission must only delay batches, not reorder "
                        "or drop them)\n";
@@ -120,36 +115,24 @@ int main() {
         }
       });
 
-  const int64_t shard_local = snapshot.at("serve.shard_local_components");
-  const int64_t cross_shard = snapshot.at("serve.cross_shard_components");
   const int64_t rejected = snapshot.at("serve.batches_rejected");
-  std::cout << "serve components: " << shard_local << " shard-local vs "
-            << cross_shard << " cross-shard merges; " << rejected
-            << " backpressure rejections\n";
+  std::cout << "serve: " << rejected << " backpressure rejections\n";
   json.RecordCounters(
       "serve/detection",
-      {{"shards", kShards},
-       {"batches_admitted", snapshot.at("serve.batches_admitted")},
+      {{"batches_admitted", snapshot.at("serve.batches_admitted")},
        {"batches_rejected", rejected},
        {"batches_applied", snapshot.at("serve.batches_applied")},
-       {"shard_local_components", shard_local},
-       {"cross_shard_components", cross_shard},
-       {"rows_migrated", snapshot.at("serve.rows_migrated")},
        {"cells_changed", snapshot.at("serve.cells_changed")}});
-  if (shard_local <= 0) {
-    std::cerr << "FATAL: sharding localized no conflict components — the "
-                 "shard plan silently disengaged\n";
-    return 1;
-  }
   if (rejected <= 0) {
     std::cerr << "FATAL: the watermark-2 scenario rejected nothing — "
                  "admission control silently disengaged\n";
     return 1;
   }
 
-  // Correctness guard, enforced even in metrics-only CI runs: the sharded
-  // final instance must match a one-shard StreamingRepairer replay of the
-  // same stream cell for cell, fresh ids included.
+  // Correctness guard, enforced even in metrics-only CI runs: the served
+  // final instance must match a directly driven StreamingRepairer replay
+  // of the same stream cell for cell, fresh ids included — admission may
+  // delay batches, never change them.
   {
     StreamingOptions stream_options;
     stream_options.repair = serve_options.session.repair;
@@ -158,13 +141,13 @@ int main() {
     for (const std::vector<RowEdit>& batch : replay.batches) {
       streamer.ApplyBatch(batch);
     }
-    if (!SameRelation(sharded_final, streamer.current())) {
-      std::cerr << "FATAL: sharded replay diverged from the one-shard "
-                   "StreamingRepairer result\n";
+    if (!SameRelation(served_final, streamer.current())) {
+      std::cerr << "FATAL: the served replay diverged from the directly "
+                   "driven StreamingRepairer result\n";
       return 1;
     }
-    std::cout << "equivalence: sharded == one shard ("
-              << sharded_final.num_rows() << " rows)\n";
+    std::cout << "equivalence: served == direct ("
+              << served_final.num_rows() << " rows)\n";
   }
   if (MetricsOnly()) return 0;
 

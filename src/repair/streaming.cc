@@ -4,17 +4,14 @@
 #include <cassert>
 #include <chrono>
 #include <cmath>
-#include <cstring>
 #include <limits>
 #include <random>
 #include <set>
 #include <utility>
 
-#include "dc/predicate_space.h"
 #include "graph/bounds.h"
 #include "graph/conflict_hypergraph.h"
 #include "util/metrics.h"
-#include "util/thread_pool.h"
 #include "util/trace.h"
 
 namespace cvrepair {
@@ -57,44 +54,6 @@ template <typename T>
 void SortUnique(std::vector<T>* v) {
   std::sort(v->begin(), v->end());
   v->erase(std::unique(v->begin(), v->end()), v->end());
-}
-
-/// FNV-1a over the shard-key values of a row. Deliberately not Value::Hash
-/// or std::hash: the shard a row lands in decides which index detects its
-/// violations, and the serve CI baselines pin exact per-shard counts, so
-/// the hash must be identical across standard libraries and platforms.
-/// Numerics hash their canonical double bit pattern (Int 5 and Double 5.0
-/// satisfy the same equality predicates, so they must share a shard; -0.0
-/// is folded into +0.0 for the same reason); strings hash their bytes.
-uint64_t HashKeyValue(uint64_t h, const Value& v) {
-  constexpr uint64_t kPrime = 0x100000001b3ull;
-  auto mix_byte = [&](unsigned char b) {
-    h ^= b;
-    h *= kPrime;
-  };
-  if (v.is_numeric()) {
-    mix_byte('n');
-    double d = v.numeric();
-    if (d == 0.0) d = 0.0;  // fold -0.0
-    unsigned char bytes[sizeof(double)];
-    std::memcpy(bytes, &d, sizeof(double));
-    for (unsigned char b : bytes) mix_byte(b);
-  } else {
-    mix_byte('s');
-    for (char c : v.ToString()) mix_byte(static_cast<unsigned char>(c));
-  }
-  return h;
-}
-
-/// A tombstoned (deleted) row: every cell NULL — what the delete and
-/// hybrid repair strategies leave behind (repair/subset.h). Such a row
-/// satisfies no predicate, so no index can ever implicate it in a
-/// violation again; its shard placement is irrelevant for detection.
-bool IsTombstone(const Relation& I, int row) {
-  for (AttrId a = 0; a < I.num_attributes(); ++a) {
-    if (!I.Get(row, a).is_null()) return false;
-  }
-  return true;
 }
 
 }  // namespace
@@ -254,57 +213,6 @@ double VariantTracker::BestRivalBound(const ConstraintSet& incumbent) const {
 }
 
 // ---------------------------------------------------------------------------
-// Shard planning
-
-ShardPlan PlanShards(const ConstraintSet& variant) {
-  ShardPlan plan;
-  // Candidate keys: every two-tuple constraint's non-empty equality-join
-  // attribute set, plus each of its single-attribute subsets (a smaller key
-  // can cover constraints whose full sets differ but intersect).
-  std::set<std::vector<AttrId>> candidates;
-  std::vector<std::vector<AttrId>> eq_sets(variant.size());
-  for (size_t k = 0; k < variant.size(); ++k) {
-    if (variant[k].NumTupleVars() < 2) continue;
-    eq_sets[k] = EqualityJoinAttrs(variant[k].predicates());
-    if (eq_sets[k].empty()) continue;
-    candidates.insert(eq_sets[k]);
-    for (AttrId a : eq_sets[k]) candidates.insert({a});
-  }
-  // Winner: localizes the most two-tuple constraints (its attributes are a
-  // subset of the constraint's equality-join set); ties prefer fewer key
-  // attributes, then the lexicographically smaller set — all deterministic.
-  int best_score = 0;
-  for (const std::vector<AttrId>& key : candidates) {
-    int score = 0;
-    for (size_t k = 0; k < variant.size(); ++k) {
-      if (variant[k].NumTupleVars() < 2) continue;
-      if (std::includes(eq_sets[k].begin(), eq_sets[k].end(), key.begin(),
-                        key.end())) {
-        ++score;
-      }
-    }
-    const bool wins =
-        score > best_score ||
-        (score == best_score && score > 0 &&
-         (key.size() < plan.key.size() ||
-          (key.size() == plan.key.size() && key < plan.key)));
-    if (wins) {
-      best_score = score;
-      plan.key = key;
-    }
-  }
-  for (size_t k = 0; k < variant.size(); ++k) {
-    const bool is_local =
-        variant[k].NumTupleVars() < 2 ||
-        (!plan.key.empty() &&
-         std::includes(eq_sets[k].begin(), eq_sets[k].end(), plan.key.begin(),
-                       plan.key.end()));
-    (is_local ? plan.local : plan.straddling).push_back(static_cast<int>(k));
-  }
-  return plan;
-}
-
-// ---------------------------------------------------------------------------
 // StreamingRepairer
 
 StreamingRepairer::StreamingRepairer(const Relation& I,
@@ -312,8 +220,6 @@ StreamingRepairer::StreamingRepairer(const Relation& I,
                                      const StreamingOptions& options)
     : options_(options) {
   TraceSpan span("stream/initial_repair");
-  options_.num_shards = std::max(1, options_.num_shards);
-  span.AddArg("shards", static_cast<int64_t>(options_.num_shards));
   RepairResult initial;
   if (options_.reopen_variants) {
     // The unfrozen path runs the factored search over tracker-maintained
@@ -349,191 +255,14 @@ void StreamingRepairer::Adopt(const Relation& repaired) {
       }
     }
   }
-  // The replaced indexes' re-scans stay counted, so rows_rechecked is
+  // The replaced index's re-scans stay counted, so rows_rechecked is
   // monotone across a variant switch.
-  if (master_) retired_rechecked_ = RowsRechecked();
-  shards_.clear();
-  if (options_.num_shards == 1) {
-    master_ = std::make_unique<ViolationIndex>(repaired, variant_);
-    return;
-  }
-  plan_ = PlanShards(variant_);
-  local_sigma_.clear();
-  ConstraintSet straddling_sigma;
-  for (int k : plan_.local) local_sigma_.push_back(variant_[k]);
-  for (int k : plan_.straddling) straddling_sigma.push_back(variant_[k]);
-  master_ = std::make_unique<ViolationIndex>(repaired, straddling_sigma);
-  home_.resize(static_cast<size_t>(repaired.num_rows()));
-  for (int r = 0; r < repaired.num_rows(); ++r) {
-    home_[static_cast<size_t>(r)] = RouteOf(r);
-  }
-  shards_.resize(static_cast<size_t>(options_.num_shards));
-  for (int s = 0; s < options_.num_shards; ++s) RebuildShard(s);
-}
-
-int StreamingRepairer::RouteOf(int row) const {
-  const int num_shards = options_.num_shards;
-  if (!plan_.key.empty()) {
-    uint64_t h = 0xcbf29ce484222325ull;  // FNV-1a offset basis
-    bool concrete = true;
-    for (AttrId a : plan_.key) {
-      const Value& v = master_->relation().Get(row, a);
-      if (v.is_null() || v.is_fresh()) {
-        concrete = false;
-        break;
-      }
-      h = HashKeyValue(h, v);
-    }
-    if (concrete) {
-      return static_cast<int>(h % static_cast<uint64_t>(num_shards));
-    }
-  }
-  return row % num_shards;
-}
-
-void StreamingRepairer::RebuildShard(int s) {
-  Shard& shard = shards_[static_cast<size_t>(s)];
-  if (shard.index != nullptr) {
-    shard.retired_rechecked += shard.index->rows_rechecked();
-  }
-  shard.rows.clear();
-  shard.local_of.clear();
-  const Relation& master = master_->relation();
-  Relation sub(master.schema());
-  for (int r = 0; r < master.num_rows(); ++r) {
-    if (home_[static_cast<size_t>(r)] != s) continue;
-    shard.local_of.emplace(r, static_cast<int>(shard.rows.size()));
-    shard.rows.push_back(r);
-    sub.AddRow(master.row(r));
-  }
-  shard.index = std::make_unique<ViolationIndex>(sub, local_sigma_);
-}
-
-bool StreamingRepairer::IsViolationFree() const {
-  if (master_->HasViolations()) return false;
-  for (const Shard& shard : shards_) {
-    if (shard.index->HasViolations()) return false;
-  }
-  return true;
+  if (index_) retired_rechecked_ = RowsRechecked();
+  index_ = std::make_unique<ViolationIndex>(repaired, variant_);
 }
 
 int64_t StreamingRepairer::RowsRechecked() const {
-  int64_t total = retired_rechecked_ + master_->rows_rechecked();
-  for (const Shard& shard : shards_) {
-    total += shard.retired_rechecked + shard.index->rows_rechecked();
-  }
-  return total;
-}
-
-std::vector<char> StreamingRepairer::Rehome(const std::vector<int>& rows,
-                                            int old_rows,
-                                            StreamBatchResult* out) {
-  // Inserted rows join their shard, and other rows whose key cells now
-  // hash elsewhere migrate. A migration invalidates the source shard's
-  // sub-relation (ViolationIndex has no row removal), so both endpoints
-  // rebuild from the master copy. A tombstoned row keeps the home it died
-  // in: its all-NULL cells can never join a violation again, and moving it
-  // to the round-robin slot its NULL key falls back to would rebuild two
-  // shards per deletion — under the delete strategy nearly every batch
-  // deletes.
-  const Relation& master = master_->relation();
-  home_.resize(static_cast<size_t>(master.num_rows()), -1);
-  std::vector<char> rebuild(static_cast<size_t>(options_.num_shards), 0);
-  for (int r : rows) {
-    const int target = RouteOf(r);
-    int& home = home_[static_cast<size_t>(r)];
-    if (r >= old_rows) {
-      home = target;
-    } else if (home != target && !IsTombstone(master, r)) {
-      rebuild[static_cast<size_t>(home)] = 1;
-      rebuild[static_cast<size_t>(target)] = 1;
-      home = target;
-      ++out->rows_migrated;
-    }
-  }
-  return rebuild;
-}
-
-void StreamingRepairer::SyncShards(const std::vector<int>& touched,
-                                   int old_rows,
-                                   const std::vector<char>& rebuild) {
-  // Each shard catches up independently (a thread-pool slice each; the
-  // master copy is read-only here). Synthesized per-shard edits carry the
-  // master's post-batch values, so repeated edits of one cell collapse and
-  // shard state converges to the master's regardless of in-batch ordering.
-  const Relation& master = master_->relation();
-  ThreadPool::ParallelFor(
-      options_.num_shards,
-      [&](int64_t si) {
-        const int s = static_cast<int>(si);
-        if (rebuild[static_cast<size_t>(s)] != 0) {
-          RebuildShard(s);
-          return;
-        }
-        Shard& shard = shards_[static_cast<size_t>(s)];
-        std::vector<RowEdit> shard_edits;
-        for (int r : touched) {
-          if (r < old_rows || home_[static_cast<size_t>(r)] != s) continue;
-          shard.local_of.emplace(r, static_cast<int>(shard.rows.size()));
-          shard.rows.push_back(r);
-          shard_edits.push_back(RowEdit::Insert(master.row(r)));
-        }
-        for (int r : touched) {
-          if (r >= old_rows || home_[static_cast<size_t>(r)] != s) continue;
-          const int local = shard.local_of.at(r);
-          for (AttrId a = 0; a < master.num_attributes(); ++a) {
-            const Value& now = master.Get(r, a);
-            if (shard.index->relation().Get(local, a) == now) continue;
-            shard_edits.push_back(RowEdit::Update(local, a, now));
-          }
-        }
-        if (!shard_edits.empty()) shard.index->ApplyBatch(shard_edits);
-      },
-      options_.repair.threads);
-}
-
-std::vector<Violation> StreamingRepairer::CollectViolations() {
-  std::vector<Violation> out = master_->CurrentViolations();
-  if (shards_.empty()) return out;
-  for (Violation& v : out) {
-    v.constraint_index =
-        plan_.straddling[static_cast<size_t>(v.constraint_index)];
-  }
-  for (Shard& shard : shards_) {
-    for (Violation& v : shard.index->CurrentViolations()) {
-      v.constraint_index =
-          plan_.local[static_cast<size_t>(v.constraint_index)];
-      for (int& row : v.rows) row = shard.rows[static_cast<size_t>(row)];
-      out.push_back(std::move(v));
-    }
-  }
-  CanonicalizeViolations(&out);
-  return out;
-}
-
-void StreamingRepairer::CountComponents(
-    const std::vector<Violation>& violations, StreamBatchResult* out) const {
-  // Union-find over the violations' rows; a component spans shards when
-  // its rows have two homes.
-  std::unordered_map<int, int> parent;
-  for (const Violation& v : violations) {
-    for (int r : v.rows) parent.emplace(r, r);
-  }
-  auto find = [&parent](int r) {
-    while (parent[r] != r) r = parent[r] = parent[parent[r]];
-    return r;
-  };
-  for (const Violation& v : violations) {
-    for (int r : v.rows) parent[find(r)] = find(v.rows[0]);
-  }
-  std::unordered_map<int, int> home_of;  // root -> home, -1 once it spans
-  for (const auto& [row, unused] : parent) {
-    auto [it, inserted] = home_of.try_emplace(find(row), HomeOf(row));
-    if (it->second != HomeOf(row)) it->second = -1;
-  }
-  for (const auto& [root, home] : home_of) {
-    ++(home < 0 ? out->cross_shard_components : out->shard_local_components);
-  }
+  return retired_rechecked_ + index_->rows_rechecked();
 }
 
 void StreamingRepairer::EvictForEdits(const std::vector<RowEdit>& edits,
@@ -572,17 +301,10 @@ StreamBatchResult StreamingRepairer::ApplyBatch(
   if (options_.cross_batch_cache) EvictForEdits(edits, &out);
   if (tracker_) out.bound_updates = tracker_->Ingest(edits);
 
-  // The master copy absorbs the raw batch first; shards then follow its
-  // post-batch values, so a mid-batch shard-key edit can never leave
-  // detection running against a stale home.
-  const int old_rows = master_->relation().num_rows();
-  std::vector<int> touched = master_->ApplyBatch(edits);
+  std::vector<int> touched = index_->ApplyBatch(edits);
   out.rows_touched = static_cast<int>(touched.size());
-  if (!shards_.empty()) {
-    SyncShards(touched, old_rows, Rehome(touched, old_rows, &out));
-  }
 
-  std::vector<Violation> violations = CollectViolations();
+  std::vector<Violation> violations = index_->CurrentViolations();
   out.violations = static_cast<int>(violations.size());
 
   if (!violations.empty()) {
@@ -597,9 +319,8 @@ StreamBatchResult StreamingRepairer::ApplyBatch(
       SortUnique(&dirty);
       out.dirty_rows = static_cast<int>(dirty.size());
     }
-    if (!shards_.empty()) CountComponents(violations, &out);
 
-    const Relation& W = master_->relation();
+    const Relation& W = index_->relation();
     // Recomputed per batch so the scoped solve sees exactly the stats a
     // from-scratch repair of the accumulated instance would — the contract
     // is bit-identity with scratch, and frequencies steer the solver.
@@ -610,7 +331,7 @@ StreamBatchResult StreamingRepairer::ApplyBatch(
         options_.cross_batch_cache ? &cross_batch_cache_ : &local_cache;
     std::optional<ScopedRepair> fix = CVTolerantResolveComponents(
         W, stats_of_W, variant_, std::move(violations), options_.repair,
-        cache, &batch_stats, &fresh_counter_, *master_->encoded());
+        cache, &batch_stats, &fresh_counter_, *index_->encoded());
     // delta_min defaults to +inf, so the scoped solve cannot abort.
     assert(fix.has_value());
     out.components = fix->components;
@@ -621,28 +342,14 @@ StreamBatchResult StreamingRepairer::ApplyBatch(
       // Solutions may keep a cell's current value; skip those entirely —
       // the instance is unchanged, so no violation can have appeared and
       // no re-scan is owed.
-      if (master_->relation().Get(cell) == value) continue;
+      if (index_->relation().Get(cell) == value) continue;
       ++out.cells_changed;
       fix_rows.push_back(cell.row);
       fix_attrs.push_back(cell.attr);
-      if (!shards_.empty()) {
-        Shard& shard = shards_[static_cast<size_t>(HomeOf(cell.row))];
-        shard.index->ApplyChange(
-            Cell{shard.local_of.at(cell.row), cell.attr}, value);
-      }
-      master_->ApplyChange(cell, std::move(value));
+      index_->ApplyChange(cell, std::move(value));
     }
     SortUnique(&fix_rows);
     SortUnique(&fix_attrs);
-    if (!shards_.empty()) {
-      // Rows whose key cells the fixes rewrote re-home; the write-backs
-      // above already reached every other shard.
-      std::vector<char> rebuild =
-          Rehome(fix_rows, master_->relation().num_rows(), &out);
-      for (int s = 0; s < options_.num_shards; ++s) {
-        if (rebuild[static_cast<size_t>(s)] != 0) RebuildShard(s);
-      }
-    }
     // Every live violation had a covering cell assigned a changed value
     // (atoms force it), and that cell's write-backs retired it.
     assert(IsViolationFree());
@@ -670,9 +377,6 @@ StreamBatchResult StreamingRepairer::ApplyBatch(
   totals_.rows_rechecked += out.rows_rechecked;
   totals_.components_resolved += out.components;
   totals_.cells_changed += out.cells_changed;
-  totals_.shard_local_components += out.shard_local_components;
-  totals_.cross_shard_components += out.cross_shard_components;
-  totals_.rows_migrated += out.rows_migrated;
   totals_.variant_reopens += out.reopened ? 1 : 0;
   totals_.variant_switches += out.variant_switched ? 1 : 0;
   totals_.bound_updates += out.bound_updates;
@@ -693,7 +397,7 @@ StreamBatchResult StreamingRepairer::ApplyBatch(
 
 void StreamingRepairer::MaybeReopen(StreamBatchResult* out) {
   const CostModel& cost = options_.repair.vfree.cost;
-  realized_cost_ = RepairCost(tracker_->dirty(), master_->relation(), cost);
+  realized_cost_ = RepairCost(tracker_->dirty(), index_->relation(), cost);
   out->realized_cost = realized_cost_;
   out->rival_bound = tracker_->BestRivalBound(variant_);
   // Skip only when every rival bound clears realized + margin: any bound
@@ -735,7 +439,7 @@ void StreamingRepairer::MaybeReopen(StreamBatchResult* out) {
       // adopted repair rewrote cells (or attribute domains) under them.
       std::vector<int> diff_rows;
       std::vector<AttrId> diff_attrs;
-      const Relation& old_W = master_->relation();
+      const Relation& old_W = index_->relation();
       for (int r = 0; r < old_W.num_rows(); ++r) {
         for (AttrId a = 0; a < old_W.num_attributes(); ++a) {
           if (old_W.Get(r, a) == sr.repaired.Get(r, a)) continue;
@@ -755,17 +459,26 @@ void StreamingRepairer::MaybeReopen(StreamBatchResult* out) {
   Adopt(sr.repaired);
 }
 
-ReplayWorkload MakeReplayWorkload(const Relation& dirty, int num_batches,
-                                  int batch_size, uint64_t seed) {
+namespace {
+
+/// The loop behind MakeReplayWorkload and MakeDriftWorkload. Update edits
+/// copy the value of a source row drawn from a `window`-row range that
+/// slides from the head of `dirty` (first batch) to its tail (last batch);
+/// a window of all n rows stays put. 1 <= window <= n whenever n >= 1.
+ReplayWorkload BuildReplay(const Relation& dirty, int num_batches,
+                           int batch_size, uint64_t seed, int window) {
   ReplayWorkload out;
+  out.base = dirty;
+  out.batches.resize(static_cast<size_t>(num_batches));
   const int n = dirty.num_rows();
   const int num_attrs = dirty.num_attributes();
+  // No cell to copy a value from or into: every batch stays empty.
+  if (n == 0 || num_attrs == 0) return out;
   const int total_edits = num_batches * batch_size;
   // Hold out at most half the edits — and at most a quarter of the rows —
   // as insert replays; everything else is an update of a live row.
   const int inserts = std::min(total_edits / 2, n / 4);
   const int base_rows = n - inserts;
-  out.base = dirty;
   out.base.Truncate(base_rows);
 
   std::mt19937_64 rng(seed);
@@ -774,58 +487,6 @@ ReplayWorkload MakeReplayWorkload(const Relation& dirty, int num_batches,
   // Spread the inserts evenly over the stream.
   const int stride = inserts > 0 ? std::max(1, total_edits / inserts) : 0;
 
-  out.batches.resize(static_cast<size_t>(num_batches));
-  int edit_index = 0;
-  for (int b = 0; b < num_batches; ++b) {
-    std::vector<RowEdit>& batch = out.batches[static_cast<size_t>(b)];
-    batch.reserve(static_cast<size_t>(batch_size));
-    for (int i = 0; i < batch_size; ++i, ++edit_index) {
-      const bool do_insert =
-          next_insert < n && stride > 0 && edit_index % stride == 0;
-      if (do_insert) {
-        batch.push_back(RowEdit::Insert(dirty.row(next_insert)));
-        ++next_insert;
-        ++live_rows;
-        continue;
-      }
-      // Typo-style noise: copy another tuple's value of the same attribute
-      // into a random live cell. Drawing the source from all of `dirty`
-      // keeps the value distribution of the generator.
-      const int row = static_cast<int>(rng() % static_cast<uint64_t>(
-                                                   std::max(1, live_rows)));
-      const AttrId attr = static_cast<AttrId>(
-          rng() % static_cast<uint64_t>(std::max(1, num_attrs)));
-      const int src =
-          static_cast<int>(rng() % static_cast<uint64_t>(std::max(1, n)));
-      batch.push_back(RowEdit::Update(row, attr, dirty.Get(src, attr)));
-    }
-  }
-  return out;
-}
-
-ReplayWorkload MakeDriftWorkload(const Relation& dirty, int num_batches,
-                                 int batch_size, uint64_t seed) {
-  ReplayWorkload out;
-  const int n = dirty.num_rows();
-  const int num_attrs = dirty.num_attributes();
-  const int total_edits = num_batches * batch_size;
-  const int inserts = std::min(total_edits / 2, n / 4);
-  const int base_rows = n - inserts;
-  out.base = dirty;
-  out.base.Truncate(base_rows);
-
-  std::mt19937_64 rng(seed);
-  int next_insert = base_rows;
-  int live_rows = base_rows;
-  const int stride = inserts > 0 ? std::max(1, total_edits / inserts) : 0;
-  // The source window covers a quarter of the relation and slides from its
-  // head to its tail over the stream, so early batches copy values from
-  // one part of the distribution and late batches from another — that
-  // skews per-attribute frequencies (and with them Eq. 2 weighted costs
-  // and the per-variant bounds) monotonically over time.
-  const int window = std::max(1, n / 4);
-
-  out.batches.resize(static_cast<size_t>(num_batches));
   int edit_index = 0;
   for (int b = 0; b < num_batches; ++b) {
     std::vector<RowEdit>& batch = out.batches[static_cast<size_t>(b)];
@@ -844,18 +505,39 @@ ReplayWorkload MakeDriftWorkload(const Relation& dirty, int num_batches,
         ++live_rows;
         continue;
       }
-      const int row = static_cast<int>(rng() % static_cast<uint64_t>(
-                                                   std::max(1, live_rows)));
-      const AttrId attr = static_cast<AttrId>(
-          rng() % static_cast<uint64_t>(std::max(1, num_attrs)));
+      // Typo-style noise: copy another tuple's value of the same attribute
+      // into a random live cell.
+      const int row =
+          static_cast<int>(rng() % static_cast<uint64_t>(live_rows));
+      const AttrId attr =
+          static_cast<AttrId>(rng() % static_cast<uint64_t>(num_attrs));
       const int src =
           window_start +
           static_cast<int>(rng() % static_cast<uint64_t>(window));
-      batch.push_back(
-          RowEdit::Update(row, attr, dirty.Get(std::min(src, n - 1), attr)));
+      batch.push_back(RowEdit::Update(row, attr, dirty.Get(src, attr)));
     }
   }
   return out;
+}
+
+}  // namespace
+
+ReplayWorkload MakeReplayWorkload(const Relation& dirty, int num_batches,
+                                  int batch_size, uint64_t seed) {
+  // Drawing sources from all of `dirty` keeps the generator's value
+  // distribution.
+  return BuildReplay(dirty, num_batches, batch_size, seed,
+                     /*window=*/dirty.num_rows());
+}
+
+ReplayWorkload MakeDriftWorkload(const Relation& dirty, int num_batches,
+                                 int batch_size, uint64_t seed) {
+  // The source window covers a quarter of the relation, so early batches
+  // copy values from one part of the distribution and late batches from
+  // another — that skews per-attribute frequencies (and with them Eq. 2
+  // weighted costs and the per-variant bounds) monotonically over time.
+  return BuildReplay(dirty, num_batches, batch_size, seed,
+                     /*window=*/std::max(1, dirty.num_rows() / 4));
 }
 
 }  // namespace cvrepair

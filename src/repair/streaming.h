@@ -3,20 +3,12 @@
 
 // Streaming batch repair (DESIGN.md §9, §11, §13): one whole-instance
 // θ-tolerant repair up front chooses the constraint variant Σ'; afterwards
-// batches of tuple edits are ingested against delta-maintained
-// ViolationIndexes, the dirty conflict components are localized, and only
-// those components are re-solved. After every batch the held instance is
-// violation-free under Σ' and bit-identical in cost to a from-scratch
-// component repair of the accumulated instance, at any thread count and
-// any shard count.
-//
-// Detection is split into `num_shards` hash shards. One shard keeps a
-// single index over all of Σ'. With more, the rows are hash-partitioned on
-// the best-covering equality-join attribute set of Σ' (PlanShards), every
-// shard owns an index over its rows and the constraints whose violations
-// are provably shard-local, and one master index over the whole instance
-// checks the straddling rest. Everything after detection — the component
-// re-solve, write-back, counters and the variant-switch path — is shared.
+// batches of tuple edits are ingested against one delta-maintained
+// ViolationIndex over Σ', the dirty conflict components are localized,
+// and only those components are re-solved. After every batch the held
+// instance is violation-free under Σ' and bit-identical in cost to a
+// from-scratch component repair of the accumulated instance, at any
+// thread count.
 //
 // By default Σ' stays frozen. With `reopen_variants` a VariantTracker
 // delta-maintains per-variant δ_l/δ_u repair-cost bounds over the
@@ -24,12 +16,11 @@
 // Algorithm 1 candidate loop, factored as CVTolerantSearchWithFacts) only
 // when some rival's lower bound reaches the incumbent's realized cost —
 // so a drifting stream recovers the scratch-optimal variant without
-// re-evaluating every variant every batch. A switch re-plans the shards.
+// re-evaluating every variant every batch. A switch rebuilds the index.
 
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "dc/incremental.h"
@@ -59,32 +50,9 @@ struct StreamingOptions {
   bool reopen_variants = false;
   /// Slack for the reopen trigger and the switch decision.
   double reopen_margin = 1e-9;
-  /// Hash shards detection is split into (clamped to >= 1). Results are
-  /// bit-identical at every count; 1 keeps one index over all of Σ'.
+  /// Ignored; see the frozen-perfbench block in StreamTotals.
   int num_shards = 1;
 };
-
-/// The sharding plan derived from a variant Σ': the hash key and the split
-/// of Σ' into shard-local and straddling constraints.
-struct ShardPlan {
-  /// Attributes whose (concrete) values route a row to its shard. Empty =
-  /// no equality-join key covers any two-tuple constraint; rows are then
-  /// round-robin-partitioned by row id and only single-tuple constraints
-  /// are shard-local.
-  std::vector<AttrId> key;
-  /// Indices into Σ' of the shard-local constraints: single-tuple ones,
-  /// plus every two-tuple constraint whose equality-join attribute set
-  /// contains `key` (when `key` is non-empty).
-  std::vector<int> local;
-  /// Indices into Σ' of the constraints the master index checks.
-  std::vector<int> straddling;
-};
-
-/// Derives the sharding plan of a variant: candidate keys are the non-empty
-/// equality-join attribute sets of Σ''s two-tuple constraints plus their
-/// single-attribute subsets; the winner localizes the most two-tuple
-/// constraints (ties: fewer attributes, then lexicographic). Deterministic.
-ShardPlan PlanShards(const ConstraintSet& variant);
 
 /// Outcome of one ApplyBatch call.
 struct StreamBatchResult {
@@ -94,17 +62,8 @@ struct StreamBatchResult {
   int dirty_rows = 0;    ///< touched rows ∪ rows sharing a violation
   int components = 0;    ///< dirty components re-solved
   int cells_changed = 0; ///< cells whose stored value actually changed
-  /// Violation-graph components (violations linked by shared rows) whose
-  /// rows all live in one shard vs. the ones spanning shards. Both stay 0
-  /// with one shard.
-  int shard_local_components = 0;
-  int cross_shard_components = 0;
-  /// Rows whose shard-key cells changed to values hashing elsewhere; their
-  /// source and destination shards were rebuilt from the master copy.
-  int rows_migrated = 0;
-  /// Row re-scans this batch (detection + repair application), summed
-  /// over every index — the work that scales with the batch, not with the
-  /// accumulated instance.
+  /// Row re-scans this batch (detection + repair application) — the work
+  /// that scales with the batch, not with the accumulated instance.
   int64_t rows_rechecked = 0;
   double repair_cost = 0.0;  ///< summed cost of this batch's fixes
   // Variant tracking (reopen_variants only).
@@ -128,13 +87,20 @@ struct StreamTotals {
   int64_t rows_rechecked = 0;
   int64_t components_resolved = 0;
   int64_t cells_changed = 0;
-  int64_t shard_local_components = 0;
-  int64_t cross_shard_components = 0;
-  int64_t rows_migrated = 0;
   int64_t variant_reopens = 0;      ///< variant searches re-run mid-stream
   int64_t variant_switches = 0;     ///< ... that adopted a different Σ'
   int64_t bound_updates = 0;        ///< per-constraint δ bound recomputations
   int64_t cache_invalidations = 0;  ///< cross-batch cache entries dropped
+
+  // Frozen-perfbench block. perfbench/src/main.cc, frozen outside
+  // benchmark changes, sets StreamingOptions::num_shards and reads these
+  // three counters. The engine ignores the option and leaves the counters
+  // at 0; nothing outside perfbench/ reads or writes any of the four. They
+  // go together with EvalIndex and the ShardedSession/ServeTotals aliases
+  // of serve/server.h (ROADMAP.md, item 3).
+  int64_t shard_local_components = 0;
+  int64_t cross_shard_components = 0;
+  int64_t rows_migrated = 0;
 };
 
 /// Delta-maintained per-variant repair-cost bounds over the accumulated
@@ -224,7 +190,7 @@ class StreamingRepairer {
 
   /// The maintained instance: violation-free under variant() after
   /// construction and after every ApplyBatch.
-  const Relation& current() const { return master_->relation(); }
+  const Relation& current() const { return index_->relation(); }
   /// The current variant Σ' (frozen unless reopen_variants).
   const ConstraintSet& variant() const { return variant_; }
   /// Stats of the initial whole-instance repair.
@@ -234,68 +200,26 @@ class StreamingRepairer {
   const VariantTracker* tracker() const { return tracker_.get(); }
   /// Δ(dirty, current) under the run's cost model (reopen_variants only).
   double realized_cost() const { return realized_cost_; }
-  int num_shards() const { return options_.num_shards; }
-  /// PlanShards of the current variant (empty with one shard); a variant
-  /// switch re-plans it.
-  const ShardPlan& plan() const { return plan_; }
-  /// The shard currently owning `row` (0 with one shard). Tombstoned rows
-  /// (all cells NULL, left by the delete/hybrid strategy) keep the home
-  /// they died in.
-  int HomeOf(int row) const {
-    return home_.empty() ? 0 : home_[static_cast<size_t>(row)];
-  }
-  /// The shard `row` hashes to under plan() and its current values; every
-  /// row that is not tombstoned is homed there. Rows whose key holds a NULL
-  /// or fresh value satisfy no equality predicate — they cannot join a
-  /// shard-local two-tuple violation — so they fall back to the (stable)
-  /// round-robin slot.
-  int RouteOf(int row) const;
-  /// True iff every index is violation-free — the invariant ApplyBatch
+  /// True iff the index holds no violation — the invariant ApplyBatch
   /// re-establishes after every batch.
-  bool IsViolationFree() const;
+  bool IsViolationFree() const { return !index_->HasViolations(); }
 
-  /// Ingests one batch: applies the edits through the master index, re-homes
-  /// rows whose shard-key cells changed (rebuilding the affected shards),
-  /// delta-re-checks the touched rows of every shard, localizes the dirty
-  /// components of the unioned violations, re-solves them under the
-  /// current variant, and writes the fixes back. The result is
-  /// bit-identical in cost — and identical cell-for-cell modulo
-  /// fresh-variable ids — to SolveDirtyComponents run from scratch on the
-  /// accumulated instance, at any thread and shard count. With
-  /// reopen_variants, finishes by updating the tracker's bounds and
-  /// re-opening the variant search when a rival's lower bound reaches the
-  /// incumbent's realized cost.
+  /// Ingests one batch: applies the edits through the index (which
+  /// delta-re-checks the touched rows), localizes the dirty components of
+  /// the live violations, re-solves them under the current variant, and
+  /// writes the fixes back. The result is bit-identical in cost — and
+  /// identical cell-for-cell modulo fresh-variable ids — to
+  /// SolveDirtyComponents run from scratch on the accumulated instance, at
+  /// any thread count. With reopen_variants, finishes by updating the
+  /// tracker's bounds and re-opening the variant search when a rival's
+  /// lower bound reaches the incumbent's realized cost.
   StreamBatchResult ApplyBatch(const std::vector<RowEdit>& edits);
 
  private:
-  struct Shard {
-    std::vector<int> rows;                  // local row -> global row
-    std::unordered_map<int, int> local_of;  // global row -> local row
-    std::unique_ptr<ViolationIndex> index;  // over (sub-relation, local Σ')
-    int64_t retired_rechecked = 0;  // rows_rechecked of replaced indexes
-  };
-
   /// Adopts `repaired` as the held instance under variant_: continues the
-  /// fresh-id counter past its ids, then (re)builds the master index and,
-  /// with more than one shard, re-plans and rebuilds the shards.
+  /// fresh-id counter past its ids, then rebuilds the index over Σ'.
   void Adopt(const Relation& repaired);
-  void RebuildShard(int s);
-  /// Re-homes `rows` under their current values (those at or past
-  /// `old_rows` are inserts) and returns the shards a migration invalidated.
-  std::vector<char> Rehome(const std::vector<int>& rows, int old_rows,
-                           StreamBatchResult* out);
-  /// Rebuilds the `rebuild` shards and brings every other shard up to the
-  /// master copy's values of the batch's touched rows.
-  void SyncShards(const std::vector<int>& touched, int old_rows,
-                  const std::vector<char>& rebuild);
-  /// The live violations of every index, remapped to global rows and Σ'
-  /// constraint indices, in canonical order.
-  std::vector<Violation> CollectViolations();
-  /// Splits the violation graph's components into shard-local and
-  /// cross-shard ones.
-  void CountComponents(const std::vector<Violation>& violations,
-                       StreamBatchResult* out) const;
-  /// Row re-scans of every index since construction, retired ones included.
+  /// Row re-scans since construction, replaced indexes included.
   int64_t RowsRechecked() const;
   void EvictForEdits(const std::vector<RowEdit>& edits,
                      StreamBatchResult* out);
@@ -304,14 +228,9 @@ class StreamingRepairer {
   StreamingOptions options_;
   ConstraintSet variant_;
   RepairStats initial_stats_;
-  ShardPlan plan_;
-  ConstraintSet local_sigma_;  // variant_[plan_.local], in order
   /// The authoritative working copy (and its coded mirror, the inputs of
-  /// every re-solve) plus detection of the straddling constraints — all of
-  /// Σ' with one shard.
-  std::unique_ptr<ViolationIndex> master_;
-  std::vector<Shard> shards_;  // empty with one shard
-  std::vector<int> home_;      // row -> owning shard; empty with one shard
+  /// every re-solve) plus delta detection over Σ'.
+  std::unique_ptr<ViolationIndex> index_;
   int64_t retired_rechecked_ = 0;  // rows_rechecked of replaced indexes
   std::unique_ptr<VariantTracker> tracker_;  // reopen_variants only
   double realized_cost_ = 0.0;               // Δ(dirty, current)
@@ -334,7 +253,8 @@ struct ReplayWorkload {
 /// `batch_size` edits each. At most half the edits (and a quarter of the
 /// rows) are insert replays, spread evenly over the stream; the rest are
 /// updates of rows live at apply time. Deterministic in (dirty, shape,
-/// seed).
+/// seed). An instance with no rows or no attributes has nothing to edit:
+/// the base is `dirty` itself and all `num_batches` batches are empty.
 ReplayWorkload MakeReplayWorkload(const Relation& dirty, int num_batches,
                                   int batch_size, uint64_t seed = 42);
 
@@ -343,7 +263,8 @@ ReplayWorkload MakeReplayWorkload(const Relation& dirty, int num_batches,
 /// of `dirty`'s rows that moves from the head of the relation to its tail
 /// as the stream progresses, so per-attribute value frequencies — and with
 /// them the Eq. 2 weighted variation costs and the per-variant repair
-/// bounds — skew over time instead of staying stationary.
+/// bounds — skew over time instead of staying stationary. Same shape,
+/// determinism and empty-instance behaviour as MakeReplayWorkload.
 ReplayWorkload MakeDriftWorkload(const Relation& dirty, int num_batches,
                                  int batch_size, uint64_t seed = 42);
 

@@ -65,9 +65,10 @@ double RowDeletionWeight(const Relation& I, const DomainStats& stats, int row,
 /// rows are represented in place — every non-NULL cell of the row is
 /// assigned NULL — so the instance keeps its row count and the tombstone
 /// flows through the encoded backend (sentinel codes + zone-map refresh),
-/// ViolationIndex delta maintenance, and the sharded serve path unchanged.
-/// NULL satisfies no DC predicate, so a tombstoned tuple can never
-/// participate in a violation again and deletions never create new ones.
+/// ViolationIndex delta maintenance, and the streaming and serve sessions
+/// unchanged. NULL satisfies no DC predicate, so a tombstoned tuple can
+/// never participate in a violation again and deletions never create new
+/// ones.
 struct SubsetRepair {
   std::vector<std::pair<Cell, Value>> assignments;
   double cost = 0.0;  ///< summed deletion weights

@@ -49,7 +49,7 @@ struct VfreeOptions {
   /// summed update cost exceeds its deletion weight. Deleted tuples are
   /// tombstoned in place (all cells NULL), which keeps row counts and
   /// lets the deletion flow through the encoded backend, ViolationIndex
-  /// delta maintenance, and the sharded serve path unchanged.
+  /// delta maintenance, and the streaming and serve sessions unchanged.
   RepairStrategy strategy = RepairStrategy::kUpdate;
   /// Deletion weights / representation-cost accounting for kDelete and
   /// kHybrid.

@@ -18,9 +18,6 @@ struct ServeCounters {
   MetricCounter* sessions_opened;
   MetricCounter* batches_applied;
   MetricCounter* cells_changed;
-  MetricCounter* shard_local_components;
-  MetricCounter* cross_shard_components;
-  MetricCounter* rows_migrated;
 
   static const ServeCounters& Get() {
     static ServeCounters c = [] {
@@ -31,9 +28,6 @@ struct ServeCounters {
       out.sessions_opened = r.GetCounter("serve.sessions_opened");
       out.batches_applied = r.GetCounter("serve.batches_applied");
       out.cells_changed = r.GetCounter("serve.cells_changed");
-      out.shard_local_components = r.GetCounter("serve.shard_local_components");
-      out.cross_shard_components = r.GetCounter("serve.cross_shard_components");
-      out.rows_migrated = r.GetCounter("serve.rows_migrated");
       return out;
     }();
     return c;
@@ -100,9 +94,6 @@ int ServeSession::Pump() {
   const ServeCounters& c = ServeCounters::Get();
   c.batches_applied->Increment();
   c.cells_changed->Add(result.cells_changed);
-  c.shard_local_components->Add(result.shard_local_components);
-  c.cross_shard_components->Add(result.cross_shard_components);
-  c.rows_migrated->Add(result.rows_migrated);
   {
     std::lock_guard<std::mutex> lock(mu_);
     ++applied_;

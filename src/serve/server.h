@@ -2,8 +2,8 @@
 #define CVREPAIR_SERVE_SERVER_H_
 
 // Repair-as-a-service front end (DESIGN.md §13): a RepairServer hosts
-// named dataset sessions, each wrapping a StreamingRepairer (usually with
-// sharded detection) behind a bounded request queue with admission
+// named dataset sessions, each wrapping the one session engine, a
+// StreamingRepairer, behind a bounded request queue with admission
 // control. Submit is the client edge — it either enqueues a batch
 // (admitted, with a monotone ticket) or rejects it with a retry-after hint
 // once the queue depth reaches the watermark (backpressure; nothing is
@@ -29,7 +29,8 @@
 
 namespace cvrepair {
 
-// perfbench/src/main.cc, frozen outside benchmark changes, still names these.
+// perfbench/src/main.cc, frozen outside benchmark changes, still names
+// these; see the frozen-perfbench block in StreamTotals.
 using ShardedSession = StreamingRepairer;
 using ServeTotals = StreamTotals;
 

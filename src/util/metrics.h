@@ -12,9 +12,8 @@
 // "repair.*" (per-run outcome, PublishRepairStats), "stream.*" (streaming
 // batch repair: batches/edits/rows_ingested/rows_rechecked/
 // components_resolved/cells_changed), "serve.*" (repair-as-a-service:
-// admission batches_admitted/batches_rejected/sessions_opened, sharded
-// engine batches_applied/shard_local_components/cross_shard_components/
-// rows_migrated/cells_changed), "pool.*" (runtime-only scheduling).
+// admission batches_admitted/batches_rejected/sessions_opened, applied
+// work batches_applied/cells_changed), "pool.*" (runtime-only scheduling).
 // Counters are relaxed atomics — hot loops keep bulk-flushing local
 // tallies exactly as before; the registry only changes where the totals
 // live.

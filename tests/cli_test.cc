@@ -2,6 +2,7 @@
 // files, invokes the binary (path injected by CMake), and checks the
 // repaired CSV and the JSON report.
 #include <gtest/gtest.h>
+#include <sys/wait.h>
 
 #include <cstdio>
 #include <cstdlib>
@@ -27,14 +28,21 @@ void WriteFile(const std::string& path, const std::string& text) {
   f << text;
 }
 
-std::string RunAndCapture(const std::string& command) {
+/// Runs `command` through the shell and returns its stdout + stderr. With
+/// `exit_code`, also reports the exit status (-1 when the shell did not
+/// exit normally).
+std::string RunAndCapture(const std::string& command,
+                          int* exit_code = nullptr) {
   std::string full = command + " 2>&1";
   FILE* pipe = popen(full.c_str(), "r");
   if (pipe == nullptr) return "";
   std::string out;
   char buf[512];
   while (fgets(buf, sizeof(buf), pipe) != nullptr) out += buf;
-  pclose(pipe);
+  const int status = pclose(pipe);
+  if (exit_code != nullptr) {
+    *exit_code = WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+  }
   return out;
 }
 
@@ -135,13 +143,23 @@ TEST_F(CliTest, NanThetaRejected) {
   EXPECT_NE(out.find("usage:"), std::string::npos) << out;
 }
 
-TEST_F(CliTest, OverflowingShardsRejected) {
+// An int-overflowing count is rejected like any malformed number; the
+// served session has no shard count, so its old flag is unknown.
+TEST_F(CliTest, OverflowingClientsRejected) {
   std::string out = RunAndCapture(
-      cli_ + " --generate hosp --serve-bench --shards 99999999999");
-  EXPECT_NE(out.find("--shards: 99999999999 is out of range"),
+      cli_ + " --generate hosp --serve-bench --clients 99999999999");
+  EXPECT_NE(out.find("--clients: 99999999999 is out of range"),
             std::string::npos)
       << out;
   EXPECT_NE(out.find("usage:"), std::string::npos) << out;
+  const std::string removed = std::string("--") + "shards";
+  std::string flag =
+      RunAndCapture(cli_ + " --generate hosp --serve-bench " + removed + " 4");
+  EXPECT_NE(flag.find("unknown or incomplete argument: " + removed),
+            std::string::npos)
+      << flag;
+  EXPECT_NE(flag.find("usage:"), std::string::npos) << flag;
+  EXPECT_EQ(flag.find("admitted:"), std::string::npos) << flag;
 }
 
 std::string ReadWholeFile(const std::string& path) {
@@ -306,12 +324,32 @@ TEST_F(CliTest, ServeBenchReopensVariants) {
   std::string out = RunAndCapture(
       "cd " + dir_ + " && " + cli_ +
       " --generate hosp --size 6 --serve-bench --drift --reopen-variants 1" +
-      " --stream-batches 6 --batch-size 10 --shards 2");
+      " --stream-batches 6 --batch-size 10");
   const std::string label = "variant reopens:  ";
   size_t at = out.find(label);
   ASSERT_NE(at, std::string::npos) << out;
   EXPECT_GT(std::atoi(out.c_str() + at + label.size()), 0) << out;
   EXPECT_NE(out.find("violation-free:   yes"), std::string::npos) << out;
+}
+
+// A header-only CSV has no tuples: both session modes replay empty
+// batches, exit 0 and end violation-free, like a plain repair of it.
+TEST_F(CliTest, SessionModesRunOnHeaderOnlyCsv) {
+  WriteFile(dir_ + "/empty.csv", "Name,Group,Value\n");
+  const std::string base = cli_ + " --schema " + dir_ +
+                           "/schema.txt --data " + dir_ +
+                           "/empty.csv --constraints " + dir_ + "/rules.txt";
+  // Run inside the scratch dir: --serve-bench appends to BENCH_serve.json.
+  for (const std::string mode : {" --stream-batches 2 --batch-size 4",
+                                 " --serve-bench --stream-batches 2"
+                                 " --batch-size 4"}) {
+    SCOPED_TRACE(mode);
+    int exit_code = -1;
+    std::string out =
+        RunAndCapture("cd " + dir_ + " && " + base + mode, &exit_code);
+    EXPECT_EQ(exit_code, 0) << out;
+    EXPECT_NE(out.find("violation-free:   yes"), std::string::npos) << out;
+  }
 }
 
 TEST_F(CliTest, StreamBatchesRejectsOtherAlgorithmsAndBadSizes) {

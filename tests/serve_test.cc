@@ -1,28 +1,30 @@
-// Repair-as-a-service (serve/) and sharded detection (repair/streaming.h):
-// a StreamingRepairer with N shards must stay violation-free under Σ' and
-// bit-identical — cost, changed cells, components, fresh ids included — to
-// a one-shard replay of the same edit sequence, across shard counts and
-// thread counts; the admission edge must reject at the
-// watermark deterministically, re-admit after a drain, and never lose an
-// accepted batch, even across Close.
+// Repair-as-a-service (serve/): a RepairServer session is admission
+// control over one StreamingRepairer. The admission edge must reject at
+// the watermark deterministically, re-admit after a drain, never lose an
+// accepted batch, even across Close, and never change a batch: a served
+// session ends bit-identical — fresh ids included — to the same engine
+// driven directly, at 1 and 4 engine threads, with the reference oracle
+// confirming the final instance violation-free.
 #include "serve/server.h"
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
+#include <chrono>
 #include <cstdlib>
 #include <random>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "bench/bench_util.h"
 #include "data/census.h"
 #include "data/hosp.h"
 #include "data/noise.h"
-#include "dc/predicate_space.h"
 #include "dc/violation.h"
 #include "reference_scan.h"
 #include "repair/streaming.h"
+#include "util/metrics.h"
 
 namespace cvrepair {
 namespace {
@@ -54,15 +56,6 @@ Workload MakeCensusWorkload() {
   return {InjectNoise(census.clean, noise).dirty, census.given, {}};
 }
 
-StreamingOptions MakeStreamingOptions(const Workload& w, int threads,
-                                      int shards = 1) {
-  StreamingOptions options;
-  options.repair.variants.space = w.space;
-  options.repair.threads = threads;
-  options.num_shards = shards;
-  return options;
-}
-
 void ExpectExactlyEqual(const Relation& a, const Relation& b) {
   ASSERT_EQ(a.num_rows(), b.num_rows());
   ASSERT_EQ(a.num_attributes(), b.num_attributes());
@@ -75,393 +68,12 @@ void ExpectExactlyEqual(const Relation& a, const Relation& b) {
   }
 }
 
-/// Streams the same replay through an N-shard and a one-shard
-/// StreamingRepairer and pins batch-by-batch bit-identity: same variant,
-/// same violation count, same cost/cells/components, same cells including
-/// fresh ids.
-void RunShardedVsStreamed(const Workload& w, int threads, int shards) {
-  ReplayWorkload replay = MakeReplayWorkload(w.dirty, /*num_batches=*/4,
-                                             /*batch_size=*/8, /*seed=*/7);
-  StreamingRepairer sharded(replay.base, w.sigma,
-                            MakeStreamingOptions(w, threads, shards));
-  StreamingRepairer streamer(replay.base, w.sigma,
-                             MakeStreamingOptions(w, threads));
-  ASSERT_TRUE(sharded.variant() == streamer.variant());
-  ASSERT_TRUE(sharded.IsViolationFree());
-  ExpectExactlyEqual(sharded.current(), streamer.current());
-
-  for (size_t b = 0; b < replay.batches.size(); ++b) {
-    SCOPED_TRACE("batch " + std::to_string(b));
-    StreamBatchResult rs = sharded.ApplyBatch(replay.batches[b]);
-    StreamBatchResult rt = streamer.ApplyBatch(replay.batches[b]);
-    EXPECT_TRUE(sharded.IsViolationFree());
-    EXPECT_EQ(rs.violations, rt.violations);
-    EXPECT_EQ(rs.repair_cost, rt.repair_cost);  // bit-identical, not close
-    EXPECT_EQ(rs.cells_changed, rt.cells_changed);
-    EXPECT_EQ(rs.components, rt.components);
-    if (rs.violations == 0) {
-      EXPECT_EQ(rs.shard_local_components + rs.cross_shard_components, 0);
-    } else {
-      EXPECT_GE(rs.shard_local_components + rs.cross_shard_components, 1);
-    }
-    ExpectExactlyEqual(sharded.current(), streamer.current());
-  }
-  EXPECT_TRUE(FindViolations(sharded.current(), sharded.variant()).empty());
-  // Independent of the engine's own scans: the naive reference.
-  EXPECT_TRUE(
-      reference::ReferenceViolations(sharded.current(), sharded.variant())
-          .empty());
-}
-
-// The acceptance matrix: hosp and census, 1 and 4 threads, shard counts 2
-// and 4 — every threads × shards pair covered on both datasets.
-TEST(ServeTest, HospEncoded1Thread2Shards) {
-  RunShardedVsStreamed(MakeHospWorkload(), 1, 2);
-}
-TEST(ServeTest, HospEncoded4Threads4Shards) {
-  RunShardedVsStreamed(MakeHospWorkload(), 4, 4);
-}
-TEST(ServeTest, HospEncoded1Thread4Shards) {
-  RunShardedVsStreamed(MakeHospWorkload(), 1, 4);
-}
-TEST(ServeTest, HospEncoded4Threads2Shards) {
-  RunShardedVsStreamed(MakeHospWorkload(), 4, 2);
-}
-TEST(ServeTest, CensusEncoded1Thread2Shards) {
-  RunShardedVsStreamed(MakeCensusWorkload(), 1, 2);
-}
-TEST(ServeTest, CensusEncoded4Threads4Shards) {
-  RunShardedVsStreamed(MakeCensusWorkload(), 4, 4);
-}
-TEST(ServeTest, CensusEncoded1Thread4Shards) {
-  RunShardedVsStreamed(MakeCensusWorkload(), 1, 4);
-}
-TEST(ServeTest, CensusEncoded4Threads2Shards) {
-  RunShardedVsStreamed(MakeCensusWorkload(), 4, 2);
-}
-
-// The plan picks the equality-join key covering the most two-tuple
-// constraints. On hosp's oversimplified set the eq-join sets are {Name},
-// {Code}, {Code}, {Name,Addr}, {Zip}, {Name,Addr}: HospitalName covers
-// three constraints, every rival at most two.
-TEST(ServeTest, HospShardPlanPicksBestCoveringKey) {
-  Workload w = MakeHospWorkload();
-  ShardPlan plan = PlanShards(w.sigma);
-  ASSERT_EQ(plan.key.size(), 1u);
-  EXPECT_EQ(plan.key[0], HospAttrs::kHospitalName);
-  EXPECT_EQ(plan.local.size() + plan.straddling.size(), w.sigma.size());
-  // Structural soundness: every local two-tuple constraint's eq-join set
-  // contains the key, so two rows violating it share all key values.
-  for (int k : plan.local) {
-    if (w.sigma[static_cast<size_t>(k)].NumTupleVars() < 2) continue;
-    std::vector<AttrId> eq =
-        EqualityJoinAttrs(w.sigma[static_cast<size_t>(k)].predicates());
-    EXPECT_TRUE(std::includes(eq.begin(), eq.end(), plan.key.begin(),
-                              plan.key.end()));
-  }
-  EXPECT_FALSE(plan.straddling.empty());
-}
-
-// Census's given DCs are order comparisons (no equality joins): the plan
-// degenerates to round-robin row sharding with only single-tuple
-// constraints local — everything else goes through the residual index.
-TEST(ServeTest, CensusShardPlanFallsBackToRoundRobin) {
-  Workload w = MakeCensusWorkload();
-  ShardPlan plan = PlanShards(w.sigma);
-  EXPECT_TRUE(plan.key.empty());
-  for (int k : plan.local) {
-    EXPECT_LT(w.sigma[static_cast<size_t>(k)].NumTupleVars(), 2);
-  }
-}
-
-// When the shard key covers every constraint, the residual index runs with
-// an empty constraint set (it is then purely the master copy) — the
-// degenerate plan must still stream correctly.
-TEST(ServeTest, AllConstraintsLocalRunsWithEmptyResidual) {
-  Workload w = MakeHospWorkload();
-  w.sigma = {w.sigma[0]};  // fd_phone_oversimplified alone, eq-join {Name}
-  ReplayWorkload replay = MakeReplayWorkload(w.dirty, 3, 6, /*seed=*/5);
-  StreamingRepairer sharded(replay.base, w.sigma,
-                            MakeStreamingOptions(w, 1, 3));
-  EXPECT_TRUE(sharded.plan().straddling.empty());
-  StreamingRepairer streamer(replay.base, w.sigma,
-                             MakeStreamingOptions(w, 1));
-  for (const std::vector<RowEdit>& batch : replay.batches) {
-    StreamBatchResult rs = sharded.ApplyBatch(batch);
-    StreamBatchResult rt = streamer.ApplyBatch(batch);
-    EXPECT_EQ(rs.repair_cost, rt.repair_cost);
-    EXPECT_EQ(rs.cells_changed, rt.cells_changed);
-    EXPECT_TRUE(sharded.IsViolationFree());
-  }
-  ExpectExactlyEqual(sharded.current(), streamer.current());
-  EXPECT_EQ(sharded.totals().cross_shard_components, 0);
-}
-
-/// Finds an edit of `target_attr` on some row that provably creates at
-/// least one violation spanning two shards (want_cross) or contained in
-/// one (want_cross = false), by simulating candidate edits on a copy.
-/// Returns false if no candidate qualifies.
-bool FindProbeEdit(StreamingRepairer& session, AttrId target_attr,
-                   bool want_cross, RowEdit* out) {
-  const Relation& W = session.current();
-  for (int src = 0; src < W.num_rows(); ++src) {
-    for (int dst = 0; dst < W.num_rows(); ++dst) {
-      if (src == dst) continue;
-      const bool cross = session.HomeOf(src) != session.HomeOf(dst);
-      if (cross != want_cross) continue;
-      const Value& v = W.Get(src, target_attr);
-      if (v.is_null() || v.is_fresh() || W.Get(dst, target_attr) == v) {
-        continue;
-      }
-      Relation probe = W;
-      probe.SetValue(dst, target_attr, v);
-      std::vector<Violation> violations =
-          FindViolations(probe, session.variant());
-      for (const Violation& viol : violations) {
-        bool straddles = false;
-        for (size_t i = 1; i < viol.rows.size(); ++i) {
-          if (session.HomeOf(viol.rows[i]) != session.HomeOf(viol.rows[0])) {
-            straddles = true;
-          }
-        }
-        if (straddles == want_cross) {
-          *out = RowEdit::Update(dst, target_attr, v);
-          return true;
-        }
-      }
-    }
-  }
-  return false;
-}
-
-// A violation whose rows live in different shards escapes every shard
-// index, is caught by the residual, and is counted as a cross-shard
-// component — and the repair still retires it.
-TEST(ServeTest, CrossShardComponentIsMergedAndRepaired) {
-  Workload w = MakeHospWorkload();
-  StreamingRepairer session(w.dirty, w.sigma,
-                            MakeStreamingOptions(w, 1, 2));
-  // MeasureCode → MeasureName/Condition straddle the Name-keyed shards.
-  RowEdit probe;
-  ASSERT_TRUE(
-      FindProbeEdit(session, HospAttrs::kMeasureCode, /*want_cross=*/true,
-                    &probe));
-  StreamBatchResult r = session.ApplyBatch({probe});
-  EXPECT_GE(r.cross_shard_components, 1);
-  EXPECT_TRUE(session.IsViolationFree());
-  EXPECT_GE(session.totals().cross_shard_components, 1);
-}
-
-// A violation between rows agreeing on the shard key stays inside one
-// shard index and is counted shard-local.
-TEST(ServeTest, ShardLocalComponentStaysLocal) {
-  Workload w = MakeHospWorkload();
-  StreamingRepairer session(w.dirty, w.sigma,
-                            MakeStreamingOptions(w, 1, 4));
-  RowEdit probe;
-  ASSERT_TRUE(FindProbeEdit(session, HospAttrs::kPhone, /*want_cross=*/false,
-                            &probe));
-  StreamBatchResult r = session.ApplyBatch({probe});
-  EXPECT_GE(r.shard_local_components, 1);
-  EXPECT_TRUE(session.IsViolationFree());
-}
-
-// Rewriting a row's shard-key cells re-homes it: the row must land in the
-// shard of the rows it now joins with, and the session must stay
-// equivalent to the unsharded replay of the same edits. The key attribute
-// comes from the session's own plan — the variant search is free to move
-// the equality joins (it does on hosp: fd_phone's key becomes Address).
-TEST(ServeTest, ShardKeyEditMigratesRow) {
-  Workload w = MakeHospWorkload();
-  StreamingRepairer sharded(w.dirty, w.sigma,
-                            MakeStreamingOptions(w, 1, 4));
-  StreamingRepairer streamer(w.dirty, w.sigma,
-                             MakeStreamingOptions(w, 1));
-  const std::vector<AttrId>& key = sharded.plan().key;
-  ASSERT_FALSE(key.empty());
-  const Relation& W = sharded.current();
-  // Find a donor row homed elsewhere whose key values are all concrete and
-  // differ from the victim's in at least one attribute.
-  int victim = -1, donor = -1;
-  for (int a = 0; a < W.num_rows() && victim < 0; ++a) {
-    for (int b = 0; b < W.num_rows(); ++b) {
-      if (sharded.HomeOf(a) == sharded.HomeOf(b)) continue;
-      bool concrete = true;
-      for (AttrId at : key) {
-        const Value& v = W.Get(b, at);
-        concrete &= !v.is_null() && !v.is_fresh();
-      }
-      if (concrete) {
-        victim = a;
-        donor = b;
-        break;
-      }
-    }
-  }
-  ASSERT_GE(victim, 0);
-  std::vector<RowEdit> batch;
-  for (AttrId at : key) {
-    batch.push_back(RowEdit::Update(victim, at, W.Get(donor, at)));
-  }
-  StreamBatchResult rs = sharded.ApplyBatch(batch);
-  StreamBatchResult rt = streamer.ApplyBatch(batch);
-  EXPECT_GE(rs.rows_migrated, 1);
-  EXPECT_EQ(rs.repair_cost, rt.repair_cost);
-  EXPECT_EQ(rs.cells_changed, rt.cells_changed);
-  ExpectExactlyEqual(sharded.current(), streamer.current());
-  // Wherever the repair left the victim's key cells, equal keys mean equal
-  // homes (the fixes may have rewritten them again, migrating it back).
-  bool keys_equal = true;
-  for (AttrId at : key) {
-    const Value& v = sharded.current().Get(victim, at);
-    keys_equal &= !v.is_null() && !v.is_fresh() &&
-                  v == sharded.current().Get(donor, at);
-  }
-  if (keys_equal) EXPECT_EQ(sharded.HomeOf(victim), sharded.HomeOf(donor));
-}
-
-// Tombstone re-homing probe: under the delete strategy the per-batch
-// re-solve retires violations by tombstoning tuples (all cells NULL). The
-// tombstoned row must be retired from its shard's ViolationIndex in place
-// — the route table keeps the shard it died in rather than migrating the
-// row of NULLs to the round-robin slot its NULL key hashes to (which
-// would rebuild two shard indexes per deletion) — and the session must
-// stay bit-identical to the unsharded replay.
-TEST(ServeTest, DeletedRowStaysHomeAndRetiresFromShardIndex) {
-  Workload w = MakeHospWorkload();
-  StreamingOptions sharded_options = MakeStreamingOptions(w, 1, 4);
-  sharded_options.repair.vfree.strategy = RepairStrategy::kDelete;
-  StreamingRepairer sharded(w.dirty, w.sigma, sharded_options);
-  StreamingOptions streaming_options = MakeStreamingOptions(w, 1);
-  streaming_options.repair.vfree.strategy = RepairStrategy::kDelete;
-  StreamingRepairer streamer(w.dirty, w.sigma, streaming_options);
-  ASSERT_TRUE(sharded.variant() == streamer.variant());
-  ASSERT_TRUE(sharded.IsViolationFree());
-  ExpectExactlyEqual(sharded.current(), streamer.current());
-
-  // Provoke a shard-local violation; the delete-strategy re-solve retires
-  // it by tombstoning a row of the conflict.
-  RowEdit probe;
-  ASSERT_TRUE(FindProbeEdit(sharded, HospAttrs::kPhone, /*want_cross=*/false,
-                            &probe));
-  const Relation before = sharded.current();
-  std::vector<int> home_before;
-  for (int r = 0; r < before.num_rows(); ++r) {
-    home_before.push_back(sharded.HomeOf(r));
-  }
-  const int64_t migrated_before = sharded.totals().rows_migrated;
-
-  StreamBatchResult rs = sharded.ApplyBatch({probe});
-  StreamBatchResult rt = streamer.ApplyBatch({probe});
-  EXPECT_EQ(rs.repair_cost, rt.repair_cost);
-  EXPECT_EQ(rs.cells_changed, rt.cells_changed);
-  ExpectExactlyEqual(sharded.current(), streamer.current());
-  EXPECT_TRUE(sharded.IsViolationFree());
-
-  // At least one tuple died, and every tombstone kept its home.
-  int deleted = 0;
-  for (int r = 0; r < before.num_rows(); ++r) {
-    if (!RowDeleted(before, sharded.current(), r)) continue;
-    ++deleted;
-    EXPECT_EQ(sharded.HomeOf(r), home_before[static_cast<size_t>(r)])
-        << "tombstoned row " << r << " migrated";
-  }
-  EXPECT_GE(deleted, 1);
-  // Tombstoning is not a migration: the probe edit touched no shard-key
-  // cell and the fixes only wrote NULLs, so the route table is unchanged.
-  EXPECT_EQ(sharded.totals().rows_migrated, migrated_before);
-
-  // The shard indexes really retired the rows: a no-op batch detects
-  // nothing and changes nothing.
-  StreamBatchResult idle = sharded.ApplyBatch({});
-  EXPECT_EQ(idle.violations, 0);
-  EXPECT_EQ(idle.cells_changed, 0);
-}
-
-// The full delete-strategy equivalence sweep: sharded ≡ unsharded
-// streamed replay, batch by batch, at both thread counts.
-TEST(ServeTest, DeleteStrategyShardedMatchesStreamedReplay) {
-  for (int threads : {1, 4}) {
-    SCOPED_TRACE("threads=" + std::to_string(threads));
-    Workload w = MakeHospWorkload();
-    ReplayWorkload replay = MakeReplayWorkload(w.dirty, /*num_batches=*/3,
-                                               /*batch_size=*/8, /*seed=*/7);
-    StreamingOptions sharded_options = MakeStreamingOptions(w, threads, 3);
-    sharded_options.repair.vfree.strategy = RepairStrategy::kDelete;
-    StreamingRepairer sharded(replay.base, w.sigma, sharded_options);
-    StreamingOptions streaming_options = MakeStreamingOptions(w, threads);
-    streaming_options.repair.vfree.strategy = RepairStrategy::kDelete;
-    StreamingRepairer streamer(replay.base, w.sigma, streaming_options);
-    for (const std::vector<RowEdit>& batch : replay.batches) {
-      StreamBatchResult rs = sharded.ApplyBatch(batch);
-      StreamBatchResult rt = streamer.ApplyBatch(batch);
-      EXPECT_EQ(rs.repair_cost, rt.repair_cost);
-      EXPECT_EQ(rs.cells_changed, rt.cells_changed);
-      EXPECT_TRUE(sharded.IsViolationFree());
-    }
-    ExpectExactlyEqual(sharded.current(), streamer.current());
-    EXPECT_TRUE(FindViolations(sharded.current(), sharded.variant()).empty());
-  }
-}
-
-// Sharded sessions inherit the unfrozen variant: on the drift stream, 2
-// and 4 shards match one shard batch by batch — reopen decisions, variant,
-// costs, every cell with fresh ids — and a switch re-plans the shard key
-// and re-homes every live row under the new plan.
-TEST(ServeTest, ShardedUnfrozenStreamMatchesUnsharded) {
-  Workload w = MakeHospWorkload();
-  ReplayWorkload replay = MakeDriftWorkload(w.dirty, /*num_batches=*/6,
-                                            /*batch_size=*/10, /*seed=*/29);
-  for (int threads : {1, 4}) {
-    for (int shards : {2, 4}) {
-      SCOPED_TRACE("threads=" + std::to_string(threads) +
-                   " shards=" + std::to_string(shards));
-      StreamingOptions options = MakeStreamingOptions(w, threads);
-      options.reopen_variants = true;
-      StreamingRepairer unsharded(replay.base, w.sigma, options);
-      options.num_shards = shards;
-      StreamingRepairer sharded(replay.base, w.sigma, options);
-      int switched = 0;
-      for (size_t b = 0; b < replay.batches.size(); ++b) {
-        SCOPED_TRACE("batch " + std::to_string(b));
-        StreamBatchResult rs = sharded.ApplyBatch(replay.batches[b]);
-        StreamBatchResult ru = unsharded.ApplyBatch(replay.batches[b]);
-        EXPECT_TRUE(sharded.IsViolationFree());
-        EXPECT_EQ(rs.reopened, ru.reopened);
-        EXPECT_EQ(rs.variant_switched, ru.variant_switched);
-        EXPECT_TRUE(sharded.variant() == unsharded.variant());
-        EXPECT_EQ(sharded.realized_cost(), unsharded.realized_cost());
-        EXPECT_EQ(rs.repair_cost, ru.repair_cost);
-        ExpectExactlyEqual(sharded.current(), unsharded.current());
-        if (!rs.variant_switched) continue;
-        ++switched;
-        const ShardPlan replanned = PlanShards(sharded.variant());
-        EXPECT_EQ(sharded.plan().key, replanned.key);
-        EXPECT_EQ(sharded.plan().local, replanned.local);
-        EXPECT_EQ(sharded.plan().straddling, replanned.straddling);
-        const Relation& W = sharded.current();
-        for (int r = 0; r < W.num_rows(); ++r) {
-          bool tombstone = true;
-          for (AttrId a = 0; a < W.num_attributes(); ++a) {
-            tombstone &= W.Get(r, a).is_null();
-          }
-          if (!tombstone) {
-            EXPECT_EQ(sharded.HomeOf(r), sharded.RouteOf(r));
-          }
-        }
-      }
-      EXPECT_GT(switched, 0) << "no batch switched variants";
-    }
-  }
-}
-
 // ---------------------------------------------------------------------------
 // Admission control
 
 ServeOptions SmallServeOptions(const Workload& w, int watermark) {
   ServeOptions options;
   options.session.repair.variants.space = w.space;
-  options.session.num_shards = 2;
   options.admission.queue_watermark = watermark;
   return options;
 }
@@ -561,6 +173,96 @@ TEST(ServeTest, BackgroundWorkerMatchesSynchronousDrain) {
   ExpectExactlyEqual(*final_instance, twin.current());
 }
 
+// Client threads against the background worker: 4 clients submit
+// update-only batches over base rows (valid in any admission order) into a
+// watermark-2 queue, retrying after each reject. Every batch is admitted
+// exactly once, the worker and Close apply them all in ticket order, and
+// the counters agree with what the clients saw.
+TEST(ServeTest, ConcurrentClientsWithBackgroundWorker) {
+  constexpr int kClients = 4;
+  constexpr int kBatchesPerClient = 3;
+  constexpr int kEditsPerBatch = 4;
+  Workload w = MakeHospWorkload();
+  const int n = w.dirty.num_rows();
+  const int m = w.dirty.num_attributes();
+  std::mt19937_64 rng(31);
+  std::vector<std::vector<std::vector<RowEdit>>> batches_of(kClients);
+  for (std::vector<std::vector<RowEdit>>& batches : batches_of) {
+    batches.resize(kBatchesPerClient);
+    for (std::vector<RowEdit>& batch : batches) {
+      for (int e = 0; e < kEditsPerBatch; ++e) {
+        const int row = static_cast<int>(rng() % static_cast<uint64_t>(n));
+        const AttrId attr =
+            static_cast<AttrId>(rng() % static_cast<uint64_t>(m));
+        const int src = static_cast<int>(rng() % static_cast<uint64_t>(n));
+        batch.push_back(RowEdit::Update(row, attr, w.dirty.Get(src, attr)));
+      }
+    }
+  }
+
+  ServeOptions options = SmallServeOptions(w, /*watermark=*/2);
+  options.admission.background = true;
+  options.admission.retry_after_seconds = 0.001;
+  const MetricsSnapshot before = MetricsRegistry::Global().SnapshotWork();
+  RepairServer server;
+  ServeSession* session = server.Open("hosp", w.dirty, w.sigma, options);
+  ASSERT_NE(session, nullptr);
+  // Σ' stays frozen (no reopen), so it can be read before the worker runs.
+  const ConstraintSet variant = session->repair().variant();
+
+  std::vector<int64_t> rejects_seen(kClients, 0);
+  // (ticket, batch) of each client's admissions.
+  std::vector<std::vector<std::pair<int64_t, int>>> tickets_of(kClients);
+  std::vector<std::thread> clients;
+  for (int c = 0; c < kClients; ++c) {
+    clients.emplace_back([&, c] {
+      for (int b = 0; b < kBatchesPerClient; ++b) {
+        for (;;) {
+          SubmitOutcome out = session->Submit(batches_of[c][b]);
+          if (out.admitted) {
+            tickets_of[c].emplace_back(out.ticket, b);
+            break;
+          }
+          ++rejects_seen[c];
+          std::this_thread::sleep_for(
+              std::chrono::duration<double>(out.retry_after_seconds));
+        }
+      }
+    });
+  }
+  for (std::thread& t : clients) t.join();
+  const int64_t sent = kClients * kBatchesPerClient;
+  int64_t rejected = 0;
+  for (int64_t r : rejects_seen) rejected += r;
+  EXPECT_EQ(session->admitted(), sent);
+  EXPECT_EQ(session->rejected(), rejected);
+
+  std::optional<Relation> final_instance = server.Close("hosp");
+  ASSERT_TRUE(final_instance.has_value());
+  const MetricsSnapshot delta =
+      MetricsDiff(MetricsRegistry::Global().SnapshotWork(), before);
+  EXPECT_EQ(delta.at("serve.batches_admitted"), sent);
+  EXPECT_EQ(delta.at("serve.batches_applied"), sent);
+  EXPECT_EQ(delta.at("serve.batches_rejected"), rejected);
+  EXPECT_TRUE(reference::ReferenceViolations(*final_instance, variant).empty());
+
+  // Tickets are unique and dense, and the session applied the batches in
+  // ticket order: a directly driven engine replaying that order lands on
+  // the same instance, fresh ids included.
+  std::vector<std::vector<RowEdit>> by_ticket(static_cast<size_t>(sent));
+  for (int c = 0; c < kClients; ++c) {
+    for (const auto& [ticket, b] : tickets_of[c]) {
+      ASSERT_GE(ticket, 0);
+      ASSERT_LT(ticket, sent);
+      ASSERT_TRUE(by_ticket[static_cast<size_t>(ticket)].empty());
+      by_ticket[static_cast<size_t>(ticket)] = batches_of[c][b];
+    }
+  }
+  StreamingRepairer twin(w.dirty, w.sigma, options.session);
+  for (const std::vector<RowEdit>& batch : by_ticket) twin.ApplyBatch(batch);
+  ExpectExactlyEqual(*final_instance, twin.current());
+}
+
 TEST(ServeTest, ServerHostsMultipleNamedSessions) {
   Workload hosp = MakeHospWorkload();
   Workload census = MakeCensusWorkload();
@@ -615,8 +317,9 @@ TEST(ServeTest, LatencyHistogramNearestRankOnFixedSample) {
 }
 
 // ---------------------------------------------------------------------------
-// Fuzz: random shard counts × batch shapes × pump interleavings, sharded
-// (through the full server path) ≡ unsharded streamed replay.
+// Fuzz: random engine thread counts × watermarks × batch shapes × pump
+// interleavings; the served session (through the full server path) ≡ the
+// same engine driven directly.
 
 int FuzzScale() {
   static const int scale = [] {
@@ -629,16 +332,16 @@ int FuzzScale() {
 
 class ServeFuzz : public ::testing::TestWithParam<int> {};
 
-TEST_P(ServeFuzz, RandomShardingMatchesUnshardedReplay) {
+TEST_P(ServeFuzz, RandomAdmissionMatchesDirectReplay) {
   const int seed = GetParam();
   std::mt19937_64 rng(static_cast<uint64_t>(seed) * 9973 + 17);
   Workload w = (seed % 2 == 0) ? MakeHospWorkload() : MakeCensusWorkload();
-  const int shards = 1 + static_cast<int>(rng() % 5);
+  const int threads = rng() % 2 == 0 ? 1 : 4;
   const int num_batches = 2 + static_cast<int>(rng() % 3);
   const int batch_size = 4 + static_cast<int>(rng() % 6);
   const int watermark = 1 + static_cast<int>(rng() % num_batches);
-  SCOPED_TRACE("seed=" + std::to_string(seed) + " shards=" +
-               std::to_string(shards) + " batches=" +
+  SCOPED_TRACE("seed=" + std::to_string(seed) + " threads=" +
+               std::to_string(threads) + " batches=" +
                std::to_string(num_batches) + "x" +
                std::to_string(batch_size) + " watermark=" +
                std::to_string(watermark));
@@ -647,7 +350,7 @@ TEST_P(ServeFuzz, RandomShardingMatchesUnshardedReplay) {
 
   ServeOptions options;
   options.session.repair.variants.space = w.space;
-  options.session.num_shards = shards;
+  options.session.repair.threads = threads;
   options.admission.queue_watermark = watermark;
   RepairServer server;
   ServeSession* session =
@@ -663,18 +366,18 @@ TEST_P(ServeFuzz, RandomShardingMatchesUnshardedReplay) {
   std::optional<Relation> final_instance = server.Close("fuzz");
   ASSERT_TRUE(final_instance.has_value());
 
-  StreamingOptions streaming;
-  streaming.repair = options.session.repair;
-  StreamingRepairer streamer(replay.base, w.sigma, streaming);
+  StreamingRepairer direct(replay.base, w.sigma, options.session);
   for (const std::vector<RowEdit>& batch : replay.batches) {
-    streamer.ApplyBatch(batch);
+    direct.ApplyBatch(batch);
   }
-  ExpectExactlyEqual(*final_instance, streamer.current());
+  ExpectExactlyEqual(*final_instance, direct.current());
+  EXPECT_TRUE(FindViolations(*final_instance, direct.variant()).empty());
   EXPECT_TRUE(
-      FindViolations(*final_instance, streamer.variant()).empty());
+      reference::ReferenceViolations(*final_instance, direct.variant())
+          .empty());
 }
 
-INSTANTIATE_TEST_SUITE_P(RandomShardings, ServeFuzz,
+INSTANTIATE_TEST_SUITE_P(RandomAdmission, ServeFuzz,
                          ::testing::Range(0, 2 * FuzzScale()));
 
 }  // namespace

@@ -158,6 +158,10 @@ TEST(StreamingTest, HospEncodedMatchesScratchAt4Threads) {
   RunStreamedVsScratch(MakeHospWorkload(), /*threads=*/4);
 }
 
+TEST(StreamingTest, CensusEncodedMatchesScratchAt4Threads) {
+  RunStreamedVsScratch(MakeCensusWorkload(), /*threads=*/4);
+}
+
 // Serial and 4-thread streams of the same workload must agree exactly —
 // including fresh-variable ids — batch by batch.
 TEST(StreamingTest, ThreadCountIsInvisible) {
@@ -266,6 +270,34 @@ TEST(StreamingTest, EdgeCaseBatches) {
   EXPECT_EQ(streamer.current().num_rows(), n + 1);
   EXPECT_GE(mixed.rows_touched, 1);
   EXPECT_TRUE(streamer.IsViolationFree());
+}
+
+// An instance with no tuples has no cell to edit: MakeReplayWorkload and
+// MakeDriftWorkload return the requested number of empty batches over the
+// empty base, and a session streams them violation-free.
+TEST(StreamingTest, ReplayBuildersOnEmptyInstance) {
+  Schema schema;
+  schema.AddAttribute("Name", AttrType::kString);
+  schema.AddAttribute("Group", AttrType::kString);
+  schema.AddAttribute("Value", AttrType::kString);
+  const Relation empty(schema);
+  for (bool drift : {false, true}) {
+    SCOPED_TRACE(drift ? "drift" : "replay");
+    ReplayWorkload replay = drift ? MakeDriftWorkload(empty, 2, 4)
+                                  : MakeReplayWorkload(empty, 2, 4);
+    EXPECT_EQ(replay.base.num_rows(), 0);
+    EXPECT_EQ(replay.base.num_attributes(), 3);
+    ASSERT_EQ(replay.batches.size(), 2u);
+    for (const std::vector<RowEdit>& batch : replay.batches) {
+      EXPECT_TRUE(batch.empty());
+    }
+    StreamingRepairer streamer(replay.base,
+                               {DenialConstraint::FromFd({1}, 2)}, {});
+    for (const std::vector<RowEdit>& batch : replay.batches) {
+      EXPECT_EQ(streamer.ApplyBatch(batch).violations, 0);
+    }
+    EXPECT_TRUE(streamer.IsViolationFree());
+  }
 }
 
 /// Regression for the cross-batch cache staleness bug: with epoch stamps

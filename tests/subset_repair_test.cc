@@ -388,6 +388,11 @@ void RunStreamedVsScratchDelete(const Workload& w, int threads) {
     // Tombstones carry no fresh ids, so exact equality is the contract.
     ExpectExactlyEqual(streamer.current(), W);
   }
+  // The tombstoned rows really retired from the index: a no-op batch
+  // detects nothing and changes nothing.
+  StreamBatchResult idle = streamer.ApplyBatch({});
+  EXPECT_EQ(idle.violations, 0);
+  EXPECT_EQ(idle.cells_changed, 0);
 }
 
 TEST(SubsetRepairTest, DeleteStreamedMatchesScratchHospEncoded) {

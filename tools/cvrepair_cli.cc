@@ -72,7 +72,6 @@ struct CliOptions {
   int batch_size = 32;
   bool serve_bench = false;  ///< closed-loop load generator mode
   int clients = 4;           ///< simulated closed-loop clients
-  int shards = 4;            ///< hash shards of the served session
   int queue_watermark = 8;   ///< admission-control queue bound
   bool reopen_variants = false;
   bool cross_batch_cache = true;
@@ -142,18 +141,15 @@ int Usage(const char* argv0) {
          "                     (cvtolerant only)\n"
       << "  --batch-size K     edits per streamed batch (default 32)\n"
       << "  --serve-bench      closed-loop load generator against a\n"
-         "                     server-hosted sharded session: the replay\n"
-         "                     batches are dealt round-robin to --clients\n"
+         "                     server-hosted session: the replay batches\n"
+         "                     are dealt round-robin to --clients\n"
          "                     closed-loop clients, each retrying rejected\n"
          "                     submissions after a drain; reports p50/p99\n"
-         "                     batch latency, edits/sec, and the\n"
-         "                     shard-local vs cross-shard component split,\n"
-         "                     appending them to BENCH_serve.json\n"
+         "                     batch latency and edits/sec, appending them\n"
+         "                     to BENCH_serve.json\n"
          "                     (cvtolerant only; uses --stream-batches and\n"
          "                     --batch-size for the stream shape)\n"
       << "  --clients N        simulated closed-loop clients (default 4)\n"
-      << "  --shards N         hash shards of the served session\n"
-         "                     (default 4; 1 = unsharded)\n"
       << "  --queue-watermark N\n"
          "                     admission control rejects submissions while\n"
          "                     this many batches are pending (default 8)\n"
@@ -270,10 +266,6 @@ bool ParseArgs(int argc, char** argv, CliOptions* options) {
       options->serve_bench = true;
     } else if (arg == "--clients" && next(&value)) {
       if (!ParseNumber(arg, value, 1, kMaxInt, "> 0", &options->clients)) {
-        return false;
-      }
-    } else if (arg == "--shards" && next(&value)) {
-      if (!ParseNumber(arg, value, 1, kMaxInt, "> 0", &options->shards)) {
         return false;
       }
     } else if (arg == "--queue-watermark" && next(&value)) {
@@ -394,8 +386,8 @@ bool MakeRepairOptions(const CliOptions& options, const Schema& schema,
 }
 
 /// The session options shared by --stream-batches and --serve-bench: the
-/// repair options plus the reopen and cache toggles (--shards is set by
-/// --serve-bench alone). Returns false like MakeRepairOptions.
+/// repair options plus the reopen and cache toggles. Returns false like
+/// MakeRepairOptions.
 bool MakeStreamingOptions(const CliOptions& options, const Schema& schema,
                           const PredicateSpaceOptions* space,
                           StreamingOptions* stream) {
@@ -568,15 +560,14 @@ int RunStream(const CliOptions& options, const Relation& data,
 }
 
 /// --serve-bench mode: a closed-loop load generator against a
-/// server-hosted sharded session. The replay batches are dealt
-/// round-robin to --clients simulated closed-loop clients; clients take
-/// turns submitting, and a client whose submission is rejected pumps the
-/// queue (the drain a real deployment's worker performs) and retries, so
-/// every batch is eventually admitted in canonical order and the final
-/// instance stays bit-identical to an unsharded single-session replay.
-/// Reports p50/p99 batch latency, edits/sec, admission counts, and the
-/// shard-local vs cross-shard component split; appends the numbers to
-/// BENCH_serve.json next to bench/micro_serve's records.
+/// server-hosted session. The replay batches are dealt round-robin to
+/// --clients simulated closed-loop clients; clients take turns
+/// submitting, and a client whose submission is rejected pumps the queue
+/// (the drain a real deployment's worker performs) and retries, so every
+/// batch is eventually admitted in canonical order and the final instance
+/// stays bit-identical to the --stream-batches replay of the same stream.
+/// Reports p50/p99 batch latency, edits/sec and admission counts; appends
+/// the numbers to BENCH_serve.json next to bench/micro_serve's records.
 int RunServeBench(const CliOptions& options, const Relation& data,
                   const ConstraintSet& sigma,
                   const PredicateSpaceOptions* space = nullptr) {
@@ -591,7 +582,6 @@ int RunServeBench(const CliOptions& options, const Relation& data,
                             &serve_options.session)) {
     return 2;
   }
-  serve_options.session.num_shards = options.shards;
   serve_options.admission.queue_watermark = options.queue_watermark;
 
   const int num_batches =
@@ -608,20 +598,8 @@ int RunServeBench(const CliOptions& options, const Relation& data,
     return 1;
   }
   const StreamingRepairer& engine = session->repair();
-  std::ostringstream shard_key;
-  if (engine.num_shards() == 1) {
-    shard_key << "none (one shard)";
-  } else {
-    const ShardPlan& plan = engine.plan();
-    for (size_t i = 0; i < plan.key.size(); ++i) {
-      shard_key << (i ? "," : "") << data.schema().name(plan.key[i]);
-    }
-    if (plan.key.empty()) shard_key << "none (round-robin)";
-    shard_key << " (" << plan.local.size() << " local / "
-              << plan.straddling.size() << " straddling constraints)";
-  }
-  std::cout << "algorithm:        cvtolerant (serve, " << options.shards
-            << " shards, " << options.clients << " clients"
+  std::cout << "algorithm:        cvtolerant (serve, " << options.clients
+            << " clients"
             << (options.drift ? ", drift" : "")
             << (options.reopen_variants ? ", unfrozen variant" : "");
   if (options.strategy != RepairStrategy::kUpdate) {
@@ -633,7 +611,6 @@ int RunServeBench(const CliOptions& options, const Relation& data,
             << engine.initial_stats().repair_cost << ", "
             << engine.initial_stats().changed_cells << " cells, "
             << engine.initial_stats().elapsed_seconds << "s\n"
-            << "shard key:        " << shard_key.str() << "\n"
             << "stream:           " << num_batches << " batches x "
             << options.batch_size << " edits, watermark "
             << options.queue_watermark << "\n";
@@ -670,10 +647,7 @@ int RunServeBench(const CliOptions& options, const Relation& data,
             << "p50 latency:      " << latency.p50() * 1e3 << " ms\n"
             << "p99 latency:      " << latency.p99() * 1e3 << " ms\n"
             << "edits/sec:        " << edits_per_sec << "\n"
-            << "components:       " << totals.components_resolved << " ("
-            << totals.shard_local_components << " shard-local, "
-            << totals.cross_shard_components << " cross-shard)\n"
-            << "rows migrated:    " << totals.rows_migrated << "\n"
+            << "components:       " << totals.components_resolved << "\n"
             << "rows rechecked:   " << totals.rows_rechecked << "\n"
             << "cells changed:    " << totals.cells_changed << "\n"
             << "wall time:        " << wall_seconds << "s\n";
@@ -685,14 +659,8 @@ int RunServeBench(const CliOptions& options, const Relation& data,
   json.Record("serve_cli/edits_per_sec", options.threads, edits_per_sec);
   json.RecordCounters("serve_cli/load",
                       {{"clients", options.clients},
-                       {"shards", options.shards},
                        {"batches_admitted", admitted},
                        {"batches_rejected", rejected},
-                       {"shard_local_components",
-                        totals.shard_local_components},
-                       {"cross_shard_components",
-                        totals.cross_shard_components},
-                       {"rows_migrated", totals.rows_migrated},
                        {"cells_changed", totals.cells_changed}});
 
   PublishRepairStats(engine.initial_stats());
