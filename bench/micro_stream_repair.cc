@@ -126,10 +126,9 @@ int main() {
             FindViolations(E, initial.satisfied_constraints);
         DomainStats stats_of_W(W);
         RepairStats stats;
-        MaterializedCache cold;
         std::optional<ScopedRepair> fix = CVTolerantResolveComponents(
             W, stats_of_W, initial.satisfied_constraints,
-            std::move(violations), scratch_options, &cold, &stats, &fresh, E);
+            std::move(violations), scratch_options, &stats, &fresh, E);
         for (auto& [cell, value] : fix->assignments) {
           W.SetValue(cell, std::move(value));
         }

@@ -164,7 +164,6 @@ int main() {
        {"variant_reopens", reopens},
        {"variant_switches", unfrozen->totals().variant_switches},
        {"bound_updates", snapshot.at("stream.bound_updates")},
-       {"cache_invalidations", snapshot.at("stream.cache_invalidations")},
        {"streamed_code_evals", streamed_evals},
        {"scratch_code_evals", scratch_evals},
        {"unfrozen_scratch_optimal", unfrozen_optimal ? 1 : 0},

@@ -120,15 +120,56 @@ RepairResult CVTolerantRepair(const Relation& I, const ConstraintSet& sigma,
 std::optional<ScopedRepair> CVTolerantResolveComponents(
     const Relation& I, const DomainStats& stats_of_I,
     const ConstraintSet& frozen_variant, std::vector<Violation> violations,
-    const CVTolerantOptions& options, MaterializedCache* cache,
-    RepairStats* stats, int64_t* fresh_counter,
-    const EncodedRelation& encoded, double delta_min) {
+    const CVTolerantOptions& options, RepairStats* stats,
+    int64_t* fresh_counter, const EncodedRelation& encoded,
+    double delta_min) {
   TraceSpan span("cvtolerant/resolve_components");
   span.AddArg("violations", static_cast<int64_t>(violations.size()));
   return SolveDirtyComponents(I, stats_of_I, frozen_variant,
                               std::move(violations), delta_min,
-                              EngineOptions(options), cache, stats,
-                              fresh_counter, encoded);
+                              EngineOptions(options), /*cache=*/nullptr,
+                              stats, fresh_counter, encoded);
+}
+
+int64_t ViolationCap(const CVTolerantOptions& options, int num_rows) {
+  return options.max_violations_per_tuple > 0
+             ? static_cast<int64_t>(options.max_violations_per_tuple *
+                                    std::max(num_rows, 1))
+             : std::numeric_limits<int64_t>::max();
+}
+
+VariantFacts BuildVariantFacts(const Relation& I, const DenialConstraint& c,
+                               std::vector<Violation> violations,
+                               bool hopeless, const CVTolerantOptions& options,
+                               const DomainStats* stats) {
+  VariantFacts f;
+  if (hopeless) {
+    // `violations` (a truncated scan of up to the cap) is freed on return.
+    f.hopeless = true;
+    f.delta_l = std::numeric_limits<double>::infinity();
+    f.delta_u = std::numeric_limits<double>::infinity();
+    return f;
+  }
+  // Position-free violations in canonical rows order: scan order depends
+  // on the partition layout, and the search must see identical facts no
+  // matter which provider produced them. It re-stamps candidate positions
+  // when it assembles a union set.
+  f.violations = std::move(violations);
+  for (Violation& v : f.violations) v.constraint_index = 0;
+  std::sort(f.violations.begin(), f.violations.end(),
+            [](const Violation& a, const Violation& b) {
+              return a.rows < b.rows;
+            });
+  if (!f.violations.empty()) {
+    const CostModel& cost = options.vfree.cost;
+    ConflictHypergraph g =
+        ConflictHypergraph::Build(I, {c}, f.violations, cost);
+    RepairCostBounds bounds =
+        ComputeBounds(g, c.Degree(), cost, options.vfree.cover, stats);
+    f.delta_l = bounds.lower;
+    f.delta_u = bounds.upper;
+  }
+  return f;
 }
 
 std::map<DenialConstraint, VariantFacts> ScanVariantFacts(
@@ -137,12 +178,7 @@ std::map<DenialConstraint, VariantFacts> ScanVariantFacts(
     const CVTolerantOptions& options, const EncodedRelation& encoded,
     const DomainStats* stats) {
   TraceSpan span("cvtolerant/detect_facts");
-  const CostModel& cost = options.vfree.cost;
-  int64_t violation_cap =
-      options.max_violations_per_tuple > 0
-          ? static_cast<int64_t>(options.max_violations_per_tuple *
-                                 std::max(I.num_rows(), 1))
-          : std::numeric_limits<int64_t>::max();
+  const int64_t violation_cap = ViolationCap(options, I.num_rows());
   std::map<DenialConstraint, VariantFacts> facts;
   std::vector<std::map<DenialConstraint, VariantFacts>::iterator> todo;
   auto enqueue = [&](const DenialConstraint& c) {
@@ -159,36 +195,15 @@ std::map<DenialConstraint, VariantFacts> ScanVariantFacts(
   // inline and in the same order, at one thread). Each worker fills its own
   // map slot; std::map references are stable and the map itself is not
   // mutated during the parallel phase.
-  auto compute = [&](const DenialConstraint& c, VariantFacts* f) {
-    f->violations =
-        FindViolationsOfCapped(encoded, c, 0, violation_cap, &f->hopeless);
-    if (f->hopeless) {
-      f->violations.clear();
-      f->delta_l = std::numeric_limits<double>::infinity();
-      f->delta_u = std::numeric_limits<double>::infinity();
-      return;
-    }
-    // Canonical rows order: scan order depends on the partition layout,
-    // and the search must see identical facts no matter which provider
-    // (this scan or a VariantTracker) produced them.
-    std::sort(f->violations.begin(), f->violations.end(),
-              [](const Violation& a, const Violation& b) {
-                return a.rows < b.rows;
-              });
-    if (!f->violations.empty()) {
-      ConflictHypergraph g =
-          ConflictHypergraph::Build(I, {c}, f->violations, cost);
-      RepairCostBounds bounds =
-          ComputeBounds(g, c.Degree(), cost, options.vfree.cover, stats);
-      f->delta_l = bounds.lower;
-      f->delta_u = bounds.upper;
-    }
-  };
   ThreadPool::ParallelFor(
       static_cast<int64_t>(todo.size()),
       [&](int64_t i) {
         auto it = todo[static_cast<size_t>(i)];
-        compute(it->first, &it->second);
+        bool hopeless = false;
+        std::vector<Violation> violations = FindViolationsOfCapped(
+            encoded, it->first, 0, violation_cap, &hopeless);
+        it->second = BuildVariantFacts(I, it->first, std::move(violations),
+                                       hopeless, options, stats);
       },
       options.threads);
   return facts;

@@ -84,19 +84,19 @@ std::vector<SigmaVariant> EnumerateVariants(const Relation& I,
 /// `violations` is an externally detected violation set of the current
 /// instance against that variant — typically the delta-maintained set of a
 /// StreamingRepairer after a batch of edits. Only the components reachable
-/// from those violations are repaired; `cache` and `fresh_counter` persist
-/// across calls so component solutions are shared and fresh ids stay
-/// globally unique; `encoded` must mirror `I`. Derives the engine options
-/// (threads) from `options` exactly as CVTolerantRepair does, so a scoped
-/// re-solve is bit-identical to the candidate solve the full pipeline would
-/// run on the same violations. Returns std::nullopt only on a delta_min
-/// abort (never with the default +inf bound).
+/// from those violations are repaired, each solved afresh: one round
+/// looks every component up once, so a materialized-solution cache could
+/// never hit (DESIGN.md §9). `fresh_counter` persists across calls so
+/// fresh ids stay globally unique; `encoded` must mirror `I`. Derives the
+/// engine options (threads) from `options` exactly as CVTolerantRepair
+/// does, so a scoped re-solve is bit-identical to the candidate solve the
+/// full pipeline would run on the same violations. Returns std::nullopt
+/// only on a delta_min abort (never with the default +inf bound).
 std::optional<ScopedRepair> CVTolerantResolveComponents(
     const Relation& I, const DomainStats& stats_of_I,
     const ConstraintSet& frozen_variant, std::vector<Violation> violations,
-    const CVTolerantOptions& options, MaterializedCache* cache,
-    RepairStats* stats, int64_t* fresh_counter,
-    const EncodedRelation& encoded,
+    const CVTolerantOptions& options, RepairStats* stats,
+    int64_t* fresh_counter, const EncodedRelation& encoded,
     double delta_min = std::numeric_limits<double>::infinity());
 
 /// Per-constraint detection facts consumed by the factored variant search
@@ -182,12 +182,25 @@ RepairResult FinishCVTolerantRepair(const Relation& I,
                                     const CVTolerantOptions& options,
                                     const RepairStats& stats);
 
+/// The fact providers' hopeless cap: a constraint with strictly more
+/// violations than this over `num_rows` rows is hopeless (0 = no cap).
+int64_t ViolationCap(const CVTolerantOptions& options, int num_rows);
+
+/// The facts of constraint `c` from its violations over I, in any order:
+/// rows-ordered with constraint_index 0, plus δ_l/δ_u of the conflict
+/// hypergraph of `c` alone — or +inf and no violations when `hopeless`.
+/// ScanVariantFacts and VariantTracker both build facts here. `stats`
+/// (optional) feeds the entropy term of the kEntropyDensity cover.
+VariantFacts BuildVariantFacts(const Relation& I, const DenialConstraint& c,
+                               std::vector<Violation> violations,
+                               bool hopeless, const CVTolerantOptions& options,
+                               const DomainStats* stats = nullptr);
+
 /// Computes VariantFacts for every distinct constraint of Σ and `variants`
 /// by full capped detection scans of `encoded`, the mirror of I, in
 /// parallel over the constraints under options.threads — the from-scratch
 /// twin of a VariantTracker's delta-maintained facts. The facts are
-/// identical at any thread count. `stats` (optional) feeds the entropy
-/// term of the kEntropyDensity cover behind δ_u.
+/// identical at any thread count. `stats` is passed to BuildVariantFacts.
 std::map<DenialConstraint, VariantFacts> ScanVariantFacts(
     const Relation& I, const ConstraintSet& sigma,
     const std::vector<SigmaVariant>& variants,

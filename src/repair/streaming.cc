@@ -9,8 +9,6 @@
 #include <set>
 #include <utility>
 
-#include "graph/bounds.h"
-#include "graph/conflict_hypergraph.h"
 #include "util/metrics.h"
 #include "util/trace.h"
 
@@ -29,7 +27,6 @@ struct StreamCounters {
   MetricCounter* cells_changed;
   MetricCounter* variant_reopens;
   MetricCounter* bound_updates;
-  MetricCounter* cache_invalidations;
 
   static const StreamCounters& Get() {
     static StreamCounters c = [] {
@@ -43,7 +40,6 @@ struct StreamCounters {
       out.cells_changed = r.GetCounter("stream.cells_changed");
       out.variant_reopens = r.GetCounter("stream.variant_reopens");
       out.bound_updates = r.GetCounter("stream.bound_updates");
-      out.cache_invalidations = r.GetCounter("stream.cache_invalidations");
       return out;
     }();
     return c;
@@ -98,39 +94,16 @@ VariantTracker::VariantTracker(const Relation& dirty,
   for (size_t k = 0; k < family_.size(); ++k) RefreshFacts(k);
 }
 
-int64_t VariantTracker::ViolationCap() const {
-  return options_.max_violations_per_tuple > 0
-             ? static_cast<int64_t>(
-                   options_.max_violations_per_tuple *
-                   std::max(index_->relation().num_rows(), 1))
-             : std::numeric_limits<int64_t>::max();
-}
-
 void VariantTracker::RefreshFacts(size_t k) {
-  VariantFacts& f = facts_[k];
-  f = VariantFacts{};
-  if (index_->ViolationCountOf(static_cast<int>(k)) > ViolationCap()) {
-    // Mirrors the exact-cap semantics of FindViolationsOfCapped: strictly
-    // more violations than the cap is hopeless.
-    f.hopeless = true;
-    f.delta_l = std::numeric_limits<double>::infinity();
-    f.delta_u = std::numeric_limits<double>::infinity();
-  } else {
-    f.violations = index_->ViolationsOf(static_cast<int>(k));
-    // Facts carry position-free violations (constraint_index 0), exactly
-    // like the per-constraint scans of ScanVariantFacts; the search
-    // re-stamps candidate positions when it assembles a union set.
-    for (Violation& v : f.violations) v.constraint_index = 0;
-    if (!f.violations.empty()) {
-      ConflictHypergraph g = ConflictHypergraph::Build(
-          index_->relation(), {family_[k]}, f.violations, options_.vfree.cost);
-      RepairCostBounds bounds = ComputeBounds(
-          g, family_[k].Degree(), options_.vfree.cost, options_.vfree.cover);
-      f.delta_l = bounds.lower;
-      f.delta_u = bounds.upper;
-    }
-  }
-  seen_epochs_[k] = index_->ViolationEpochOf(static_cast<int>(k));
+  const int ki = static_cast<int>(k);
+  const Relation& dirty = index_->relation();
+  const bool hopeless =
+      index_->ViolationCountOf(ki) > ViolationCap(options_, dirty.num_rows());
+  facts_[k] = BuildVariantFacts(
+      dirty, family_[k],
+      hopeless ? std::vector<Violation>{} : index_->ViolationsOf(ki),
+      hopeless, options_);
+  seen_epochs_[k] = index_->ViolationEpochOf(ki);
   changed_gen_[k] = generation_;
 }
 
@@ -156,7 +129,7 @@ int VariantTracker::Ingest(const std::vector<RowEdit>& edits) {
   index_->ApplyBatch(changing);
   ++generation_;
   int updates = 0;
-  const int64_t cap = ViolationCap();
+  const int64_t cap = ViolationCap(options_, index_->relation().num_rows());
   for (size_t k = 0; k < family_.size(); ++k) {
     const bool epoch_moved =
         index_->ViolationEpochOf(static_cast<int>(k)) != seen_epochs_[k];
@@ -265,25 +238,6 @@ int64_t StreamingRepairer::RowsRechecked() const {
   return retired_rechecked_ + index_->rows_rechecked();
 }
 
-void StreamingRepairer::EvictForEdits(const std::vector<RowEdit>& edits,
-                                      StreamBatchResult* out) {
-  std::vector<int> rows;
-  std::vector<AttrId> attrs;
-  for (const RowEdit& e : edits) {
-    if (e.insert) {
-      // An insert shifts every attribute's active domain and frequency
-      // ranking, so no prior solution's solver inputs are reproducible.
-      out->cache_invalidations += cross_batch_cache_.Clear();
-      return;
-    }
-    rows.push_back(e.row);
-    attrs.push_back(e.attr);
-  }
-  SortUnique(&rows);
-  SortUnique(&attrs);
-  out->cache_invalidations += cross_batch_cache_.EvictTouching(rows, attrs);
-}
-
 StreamBatchResult StreamingRepairer::ApplyBatch(
     const std::vector<RowEdit>& edits) {
   auto start = std::chrono::steady_clock::now();
@@ -294,11 +248,6 @@ StreamBatchResult StreamingRepairer::ApplyBatch(
   out.edits = static_cast<int>(edits.size());
   const int64_t rechecked_before = RowsRechecked();
 
-  // Everything materialized before this batch becomes prior-epoch: from
-  // here on it answers lookups only on exact atom equality, and only if it
-  // survives the staleness evictions below.
-  cross_batch_cache_.BeginEpoch();
-  if (options_.cross_batch_cache) EvictForEdits(edits, &out);
   if (tracker_) out.bound_updates = tracker_->Ingest(edits);
 
   std::vector<int> touched = index_->ApplyBatch(edits);
@@ -325,41 +274,24 @@ StreamBatchResult StreamingRepairer::ApplyBatch(
     // from-scratch repair of the accumulated instance would — the contract
     // is bit-identity with scratch, and frequencies steer the solver.
     DomainStats stats_of_W(W);
-    RepairStats batch_stats;
-    MaterializedCache local_cache;
-    MaterializedCache* cache =
-        options_.cross_batch_cache ? &cross_batch_cache_ : &local_cache;
     std::optional<ScopedRepair> fix = CVTolerantResolveComponents(
         W, stats_of_W, variant_, std::move(violations), options_.repair,
-        cache, &batch_stats, &fresh_counter_, *index_->encoded());
+        /*stats=*/nullptr, &fresh_counter_, *index_->encoded());
     // delta_min defaults to +inf, so the scoped solve cannot abort.
     assert(fix.has_value());
     out.components = fix->components;
     out.repair_cost = fix->cost;
-    std::vector<int> fix_rows;
-    std::vector<AttrId> fix_attrs;
     for (auto& [cell, value] : fix->assignments) {
       // Solutions may keep a cell's current value; skip those entirely —
       // the instance is unchanged, so no violation can have appeared and
       // no re-scan is owed.
       if (index_->relation().Get(cell) == value) continue;
       ++out.cells_changed;
-      fix_rows.push_back(cell.row);
-      fix_attrs.push_back(cell.attr);
       index_->ApplyChange(cell, std::move(value));
     }
-    SortUnique(&fix_rows);
-    SortUnique(&fix_attrs);
     // Every live violation had a covering cell assigned a changed value
     // (atoms force it), and that cell's write-backs retired it.
     assert(IsViolationFree());
-    if (options_.cross_batch_cache && !fix_rows.empty()) {
-      // The fixes themselves changed cells (and domain frequencies) that
-      // prior entries — including ones stored moments ago in this batch —
-      // may depend on.
-      out.cache_invalidations +=
-          cross_batch_cache_.EvictTouching(fix_rows, fix_attrs);
-    }
   }
 
   if (tracker_) MaybeReopen(&out);
@@ -380,7 +312,6 @@ StreamBatchResult StreamingRepairer::ApplyBatch(
   totals_.variant_reopens += out.reopened ? 1 : 0;
   totals_.variant_switches += out.variant_switched ? 1 : 0;
   totals_.bound_updates += out.bound_updates;
-  totals_.cache_invalidations += out.cache_invalidations;
 
   const StreamCounters& c = StreamCounters::Get();
   c.batches->Increment();
@@ -391,9 +322,11 @@ StreamBatchResult StreamingRepairer::ApplyBatch(
   c.cells_changed->Add(out.cells_changed);
   if (out.reopened) c.variant_reopens->Increment();
   c.bound_updates->Add(out.bound_updates);
-  c.cache_invalidations->Add(out.cache_invalidations);
   return out;
 }
+
+// Slack of the reopen trigger below.
+constexpr double kReopenMargin = 1e-9;
 
 void StreamingRepairer::MaybeReopen(StreamBatchResult* out) {
   const CostModel& cost = options_.repair.vfree.cost;
@@ -408,7 +341,7 @@ void StreamingRepairer::MaybeReopen(StreamBatchResult* out) {
   // could win that tie-break (candidates in ascending-δ_l order,
   // strict-min cost), and the contract is that the held variant always
   // equals what the from-scratch search would choose — so it re-opens.
-  if (out->rival_bound >= realized_cost_ + options_.reopen_margin) return;
+  if (out->rival_bound >= realized_cost_ + kReopenMargin) return;
 
   TraceSpan span("stream/variant_reopen");
   out->reopened = true;
@@ -428,31 +361,6 @@ void StreamingRepairer::MaybeReopen(StreamBatchResult* out) {
 
   out->variant_switched = true;
   span.AddArg("cost", sr.cost);
-  if (options_.cross_batch_cache) {
-    if (!IsRefinedBy(variant_, sr.variant)) {
-      // Definition 7 lifted to the sets: some constraint of the new Σ'
-      // refines no constraint of the old one, so stored contexts carry no
-      // reusable guarantee — drop everything.
-      out->cache_invalidations += cross_batch_cache_.Clear();
-    } else {
-      // The new Σ' refines the old one; entries survive unless the newly
-      // adopted repair rewrote cells (or attribute domains) under them.
-      std::vector<int> diff_rows;
-      std::vector<AttrId> diff_attrs;
-      const Relation& old_W = index_->relation();
-      for (int r = 0; r < old_W.num_rows(); ++r) {
-        for (AttrId a = 0; a < old_W.num_attributes(); ++a) {
-          if (old_W.Get(r, a) == sr.repaired.Get(r, a)) continue;
-          diff_rows.push_back(r);
-          diff_attrs.push_back(a);
-        }
-      }
-      SortUnique(&diff_rows);
-      SortUnique(&diff_attrs);
-      out->cache_invalidations +=
-          cross_batch_cache_.EvictTouching(diff_rows, diff_attrs);
-    }
-  }
   variant_ = std::move(sr.variant);
   realized_cost_ = sr.cost;
   out->realized_cost = realized_cost_;

@@ -25,7 +25,6 @@
 
 #include "dc/incremental.h"
 #include "repair/cvtolerant.h"
-#include "solver/materialized_cache.h"
 
 namespace cvrepair {
 
@@ -35,21 +34,10 @@ struct StreamingOptions {
   /// variant) and of every per-batch component re-solve — threads, cost
   /// model, solver budgets all come from here.
   CVTolerantOptions repair;
-  /// Reuse materialized component solutions across batches, not just
-  /// within one. On by default: the cache keeps epoch stamps
-  /// (MaterializedCache::BeginEpoch) and the repairer evicts every entry
-  /// whose rows or attributes a batch's edits, fixes, or inserts touched,
-  /// so a surviving cross-batch hit reproduces exactly the solution a cold
-  /// per-batch solve would compute — results stay bit-identical to
-  /// cross_batch_cache = off (the streaming tests pin this). Off = the
-  /// cold per-batch caches of PR 5, for A/B runs.
-  bool cross_batch_cache = true;
   /// Unfreeze Σ': track per-variant cost bounds across batches and re-open
   /// the variant search when a rival's lower bound reaches the incumbent's
-  /// realized cost. Off by default (frozen incumbent, PR 5 behaviour).
+  /// realized cost. Off by default (frozen incumbent).
   bool reopen_variants = false;
-  /// Slack for the reopen trigger and the switch decision.
-  double reopen_margin = 1e-9;
   /// Ignored; see the frozen-perfbench block in StreamTotals.
   int num_shards = 1;
 };
@@ -72,9 +60,6 @@ struct StreamBatchResult {
   int bound_updates = 0;          ///< per-constraint δ bound recomputations
   double realized_cost = 0.0;     ///< Δ(dirty, current) after the batch
   double rival_bound = 0.0;       ///< best rival lower bound after the batch
-  /// Cross-batch cache entries dropped this batch (staleness eviction plus
-  /// any variant-switch sweep).
-  int64_t cache_invalidations = 0;
   double elapsed_seconds = 0.0;
 };
 
@@ -90,7 +75,6 @@ struct StreamTotals {
   int64_t variant_reopens = 0;      ///< variant searches re-run mid-stream
   int64_t variant_switches = 0;     ///< ... that adopted a different Σ'
   int64_t bound_updates = 0;        ///< per-constraint δ bound recomputations
-  int64_t cache_invalidations = 0;  ///< cross-batch cache entries dropped
 
   // Frozen-perfbench block. perfbench/src/main.cc, frozen outside
   // benchmark changes, sets StreamingOptions::num_shards and reads these
@@ -111,7 +95,8 @@ struct StreamTotals {
 /// for exactly the constraints whose violation set changed (the per-batch
 /// work counter behind stream.bound_updates); the facts feed
 /// CVTolerantSearchWithFacts, and BestRivalBound answers the reopen
-/// trigger. Facts are structurally identical to what ScanVariantFacts
+/// trigger. Facts come from the same BuildVariantFacts as those of
+/// ScanVariantFacts, so they are structurally identical to what it
 /// computes from scratch on D — the drift tests pin this.
 class VariantTracker {
  public:
@@ -156,7 +141,6 @@ class VariantTracker {
 
  private:
   void RefreshFacts(size_t k);
-  int64_t ViolationCap() const;
 
   ConstraintSet sigma_;
   CVTolerantOptions options_;
@@ -221,8 +205,6 @@ class StreamingRepairer {
   void Adopt(const Relation& repaired);
   /// Row re-scans since construction, replaced indexes included.
   int64_t RowsRechecked() const;
-  void EvictForEdits(const std::vector<RowEdit>& edits,
-                     StreamBatchResult* out);
   void MaybeReopen(StreamBatchResult* out);
 
   StreamingOptions options_;
@@ -234,7 +216,6 @@ class StreamingRepairer {
   int64_t retired_rechecked_ = 0;  // rows_rechecked of replaced indexes
   std::unique_ptr<VariantTracker> tracker_;  // reopen_variants only
   double realized_cost_ = 0.0;               // Δ(dirty, current)
-  MaterializedCache cross_batch_cache_;  // used only when enabled
   int64_t fresh_counter_ = 1;  // continues past the initial repair's ids
   StreamTotals totals_;
 };

@@ -237,9 +237,8 @@ std::optional<ScopedRepair> ReplayComponents(
   // counter's value, and fresh ids are re-minted from the shared counter
   // during the replay — which also performs the cache lookups/stores in
   // unit order — so the result is bit-identical to the serial path.
-  // (A pre-solve is wasted when the replay's cache lookup hits, including
-  // hits on entries stored earlier in this very replay; correctness and
-  // determinism take precedence over that overlap.)
+  // (A pre-solve is wasted when the replay's lookup hits an entry an
+  // earlier round stored; determinism takes precedence over that overlap.)
   const bool presolve =
       ThreadPool::EffectiveThreads(options.threads) > 1 && units.size() > 1;
   std::vector<ComponentSolution> presolved;
@@ -267,49 +266,31 @@ std::optional<ScopedRepair> ReplayComponents(
   // One unit's solution via the shared cache/presolve/serial protocol.
   // `unit` = kNoUnit for stitching merges, which never have a presolve.
   auto resolve = [&](const Component& comp, size_t unit) {
-    ComponentSolution solution;
-    bool from_cache = false;
     if (cache) {
-      bool prior_epoch = false;
-      if (std::optional<ComponentSolution> hit =
-              cache->Lookup(comp, &prior_epoch)) {
-        solution = std::move(*hit);
-        from_cache = true;
+      if (std::optional<ComponentSolution> hit = cache->Lookup(comp)) {
         if (stats) ++stats->cache_hits;
-        if (prior_epoch) {
-          // A cross-batch hit stands in for the solve a cold per-batch
-          // cache would have run: advance the shared counter exactly as
-          // that solve would (the re-mint loop below draws its own ids on
-          // top), and re-store the entry at the current epoch so later
-          // lookups in this pass see it under the refinement rule, in the
-          // same store order a cold cache would have produced. Both steps
-          // are what keep a persistent cache bit-identical to a cold one.
-          *fresh_counter += solution.fresh_count;
-          cache->Store(comp, solution);
-        }
+        return std::move(*hit);
       }
     }
-    if (!from_cache) {
-      if (presolve && unit != kNoUnit) {
-        solution = std::move(presolved[unit]);
-        // Advance the shared counter exactly as the serial solve would
-        // have (Solve draws one id per fresh assignment).
-        *fresh_counter += solution.fresh_count;
-      } else {
-        TraceSpan solve_span("vfree/solve_component");
-        solution = solver.Solve(comp);
-      }
-      if (stats) ++stats->solver_calls;
-      if (cache) cache->Store(comp, solution);
-      // Work counters, published from the serial replay only so they are
-      // thread-count invariant (the presolve's call set is not).
-      CspEvalsCounter()->Add(solution.atom_evals);
-      IntervalNarrowCounter()->Add(solution.interval_narrowings);
-      FreshFallbackCounter()->Add(solution.fresh_count);
-      if (static_cast<int>(comp.cells.size()) > options.max_component) {
-        OversizedCellsCounter()->Add(
-            static_cast<int64_t>(comp.cells.size()));
-      }
+    ComponentSolution solution;
+    if (presolve && unit != kNoUnit) {
+      solution = std::move(presolved[unit]);
+      // Advance the shared counter exactly as the serial solve would have
+      // (Solve draws one id per fresh assignment).
+      *fresh_counter += solution.fresh_count;
+    } else {
+      TraceSpan solve_span("vfree/solve_component");
+      solution = solver.Solve(comp);
+    }
+    if (stats) ++stats->solver_calls;
+    if (cache) cache->Store(comp, solution);
+    // Work counters, published from the serial replay only so they are
+    // thread-count invariant (the presolve's call set is not).
+    CspEvalsCounter()->Add(solution.atom_evals);
+    IntervalNarrowCounter()->Add(solution.interval_narrowings);
+    FreshFallbackCounter()->Add(solution.fresh_count);
+    if (static_cast<int>(comp.cells.size()) > options.max_component) {
+      OversizedCellsCounter()->Add(static_cast<int64_t>(comp.cells.size()));
     }
     return solution;
   };

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <string>
 #include <utility>
 
 #include "util/metrics.h"
@@ -34,6 +35,30 @@ struct ServeCounters {
   }
 };
 
+/// Why `edits` is malformed against a relation of `*rows` rows and
+/// `num_attributes` attributes, or "" when it is well formed. Counts the
+/// batch's inserts into `*rows`.
+std::string MalformedReason(const std::vector<RowEdit>& edits,
+                            int num_attributes, int64_t* rows) {
+  for (size_t i = 0; i < edits.size(); ++i) {
+    const RowEdit& e = edits[i];
+    const std::string edit = "edit " + std::to_string(i) + ": ";
+    if (e.insert && static_cast<int>(e.values.size()) != num_attributes) {
+      return edit + "insert of " + std::to_string(e.values.size()) +
+             " values into " + std::to_string(num_attributes) + " attributes";
+    }
+    if (e.insert) {
+      ++*rows;
+    } else if (e.row < 0 || e.row >= *rows || e.attr < 0 ||
+               e.attr >= num_attributes) {
+      return edit + "update of cell (" + std::to_string(e.row) + ", " +
+             std::to_string(e.attr) + ") outside " + std::to_string(*rows) +
+             " rows x " + std::to_string(num_attributes) + " attributes";
+    }
+  }
+  return "";
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -48,7 +73,9 @@ ServeSession::ServeSession(std::string name, const Relation& I,
         a.queue_watermark = std::max(1, a.queue_watermark);
         return a;
       }()),
-      session_(I, sigma, options.session) {
+      session_(I, sigma, options.session),
+      num_attributes_(session_.current().num_attributes()),
+      rows_admitted_(session_.current().num_rows()) {
   ServeCounters::Get().sessions_opened->Increment();
   if (admission_.background) StartWorker();
 }
@@ -62,14 +89,18 @@ SubmitOutcome ServeSession::Submit(std::vector<RowEdit> edits) {
   SubmitOutcome out;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (static_cast<int>(queue_.size()) >= admission_.queue_watermark) {
+    out.queue_depth = static_cast<int>(queue_.size());
+    int64_t rows = rows_admitted_;
+    out.error = MalformedReason(edits, num_attributes_, &rows);
+    if (!out.error.empty()) return out;
+    if (out.queue_depth >= admission_.queue_watermark) {
       ++rejected_;
       out.retry_after_seconds = admission_.retry_after_seconds;
-      out.queue_depth = static_cast<int>(queue_.size());
       ServeCounters::Get().batches_rejected->Increment();
       return out;
     }
     queue_.push_back(std::move(edits));
+    rows_admitted_ = rows;
     out.admitted = true;
     out.ticket = admitted_++;
     out.queue_depth = static_cast<int>(queue_.size());

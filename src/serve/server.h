@@ -5,14 +5,15 @@
 // named dataset sessions, each wrapping the one session engine, a
 // StreamingRepairer, behind a bounded request queue with admission
 // control. Submit is the client edge — it either enqueues a batch
-// (admitted, with a monotone ticket) or rejects it with a retry-after hint
-// once the queue depth reaches the watermark (backpressure; nothing is
-// dropped silently). Accepted batches are applied strictly in ticket
-// order, either synchronously (Pump/Flush — the deterministic mode the CI
-// gate and the load generator's metrics sections drive) or by an optional
-// background worker thread. Closing a session flushes every accepted batch
-// before the session is destroyed, so admission is a promise: admitted
-// edits are always applied.
+// (admitted, with a monotone ticket) or rejects it: with a reason when the
+// batch is malformed, or with a retry-after hint once the queue depth
+// reaches the watermark (backpressure; nothing is dropped silently).
+// Accepted batches are applied strictly in ticket order, either
+// synchronously (Pump/Flush — the deterministic mode the CI gate and the
+// load generator's metrics sections drive) or by an optional background
+// worker thread. Closing a session flushes every accepted batch before
+// the session is destroyed, so admission is a promise: admitted edits are
+// always applied.
 
 #include <condition_variable>
 #include <cstdint>
@@ -61,10 +62,13 @@ struct SubmitOutcome {
   bool admitted = false;
   /// Position in the session's admitted sequence (-1 when rejected).
   int64_t ticket = -1;
-  /// Advisory backoff for rejected submissions, 0 when admitted.
+  /// Advisory backoff for batches rejected at the watermark; 0 when
+  /// admitted or malformed.
   double retry_after_seconds = 0.0;
   /// Pending batches after this call (the rejected batch not included).
   int queue_depth = 0;
+  /// Why a malformed batch was rejected (retrying cannot help), or empty.
+  std::string error;
 };
 
 /// One named dataset session: a StreamingRepairer fed by a bounded queue.
@@ -78,8 +82,10 @@ class ServeSession {
 
   const std::string& name() const { return name_; }
 
-  /// Admission edge: enqueues the batch unless the queue is at the
-  /// watermark. Never blocks on repair work.
+  /// Admission edge: enqueues the batch unless it is malformed (an update
+  /// outside the rows the batch will see or the schema, or an insert of
+  /// the wrong arity: an `error`, not counted in rejected()) or the queue
+  /// is at the watermark. Never blocks on repair work.
   SubmitOutcome Submit(std::vector<RowEdit> edits);
 
   /// Applies the oldest pending batch, if any, and publishes its serve.*
@@ -112,10 +118,12 @@ class ServeSession {
   const std::string name_;
   const AdmissionOptions admission_;
   StreamingRepairer session_;
+  const int num_attributes_;  // of the session's schema
 
   mutable std::mutex mu_;  // queue, counters, latency sample
   std::condition_variable queue_cv_;
   std::deque<std::vector<RowEdit>> queue_;
+  int64_t rows_admitted_ = 0;  // rows once every admitted batch applied
   int64_t admitted_ = 0;
   int64_t rejected_ = 0;
   int64_t applied_ = 0;

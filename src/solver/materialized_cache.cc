@@ -1,7 +1,5 @@
 #include "solver/materialized_cache.h"
 
-#include <algorithm>
-
 #include "dc/op.h"
 #include "util/metrics.h"
 
@@ -16,7 +14,6 @@ struct CacheMetrics {
   MetricCounter* hits;
   MetricCounter* misses;
   MetricCounter* stores;
-  MetricCounter* evictions;
 };
 
 const CacheMetrics& Metrics() {
@@ -26,7 +23,6 @@ const CacheMetrics& Metrics() {
     fresh->hits = r.GetCounter("cache.lookup_hits");
     fresh->misses = r.GetCounter("cache.lookup_misses");
     fresh->stores = r.GetCounter("cache.stores");
-    fresh->evictions = r.GetCounter("cache.evictions");
     return fresh;
   }();
   return *m;
@@ -50,28 +46,14 @@ bool ContextRefines(const std::vector<RcAtom>& refined,
 }
 
 std::optional<ComponentSolution> MaterializedCache::Lookup(
-    const Component& component, bool* prior_epoch) const {
-  if (prior_epoch != nullptr) *prior_epoch = false;
+    const Component& component) const {
   auto it = entries_.find(component.cells);
   if (it != entries_.end()) {
-    // Pass 1: current-epoch entries under the refinement rule, in store
-    // order — exactly what a single-pass (cold) cache would answer.
     for (const Entry& entry : it->second) {
-      if (entry.epoch != epoch_) continue;
       if (!ContextRefines(component.atoms, entry.atoms)) continue;
       if (!SolutionSatisfies(component, entry.solution)) continue;
       hits_.fetch_add(1, std::memory_order_relaxed);
       Metrics().hits->Increment();
-      return entry.solution;
-    }
-    // Pass 2: prior-epoch entries, exact atoms only (see class comment).
-    for (const Entry& entry : it->second) {
-      if (entry.epoch == epoch_) continue;
-      if (entry.atoms != component.atoms) continue;
-      if (!SolutionSatisfies(component, entry.solution)) continue;
-      hits_.fetch_add(1, std::memory_order_relaxed);
-      Metrics().hits->Increment();
-      if (prior_epoch != nullptr) *prior_epoch = true;
       return entry.solution;
     }
   }
@@ -82,41 +64,8 @@ std::optional<ComponentSolution> MaterializedCache::Lookup(
 
 void MaterializedCache::Store(const Component& component,
                               const ComponentSolution& solution) {
-  entries_[component.cells].push_back({component.atoms, solution, epoch_});
-  ++total_entries_;
+  entries_[component.cells].push_back({component.atoms, solution});
   Metrics().stores->Increment();
-}
-
-int MaterializedCache::EvictTouching(const std::vector<int>& rows,
-                                     const std::vector<AttrId>& attrs) {
-  int dropped = 0;
-  for (auto it = entries_.begin(); it != entries_.end();) {
-    bool touched = false;
-    for (const Cell& c : it->first) {
-      if (std::binary_search(rows.begin(), rows.end(), c.row) ||
-          std::binary_search(attrs.begin(), attrs.end(), c.attr)) {
-        touched = true;
-        break;
-      }
-    }
-    if (touched) {
-      dropped += static_cast<int>(it->second.size());
-      it = entries_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-  total_entries_ -= dropped;
-  if (dropped > 0) Metrics().evictions->Add(dropped);
-  return dropped;
-}
-
-int MaterializedCache::Clear() {
-  int dropped = total_entries_;
-  entries_.clear();
-  total_entries_ = 0;
-  if (dropped > 0) Metrics().evictions->Add(dropped);
-  return dropped;
 }
 
 }  // namespace cvrepair

@@ -21,52 +21,19 @@ namespace cvrepair {
 ///   (b) the stored solution satisfies the new context,
 /// in which case the stored optimum is optimal for the new context too
 /// (Proposition 6). Identical contexts qualify trivially.
-///
-/// Cross-batch reuse (streaming). A cache can outlive one repair pass:
-/// `BeginEpoch` stamps a generation boundary, and entries stored before the
-/// current epoch answer lookups only under a stricter rule — exact atom
-/// equality instead of refinement. Refinement is sound within one pass
-/// (Proposition 6 assumes both contexts read the same instance), but across
-/// batches the instance underneath has changed; equality of the full atom
-/// vector pins the component's surrounding constants, which together with
-/// the owner's row/attribute eviction (see EvictTouching) guarantees the
-/// solver would reproduce the stored solution verbatim. That is what keeps
-/// a persistent cache bit-identical to a cold per-batch cache.
 class MaterializedCache {
  public:
-  /// Returns a reusable solution for (cells, atoms), or nullopt.
-  /// Current-epoch entries are scanned first, in store order, under the
-  /// Definition 7 refinement rule — identical behaviour to a cache that
-  /// only ever lived for one pass. Prior-epoch entries are consulted after
-  /// that, requiring exact atom equality. When `prior_epoch` is non-null it
-  /// is set to true iff the returned hit came from a prior epoch. Safe to
-  /// call concurrently from pool threads as long as no Store runs: the map
-  /// is only read, and the hit/miss counters are relaxed atomics (they are
+  /// Returns the first entry for the component's cells, in store order,
+  /// that qualifies under (a) and (b), or nullopt. Safe to call
+  /// concurrently from pool threads as long as no Store runs: the map is
+  /// only read, and the hit/miss counters are relaxed atomics (they are
   /// statistics, not synchronization).
-  std::optional<ComponentSolution> Lookup(const Component& component,
-                                          bool* prior_epoch = nullptr) const;
+  std::optional<ComponentSolution> Lookup(const Component& component) const;
 
-  /// Stores a solved component for later reuse, stamped with the current
-  /// epoch. Not safe to interleave with concurrent Lookup/Store calls.
+  /// Stores a solved component for later reuse. Not safe to interleave
+  /// with concurrent Lookup/Store calls.
   void Store(const Component& component, const ComponentSolution& solution);
 
-  /// Marks a generation boundary: everything stored so far becomes
-  /// prior-epoch (exact-match-only) in subsequent lookups.
-  void BeginEpoch() { ++epoch_; }
-
-  /// Drops every entry whose component touches one of `rows` or one of
-  /// `attrs` (both sorted ascending). Callers evict before re-solving a
-  /// batch: a stored solution is stale once any of its cells' original
-  /// values or any of its attributes' domains/frequencies may have
-  /// changed. Returns the number of entries dropped.
-  int EvictTouching(const std::vector<int>& rows,
-                    const std::vector<AttrId>& attrs);
-
-  /// Drops everything. Returns the number of entries dropped.
-  int Clear();
-
-  int size() const { return total_entries_; }
-  int64_t epoch() const { return epoch_; }
   int64_t hits() const { return hits_.load(std::memory_order_relaxed); }
   int64_t misses() const { return misses_.load(std::memory_order_relaxed); }
 
@@ -82,13 +49,10 @@ class MaterializedCache {
   struct Entry {
     std::vector<RcAtom> atoms;
     ComponentSolution solution;
-    int64_t epoch = 0;
   };
 
   std::unordered_map<std::vector<Cell>, std::vector<Entry>, CellVecHash>
       entries_;
-  int total_entries_ = 0;
-  int64_t epoch_ = 0;
   mutable std::atomic<int64_t> hits_{0};
   mutable std::atomic<int64_t> misses_{0};
 };

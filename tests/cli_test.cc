@@ -143,8 +143,9 @@ TEST_F(CliTest, NanThetaRejected) {
   EXPECT_NE(out.find("usage:"), std::string::npos) << out;
 }
 
-// An int-overflowing count is rejected like any malformed number; the
-// served session has no shard count, so its old flag is unknown.
+// An int-overflowing count is rejected like any malformed number. The
+// session engine has no shard count and no cross-batch cache, so their old
+// flags are unknown, and a streamed run reports no cache evictions.
 TEST_F(CliTest, OverflowingClientsRejected) {
   std::string out = RunAndCapture(
       cli_ + " --generate hosp --serve-bench --clients 99999999999");
@@ -152,14 +153,24 @@ TEST_F(CliTest, OverflowingClientsRejected) {
             std::string::npos)
       << out;
   EXPECT_NE(out.find("usage:"), std::string::npos) << out;
-  const std::string removed = std::string("--") + "shards";
-  std::string flag =
-      RunAndCapture(cli_ + " --generate hosp --serve-bench " + removed + " 4");
-  EXPECT_NE(flag.find("unknown or incomplete argument: " + removed),
-            std::string::npos)
-      << flag;
-  EXPECT_NE(flag.find("usage:"), std::string::npos) << flag;
-  EXPECT_EQ(flag.find("admitted:"), std::string::npos) << flag;
+  for (const std::string& removed :
+       {std::string("--") + "shards 4",
+        std::string("--cross-batch") + "-cache 1"}) {
+    const std::string name = removed.substr(0, removed.find(' '));
+    std::string flag =
+        RunAndCapture(cli_ + " --generate hosp --serve-bench " + removed);
+    EXPECT_NE(flag.find("unknown or incomplete argument: " + name),
+              std::string::npos)
+        << flag;
+    EXPECT_NE(flag.find("usage:"), std::string::npos) << flag;
+    EXPECT_EQ(flag.find("admitted:"), std::string::npos) << flag;
+  }
+  std::string streamed = RunAndCapture(
+      cli_ + " --generate hosp --size 6 --stream-batches 2 --batch-size 4");
+  EXPECT_NE(streamed.find("violation-free:   yes"), std::string::npos)
+      << streamed;
+  EXPECT_EQ(streamed.find("cache evictions:"), std::string::npos)
+      << streamed;
 }
 
 std::string ReadWholeFile(const std::string& path) {

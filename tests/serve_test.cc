@@ -263,6 +263,78 @@ TEST(ServeTest, ConcurrentClientsWithBackgroundWorker) {
   ExpectExactlyEqual(*final_instance, twin.current());
 }
 
+// A malformed batch is rejected at Submit with a reason and no ticket:
+// an update naming a row outside [0, n) — n counts the engine's rows plus
+// the inserts admitted ahead of it — or an attribute outside the schema,
+// and an insert without one value per attribute. Such a rejection is not
+// backpressure: no retry hint, and the rejected count stays put.
+TEST(ServeTest, MalformedBatchIsRejectedWithoutTicket) {
+  Schema schema;
+  schema.AddAttribute("Name", AttrType::kString);
+  schema.AddAttribute("Group", AttrType::kString);
+  schema.AddAttribute("Value", AttrType::kString);
+  Relation base(schema);
+  base.AddRow({Value::String("n1"), Value::String("g1"), Value::String("x")});
+  base.AddRow({Value::String("n2"), Value::String("g1"), Value::String("x")});
+  const ConstraintSet sigma = {DenialConstraint::FromFd({1}, 2)};
+  const Value y = Value::String("y");
+  auto row = [](const char* name, const char* group, const char* value) {
+    return std::vector<Value>{Value::String(name), Value::String(group),
+                              Value::String(value)};
+  };
+
+  const MetricsSnapshot before = MetricsRegistry::Global().SnapshotWork();
+  RepairServer server;
+  ServeSession* session = server.Open("probe", base, sigma);
+  ASSERT_NE(session, nullptr);
+  const std::vector<std::vector<RowEdit>> malformed = {
+      {RowEdit::Update(7, 2, y)},
+      {RowEdit::Update(-1, 2, y)},
+      {RowEdit::Update(0, 9, y)},
+      {RowEdit::Insert({Value::String("c")})},
+  };
+  for (const std::vector<RowEdit>& batch : malformed) {
+    SubmitOutcome out = session->Submit(batch);
+    EXPECT_FALSE(out.admitted);
+    EXPECT_EQ(out.ticket, -1);
+    EXPECT_FALSE(out.error.empty());
+    EXPECT_EQ(out.retry_after_seconds, 0.0);
+    EXPECT_EQ(out.queue_depth, 0);
+    EXPECT_EQ(session->depth(), 0);
+  }
+
+  // Rows created by inserts admitted ahead, or earlier in the same batch,
+  // are valid targets; one past them is not.
+  std::vector<std::vector<RowEdit>> admitted = {
+      {RowEdit::Insert(row("n3", "g2", "z"))},
+      {RowEdit::Update(2, 2, y), RowEdit::Insert(row("n4", "g2", "w")),
+       RowEdit::Update(3, 2, y)},
+  };
+  for (size_t i = 0; i < admitted.size(); ++i) {
+    SubmitOutcome out = session->Submit(admitted[i]);
+    EXPECT_TRUE(out.admitted) << out.error;
+    EXPECT_EQ(out.ticket, static_cast<int64_t>(i));
+    EXPECT_TRUE(out.error.empty());
+  }
+  EXPECT_FALSE(session->Submit({RowEdit::Update(4, 2, y)}).error.empty());
+  EXPECT_EQ(session->depth(), 2);
+  EXPECT_EQ(session->rejected(), 0);
+
+  EXPECT_EQ(session->Flush(), 2);
+  const Relation& served = session->repair().current();
+  EXPECT_EQ(served.num_rows(), 4);
+  StreamingRepairer direct(base, sigma);
+  for (const std::vector<RowEdit>& batch : admitted) direct.ApplyBatch(batch);
+  ExpectExactlyEqual(served, direct.current());
+  EXPECT_TRUE(
+      reference::ReferenceViolations(served, session->repair().variant())
+          .empty());
+  const MetricsSnapshot delta =
+      MetricsDiff(MetricsRegistry::Global().SnapshotWork(), before);
+  EXPECT_EQ(delta.at("serve.batches_admitted"), 2);
+  EXPECT_EQ(delta.at("serve.batches_rejected"), 0);
+}
+
 TEST(ServeTest, ServerHostsMultipleNamedSessions) {
   Workload hosp = MakeHospWorkload();
   Workload census = MakeCensusWorkload();

@@ -2,18 +2,22 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <string>
 #include <vector>
 
 #include "data/census.h"
+#include "data/dense.h"
 #include "data/hosp.h"
 #include "data/noise.h"
 #include "data/tax.h"
 #include "dc/eval_index.h"
+#include "dc/violation.h"
 #include "graph/conflict_hypergraph.h"
 #include "graph/vertex_cover.h"
 #include "paper_example.h"
 #include "relation/encoded.h"
+#include "repair/vfree.h"
 #include "solver/components.h"
 #include "solver/materialized_cache.h"
 #include "solver/repair_context.h"
@@ -408,6 +412,136 @@ TEST(CacheTest, Example12ReuseAcrossRefinedContexts) {
   Component comp4 = comp1;
   comp4.atoms[0].rhs_const = Value::Double(5);  // different operands
   EXPECT_FALSE(cache.Lookup(comp4).has_value());
+}
+
+// The argument that lets streamed batches re-solve without a cache
+// (DESIGN.md §9): a cache that lives for one repair round never hits. The
+// round looks each solve unit up once; its components partition the
+// changing set, split parts partition a component, and a stitch merge is
+// a strict superset of the parts it joins, so no lookup finds an entry
+// with its own cell set. Decomposition is on with a small max_component
+// so that split parts and stitch merges are looked up too.
+TEST(CacheTest, OneRoundCacheNeverHits) {
+  struct Input {
+    std::string name;
+    Relation dirty;
+    ConstraintSet sigma;
+    /// The changing set to repair; empty = the violations' vertex cover.
+    std::vector<Cell> changing;
+  };
+  std::vector<Input> inputs;
+  NoiseConfig noise;
+  noise.error_rate = 0.3;
+  {
+    HospConfig config;
+    config.num_hospitals = 6;
+    HospData hosp = MakeHosp(config);
+    noise.target_attrs = hosp.noise_attrs;
+    inputs.push_back({"hosp", InjectNoise(hosp.clean, noise).dirty,
+                      hosp.given_oversimplified, {}});
+  }
+  {
+    CensusConfig config;
+    config.num_rows = 80;
+    CensusData census = MakeCensus(config);
+    noise.target_attrs = census.noise_attrs;
+    inputs.push_back(
+        {"census", InjectNoise(census.clean, noise).dirty, census.given, {}});
+  }
+  {
+    TaxConfig config;
+    config.num_rows = 120;
+    TaxData tax = MakeTax(config);
+    noise.target_attrs = tax.noise_attrs;
+    inputs.push_back(
+        {"tax", InjectNoise(tax.clean, noise).dirty, tax.given, {}});
+  }
+  {
+    DenseConfig config;
+    config.num_tracks = 1;
+    config.rows_per_track = 120;
+    config.error_rate = 0.3;
+    DenseData dense = MakeDense(config);
+    inputs.push_back({"dense", dense.dirty, dense.sigma, {}});
+  }
+  {
+    // DecomposeTest.StitchMergeRepairsCrossAtomViolations: every Val cell
+    // changing forms one var-var chain whose all-"a" and all-"b" parts
+    // disagree across the boundary, forcing a stitch merge. Its only
+    // violation would leave a one-cell changing set, so the changing set
+    // is given and the round runs through SolveComponents.
+    Schema schema;
+    schema.AddAttribute("KeyA", AttrType::kInt);
+    schema.AddAttribute("KeyB", AttrType::kInt);
+    schema.AddAttribute("Val", AttrType::kString);
+    Input stitch{"stitch", Relation(schema), {}, {}};
+    constexpr int kRows = 20;
+    for (int i = 0; i < kRows; ++i) {
+      stitch.dirty.AddRow({Value::Int(i / 2), Value::Int((i + 1) / 2),
+                           Value::String(i < kRows / 2 ? "a" : "b")});
+      stitch.changing.push_back({i, 2});
+    }
+    for (AttrId key : {0, 1}) {
+      stitch.sigma.push_back(
+          DenialConstraint({Predicate::TwoCell(0, key, Op::kEq, 1, key),
+                            Predicate::TwoCell(0, 2, Op::kNeq, 1, 2)}));
+    }
+    inputs.push_back(std::move(stitch));
+  }
+
+  int64_t splits = 0;
+  int64_t merges = 0;
+  for (const Input& in : inputs) {
+    const EncodedRelation E(in.dirty);
+    const DomainStats stats_of_I(in.dirty);
+    const std::vector<Violation> violations = FindViolations(E, in.sigma);
+    for (int threads : {1, 4}) {
+      SCOPED_TRACE(in.name + " threads=" + std::to_string(threads));
+      VfreeOptions options;
+      options.decompose = true;
+      options.max_component = 6;
+      options.threads = threads;
+      struct Round {
+        std::optional<ScopedRepair> repair;
+        RepairStats stats;
+        int64_t fresh = 1;
+      };
+      auto run = [&](MaterializedCache* cache) {
+        Round r;
+        const double inf = std::numeric_limits<double>::infinity();
+        r.repair = in.changing.empty()
+                       ? SolveDirtyComponents(in.dirty, stats_of_I, in.sigma,
+                                              violations, inf, options, cache,
+                                              &r.stats, &r.fresh, E)
+                       : SolveComponents(in.dirty, stats_of_I, in.sigma,
+                                         in.changing, inf, options, cache,
+                                         &r.stats, &r.fresh, E);
+        return r;
+      };
+      MaterializedCache cache;
+      const Round cached = run(&cache);
+      const Round uncached = run(nullptr);
+      EXPECT_EQ(cache.hits(), 0);
+      EXPECT_GT(cache.misses(), 0);
+      ASSERT_TRUE(cached.repair.has_value());
+      ASSERT_TRUE(uncached.repair.has_value());
+      EXPECT_TRUE(cached.repair->assignments == uncached.repair->assignments);
+      EXPECT_EQ(cached.repair->cost, uncached.repair->cost);
+      EXPECT_EQ(cached.repair->components, uncached.repair->components);
+      EXPECT_EQ(cached.fresh, uncached.fresh);
+      const RepairStats& a = cached.stats;
+      const RepairStats& b = uncached.stats;
+      EXPECT_EQ(a.ToString(), b.ToString());
+      EXPECT_EQ(a.suspects, b.suspects);
+      EXPECT_EQ(a.components_split, b.components_split);
+      EXPECT_EQ(a.stitch_merges, b.stitch_merges);
+      EXPECT_EQ(a.giant_component_cells, b.giant_component_cells);
+      splits += a.components_split;
+      merges += a.stitch_merges;
+    }
+  }
+  EXPECT_GT(splits, 0) << "no input split a component";
+  EXPECT_GT(merges, 0) << "no input forced a stitch merge";
 }
 
 }  // namespace

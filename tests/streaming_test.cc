@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <random>
+#include <string>
 #include <vector>
 
 #include "data/census.h"
@@ -19,6 +20,7 @@
 #include "reference_scan.h"
 #include "relation/encoded.h"
 #include "repair/cvtolerant.h"
+#include "util/metrics.h"
 
 namespace cvrepair {
 namespace {
@@ -131,11 +133,10 @@ void RunStreamedVsScratch(const Workload& w, int threads) {
 
     DomainStats stats_of_W(W);
     RepairStats scratch_stats;
-    MaterializedCache cold;
     int64_t scratch_fresh = 1000000;  // disjoint from the streamed ids
     std::optional<ScopedRepair> fix = CVTolerantResolveComponents(
         W, stats_of_W, streamer.variant(), std::move(violations),
-        options.repair, &cold, &scratch_stats, &scratch_fresh, E);
+        options.repair, &scratch_stats, &scratch_fresh, E);
     ASSERT_TRUE(fix.has_value());
     EXPECT_EQ(fix->cost, r.repair_cost);  // bit-identical, not just close
     EXPECT_EQ(fix->components, r.components);
@@ -300,69 +301,6 @@ TEST(StreamingTest, ReplayBuildersOnEmptyInstance) {
   }
 }
 
-/// Regression for the cross-batch cache staleness bug: with epoch stamps
-/// and row/attr eviction, a cached stream must be bit-identical — costs,
-/// counters, and every cell including fresh-variable ids — to a stream
-/// that solves every batch cold.
-void RunCacheOnMatchesOff(const Workload& w) {
-  StreamingOptions on = MakeOptions(w, 1);
-  on.cross_batch_cache = true;
-  StreamingOptions off = on;
-  off.cross_batch_cache = false;
-  ReplayWorkload replay = MakeReplayWorkload(w.dirty, /*num_batches=*/5,
-                                             /*batch_size=*/8, /*seed=*/23);
-  StreamingRepairer cached(replay.base, w.sigma, on);
-  StreamingRepairer cold(replay.base, w.sigma, off);
-  ExpectExactlyEqual(cached.current(), cold.current());
-  for (size_t b = 0; b < replay.batches.size(); ++b) {
-    SCOPED_TRACE("batch " + std::to_string(b));
-    StreamBatchResult rc = cached.ApplyBatch(replay.batches[b]);
-    StreamBatchResult rk = cold.ApplyBatch(replay.batches[b]);
-    EXPECT_EQ(rc.repair_cost, rk.repair_cost);
-    EXPECT_EQ(rc.cells_changed, rk.cells_changed);
-    EXPECT_EQ(rc.components, rk.components);
-    EXPECT_TRUE(cached.IsViolationFree());
-    ExpectExactlyEqual(cached.current(), cold.current());
-  }
-}
-
-TEST(StreamingTest, CacheOnMatchesOffHospEncoded) {
-  RunCacheOnMatchesOff(MakeHospWorkload());
-}
-
-TEST(StreamingTest, CacheOnMatchesOffCensusEncoded) {
-  RunCacheOnMatchesOff(MakeCensusWorkload());
-}
-
-// The same bit-identity must survive the unfrozen path: a drifting stream
-// with reopen_variants exercises the variant-switch cache sweep (Def. 7
-// refinement check plus diff eviction), and a sweep that keeps one stale
-// entry too many would show up as diverging cells here.
-TEST(StreamingTest, CacheOnMatchesOffWithReopens) {
-  Workload w = MakeHospWorkload();
-  StreamingOptions on = MakeOptions(w, 1);
-  on.reopen_variants = true;
-  on.cross_batch_cache = true;
-  StreamingOptions off = on;
-  off.cross_batch_cache = false;
-  ReplayWorkload replay = MakeDriftWorkload(w.dirty, /*num_batches=*/6,
-                                            /*batch_size=*/10, /*seed=*/29);
-  StreamingRepairer cached(replay.base, w.sigma, on);
-  StreamingRepairer cold(replay.base, w.sigma, off);
-  ExpectExactlyEqual(cached.current(), cold.current());
-  for (size_t b = 0; b < replay.batches.size(); ++b) {
-    SCOPED_TRACE("batch " + std::to_string(b));
-    StreamBatchResult rc = cached.ApplyBatch(replay.batches[b]);
-    StreamBatchResult rk = cold.ApplyBatch(replay.batches[b]);
-    EXPECT_EQ(rc.repair_cost, rk.repair_cost);
-    EXPECT_EQ(rc.reopened, rk.reopened);
-    EXPECT_EQ(rc.variant_switched, rk.variant_switched);
-    EXPECT_TRUE(cached.variant() == cold.variant());
-    ExpectExactlyEqual(cached.current(), cold.current());
-  }
-  EXPECT_GT(cached.totals().variant_reopens, 0);
-}
-
 // Satellite of the unfrozen-Σ' work: after a mid-stream variant switch the
 // held instance must match the from-scratch factored search on the
 // accumulated dirty instance — same Σ', same cost, same cells modulo
@@ -432,18 +370,34 @@ TEST(StreamingTest, UnfrozenStreamFallsBackToRepairOfSigma) {
   ExpectEqualModuloFresh(unfrozen.current(), frozen.current());
 }
 
-// Cross-batch solution reuse keeps the invariant after every batch (the
-// bit-identity to the cold default is pinned by CacheOnMatchesOff*).
-TEST(StreamingTest, CrossBatchCacheStaysViolationFree) {
-  Workload w = MakeHospWorkload();
-  StreamingOptions options = MakeOptions(w, 1);
-  options.cross_batch_cache = true;
-  ReplayWorkload replay = MakeReplayWorkload(w.dirty, 4, 8, /*seed=*/17);
-  StreamingRepairer streamer(replay.base, w.sigma, options);
-  for (const std::vector<RowEdit>& batch : replay.batches) {
-    streamer.ApplyBatch(batch);
-    EXPECT_TRUE(streamer.IsViolationFree());
-    EXPECT_TRUE(FindViolations(streamer.current(), streamer.variant()).empty());
+// Batches re-solve their dirty components without a materialized-solution
+// cache: one round looks each component up once, so a cache could never
+// hit (DESIGN.md §9). Over every ApplyBatch of frozen hosp and census
+// streams with inserts, at 1 and 4 threads, the cache counters stay put.
+TEST(StreamingTest, BatchesLeaveTheComponentCacheUntouched) {
+  for (bool census : {false, true}) {
+    const Workload w = census ? MakeCensusWorkload() : MakeHospWorkload();
+    for (int threads : {1, 4}) {
+      SCOPED_TRACE(std::string(census ? "census" : "hosp") +
+                   " threads=" + std::to_string(threads));
+      ReplayWorkload replay = MakeReplayWorkload(w.dirty, /*num_batches=*/4,
+                                                 /*batch_size=*/8, /*seed=*/7);
+      ASSERT_LT(replay.base.num_rows(), w.dirty.num_rows()) << "no inserts";
+      StreamingRepairer streamer(replay.base, w.sigma,
+                                 MakeOptions(w, threads));
+      const MetricsSnapshot before = MetricsRegistry::Global().SnapshotWork();
+      for (const std::vector<RowEdit>& batch : replay.batches) {
+        streamer.ApplyBatch(batch);
+      }
+      const MetricsSnapshot delta =
+          MetricsDiff(MetricsRegistry::Global().SnapshotWork(), before);
+      EXPECT_GT(streamer.totals().components_resolved, 0);
+      for (const char* key :
+           {"cache.lookup_hits", "cache.lookup_misses", "cache.stores"}) {
+        auto it = delta.find(key);
+        EXPECT_EQ(it == delta.end() ? 0 : it->second, 0) << key;
+      }
+    }
   }
 }
 

@@ -375,11 +375,10 @@ void RunStreamedVsScratchDelete(const Workload& w, int threads) {
 
     DomainStats stats_of_W(W);
     RepairStats scratch_stats;
-    MaterializedCache cold;
     int64_t scratch_fresh = 1000000;
     std::optional<ScopedRepair> fix = CVTolerantResolveComponents(
         W, stats_of_W, streamer.variant(), std::move(violations),
-        options.repair, &cold, &scratch_stats, &scratch_fresh, E);
+        options.repair, &scratch_stats, &scratch_fresh, E);
     ASSERT_TRUE(fix.has_value());
     EXPECT_EQ(fix->cost, r.repair_cost);  // bit-identical
     for (auto& [cell, value] : fix->assignments) {

@@ -74,7 +74,6 @@ struct CliOptions {
   int clients = 4;           ///< simulated closed-loop clients
   int queue_watermark = 8;   ///< admission-control queue bound
   bool reopen_variants = false;
-  bool cross_batch_cache = true;
   bool drift = false;  ///< drifting replay (sliding value-source window)
   int threads = 1;
   bool decompose = false;
@@ -160,12 +159,6 @@ int Usage(const char* argv0) {
          "                     rival's bound reaches the incumbent's\n"
          "                     realized cost\n"
          "                     (default 0: frozen incumbent)\n"
-      << "  --cross-batch-cache 0|1\n"
-         "                     reuse materialized component solutions\n"
-         "                     across batches (default 1; epoch stamps and\n"
-         "                     staleness eviction keep results bit-\n"
-         "                     identical to 0, which solves each batch\n"
-         "                     cold)\n"
       << "  --drift            make the streamed update edits draw values\n"
          "                     from a window sliding over the instance, so\n"
          "                     attribute frequencies skew over the stream\n"
@@ -323,12 +316,6 @@ bool ParseArgs(int argc, char** argv, CliOptions* options) {
         return false;
       }
       options->reopen_variants = (value == "1");
-    } else if (arg == "--cross-batch-cache" && next(&value)) {
-      if (value != "0" && value != "1") {
-        std::cerr << "--cross-batch-cache must be 0 or 1\n";
-        return false;
-      }
-      options->cross_batch_cache = (value == "1");
     } else if (arg == "--drift") {
       options->drift = true;
     } else if (arg == "--discover") {
@@ -386,13 +373,12 @@ bool MakeRepairOptions(const CliOptions& options, const Schema& schema,
 }
 
 /// The session options shared by --stream-batches and --serve-bench: the
-/// repair options plus the reopen and cache toggles. Returns false like
+/// repair options plus the reopen toggle. Returns false like
 /// MakeRepairOptions.
 bool MakeStreamingOptions(const CliOptions& options, const Schema& schema,
                           const PredicateSpaceOptions* space,
                           StreamingOptions* stream) {
   stream->reopen_variants = options.reopen_variants;
-  stream->cross_batch_cache = options.cross_batch_cache;
   return MakeRepairOptions(options, schema, space, &stream->repair);
 }
 
@@ -529,8 +515,7 @@ int RunStream(const CliOptions& options, const Relation& data,
             << "components:       " << t.components_resolved << "\n"
             << "cells changed:    " << t.cells_changed << "\n";
   if (options.reopen_variants) PrintVariantTotals(t);
-  std::cout << "cache evictions:  " << t.cache_invalidations << "\n"
-            << "violation-free:   "
+  std::cout << "violation-free:   "
             << (repairer.IsViolationFree() ? "yes" : "NO") << "\n";
 
   PublishRepairStats(repairer.initial_stats());
@@ -618,7 +603,8 @@ int RunServeBench(const CliOptions& options, const Relation& data,
   // Closed loop: batch i belongs to client i % clients; clients take
   // turns in round-robin order, each driving its next batch to admission
   // before yielding the turn. Retries pump the queue first, so progress
-  // is guaranteed and the submit order stays canonical.
+  // is guaranteed and the submit order stays canonical. A malformed batch
+  // can never be admitted, so it ends the run instead.
   bench::WallTimer wall;
   std::vector<size_t> next_of(static_cast<size_t>(options.clients), 0);
   for (size_t turn = 0; turn < workload.batches.size(); ++turn) {
@@ -626,7 +612,13 @@ int RunServeBench(const CliOptions& options, const Relation& data,
     size_t batch = static_cast<size_t>(client) +
                    next_of[static_cast<size_t>(client)] *
                        static_cast<size_t>(options.clients);
-    while (!session->Submit(workload.batches[batch]).admitted) {
+    for (;;) {
+      SubmitOutcome out = session->Submit(workload.batches[batch]);
+      if (out.admitted) break;
+      if (!out.error.empty()) {
+        std::cerr << "batch " << batch << " rejected: " << out.error << "\n";
+        return 1;
+      }
       session->Pump();
     }
     ++next_of[static_cast<size_t>(client)];
