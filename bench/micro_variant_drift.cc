@@ -61,10 +61,11 @@ ScratchStream RunScratchPerBatch(const ReplayWorkload& replay,
   for (const std::vector<RowEdit>& batch : replay.batches) {
     ApplyEditsToRelation(batch, &D);
     EncodedRelation E(D);
+    const DomainStats stats_of_D(D);
     std::map<DenialConstraint, VariantFacts> facts =
-        ScanVariantFacts(D, sigma, family, options, E);
+        ScanVariantFacts(D, stats_of_D, sigma, family, options, E);
     out.final_result = CVTolerantSearchWithFacts(
-        D, sigma, family,
+        D, stats_of_D, sigma, family,
         [&facts](const DenialConstraint& c) -> const VariantFacts& {
           return facts.at(c);
         },

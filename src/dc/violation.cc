@@ -797,7 +797,8 @@ namespace {
 struct SuspectOps {
   const EncodedRelation* E;
   const ConstraintSet* sigma;
-  const CellSet* changing;
+  // The changing set C as a dense bitmap over row * num_attributes + attr.
+  const std::vector<char>* changing;
   EvalCounters* zone_counts;  // nullptr: the process-wide counters
   const DenialConstraint* c = nullptr;
   std::vector<EncodedPredicateEval> evals{};
@@ -808,28 +809,22 @@ struct SuspectOps {
     evals.clear();
     evals.reserve(c->predicates().size());
     for (const Predicate& p : c->predicates()) evals.emplace_back(*E, p);
-    if (attr_changing.empty() && E->num_attributes() > 0) {
-      attr_changing.assign(static_cast<size_t>(E->num_attributes()), 0);
-      for (const Cell& cell : *changing) {
-        if (cell.attr >= 0 && cell.attr < E->num_attributes()) {
-          attr_changing[static_cast<size_t>(cell.attr)] = 1;
-        }
-      }
-    }
   }
 
-  // Evaluates the suspect condition sc(rows; φ) w.r.t. `changing` and
-  // reports whether any predicate involves a changing cell.
+  bool IsChanging(int row, AttrId attr) const {
+    return (*changing)[static_cast<size_t>(row) * E->num_attributes() + attr];
+  }
+
+  // Evaluates the suspect condition sc(rows; φ) w.r.t. the changing set
+  // and reports whether any predicate involves a changing cell.
   bool Condition(const std::vector<int>& rows, bool* touches_changing) const {
     *touches_changing = false;
     const std::vector<Predicate>& preds = c->predicates();
     for (size_t pi = 0; pi < preds.size(); ++pi) {
-      bool on_changing = false;
-      for (const Cell& cell : preds[pi].Cells(rows)) {
-        if (changing->count(cell)) {
-          on_changing = true;
-          break;
-        }
+      const Predicate& p = preds[pi];
+      bool on_changing = IsChanging(rows[p.lhs().tuple], p.lhs().attr);
+      if (!on_changing && !p.has_constant()) {
+        on_changing = IsChanging(rows[p.rhs_cell().tuple], p.rhs_cell().attr);
       }
       if (on_changing) {
         *touches_changing = true;
@@ -923,16 +918,48 @@ struct SuspectOps {
 }  // namespace
 
 void ForEachSuspect(const EncodedRelation& E, const ConstraintSet& sigma,
-                    const CellSet& changing, const SuspectVisitor& visit,
-                    EvalCounters* zone_counts) {
+                    const std::vector<Cell>& changing,
+                    const SuspectVisitor& visit, EvalCounters* zone_counts) {
   assert(E.in_sync());
   const int n = E.num_rows();
   const int num_attributes = E.num_attributes();
-  SuspectOps ops{&E, &sigma, &changing, zone_counts};
+  // C ∩ cells(I), deduplicated, as a list and as a dense bitmap over
+  // row * num_attributes + attr. A cell outside the instance lies in no
+  // tuple list (Definition 6), so it is dropped here, and every loop below
+  // reads only `cells` and `in_c`.
+  const size_t m = static_cast<size_t>(num_attributes);
+  std::vector<char> in_c(static_cast<size_t>(n) * m, 0);
+  std::vector<Cell> cells;
+  cells.reserve(changing.size());
+  for (const Cell& cell : changing) {
+    if (cell.row < 0 || cell.row >= n || cell.attr < 0 ||
+        cell.attr >= num_attributes) {
+      continue;
+    }
+    char& bit = in_c[static_cast<size_t>(cell.row) * m + cell.attr];
+    if (bit) continue;
+    bit = 1;
+    cells.push_back(cell);
+  }
+  SuspectOps ops{&E, &sigma, &in_c, zone_counts};
+  ops.attr_changing.assign(m, 0);
+  for (const Cell& cell : cells) ops.attr_changing[cell.attr] = 1;
   // One buffer for every emitted suspect: `rows` is its tuple list.
   Violation suspect;
   std::vector<int>& rows = suspect.rows;
+  // Row flags of one constraint; each constraint clears the previous
+  // constraint's entries first.
+  std::vector<bool> in_rwc(n, false);
+  std::vector<bool> eq_cell_changing(n, false);
+  std::vector<bool> seen_partner(n, false);
+  std::vector<int> rwc;
+  std::vector<int> eq_changing_rows;
+  std::vector<int> partners;
   for (size_t k = 0; k < sigma.size(); ++k) {
+    for (int r : rwc) in_rwc[r] = false;
+    for (int r : eq_changing_rows) eq_cell_changing[r] = false;
+    rwc.clear();
+    eq_changing_rows.clear();
     const DenialConstraint& c = sigma[k];
     if (c.predicates().empty()) continue;
     ops.SetConstraint(k);
@@ -945,11 +972,8 @@ void ForEachSuspect(const EncodedRelation& E, const ConstraintSet& sigma,
       if (!p.has_constant()) used_attr[p.rhs_cell().attr] = true;
     }
     // Rows owning a changing cell on a used attribute.
-    std::vector<bool> in_rwc(n, false);
-    std::vector<int> rwc;
-    for (const Cell& cell : changing) {
-      if (cell.attr < num_attributes && used_attr[cell.attr] &&
-          !in_rwc[cell.row]) {
+    for (const Cell& cell : cells) {
+      if (used_attr[cell.attr] && !in_rwc[cell.row]) {
         in_rwc[cell.row] = true;
         rwc.push_back(cell.row);
       }
@@ -1021,10 +1045,8 @@ void ForEachSuspect(const EncodedRelation& E, const ConstraintSet& sigma,
     }
     // Rows whose equality-attribute cells are in C: their join values may
     // change, so they pair with anything.
-    std::vector<int> eq_changing_rows;
-    std::vector<bool> eq_cell_changing(n, false);
-    for (const Cell& cell : changing) {
-      if (cell.row >= n || eq_cell_changing[cell.row]) continue;
+    for (const Cell& cell : cells) {
+      if (eq_cell_changing[cell.row]) continue;
       if (std::find(eq_attrs.begin(), eq_attrs.end(), cell.attr) !=
           eq_attrs.end()) {
         eq_cell_changing[cell.row] = true;
@@ -1032,13 +1054,12 @@ void ForEachSuspect(const EncodedRelation& E, const ConstraintSet& sigma,
       }
     }
     // Ascending, so partner (and therefore suspect) order never depends
-    // on the changing set's hash iteration order.
+    // on the order of the changing set.
     std::sort(eq_changing_rows.begin(), eq_changing_rows.end());
 
-    std::vector<bool> seen_partner(n, false);
     for (int r : rwc) {
       // Collect candidate partners (deduplicated via seen_partner).
-      std::vector<int> partners;
+      partners.clear();
       auto add_partner = [&](int j) {
         if (j == r || seen_partner[j]) return;
         if (in_rwc[j] && j < r) return;  // produced from j's iteration
@@ -1069,7 +1090,7 @@ std::vector<Violation> FindSuspects(const EncodedRelation& E,
                                     const ConstraintSet& sigma,
                                     const CellSet& changing) {
   std::vector<Violation> out;
-  ForEachSuspect(E, sigma, changing,
+  ForEachSuspect(E, sigma, std::vector<Cell>(changing.begin(), changing.end()),
                  [&out](const Violation& s) { out.push_back(s); });
   return out;
 }

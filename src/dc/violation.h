@@ -93,11 +93,18 @@ using SuspectVisitor = std::function<void(const Violation&)>;
 /// zone-map consults are added to `*zone_counts` when given, else to the
 /// process-wide eval counters: a caller that may discard the scan's result
 /// carries the counts and publishes them once it commits.
+///
+/// `changing` may hold duplicates, in any order: the suspects and their
+/// order depend only on the set. Cells outside [0, |I|) × [0, m) lie in no
+/// tuple list, so they are ignored. The predicate-on-C test reads a dense
+/// row × m bitmap of C built once per call.
 void ForEachSuspect(const EncodedRelation& E, const ConstraintSet& sigma,
-                    const CellSet& changing, const SuspectVisitor& visit,
+                    const std::vector<Cell>& changing,
+                    const SuspectVisitor& visit,
                     EvalCounters* zone_counts = nullptr);
 
-/// The suspects of ForEachSuspect, collected in emission order.
+/// The suspects of ForEachSuspect on the cells of `changing`, collected in
+/// emission order.
 std::vector<Violation> FindSuspects(const EncodedRelation& E,
                                     const ConstraintSet& sigma,
                                     const CellSet& changing);

@@ -1,82 +1,105 @@
 #include "graph/conflict_hypergraph.h"
 
 #include <algorithm>
-#include <unordered_map>
-#include <unordered_set>
+#include <cassert>
+#include <cstdint>
 
 namespace cvrepair {
 
 namespace {
 
-struct IntVecHash {
-  size_t operator()(const std::vector<int>& v) const {
-    size_t seed = v.size();
-    for (int x : v) seed = seed * 1000003 ^ static_cast<size_t>(x + 0x9e37);
-    return seed;
+uint64_t EdgeHash(const std::vector<int>& edge) {
+  uint64_t h = edge.size();
+  for (int v : edge) {
+    h = (h ^ static_cast<uint32_t>(v)) * 0x9e3779b97f4a7c15ull;
   }
-};
+  return h ^ (h >> 29);
+}
 
 }  // namespace
 
 ConflictHypergraph ConflictHypergraph::Build(
-    const Relation& I, const ConstraintSet& sigma,
-    const std::vector<Violation>& violations, const CostModel& cost) {
+    const Relation& I, const DomainStats& stats_of_I,
+    const ConstraintSet& sigma, const std::vector<Violation>& violations,
+    const CostModel& cost) {
+  assert(stats_of_I.num_attributes() == I.num_attributes());
   ConflictHypergraph g;
-  std::unordered_map<Cell, int, CellHash> vertex_of;
-
-  // Per-attribute value frequencies, built lazily: they give vertex
-  // weights (is there an in-domain alternative?) and the suspicion
-  // tie-breaks used by the greedy cover.
-  std::vector<std::unordered_map<Value, int, ValueHash>> freq(
-      I.num_attributes());
-  std::vector<bool> freq_ready(I.num_attributes(), false);
-  auto attr_freq = [&](AttrId a) -> const auto& {
-    if (!freq_ready[a]) {
-      for (int i = 0; i < I.num_rows(); ++i) {
-        const Value& v = I.Get(i, a);
-        if (!v.is_null() && !v.is_fresh()) ++freq[a][v];
-      }
-      freq_ready[a] = true;
+  const size_t m = static_cast<size_t>(I.num_attributes());
+  // Vertex id of cell (row, attr) at row * m + attr; -1 = not a vertex yet.
+  std::vector<int> vertex_of(static_cast<size_t>(I.num_rows()) * m, -1);
+  auto vertex = [&](int row, AttrId a) {
+    assert(row >= 0 && row < I.num_rows());
+    int& id = vertex_of[static_cast<size_t>(row) * m + a];
+    if (id < 0) {
+      id = g.num_vertices();
+      const Cell cell{row, a};
+      // Frequencies and domain sizes exclude NULL and fresh values, so such
+      // a cell has frequency 0 and every domain value is an alternative.
+      const int own = stats_of_I.Frequency(a, I.Get(cell));
+      const int domain =
+          static_cast<int>(stats_of_I.attr(a).frequencies.size());
+      const bool has_alternative = domain > (own > 0 ? 1 : 0);
+      g.cells_.push_back(cell);
+      g.weights_.push_back(cost.CellWeight(cell) *
+                           cost.MinChangeCost(has_alternative));
+      g.freq_.push_back(own);
+      g.domain_size_.push_back(domain);
+      g.ineq_.push_back(false);
     }
-    return freq[a];
+    return id;
   };
 
-  std::unordered_set<std::vector<int>, IntVecHash> seen_edges;
+  // Open-addressed edge ids (-1 = empty slot) keyed by EdgeHash, at load
+  // factor <= 1/2; a hit is confirmed against the stored edge.
+  size_t slots = 2;
+  while (slots < 2 * violations.size()) slots *= 2;
+  const size_t mask = slots - 1;
+  std::vector<int> edge_at(slots, -1);
+  std::vector<uint64_t> edge_hash;
+  std::vector<int> edge;
   for (const Violation& viol : violations) {
     const DenialConstraint& c = sigma[viol.constraint_index];
-    std::vector<int> edge;
-    for (const Cell& cell : ViolationCells(c, viol.rows)) {
-      auto [it, inserted] =
-          vertex_of.emplace(cell, static_cast<int>(g.cells_.size()));
-      if (inserted) {
-        const auto& counts = attr_freq(cell.attr);
-        const Value& cur = I.Get(cell);
-        auto fit = counts.find(cur);
-        int own = fit == counts.end() ? 0 : fit->second;
-        bool has_alternative =
-            counts.size() > (own > 0 ? 1u : 0u);  // another value exists
-        g.cells_.push_back(cell);
-        g.weights_.push_back(cost.CellWeight(cell) *
-                             cost.MinChangeCost(has_alternative));
-        g.freq_.push_back(own);
-        g.domain_size_.push_back(static_cast<int>(counts.size()));
-        g.ineq_.push_back(false);
-      }
-      edge.push_back(it->second);
-    }
+    edge.clear();
     for (const Predicate& p : c.predicates()) {
-      if (p.op() == Op::kEq) continue;
-      for (const Cell& cell : p.Cells(viol.rows)) {
-        auto it = vertex_of.find(cell);
-        if (it != vertex_of.end()) g.ineq_[it->second] = true;
+      const int lhs = vertex(viol.rows[p.lhs().tuple], p.lhs().attr);
+      edge.push_back(lhs);
+      int rhs = -1;
+      if (!p.has_constant()) {
+        rhs = vertex(viol.rows[p.rhs_cell().tuple], p.rhs_cell().attr);
+        edge.push_back(rhs);
+      }
+      if (p.op() != Op::kEq) {
+        g.ineq_[lhs] = true;
+        if (rhs >= 0) g.ineq_[rhs] = true;
       }
     }
     std::sort(edge.begin(), edge.end());
     edge.erase(std::unique(edge.begin(), edge.end()), edge.end());
     if (edge.empty()) continue;
-    if (seen_edges.insert(edge).second) g.edges_.push_back(std::move(edge));
+    const uint64_t h = EdgeHash(edge);
+    size_t slot = static_cast<size_t>(h) & mask;
+    bool seen = false;
+    for (; edge_at[slot] >= 0; slot = (slot + 1) & mask) {
+      const int e = edge_at[slot];
+      if (edge_hash[e] == h && g.edges_[e] == edge) {
+        seen = true;
+        break;
+      }
+    }
+    if (seen) continue;
+    edge_at[slot] = g.num_edges();
+    edge_hash.push_back(h);
+    g.edges_.push_back(edge);
+  }
+
+  std::vector<int> degree(g.cells_.size(), 0);
+  for (const std::vector<int>& e : g.edges_) {
+    for (int v : e) ++degree[v];
   }
   g.incident_.resize(g.cells_.size());
+  for (size_t v = 0; v < g.cells_.size(); ++v) {
+    g.incident_[v].reserve(static_cast<size_t>(degree[v]));
+  }
   for (int e = 0; e < g.num_edges(); ++e) {
     for (int v : g.edges_[e]) g.incident_[v].push_back(e);
   }

@@ -1,10 +1,10 @@
 #ifndef CVREPAIR_GRAPH_CONFLICT_HYPERGRAPH_H_
 #define CVREPAIR_GRAPH_CONFLICT_HYPERGRAPH_H_
 
-#include <unordered_map>
 #include <vector>
 
 #include "dc/violation.h"
+#include "relation/domain_stats.h"
 #include "relation/relation.h"
 #include "repair/costs.h"
 
@@ -20,10 +20,30 @@ class ConflictHypergraph {
   /// weights are min_{a in dom(A)} dist(I(t.A), a) (Section 3.2.2) under
   /// `cost`; an attribute with fewer than two domain values has no
   /// in-domain alternative, so its weight is the fresh-variable cost.
+  /// Value frequencies and domain sizes come from `stats_of_I`, which must
+  /// be the DomainStats of `I`.
+  ///
+  /// Vertices are numbered in first-seen order over the (violation,
+  /// predicate, lhs-then-rhs cell) sequence and edges keep the order of
+  /// their first violation, so the heuristics that depend on edge order
+  /// (local ratio) or vertex ids see one graph per violation list. Vertex
+  /// ids live in a dense row × num_attributes array and edges are
+  /// deduplicated through a hash table of edge ids, so the build allocates
+  /// per vertex and per distinct edge, not per violation or predicate
+  /// (DESIGN.md §7).
   static ConflictHypergraph Build(const Relation& I,
+                                  const DomainStats& stats_of_I,
                                   const ConstraintSet& sigma,
                                   const std::vector<Violation>& violations,
                                   const CostModel& cost = {});
+
+  /// Build with the DomainStats of `I` computed here.
+  static ConflictHypergraph Build(const Relation& I,
+                                  const ConstraintSet& sigma,
+                                  const std::vector<Violation>& violations,
+                                  const CostModel& cost = {}) {
+    return Build(I, DomainStats(I), sigma, violations, cost);
+  }
 
   int num_vertices() const { return static_cast<int>(cells_.size()); }
   int num_edges() const { return static_cast<int>(edges_.size()); }

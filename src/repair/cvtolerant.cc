@@ -55,6 +55,63 @@ std::vector<Violation> UnionViolations(const ConstraintSet& set,
   return violations;
 }
 
+// The cost of I with `scoped` applied, under the update or hybrid strategy:
+// the terms RepairCost and StrategyRepairCost add over the whole repaired
+// instance, in the same (row, attr) order, without building it. A cell the
+// repair leaves unchanged adds +0.0 there, which leaves the sum bit for bit
+// as it is, so only the assigned cells are visited; under hybrid a
+// tombstoned row adds its deletion weight instead of its cells. The
+// assignments hold each cell at most once (components share no cells).
+double ScopedRepairCost(const Relation& I, const DomainStats& stats_of_I,
+                        const ScopedRepair& scoped,
+                        const VfreeOptions& options) {
+  using Assignment = std::pair<Cell, Value>;
+  std::vector<const Assignment*> order;
+  order.reserve(scoped.assignments.size());
+  for (const Assignment& a : scoped.assignments) order.push_back(&a);
+  std::sort(order.begin(), order.end(),
+            [](const Assignment* x, const Assignment* y) {
+              return x->first < y->first;
+            });
+  const bool hybrid = options.strategy == RepairStrategy::kHybrid;
+  double total = 0.0;
+  size_t begin = 0;
+  while (begin < order.size()) {
+    const int row = order[begin]->first.row;
+    size_t end = begin;
+    while (end < order.size() && order[end]->first.row == row) ++end;
+    // RowDeleted(I, repaired, row): not all NULL before, all NULL after.
+    bool deleted = false;
+    if (hybrid) {
+      bool was_all_null = true;
+      bool all_null = true;
+      size_t next = begin;
+      for (AttrId a = 0; a < I.num_attributes(); ++a) {
+        const Value* after = &I.Get(row, a);
+        was_all_null &= after->is_null();
+        if (next < end && order[next]->first.attr == a) {
+          after = &order[next++]->second;
+        }
+        all_null &= after->is_null();
+      }
+      deleted = !was_all_null && all_null;
+    }
+    if (deleted) {
+      total += RowDeletionWeight(I, stats_of_I, row, options.subset);
+    } else {
+      for (size_t i = begin; i < end; ++i) {
+        const auto& [cell, value] = *order[i];
+        const Value& before = I.Get(cell);
+        if (!(before == value)) {
+          total += options.cost.CellDist(cell, before, value);
+        }
+      }
+    }
+    begin = end;
+  }
+  return total;
+}
+
 }  // namespace
 
 std::vector<SigmaVariant> EnumerateVariants(const Relation& I,
@@ -90,18 +147,18 @@ RepairResult CVTolerantRepair(const Relation& I, const ConstraintSet& sigma,
   EncodedRelation E(I);
   DomainStats stats_of_I(I);
   std::map<DenialConstraint, VariantFacts> facts =
-      ScanVariantFacts(I, sigma, variants, options, E, &stats_of_I);
+      ScanVariantFacts(I, stats_of_I, sigma, variants, options, E);
 
   RepairStats stats;
   int64_t fresh_counter = 1;
   VariantSearchResult search = CVTolerantSearchWithFacts(
-      I, sigma, variants,
+      I, stats_of_I, sigma, variants,
       [&facts](const DenialConstraint& c) -> const VariantFacts& {
         return facts.at(c);
       },
       options, &fresh_counter, E, &stats);
-  RepairResult result =
-      FinishCVTolerantRepair(I, sigma, std::move(search), options, stats);
+  RepairResult result = FinishCVTolerantRepair(
+      I, stats_of_I, sigma, std::move(search), options, stats);
 
   result.stats.variants_pruned_nonmaximal = gen_stats.pruned_nonmaximal;
   EvalCounters counters_delta = eval_counters::Snapshot() - counters_before;
@@ -138,10 +195,10 @@ int64_t ViolationCap(const CVTolerantOptions& options, int num_rows) {
              : std::numeric_limits<int64_t>::max();
 }
 
-VariantFacts BuildVariantFacts(const Relation& I, const DenialConstraint& c,
-                               std::vector<Violation> violations,
-                               bool hopeless, const CVTolerantOptions& options,
-                               const DomainStats* stats) {
+VariantFacts BuildVariantFacts(const Relation& I, const DomainStats& stats_of_I,
+                               const DenialConstraint& c,
+                               std::vector<Violation> violations, bool hopeless,
+                               const CVTolerantOptions& options) {
   VariantFacts f;
   if (hopeless) {
     // `violations` (a truncated scan of up to the cap) is freed on return.
@@ -163,9 +220,9 @@ VariantFacts BuildVariantFacts(const Relation& I, const DenialConstraint& c,
   if (!f.violations.empty()) {
     const CostModel& cost = options.vfree.cost;
     ConflictHypergraph g =
-        ConflictHypergraph::Build(I, {c}, f.violations, cost);
-    RepairCostBounds bounds =
-        ComputeBounds(g, c.Degree(), cost, options.vfree.cover, stats);
+        ConflictHypergraph::Build(I, stats_of_I, {c}, f.violations, cost);
+    RepairCostBounds bounds = ComputeBounds(g, c.Degree(), cost,
+                                            options.vfree.cover, &stats_of_I);
     f.delta_l = bounds.lower;
     f.delta_u = bounds.upper;
   }
@@ -173,10 +230,9 @@ VariantFacts BuildVariantFacts(const Relation& I, const DenialConstraint& c,
 }
 
 std::map<DenialConstraint, VariantFacts> ScanVariantFacts(
-    const Relation& I, const ConstraintSet& sigma,
-    const std::vector<SigmaVariant>& variants,
-    const CVTolerantOptions& options, const EncodedRelation& encoded,
-    const DomainStats* stats) {
+    const Relation& I, const DomainStats& stats_of_I,
+    const ConstraintSet& sigma, const std::vector<SigmaVariant>& variants,
+    const CVTolerantOptions& options, const EncodedRelation& encoded) {
   TraceSpan span("cvtolerant/detect_facts");
   const int64_t violation_cap = ViolationCap(options, I.num_rows());
   std::map<DenialConstraint, VariantFacts> facts;
@@ -202,18 +258,20 @@ std::map<DenialConstraint, VariantFacts> ScanVariantFacts(
         bool hopeless = false;
         std::vector<Violation> violations = FindViolationsOfCapped(
             encoded, it->first, 0, violation_cap, &hopeless);
-        it->second = BuildVariantFacts(I, it->first, std::move(violations),
-                                       hopeless, options, stats);
+        it->second = BuildVariantFacts(I, stats_of_I, it->first,
+                                       std::move(violations), hopeless,
+                                       options);
       },
       options.threads);
   return facts;
 }
 
 VariantSearchResult CVTolerantSearchWithFacts(
-    const Relation& I, const ConstraintSet& sigma,
-    const std::vector<SigmaVariant>& variants, const VariantFactsFn& facts_of,
-    const CVTolerantOptions& options, int64_t* fresh_counter,
-    const EncodedRelation& encoded, RepairStats* stats) {
+    const Relation& I, const DomainStats& stats_of_I,
+    const ConstraintSet& sigma, const std::vector<SigmaVariant>& variants,
+    const VariantFactsFn& facts_of, const CVTolerantOptions& options,
+    int64_t* fresh_counter, const EncodedRelation& encoded,
+    RepairStats* stats) {
   TraceSpan span("cvtolerant/search_with_facts");
   span.AddArg("variants", static_cast<int64_t>(variants.size()));
   VariantSearchResult result;
@@ -224,7 +282,6 @@ VariantSearchResult CVTolerantSearchWithFacts(
 
   const VfreeOptions vfree_options = EngineOptions(options);
   const CostModel& cost = vfree_options.cost;
-  DomainStats stats_of_I(I);
   // Every lookup is a δ-bound reuse: facts are computed once per distinct
   // constraint, before the search.
   int64_t lookups = 0;
@@ -304,6 +361,9 @@ VariantSearchResult CVTolerantSearchWithFacts(
   const int width =
       plannable ? ThreadPool::EffectiveThreads(options.threads) : 1;
   MaterializedCache cache;
+  // The incumbent of a Vfree or subset search, applied to a copy of I once,
+  // after the loop; CVtolerant+Holistic keeps its repaired instance.
+  std::optional<ScopedRepair> incumbent;
   size_t next = 0;
   bool budget_spent = false;
   while (next < candidates.size() && !budget_spent) {
@@ -361,8 +421,9 @@ VariantSearchResult CVTolerantSearchWithFacts(
 
       const ConstraintSet& set = variants[c.index].constraints;
       lookups += static_cast<int64_t>(set.size());  // its union's facts
-      Relation repaired;
+      Relation repaired;  // CVtolerant+Holistic only
       std::optional<ScopedRepair> scoped;
+      double delta = 0.0;
       if (options.use_vfree ||
           vfree_options.strategy == RepairStrategy::kDelete) {
         const double abort_at = options.enable_bound_pruning
@@ -387,10 +448,11 @@ VariantSearchResult CVTolerantSearchWithFacts(
           result.abort_bounds[c.index] = abort_at;
           continue;
         }
-        repaired = I;
-        for (auto& [cell, value] : scoped->assignments) {
-          repaired.SetValue(cell, std::move(value));
-        }
+        // The candidate's cost under the active strategy: a subset
+        // repair's scoped cost is its summed deletion weights.
+        delta = vfree_options.strategy == RepairStrategy::kDelete
+                    ? scoped->cost
+                    : ScopedRepairCost(I, stats_of_I, *scoped, vfree_options);
       } else {
         // CVtolerant+Holistic (Figure 5): the multi-round Holistic engine
         // repairs the candidate, without sharing or the cost abort.
@@ -403,24 +465,29 @@ VariantSearchResult CVTolerantSearchWithFacts(
           stats->fresh_assignments += hr.stats.fresh_assignments;
         }
         repaired = std::move(hr.repaired);
-      }
-      // The candidate's cost under the active strategy: a subset repair's
-      // scoped cost is its summed deletion weights; otherwise deleted
-      // tuples price at their deletion weight and every other cell at its
-      // distance.
-      const double delta =
-          vfree_options.strategy == RepairStrategy::kDelete
-              ? scoped->cost
-              : StrategyRepairCost(I, repaired, cost, vfree_options.strategy,
+        // Deleted tuples price at their deletion weight, every other cell
+        // at its distance.
+        delta = StrategyRepairCost(I, repaired, cost, vfree_options.strategy,
                                    vfree_options.subset, stats_of_I);
+      }
       result.solved_costs[c.index] = delta;
       if (delta < result.cost) {
         result.cost = delta;
         delta_min = std::min(delta_min, delta);
-        result.repaired = std::move(repaired);
+        if (scoped) {
+          incumbent = std::move(scoped);
+        } else {
+          result.repaired = std::move(repaired);
+        }
         result.variant = set;
         result.have_result = true;
       }
+    }
+  }
+  if (incumbent) {
+    result.repaired = I;
+    for (auto& [cell, value] : incumbent->assignments) {
+      result.repaired.SetValue(cell, std::move(value));
     }
   }
   if (stats) {
@@ -436,6 +503,7 @@ VariantSearchResult CVTolerantSearchWithFacts(
 }
 
 RepairResult FinishCVTolerantRepair(const Relation& I,
+                                    const DomainStats& stats_of_I,
                                     const ConstraintSet& sigma,
                                     VariantSearchResult search,
                                     const CVTolerantOptions& options,
@@ -482,7 +550,7 @@ RepairResult FinishCVTolerantRepair(const Relation& I,
           ? RepairCost(I, result.repaired, vfree_options.cost)
           : StrategyRepairCost(I, result.repaired, vfree_options.cost,
                                vfree_options.strategy, vfree_options.subset,
-                               DomainStats(I));
+                               stats_of_I);
   return result;
 }
 

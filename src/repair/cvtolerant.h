@@ -160,23 +160,27 @@ struct VariantSearchResult {
 /// `have_result` is false when every candidate was pruned or aborted, and
 /// the caller decides (FinishCVTolerantRepair falls back; a streaming
 /// reopen keeps its incumbent). Suspect scans run on `encoded`, the mirror
-/// of I. `stats` (optional) accumulates the DataRepair counters of every
-/// candidate solve and receives the search's own: initial violations of Σ,
-/// variants, hopeless and pruned, DataRepair calls, cache hits, and
-/// δ-bound lookups.
+/// of I, and `stats_of_I` must be the DomainStats of I. A Vfree candidate
+/// is priced from its ScopedRepair, and only the incumbent's is applied to
+/// a copy of I, once the loop ends. `stats` (optional) accumulates the
+/// DataRepair counters of every candidate solve and receives the search's
+/// own: initial violations of Σ, variants, hopeless and pruned, DataRepair
+/// calls, cache hits, and δ-bound lookups.
 VariantSearchResult CVTolerantSearchWithFacts(
-    const Relation& I, const ConstraintSet& sigma,
-    const std::vector<SigmaVariant>& variants, const VariantFactsFn& facts_of,
-    const CVTolerantOptions& options, int64_t* fresh_counter,
-    const EncodedRelation& encoded, RepairStats* stats = nullptr);
+    const Relation& I, const DomainStats& stats_of_I,
+    const ConstraintSet& sigma, const std::vector<SigmaVariant>& variants,
+    const VariantFactsFn& facts_of, const CVTolerantOptions& options,
+    int64_t* fresh_counter, const EncodedRelation& encoded,
+    RepairStats* stats = nullptr);
 
 /// The tail of Algorithm 1, shared by CVTolerantRepair and the unfrozen
 /// StreamingRepairer: adopts the search's repair, or — when no candidate
 /// survived — falls back to a plain repair of Σ for θ >= 0 (the input
 /// itself for θ < 0). The returned stats are `stats` (as the search filled
 /// them) completed with the chosen repair's cost, changed cells, and fresh
-/// and deleted counts.
+/// and deleted counts. `stats_of_I` is the DomainStats of I.
 RepairResult FinishCVTolerantRepair(const Relation& I,
+                                    const DomainStats& stats_of_I,
                                     const ConstraintSet& sigma,
                                     VariantSearchResult search,
                                     const CVTolerantOptions& options,
@@ -189,23 +193,24 @@ int64_t ViolationCap(const CVTolerantOptions& options, int num_rows);
 /// The facts of constraint `c` from its violations over I, in any order:
 /// rows-ordered with constraint_index 0, plus δ_l/δ_u of the conflict
 /// hypergraph of `c` alone — or +inf and no violations when `hopeless`.
-/// ScanVariantFacts and VariantTracker both build facts here. `stats`
-/// (optional) feeds the entropy term of the kEntropyDensity cover.
-VariantFacts BuildVariantFacts(const Relation& I, const DenialConstraint& c,
-                               std::vector<Violation> violations,
-                               bool hopeless, const CVTolerantOptions& options,
-                               const DomainStats* stats = nullptr);
+/// ScanVariantFacts and VariantTracker both build facts here.
+/// `stats_of_I`, the DomainStats of I, gives the hypergraph's vertex
+/// weights and the entropy term of the kEntropyDensity cover.
+VariantFacts BuildVariantFacts(const Relation& I, const DomainStats& stats_of_I,
+                               const DenialConstraint& c,
+                               std::vector<Violation> violations, bool hopeless,
+                               const CVTolerantOptions& options);
 
 /// Computes VariantFacts for every distinct constraint of Σ and `variants`
 /// by full capped detection scans of `encoded`, the mirror of I, in
 /// parallel over the constraints under options.threads — the from-scratch
 /// twin of a VariantTracker's delta-maintained facts. The facts are
-/// identical at any thread count. `stats` is passed to BuildVariantFacts.
+/// identical at any thread count. `stats_of_I` is passed to
+/// BuildVariantFacts.
 std::map<DenialConstraint, VariantFacts> ScanVariantFacts(
-    const Relation& I, const ConstraintSet& sigma,
-    const std::vector<SigmaVariant>& variants,
-    const CVTolerantOptions& options, const EncodedRelation& encoded,
-    const DomainStats* stats = nullptr);
+    const Relation& I, const DomainStats& stats_of_I,
+    const ConstraintSet& sigma, const std::vector<SigmaVariant>& variants,
+    const CVTolerantOptions& options, const EncodedRelation& encoded);
 
 }  // namespace cvrepair
 

@@ -94,13 +94,21 @@ VariantTracker::VariantTracker(const Relation& dirty,
   for (size_t k = 0; k < family_.size(); ++k) RefreshFacts(k);
 }
 
+const DomainStats& VariantTracker::stats() {
+  if (stats_stale_) {
+    stats_ = DomainStats(index_->relation());
+    stats_stale_ = false;
+  }
+  return stats_;
+}
+
 void VariantTracker::RefreshFacts(size_t k) {
   const int ki = static_cast<int>(k);
   const Relation& dirty = index_->relation();
   const bool hopeless =
       index_->ViolationCountOf(ki) > ViolationCap(options_, dirty.num_rows());
   facts_[k] = BuildVariantFacts(
-      dirty, family_[k],
+      dirty, stats(), family_[k],
       hopeless ? std::vector<Violation>{} : index_->ViolationsOf(ki),
       hopeless, options_);
   seen_epochs_[k] = index_->ViolationEpochOf(ki);
@@ -127,6 +135,7 @@ int VariantTracker::Ingest(const std::vector<RowEdit>& edits) {
     changing.push_back(e);
   }
   index_->ApplyBatch(changing);
+  if (!changing.empty()) stats_stale_ = true;
   ++generation_;
   int updates = 0;
   const int64_t cap = ViolationCap(options_, index_->relation().num_rows());
@@ -200,13 +209,15 @@ StreamingRepairer::StreamingRepairer(const Relation& I,
     // twin the drift tests compare against — goes through the identical
     // candidate loop. The Σ fallback and the stats are CVTolerantRepair's.
     tracker_ = std::make_unique<VariantTracker>(I, sigma, options_.repair);
+    // The tracker's D is still I.
+    const DomainStats& stats_of_I = tracker_->stats();
     RepairStats stats;
     VariantSearchResult sr = CVTolerantSearchWithFacts(
-        I, sigma, tracker_->variants(), tracker_->FactsFn(), options_.repair,
-        &fresh_counter_, tracker_->encoded(), &stats);
+        I, stats_of_I, sigma, tracker_->variants(), tracker_->FactsFn(),
+        options_.repair, &fresh_counter_, tracker_->encoded(), &stats);
     tracker_->RecordSearch(sr);
-    initial =
-        FinishCVTolerantRepair(I, sigma, std::move(sr), options_.repair, stats);
+    initial = FinishCVTolerantRepair(I, stats_of_I, sigma, std::move(sr),
+                                     options_.repair, stats);
     realized_cost_ = initial.stats.repair_cost;
   } else {
     initial = CVTolerantRepair(I, sigma, options_.repair);
@@ -346,9 +357,9 @@ void StreamingRepairer::MaybeReopen(StreamBatchResult* out) {
   TraceSpan span("stream/variant_reopen");
   out->reopened = true;
   VariantSearchResult sr = CVTolerantSearchWithFacts(
-      tracker_->dirty(), tracker_->sigma(), tracker_->variants(),
-      tracker_->FactsFn(), options_.repair, &fresh_counter_,
-      tracker_->encoded());
+      tracker_->dirty(), tracker_->stats(), tracker_->sigma(),
+      tracker_->variants(), tracker_->FactsFn(), options_.repair,
+      &fresh_counter_, tracker_->encoded());
   tracker_->RecordSearch(sr);
   if (!sr.have_result || sr.variant == variant_) {
     // The incumbent stood. Keep the incrementally repaired instance — its

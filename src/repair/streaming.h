@@ -125,6 +125,9 @@ class VariantTracker {
 
   /// The accumulated dirty instance D.
   const Relation& dirty() const { return index_->relation(); }
+  /// DomainStats of D, for the facts and for a search over D. Rebuilt at
+  /// most once per Ingest that changes D, when first needed.
+  const DomainStats& stats();
   /// Coded mirror of D.
   const EncodedRelation& encoded() const { return *index_->encoded(); }
   const ConstraintSet& sigma() const { return sigma_; }
@@ -148,6 +151,8 @@ class VariantTracker {
   ConstraintSet family_;  // distinct constraints, first-seen order
   std::map<DenialConstraint, size_t> family_pos_;
   std::unique_ptr<ViolationIndex> index_;  // over (D, family_)
+  DomainStats stats_;                      // of D unless stale
+  bool stats_stale_ = true;                // D changed since stats_
   std::vector<VariantFacts> facts_;        // per family position
   std::vector<int64_t> seen_epochs_;       // ViolationEpochOf at last refresh
   std::vector<int64_t> changed_gen_;       // generation of last facts change

@@ -133,8 +133,12 @@ std::vector<Cell> CoverCells(const Relation& I, const DomainStats& stats_of_I,
                              const std::vector<Violation>& violations,
                              const VfreeOptions& options) {
   TraceSpan span("vfree/cover");
-  ConflictHypergraph g =
-      ConflictHypergraph::Build(I, sigma, violations, options.cost);
+  const ConflictHypergraph g = [&] {
+    TraceSpan build_span("graph/hypergraph");
+    return ConflictHypergraph::Build(I, stats_of_I, sigma, violations,
+                                     options.cost);
+  }();
+  TraceSpan cover_span("graph/cover");
   VertexCover cover = ApproximateVertexCover(g, options.cover, &stats_of_I);
   return cover.Cells(g);
 }
@@ -442,13 +446,18 @@ std::optional<Relation> DataRepairVfree(
 }
 
 void CanonicalizeViolations(std::vector<Violation>* violations) {
-  std::sort(violations->begin(), violations->end(),
-            [](const Violation& a, const Violation& b) {
-              if (a.constraint_index != b.constraint_index) {
-                return a.constraint_index < b.constraint_index;
-              }
-              return a.rows < b.rows;
-            });
+  auto canonical = [](const Violation& a, const Violation& b) {
+    if (a.constraint_index != b.constraint_index) {
+      return a.constraint_index < b.constraint_index;
+    }
+    return a.rows < b.rows;
+  };
+  // A candidate's union set and a ViolationIndex's current set arrive
+  // canonical already: one O(n) pass instead of a sort.
+  if (std::is_sorted(violations->begin(), violations->end(), canonical)) {
+    return;
+  }
+  std::sort(violations->begin(), violations->end(), canonical);
 }
 
 std::optional<ScopedRepair> SolveDirtyComponents(

@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <array>
+#include <cassert>
 #include <optional>
 #include <set>
 #include <sstream>
+#include <unordered_map>
 
 #include "relation/encoded.h"
 
@@ -76,14 +78,19 @@ class AtomCollector {
 };
 
 // Adds the atoms suspect `s` contributes to rc(C, Σ): the inverse of each
-// predicate of its constraint that touches a changing cell.
+// predicate of its constraint that touches a changing cell. `var_of` is
+// RepairContext::SetCells' dense variable-id array of I.
 void CollectSuspectAtoms(const Relation& I, const ConstraintSet& sigma,
-                         const RepairContext& rc, const Violation& s,
+                         const std::vector<int>& var_of, const Violation& s,
                          AtomCollector* atoms) {
+  const size_t m = static_cast<size_t>(I.num_attributes());
+  auto var = [&](const Cell& cell) {
+    return var_of[static_cast<size_t>(cell.row) * m + cell.attr];
+  };
   const DenialConstraint& c = sigma[s.constraint_index];
   for (const Predicate& p : c.predicates()) {
     Cell lhs{s.rows[p.lhs().tuple], p.lhs().attr};
-    int lv = rc.VarOf(lhs);
+    int lv = var(lhs);
     if (p.has_constant()) {
       if (lv < 0) continue;  // suspect-condition predicate, not rc
       RcAtom atom;
@@ -96,7 +103,7 @@ void CollectSuspectAtoms(const Relation& I, const ConstraintSet& sigma,
       continue;
     }
     Cell rhs{s.rows[p.rhs_cell().tuple], p.rhs_cell().attr};
-    int rv = rc.VarOf(rhs);
+    int rv = var(rhs);
     if (lv < 0 && rv < 0) continue;  // neither side changes
     RcAtom atom;
     Op inv = Inverse(p.op());
@@ -137,13 +144,20 @@ void CollectSuspectAtoms(const Relation& I, const ConstraintSet& sigma,
 
 }  // namespace
 
-void RepairContext::SetCells(const std::vector<Cell>& changing) {
+std::vector<int> RepairContext::SetCells(const std::vector<Cell>& changing,
+                                         int num_rows, int num_attributes) {
   cells_ = changing;
   std::sort(cells_.begin(), cells_.end());
   cells_.erase(std::unique(cells_.begin(), cells_.end()), cells_.end());
+  const size_t m = static_cast<size_t>(num_attributes);
+  std::vector<int> var_of(static_cast<size_t>(num_rows) * m, -1);
   for (int v = 0; v < static_cast<int>(cells_.size()); ++v) {
-    var_of_[cells_[v]] = v;
+    const Cell& cell = cells_[v];
+    assert(cell.row >= 0 && cell.row < num_rows && cell.attr >= 0 &&
+           cell.attr < num_attributes);  // C ⊆ cells(I)
+    var_of[static_cast<size_t>(cell.row) * m + cell.attr] = v;
   }
+  return var_of;
 }
 
 RepairContext RepairContext::Build(const Relation& I,
@@ -151,10 +165,11 @@ RepairContext RepairContext::Build(const Relation& I,
                                    const std::vector<Cell>& changing,
                                    const std::vector<Violation>& suspects) {
   RepairContext rc;
-  rc.SetCells(changing);
+  const std::vector<int> var_of =
+      rc.SetCells(changing, I.num_rows(), I.num_attributes());
   AtomCollector atoms;
   for (const Violation& s : suspects) {
-    CollectSuspectAtoms(I, sigma, rc, s, &atoms);
+    CollectSuspectAtoms(I, sigma, var_of, s, &atoms);
   }
   rc.atoms_ = atoms.Finish();
   return rc;
@@ -167,14 +182,15 @@ RepairContext RepairContext::BuildFromScan(const EncodedRelation& E,
                                            EvalCounters* zone_counts) {
   const Relation& I = E.relation();
   RepairContext rc;
-  rc.SetCells(changing);
+  const std::vector<int> var_of =
+      rc.SetCells(changing, I.num_rows(), I.num_attributes());
   AtomCollector atoms;
   int64_t count = 0;
   ForEachSuspect(
-      E, sigma, CellSet(changing.begin(), changing.end()),
+      E, sigma, rc.cells_,
       [&](const Violation& s) {
         ++count;
-        CollectSuspectAtoms(I, sigma, rc, s, &atoms);
+        CollectSuspectAtoms(I, sigma, var_of, s, &atoms);
       },
       zone_counts);
   if (suspects) *suspects = count;

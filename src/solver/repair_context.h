@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "dc/violation.h"
@@ -48,7 +47,11 @@ struct RcAtom {
 
 /// The assembled repair context rc(C, Σ) for a changing set C: variables
 /// (one per changing cell) plus deduplicated atoms collected from every
-/// suspect tuple list (formula (3) of the paper).
+/// suspect tuple list (formula (3) of the paper). C must be a subset of
+/// cells(I) (rows in [0, |I|), attributes in [0, m)); it may hold
+/// duplicates, in any order. Variable ids follow the ascending (row, attr)
+/// order of the distinct cells of C, and are looked up through a dense
+/// row × m array while the atoms are collected.
 ///
 /// Numeric bound atoms are compressed: for one variable, {>= c1, >= c2, ...}
 /// is equivalent to the single tightest bound (same for >, <, <=), so only
@@ -84,21 +87,18 @@ class RepairContext {
   const Cell& cell(int var) const { return cells_[var]; }
   const std::vector<RcAtom>& atoms() const { return atoms_; }
 
-  /// Variable id of a changing cell; -1 if the cell is not in C.
-  int VarOf(const Cell& cell) const {
-    auto it = var_of_.find(cell);
-    return it == var_of_.end() ? -1 : it->second;
-  }
-
   /// Debug rendering of all atoms.
   std::string ToString(const Relation& I) const;
 
  private:
-  // The variables of C: sorted, deduplicated cells and their ids.
-  void SetCells(const std::vector<Cell>& changing);
+  // The variables of C: sorted, deduplicated cells. Returns the variable
+  // id of every cell of an instance with `num_rows` rows and
+  // `num_attributes` attributes at row * num_attributes + attr (-1 = not
+  // in C).
+  std::vector<int> SetCells(const std::vector<Cell>& changing, int num_rows,
+                            int num_attributes);
 
   std::vector<Cell> cells_;
-  std::unordered_map<Cell, int, CellHash> var_of_;
   std::vector<RcAtom> atoms_;
 };
 

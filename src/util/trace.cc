@@ -4,6 +4,7 @@
 #include <atomic>
 #include <chrono>
 #include <fstream>
+#include <map>
 #include <mutex>
 
 namespace cvrepair {
@@ -141,6 +142,41 @@ bool Tracer::WriteChromeTrace(const std::string& path) {
   body += "\n]}\n";
   out << body;
   return static_cast<bool>(out);
+}
+
+std::vector<Tracer::SpanTotals> Tracer::SelfTimes() {
+  // Events arrive by start time, parents before their children, so on
+  // each thread the open spans form a stack: a span's parent is the
+  // innermost open span one level up.
+  const std::vector<Event> events = CollectEvents();
+  std::vector<double> self_us(events.size());
+  std::map<int, std::vector<size_t>> open;  // tid -> open spans, innermost last
+  for (size_t i = 0; i < events.size(); ++i) {
+    const Event& e = events[i];
+    self_us[i] = e.dur_us;
+    std::vector<size_t>& stack = open[e.tid];
+    while (!stack.empty() && events[stack.back()].depth >= e.depth) {
+      stack.pop_back();
+    }
+    if (!stack.empty()) self_us[stack.back()] -= e.dur_us;
+    stack.push_back(i);
+  }
+  std::map<std::string, SpanTotals> by_name;
+  for (size_t i = 0; i < events.size(); ++i) {
+    SpanTotals& t = by_name[events[i].name];
+    t.name = events[i].name;
+    ++t.calls;
+    t.total_us += events[i].dur_us;
+    t.self_us += self_us[i];
+  }
+  std::vector<SpanTotals> out;
+  out.reserve(by_name.size());
+  for (auto& [name, totals] : by_name) out.push_back(std::move(totals));
+  std::stable_sort(out.begin(), out.end(),
+                   [](const SpanTotals& a, const SpanTotals& b) {
+                     return a.self_us > b.self_us;
+                   });
+  return out;
 }
 
 void Tracer::AddCounterDelta(const char* key, int64_t value) {

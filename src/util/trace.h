@@ -56,6 +56,22 @@ class Tracer {
   /// false when the file cannot be written.
   static bool WriteChromeTrace(const std::string& path);
 
+  /// One span name's share of the recorded time.
+  struct SpanTotals {
+    std::string name;
+    int64_t calls = 0;
+    double total_us = 0.0;  ///< summed durations
+    double self_us = 0.0;   ///< summed durations minus direct children's
+  };
+
+  /// CollectEvents() summed per span name. A span's self time is its
+  /// duration minus the durations of its direct children on the same
+  /// thread, so the self times of all spans add up to the summed durations
+  /// of the top-level (depth 0) spans of every thread. Sorted by
+  /// descending self time, ties by name. Call between runs, like
+  /// CollectEvents.
+  static std::vector<SpanTotals> SelfTimes();
+
   /// Credits a counter delta to the open spans of the calling thread
   /// (util/metrics.h flush sites call this). No-op while disabled.
   static void AddCounterDelta(const char* key, int64_t value);

@@ -4,11 +4,14 @@
 #include <gtest/gtest.h>
 #include <sys/wait.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <regex>
 #include <sstream>
+#include <string>
+#include <vector>
 
 namespace cvrepair {
 namespace {
@@ -255,6 +258,47 @@ TEST_F(CliTest, TraceOutWritesPhaseSpans) {
   std::string trace4 = ReadWholeFile(dir_ + "/trace4.json");
   EXPECT_NE(trace4.find("cvtolerant/plan_candidates"), std::string::npos);
   EXPECT_NE(trace4.find("vfree/cover"), std::string::npos);
+}
+
+// --profile prints one row per span name (calls, total ms, self ms) and
+// the top-level spans' summed time, which the self times add up to.
+TEST_F(CliTest, ProfilePrintsSelfTimesThatAddUp) {
+  const std::string out = RunAndCapture(
+      cli_ + " --generate hosp --size 6 --threads 1 --profile");
+  std::istringstream lines(out);
+  std::string line;
+  bool in_table = false;
+  double self_sum = 0.0;
+  double top_level = -1.0;
+  std::vector<std::string> names;
+  while (std::getline(lines, line)) {
+    if (line.rfind("profile (ms)", 0) == 0) {
+      in_table = true;
+      continue;
+    }
+    if (!in_table || line.rfind("  ", 0) != 0) continue;
+    std::istringstream row(line);
+    std::vector<std::string> tokens;
+    for (std::string t; row >> t;) tokens.push_back(t);
+    ASSERT_GE(tokens.size(), 2u) << line;
+    const double self_ms = std::stod(tokens.back());
+    if (line.rfind("  top-level spans", 0) == 0) {
+      top_level = self_ms;
+    } else {
+      ASSERT_EQ(tokens.size(), 4u) << line;
+      names.push_back(tokens[0]);
+      self_sum += self_ms;
+    }
+  }
+  ASSERT_TRUE(in_table) << out;
+  ASSERT_GT(top_level, 0.0) << out;
+  EXPECT_NEAR(self_sum, top_level, 0.01) << out;
+  for (const char* span :
+       {"vfree/cover", "graph/hypergraph", "vfree/context"}) {
+    EXPECT_NE(std::find(names.begin(), names.end(), span), names.end())
+        << span << " missing from:\n"
+        << out;
+  }
 }
 
 // The variants line sorts every enumerated variant into exactly one

@@ -196,7 +196,7 @@ WindowRun RunWindowSearch(int threads, const CVTolerantOptions& base) {
   int64_t fresh = 1;
   const EncodedRelation encoded(rel);
   run.search = CVTolerantSearchWithFacts(
-      rel, {phi4}, variants,
+      rel, DomainStats(rel), {phi4}, variants,
       [&facts](const DenialConstraint& c) -> const VariantFacts& {
         return facts.at(c);
       },

@@ -11,15 +11,23 @@
 // kernels, zone maps, sharding or thread pool, so it shares no failure
 // mode with dc/violation.cc. O(|I|²) per 2-tuple constraint, so keep the
 // instances it checks small.
+//
+// ReferenceHypergraph is the conflict hypergraph of Section 3.2.1 built
+// the same naive way (ordered maps, boxed value counts), for comparison
+// with graph/conflict_hypergraph.cc.
 
 #include <algorithm>
 #include <cstddef>
+#include <map>
+#include <set>
 #include <unordered_set>
 #include <utility>
 #include <vector>
 
 #include "dc/constraint.h"
+#include "dc/violation.h"
 #include "relation/relation.h"
+#include "repair/costs.h"
 
 namespace cvrepair {
 namespace reference {
@@ -95,6 +103,83 @@ inline std::vector<TupleList> ReferenceSuspects(
         });
   }
   return out;
+}
+
+/// The conflict hypergraph of `violations`, field by field as
+/// ConflictHypergraph's accessors report it.
+struct Hypergraph {
+  std::vector<Cell> cells;
+  std::vector<double> weights;
+  std::vector<int> value_frequency;
+  std::vector<int> domain_size;
+  std::vector<bool> on_inequality_predicate;
+  std::vector<std::vector<int>> edges;     // sorted vertex ids
+  std::vector<std::vector<int>> incident;  // ascending edge ids per vertex
+};
+
+/// Vertices are the cells of ViolationCells, numbered in first-seen order
+/// over `violations`; a vertex weighs the fresh cost when its attribute
+/// has no other non-NULL, non-fresh value in I, else the cheapest change.
+/// Value frequencies count equal Values (Value::operator==, so Int(1) and
+/// Double(1.0) are two values). Edges are the sorted vertex sets of the
+/// violations, each kept once, in first-seen order.
+inline Hypergraph ReferenceHypergraph(const Relation& I,
+                                      const ConstraintSet& sigma,
+                                      const std::vector<Violation>& violations,
+                                      const CostModel& cost = {}) {
+  std::vector<std::map<Value, int>> counts(
+      static_cast<size_t>(I.num_attributes()));
+  for (int i = 0; i < I.num_rows(); ++i) {
+    for (AttrId a = 0; a < I.num_attributes(); ++a) {
+      const Value& v = I.Get(i, a);
+      if (!v.is_null() && !v.is_fresh()) ++counts[static_cast<size_t>(a)][v];
+    }
+  }
+  Hypergraph g;
+  std::map<Cell, int> vertex_of;
+  std::set<std::vector<int>> seen_edges;
+  for (const Violation& viol : violations) {
+    const DenialConstraint& c =
+        sigma[static_cast<size_t>(viol.constraint_index)];
+    std::vector<int> edge;
+    for (const Cell& cell : ViolationCells(c, viol.rows)) {
+      auto [it, inserted] =
+          vertex_of.emplace(cell, static_cast<int>(g.cells.size()));
+      if (inserted) {
+        const std::map<Value, int>& attr_counts =
+            counts[static_cast<size_t>(cell.attr)];
+        auto own = attr_counts.find(I.Get(cell));
+        const int freq = own == attr_counts.end() ? 0 : own->second;
+        const int domain = static_cast<int>(attr_counts.size());
+        g.cells.push_back(cell);
+        g.weights.push_back(cost.CellWeight(cell) *
+                            cost.MinChangeCost(domain > (freq > 0 ? 1 : 0)));
+        g.value_frequency.push_back(freq);
+        g.domain_size.push_back(domain);
+        g.on_inequality_predicate.push_back(false);
+      }
+      edge.push_back(it->second);
+    }
+    for (const Predicate& p : c.predicates()) {
+      if (p.op() == Op::kEq) continue;
+      for (const Cell& cell : p.Cells(viol.rows)) {
+        g.on_inequality_predicate[static_cast<size_t>(vertex_of.at(cell))] =
+            true;
+      }
+    }
+    std::sort(edge.begin(), edge.end());
+    edge.erase(std::unique(edge.begin(), edge.end()), edge.end());
+    if (!edge.empty() && seen_edges.insert(edge).second) {
+      g.edges.push_back(edge);
+    }
+  }
+  g.incident.resize(g.cells.size());
+  for (size_t e = 0; e < g.edges.size(); ++e) {
+    for (int v : g.edges[e]) {
+      g.incident[static_cast<size_t>(v)].push_back(static_cast<int>(e));
+    }
+  }
+  return g;
 }
 
 /// A scan's output — any list of records with `constraint_index` and

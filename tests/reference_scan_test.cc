@@ -4,7 +4,9 @@
 // on the paper's worked examples, then random instances — NULLs, fresh
 // variables, Int and Double spellings of one number in one column — under
 // random denial constraints with constants, cross-attribute and
-// same-tuple predicates, at 1 and 4 threads.
+// same-tuple predicates, at 1 and 4 threads. The same instances check the
+// conflict hypergraph built from the scan's violations and the repair
+// context streamed from the suspect scan against naive builds.
 #include "reference_scan.h"
 
 #include <gtest/gtest.h>
@@ -16,8 +18,11 @@
 #include <vector>
 
 #include "dc/violation.h"
+#include "graph/conflict_hypergraph.h"
 #include "paper_example.h"
+#include "relation/domain_stats.h"
 #include "relation/encoded.h"
+#include "solver/repair_context.h"
 #include "util/thread_pool.h"
 
 namespace cvrepair {
@@ -123,10 +128,39 @@ Instance RandomInstance(std::mt19937_64* rng, int rows) {
   return out;
 }
 
+// ConflictHypergraph::Build against ReferenceHypergraph, accessor by
+// accessor, on the same violation list.
+void ExpectHypergraphMatchesReference(
+    const Instance& inst, const std::vector<Violation>& violations) {
+  const reference::Hypergraph want =
+      reference::ReferenceHypergraph(inst.rel, inst.sigma, violations);
+  const ConflictHypergraph got = ConflictHypergraph::Build(
+      inst.rel, DomainStats(inst.rel), inst.sigma, violations);
+  ASSERT_EQ(got.num_vertices(), static_cast<int>(want.cells.size()));
+  ASSERT_EQ(got.num_edges(), static_cast<int>(want.edges.size()));
+  for (int v = 0; v < got.num_vertices(); ++v) {
+    const size_t i = static_cast<size_t>(v);
+    EXPECT_EQ(got.cell(v), want.cells[i]) << "vertex " << v;
+    EXPECT_EQ(got.weight(v), want.weights[i]) << "vertex " << v;
+    EXPECT_EQ(got.value_frequency(v), want.value_frequency[i])
+        << "vertex " << v;
+    EXPECT_EQ(got.domain_size(v), want.domain_size[i]) << "vertex " << v;
+    EXPECT_EQ(got.on_inequality_predicate(v), want.on_inequality_predicate[i])
+        << "vertex " << v;
+    EXPECT_EQ(got.incident_edges(v), want.incident[i]) << "vertex " << v;
+  }
+  for (int e = 0; e < got.num_edges(); ++e) {
+    EXPECT_EQ(got.edge(e), want.edges[static_cast<size_t>(e)]) << "edge " << e;
+  }
+}
+
 // Every scan of `inst` at the current thread count against the reference:
 // the full scan, Satisfies, each capped scan as a prefix of its full scan,
-// and the suspects of a random changing set. Returns the full scan so the
-// caller can compare orders across thread counts.
+// the suspects of a random changing set (also with cells outside the
+// instance added, which lie in no tuple list), the conflict hypergraph of
+// the full scan, and the repair context streamed from the suspect scan.
+// Returns the full scan so the caller can compare orders across thread
+// counts.
 std::vector<Violation> CheckAgainstReference(const Instance& inst,
                                              const CellSet& changing) {
   EncodedRelation E(inst.rel);
@@ -150,8 +184,29 @@ std::vector<Violation> CheckAgainstReference(const Instance& inst,
           << "constraint " << k << " cap " << cap;
     }
   }
-  EXPECT_EQ(Sorted(FindSuspects(E, inst.sigma, changing)),
-            ReferenceSuspects(inst.rel, inst.sigma, changing));
+  const std::vector<TupleList> suspects =
+      ReferenceSuspects(inst.rel, inst.sigma, changing);
+  EXPECT_EQ(Sorted(FindSuspects(E, inst.sigma, changing)), suspects);
+  const int n = inst.rel.num_rows();
+  const AttrId m = inst.rel.num_attributes();
+  CellSet with_outside = changing;
+  with_outside.insert({{-1, 0}, {n, m - 1}, {0, -1}, {n - 1, m}});
+  EXPECT_EQ(Sorted(FindSuspects(E, inst.sigma, with_outside)),
+            ReferenceSuspects(inst.rel, inst.sigma, with_outside));
+
+  ExpectHypergraphMatchesReference(inst, found);
+
+  const std::vector<Cell> cells(changing.begin(), changing.end());
+  std::vector<Violation> suspect_lists;
+  for (const auto& [k, rows] : suspects) suspect_lists.push_back({k, rows});
+  const RepairContext want =
+      RepairContext::Build(inst.rel, inst.sigma, cells, suspect_lists);
+  int64_t count = 0;
+  const RepairContext got =
+      RepairContext::BuildFromScan(E, inst.sigma, cells, &count);
+  EXPECT_EQ(count, static_cast<int64_t>(suspects.size()));
+  EXPECT_EQ(got.cells(), want.cells());
+  EXPECT_EQ(got.atoms(), want.atoms());
   return found;
 }
 

@@ -324,11 +324,12 @@ TEST(StreamingTest, ScratchEquivalenceHoldsAfterVariantSwitch) {
     // per-constraint fact scans feeding the same factored candidate loop.
     const VariantTracker& t = *streamer.tracker();
     EncodedRelation E(t.dirty());
-    std::map<DenialConstraint, VariantFacts> facts =
-        ScanVariantFacts(t.dirty(), w.sigma, t.variants(), options.repair, E);
+    const DomainStats stats_of_D(t.dirty());
+    std::map<DenialConstraint, VariantFacts> facts = ScanVariantFacts(
+        t.dirty(), stats_of_D, w.sigma, t.variants(), options.repair, E);
     int64_t scratch_fresh = 1000000;  // disjoint from the streamed ids
     VariantSearchResult sr = CVTolerantSearchWithFacts(
-        t.dirty(), w.sigma, t.variants(),
+        t.dirty(), stats_of_D, w.sigma, t.variants(),
         [&facts](const DenialConstraint& c) -> const VariantFacts& {
           return facts.at(c);
         },

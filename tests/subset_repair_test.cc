@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <map>
 #include <optional>
 #include <random>
 #include <string>
@@ -184,6 +185,36 @@ TEST(SubsetRepairTest, HybridDeletesRowWhoseUpdateCostExceedsWeight) {
   EXPECT_FALSE(RowDeleted(f.rel, result.repaired, 1));
   EXPECT_DOUBLE_EQ(result.stats.repair_cost, 1.5);
   EXPECT_TRUE(FindViolations(result.repaired, f.sigma).empty());
+}
+
+// The variant search prices a hybrid candidate from its scoped repair,
+// without building the repaired instance: the tombstoned row must cost its
+// deletion weight, exactly as StrategyRepairCost prices the instance.
+TEST(SubsetRepairTest, HybridSearchPricesTombstoneAtItsWeight) {
+  HybridFixture f = MakeHybridFixture();
+  CVTolerantOptions options;
+  options.variants.theta = 0.0;
+  options.vfree.strategy = RepairStrategy::kHybrid;
+  options.vfree.subset.delete_base = 1.5;
+  const std::vector<SigmaVariant> variants =
+      EnumerateVariants(f.rel, f.sigma, options);
+  const EncodedRelation E(f.rel);
+  const DomainStats stats(f.rel);
+  const std::map<DenialConstraint, VariantFacts> facts =
+      ScanVariantFacts(f.rel, stats, f.sigma, variants, options, E);
+  int64_t fresh = 1;
+  const VariantSearchResult sr = CVTolerantSearchWithFacts(
+      f.rel, stats, f.sigma, variants,
+      [&facts](const DenialConstraint& c) -> const VariantFacts& {
+        return facts.at(c);
+      },
+      options, &fresh, E);
+  ASSERT_TRUE(sr.have_result);
+  EXPECT_TRUE(RowDeleted(f.rel, sr.repaired, 0));
+  EXPECT_DOUBLE_EQ(sr.cost, 1.5);
+  EXPECT_EQ(sr.cost, StrategyRepairCost(f.rel, sr.repaired, options.vfree.cost,
+                                        RepairStrategy::kHybrid,
+                                        options.vfree.subset, stats));
 }
 
 TEST(SubsetRepairTest, HybridKeepsRowWhenUpdateIsCheaper) {

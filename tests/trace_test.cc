@@ -5,11 +5,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "util/metrics.h"
@@ -189,6 +191,92 @@ TEST(TracerTest, ParallelSpansLandInPerThreadBuffers) {
   EXPECT_EQ(outer_spans, kTasks);
   std::sort(seen_index.begin(), seen_index.end());
   for (int i = 0; i < kTasks; ++i) EXPECT_EQ(seen_index[i], i);
+}
+
+// Self time subtracts a span's direct children on its own thread only: a
+// span another thread runs meanwhile is top-level there, and the self
+// times add up to the top-level spans' durations.
+TEST(TracerTest, SelfTimesSubtractSameThreadChildren) {
+  TraceGuard guard;
+  Tracer::Clear();
+  Tracer::SetEnabled(true);
+  const auto pause = std::chrono::milliseconds(2);
+  {
+    TraceSpan outer("outer");
+    std::thread worker([pause] {
+      TraceSpan work("worker");
+      {
+        TraceSpan leaf("leaf");
+        std::this_thread::sleep_for(pause);
+      }
+      std::this_thread::sleep_for(pause);
+    });
+    {
+      TraceSpan leaf("leaf");
+      std::this_thread::sleep_for(pause);
+    }
+    {
+      TraceSpan mid("mid");
+      TraceSpan leaf("leaf");
+      std::this_thread::sleep_for(pause);
+    }
+    worker.join();
+  }
+  Tracer::SetEnabled(false);
+
+  const std::vector<Tracer::Event> events = Tracer::CollectEvents();
+  ASSERT_EQ(events.size(), 6u);
+  const Tracer::Event* outer = FindEvent(events, "outer");
+  const Tracer::Event* worker = FindEvent(events, "worker");
+  const Tracer::Event* mid = FindEvent(events, "mid");
+  ASSERT_TRUE(outer && worker && mid);
+  ASSERT_NE(outer->tid, worker->tid);
+  double outer_children = mid->dur_us;
+  double mid_children = 0.0;
+  double worker_children = 0.0;
+  double leaves = 0.0;
+  double top_level = 0.0;
+  for (const Tracer::Event& e : events) {
+    if (e.depth == 0) top_level += e.dur_us;
+    if (e.name != "leaf") continue;
+    leaves += e.dur_us;
+    if (e.tid == worker->tid) {
+      worker_children += e.dur_us;
+    } else if (e.depth == 1) {
+      outer_children += e.dur_us;
+    } else {
+      mid_children += e.dur_us;
+    }
+  }
+
+  const std::vector<Tracer::SpanTotals> totals = Tracer::SelfTimes();
+  ASSERT_EQ(totals.size(), 4u);
+  double self_sum = 0.0;
+  for (size_t i = 0; i < totals.size(); ++i) {
+    const Tracer::SpanTotals& t = totals[i];
+    self_sum += t.self_us;
+    if (i > 0) {
+      EXPECT_GE(totals[i - 1].self_us, t.self_us);
+    }
+    if (t.name == "outer") {
+      EXPECT_EQ(t.calls, 1);
+      EXPECT_EQ(t.total_us, outer->dur_us);
+      EXPECT_NEAR(t.self_us, outer->dur_us - outer_children, 1e-6);
+    } else if (t.name == "worker") {
+      EXPECT_EQ(t.calls, 1);
+      EXPECT_NEAR(t.self_us, worker->dur_us - worker_children, 1e-6);
+      EXPECT_GT(t.self_us, 0.0);
+    } else if (t.name == "mid") {
+      EXPECT_EQ(t.calls, 1);
+      EXPECT_NEAR(t.self_us, mid->dur_us - mid_children, 1e-6);
+    } else {
+      EXPECT_EQ(t.name, "leaf");
+      EXPECT_EQ(t.calls, 3);
+      EXPECT_NEAR(t.total_us, leaves, 1e-6);
+      EXPECT_EQ(t.self_us, t.total_us);
+    }
+  }
+  EXPECT_NEAR(self_sum, top_level, 1e-6);
 }
 
 TEST(TracerTest, ChromeTraceFileIsWellFormed) {

@@ -63,10 +63,12 @@ void ExpectEqualModuloFresh(const Relation& a, const Relation& b) {
 /// Streams a drift workload with reopen_variants and checks, after every
 /// batch, the tracker state against its from-scratch twin on the
 /// accumulated dirty instance D.
-void RunDriftStreamVsScratch(int threads) {
+void RunDriftStreamVsScratch(
+    int threads, CoverHeuristic cover = CoverHeuristic::kGreedyDegree) {
   Workload w = MakeDriftableWorkload();
   StreamingOptions options;
   options.repair.variants.space = w.space;
+  options.repair.vfree.cover = cover;
   options.repair.threads = threads;
   options.reopen_variants = true;
   ReplayWorkload replay = MakeDriftWorkload(w.dirty, /*num_batches=*/6,
@@ -88,11 +90,12 @@ void RunDriftStreamVsScratch(int threads) {
 
     const VariantTracker& t = *streamer.tracker();
     EncodedRelation E(t.dirty());
+    const DomainStats stats_of_D(t.dirty());
 
     // Delta-maintained facts == full detection scans on D, constraint by
     // constraint: violation sets, δ_l/δ_u, hopeless verdicts.
-    std::map<DenialConstraint, VariantFacts> scratch_facts =
-        ScanVariantFacts(t.dirty(), w.sigma, t.variants(), options.repair, E);
+    std::map<DenialConstraint, VariantFacts> scratch_facts = ScanVariantFacts(
+        t.dirty(), stats_of_D, w.sigma, t.variants(), options.repair, E);
     for (const auto& [phi, sf] : scratch_facts) {
       const VariantFacts& tf = t.FactsOf(phi);
       EXPECT_EQ(tf.violations, sf.violations);
@@ -106,7 +109,7 @@ void RunDriftStreamVsScratch(int threads) {
     // (the reopen trigger is what makes skipping the search safe).
     int64_t scratch_fresh = 1000000;  // disjoint from the streamed ids
     VariantSearchResult sr = CVTolerantSearchWithFacts(
-        t.dirty(), w.sigma, t.variants(),
+        t.dirty(), stats_of_D, w.sigma, t.variants(),
         [&scratch_facts](const DenialConstraint& c) -> const VariantFacts& {
           return scratch_facts.at(c);
         },
@@ -143,6 +146,13 @@ TEST(VariantDriftTest, EncodedSerial) {
 
 TEST(VariantDriftTest, EncodedThreaded) {
   RunDriftStreamVsScratch(/*threads=*/4);
+}
+
+// The entropy/density cover reads the DomainStats of D for δ_u, so the
+// tracker's facts match ScanVariantFacts' only if it passes the stats of
+// its current D.
+TEST(VariantDriftTest, EntropyDensityCoverFactsMatchScratch) {
+  RunDriftStreamVsScratch(/*threads=*/1, CoverHeuristic::kEntropyDensity);
 }
 
 // A variant switch replaces the detection index in the middle of a batch;

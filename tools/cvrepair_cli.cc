@@ -14,6 +14,7 @@
 // Constraint file:  one constraint per line — "not(...)" DCs or FD sugar
 //                   "A,B -> C" (see dc/parser.h). '#' comments allowed.
 #include <charconv>
+#include <cstdio>
 #include <fstream>
 #include <iostream>
 #include <limits>
@@ -59,6 +60,7 @@ struct CliOptions {
   std::string output_path;
   std::string metrics_out;
   std::string trace_out;
+  bool profile = false;  ///< print the per-span self-time table
   std::string generate;  ///< hosp | census | tax | dense: built-in workload
   std::string algorithm = "cvtolerant";
   RepairStrategy strategy = RepairStrategy::kUpdate;
@@ -124,6 +126,9 @@ int Usage(const char* argv0) {
          "                     thread counts for the same workload)\n"
       << "  --trace-out FILE   write a Chrome trace-event timeline of the\n"
          "                     repair phases (chrome://tracing / Perfetto)\n"
+      << "  --profile          trace the run and print each span's calls,\n"
+         "                     total and self time (its time minus that of\n"
+         "                     its child spans), largest self time first\n"
       << "  --generate NAME    repair a built-in synthetic workload instead\n"
          "                     of --schema/--data/--constraints:\n"
          "                     hosp | census | tax | dense (adversarial\n"
@@ -170,6 +175,29 @@ int Usage(const char* argv0) {
       << "  --discover         discover FDs/order-DCs instead of repairing\n"
       << "  --confidence X     discovery confidence threshold (default 1.0)\n";
   return 2;
+}
+
+/// --profile: the run's spans summed per name (Tracer::SelfTimes), largest
+/// self time first, then the summed durations of the top-level spans,
+/// which the self times add up to.
+void PrintProfile(std::ostream& os) {
+  double top_level_us = 0.0;
+  for (const Tracer::Event& e : Tracer::CollectEvents()) {
+    if (e.depth == 0) top_level_us += e.dur_us;
+  }
+  char line[160];
+  std::snprintf(line, sizeof(line), "%-36s %8s %14s %14s\n", "profile (ms)",
+                "calls", "total", "self");
+  os << line;
+  for (const Tracer::SpanTotals& t : Tracer::SelfTimes()) {
+    std::snprintf(line, sizeof(line), "  %-34s %8lld %14.4f %14.4f\n",
+                  t.name.c_str(), static_cast<long long>(t.calls),
+                  t.total_us / 1e3, t.self_us / 1e3);
+    os << line;
+  }
+  std::snprintf(line, sizeof(line), "  %-34s %8s %14s %14.4f\n",
+                "top-level spans", "", "", top_level_us / 1e3);
+  os << line;
 }
 
 bool ReadFile(const std::string& path, std::string* out, std::string* error) {
@@ -235,6 +263,8 @@ bool ParseArgs(int argc, char** argv, CliOptions* options) {
       options->metrics_out = value;
     } else if (arg == "--trace-out" && next(&value)) {
       options->trace_out = value;
+    } else if (arg == "--profile") {
+      options->profile = true;
     } else if (arg == "--generate" && next(&value)) {
       if (value != "hosp" && value != "census" && value != "tax" &&
           value != "dense") {
@@ -468,7 +498,7 @@ int RunStream(const CliOptions& options, const Relation& data,
     return 2;
   }
   ThreadPool::SetNumThreads(options.threads);
-  if (!options.trace_out.empty()) Tracer::SetEnabled(true);
+  if (!options.trace_out.empty() || options.profile) Tracer::SetEnabled(true);
 
   StreamingOptions stream_options;
   if (!MakeStreamingOptions(options, data.schema(), space, &stream_options)) {
@@ -541,6 +571,7 @@ int RunStream(const CliOptions& options, const Relation& data,
     }
     std::cout << "repaired CSV:     " << options.output_path << "\n";
   }
+  if (options.profile) PrintProfile(std::cout);
   return repairer.IsViolationFree() ? 0 : 1;
 }
 
@@ -561,6 +592,7 @@ int RunServeBench(const CliOptions& options, const Relation& data,
     return 2;
   }
   ThreadPool::SetNumThreads(options.threads);
+  if (options.profile) Tracer::SetEnabled(true);
 
   ServeOptions serve_options;
   if (!MakeStreamingOptions(options, data.schema(), space,
@@ -682,6 +714,7 @@ int RunServeBench(const CliOptions& options, const Relation& data,
     }
     std::cout << "repaired CSV:     " << options.output_path << "\n";
   }
+  if (options.profile) PrintProfile(std::cout);
   return clean ? 0 : 1;
 }
 
@@ -691,7 +724,7 @@ int RunRepair(const CliOptions& options, const Relation& data,
   // 0 = auto: size the global pool to the hardware; per-repair options
   // then inherit it via their own 0 default.
   ThreadPool::SetNumThreads(options.threads);
-  if (!options.trace_out.empty()) Tracer::SetEnabled(true);
+  if (!options.trace_out.empty() || options.profile) Tracer::SetEnabled(true);
   if (options.strategy != RepairStrategy::kUpdate &&
       options.algorithm != "cvtolerant" && options.algorithm != "vfree") {
     std::cerr << "--strategy " << RepairStrategyToString(options.strategy)
@@ -755,6 +788,8 @@ int RunRepair(const CliOptions& options, const Relation& data,
       std::cerr << "cannot write " << options.output_path << "\n";
       return 1;
     }
+    // stdout holds exactly the JSON report.
+    if (options.profile) PrintProfile(std::cerr);
     return 0;
   }
   std::cout << "algorithm:        " << options.algorithm << "\n";
@@ -819,6 +854,7 @@ int RunRepair(const CliOptions& options, const Relation& data,
     }
     std::cout << "repaired CSV:     " << options.output_path << "\n";
   }
+  if (options.profile) PrintProfile(std::cout);
   return 0;
 }
 
