@@ -15,7 +15,7 @@
 #include <algorithm>
 #include <numeric>
 
-#include "dc/eval_index.h"
+#include "dc/eval_counters.h"
 #include "dc/violation.h"
 #include "relation/encoded.h"
 

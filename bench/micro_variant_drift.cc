@@ -52,8 +52,7 @@ struct ScratchStream {
 /// accumulate into D, and every batch pays full detection scans plus the
 /// full candidate loop.
 ScratchStream RunScratchPerBatch(const ReplayWorkload& replay,
-                                 const ConstraintSet& sigma,
-                                 const std::vector<SigmaVariant>& family,
+                                 const VariantFamily& family,
                                  const CVTolerantOptions& options) {
   Relation D = replay.base;
   ScratchStream out;
@@ -62,14 +61,10 @@ ScratchStream RunScratchPerBatch(const ReplayWorkload& replay,
     ApplyEditsToRelation(batch, &D);
     EncodedRelation E(D);
     const DomainStats stats_of_D(D);
-    std::map<DenialConstraint, VariantFacts> facts =
-        ScanVariantFacts(D, stats_of_D, sigma, family, options, E);
-    out.final_result = CVTolerantSearchWithFacts(
-        D, stats_of_D, sigma, family,
-        [&facts](const DenialConstraint& c) -> const VariantFacts& {
-          return facts.at(c);
-        },
-        options, &fresh, E);
+    const std::vector<VariantFacts> facts =
+        ScanVariantFacts(D, stats_of_D, family, options, E);
+    out.final_result = CVTolerantSearchWithFacts(D, stats_of_D, family, facts,
+                                                 options, &fresh, E);
     out.per_batch.push_back(out.final_result.variant);
   }
   return out;
@@ -113,7 +108,7 @@ int main() {
   const int64_t reopens = snapshot.at("stream.variant_reopens");
 
   // The same family the tracker enumerated, for the scratch twins.
-  const std::vector<SigmaVariant>& family = unfrozen->tracker()->variants();
+  const VariantFamily& family = unfrozen->tracker()->family();
 
   // Per-batch full re-evaluation: same edits, same family, but full
   // detection scans and a full candidate loop every batch. Counted with
@@ -122,8 +117,7 @@ int main() {
   CVTolerantOptions scratch_options = unfrozen_options.repair;
   scratch_options.threads = 1;
   MetricsRegistry::Global().ResetAll();
-  ScratchStream scratch = RunScratchPerBatch(replay, sigma, family,
-                                             scratch_options);
+  ScratchStream scratch = RunScratchPerBatch(replay, family, scratch_options);
   const VariantSearchResult& scratch_final = scratch.final_result;
   const int64_t scratch_evals =
       MetricsRegistry::Global().SnapshotWork().at("eval.code_predicate_evals");
@@ -160,7 +154,7 @@ int main() {
             << " for per-batch full re-evaluation\n";
   json.RecordCounters(
       "variant_drift/tracking",
-      {{"variants", static_cast<int64_t>(family.size())},
+      {{"variants", static_cast<int64_t>(family.variants.size())},
        {"batches", snapshot.at("stream.batches")},
        {"variant_reopens", reopens},
        {"variant_switches", unfrozen->totals().variant_switches},
@@ -225,7 +219,7 @@ int main() {
 
       CVTolerantOptions so = options.repair;
       timer.Reset();
-      RunScratchPerBatch(replay, sigma, family, so);
+      RunScratchPerBatch(replay, family, so);
       ms = timer.ElapsedMs();
       if (rep == 0 || ms < best_scratch) best_scratch = ms;
     }

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "dc/eval_index.h"
+#include "dc/eval_counters.h"
 #include "dc/scan_kernels.h"
 
 namespace cvrepair {

@@ -17,13 +17,6 @@ std::vector<Predicate> BuildPredicateSpace(
     if (schema.is_numeric(a)) {
       space.push_back(Predicate::TwoCell(0, a, Op::kLt, 1, a));
       space.push_back(Predicate::TwoCell(0, a, Op::kGt, 1, a));
-      if (!options.maximal_ops_only) {
-        space.push_back(Predicate::TwoCell(0, a, Op::kLeq, 1, a));
-        space.push_back(Predicate::TwoCell(0, a, Op::kGeq, 1, a));
-        space.push_back(Predicate::TwoCell(0, a, Op::kNeq, 1, a));
-      }
-    } else if (!options.maximal_ops_only) {
-      space.push_back(Predicate::TwoCell(0, a, Op::kNeq, 1, a));
     }
   }
   return space;

@@ -10,10 +10,6 @@ namespace cvrepair {
 
 /// Options controlling which predicates may be proposed for insertion.
 struct PredicateSpaceOptions {
-  /// Restrict insertable operators to {<, >, =} (Proposition 2: variants
-  /// inserting <=, >=, != are never maximal). Turn off only for tests and
-  /// ablations.
-  bool maximal_ops_only = true;
   /// Skip attributes whose ids appear here (e.g., attributes known to be
   /// identifiers beyond declared keys).
   std::vector<AttrId> excluded_attrs;
@@ -26,8 +22,9 @@ struct PredicateSpaceOptions {
 /// province of DC discovery [7], not repair. Declared key attributes are
 /// excluded (t0.K = t1.K makes every two-tuple DC trivially satisfied).
 /// Categorical attributes contribute only '=', numeric attributes
-/// contribute '=', '<', '>' (plus the dominated operators when
-/// maximal_ops_only is false).
+/// contribute '=', '<', '>': insertable operators are restricted to
+/// {<, >, =} because variants inserting <=, >=, != are never maximal
+/// (Proposition 2).
 std::vector<Predicate> BuildPredicateSpace(
     const Schema& schema, const PredicateSpaceOptions& options = {});
 

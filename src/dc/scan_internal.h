@@ -12,7 +12,7 @@
 #include <limits>
 #include <vector>
 
-#include "dc/eval_index.h"
+#include "dc/eval_counters.h"
 #include "dc/violation.h"
 
 namespace cvrepair {

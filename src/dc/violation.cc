@@ -5,7 +5,7 @@
 #include <limits>
 #include <unordered_map>
 
-#include "dc/eval_index.h"
+#include "dc/eval_counters.h"
 #include "dc/predicate_space.h"
 #include "dc/scan_internal.h"
 #include "dc/scan_kernels.h"

@@ -11,7 +11,7 @@
 namespace cvrepair {
 
 class EncodedRelation;  // relation/encoded.h
-struct EvalCounters;    // dc/eval_index.h
+struct EvalCounters;    // dc/eval_counters.h
 
 /// A set of cell addresses (the changing set C, covers, truth sets, ...).
 using CellSet = std::unordered_set<Cell, CellHash>;

@@ -6,6 +6,16 @@
 
 namespace cvrepair {
 
+namespace {
+
+// A cut vertex is only removed while its degree in the remaining variable
+// graph is at most this — the "low-density" criterion. Dense hubs
+// (clique-like regions) are never cut, so a clique component never splits
+// no matter how large it is.
+constexpr int kMaxCutDegree = 8;
+
+}  // namespace
+
 VertexScores ComputeVertexScores(const ConflictHypergraph& g,
                                  const DomainStats* stats) {
   const int n = g.num_vertices();
@@ -232,7 +242,7 @@ SplitPlan SplitComponent(const Component& comp, const DecomposeOptions& opts) {
 
   // Peel low-density cut vertices: each round, in every still-oversized
   // region, remove the articulation vertex with the smallest remaining
-  // degree (<= max_cut_degree; ties on var id). Cliques have no
+  // degree (<= kMaxCutDegree; ties on var id). Cliques have no
   // articulation points and are left whole.
   std::vector<bool> removed(n, false);
   std::vector<int> label;
@@ -259,7 +269,7 @@ SplitPlan SplitComponent(const Component& comp, const DecomposeOptions& opts) {
       const int k = label[v];
       if (sizes[k] <= opts.max_component) continue;
       const int d = remaining_degree(v);
-      if (d > opts.max_cut_degree) continue;
+      if (d > kMaxCutDegree) continue;
       if (best[k] < 0 || d < best_deg[k] ||
           (d == best_deg[k] && v < best[k])) {
         best[k] = v;

@@ -47,11 +47,6 @@ VertexScores ComputeVertexScores(const ConflictHypergraph& g,
 struct DecomposeOptions {
   /// Components with more cells than this are candidates for splitting.
   int max_component = 24;
-  /// A cut vertex is only removed while its degree in the remaining
-  /// variable graph is at most this — the "low-density" criterion. Dense
-  /// hubs (clique-like regions) are never cut, so a clique component never
-  /// splits no matter how large it is.
-  int max_cut_degree = 8;
 };
 
 /// The outcome of splitting one component. Parts follow the Component
@@ -80,7 +75,7 @@ struct SplitPlan {
 /// Splits `comp` at low-density articulation vertices until every part has
 /// at most `opts.max_component` cells or no eligible cut vertex remains.
 /// Deterministic in `comp`: candidates are articulation points of the
-/// variable graph with remaining degree <= max_cut_degree, removed in
+/// variable graph with remaining degree at most 8, removed in
 /// ascending (degree, var id) order. A component already within the size
 /// budget — or one with no sparse separator, e.g. a clique — comes back as
 /// a single part identical to the input.

@@ -4,7 +4,7 @@
 #include <cmath>
 
 #include "dc/constraint.h"
-#include "dc/eval_index.h"
+#include "dc/eval_counters.h"
 #include "dc/predicate.h"
 
 namespace cvrepair {

@@ -1,14 +1,12 @@
 #include "repair/cvtolerant.h"
 
 #include <algorithm>
-#include <chrono>
 #include <limits>
-#include <map>
 #include <optional>
 
-#include "dc/eval_index.h"
 #include "graph/bounds.h"
 #include "relation/encoded.h"
+#include "repair/holistic.h"
 #include "solver/materialized_cache.h"
 #include "util/metrics.h"
 #include "util/thread_pool.h"
@@ -41,13 +39,14 @@ MetricCounter* PlansDiscardedCounter() {
 }
 
 // A candidate's union violations, stamped with their positions in Σ'.
-std::vector<Violation> UnionViolations(const ConstraintSet& set,
-                                       const VariantFactsFn& facts_of,
+// `members` are the candidate's family positions.
+std::vector<Violation> UnionViolations(const std::vector<int>& members,
+                                       const std::vector<VariantFacts>& facts,
                                        int num_violations) {
   std::vector<Violation> violations;
   violations.reserve(static_cast<size_t>(num_violations));
-  for (size_t i = 0; i < set.size(); ++i) {
-    for (Violation v : facts_of(set[i]).violations) {
+  for (size_t i = 0; i < members.size(); ++i) {
+    for (Violation v : facts[static_cast<size_t>(members[i])].violations) {
       v.constraint_index = static_cast<int>(i);
       violations.push_back(std::move(v));
     }
@@ -114,64 +113,37 @@ double ScopedRepairCost(const Relation& I, const DomainStats& stats_of_I,
 
 }  // namespace
 
-std::vector<SigmaVariant> EnumerateVariants(const Relation& I,
-                                            const ConstraintSet& sigma,
-                                            const CVTolerantOptions& options,
-                                            VariantGenStats* stats) {
+VariantFamily EnumerateVariants(const Relation& I, const ConstraintSet& sigma,
+                                const CVTolerantOptions& options) {
   TraceSpan span("cvtolerant/generate_variants");
   VariantGenOptions gen = options.variants;
   gen.always_include_original =
       gen.always_include_original && gen.theta >= 0.0;
   if (gen.data == nullptr) gen.data = &I;
+  VariantGenStats gen_stats;
   std::vector<SigmaVariant> variants =
-      GenerateSigmaVariants(sigma, I.schema(), gen, stats);
-  span.AddArg("variants", static_cast<int64_t>(variants.size()));
-  return variants;
+      GenerateSigmaVariants(sigma, I.schema(), gen, &gen_stats);
+  VariantFamily family(sigma, std::move(variants),
+                       gen_stats.pruned_nonmaximal);
+  span.AddArg("variants", static_cast<int64_t>(family.variants.size()));
+  return family;
 }
 
 RepairResult CVTolerantRepair(const Relation& I, const ConstraintSet& sigma,
                               const CVTolerantOptions& options) {
-  auto start = std::chrono::steady_clock::now();
+  const RepairRunStart start;
   TraceSpan repair_span("cvtolerant/repair");
-  // Snapshot the process-wide eval counters so stats report this run's
-  // delta.
-  EvalCounters counters_before = eval_counters::Snapshot();
-
-  VariantGenStats gen_stats;
-  std::vector<SigmaVariant> variants =
-      EnumerateVariants(I, sigma, options, &gen_stats);
-
+  const VariantFamily family = EnumerateVariants(I, sigma, options);
   // One coded mirror of I, shared by the fact scans and every candidate
   // solve. I is never mutated during the run (repairs are built on copies),
   // so the mirror stays in sync for the whole repair.
-  EncodedRelation E(I);
-  DomainStats stats_of_I(I);
-  std::map<DenialConstraint, VariantFacts> facts =
-      ScanVariantFacts(I, stats_of_I, sigma, variants, options, E);
-
-  RepairStats stats;
+  const EncodedRelation E(I);
+  const DomainStats stats_of_I(I);
+  const std::vector<VariantFacts> facts =
+      ScanVariantFacts(I, stats_of_I, family, options, E);
   int64_t fresh_counter = 1;
-  VariantSearchResult search = CVTolerantSearchWithFacts(
-      I, stats_of_I, sigma, variants,
-      [&facts](const DenialConstraint& c) -> const VariantFacts& {
-        return facts.at(c);
-      },
-      options, &fresh_counter, E, &stats);
-  RepairResult result = FinishCVTolerantRepair(
-      I, stats_of_I, sigma, std::move(search), options, stats);
-
-  result.stats.variants_pruned_nonmaximal = gen_stats.pruned_nonmaximal;
-  EvalCounters counters_delta = eval_counters::Snapshot() - counters_before;
-  result.stats.index_partition_builds = counters_delta.partition_builds;
-  result.stats.index_predicate_evals = counters_delta.predicate_evals;
-  result.stats.index_code_evals = counters_delta.code_predicate_evals;
-  result.stats.index_truncated_scans = counters_delta.truncated_scans;
-  result.stats.index_blocks_scanned = counters_delta.blocks_scanned;
-  result.stats.index_blocks_skipped = counters_delta.blocks_skipped;
-  result.stats.elapsed_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
-  return result;
+  return CVTolerantRepairWithFacts(I, stats_of_I, family, facts, options,
+                                   &fresh_counter, E, start);
 }
 
 std::optional<ScopedRepair> CVTolerantResolveComponents(
@@ -229,38 +201,30 @@ VariantFacts BuildVariantFacts(const Relation& I, const DomainStats& stats_of_I,
   return f;
 }
 
-std::map<DenialConstraint, VariantFacts> ScanVariantFacts(
-    const Relation& I, const DomainStats& stats_of_I,
-    const ConstraintSet& sigma, const std::vector<SigmaVariant>& variants,
-    const CVTolerantOptions& options, const EncodedRelation& encoded) {
+std::vector<VariantFacts> ScanVariantFacts(const Relation& I,
+                                           const DomainStats& stats_of_I,
+                                           const VariantFamily& family,
+                                           const CVTolerantOptions& options,
+                                           const EncodedRelation& encoded) {
   TraceSpan span("cvtolerant/detect_facts");
   const int64_t violation_cap = ViolationCap(options, I.num_rows());
-  std::map<DenialConstraint, VariantFacts> facts;
-  std::vector<std::map<DenialConstraint, VariantFacts>::iterator> todo;
-  auto enqueue = [&](const DenialConstraint& c) {
-    auto [it, inserted] = facts.try_emplace(c);
-    if (inserted) todo.push_back(it);
-  };
-  for (const DenialConstraint& phi : sigma) enqueue(phi);
-  for (const SigmaVariant& sv : variants) {
-    for (const DenialConstraint& phi : sv.constraints) enqueue(phi);
-  }
-  span.AddArg("distinct_constraints", static_cast<int64_t>(todo.size()));
+  const ConstraintSet& constraints = family.constraints;
+  span.AddArg("distinct_constraints",
+              static_cast<int64_t>(constraints.size()));
   // Facts are pure per-constraint functions of I, so the distinct
   // constraints are scanned in parallel under the thread budget (serially,
-  // inline and in the same order, at one thread). Each worker fills its own
-  // map slot; std::map references are stable and the map itself is not
-  // mutated during the parallel phase.
+  // inline and in the same order, at one thread); each worker fills its own
+  // slot.
+  std::vector<VariantFacts> facts(constraints.size());
   ThreadPool::ParallelFor(
-      static_cast<int64_t>(todo.size()),
-      [&](int64_t i) {
-        auto it = todo[static_cast<size_t>(i)];
+      static_cast<int64_t>(constraints.size()),
+      [&](int64_t k) {
+        const DenialConstraint& c = constraints[static_cast<size_t>(k)];
         bool hopeless = false;
-        std::vector<Violation> violations = FindViolationsOfCapped(
-            encoded, it->first, 0, violation_cap, &hopeless);
-        it->second = BuildVariantFacts(I, stats_of_I, it->first,
-                                       std::move(violations), hopeless,
-                                       options);
+        std::vector<Violation> violations =
+            FindViolationsOfCapped(encoded, c, 0, violation_cap, &hopeless);
+        facts[static_cast<size_t>(k)] = BuildVariantFacts(
+            I, stats_of_I, c, std::move(violations), hopeless, options);
       },
       options.threads);
   return facts;
@@ -268,11 +232,11 @@ std::map<DenialConstraint, VariantFacts> ScanVariantFacts(
 
 VariantSearchResult CVTolerantSearchWithFacts(
     const Relation& I, const DomainStats& stats_of_I,
-    const ConstraintSet& sigma, const std::vector<SigmaVariant>& variants,
-    const VariantFactsFn& facts_of, const CVTolerantOptions& options,
-    int64_t* fresh_counter, const EncodedRelation& encoded,
-    RepairStats* stats) {
+    const VariantFamily& family, const std::vector<VariantFacts>& facts,
+    const CVTolerantOptions& options, int64_t* fresh_counter,
+    const EncodedRelation& encoded, RepairStats* stats) {
   TraceSpan span("cvtolerant/search_with_facts");
+  const std::vector<SigmaVariant>& variants = family.variants;
   span.AddArg("variants", static_cast<int64_t>(variants.size()));
   VariantSearchResult result;
   result.solved_costs.assign(variants.size(),
@@ -285,9 +249,9 @@ VariantSearchResult CVTolerantSearchWithFacts(
   // Every lookup is a δ-bound reuse: facts are computed once per distinct
   // constraint, before the search.
   int64_t lookups = 0;
-  auto facts = [&](const DenialConstraint& c) -> const VariantFacts& {
+  auto facts_at = [&](int k) -> const VariantFacts& {
     ++lookups;
-    return facts_of(c);
+    return facts[static_cast<size_t>(k)];
   };
 
   // Bounds for a whole variant Σ' combine its per-constraint facts
@@ -295,7 +259,7 @@ VariantSearchResult CVTolerantSearchWithFacts(
   // cover). Candidates are processed in ascending-δ_l order so that early
   // repairs tighten δ_min as fast as possible (Example 8).
   struct Candidate {
-    size_t index = 0;  // position in the input vector
+    size_t index = 0;  // position in family.variants
     double delta_l = 0.0;
     int num_violations = 0;
   };
@@ -306,8 +270,8 @@ VariantSearchResult CVTolerantSearchWithFacts(
     Candidate c;
     c.index = vi;
     bool hopeless = false;
-    for (const DenialConstraint& phi : variants[vi].constraints) {
-      const VariantFacts& f = facts(phi);
+    for (int k : family.members[vi]) {
+      const VariantFacts& f = facts_at(k);
       hopeless |= f.hopeless;
       c.delta_l = std::max(c.delta_l, f.delta_l);
       c.num_violations += static_cast<int>(f.violations.size());
@@ -332,8 +296,8 @@ VariantSearchResult CVTolerantSearchWithFacts(
   // strategy the search starts from +∞, as it does for θ < 0.
   int sigma_violations = 0;
   double sigma_upper = 0.0;
-  for (const DenialConstraint& phi : sigma) {
-    const VariantFacts& f = facts(phi);
+  for (int k : family.sigma_members) {
+    const VariantFacts& f = facts_at(k);
     sigma_violations += static_cast<int>(f.violations.size());
     sigma_upper += f.delta_u;
   }
@@ -350,16 +314,17 @@ VariantSearchResult CVTolerantSearchWithFacts(
   // into a pure plan (hypergraph, cover, suspects, context, components) and
   // a serial replay (cache, solves, fresh ids, cost abort). Each window
   // plans the next `width` unpruned candidates at the current δ_min in one
-  // ParallelFor, then replays them in δ_l order under the same pruning and
-  // budget tests as the serial loop. δ_min never increases, so every
-  // candidate that reaches the replay unpruned was planned; a plan whose
-  // candidate has been pruned since is dropped. Planning only covers the
-  // Vfree update and hybrid rounds, and at one thread (or inside a pool
-  // worker) the loop below is the plain serial loop.
+  // ParallelFor — one candidate per thread, so one at a time at one thread
+  // or inside a pool worker — then replays them in δ_l order under the
+  // pruning and budget tests. δ_min never increases, so every candidate
+  // that reaches the replay unpruned was planned; a plan whose candidate
+  // has been pruned since is dropped. Planning covers the Vfree update and
+  // hybrid rounds; the delete strategy and CVtolerant+Holistic have no
+  // window.
   const bool plannable = options.use_vfree &&
                          vfree_options.strategy != RepairStrategy::kDelete;
   const int width =
-      plannable ? ThreadPool::EffectiveThreads(options.threads) : 1;
+      plannable ? ThreadPool::EffectiveThreads(options.threads) : 0;
   MaterializedCache cache;
   // The incumbent of a Vfree or subset search, applied to a copy of I once,
   // after the loop; CVtolerant+Holistic keeps its repaired instance.
@@ -368,14 +333,12 @@ VariantSearchResult CVTolerantSearchWithFacts(
   bool budget_spent = false;
   while (next < candidates.size() && !budget_spent) {
     std::vector<size_t> window;  // candidate positions to plan
-    if (width > 1) {
-      int room = options.max_datarepair_calls - result.datarepair_calls;
-      room = std::min(room, width);
-      for (size_t j = next; j < candidates.size() && room > 0; ++j) {
-        if (pruned(candidates[j])) continue;
-        window.push_back(j);
-        --room;
-      }
+    int room = std::min(
+        width, options.max_datarepair_calls - result.datarepair_calls);
+    for (size_t j = next; j < candidates.size() && room > 0; ++j) {
+      if (pruned(candidates[j])) continue;
+      window.push_back(j);
+      --room;
     }
     std::vector<std::optional<ComponentPlan>> plans(window.size());
     if (!window.empty()) {
@@ -385,10 +348,10 @@ VariantSearchResult CVTolerantSearchWithFacts(
           [&](int64_t i) {
             const Candidate& c = candidates[window[static_cast<size_t>(i)]];
             if (c.num_violations == 0) return;  // replays as an empty repair
-            const ConstraintSet& set = variants[c.index].constraints;
             plans[static_cast<size_t>(i)] = PlanDirtyComponents(
-                I, stats_of_I, set,
-                UnionViolations(set, facts_of, c.num_violations),
+                I, stats_of_I, variants[c.index].constraints,
+                UnionViolations(family.members[c.index], facts,
+                                c.num_violations),
                 vfree_options, encoded);
           },
           options.threads);
@@ -398,7 +361,8 @@ VariantSearchResult CVTolerantSearchWithFacts(
       PlansBuiltCounter()->Add(built);
     }
     // The replay: the serial candidate loop over [next, end). Without a
-    // window it runs to the end of the candidate list.
+    // window it runs to the end of the candidate list: every candidate left
+    // is pruned or over the budget, or there is no window to plan.
     const size_t end = window.empty() ? candidates.size() : window.back() + 1;
     size_t w = 0;  // next unconsumed window slot
     for (; next < end; ++next) {
@@ -436,10 +400,12 @@ VariantSearchResult CVTolerantSearchWithFacts(
                                     fresh_counter);
           plan.reset();
         } else {
+          // The delete strategy, or a candidate without violations.
           scoped = SolveDirtyComponents(
               I, stats_of_I, set,
-              UnionViolations(set, facts_of, c.num_violations), abort_at,
-              vfree_options, shared, stats, fresh_counter, encoded);
+              UnionViolations(family.members[c.index], facts,
+                              c.num_violations),
+              abort_at, vfree_options, shared, stats, fresh_counter, encoded);
         }
         if (!scoped) {
           // δ_min abort: the candidate's cost strictly exceeds the
@@ -456,7 +422,7 @@ VariantSearchResult CVTolerantSearchWithFacts(
       } else {
         // CVtolerant+Holistic (Figure 5): the multi-round Holistic engine
         // repairs the candidate, without sharing or the cost abort.
-        HolisticOptions hopts = options.holistic;
+        HolisticOptions hopts;
         hopts.cost = cost;
         RepairResult hr = HolisticRepair(I, set, hopts);
         if (stats) {
@@ -502,20 +468,24 @@ VariantSearchResult CVTolerantSearchWithFacts(
   return result;
 }
 
-RepairResult FinishCVTolerantRepair(const Relation& I,
-                                    const DomainStats& stats_of_I,
-                                    const ConstraintSet& sigma,
-                                    VariantSearchResult search,
-                                    const CVTolerantOptions& options,
-                                    const RepairStats& stats) {
+RepairResult CVTolerantRepairWithFacts(
+    const Relation& I, const DomainStats& stats_of_I,
+    const VariantFamily& family, const std::vector<VariantFacts>& facts,
+    const CVTolerantOptions& options, int64_t* fresh_counter,
+    const EncodedRelation& encoded, const RepairRunStart& start,
+    VariantSearchResult* search) {
   const VfreeOptions vfree_options = EngineOptions(options);
+  const ConstraintSet& sigma = family.sigma;
   RepairResult result;
-  result.stats = stats;
+  VariantSearchResult found =
+      CVTolerantSearchWithFacts(I, stats_of_I, family, facts, options,
+                                fresh_counter, encoded, &result.stats);
   if (options.use_vfree) result.stats.rounds = 1;
+  result.stats.variants_pruned_nonmaximal = family.pruned_nonmaximal;
   result.satisfied_constraints = sigma;
-  if (search.have_result) {
-    result.repaired = std::move(search.repaired);
-    result.satisfied_constraints = std::move(search.variant);
+  if (found.have_result) {
+    result.repaired = std::move(found.repaired);
+    result.satisfied_constraints = found.variant;
   } else if (options.variants.theta >= 0.0) {
     // Every candidate (including Σ) was hopeless under the violation cap,
     // pruned, or aborted: fall back to a plain uncapped repair of Σ so that
@@ -546,11 +516,21 @@ RepairResult FinishCVTolerantRepair(const Relation& I,
   }
   result.stats.changed_cells = ChangedCellCount(I, result.repaired);
   result.stats.repair_cost =
-      vfree_options.strategy == RepairStrategy::kUpdate
-          ? RepairCost(I, result.repaired, vfree_options.cost)
-          : StrategyRepairCost(I, result.repaired, vfree_options.cost,
-                               vfree_options.strategy, vfree_options.subset,
-                               stats_of_I);
+      StrategyRepairCost(I, result.repaired, vfree_options.cost,
+                         vfree_options.strategy, vfree_options.subset,
+                         stats_of_I);
+  const EvalCounters scanned = eval_counters::Snapshot() - start.counters;
+  result.stats.index_partition_builds = scanned.partition_builds;
+  result.stats.index_predicate_evals = scanned.predicate_evals;
+  result.stats.index_code_evals = scanned.code_predicate_evals;
+  result.stats.index_truncated_scans = scanned.truncated_scans;
+  result.stats.index_blocks_scanned = scanned.blocks_scanned;
+  result.stats.index_blocks_skipped = scanned.blocks_skipped;
+  result.stats.elapsed_seconds =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                    start.time)
+          .count();
+  if (search) *search = std::move(found);
   return result;
 }
 

@@ -1,12 +1,11 @@
 #ifndef CVREPAIR_REPAIR_CVTOLERANT_H_
 #define CVREPAIR_REPAIR_CVTOLERANT_H_
 
-#include <functional>
+#include <chrono>
 #include <limits>
-#include <map>
 #include <optional>
 
-#include "repair/holistic.h"
+#include "dc/eval_counters.h"
 #include "repair/repair_result.h"
 #include "repair/vfree.h"
 #include "variation/variant_generator.h"
@@ -22,9 +21,9 @@ struct CVTolerantOptions {
   /// When false, each candidate variant is repaired with the multi-round
   /// Holistic engine instead of Vfree (the "CVtolerant + Holistic"
   /// configuration of Figure 5). Sharing and cost-abort pruning are not
-  /// available in that mode.
+  /// available in that mode, and Holistic runs with its defaults under
+  /// vfree.cost.
   bool use_vfree = true;
-  HolisticOptions holistic;
   /// Share materialized component solutions across variants (Section 4.2).
   bool enable_sharing = true;
   /// Skip variants whose lower bound exceeds the best known repair cost
@@ -41,11 +40,11 @@ struct CVTolerantOptions {
   /// disables the cap.
   double max_violations_per_tuple = 50.0;
   /// Thread budget for this repair: 0 = the global ThreadPool setting,
-  /// 1 = the exact legacy serial path, N = up to N threads. It bounds the
-  /// parallel fact scans and the candidate search's speculation window —
-  /// up to ThreadPool::EffectiveThreads(threads) candidates are planned at
-  /// once (DESIGN.md §7) — and is propagated to the Vfree engine's
-  /// component solve when `vfree.threads` is 0. Every thread count yields
+  /// 1 = serial, N = up to N threads. It bounds the parallel fact scans
+  /// and the candidate search's speculation window — up to
+  /// ThreadPool::EffectiveThreads(threads) candidates are planned at once
+  /// (DESIGN.md §7) — and is propagated to the Vfree engine's component
+  /// solve when `vfree.threads` is 0. Every thread count yields
   /// bit-identical RepairResults, RepairStats and work counters; only
   /// wall-clock time changes.
   int threads = 0;
@@ -60,7 +59,7 @@ struct CVTolerantOptions {
 /// violation-free DataRepair, and returns the minimum-cost repair together
 /// with the variant Σ' it satisfies. A short driver over the factored
 /// pieces below: EnumerateVariants, ScanVariantFacts,
-/// CVTolerantSearchWithFacts, FinishCVTolerantRepair.
+/// CVTolerantRepairWithFacts.
 ///
 /// θ may be negative (net predicate deletion, Appendix D.2); in that case
 /// Σ itself is not a candidate and the bound seeding of Algorithm 1 line 1
@@ -71,12 +70,9 @@ RepairResult CVTolerantRepair(const Relation& I, const ConstraintSet& sigma,
 /// The variant family D of (Σ, I) that Algorithm 1 searches: the θ-maximal
 /// variants of options.variants, with Σ itself included only for θ >= 0,
 /// and the variation cost model reading its frequencies from I unless
-/// options.variants.data is set. `stats` (optional) receives the
-/// generator's counters.
-std::vector<SigmaVariant> EnumerateVariants(const Relation& I,
-                                            const ConstraintSet& sigma,
-                                            const CVTolerantOptions& options,
-                                            VariantGenStats* stats = nullptr);
+/// options.variants.data is set.
+VariantFamily EnumerateVariants(const Relation& I, const ConstraintSet& sigma,
+                                const CVTolerantOptions& options);
 
 /// Component-scoped θ-tolerant re-solve under a frozen variant: Algorithm 1
 /// with |D| = 1 and detection already done. `frozen_variant` is the Σ' an
@@ -100,23 +96,17 @@ std::optional<ScopedRepair> CVTolerantResolveComponents(
     double delta_min = std::numeric_limits<double>::infinity());
 
 /// Per-constraint detection facts consumed by the factored variant search
-/// below: the constraint's violations over the instance (canonical rows
-/// order, constraint_index 0 — the search re-stamps positions when it
-/// assembles a candidate's union set) and the δ_l/δ_u bounds of its private
-/// conflict hypergraph, or `hopeless` when the violation cap was hit.
+/// below, one per position of VariantFamily::constraints: the constraint's
+/// violations over the instance (canonical rows order, constraint_index 0 —
+/// the search re-stamps positions when it assembles a candidate's union
+/// set) and the δ_l/δ_u bounds of its private conflict hypergraph, or
+/// `hopeless` when the violation cap was hit.
 struct VariantFacts {
   std::vector<Violation> violations;
   double delta_l = 0.0;
   double delta_u = 0.0;
   bool hopeless = false;
 };
-
-/// Facts provider: returns the facts of one constraint. The reference must
-/// stay valid for the duration of the search call. The search calls it
-/// concurrently from pool workers while it plans candidates, so it must be
-/// read-only (a lookup in a map that is not mutated during the search).
-using VariantFactsFn =
-    std::function<const VariantFacts&(const DenialConstraint&)>;
 
 /// Outcome of one factored variant search.
 struct VariantSearchResult {
@@ -126,12 +116,12 @@ struct VariantSearchResult {
   bool have_result = false;
   int datarepair_calls = 0;
   int variants_pruned = 0;  ///< hopeless + bound-pruned candidates
-  /// Aligned with the input `variants`: the realized repair cost where the
+  /// Aligned with the family's variants: the realized repair cost where the
   /// search solved that candidate, NaN where it was pruned, aborted on the
   /// δ_min bound, or cut by the call budget. Bound maintainers use these to
   /// lift per-variant lower bounds to realized costs.
   std::vector<double> solved_costs;
-  /// Aligned with the input `variants`: where a candidate's solve aborted
+  /// Aligned with the family's variants: where a candidate's solve aborted
   /// on the δ_min bound, the threshold it was solving under — a proof that
   /// its true repair cost strictly exceeds this value (vfree aborts on
   /// cost > δ_min). NaN everywhere else. Bound maintainers use these to
@@ -140,25 +130,26 @@ struct VariantSearchResult {
   std::vector<double> abort_bounds;
 };
 
-/// The candidate loop of Algorithm 1 over externally supplied per-constraint
-/// facts: combines bounds per variant (δ_l = max over its constraints),
-/// seeds δ_min with δ_u(Σ) when θ >= 0 under the update and hybrid
-/// strategies (+∞ otherwise: δ_u prices cell updates, not deletions),
-/// processes candidates in ascending-δ_l order under bound pruning and the
-/// DataRepair budget, and repairs each survivor through the canonicalized
-/// SolveDirtyComponents pipeline with one shared MaterializedCache — or,
-/// with use_vfree off, through HolisticRepair (Figure 5's
-/// CVtolerant+Holistic). Under the update and hybrid strategies with more
-/// than one thread, the next unpruned candidates are planned concurrently
-/// (PlanDirtyComponents) and replayed in order (ReplayComponents); the
-/// result, the stats and the work counters are those of the serial loop.
-/// CVTolerantRepair (facts from ScanVariantFacts) and the streaming reopen
-/// path (facts delta-maintained by a VariantTracker) both run this one
+/// The candidate loop of Algorithm 1 over `family` and its per-constraint
+/// `facts` (aligned with family.constraints): combines bounds per variant
+/// (δ_l = max over its constraints), seeds δ_min with δ_u(Σ) when θ >= 0
+/// under the update and hybrid strategies (+∞ otherwise: δ_u prices cell
+/// updates, not deletions), processes candidates in ascending-δ_l order
+/// under bound pruning and the DataRepair budget, and repairs each survivor
+/// with one shared MaterializedCache — or, with use_vfree off, through
+/// HolisticRepair (Figure 5's CVtolerant+Holistic). Under the update and
+/// hybrid strategies every candidate with violations is planned
+/// (PlanDirtyComponents) in a window of the next unpruned candidates, one
+/// per thread, and replayed in δ_l order (ReplayComponents); the delete
+/// strategy and empty violation sets go through SolveDirtyComponents. The
+/// result, the stats and the work counters are the same at every thread
+/// count. CVTolerantRepair (facts from ScanVariantFacts) and the streaming
+/// engine (facts delta-maintained by a VariantTracker) both run this one
 /// loop, which is what makes streamed-vs-scratch equivalence exact: equal
 /// facts in, bit-identical chosen variant and repair out (modulo fresh-id
 /// numbering from `fresh_counter`). It has no repair-of-Σ fallback:
 /// `have_result` is false when every candidate was pruned or aborted, and
-/// the caller decides (FinishCVTolerantRepair falls back; a streaming
+/// the caller decides (CVTolerantRepairWithFacts falls back; a streaming
 /// reopen keeps its incumbent). Suspect scans run on `encoded`, the mirror
 /// of I, and `stats_of_I` must be the DomainStats of I. A Vfree candidate
 /// is priced from its ScopedRepair, and only the incumbent's is applied to
@@ -168,23 +159,34 @@ struct VariantSearchResult {
 /// calls, cache hits, and δ-bound lookups.
 VariantSearchResult CVTolerantSearchWithFacts(
     const Relation& I, const DomainStats& stats_of_I,
-    const ConstraintSet& sigma, const std::vector<SigmaVariant>& variants,
-    const VariantFactsFn& facts_of, const CVTolerantOptions& options,
-    int64_t* fresh_counter, const EncodedRelation& encoded,
-    RepairStats* stats = nullptr);
+    const VariantFamily& family, const std::vector<VariantFacts>& facts,
+    const CVTolerantOptions& options, int64_t* fresh_counter,
+    const EncodedRelation& encoded, RepairStats* stats = nullptr);
 
-/// The tail of Algorithm 1, shared by CVTolerantRepair and the unfrozen
-/// StreamingRepairer: adopts the search's repair, or — when no candidate
-/// survived — falls back to a plain repair of Σ for θ >= 0 (the input
-/// itself for θ < 0). The returned stats are `stats` (as the search filled
-/// them) completed with the chosen repair's cost, changed cells, and fresh
-/// and deleted counts. `stats_of_I` is the DomainStats of I.
-RepairResult FinishCVTolerantRepair(const Relation& I,
-                                    const DomainStats& stats_of_I,
-                                    const ConstraintSet& sigma,
-                                    VariantSearchResult search,
-                                    const CVTolerantOptions& options,
-                                    const RepairStats& stats);
+/// The start of one θ-tolerant repair, taken when it is constructed: the
+/// clock and the process-wide eval counters, from which the outcome stats
+/// report elapsed_seconds and the index_* scan deltas.
+struct RepairRunStart {
+  std::chrono::steady_clock::time_point time =
+      std::chrono::steady_clock::now();
+  EvalCounters counters = eval_counters::Snapshot();
+};
+
+/// Algorithm 1 once the facts of `family` exist, shared by CVTolerantRepair
+/// and the unfrozen StreamingRepairer: CVTolerantSearchWithFacts, then —
+/// when no candidate survived — a plain repair of Σ for θ >= 0 (the input
+/// itself for θ < 0), and the outcome stats: the search's counters, the
+/// generator's non-maximal count, the chosen repair's cost, changed cells,
+/// fresh and deleted counts, the scan deltas and the time since `start`.
+/// `stats_of_I` is the DomainStats of I and `encoded` its mirror. `search`
+/// (optional) receives the search's per-candidate outcomes (solved_costs,
+/// abort_bounds); its repaired instance moves into the result.
+RepairResult CVTolerantRepairWithFacts(
+    const Relation& I, const DomainStats& stats_of_I,
+    const VariantFamily& family, const std::vector<VariantFacts>& facts,
+    const CVTolerantOptions& options, int64_t* fresh_counter,
+    const EncodedRelation& encoded, const RepairRunStart& start,
+    VariantSearchResult* search = nullptr);
 
 /// The fact providers' hopeless cap: a constraint with strictly more
 /// violations than this over `num_rows` rows is hopeless (0 = no cap).
@@ -201,16 +203,16 @@ VariantFacts BuildVariantFacts(const Relation& I, const DomainStats& stats_of_I,
                                std::vector<Violation> violations, bool hopeless,
                                const CVTolerantOptions& options);
 
-/// Computes VariantFacts for every distinct constraint of Σ and `variants`
-/// by full capped detection scans of `encoded`, the mirror of I, in
-/// parallel over the constraints under options.threads — the from-scratch
-/// twin of a VariantTracker's delta-maintained facts. The facts are
-/// identical at any thread count. `stats_of_I` is passed to
-/// BuildVariantFacts.
-std::map<DenialConstraint, VariantFacts> ScanVariantFacts(
-    const Relation& I, const DomainStats& stats_of_I,
-    const ConstraintSet& sigma, const std::vector<SigmaVariant>& variants,
-    const CVTolerantOptions& options, const EncodedRelation& encoded);
+/// Computes the VariantFacts of every position of family.constraints by
+/// full capped detection scans of `encoded`, the mirror of I, in parallel
+/// over the constraints under options.threads — the from-scratch twin of a
+/// VariantTracker's delta-maintained facts. The facts are identical at any
+/// thread count. `stats_of_I` is passed to BuildVariantFacts.
+std::vector<VariantFacts> ScanVariantFacts(const Relation& I,
+                                           const DomainStats& stats_of_I,
+                                           const VariantFamily& family,
+                                           const CVTolerantOptions& options,
+                                           const EncodedRelation& encoded);
 
 }  // namespace cvrepair
 

@@ -16,6 +16,12 @@ namespace cvrepair {
 
 namespace {
 
+// A cell re-picked more than this many times is forced to a fresh variable
+// (guarantees termination).
+constexpr int kMaxTouchesPerCell = 2;
+// Cap on cell picks over the whole run.
+constexpr int kMaxIterations = 200000;
+
 // Inverse-predicate constraint on a single cell against a fixed value.
 struct LocalAtom {
   Op op;
@@ -87,10 +93,10 @@ RepairResult GreedyRepair(const Relation& I, const ConstraintSet& sigma,
     }
 
     for (const Cell& cell : picked) {
-      if (++iterations > options.max_iterations) break;
+      if (++iterations > kMaxIterations) break;
       int& t = touches[cell];
       ++t;
-      if (t > options.max_touches_per_cell) {
+      if (t > kMaxTouchesPerCell) {
         set_value(cell, Value::Fresh(fresh++));
         ++result.stats.fresh_assignments;
         continue;
@@ -125,7 +131,7 @@ RepairResult GreedyRepair(const Relation& I, const ConstraintSet& sigma,
         set_value(cell, best_value);
       }
     }
-    if (iterations > options.max_iterations) break;
+    if (iterations > kMaxIterations) break;
   }
 
   // Safety net: force fresh variables over any remaining conflicts.

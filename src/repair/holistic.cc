@@ -1,16 +1,23 @@
 #include "repair/holistic.h"
 
 #include <chrono>
-#include <optional>
 
-#include "dc/incremental.h"
 #include "graph/conflict_hypergraph.h"
+#include "graph/vertex_cover.h"
 #include "relation/encoded.h"
 #include "solver/components.h"
 #include "solver/repair_context.h"
 #include "util/trace.h"
 
 namespace cvrepair {
+
+namespace {
+
+// After this many rounds every still-conflicting cover cell is forced to a
+// fresh variable, guaranteeing termination with I' ⊨ Σ.
+constexpr int kMaxRounds = 25;
+
+}  // namespace
 
 RepairResult HolisticRepair(const Relation& I, const ConstraintSet& sigma,
                             const HolisticOptions& options) {
@@ -21,17 +28,14 @@ RepairResult HolisticRepair(const Relation& I, const ConstraintSet& sigma,
   Relation current = I;
   int64_t fresh_counter = 1;
   bool clean = false;
-  std::optional<ViolationIndex> index;
-  if (options.incremental) index.emplace(I, sigma);
   // A coded mirror of the working copy, delta-updated beside every
   // SetValue (never rebuilt per round).
   EncodedRelation encoded(current);
   TraceSpan repair_span("holistic/repair");
-  for (int round = 0; round < options.max_rounds; ++round) {
+  for (int round = 0; round < kMaxRounds; ++round) {
     TraceSpan round_span("holistic/round");
     round_span.AddArg("round", round);
-    std::vector<Violation> violations =
-        index ? index->CurrentViolations() : FindViolations(encoded, sigma);
+    std::vector<Violation> violations = FindViolations(encoded, sigma);
     if (round == 0) {
       result.stats.initial_violations = static_cast<int>(violations.size());
     }
@@ -43,7 +47,7 @@ RepairResult HolisticRepair(const Relation& I, const ConstraintSet& sigma,
 
     ConflictHypergraph g =
         ConflictHypergraph::Build(current, sigma, violations, options.cost);
-    VertexCover cover = ApproximateVertexCover(g, options.cover);
+    VertexCover cover = ApproximateVertexCover(g);
     std::vector<Cell> changing = cover.Cells(g);
 
     // Holistic puts only the observed violations into the repair context.
@@ -61,7 +65,6 @@ RepairResult HolisticRepair(const Relation& I, const ConstraintSet& sigma,
         if (solution.values[v].is_fresh()) ++result.stats.fresh_assignments;
         current.SetValue(comp.cells[v], solution.values[v]);
         encoded.ApplyChange(comp.cells[v].row, comp.cells[v].attr);
-        if (index) index->ApplyChange(comp.cells[v], solution.values[v]);
       }
     }
   }
@@ -75,7 +78,7 @@ RepairResult HolisticRepair(const Relation& I, const ConstraintSet& sigma,
       ++result.stats.rounds;
       ConflictHypergraph g =
           ConflictHypergraph::Build(current, sigma, violations, options.cost);
-      VertexCover cover = ApproximateVertexCover(g, options.cover);
+      VertexCover cover = ApproximateVertexCover(g);
       for (const Cell& cell : cover.Cells(g)) {
         current.SetValue(cell, Value::Fresh(fresh_counter++));
         ++result.stats.fresh_assignments;

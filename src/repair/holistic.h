@@ -2,7 +2,6 @@
 #define CVREPAIR_REPAIR_HOLISTIC_H_
 
 #include "dc/violation.h"
-#include "graph/vertex_cover.h"
 #include "repair/costs.h"
 #include "repair/repair_result.h"
 #include "solver/csp_solver.h"
@@ -12,15 +11,7 @@ namespace cvrepair {
 /// Options for the Holistic baseline.
 struct HolisticOptions {
   CostModel cost;
-  CoverHeuristic cover = CoverHeuristic::kGreedyDegree;
   SolverOptions solver;
-  /// After this many rounds every still-conflicting cover cell is forced
-  /// to a fresh variable, guaranteeing termination with I' ⊨ Σ.
-  int max_rounds = 25;
-  /// Maintain violations incrementally across rounds (ViolationIndex)
-  /// instead of re-detecting from scratch — same violation sets, less
-  /// work per round when few cells change.
-  bool incremental = false;
 };
 
 /// Holistic data repairing (Chu, Ilyas, Papotti, ICDE 2013 [8]),
@@ -29,7 +20,9 @@ struct HolisticOptions {
 /// *violations only* (no suspects). Because a round's assignments can
 /// introduce new violations, the algorithm loops until the instance is
 /// clean — the multi-round behaviour the Vfree algorithm is designed to
-/// avoid (Section 4).
+/// avoid (Section 4) — or until 25 rounds have run, when every cell of a
+/// cover of the remaining violations is forced to a fresh variable. Covers
+/// use the greedy-degree heuristic.
 RepairResult HolisticRepair(const Relation& I, const ConstraintSet& sigma,
                             const HolisticOptions& options = {});
 

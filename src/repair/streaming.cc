@@ -60,38 +60,25 @@ void SortUnique(std::vector<T>* v) {
 VariantTracker::VariantTracker(const Relation& dirty,
                                const ConstraintSet& sigma,
                                const CVTolerantOptions& options)
-    : sigma_(sigma), options_(options) {
+    : options_(options) {
   TraceSpan span("stream/variant_tracker_build");
   // CVTolerantRepair's enumeration; the family is enumerated once, against
   // the stream's starting dirty instance, and stays fixed for the
   // tracker's lifetime.
-  variants_ = EnumerateVariants(dirty, sigma_, options_);
+  family_ = EnumerateVariants(dirty, sigma, options_);
+  const size_t num_constraints = family_.constraints.size();
+  const size_t num_variants = family_.variants.size();
+  span.AddArg("family", static_cast<int64_t>(num_constraints));
 
-  auto enqueue = [&](const DenialConstraint& c) {
-    auto [it, inserted] = family_pos_.try_emplace(c, family_.size());
-    if (inserted) family_.push_back(c);
-    return it->second;
-  };
-  for (const DenialConstraint& phi : sigma_) enqueue(phi);
-  members_.resize(variants_.size());
-  for (size_t vi = 0; vi < variants_.size(); ++vi) {
-    for (const DenialConstraint& phi : variants_[vi].constraints) {
-      members_[vi].push_back(enqueue(phi));
-    }
-  }
-  span.AddArg("family", static_cast<int64_t>(family_.size()));
-
-  index_ = std::make_unique<ViolationIndex>(dirty, family_);
-  facts_.resize(family_.size());
-  seen_epochs_.assign(family_.size(), -1);
-  changed_gen_.assign(family_.size(), 0);
-  solved_costs_.assign(variants_.size(),
-                       std::numeric_limits<double>::quiet_NaN());
-  solved_gen_.assign(variants_.size(), -1);
-  abort_bounds_.assign(variants_.size(),
-                       std::numeric_limits<double>::quiet_NaN());
-  abort_gen_.assign(variants_.size(), -1);
-  for (size_t k = 0; k < family_.size(); ++k) RefreshFacts(k);
+  index_ = std::make_unique<ViolationIndex>(dirty, family_.constraints);
+  facts_.resize(num_constraints);
+  seen_epochs_.assign(num_constraints, -1);
+  changed_gen_.assign(num_constraints, 0);
+  solved_costs_.assign(num_variants, std::numeric_limits<double>::quiet_NaN());
+  solved_gen_.assign(num_variants, -1);
+  abort_bounds_.assign(num_variants, std::numeric_limits<double>::quiet_NaN());
+  abort_gen_.assign(num_variants, -1);
+  for (size_t k = 0; k < num_constraints; ++k) RefreshFacts(k);
 }
 
 const DomainStats& VariantTracker::stats() {
@@ -108,7 +95,7 @@ void VariantTracker::RefreshFacts(size_t k) {
   const bool hopeless =
       index_->ViolationCountOf(ki) > ViolationCap(options_, dirty.num_rows());
   facts_[k] = BuildVariantFacts(
-      dirty, stats(), family_[k],
+      dirty, stats(), family_.constraints[k],
       hopeless ? std::vector<Violation>{} : index_->ViolationsOf(ki),
       hopeless, options_);
   seen_epochs_[k] = index_->ViolationEpochOf(ki);
@@ -139,7 +126,7 @@ int VariantTracker::Ingest(const std::vector<RowEdit>& edits) {
   ++generation_;
   int updates = 0;
   const int64_t cap = ViolationCap(options_, index_->relation().num_rows());
-  for (size_t k = 0; k < family_.size(); ++k) {
+  for (size_t k = 0; k < facts_.size(); ++k) {
     const bool epoch_moved =
         index_->ViolationEpochOf(static_cast<int>(k)) != seen_epochs_[k];
     // Inserts grow the violation cap, so a hopeless verdict can flip even
@@ -155,7 +142,7 @@ int VariantTracker::Ingest(const std::vector<RowEdit>& edits) {
 }
 
 void VariantTracker::RecordSearch(const VariantSearchResult& result) {
-  for (size_t vi = 0; vi < variants_.size(); ++vi) {
+  for (size_t vi = 0; vi < family_.variants.size(); ++vi) {
     if (vi < result.solved_costs.size() &&
         !std::isnan(result.solved_costs[vi])) {
       solved_costs_[vi] = result.solved_costs[vi];
@@ -171,13 +158,13 @@ void VariantTracker::RecordSearch(const VariantSearchResult& result) {
 
 double VariantTracker::BestRivalBound(const ConstraintSet& incumbent) const {
   double best = std::numeric_limits<double>::infinity();
-  for (size_t vi = 0; vi < variants_.size(); ++vi) {
-    if (variants_[vi].constraints == incumbent) continue;
+  for (size_t vi = 0; vi < family_.variants.size(); ++vi) {
+    if (family_.variants[vi].constraints == incumbent) continue;
     double lb = 0.0;
     bool hopeless = false;
     bool solved_valid = solved_gen_[vi] >= 0 && !std::isnan(solved_costs_[vi]);
     bool abort_valid = abort_gen_[vi] >= 0 && !std::isnan(abort_bounds_[vi]);
-    for (size_t k : members_[vi]) {
+    for (int k : family_.members[vi]) {
       hopeless |= facts_[k].hopeless;
       lb = std::max(lb, facts_[k].delta_l);
       // A recorded realized cost (or abort threshold) holds only while
@@ -204,20 +191,20 @@ StreamingRepairer::StreamingRepairer(const Relation& I,
   TraceSpan span("stream/initial_repair");
   RepairResult initial;
   if (options_.reopen_variants) {
-    // The unfrozen path runs the factored search over tracker-maintained
+    // The unfrozen path runs CVTolerantRepair's tail over tracker-maintained
     // facts from the start, so every later reopen — and the from-scratch
     // twin the drift tests compare against — goes through the identical
-    // candidate loop. The Σ fallback and the stats are CVTolerantRepair's.
+    // candidate loop, and the Σ fallback and the stats are
+    // CVTolerantRepair's.
+    const RepairRunStart start;
     tracker_ = std::make_unique<VariantTracker>(I, sigma, options_.repair);
+    VariantSearchResult search;
     // The tracker's D is still I.
-    const DomainStats& stats_of_I = tracker_->stats();
-    RepairStats stats;
-    VariantSearchResult sr = CVTolerantSearchWithFacts(
-        I, stats_of_I, sigma, tracker_->variants(), tracker_->FactsFn(),
-        options_.repair, &fresh_counter_, tracker_->encoded(), &stats);
-    tracker_->RecordSearch(sr);
-    initial = FinishCVTolerantRepair(I, stats_of_I, sigma, std::move(sr),
-                                     options_.repair, stats);
+    initial = CVTolerantRepairWithFacts(
+        I, tracker_->stats(), tracker_->family(), tracker_->facts(),
+        options_.repair, &fresh_counter_, tracker_->encoded(), start,
+        &search);
+    tracker_->RecordSearch(search);
     realized_cost_ = initial.stats.repair_cost;
   } else {
     initial = CVTolerantRepair(I, sigma, options_.repair);
@@ -357,9 +344,9 @@ void StreamingRepairer::MaybeReopen(StreamBatchResult* out) {
   TraceSpan span("stream/variant_reopen");
   out->reopened = true;
   VariantSearchResult sr = CVTolerantSearchWithFacts(
-      tracker_->dirty(), tracker_->stats(), tracker_->sigma(),
-      tracker_->variants(), tracker_->FactsFn(), options_.repair,
-      &fresh_counter_, tracker_->encoded());
+      tracker_->dirty(), tracker_->stats(), tracker_->family(),
+      tracker_->facts(), options_.repair, &fresh_counter_,
+      tracker_->encoded());
   tracker_->RecordSearch(sr);
   if (!sr.have_result || sr.variant == variant_) {
     // The incumbent stood. Keep the incrementally repaired instance — its

@@ -13,13 +13,12 @@
 // By default Σ' stays frozen. With `reopen_variants` a VariantTracker
 // delta-maintains per-variant δ_l/δ_u repair-cost bounds over the
 // accumulated *dirty* instance and re-opens the variant search (the same
-// Algorithm 1 candidate loop, factored as CVTolerantSearchWithFacts) only
-// when some rival's lower bound reaches the incumbent's realized cost —
-// so a drifting stream recovers the scratch-optimal variant without
+// Algorithm 1 candidate loop, CVTolerantSearchWithFacts) only when some
+// rival's lower bound reaches the incumbent's realized cost — so a
+// drifting stream recovers the scratch-optimal variant without
 // re-evaluating every variant every batch. A switch rebuilds the index.
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <vector>
 
@@ -88,16 +87,17 @@ struct StreamTotals {
 };
 
 /// Delta-maintained per-variant repair-cost bounds over the accumulated
-/// dirty instance (DESIGN.md §11). Owns a copy of the dirty instance D —
-/// the stream's edits *before* any repair — plus one ViolationIndex over
-/// the family of distinct constraints across Σ and every enumerated
-/// variant. Ingest mirrors each batch into D and recomputes δ_l/δ_u facts
-/// for exactly the constraints whose violation set changed (the per-batch
-/// work counter behind stream.bound_updates); the facts feed
+/// dirty instance (DESIGN.md §11). Holds the VariantFamily of (Σ, D) and
+/// owns a copy of the dirty instance D — the stream's edits *before* any
+/// repair — plus one ViolationIndex over the family's distinct
+/// constraints. Ingest mirrors each batch into D and recomputes δ_l/δ_u
+/// facts for exactly the constraints whose violation set changed (the
+/// per-batch work counter behind stream.bound_updates); the facts feed
 /// CVTolerantSearchWithFacts, and BestRivalBound answers the reopen
 /// trigger. Facts come from the same BuildVariantFacts as those of
-/// ScanVariantFacts, so they are structurally identical to what it
-/// computes from scratch on D — the drift tests pin this.
+/// ScanVariantFacts, position for position, so they are structurally
+/// identical to what it computes from scratch on D — the drift tests pin
+/// this.
 class VariantTracker {
  public:
   /// Enumerates the variant family of (Σ, dirty) once — the family is
@@ -130,37 +130,26 @@ class VariantTracker {
   const DomainStats& stats();
   /// Coded mirror of D.
   const EncodedRelation& encoded() const { return *index_->encoded(); }
-  const ConstraintSet& sigma() const { return sigma_; }
-  const std::vector<SigmaVariant>& variants() const { return variants_; }
-  const VariantFacts& FactsOf(const DenialConstraint& c) const {
-    return facts_[family_pos_.at(c)];
-  }
-  /// Facts provider bound to this tracker, for CVTolerantSearchWithFacts.
-  VariantFactsFn FactsFn() const {
-    return [this](const DenialConstraint& c) -> const VariantFacts& {
-      return FactsOf(c);
-    };
-  }
+  /// The variant family, enumerated once against the starting D.
+  const VariantFamily& family() const { return family_; }
+  /// The facts of D, aligned with family().constraints.
+  const std::vector<VariantFacts>& facts() const { return facts_; }
 
  private:
   void RefreshFacts(size_t k);
 
-  ConstraintSet sigma_;
   CVTolerantOptions options_;
-  std::vector<SigmaVariant> variants_;
-  ConstraintSet family_;  // distinct constraints, first-seen order
-  std::map<DenialConstraint, size_t> family_pos_;
-  std::unique_ptr<ViolationIndex> index_;  // over (D, family_)
+  VariantFamily family_;
+  std::unique_ptr<ViolationIndex> index_;  // over (D, family_.constraints)
   DomainStats stats_;                      // of D unless stale
   bool stats_stale_ = true;                // D changed since stats_
   std::vector<VariantFacts> facts_;        // per family position
   std::vector<int64_t> seen_epochs_;       // ViolationEpochOf at last refresh
   std::vector<int64_t> changed_gen_;       // generation of last facts change
-  std::vector<std::vector<size_t>> members_;  // variant -> family positions
-  std::vector<double> solved_costs_;          // per variant (NaN = none)
-  std::vector<int64_t> solved_gen_;           // generation when solved
-  std::vector<double> abort_bounds_;          // per variant (NaN = none)
-  std::vector<int64_t> abort_gen_;            // generation when aborted
+  std::vector<double> solved_costs_;       // per variant (NaN = none)
+  std::vector<int64_t> solved_gen_;        // generation when solved
+  std::vector<double> abort_bounds_;       // per variant (NaN = none)
+  std::vector<int64_t> abort_gen_;         // generation when aborted
   int64_t generation_ = 0;
 };
 

@@ -417,34 +417,6 @@ std::optional<ScopedRepair> ReplayComponents(
   return result;
 }
 
-std::optional<ScopedRepair> SolveComponents(
-    const Relation& I, const DomainStats& stats_of_I,
-    const ConstraintSet& sigma, const std::vector<Cell>& changing,
-    double delta_min, const VfreeOptions& options, MaterializedCache* cache,
-    RepairStats* stats, int64_t* fresh_counter,
-    const EncodedRelation& encoded) {
-  return ReplayComponents(I, stats_of_I,
-                          PlanComponents(sigma, changing, options, encoded),
-                          delta_min, options, cache, stats, fresh_counter);
-}
-
-std::optional<Relation> DataRepairVfree(
-    const Relation& I, const DomainStats& stats_of_I,
-    const ConstraintSet& sigma, const std::vector<Cell>& changing,
-    double delta_min, const VfreeOptions& options, MaterializedCache* cache,
-    RepairStats* stats, int64_t* fresh_counter,
-    const EncodedRelation& encoded) {
-  std::optional<ScopedRepair> scoped =
-      SolveComponents(I, stats_of_I, sigma, changing, delta_min, options,
-                      cache, stats, fresh_counter, encoded);
-  if (!scoped) return std::nullopt;
-  Relation repaired = I;
-  for (auto& [cell, value] : scoped->assignments) {
-    repaired.SetValue(cell, std::move(value));
-  }
-  return repaired;
-}
-
 void CanonicalizeViolations(std::vector<Violation>* violations) {
   auto canonical = [](const Violation& a, const Violation& b) {
     if (a.constraint_index != b.constraint_index) {
@@ -497,41 +469,27 @@ RepairResult VfreeRepair(const Relation& I, const ConstraintSet& sigma,
   result.satisfied_constraints = sigma;
   result.stats.rounds = 1;
 
-  EncodedRelation E(I);
+  const EncodedRelation E(I);
   std::vector<Violation> violations = FindViolations(E, sigma);
   result.stats.initial_violations = static_cast<int>(violations.size());
 
-  DomainStats stats_of_I(I);
-  if (options.strategy == RepairStrategy::kDelete) {
-    CanonicalizeViolations(&violations);
-    SubsetRepair sub = SubsetCoverRepair(I, stats_of_I, violations,
-                                         options.subset, &result.stats);
-    result.repaired = I;
-    for (auto& [cell, value] : sub.assignments) {
-      result.repaired.SetValue(cell, std::move(value));
-    }
-    result.stats.changed_cells = ChangedCellCount(I, result.repaired);
-    result.stats.repair_cost = sub.cost;
-    result.stats.elapsed_seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      start)
-            .count();
-    return result;
-  }
-  std::vector<Cell> changing =
-      CoverCells(I, stats_of_I, sigma, violations, options);
-
+  const DomainStats stats_of_I(I);
   int64_t fresh_counter = 1;
-  std::optional<Relation> repaired = DataRepairVfree(
-      I, stats_of_I, sigma, changing,
-      std::numeric_limits<double>::infinity(), options,
-      /*cache=*/nullptr, &result.stats, &fresh_counter, E);
-  // With an infinite bound DataRepairVfree always succeeds.
-  result.repaired = std::move(*repaired);
+  // With an infinite bound the round always succeeds.
+  ScopedRepair scoped = *SolveDirtyComponents(
+      I, stats_of_I, sigma, std::move(violations),
+      std::numeric_limits<double>::infinity(), options, /*cache=*/nullptr,
+      &result.stats, &fresh_counter, E);
+  result.repaired = I;
+  for (auto& [cell, value] : scoped.assignments) {
+    result.repaired.SetValue(cell, std::move(value));
+  }
   result.stats.changed_cells = ChangedCellCount(I, result.repaired);
+  // A subset repair is priced by its summed deletion weights, in the order
+  // the cover picked the rows, as the round reports it.
   result.stats.repair_cost =
-      options.strategy == RepairStrategy::kUpdate
-          ? RepairCost(I, result.repaired, options.cost)
+      options.strategy == RepairStrategy::kDelete
+          ? scoped.cost
           : StrategyRepairCost(I, result.repaired, options.cost,
                                options.strategy, options.subset, stats_of_I);
   result.stats.elapsed_seconds =

@@ -4,7 +4,7 @@
 #include <optional>
 #include <utility>
 
-#include "dc/eval_index.h"
+#include "dc/eval_counters.h"
 #include "dc/violation.h"
 #include "graph/decompose.h"
 #include "graph/vertex_cover.h"
@@ -56,27 +56,15 @@ struct VfreeOptions {
   SubsetOptions subset;
 };
 
-/// Algorithm 2 (DATAREPAIR): repairs the changing cells `changing` of `I`
-/// w.r.t. `sigma` in a single violation-free round. Suspects (Definition 6)
-/// of the changing set are collected, their repair contexts assembled
-/// (Section 4.1.2), decomposed into components, and each component is
-/// solved — reusing `cache` entries across calls when the refinement test
-/// of Proposition 6 allows (pass nullptr to disable sharing).
-///
-/// Returns std::nullopt when the accumulated repair cost exceeds
-/// `delta_min` (Algorithm 2, lines 18-19); otherwise the repaired
-/// instance, which satisfies `sigma` by Proposition 5.
-///
-/// `stats` collects solver calls / cache hits / fresh assignments;
-/// `fresh_counter` supplies globally unique fresh-variable ids.
-///
-/// `encoded` must mirror `I` (in_sync); suspect detection scans it.
-std::optional<Relation> DataRepairVfree(
-    const Relation& I, const DomainStats& stats_of_I,
-    const ConstraintSet& sigma, const std::vector<Cell>& changing,
-    double delta_min, const VfreeOptions& options, MaterializedCache* cache,
-    RepairStats* stats, int64_t* fresh_counter,
-    const EncodedRelation& encoded);
+// Algorithm 2 (DATAREPAIR) repairs the changing cells C of I w.r.t. Σ in
+// a single violation-free round, split in two halves: PlanComponents (the
+// suspects of C, Definition 6, streamed into their repair contexts,
+// Section 4.1.2, and decomposed into components) and ReplayComponents
+// (each component solved, reusing MaterializedCache entries across calls
+// when the refinement test of Proposition 6 allows, and the cost abort of
+// lines 18-19). Applying a replayed repair to I satisfies Σ by
+// Proposition 5. SolveDirtyComponents runs one round from a detected
+// violation set, and VfreeRepair is the standalone algorithm.
 
 /// A component-scoped repair: the cell assignments that fix the dirty
 /// components, without materializing a copy of the untouched remainder of
@@ -137,18 +125,6 @@ std::optional<ScopedRepair> ReplayComponents(
     double delta_min, const VfreeOptions& options, MaterializedCache* cache,
     RepairStats* stats, int64_t* fresh_counter);
 
-/// The component pipeline of Algorithm 2 without the whole-instance copy:
-/// ReplayComponents(PlanComponents(...)). Returns std::nullopt on a
-/// `delta_min` cost abort. Applying the assignments to `I` yields
-/// precisely DataRepairVfree's result — DataRepairVfree is this function
-/// plus the copy.
-std::optional<ScopedRepair> SolveComponents(
-    const Relation& I, const DomainStats& stats_of_I,
-    const ConstraintSet& sigma, const std::vector<Cell>& changing,
-    double delta_min, const VfreeOptions& options, MaterializedCache* cache,
-    RepairStats* stats, int64_t* fresh_counter,
-    const EncodedRelation& encoded);
-
 /// Sorts violations into the canonical (constraint_index, rows) order —
 /// the order ViolationIndex::CurrentViolations emits. Entry points taking
 /// an externally detected violation set canonicalize first, so a
@@ -170,9 +146,11 @@ std::optional<ScopedRepair> SolveDirtyComponents(
     RepairStats* stats, int64_t* fresh_counter,
     const EncodedRelation& encoded);
 
-/// The standalone Vfree repair algorithm (Section 4): detects violations,
-/// picks an approximate minimum vertex cover as the changing set, and runs
-/// one round of DataRepairVfree. The result satisfies `sigma`.
+/// The standalone Vfree repair algorithm (Section 4): detects the
+/// violations of `sigma` and runs one SolveDirtyComponents round on them
+/// (under the update and hybrid strategies an approximate minimum vertex
+/// cover is the changing set) with no cost bound and no cache. The result
+/// satisfies `sigma`.
 RepairResult VfreeRepair(const Relation& I, const ConstraintSet& sigma,
                          const VfreeOptions& options = {});
 

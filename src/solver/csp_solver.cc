@@ -11,6 +11,12 @@ namespace cvrepair {
 
 namespace {
 
+// Cap on per-variable candidate values (after unary filtering).
+constexpr int kMaxCandidatesPerVar = 50;
+// Backtracking node budget per component; exhaustion falls back to
+// fresh-variable assignment like unsatisfiability does.
+constexpr int kMaxSearchNodes = 20000;
+
 // NULL and fresh values discharge any atom: the underlying DC predicate on
 // such a cell is unconditionally false, which is exactly what the repair
 // context wants to guarantee.
@@ -184,8 +190,8 @@ ComponentSolution CspSolver::Solve(const Component& component) {
     }
     auto it = std::find(feasible.begin(), feasible.end(), original[v]);
     if (it != feasible.end()) std::rotate(feasible.begin(), it, it + 1);
-    if (static_cast<int>(feasible.size()) > options_.max_candidates_per_var) {
-      feasible.resize(options_.max_candidates_per_var);
+    if (static_cast<int>(feasible.size()) > kMaxCandidatesPerVar) {
+      feasible.resize(kMaxCandidatesPerVar);
     }
     cand[v] = std::move(feasible);
   }
@@ -253,7 +259,7 @@ ComponentSolution CspSolver::Solve(const Component& component) {
         }
         int v = order[depth];
         for (const Value& value : cand[v]) {
-          if (++total_nodes > options_.max_search_nodes) {
+          if (++total_nodes > kMaxSearchNodes) {
             budget_hit = true;
             return;
           }

@@ -13,11 +13,6 @@ namespace cvrepair {
 
 /// Knobs for the component solver.
 struct SolverOptions {
-  /// Cap on per-variable candidate values (after unary filtering).
-  int max_candidates_per_var = 50;
-  /// Backtracking node budget per component; exhaustion falls back to
-  /// fresh-variable assignment like unsatisfiability does.
-  int max_search_nodes = 20000;
   /// Components with more live variables than this skip the exact search
   /// and use a greedy most-constrained-first assignment (still sound:
   /// every unsatisfiable step degrades to a fresh variable).

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <map>
 #include <unordered_map>
 #include <utility>
 
@@ -13,6 +14,21 @@ namespace {
 
 constexpr double kEps = 1e-9;
 
+// Structural caps bounding the searched family of variants: deletions and
+// insertions per constraint, and the size of the whole family D.
+constexpr int kMaxDeletionsPerConstraint = 3;
+constexpr int kMaxInsertionsPerConstraint = 2;
+constexpr int kMaxSigmaVariants = 20000;
+
+// An insertion P into φ must hold on at least this fraction of sampled
+// tuple pairs that already agree on φ's equality predicates. Below the
+// threshold the inserted predicate is key-like for the constraint's
+// groups: it would make φ' vacuous on the data (the data-level analogue of
+// a trivial DC) and is skipped.
+constexpr double kMinConditionalSupport = 0.10;
+// Pair-sample size for the conditional-support estimate.
+constexpr int kSupportSample = 4000;
+
 // Data-driven meaningful-predicate test (footnote 2 of the paper /
 // DC discovery [7]): an insertable predicate must hold on a non-trivial
 // fraction of tuple pairs that already agree on the constraint's equality
@@ -20,8 +36,7 @@ constexpr double kEps = 1e-9;
 // would make the variant vacuous on the data.
 class SupportEstimator {
  public:
-  SupportEstimator(const Relation* data, int sample_size, double threshold)
-      : data_(data), sample_size_(sample_size), threshold_(threshold) {}
+  explicit SupportEstimator(const Relation* data) : data_(data) {}
 
   // True when the test is disabled or P has enough conditional support.
   bool Meaningful(const std::vector<AttrId>& eq_attrs, const Predicate& p) {
@@ -35,7 +50,8 @@ class SupportEstimator {
       rows[1] = j;
       if (p.Eval(*data_, rows)) ++hits;
     }
-    return static_cast<double>(hits) / pairs.size() >= threshold_;
+    return static_cast<double>(hits) / pairs.size() >=
+           kMinConditionalSupport;
   }
 
  private:
@@ -62,12 +78,12 @@ class SupportEstimator {
     int n = data_->num_rows();
     if (eq_attrs.empty()) {
       // Unconditioned: deterministic strided pairs.
-      int stride = std::max(1, n * n / std::max(sample_size_, 1) / 2);
-      for (int i = 0; i < n && static_cast<int>(pairs.size()) < sample_size_;
+      int stride = std::max(1, n * n / kSupportSample / 2);
+      for (int i = 0; i < n && static_cast<int>(pairs.size()) < kSupportSample;
            ++i) {
         for (int j = (i * 7 + 1) % n; j < n; j += stride + 1) {
           if (i != j) pairs.push_back({i, j});
-          if (static_cast<int>(pairs.size()) >= sample_size_) break;
+          if (static_cast<int>(pairs.size()) >= kSupportSample) break;
         }
       }
     } else {
@@ -92,19 +108,17 @@ class SupportEstimator {
           for (size_t b = a + 1; b < members.size(); ++b) {
             pairs.push_back({members[a], members[b]});
             pairs.push_back({members[b], members[a]});
-            if (static_cast<int>(pairs.size()) >= sample_size_) break;
+            if (static_cast<int>(pairs.size()) >= kSupportSample) break;
           }
-          if (static_cast<int>(pairs.size()) >= sample_size_) break;
+          if (static_cast<int>(pairs.size()) >= kSupportSample) break;
         }
-        if (static_cast<int>(pairs.size()) >= sample_size_) break;
+        if (static_cast<int>(pairs.size()) >= kSupportSample) break;
       }
     }
     return samples_.emplace(eq_attrs, std::move(pairs)).first->second;
   }
 
   const Relation* data_;
-  int sample_size_;
-  double threshold_;
   std::unordered_map<std::vector<AttrId>, std::vector<std::pair<int, int>>,
                      AttrVecHash>
       samples_;
@@ -126,6 +140,30 @@ double CheapestInsertion(const DenialConstraint& variant,
 
 }  // namespace
 
+VariantFamily::VariantFamily(ConstraintSet sigma_in,
+                             std::vector<SigmaVariant> variants_in,
+                             int pruned_nonmaximal_in)
+    : sigma(std::move(sigma_in)),
+      variants(std::move(variants_in)),
+      pruned_nonmaximal(pruned_nonmaximal_in) {
+  std::map<DenialConstraint, int> position;
+  auto member = [&](const DenialConstraint& c) {
+    auto [it, inserted] =
+        position.try_emplace(c, static_cast<int>(constraints.size()));
+    if (inserted) constraints.push_back(c);
+    return it->second;
+  };
+  for (const DenialConstraint& phi : sigma) {
+    sigma_members.push_back(member(phi));
+  }
+  members.resize(variants.size());
+  for (size_t vi = 0; vi < variants.size(); ++vi) {
+    for (const DenialConstraint& phi : variants[vi].constraints) {
+      members[vi].push_back(member(phi));
+    }
+  }
+}
+
 std::vector<ConstraintVariant> GenerateConstraintVariants(
     const DenialConstraint& phi, const std::vector<Predicate>& space,
     const VariantGenOptions& options, double max_cost,
@@ -138,14 +176,13 @@ std::vector<ConstraintVariant> GenerateConstraintVariants(
   std::vector<double> del_cost(m);
   for (int i = 0; i < m; ++i) del_cost[i] = model.PredicateCost(preds[i], phi);
 
-  SupportEstimator support(options.data, options.support_sample,
-                           options.min_conditional_support);
+  SupportEstimator support(options.data);
 
   // Enumerate deletion subsets (keep at least one predicate).
   const int num_masks = 1 << m;
   for (int mask = 0; mask < num_masks; ++mask) {
     int deletions = __builtin_popcount(static_cast<unsigned>(mask));
-    if (deletions > options.max_deletions_per_constraint || deletions >= m) {
+    if (deletions > kMaxDeletionsPerConstraint || deletions >= m) {
       continue;  // too many deletions, or nothing would remain
     }
 
@@ -172,8 +209,11 @@ std::vector<ConstraintVariant> GenerateConstraintVariants(
     for (const Predicate& p : space) {
       if (p.MaxTupleVar() + 1 > phi.NumTupleVars()) continue;
       if (base.ContainsOperands(p)) continue;
-      if (options.order_insertions_on_own_attrs_only &&
-          (p.op() == Op::kLt || p.op() == Op::kGt)) {
+      // Order predicates (<, >) are only inserted on attributes already
+      // used by the original constraint (strengthening / substitution, as
+      // in all of the paper's examples); equality predicates may come from
+      // any meaningful attribute (FD-style refinement, Example 5).
+      if (p.op() == Op::kLt || p.op() == Op::kGt) {
         bool own = false;
         for (const Predicate& q : preds) {
           if (q.lhs().attr == p.lhs().attr ||
@@ -200,23 +240,25 @@ std::vector<ConstraintVariant> GenerateConstraintVariants(
     // DFS over insertion subsets with cost pruning (all costs positive).
     std::vector<Predicate> chosen;
     auto emit = [&](double total_cost) {
-      if (!options.allow_inequality_deletion) {
-        // Every deleted non-equality predicate must be *strengthened*: an
-        // inserted predicate on the same operands whose operator implies
-        // the deleted one (<= -> <, != -> <, ... as in Example 4). This
-        // rules out both free-standing consequent deletion and semantic
-        // reversals such as != -> =.
-        for (const Predicate* d : deleted) {
-          if (d->op() == Op::kEq) continue;
-          bool substituted = false;
-          for (const Predicate& c : chosen) {
-            if (c.SameOperands(*d) && Implies(c.op(), d->op())) {
-              substituted = true;
-              break;
-            }
+      // Every deleted non-equality predicate (the "consequent-like" !=, <,
+      // >, <=, >=) must be *strengthened*: an inserted predicate on the
+      // same operands whose operator implies the deleted one (<= -> <,
+      // != -> <, ... as in Example 4). Deleting it outright would let the
+      // Θ budget launder a constraint's meaning away (delete the
+      // consequent, insert an unrelated predicate at net cost ≈ 0); this
+      // also rules out semantic reversals such as != -> =. The paper's own
+      // variants — FD LHS edits and operator substitutions — never do
+      // either.
+      for (const Predicate* d : deleted) {
+        if (d->op() == Op::kEq) continue;
+        bool substituted = false;
+        for (const Predicate& c : chosen) {
+          if (c.SameOperands(*d) && Implies(c.op(), d->op())) {
+            substituted = true;
+            break;
           }
-          if (!substituted) return;
         }
+        if (!substituted) return;
       }
       std::vector<Predicate> all = kept;
       all.insert(all.end(), chosen.begin(), chosen.end());
@@ -250,8 +292,7 @@ std::vector<ConstraintVariant> GenerateConstraintVariants(
     };
     auto dfs = [&](auto&& self, size_t from, double cost) -> void {
       if (cost <= max_cost + kEps) emit(cost);
-      if (static_cast<int>(chosen.size()) >=
-          options.max_insertions_per_constraint) {
+      if (static_cast<int>(chosen.size()) >= kMaxInsertionsPerConstraint) {
         return;
       }
       for (size_t i = from; i < cand.size(); ++i) {
@@ -300,14 +341,13 @@ std::vector<SigmaVariant> GenerateSigmaVariants(const ConstraintSet& sigma,
     for (const Predicate& p : sigma[i].predicates()) {
       // Only free-standing deletions contribute negative cost; restricted
       // non-equality deletions come with a paid substitution.
-      if (!options.allow_inequality_deletion && p.op() != Op::kEq) continue;
+      if (p.op() != Op::kEq) continue;
       costs.push_back(model.PredicateCost(p, sigma[i]));
     }
     std::sort(costs.rbegin(), costs.rend());
     int deletable = std::min<int>(
-        options.max_deletions_per_constraint,
-        std::min<int>(static_cast<int>(costs.size()),
-                      sigma[i].size() - 1));
+        kMaxDeletionsPerConstraint,
+        std::min<int>(static_cast<int>(costs.size()), sigma[i].size() - 1));
     double sum = 0.0;
     for (int d = 0; d < deletable; ++d) sum += costs[d];
     min_cost[i] = model.lambda * sum;  // λ ≤ 0, so this is ≤ 0
@@ -356,8 +396,7 @@ std::vector<SigmaVariant> GenerateSigmaVariants(const ConstraintSet& sigma,
           if (stats) ++stats->pruned_nonmaximal;
           return;
         }
-        if (v.num_insertions >= options.max_insertions_per_constraint)
-          continue;
+        if (v.num_insertions >= kMaxInsertionsPerConstraint) continue;
         if (total + v.cheapest_next_insertion <= options.theta + kEps) {
           if (stats) ++stats->pruned_nonmaximal;
           return;
@@ -374,7 +413,7 @@ std::vector<SigmaVariant> GenerateSigmaVariants(const ConstraintSet& sigma,
   bool capped = false;
   auto dfs = [&](auto&& self, int i, double cost, int changed) -> void {
     if (capped) return;
-    if (static_cast<int>(out.size()) >= options.max_sigma_variants) {
+    if (static_cast<int>(out.size()) >= kMaxSigmaVariants) {
       capped = true;
       return;
     }

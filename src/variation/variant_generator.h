@@ -33,6 +33,31 @@ struct SigmaVariant {
   double cost = 0.0;
 };
 
+/// The variant family D of Algorithm 1 in dense form: Σ, its variants, and
+/// the distinct constraints across both, each held once. Positions in
+/// `constraints` index the per-constraint facts of the variant search
+/// (repair/cvtolerant.h) and a VariantTracker's detection index.
+struct VariantFamily {
+  VariantFamily() = default;
+  /// Collects the distinct constraints of Σ, then of each variant in
+  /// order, in first-seen order, and records every member's position.
+  VariantFamily(ConstraintSet sigma, std::vector<SigmaVariant> variants,
+                int pruned_nonmaximal = 0);
+
+  ConstraintSet sigma;
+  std::vector<SigmaVariant> variants;
+  /// Distinct constraints of Σ and the variants: Σ's first, first-seen
+  /// order.
+  ConstraintSet constraints;
+  /// Positions in `constraints` of Σ's constraints, aligned with `sigma`.
+  std::vector<int> sigma_members;
+  /// Per variant, the positions in `constraints` of its constraints,
+  /// aligned with `variants[i].constraints`.
+  std::vector<std::vector<int>> members;
+  /// Σ' the generator dropped as non-maximal w.r.t. θ.
+  int pruned_nonmaximal = 0;
+};
+
 /// Structural limits and the tolerance for variant enumeration.
 struct VariantGenOptions {
   /// Constraint-variance tolerance θ: Θ(Σ, Σ') ≤ θ. May be negative
@@ -40,37 +65,14 @@ struct VariantGenOptions {
   double theta = 1.0;
   VariationCostModel cost_model;
   PredicateSpaceOptions space;
-  /// Structural caps bounding the searched family of variants.
-  int max_deletions_per_constraint = 3;
-  int max_insertions_per_constraint = 2;
+  /// At most this many constraints of Σ differ from the original in one
+  /// variant Σ'.
   int max_changed_constraints = 2;
-  int max_sigma_variants = 20000;
-  /// Data used for the meaningful-predicate test below (not owned;
-  /// nullptr disables the test). The determination of meaningful
+  /// Data used for the meaningful-predicate test of the generator (not
+  /// owned; nullptr disables the test). The determination of meaningful
   /// predicates is delegated to DC discovery in the paper ([7], footnote
   /// 2); this is our data-driven stand-in.
   const Relation* data = nullptr;
-  /// An insertion P into φ must hold on at least this fraction of sampled
-  /// tuple pairs that already agree on φ's equality predicates. Below the
-  /// threshold the inserted predicate is key-like for the constraint's
-  /// groups: it would make φ' vacuous on the data (the data-level
-  /// analogue of a trivial DC) and is skipped.
-  double min_conditional_support = 0.10;
-  /// Pair-sample size for the conditional-support estimate.
-  int support_sample = 4000;
-  /// Non-equality predicates (the "consequent-like" !=, <, >, <=, >=) may
-  /// only be deleted when an inserted predicate on the same operands
-  /// replaces them (operator substitution, e.g. <= → < in Example 4).
-  /// Deleting them outright would let the Θ budget launder a constraint's
-  /// meaning away (delete the consequent, insert an unrelated predicate at
-  /// net cost ≈ 0); the paper's own variants — FD LHS edits and operator
-  /// substitutions — never do that. Set true to lift the restriction.
-  bool allow_inequality_deletion = false;
-  /// Order predicates (<, >) are only inserted on attributes already used
-  /// by the original constraint (strengthening / substitution, as in all
-  /// of the paper's examples); equality predicates may come from any
-  /// meaningful attribute (FD-style refinement, Example 5).
-  bool order_insertions_on_own_attrs_only = true;
   /// Prune Σ' that are non-maximal w.r.t. θ (Section 3.1): some valid
   /// single insertion still fits the budget, so a refining variant with
   /// no worse minimum repair (Lemma 1) is also enumerated.
@@ -87,15 +89,16 @@ struct VariantGenStats {
   int sigma_enumerated = 0;       ///< before maximality pruning
   int pruned_nonmaximal = 0;
   int pruned_trivial = 0;
-  bool capped = false;            ///< max_sigma_variants was hit
+  bool capped = false;            ///< the family-size cap was hit
 };
 
 /// Enumerates variants of one constraint with edit cost ≤ `max_cost`:
 /// all deletion subsets (leaving at least one predicate) combined with
-/// insertion subsets drawn from `space`, subject to the structural caps in
-/// `options`. Inserted predicates never duplicate operand pairs remaining
-/// in the constraint, and trivial results (contradicting predicates,
-/// Section 2.2.1) are discarded. Proposition 2 is honored through the
+/// insertion subsets drawn from `space`, subject to the generator's
+/// structural caps (at most 3 deletions and 2 insertions per constraint).
+/// Inserted predicates never duplicate operand pairs remaining in the
+/// constraint, and trivial results (contradicting predicates, Section
+/// 2.2.1) are discarded. Proposition 2 is honored through the
 /// predicate space itself (operators {<, >, =} only). Results are sorted
 /// by cost, identity variant first.
 std::vector<ConstraintVariant> GenerateConstraintVariants(
@@ -106,7 +109,7 @@ std::vector<ConstraintVariant> GenerateConstraintVariants(
 /// Enumerates the candidate set D of Section 2.3: the cross product of
 /// per-constraint variants with Θ(Σ, Σ') ≤ θ, pruned to θ-maximal
 /// variants (plus Σ itself when always_include_original). Deterministic;
-/// capped at max_sigma_variants.
+/// capped at 20,000 variants.
 std::vector<SigmaVariant> GenerateSigmaVariants(const ConstraintSet& sigma,
                                                 const Schema& schema,
                                                 const VariantGenOptions& options,

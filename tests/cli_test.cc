@@ -387,6 +387,24 @@ TEST_F(CliTest, ServeBenchReopensVariants) {
   EXPECT_NE(out.find("violation-free:   yes"), std::string::npos) << out;
 }
 
+// --serve-bench honours --trace-out like the repair and stream modes: the
+// served session's initial repair and batches land in the trace file.
+TEST_F(CliTest, ServeBenchWritesTrace) {
+  const std::string trace_path = dir_ + "/serve_trace.json";
+  std::remove(trace_path.c_str());
+  // Run inside the scratch dir: --serve-bench appends to BENCH_serve.json.
+  const std::string command = "cd " + dir_ + " && " + cli_ +
+                              " --generate hosp --size 6 --serve-bench" +
+                              " --stream-batches 4 --trace-out " + trace_path;
+  int exit_code = -1;
+  std::string out = RunAndCapture(command, &exit_code);
+  EXPECT_EQ(exit_code, 0) << out;
+  std::string trace = ReadWholeFile(trace_path);
+  EXPECT_NE(trace.find("\"traceEvents\""), std::string::npos) << out;
+  EXPECT_NE(trace.find("stream/initial_repair"), std::string::npos);
+  EXPECT_NE(trace.find("stream/apply_batch"), std::string::npos);
+}
+
 // A header-only CSV has no tuples: both session modes replay empty
 // batches, exit 0 and end violation-free, like a plain repair of it.
 TEST_F(CliTest, SessionModesRunOnHeaderOnlyCsv) {

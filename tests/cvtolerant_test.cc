@@ -179,13 +179,17 @@ WindowRun RunWindowSearch(int threads, const CVTolerantOptions& base) {
   const DenialConstraint phi4p = Phi4Prime(rel);
   const DenialConstraint phi2 = Phi2(rel);
   const DenialConstraint phi3 = Phi3(rel);
-  std::map<DenialConstraint, VariantFacts> facts;
-  facts[phi4p] = HandFacts(rel, phi4p, 0.0, 2.0);
-  facts[phi4] = HandFacts(rel, phi4, 500.0, 1000.0);
-  facts[phi2] = HandFacts(rel, phi2, 600.0, 1000.0);
-  facts[phi3] = HandFacts(rel, phi3, 700.0, 1000.0);
-  const std::vector<SigmaVariant> variants = {
-      {{phi3}, 0.0}, {{phi4}, 0.0}, {{phi2}, 0.0}, {{phi4p}, 0.0}};
+  std::map<DenialConstraint, VariantFacts> hand;
+  hand[phi4p] = HandFacts(rel, phi4p, 0.0, 2.0);
+  hand[phi4] = HandFacts(rel, phi4, 500.0, 1000.0);
+  hand[phi2] = HandFacts(rel, phi2, 600.0, 1000.0);
+  hand[phi3] = HandFacts(rel, phi3, 700.0, 1000.0);
+  const VariantFamily family(
+      {phi4}, {{{phi3}, 0.0}, {{phi4}, 0.0}, {{phi2}, 0.0}, {{phi4p}, 0.0}});
+  std::vector<VariantFacts> facts;
+  for (const DenialConstraint& c : family.constraints) {
+    facts.push_back(hand.at(c));
+  }
 
   ThreadPool::SetNumThreads(threads);
   CVTolerantOptions options = base;
@@ -195,12 +199,9 @@ WindowRun RunWindowSearch(int threads, const CVTolerantOptions& base) {
   WindowRun run;
   int64_t fresh = 1;
   const EncodedRelation encoded(rel);
-  run.search = CVTolerantSearchWithFacts(
-      rel, DomainStats(rel), {phi4}, variants,
-      [&facts](const DenialConstraint& c) -> const VariantFacts& {
-        return facts.at(c);
-      },
-      options, &fresh, encoded, &run.stats);
+  run.search =
+      CVTolerantSearchWithFacts(rel, DomainStats(rel), family, facts,
+                                options, &fresh, encoded, &run.stats);
   run.work = registry.SnapshotWork();
   MetricsSnapshot all = registry.SnapshotAll();
   run.plans_built = all["search.plans_built"];
@@ -258,7 +259,9 @@ void ExpectSameRun(const WindowRun& a, const WindowRun& b,
 
 // A plan built for a candidate that is bound-pruned by the time its replay
 // comes is dropped without a trace: output, stats and work counters match
-// the serial loop at every window width.
+// the one-thread run at every window width. At one thread the window holds
+// one candidate, so every DataRepair call replays a plan and none is
+// discarded.
 TEST(CVTolerantSearchWindowTest, DiscardedPlansLeaveNoTrace) {
   const int saved = ThreadPool::num_threads();
   const CVTolerantOptions options;
@@ -267,7 +270,8 @@ TEST(CVTolerantSearchWindowTest, DiscardedPlansLeaveNoTrace) {
   EXPECT_LT(serial.search.cost, 500.0) << "φ4' must undercut δ_l(φ4)";
   EXPECT_EQ(serial.search.datarepair_calls, 1);
   EXPECT_EQ(serial.search.variants_pruned, 3);
-  EXPECT_EQ(serial.plans_built, 0);
+  EXPECT_EQ(serial.plans_built, serial.search.datarepair_calls);
+  EXPECT_EQ(serial.plans_discarded, 0);
   for (int threads : {2, 4}) {
     WindowRun parallel = RunWindowSearch(threads, options);
     ExpectSameRun(serial, parallel, std::to_string(threads) + " threads");

@@ -267,10 +267,18 @@ TEST(DecomposeTest, StitchMergeRepairsCrossAtomViolations) {
     options.threads = 1;
     RepairStats rstats;
     int64_t fresh = 1;
-    std::optional<Relation> repaired = DataRepairVfree(
-        rel, stats, sigma, changing,
+    std::optional<ScopedRepair> scoped = ReplayComponents(
+        rel, stats,
+        PlanComponents(sigma, changing, options, EncodedRelation(rel)),
         std::numeric_limits<double>::infinity(), options, nullptr, &rstats,
-        &fresh, EncodedRelation(rel));
+        &fresh);
+    std::optional<Relation> repaired;
+    if (scoped) {
+      repaired = rel;
+      for (auto& [cell, value] : scoped->assignments) {
+        repaired->SetValue(cell, std::move(value));
+      }
+    }
     return std::make_pair(std::move(repaired), rstats);
   };
 

@@ -64,20 +64,6 @@ TEST(EdgeCaseTest, EmptyConstraintSetIsAlwaysSatisfied) {
   EXPECT_EQ(r.stats.changed_cells, 0);
 }
 
-TEST(PredicateSpaceTest, NonMaximalOpsOnDemand) {
-  Relation rel = PaperIncomeRelation();
-  PredicateSpaceOptions options;
-  options.maximal_ops_only = false;
-  std::vector<Predicate> full = BuildPredicateSpace(rel.schema(), options);
-  std::vector<Predicate> restricted = BuildPredicateSpace(rel.schema());
-  EXPECT_GT(full.size(), restricted.size());
-  bool has_leq = false;
-  for (const Predicate& p : full) {
-    if (p.op() == Op::kLeq) has_leq = true;
-  }
-  EXPECT_TRUE(has_leq);
-}
-
 TEST(PredicateSpaceTest, ExcludedAttrsHonored) {
   Relation rel = PaperIncomeRelation();
   PredicateSpaceOptions options;

@@ -68,18 +68,6 @@ TEST(HolisticTest, SatisfiesConstraintsAndCountsRounds) {
   }
 }
 
-TEST(HolisticTest, IncrementalModeMatchesViolationFreeness) {
-  Relation rel = PaperIncomeRelation();
-  ConstraintSet sigma = {Phi1(rel), Phi4Prime(rel)};
-  HolisticOptions options;
-  options.incremental = true;
-  RepairResult r = HolisticRepair(rel, sigma, options);
-  EXPECT_TRUE(Satisfies(r.repaired, sigma));
-  // Same ballpark as the full-detection mode.
-  RepairResult full = HolisticRepair(rel, sigma);
-  EXPECT_NEAR(r.stats.changed_cells, full.stats.changed_cells, 3);
-}
-
 TEST(GreedyTest, SatisfiesConstraints) {
   Relation rel = PaperIncomeRelation();
   ConstraintSet sigma = {Phi4Prime(rel)};
@@ -97,9 +85,11 @@ TEST(VfreeTest, DataRepairAbortsWhenCostBoundExceeded) {
   VertexCover cover = ApproximateVertexCover(g);
   RepairStats rstats;
   int64_t fresh = 1;
-  std::optional<Relation> out = DataRepairVfree(
-      rel, stats, sigma, cover.Cells(g), /*delta_min=*/0.5, VfreeOptions{},
-      nullptr, &rstats, &fresh, EncodedRelation(rel));
+  const VfreeOptions options;
+  std::optional<ScopedRepair> out = ReplayComponents(
+      rel, stats,
+      PlanComponents(sigma, cover.Cells(g), options, EncodedRelation(rel)),
+      /*delta_min=*/0.5, options, nullptr, &rstats, &fresh);
   EXPECT_FALSE(out.has_value());  // Algorithm 2 lines 18-19
 }
 

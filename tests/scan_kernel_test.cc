@@ -26,7 +26,7 @@
 #include "data/hosp.h"
 #include "data/noise.h"
 #include "data/tax.h"
-#include "dc/eval_index.h"
+#include "dc/eval_counters.h"
 #include "dc/incremental.h"
 #include "dc/scan_kernels.h"
 #include "dc/violation.h"

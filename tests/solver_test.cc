@@ -11,7 +11,7 @@
 #include "data/hosp.h"
 #include "data/noise.h"
 #include "data/tax.h"
-#include "dc/eval_index.h"
+#include "dc/eval_counters.h"
 #include "dc/violation.h"
 #include "graph/conflict_hypergraph.h"
 #include "graph/vertex_cover.h"
@@ -469,7 +469,7 @@ TEST(CacheTest, OneRoundCacheNeverHits) {
     // changing forms one var-var chain whose all-"a" and all-"b" parts
     // disagree across the boundary, forcing a stitch merge. Its only
     // violation would leave a one-cell changing set, so the changing set
-    // is given and the round runs through SolveComponents.
+    // is given and the round is planned by PlanComponents.
     Schema schema;
     schema.AddAttribute("KeyA", AttrType::kInt);
     schema.AddAttribute("KeyB", AttrType::kInt);
@@ -513,9 +513,10 @@ TEST(CacheTest, OneRoundCacheNeverHits) {
                        ? SolveDirtyComponents(in.dirty, stats_of_I, in.sigma,
                                               violations, inf, options, cache,
                                               &r.stats, &r.fresh, E)
-                       : SolveComponents(in.dirty, stats_of_I, in.sigma,
-                                         in.changing, inf, options, cache,
-                                         &r.stats, &r.fresh, E);
+                       : ReplayComponents(
+                             in.dirty, stats_of_I,
+                             PlanComponents(in.sigma, in.changing, options, E),
+                             inf, options, cache, &r.stats, &r.fresh);
         return r;
       };
       MaterializedCache cache;

@@ -325,15 +325,12 @@ TEST(StreamingTest, ScratchEquivalenceHoldsAfterVariantSwitch) {
     const VariantTracker& t = *streamer.tracker();
     EncodedRelation E(t.dirty());
     const DomainStats stats_of_D(t.dirty());
-    std::map<DenialConstraint, VariantFacts> facts = ScanVariantFacts(
-        t.dirty(), stats_of_D, w.sigma, t.variants(), options.repair, E);
+    const std::vector<VariantFacts> facts = ScanVariantFacts(
+        t.dirty(), stats_of_D, t.family(), options.repair, E);
     int64_t scratch_fresh = 1000000;  // disjoint from the streamed ids
     VariantSearchResult sr = CVTolerantSearchWithFacts(
-        t.dirty(), stats_of_D, w.sigma, t.variants(),
-        [&facts](const DenialConstraint& c) -> const VariantFacts& {
-          return facts.at(c);
-        },
-        options.repair, &scratch_fresh, E);
+        t.dirty(), stats_of_D, t.family(), facts, options.repair,
+        &scratch_fresh, E);
     ASSERT_TRUE(sr.have_result);
     EXPECT_TRUE(sr.variant == streamer.variant());
     EXPECT_EQ(sr.cost, streamer.realized_cost());
@@ -369,6 +366,51 @@ TEST(StreamingTest, UnfrozenStreamFallsBackToRepairOfSigma) {
   EXPECT_EQ(unfrozen.realized_cost(), frozen.initial_stats().repair_cost);
   EXPECT_TRUE(unfrozen.variant() == hosp.given_oversimplified);
   ExpectEqualModuloFresh(unfrozen.current(), frozen.current());
+}
+
+// Both constructors run the same Algorithm 1 after the facts exist — the
+// frozen one through CVTolerantRepair over scanned facts, the unfrozen one
+// over its tracker's — so their initial repair reports the same outcome
+// stats, the generator's non-maximal count and a real elapsed time
+// included. Only the index_* scan deltas may differ: the tracker detects
+// through a ViolationIndex instead of capped scans.
+TEST(StreamingTest, UnfrozenInitialStatsMatchFrozen) {
+  HospConfig config;
+  config.num_hospitals = 12;
+  HospData hosp = MakeHosp(config);
+  NoiseConfig noise;
+  noise.target_attrs = hosp.noise_attrs;
+  const Relation dirty = InjectNoise(hosp.clean, noise).dirty;
+  StreamingOptions options;
+  options.repair.variants.space = hosp.space;
+  options.repair.threads = 1;
+  const StreamingRepairer frozen(dirty, hosp.given_oversimplified, options);
+  options.reopen_variants = true;
+  const StreamingRepairer unfrozen(dirty, hosp.given_oversimplified, options);
+  const RepairStats& f = frozen.initial_stats();
+  const RepairStats& u = unfrozen.initial_stats();
+  EXPECT_GT(f.elapsed_seconds, 0.0);
+  EXPECT_GT(u.elapsed_seconds, 0.0);
+  EXPECT_GT(f.variants_pruned_nonmaximal, 0);
+  EXPECT_EQ(u.rounds, f.rounds);
+  EXPECT_EQ(u.solver_calls, f.solver_calls);
+  EXPECT_EQ(u.cache_hits, f.cache_hits);
+  EXPECT_EQ(u.fresh_assignments, f.fresh_assignments);
+  EXPECT_EQ(u.changed_cells, f.changed_cells);
+  EXPECT_EQ(u.repair_cost, f.repair_cost);
+  EXPECT_EQ(u.initial_violations, f.initial_violations);
+  EXPECT_EQ(u.suspects, f.suspects);
+  EXPECT_EQ(u.rows_deleted, f.rows_deleted);
+  EXPECT_EQ(u.components_split, f.components_split);
+  EXPECT_EQ(u.stitch_merges, f.stitch_merges);
+  EXPECT_EQ(u.giant_component_cells, f.giant_component_cells);
+  EXPECT_EQ(u.variants_enumerated, f.variants_enumerated);
+  EXPECT_EQ(u.variants_pruned_nonmaximal, f.variants_pruned_nonmaximal);
+  EXPECT_EQ(u.variants_pruned_bounds, f.variants_pruned_bounds);
+  EXPECT_EQ(u.variants_hopeless, f.variants_hopeless);
+  EXPECT_EQ(u.datarepair_calls, f.datarepair_calls);
+  EXPECT_EQ(u.bound_memo_hits, f.bound_memo_hits);
+  EXPECT_TRUE(unfrozen.variant() == frozen.variant());
 }
 
 // Batches re-solve their dirty components without a materialized-solution

@@ -9,7 +9,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
-#include <map>
 #include <optional>
 #include <random>
 #include <string>
@@ -196,19 +195,14 @@ TEST(SubsetRepairTest, HybridSearchPricesTombstoneAtItsWeight) {
   options.variants.theta = 0.0;
   options.vfree.strategy = RepairStrategy::kHybrid;
   options.vfree.subset.delete_base = 1.5;
-  const std::vector<SigmaVariant> variants =
-      EnumerateVariants(f.rel, f.sigma, options);
+  const VariantFamily family = EnumerateVariants(f.rel, f.sigma, options);
   const EncodedRelation E(f.rel);
   const DomainStats stats(f.rel);
-  const std::map<DenialConstraint, VariantFacts> facts =
-      ScanVariantFacts(f.rel, stats, f.sigma, variants, options, E);
+  const std::vector<VariantFacts> facts =
+      ScanVariantFacts(f.rel, stats, family, options, E);
   int64_t fresh = 1;
   const VariantSearchResult sr = CVTolerantSearchWithFacts(
-      f.rel, stats, f.sigma, variants,
-      [&facts](const DenialConstraint& c) -> const VariantFacts& {
-        return facts.at(c);
-      },
-      options, &fresh, E);
+      f.rel, stats, family, facts, options, &fresh, E);
   ASSERT_TRUE(sr.have_result);
   EXPECT_TRUE(RowDeleted(f.rel, sr.repaired, 0));
   EXPECT_DOUBLE_EQ(sr.cost, 1.5);

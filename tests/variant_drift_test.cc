@@ -8,7 +8,6 @@
 // 1 and 4 threads.
 #include <gtest/gtest.h>
 
-#include <map>
 #include <string>
 #include <vector>
 
@@ -75,7 +74,7 @@ void RunDriftStreamVsScratch(
                                             /*batch_size=*/10, /*seed=*/29);
   StreamingRepairer streamer(replay.base, w.sigma, options);
   ASSERT_TRUE(streamer.tracker() != nullptr);
-  ASSERT_GT(streamer.tracker()->variants().size(), 1u);
+  ASSERT_GT(streamer.tracker()->family().variants.size(), 1u);
 
   int reopened = 0, switched = 0;
   for (size_t b = 0; b < replay.batches.size(); ++b) {
@@ -92,12 +91,16 @@ void RunDriftStreamVsScratch(
     EncodedRelation E(t.dirty());
     const DomainStats stats_of_D(t.dirty());
 
-    // Delta-maintained facts == full detection scans on D, constraint by
-    // constraint: violation sets, δ_l/δ_u, hopeless verdicts.
-    std::map<DenialConstraint, VariantFacts> scratch_facts = ScanVariantFacts(
-        t.dirty(), stats_of_D, w.sigma, t.variants(), options.repair, E);
-    for (const auto& [phi, sf] : scratch_facts) {
-      const VariantFacts& tf = t.FactsOf(phi);
+    // Delta-maintained facts == full detection scans on D, family position
+    // by family position: violation sets, δ_l/δ_u, hopeless verdicts.
+    const std::vector<VariantFacts> scratch_facts = ScanVariantFacts(
+        t.dirty(), stats_of_D, t.family(), options.repair, E);
+    ASSERT_EQ(scratch_facts.size(), t.facts().size());
+    ASSERT_EQ(scratch_facts.size(), t.family().constraints.size());
+    for (size_t k = 0; k < scratch_facts.size(); ++k) {
+      SCOPED_TRACE("family position " + std::to_string(k));
+      const VariantFacts& sf = scratch_facts[k];
+      const VariantFacts& tf = t.facts()[k];
       EXPECT_EQ(tf.violations, sf.violations);
       EXPECT_EQ(tf.delta_l, sf.delta_l);
       EXPECT_EQ(tf.delta_u, sf.delta_u);
@@ -109,11 +112,8 @@ void RunDriftStreamVsScratch(
     // (the reopen trigger is what makes skipping the search safe).
     int64_t scratch_fresh = 1000000;  // disjoint from the streamed ids
     VariantSearchResult sr = CVTolerantSearchWithFacts(
-        t.dirty(), stats_of_D, w.sigma, t.variants(),
-        [&scratch_facts](const DenialConstraint& c) -> const VariantFacts& {
-          return scratch_facts.at(c);
-        },
-        options.repair, &scratch_fresh, E);
+        t.dirty(), stats_of_D, t.family(), scratch_facts, options.repair,
+        &scratch_fresh, E);
     ASSERT_TRUE(sr.have_result);
     EXPECT_TRUE(sr.variant == streamer.variant())
         << "held variant diverged from the scratch-optimal choice";

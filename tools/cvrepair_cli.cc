@@ -592,7 +592,7 @@ int RunServeBench(const CliOptions& options, const Relation& data,
     return 2;
   }
   ThreadPool::SetNumThreads(options.threads);
-  if (options.profile) Tracer::SetEnabled(true);
+  if (!options.trace_out.empty() || options.profile) Tracer::SetEnabled(true);
 
   ServeOptions serve_options;
   if (!MakeStreamingOptions(options, data.schema(), space,
@@ -692,6 +692,11 @@ int RunServeBench(const CliOptions& options, const Relation& data,
       !WriteMetricsJsonFile(options.metrics_out,
                             MetricsRegistry::Global().SnapshotWork())) {
     std::cerr << "cannot write " << options.metrics_out << "\n";
+    return 1;
+  }
+  if (!options.trace_out.empty() &&
+      !Tracer::WriteChromeTrace(options.trace_out)) {
+    std::cerr << "cannot write " << options.trace_out << "\n";
     return 1;
   }
   if (options.show_constraints) {
