@@ -1,7 +1,6 @@
 // Microbenchmarks (google-benchmark) for the core operations: violation
 // detection, vertex-cover heuristics (the cover ablation of DESIGN.md),
-// variant enumeration, suspect detection, and component solving — plus a
-// serial-vs-parallel scaling section appended to BENCH_parallel.json.
+// variant enumeration, suspect detection, and component solving.
 #include <benchmark/benchmark.h>
 
 #include "bench_util.h"
@@ -160,43 +159,10 @@ void WriteCoreOpsMetrics() {
     config.num_rows = 200;
     CensusData census = MakeCensus(config);
     FindViolations(census.clean, census.given);
-    VfreeOptions options;
-    options.threads = 1;
     RepairResult repair =
-        VfreeRepair(env.noisy.dirty, env.hosp.given_oversimplified, options);
+        VfreeRepair(env.noisy.dirty, env.hosp.given_oversimplified);
     PublishRepairStats(repair.stats);
   });
-}
-
-// Serial-vs-parallel wall-clock points for the three parallelized hot
-// paths, appended to BENCH_parallel.json as JSON lines.
-void ReportParallelScaling() {
-  using bench::BenchJsonWriter;
-  using bench::TimeAcrossThreads;
-
-  std::cout << "\nthread scaling:\n";
-  BenchJsonWriter json("BENCH_parallel.json");
-
-  // O(n^2) order-DC scan (the no-join row-range shards).
-  CensusConfig census_config;
-  census_config.num_rows = 1500;
-  CensusData census = MakeCensus(census_config);
-  TimeAcrossThreads("micro_violations_order_dc", {1, 2, 4}, &json,
-                    [&](int) {
-                      benchmark::DoNotOptimize(
-                          FindViolations(census.clean, census.given));
-                    });
-
-  // Full violation-free repair (parallel per-component solving).
-  HospEnv& env = Env();
-  TimeAcrossThreads("micro_vfree_repair", {1, 2, 4}, &json,
-                    [&](int threads) {
-                      VfreeOptions options;
-                      options.threads = threads;
-                      benchmark::DoNotOptimize(VfreeRepair(
-                          env.noisy.dirty, env.hosp.given_oversimplified,
-                          options));
-                    });
 }
 
 }  // namespace
@@ -209,6 +175,5 @@ int main(int argc, char** argv) {
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
-  cvrepair::ReportParallelScaling();
   return 0;
 }

@@ -182,26 +182,18 @@ int main() {
   }
   if (MetricsOnly()) return 0;
 
-  // ---- Wall clock: the undecomposed giant-component solve is a serial
-  // bottleneck; decomposition restores thread-pool parallelism.
-  for (int threads : {1, 4}) {
-    for (bool decompose : {false, true}) {
-      ThreadPool::SetNumThreads(threads);
-      double best = 0.0;
-      for (int rep = 0; rep < 3; ++rep) {
-        VfreeOptions options = DenseVfreeOptions(decompose);
-        options.threads = threads;
-        WallTimer timer;
-        VfreeRepair(dense.dirty, dense.sigma, options);
-        double ms = timer.ElapsedMs();
-        if (rep == 0 || ms < best) best = ms;
-      }
-      const char* mode = decompose ? "decomposed" : "monolithic";
-      std::cout << "dense_errors/" << mode << "  threads=" << threads
-                << "  ms=" << best << "\n";
-      json.Record(std::string("dense_errors/") + mode, threads, best);
+  // ---- Wall clock of the monolithic and the decomposed solve.
+  for (bool decompose : {false, true}) {
+    double best = 0.0;
+    for (int rep = 0; rep < 3; ++rep) {
+      WallTimer timer;
+      VfreeRepair(dense.dirty, dense.sigma, DenseVfreeOptions(decompose));
+      double ms = timer.ElapsedMs();
+      if (rep == 0 || ms < best) best = ms;
     }
+    const char* mode = decompose ? "decomposed" : "monolithic";
+    std::cout << "dense_errors/" << mode << "  threads=1  ms=" << best << "\n";
+    json.Record(std::string("dense_errors/") + mode, 1, best);
   }
-  ThreadPool::SetNumThreads(1);
   return 0;
 }

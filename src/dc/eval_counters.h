@@ -72,11 +72,12 @@ void Add(const EvalCounters& delta);
 
 /// Flushes a finished capped scan's counts. Truncated scans contribute
 /// only `truncated_scans` (their eval counts are discarded): how much a
-/// scan over-scans past its cap depends on how it was sharded, so keeping
-/// those evals would make the totals vary with --threads. Whether the scan
-/// truncates does *not* depend on sharding (the cap-th surplus violation
-/// either exists or not), so what remains is a deterministic function of
-/// the workload — the property the metrics.json CI contract rests on.
+/// sharded scan over-scans past its cap depends on the shard split (the
+/// shared EvalIndex still shards), so keeping those evals would make the
+/// totals vary with --threads. Whether the scan truncates does *not*
+/// depend on sharding (the cap-th surplus violation either exists or not),
+/// so what remains is a deterministic function of the workload — the
+/// property the metrics.json CI contract rests on.
 void AddScan(const EvalCounters& delta, bool truncated);
 
 }  // namespace eval_counters

@@ -16,10 +16,55 @@ namespace cvrepair {
 namespace {
 
 using scan_internal::CodeVecHash;
-using scan_internal::kMinParallelWork;
-using scan_internal::LocalCap;
-using scan_internal::MergeShards;
-using scan_internal::ShardResult;
+
+// Minimum number of candidate checks (rows or pairs) before an index scan
+// fans out to the pool; below this the shard bookkeeping costs more than
+// the scan.
+constexpr int64_t kMinParallelWork = 1 << 13;
+
+// Output of one shard of a partitioned scan. Shards collect at most
+// cap + 1 violations each: the merge keeps the first `cap` in shard order,
+// and any surplus anywhere proves the (cap+1)-th violation exists, which
+// is exactly the serial `truncated` condition. Eval counters stay in the
+// shard (not flushed from inside the ParallelFor body): whether they count
+// at all depends on the truncation verdict, which only the merge knows.
+struct ShardResult {
+  std::vector<Violation> found;
+  EvalCounters counters;
+};
+
+int64_t LocalCap(int64_t cap) {
+  return cap == std::numeric_limits<int64_t>::max() ? cap : cap + 1;
+}
+
+// Concatenates shard outputs in shard order, trimming to `cap`. Produces
+// bit-identical output to the serial scan the shards were split from: the
+// shards cover the serial iteration order in contiguous, in-order pieces.
+// `truncated` flips exactly when the serial scan would have flipped it —
+// total > cap means a (cap+1)-th violation exists; total == cap means the
+// scan finished exactly at the cap and is complete. Shard counters are
+// flushed here through the same truncation gate as the serial scans
+// (eval_counters::AddScan), so the process totals cannot depend on how
+// far individual shards over-scanned.
+void MergeShards(std::vector<ShardResult>& shards, int64_t cap,
+                 std::vector<Violation>* out, bool* truncated) {
+  int64_t total = 0;
+  EvalCounters summed;
+  for (const ShardResult& s : shards) {
+    total += static_cast<int64_t>(s.found.size());
+    summed += s.counters;
+  }
+  bool hit_cap = total > cap;
+  eval_counters::AddScan(summed, hit_cap);
+  if (truncated && hit_cap) *truncated = true;
+  out->reserve(out->size() + static_cast<size_t>(std::min(total, cap)));
+  for (ShardResult& s : shards) {
+    for (Violation& v : s.found) {
+      if (static_cast<int64_t>(out->size()) >= cap) return;
+      out->push_back(std::move(v));
+    }
+  }
+}
 
 bool IsPartitionPredicate(const Predicate& p) {
   return !p.has_constant() && p.op() == Op::kEq &&
@@ -560,9 +605,10 @@ std::vector<Violation> EvalIndex::FindViolationsCapped(
   }
   const Partition& part = part_it->second;
 
-  // From here on the scan mirrors FindPairViolations block for block: same
-  // block order (sorted by first member), same shard split, same local
-  // caps, same merge — only the per-pair verdict comes from the index.
+  // From here on the scan mirrors the detector's join-block scan: same
+  // block order (sorted by first member), same capped prefix — only the
+  // per-pair verdict comes from the index. Shards over contiguous block
+  // ranges merge back into that serial order.
   std::vector<const std::vector<int>*> blocks;
   int64_t work = 0;
   for (const std::vector<int>& members : part.blocks) {

@@ -67,7 +67,8 @@ class EvalIndex {
 
   /// viol(I, variant) with exactly the semantics of
   /// FindViolationsOfCapped: same violation order, same capped prefix,
-  /// same truncated flag, same thread-pool sharding thresholds.
+  /// same truncated flag. Large scans shard over the pool budget and merge
+  /// back into that order.
   std::vector<Violation> FindViolationsCapped(const DenialConstraint& variant,
                                               int constraint_index,
                                               int64_t cap,

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "dc/eval_counters.h"
+#include "dc/predicate_space.h"
 #include "dc/scan_kernels.h"
 
 namespace cvrepair {
@@ -37,16 +38,7 @@ ViolationIndex::ViolationIndex(const Relation& I, const ConstraintSet& sigma,
   violation_epochs_.assign(sigma_.size(), 0);
   for (size_t k = 0; k < sigma_.size(); ++k) {
     if (sigma_[k].NumTupleVars() < 2) continue;
-    for (const Predicate& p : sigma_[k].predicates()) {
-      if (!p.has_constant() && p.op() == Op::kEq &&
-          p.IsSameAttributeAcrossTuples()) {
-        groups_[k].attrs.push_back(p.lhs().attr);
-      }
-    }
-    std::sort(groups_[k].attrs.begin(), groups_[k].attrs.end());
-    groups_[k].attrs.erase(
-        std::unique(groups_[k].attrs.begin(), groups_[k].attrs.end()),
-        groups_[k].attrs.end());
+    groups_[k].attrs = EqualityJoinAttrs(sigma_[k].predicates());
     for (int i = 0; i < relation_.num_rows(); ++i) GroupInsert(k, i);
   }
   for (size_t k = 0; k < sigma_.size(); ++k) {

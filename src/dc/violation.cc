@@ -10,7 +10,6 @@
 #include "dc/scan_internal.h"
 #include "dc/scan_kernels.h"
 #include "relation/encoded.h"
-#include "util/thread_pool.h"
 #include "util/trace.h"
 
 namespace cvrepair {
@@ -18,10 +17,6 @@ namespace cvrepair {
 namespace {
 
 using scan_internal::CodeVecHash;
-using scan_internal::kMinParallelWork;
-using scan_internal::LocalCap;
-using scan_internal::MergeShards;
-using scan_internal::ShardResult;
 
 // =====================================================================
 // Block-vectorized scans over the dictionary-coded columns
@@ -36,11 +31,10 @@ using scan_internal::ShardResult;
 //     and only surviving lanes reach the scalar short-circuit tail;
 //   * per-row lifting: 2-tuple predicates binding only the fixed tuple
 //     are evaluated once per outer row instead of once per pair.
-// Counter discipline: upfront zone consults (skip vectors computed
-// before sharding) flush immediately — they are thread-invariant by
-// construction; in-shard consults and kernel lane counts ride the
-// ShardResult through the AddScan truncation gate like every other
-// scan counter, so totals never depend on --threads.
+// Counter discipline: upfront zone consults (the skip vectors) flush
+// immediately; in-scan consults and kernel lane counts go through the
+// AddScan truncation gate like every other scan counter, so a scan cut
+// short by its cap publishes only eval.truncated_scans.
 // =====================================================================
 
 // Counted scalar evaluation of one compiled predicate.
@@ -103,7 +97,6 @@ void ScanRowsBlocked(const EncodedRelation& E, const EncodedConstraintEval& ev,
                      bool* truncated) {
   TraceSpan span("scan/rows");
   const std::vector<EncodedPredicateEval>& preds = ev.predicate_evals();
-  int n = E.num_rows();
   int nb = E.num_blocks();
 
   std::vector<ZonePred> zone;
@@ -123,71 +116,37 @@ void ScanRowsBlocked(const EncodedRelation& E, const EncodedConstraintEval& ev,
     lead_bp = scan_kernels::CompileConstant(preds[0].op(), preds[0].bounds());
   }
 
-  // Returns false when `found` hit `block_cap` (the caller stops).
-  auto scan_block = [&](int b, int64_t block_cap, std::vector<int>* rows,
-                        std::vector<Violation>* found, EvalCounters* local,
-                        uint64_t* bitmap) {
-    if (skip[static_cast<size_t>(b)]) return true;
+  std::vector<int> rows(1);
+  uint64_t bitmap[EncodedRelation::kBlockSize / 64];
+  EvalCounters local;
+  for (int b = 0; b < nb; ++b) {
+    if (skip[static_cast<size_t>(b)]) continue;
     int begin = b << EncodedRelation::kBlockShift;
     int rows_in = E.block_rows(b);
     const uint64_t* sel = nullptr;
     if (lead) {
       scan_kernels::EvalBlock(lead_bp, E.block_codes(preds[0].lhs_attr(), b),
                               rows_in, preds[0].ranks(), bitmap);
-      local->code_predicate_evals += rows_in;
+      local.code_predicate_evals += rows_in;
       sel = bitmap;
     }
     for (int x = 0; x < rows_in; ++x) {
       if (sel && !TestBit(sel, x)) continue;
-      (*rows)[0] = begin + x;
+      rows[0] = begin + x;
       bool violated = true;
       for (size_t pi = lead ? 1 : 0; pi < preds.size(); ++pi) {
-        if (!EvalPredCounted(preds[pi], *rows, local)) {
+        if (!EvalPredCounted(preds[pi], rows, &local)) {
           violated = false;
           break;
         }
       }
-      if (violated) {
-        if (static_cast<int64_t>(found->size()) >= block_cap) return false;
-        found->push_back({index, *rows});
+      if (!violated) continue;
+      if (static_cast<int64_t>(out->size()) >= cap) {
+        if (truncated) *truncated = true;
+        eval_counters::AddScan(local, /*truncated=*/true);
+        return;
       }
-    }
-    return true;
-  };
-
-  int threads = ThreadPool::EffectiveThreads();
-  if (threads > 1 && n >= kMinParallelWork && nb > 1) {
-    int64_t num_shards =
-        std::min<int64_t>(nb, static_cast<int64_t>(threads) * 4);
-    span.AddArg("shards", num_shards);
-    std::vector<ShardResult> results(static_cast<size_t>(num_shards));
-    int64_t local_cap = LocalCap(cap);
-    int64_t per = nb / num_shards;
-    int64_t extra = nb % num_shards;
-    ThreadPool::ParallelFor(num_shards, [&](int64_t s) {
-      int64_t begin = s * per + std::min(s, extra);
-      int64_t end = begin + per + (s < extra ? 1 : 0);
-      std::vector<int> rows(1);
-      uint64_t bitmap[EncodedRelation::kBlockSize / 64];
-      ShardResult& result = results[static_cast<size_t>(s)];
-      for (int b = static_cast<int>(begin); b < static_cast<int>(end); ++b) {
-        if (!scan_block(b, local_cap, &rows, &result.found, &result.counters,
-                        bitmap)) {
-          return;
-        }
-      }
-    });
-    MergeShards(results, cap, out, truncated);
-    return;
-  }
-  std::vector<int> rows(1);
-  uint64_t bitmap[EncodedRelation::kBlockSize / 64];
-  EvalCounters local;
-  for (int b = 0; b < nb; ++b) {
-    if (!scan_block(b, cap, &rows, out, &local, bitmap)) {
-      if (truncated) *truncated = true;
-      eval_counters::AddScan(local, /*truncated=*/true);
-      return;
+      out->push_back({index, rows});
     }
   }
   eval_counters::AddScan(local, /*truncated=*/false);
@@ -197,7 +156,7 @@ void ScanRowsBlocked(const EncodedRelation& E, const EncodedConstraintEval& ev,
 // blocked: upfront skip vectors over the outer (t0 constants) and inner
 // (t1 constants) blocks, a per-(outer row, inner block) probe consult for
 // same-attribute predicates, and a lead kernel over each surviving inner
-// block. Shards are contiguous ranges of the outer row i.
+// block.
 void ScanAllPairsBlocked(const EncodedRelation& E,
                          const EncodedConstraintEval& ev, int index,
                          std::vector<Violation>* out, int64_t cap,
@@ -263,22 +222,23 @@ void ScanAllPairsBlocked(const EncodedRelation& E,
     lead_const = scan_kernels::CompileConstant(lp.op(), lp.bounds());
   }
 
-  // One outer row against every inner block. Returns false when `found`
-  // hit `local_cap`.
-  auto scan_outer = [&](int i, int64_t local_cap, std::vector<int>* rows,
-                        std::vector<Violation>* found, EvalCounters* local,
-                        std::vector<scan_kernels::BlockPredicate>* pbuf,
-                        uint64_t* bitmap) {
+  std::vector<int> rows(2);
+  std::vector<scan_kernels::BlockPredicate> pbuf;
+  uint64_t bitmap[EncodedRelation::kBlockSize / 64];
+  EvalCounters local;
+  // One outer row against every inner block. Returns false when `out` hit
+  // `cap`.
+  auto scan_outer = [&](int i) {
     if (skip_i[static_cast<size_t>(i >> EncodedRelation::kBlockShift)]) {
       return true;
     }
-    (*rows)[0] = i;
+    rows[0] = i;
     for (size_t pi : lift) {
-      if (!EvalPredCounted(preds[pi], *rows, local)) return true;
+      if (!EvalPredCounted(preds[pi], rows, &local)) return true;
     }
-    pbuf->clear();
+    pbuf.clear();
     for (const Probe& pr : probes) {
-      pbuf->push_back(scan_kernels::CompileProbe(
+      pbuf.push_back(scan_kernels::CompileProbe(
           pr.op, pr.fixed_is_lhs, E.code(i, pr.attr), pr.ranks));
     }
     const scan_kernels::BlockPredicate* lead_bp = nullptr;
@@ -288,7 +248,7 @@ void ScanAllPairsBlocked(const EncodedRelation& E,
       } else {
         for (size_t s = 0; s < probes.size(); ++s) {
           if (probes[s].pi == static_cast<size_t>(lead)) {
-            lead_bp = &(*pbuf)[s];
+            lead_bp = &pbuf[s];
             break;
           }
         }
@@ -300,7 +260,7 @@ void ScanAllPairsBlocked(const EncodedRelation& E,
       if (!probes.empty()) {
         bool may = true;
         for (size_t s = 0; s < probes.size(); ++s) {
-          if (!scan_kernels::MayMatch((*pbuf)[s],
+          if (!scan_kernels::MayMatch(pbuf[s],
                                       E.block_meta(probes[s].attr, b),
                                       probes[s].ranks)) {
             may = false;
@@ -308,9 +268,9 @@ void ScanAllPairsBlocked(const EncodedRelation& E,
           }
         }
         if (may) {
-          ++local->blocks_scanned;
+          ++local.blocks_scanned;
         } else {
-          ++local->blocks_skipped;
+          ++local.blocks_skipped;
           continue;
         }
       }
@@ -319,7 +279,7 @@ void ScanAllPairsBlocked(const EncodedRelation& E,
         const EncodedPredicateEval& lp = preds[static_cast<size_t>(lead)];
         scan_kernels::EvalBlock(*lead_bp, E.block_codes(lp.lhs_attr(), b),
                                 rows_in, lp.ranks(), bitmap);
-        local->code_predicate_evals += rows_in;
+        local.code_predicate_evals += rows_in;
         sel = bitmap;
       }
       int begin = b << EncodedRelation::kBlockShift;
@@ -327,55 +287,25 @@ void ScanAllPairsBlocked(const EncodedRelation& E,
         if (sel && !TestBit(sel, x)) continue;
         int j = begin + x;
         if (j == i) continue;
-        (*rows)[1] = j;
+        rows[1] = j;
         bool v = true;
         for (size_t pi : rest) {
-          if (!EvalPredCounted(preds[pi], *rows, local)) {
+          if (!EvalPredCounted(preds[pi], rows, &local)) {
             v = false;
             break;
           }
         }
         if (v) {
-          if (static_cast<int64_t>(found->size()) >= local_cap) return false;
-          found->push_back({index, *rows});
+          if (static_cast<int64_t>(out->size()) >= cap) return false;
+          out->push_back({index, rows});
         }
       }
     }
     return true;
   };
 
-  int threads = ThreadPool::EffectiveThreads();
-  if (threads > 1 && static_cast<int64_t>(n) * n >= kMinParallelWork) {
-    int64_t num_shards =
-        std::min<int64_t>(n, static_cast<int64_t>(threads) * 4);
-    span.AddArg("shards", num_shards);
-    std::vector<ShardResult> results(static_cast<size_t>(num_shards));
-    int64_t local_cap = LocalCap(cap);
-    int64_t per = n / num_shards;
-    int64_t extra = n % num_shards;
-    ThreadPool::ParallelFor(num_shards, [&](int64_t s) {
-      int64_t begin = s * per + std::min(s, extra);
-      int64_t end = begin + per + (s < extra ? 1 : 0);
-      std::vector<int> rows(2);
-      std::vector<scan_kernels::BlockPredicate> pbuf;
-      uint64_t bitmap[EncodedRelation::kBlockSize / 64];
-      ShardResult& result = results[static_cast<size_t>(s)];
-      for (int i = static_cast<int>(begin); i < static_cast<int>(end); ++i) {
-        if (!scan_outer(i, local_cap, &rows, &result.found, &result.counters,
-                        &pbuf, bitmap)) {
-          return;
-        }
-      }
-    });
-    MergeShards(results, cap, out, truncated);
-    return;
-  }
-  std::vector<int> rows(2);
-  std::vector<scan_kernels::BlockPredicate> pbuf;
-  uint64_t bitmap[EncodedRelation::kBlockSize / 64];
-  EvalCounters local;
   for (int i = 0; i < n; ++i) {
-    if (!scan_outer(i, cap, &rows, out, &local, &pbuf, bitmap)) {
+    if (!scan_outer(i)) {
       if (truncated) *truncated = true;
       eval_counters::AddScan(local, /*truncated=*/true);
       return;
@@ -630,20 +560,16 @@ std::vector<std::vector<int>> BuildJoinBlocks(const EncodedRelation& E,
 }
 
 // Scans the >=2-member blocks of a join partition in canonical order
-// (blocks sorted by first member, members ascending), sharding contiguous
-// block ranges balanced by pair count when the pool and the work size
-// warrant it. `enumerate` emits each block's violations in (i, j) member
-// order and returns false once `cap` of them have been collected.
+// (blocks sorted by first member, members ascending). `enumerate` emits
+// each block's violations in (i, j) member order and returns false once
+// `cap` of them have been collected.
 void ScanJoinBlocks(std::vector<std::vector<int>>& all_blocks,
                     const BlockedJoinEnumerator& enumerate,
                     std::vector<Violation>* out, int64_t cap,
                     bool* truncated) {
   std::vector<const std::vector<int>*> blocks;
-  int64_t work = 0;
   for (const std::vector<int>& members : all_blocks) {
-    if (members.size() < 2) continue;
-    blocks.push_back(&members);
-    work += static_cast<int64_t>(members.size()) * members.size();
+    if (members.size() >= 2) blocks.push_back(&members);
   }
   // Blocks sorted by first member — a canonical scan order that any other
   // producer of the same partition (e.g. the shared EvalIndex, which
@@ -656,39 +582,6 @@ void ScanJoinBlocks(std::vector<std::vector<int>>& all_blocks,
             });
   TraceSpan span("scan/join_blocks");
   span.AddArg("blocks", static_cast<int64_t>(blocks.size()));
-  int threads = ThreadPool::EffectiveThreads();
-  if (threads > 1 && blocks.size() > 1 && work >= kMinParallelWork) {
-    // Contiguous block ranges balanced by pair count, so one giant block
-    // does not serialize the scan.
-    int64_t num_shards = std::min<int64_t>(
-        static_cast<int64_t>(blocks.size()), static_cast<int64_t>(threads) * 4);
-    std::vector<size_t> shard_begin;
-    int64_t per_shard = (work + num_shards - 1) / num_shards;
-    int64_t acc = 0;
-    for (size_t b = 0; b < blocks.size(); ++b) {
-      if (shard_begin.empty() || acc >= per_shard) {
-        shard_begin.push_back(b);
-        acc = 0;
-      }
-      acc += static_cast<int64_t>(blocks[b]->size()) * blocks[b]->size();
-    }
-    shard_begin.push_back(blocks.size());
-    size_t shards = shard_begin.size() - 1;
-    span.AddArg("shards", static_cast<int64_t>(shards));
-    std::vector<ShardResult> results(shards);
-    int64_t local_cap = LocalCap(cap);
-    ThreadPool::ParallelFor(static_cast<int64_t>(shards), [&](int64_t s) {
-      std::vector<int> rows(2);
-      for (size_t b = shard_begin[s]; b < shard_begin[s + 1]; ++b) {
-        if (!enumerate(*blocks[b], local_cap, &rows, &results[s].found,
-                       &results[s].counters)) {
-          break;
-        }
-      }
-    });
-    MergeShards(results, cap, out, truncated);
-    return;
-  }
   std::vector<int> rows(2);
   EvalCounters local;
   for (const std::vector<int>* members : blocks) {
@@ -995,16 +888,7 @@ void ForEachSuspect(const EncodedRelation& E, const ConstraintSet& sigma,
     // pair must agree on every equality attribute whose cells are outside
     // C, so partner candidates shrink to the row's hash group plus the
     // rows owning a changing cell on a join attribute.
-    std::vector<AttrId> eq_attrs;
-    for (const Predicate& p : c.predicates()) {
-      if (!p.has_constant() && p.op() == Op::kEq &&
-          p.IsSameAttributeAcrossTuples()) {
-        eq_attrs.push_back(p.lhs().attr);
-      }
-    }
-    std::sort(eq_attrs.begin(), eq_attrs.end());
-    eq_attrs.erase(std::unique(eq_attrs.begin(), eq_attrs.end()),
-                   eq_attrs.end());
+    const std::vector<AttrId> eq_attrs = EqualityJoinAttrs(c.predicates());
 
     rows.resize(2);
     auto check_pair = [&](int r, int j) {

@@ -45,10 +45,9 @@ std::vector<Cell> ViolationCells(const DenialConstraint& constraint,
 /// those attributes, so FD-style constraints cost roughly
 /// O(|I| + Σ_blocks |block|²) instead of O(|I|²).
 ///
-/// Large scans are sharded across the ThreadPool budget (block ranges for
-/// 1-tuple DCs, outer-row ranges for the no-join pair scan, partition-block
-/// ranges for FD-style DCs); shard results are merged in shard order, so
-/// the output — order included — is bit-identical at any thread count.
+/// Every scan is serial: the thread pool runs only Algorithm 1's outer
+/// loops, which call these scans (repair/cvtolerant.h). The output, order
+/// included, depends on the instance and Σ alone.
 std::vector<Violation> FindViolations(const EncodedRelation& E,
                                       const ConstraintSet& sigma);
 
@@ -61,9 +60,8 @@ std::vector<Violation> FindViolationsOf(const EncodedRelation& E,
 /// Like FindViolationsOf, but stops once `max_violations` have been
 /// collected, setting *truncated. Used to abandon hopeless constraint
 /// variants early (a variant violated quadratically often can never carry
-/// the minimum repair). Under sharding each shard collects up to cap+1
-/// hits and the in-order merge trims to the cap, reproducing exactly the
-/// serial prefix and truncated flag.
+/// the minimum repair). The result is the first `max_violations` of
+/// FindViolationsOf's order.
 std::vector<Violation> FindViolationsOfCapped(
     const EncodedRelation& E, const DenialConstraint& constraint,
     int constraint_index, int64_t max_violations, bool* truncated);

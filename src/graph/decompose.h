@@ -3,8 +3,8 @@
 
 // Topology-aware decomposition of giant conflict components (DESIGN.md
 // §12). On dense error patterns the conflict hypergraph collapses into one
-// huge component and the per-component parallelism degenerates to a single
-// serial CSP solve. This layer sits between hypergraph construction and
+// huge component and the repair round into one oversized CSP solve. This
+// layer sits between hypergraph construction and
 // component solving: per-vertex entropy/density scores order the
 // vertex-cover seed (CoverHeuristic::kEntropyDensity), and SplitComponent
 // cuts an oversized component at low-density articulation vertices into

@@ -75,7 +75,6 @@ namespace cvrepair {
 
 class Predicate;
 class DenialConstraint;
-struct EvalCounters;
 
 /// Integer code of one cell under its attribute's dictionary.
 using Code = int32_t;
@@ -363,8 +362,6 @@ class EncodedConstraintEval {
   }
 
   bool IsViolated(const std::vector<int>& rows) const;
-  /// Counted flavor for the capped scans (mirrors IsViolatedCounted).
-  bool IsViolated(const std::vector<int>& rows, EvalCounters* local) const;
 
  private:
   const DenialConstraint* c_ = nullptr;

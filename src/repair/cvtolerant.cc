@@ -16,14 +16,6 @@ namespace cvrepair {
 
 namespace {
 
-// The data-repair engine inherits the repair-level thread budget unless it
-// was given its own.
-VfreeOptions EngineOptions(const CVTolerantOptions& options) {
-  VfreeOptions vfree = options.vfree;
-  if (vfree.threads == 0) vfree.threads = options.threads;
-  return vfree;
-}
-
 // Speculative work of the candidate search: plans built ahead of their
 // replay, and plans dropped because their candidate became bound-pruned
 // first. Both depend on the thread count, hence kRuntime.
@@ -54,13 +46,13 @@ std::vector<Violation> UnionViolations(const std::vector<int>& members,
   return violations;
 }
 
-// The cost of I with `scoped` applied, under the update or hybrid strategy:
-// the terms RepairCost and StrategyRepairCost add over the whole repaired
-// instance, in the same (row, attr) order, without building it. A cell the
-// repair leaves unchanged adds +0.0 there, which leaves the sum bit for bit
-// as it is, so only the assigned cells are visited; under hybrid a
-// tombstoned row adds its deletion weight instead of its cells. The
-// assignments hold each cell at most once (components share no cells).
+// The cost of I with `scoped` applied: the terms StrategyRepairCost adds
+// over the whole repaired instance, in the same (row, attr) order, without
+// building it. A cell the repair leaves unchanged adds +0.0 there, which
+// leaves the sum bit for bit as it is, so only the assigned cells are
+// visited; under the delete and hybrid strategies a tombstoned row adds its
+// deletion weight instead of its cells. The assignments hold each cell at
+// most once (components share no cells, a subset cover deletes a row once).
 double ScopedRepairCost(const Relation& I, const DomainStats& stats_of_I,
                         const ScopedRepair& scoped,
                         const VfreeOptions& options) {
@@ -72,7 +64,7 @@ double ScopedRepairCost(const Relation& I, const DomainStats& stats_of_I,
             [](const Assignment* x, const Assignment* y) {
               return x->first < y->first;
             });
-  const bool hybrid = options.strategy == RepairStrategy::kHybrid;
+  const bool deletes = options.strategy != RepairStrategy::kUpdate;
   double total = 0.0;
   size_t begin = 0;
   while (begin < order.size()) {
@@ -81,7 +73,7 @@ double ScopedRepairCost(const Relation& I, const DomainStats& stats_of_I,
     while (end < order.size() && order[end]->first.row == row) ++end;
     // RowDeleted(I, repaired, row): not all NULL before, all NULL after.
     bool deleted = false;
-    if (hybrid) {
+    if (deletes) {
       bool was_all_null = true;
       bool all_null = true;
       size_t next = begin;
@@ -124,7 +116,7 @@ VariantFamily EnumerateVariants(const Relation& I, const ConstraintSet& sigma,
   std::vector<SigmaVariant> variants =
       GenerateSigmaVariants(sigma, I.schema(), gen, &gen_stats);
   VariantFamily family(sigma, std::move(variants),
-                       gen_stats.pruned_nonmaximal);
+                       gen_stats.pruned_nonmaximal, gen_stats.capped);
   span.AddArg("variants", static_cast<int64_t>(family.variants.size()));
   return family;
 }
@@ -155,9 +147,9 @@ std::optional<ScopedRepair> CVTolerantResolveComponents(
   TraceSpan span("cvtolerant/resolve_components");
   span.AddArg("violations", static_cast<int64_t>(violations.size()));
   return SolveDirtyComponents(I, stats_of_I, frozen_variant,
-                              std::move(violations), delta_min,
-                              EngineOptions(options), /*cache=*/nullptr,
-                              stats, fresh_counter, encoded);
+                              std::move(violations), delta_min, options.vfree,
+                              /*cache=*/nullptr, stats, fresh_counter,
+                              encoded);
 }
 
 int64_t ViolationCap(const CVTolerantOptions& options, int num_rows) {
@@ -214,7 +206,7 @@ std::vector<VariantFacts> ScanVariantFacts(const Relation& I,
   // Facts are pure per-constraint functions of I, so the distinct
   // constraints are scanned in parallel under the thread budget (serially,
   // inline and in the same order, at one thread); each worker fills its own
-  // slot.
+  // slot, and each scan is serial.
   std::vector<VariantFacts> facts(constraints.size());
   ThreadPool::ParallelFor(
       static_cast<int64_t>(constraints.size()),
@@ -244,7 +236,7 @@ VariantSearchResult CVTolerantSearchWithFacts(
   result.abort_bounds.assign(variants.size(),
                              std::numeric_limits<double>::quiet_NaN());
 
-  const VfreeOptions vfree_options = EngineOptions(options);
+  const VfreeOptions& vfree_options = options.vfree;
   const CostModel& cost = vfree_options.cost;
   // Every lookup is a δ-bound reuse: facts are computed once per distinct
   // constraint, before the search.
@@ -414,11 +406,7 @@ VariantSearchResult CVTolerantSearchWithFacts(
           result.abort_bounds[c.index] = abort_at;
           continue;
         }
-        // The candidate's cost under the active strategy: a subset
-        // repair's scoped cost is its summed deletion weights.
-        delta = vfree_options.strategy == RepairStrategy::kDelete
-                    ? scoped->cost
-                    : ScopedRepairCost(I, stats_of_I, *scoped, vfree_options);
+        delta = ScopedRepairCost(I, stats_of_I, *scoped, vfree_options);
       } else {
         // CVtolerant+Holistic (Figure 5): the multi-round Holistic engine
         // repairs the candidate, without sharing or the cost abort.
@@ -474,7 +462,7 @@ RepairResult CVTolerantRepairWithFacts(
     const CVTolerantOptions& options, int64_t* fresh_counter,
     const EncodedRelation& encoded, const RepairRunStart& start,
     VariantSearchResult* search) {
-  const VfreeOptions vfree_options = EngineOptions(options);
+  const VfreeOptions& vfree_options = options.vfree;
   const ConstraintSet& sigma = family.sigma;
   RepairResult result;
   VariantSearchResult found =
@@ -482,6 +470,7 @@ RepairResult CVTolerantRepairWithFacts(
                                 fresh_counter, encoded, &result.stats);
   if (options.use_vfree) result.stats.rounds = 1;
   result.stats.variants_pruned_nonmaximal = family.pruned_nonmaximal;
+  result.stats.variants_capped = family.capped;
   result.satisfied_constraints = sigma;
   if (found.have_result) {
     result.repaired = std::move(found.repaired);

@@ -40,11 +40,11 @@ struct CVTolerantOptions {
   /// disables the cap.
   double max_violations_per_tuple = 50.0;
   /// Thread budget for this repair: 0 = the global ThreadPool setting,
-  /// 1 = serial, N = up to N threads. It bounds the parallel fact scans
-  /// and the candidate search's speculation window — up to
-  /// ThreadPool::EffectiveThreads(threads) candidates are planned at once
-  /// (DESIGN.md §7) — and is propagated to the Vfree engine's component
-  /// solve when `vfree.threads` is 0. Every thread count yields
+  /// 1 = serial, N = up to N threads. It bounds Algorithm 1's two parallel
+  /// loops (DESIGN.md §7): the fact scans, one distinct constraint per
+  /// iteration, and the candidate search's speculation window, where up to
+  /// ThreadPool::EffectiveThreads(threads) candidates are planned at once.
+  /// Everything inside those loops runs serially. Every thread count yields
   /// bit-identical RepairResults, RepairStats and work counters; only
   /// wall-clock time changes.
   int threads = 0;
@@ -83,11 +83,11 @@ VariantFamily EnumerateVariants(const Relation& I, const ConstraintSet& sigma,
 /// from those violations are repaired, each solved afresh: one round
 /// looks every component up once, so a materialized-solution cache could
 /// never hit (DESIGN.md §9). `fresh_counter` persists across calls so
-/// fresh ids stay globally unique; `encoded` must mirror `I`. Derives the
-/// engine options (threads) from `options` exactly as CVTolerantRepair
-/// does, so a scoped re-solve is bit-identical to the candidate solve the
-/// full pipeline would run on the same violations. Returns std::nullopt
-/// only on a delta_min abort (never with the default +inf bound).
+/// fresh ids stay globally unique; `encoded` must mirror `I`. Solves under
+/// options.vfree, as CVTolerantRepair's candidate solves do, so a scoped
+/// re-solve is bit-identical to the candidate solve the full pipeline would
+/// run on the same violations. Returns std::nullopt only on a delta_min
+/// abort (never with the default +inf bound).
 std::optional<ScopedRepair> CVTolerantResolveComponents(
     const Relation& I, const DomainStats& stats_of_I,
     const ConstraintSet& frozen_variant, std::vector<Violation> violations,
@@ -151,9 +151,11 @@ struct VariantSearchResult {
 /// `have_result` is false when every candidate was pruned or aborted, and
 /// the caller decides (CVTolerantRepairWithFacts falls back; a streaming
 /// reopen keeps its incumbent). Suspect scans run on `encoded`, the mirror
-/// of I, and `stats_of_I` must be the DomainStats of I. A Vfree candidate
-/// is priced from its ScopedRepair, and only the incumbent's is applied to
-/// a copy of I, once the loop ends. `stats` (optional) accumulates the
+/// of I, and `stats_of_I` must be the DomainStats of I. A Vfree or subset
+/// candidate is priced from its ScopedRepair, to the bit what
+/// StrategyRepairCost gives for the repaired instance, and only the
+/// incumbent's is applied to a copy of I, once the loop ends. `stats`
+/// (optional) accumulates the
 /// DataRepair counters of every candidate solve and receives the search's
 /// own: initial violations of Σ, variants, hopeless and pruned, DataRepair
 /// calls, cache hits, and δ-bound lookups.

@@ -19,8 +19,9 @@ std::string RepairStats::ToString() const {
        << " giant_cells=" << giant_component_cells;
   }
   if (variants_enumerated > 0) {
-    os << " variants=" << variants_enumerated
-       << " pruned_bounds=" << variants_pruned_bounds
+    os << " variants=" << variants_enumerated;
+    if (variants_capped) os << " variants_capped=1";
+    os << " pruned_bounds=" << variants_pruned_bounds
        << " datarepair_calls=" << datarepair_calls
        << " partition_builds=" << index_partition_builds
        << " predicate_evals=" << index_predicate_evals

@@ -36,6 +36,9 @@ struct RepairStats {
   // Constraint-variation counters (CVTolerant only).
   int variants_enumerated = 0;      ///< |D| after generation
   int variants_pruned_nonmaximal = 0;
+  /// The generator's variant cap cut D short (VariantFamily::capped).
+  /// Reported, not published to the metrics registry.
+  bool variants_capped = false;
   /// Skipped without a DataRepair call: hopeless (variants_hopeless) or
   /// bound-pruned by delta_l > delta_min. The variants a spent
   /// max_datarepair_calls budget cut are enumerated - pruned - calls.

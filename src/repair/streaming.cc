@@ -327,8 +327,13 @@ StreamBatchResult StreamingRepairer::ApplyBatch(
 constexpr double kReopenMargin = 1e-9;
 
 void StreamingRepairer::MaybeReopen(StreamBatchResult* out) {
-  const CostModel& cost = options_.repair.vfree.cost;
-  realized_cost_ = RepairCost(tracker_->dirty(), index_->relation(), cost);
+  // Priced under the active strategy, like the initial repair's cost and
+  // the rivals' recorded solved costs: a tombstoned row at its deletion
+  // weight over the DomainStats of D.
+  const VfreeOptions& vfree = options_.repair.vfree;
+  realized_cost_ =
+      StrategyRepairCost(tracker_->dirty(), index_->relation(), vfree.cost,
+                         vfree.strategy, vfree.subset, tracker_->stats());
   out->realized_cost = realized_cost_;
   out->rival_bound = tracker_->BestRivalBound(variant_);
   // Skip only when every rival bound clears realized + margin: any bound

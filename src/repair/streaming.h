@@ -31,7 +31,8 @@ namespace cvrepair {
 struct StreamingOptions {
   /// Configuration of the initial whole-instance repair (which chooses the
   /// variant) and of every per-batch component re-solve — threads, cost
-  /// model, solver budgets all come from here.
+  /// model, solver budgets all come from here. Only the initial repair and
+  /// variant reopens use threads; a batch re-solve is serial.
   CVTolerantOptions repair;
   /// Unfreeze Σ': track per-variant cost bounds across batches and re-open
   /// the variant search when a rival's lower bound reaches the incumbent's
@@ -57,7 +58,9 @@ struct StreamBatchResult {
   bool reopened = false;          ///< the variant search ran this batch
   bool variant_switched = false;  ///< ... and adopted a different Σ'
   int bound_updates = 0;          ///< per-constraint δ bound recomputations
-  double realized_cost = 0.0;     ///< Δ(dirty, current) after the batch
+  /// Δ(dirty, current) after the batch, priced under the run's strategy
+  /// (StrategyRepairCost).
+  double realized_cost = 0.0;
   double rival_bound = 0.0;       ///< best rival lower bound after the batch
   double elapsed_seconds = 0.0;
 };
@@ -176,7 +179,8 @@ class StreamingRepairer {
   const StreamTotals& totals() const { return totals_; }
   /// The bound tracker, or nullptr unless reopen_variants.
   const VariantTracker* tracker() const { return tracker_.get(); }
-  /// Δ(dirty, current) under the run's cost model (reopen_variants only).
+  /// Δ(dirty, current) under the run's cost model and strategy
+  /// (StrategyRepairCost; reopen_variants only).
   double realized_cost() const { return realized_cost_; }
   /// True iff the index holds no violation — the invariant ApplyBatch
   /// re-establishes after every batch.

@@ -14,7 +14,6 @@
 #include "solver/components.h"
 #include "solver/repair_context.h"
 #include "util/metrics.h"
-#include "util/thread_pool.h"
 #include "util/trace.h"
 
 namespace cvrepair {
@@ -41,8 +40,7 @@ MetricCounter* GiantCellsCounter() {
   return c;
 }
 // CSP work actually spent (cache hits excluded): the per-component eval
-// count is computed by Solve and carried in the solution, so the serial
-// replay can publish it no matter which thread ran the solve.
+// count is computed by Solve and carried in the solution.
 MetricCounter* CspEvalsCounter() {
   static MetricCounter* c =
       MetricsRegistry::Global().GetCounter("solve.csp_atom_evals");
@@ -57,8 +55,7 @@ MetricCounter* OversizedCellsCounter() {
   return c;
 }
 // Interval bound-tightenings spent by the numeric propagation passes
-// (solver/interval.h) — carried per component like atom_evals, so the
-// serial replay publishes a thread-count-invariant total.
+// (solver/interval.h), carried per component like atom_evals.
 MetricCounter* IntervalNarrowCounter() {
   static MetricCounter* c =
       MetricsRegistry::Global().GetCounter("solve.interval_narrowings");
@@ -155,10 +152,9 @@ ComponentPlan PlanComponents(const ConstraintSet& sigma,
       encoded, sigma, changing, &plan.suspects, &plan.zone_counts));
   span.AddArg("suspects", plan.suspects);
 
-  // Topology-aware decomposition (DESIGN.md §12): plan the splits before
-  // the presolve so the parallel and the serial paths see the same
-  // flattened work list. The plan is a pure function of the components, so
-  // the solve.* counters stay thread-count invariant.
+  // Topology-aware decomposition (DESIGN.md §12). The split plan is a pure
+  // function of the components, so the solve.* counters the replay
+  // publishes from it stay thread-count invariant.
   if (options.decompose) {
     DecomposeOptions dopts;
     dopts.max_component = options.max_component;
@@ -222,74 +218,26 @@ std::optional<ScopedRepair> ReplayComponents(
   auto is_split = [&](size_t ci) {
     return !plans.empty() && plans[ci].split();
   };
-  // Flattened solve units: each unsplit component, or each part of a split
-  // one (contiguous, starting at unit_of[ci]).
-  std::vector<const Component*> units;
-  std::vector<size_t> unit_of(components.size(), 0);
-  for (size_t ci = 0; ci < components.size(); ++ci) {
-    unit_of[ci] = units.size();
-    if (is_split(ci)) {
-      for (const Component& part : plans[ci].parts) units.push_back(&part);
-    } else {
-      units.push_back(&components[ci]);
-    }
-  }
-
-  // Units share no cells, so they are solved concurrently and the
-  // solutions replayed serially below. Each pre-solve draws fresh ids from
-  // a private counter: the solver's chosen assignment never depends on the
-  // counter's value, and fresh ids are re-minted from the shared counter
-  // during the replay — which also performs the cache lookups/stores in
-  // unit order — so the result is bit-identical to the serial path.
-  // (A pre-solve is wasted when the replay's lookup hits an entry an
-  // earlier round stored; determinism takes precedence over that overlap.)
-  const bool presolve =
-      ThreadPool::EffectiveThreads(options.threads) > 1 && units.size() > 1;
-  std::vector<ComponentSolution> presolved;
-  if (presolve) {
-    TraceSpan span("vfree/presolve_components");
-    presolved.resize(units.size());
-    ThreadPool::ParallelFor(
-        static_cast<int64_t>(units.size()),
-        [&](int64_t i) {
-          TraceSpan solve_span("vfree/solve_component");
-          solve_span.AddArg("component", i);
-          int64_t private_fresh = 1;
-          CspSolver local(I, stats_of_I, options.cost, &private_fresh,
-                          options.solver);
-          presolved[static_cast<size_t>(i)] =
-              local.Solve(*units[static_cast<size_t>(i)]);
-        },
-        options.threads);
-  }
 
   TraceSpan replay_span("vfree/replay_components");
   ScopedRepair result;
   result.components = static_cast<int>(components.size());
-  constexpr size_t kNoUnit = static_cast<size_t>(-1);
-  // One unit's solution via the shared cache/presolve/serial protocol.
-  // `unit` = kNoUnit for stitching merges, which never have a presolve.
-  auto resolve = [&](const Component& comp, size_t unit) {
+  // One component's solution: a hit in the shared cache, or a solve whose
+  // solution is stored for later rounds.
+  auto resolve = [&](const Component& comp) {
     if (cache) {
       if (std::optional<ComponentSolution> hit = cache->Lookup(comp)) {
         if (stats) ++stats->cache_hits;
         return std::move(*hit);
       }
     }
-    ComponentSolution solution;
-    if (presolve && unit != kNoUnit) {
-      solution = std::move(presolved[unit]);
-      // Advance the shared counter exactly as the serial solve would have
-      // (Solve draws one id per fresh assignment).
-      *fresh_counter += solution.fresh_count;
-    } else {
+    ComponentSolution solution = [&] {
       TraceSpan solve_span("vfree/solve_component");
-      solution = solver.Solve(comp);
-    }
+      return solver.Solve(comp);
+    }();
     if (stats) ++stats->solver_calls;
     if (cache) cache->Store(comp, solution);
-    // Work counters, published from the serial replay only so they are
-    // thread-count invariant (the presolve's call set is not).
+    // Work actually spent: cache hits publish nothing.
     CspEvalsCounter()->Add(solution.atom_evals);
     IntervalNarrowCounter()->Add(solution.interval_narrowings);
     FreshFallbackCounter()->Add(solution.fresh_count);
@@ -317,7 +265,7 @@ std::optional<ScopedRepair> ReplayComponents(
   for (size_t ci = 0; ci < components.size(); ++ci) {
     const Component& comp = components[ci];
     if (!is_split(ci)) {
-      ComponentSolution solution = resolve(comp, unit_of[ci]);
+      ComponentSolution solution = resolve(comp);
       if (!emit(comp.cells, solution.values, solution.cost)) {
         return std::nullopt;
       }
@@ -343,7 +291,7 @@ std::optional<ScopedRepair> ReplayComponents(
       part_vars[split.part_of[v]].push_back(v);  // ascending = local id order
     }
     for (size_t p = 0; p < num_parts; ++p) {
-      ComponentSolution psol = resolve(split.parts[p], unit_of[ci] + p);
+      ComponentSolution psol = resolve(split.parts[p]);
       part_cost[p] = psol.cost;
       for (size_t i = 0; i < part_vars[p].size(); ++i) {
         combined[part_vars[p][i]] = psol.values[i];
@@ -392,7 +340,7 @@ std::optional<ScopedRepair> ReplayComponents(
         Component merged = RestrictComponent(comp, vars);
         StitchCounter()->Increment();
         if (stats) ++stats->stitch_merges;
-        ComponentSolution msol = resolve(merged, kNoUnit);
+        ComponentSolution msol = resolve(merged);
         for (size_t i = 0; i < vars.size(); ++i) {
           const int v = vars[i];
           if (live[cur_part[v]] && cur_part[v] != static_cast<int>(root)) {
@@ -485,13 +433,9 @@ RepairResult VfreeRepair(const Relation& I, const ConstraintSet& sigma,
     result.repaired.SetValue(cell, std::move(value));
   }
   result.stats.changed_cells = ChangedCellCount(I, result.repaired);
-  // A subset repair is priced by its summed deletion weights, in the order
-  // the cover picked the rows, as the round reports it.
   result.stats.repair_cost =
-      options.strategy == RepairStrategy::kDelete
-          ? scoped.cost
-          : StrategyRepairCost(I, result.repaired, options.cost,
-                               options.strategy, options.subset, stats_of_I);
+      StrategyRepairCost(I, result.repaired, options.cost, options.strategy,
+                         options.subset, stats_of_I);
   result.stats.elapsed_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();

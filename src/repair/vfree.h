@@ -23,10 +23,9 @@ struct VfreeOptions {
   CostModel cost;
   CoverHeuristic cover = CoverHeuristic::kGreedyDegree;
   SolverOptions solver;
-  /// Thread budget for component solving: 0 = the global ThreadPool
-  /// setting, 1 = the exact legacy serial path. Results are bit-identical
-  /// across thread counts (components share no cells; fresh-variable ids
-  /// are replayed in serial order).
+  /// Ignored: components are solved serially. Kept only for the
+  /// benchmark's staged replica (perfbench/), and deleted together with
+  /// EvalIndex in the next benchmark change.
   int threads = 0;
   /// Ignored. Kept only for the benchmark's staged replica (perfbench/),
   /// and deleted together with EvalIndex in the next benchmark change.
@@ -34,11 +33,11 @@ struct VfreeOptions {
   /// Topology-aware decomposition of giant components (DESIGN.md §12):
   /// components with more than `max_component` cells are split at
   /// low-density articulation vertices (graph/decompose.h), the parts
-  /// solved independently — restoring thread-pool parallelism and
-  /// MaterializedCache hits — and the boundary-straddling atoms
-  /// re-verified by a stitching check that merges and re-solves only the
-  /// still-conflicting region. The repaired instance stays violation-free
-  /// either way. Off by default.
+  /// solved independently — which bounds the size of each CSP solve and
+  /// lets a part hit the MaterializedCache — and the boundary-straddling
+  /// atoms re-verified by a stitching check that merges and re-solves only
+  /// the still-conflicting region. The repaired instance stays
+  /// violation-free either way. Off by default.
   bool decompose = false;
   /// Size threshold (in cells) above which a component is split. Only
   /// meaningful with `decompose`.
@@ -115,11 +114,10 @@ ComponentPlan PlanDirtyComponents(const Relation& I,
                                   const EncodedRelation& encoded);
 
 /// The serial half of a DataRepair round: publishes the counters `plan`
-/// carries, then resolves each component — cache lookups and stores,
-/// solves (parallel pre-solve + serial replay under `options.threads`),
-/// fresh-id minting from `fresh_counter`, stitching of split components,
-/// the Alg. 2 cost abort, and the hybrid post-pass. Returns std::nullopt
-/// when the cost exceeds `delta_min`.
+/// carries, then resolves each component in order — a cache lookup, else a
+/// solve and a store — with fresh-id minting from `fresh_counter`,
+/// stitching of split components, the Alg. 2 cost abort, and the hybrid
+/// post-pass. Returns std::nullopt when the cost exceeds `delta_min`.
 std::optional<ScopedRepair> ReplayComponents(
     const Relation& I, const DomainStats& stats_of_I, const ComponentPlan& plan,
     double delta_min, const VfreeOptions& options, MaterializedCache* cache,

@@ -7,6 +7,7 @@
 #include <memory>
 #include <mutex>
 #include <thread>
+#include <vector>
 
 #include "util/metrics.h"
 
@@ -160,8 +161,6 @@ void ThreadPool::SetNumThreads(int n) { PoolImpl::Get().SetBudget(n); }
 
 int ThreadPool::num_threads() { return PoolImpl::Get().Budget(); }
 
-bool ThreadPool::InWorker() { return tls_in_parallel; }
-
 int ThreadPool::EffectiveThreads(int max_threads) {
   if (tls_in_parallel) return 1;
   int threads = max_threads > 0 ? max_threads : PoolImpl::Get().Budget();
@@ -178,24 +177,6 @@ void ThreadPool::ParallelFor(int64_t n,
     return;
   }
   PoolImpl::Get().Run(n, fn, threads);
-}
-
-void ThreadPool::ParallelForRanges(
-    int64_t n, const std::function<void(int64_t, int64_t)>& fn,
-    int max_threads) {
-  if (n <= 0) return;
-  int threads = EffectiveThreads(max_threads);
-  int64_t shards = std::min<int64_t>(n, static_cast<int64_t>(threads) * 4);
-  int64_t per = n / shards;
-  int64_t extra = n % shards;  // first `extra` shards get one more index
-  ParallelFor(
-      shards,
-      [&](int64_t s) {
-        int64_t begin = s * per + std::min(s, extra);
-        int64_t end = begin + per + (s < extra ? 1 : 0);
-        fn(begin, end);
-      },
-      max_threads);
 }
 
 }  // namespace cvrepair

@@ -3,14 +3,13 @@
 
 #include <cstdint>
 #include <functional>
-#include <utility>
-#include <vector>
 
 namespace cvrepair {
 
-/// A small dependency-free thread pool behind the repair engine's three
-/// data-parallel hot paths (variant fact evaluation, violation detection,
-/// component solving).
+/// A small dependency-free thread pool behind the repair engine's two
+/// data-parallel loops, both in Algorithm 1 (repair/cvtolerant.cc): the
+/// fact scans, one distinct constraint per iteration, and the candidate
+/// search's planning window. Everything those loops call runs serially.
 ///
 /// Model: one process-wide pool of helper threads plus the calling thread.
 /// ParallelFor(n, fn) splits the index range [0, n) into chunks that the
@@ -39,10 +38,6 @@ class ThreadPool {
   /// The current global thread budget (>= 1).
   static int num_threads();
 
-  /// True when called from a thread currently executing ParallelFor
-  /// iterations; nested parallel calls degrade to serial inline loops.
-  static bool InWorker();
-
   /// The number of threads a ParallelFor issued here and now would use:
   /// min(budget, n is not considered) — 1 when inside a worker or when the
   /// budget is serial. `max_threads` > 0 overrides the global budget for
@@ -56,23 +51,6 @@ class ThreadPool {
   /// only (1 = force the serial loop).
   static void ParallelFor(int64_t n, const std::function<void(int64_t)>& fn,
                           int max_threads = 0);
-
-  /// ParallelFor over ~4 chunks per thread: fn(begin, end) receives
-  /// contiguous, in-order subranges of [0, n). Lets callers keep per-shard
-  /// buffers and merge them in range order (deterministic output).
-  static void ParallelForRanges(
-      int64_t n, const std::function<void(int64_t, int64_t)>& fn,
-      int max_threads = 0);
-
-  /// out[i] = fn(i) for i in [0, n), evaluated through ParallelFor.
-  template <typename T, typename Fn>
-  static std::vector<T> ParallelMap(int64_t n, Fn&& fn, int max_threads = 0) {
-    std::vector<T> out(static_cast<size_t>(n));
-    ParallelFor(
-        n, [&](int64_t i) { out[static_cast<size_t>(i)] = fn(i); },
-        max_threads);
-    return out;
-  }
 };
 
 }  // namespace cvrepair

@@ -87,8 +87,8 @@ class TraceSpan {
   TraceSpan(const TraceSpan&) = delete;
   TraceSpan& operator=(const TraceSpan&) = delete;
 
-  /// Attaches a named integer to the span (shard counts, block counts,
-  /// variant indexes). No-op while tracing is disabled.
+  /// Attaches a named integer to the span (block counts, suspects, variant
+  /// indexes). No-op while tracing is disabled.
   void AddArg(const char* key, int64_t value);
 
  private:

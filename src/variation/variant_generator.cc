@@ -142,10 +142,11 @@ double CheapestInsertion(const DenialConstraint& variant,
 
 VariantFamily::VariantFamily(ConstraintSet sigma_in,
                              std::vector<SigmaVariant> variants_in,
-                             int pruned_nonmaximal_in)
+                             int pruned_nonmaximal_in, bool capped_in)
     : sigma(std::move(sigma_in)),
       variants(std::move(variants_in)),
-      pruned_nonmaximal(pruned_nonmaximal_in) {
+      pruned_nonmaximal(pruned_nonmaximal_in),
+      capped(capped_in) {
   std::map<DenialConstraint, int> position;
   auto member = [&](const DenialConstraint& c) {
     auto [it, inserted] =
@@ -166,8 +167,7 @@ VariantFamily::VariantFamily(ConstraintSet sigma_in,
 
 std::vector<ConstraintVariant> GenerateConstraintVariants(
     const DenialConstraint& phi, const std::vector<Predicate>& space,
-    const VariantGenOptions& options, double max_cost,
-    VariantGenStats* stats) {
+    const VariantGenOptions& options, double max_cost) {
   std::vector<ConstraintVariant> out;
   const std::vector<Predicate>& preds = phi.predicates();
   const int m = static_cast<int>(preds.size());
@@ -263,10 +263,7 @@ std::vector<ConstraintVariant> GenerateConstraintVariants(
       std::vector<Predicate> all = kept;
       all.insert(all.end(), chosen.begin(), chosen.end());
       DenialConstraint variant(std::move(all), phi.name());
-      if (variant.IsTrivial()) {
-        if (stats) ++stats->pruned_trivial;
-        return;
-      }
+      if (variant.IsTrivial()) return;
       ConstraintVariant cv;
       cv.cost = total_cost;
       cv.num_insertions = static_cast<int>(chosen.size());
@@ -321,7 +318,6 @@ std::vector<ConstraintVariant> GenerateConstraintVariants(
                      if (a.cost != b.cost) return a.cost < b.cost;
                      return a.constraint < b.constraint;
                    });
-  if (stats) stats->per_constraint_variants += static_cast<int>(out.size());
   return out;
 }
 
@@ -364,8 +360,7 @@ std::vector<SigmaVariant> GenerateSigmaVariants(const ConstraintSet& sigma,
   for (int i = 0; i < k; ++i) {
     double budget = std::min(options.theta - (suffix_min[0] - min_cost[i]),
                              std::max(options.theta, 0.0));
-    phis[i] = GenerateConstraintVariants(sigma[i], space, options, budget,
-                                         stats);
+    phis[i] = GenerateConstraintVariants(sigma[i], space, options, budget);
   }
 
   std::vector<SigmaVariant> out;

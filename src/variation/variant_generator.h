@@ -42,7 +42,7 @@ struct VariantFamily {
   /// Collects the distinct constraints of Σ, then of each variant in
   /// order, in first-seen order, and records every member's position.
   VariantFamily(ConstraintSet sigma, std::vector<SigmaVariant> variants,
-                int pruned_nonmaximal = 0);
+                int pruned_nonmaximal = 0, bool capped = false);
 
   ConstraintSet sigma;
   std::vector<SigmaVariant> variants;
@@ -56,6 +56,8 @@ struct VariantFamily {
   std::vector<std::vector<int>> members;
   /// Σ' the generator dropped as non-maximal w.r.t. θ.
   int pruned_nonmaximal = 0;
+  /// The generator stopped at its 20,000-variant cap, so D is truncated.
+  bool capped = false;
 };
 
 /// Structural limits and the tolerance for variant enumeration.
@@ -85,10 +87,8 @@ struct VariantGenOptions {
 
 /// Enumeration counters reported back to callers.
 struct VariantGenStats {
-  int per_constraint_variants = 0;
   int sigma_enumerated = 0;       ///< before maximality pruning
   int pruned_nonmaximal = 0;
-  int pruned_trivial = 0;
   bool capped = false;            ///< the family-size cap was hit
 };
 
@@ -103,8 +103,7 @@ struct VariantGenStats {
 /// by cost, identity variant first.
 std::vector<ConstraintVariant> GenerateConstraintVariants(
     const DenialConstraint& phi, const std::vector<Predicate>& space,
-    const VariantGenOptions& options, double max_cost,
-    VariantGenStats* stats = nullptr);
+    const VariantGenOptions& options, double max_cost);
 
 /// Enumerates the candidate set D of Section 2.3: the cross product of
 /// per-constraint variants with Θ(Σ, Σ') ≤ θ, pruned to θ-maximal

@@ -323,6 +323,22 @@ TEST_F(CliTest, VariantOutcomesAddUp) {
   EXPECT_GE(bound_pruned, 0) << out;
 }
 
+// A family D cut short by the generator's 20,000-variant cap says so on
+// the variants line; an uncapped one does not. At λ = -1 and θ = 2 the
+// hosp@6 family reaches the cap.
+TEST_F(CliTest, VariantCapIsReported) {
+  const std::string capped = RunAndCapture(
+      cli_ + " --generate hosp --size 6 --lambda -1 --theta 2");
+  EXPECT_NE(capped.find("variants tried:   20000 ("), std::string::npos)
+      << capped;
+  EXPECT_NE(capped.find("), truncated at the variant cap\n"),
+            std::string::npos)
+      << capped;
+  const std::string whole = RunAndCapture(cli_ + " --generate hosp --size 6");
+  EXPECT_NE(whole.find("variants tried:"), std::string::npos) << whole;
+  EXPECT_EQ(whole.find("variant cap"), std::string::npos) << whole;
+}
+
 // The generator mode runs without any input files.
 TEST_F(CliTest, GeneratorModeRepairsSyntheticWorkload) {
   std::string out = RunAndCapture(

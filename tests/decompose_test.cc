@@ -264,7 +264,6 @@ TEST(DecomposeTest, StitchMergeRepairsCrossAtomViolations) {
     VfreeOptions options;
     options.decompose = decompose;
     options.max_component = 6;
-    options.threads = 1;
     RepairStats rstats;
     int64_t fresh = 1;
     std::optional<ScopedRepair> scoped = ReplayComponents(
@@ -313,7 +312,6 @@ TEST(DecomposeTest, DenseWorkloadSplitsAndStaysViolationFree) {
     VfreeOptions options;
     options.decompose = decompose;
     options.max_component = 12;
-    options.threads = threads;
     return VfreeRepair(dense.dirty, dense.sigma, options);
   };
 

@@ -214,7 +214,6 @@ TEST_P(DecomposeFuzz, DecomposedRepairStaysViolationFreeAtNoExtraCost) {
         VfreeOptions options;
         options.decompose = decompose;
         options.max_component = 8;
-        options.threads = threads;
         return VfreeRepair(w.dirty, w.sigma, options);
       };
       RepairResult off = run(false);

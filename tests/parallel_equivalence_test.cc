@@ -6,6 +6,7 @@
 // tools/run_tsan.sh.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -21,6 +22,8 @@
 #include "reference_scan.h"
 #include "relation/encoded.h"
 #include "repair/cvtolerant.h"
+#include "repair/holistic.h"
+#include "repair/streaming.h"
 #include "repair/vfree.h"
 #include "solver/materialized_cache.h"
 #include "util/metrics.h"
@@ -135,14 +138,10 @@ TEST(ParallelEquivalence, VfreeRepairIdentical) {
   PoolGuard guard;
   for (const Workload& w : MakeWorkloads()) {
     ThreadPool::SetNumThreads(1);
-    VfreeOptions serial_options;
-    serial_options.threads = 1;
-    RepairResult serial = VfreeRepair(w.dirty, w.sigma, serial_options);
+    RepairResult serial = VfreeRepair(w.dirty, w.sigma);
 
     ThreadPool::SetNumThreads(4);
-    VfreeOptions parallel_options;
-    parallel_options.threads = 4;
-    RepairResult parallel = VfreeRepair(w.dirty, w.sigma, parallel_options);
+    RepairResult parallel = VfreeRepair(w.dirty, w.sigma);
 
     ExpectSameRelation(serial.repaired, parallel.repaired, w.name + "/vfree");
     EXPECT_EQ(serial.stats.repair_cost, parallel.stats.repair_cost) << w.name;
@@ -227,14 +226,14 @@ TEST(ParallelEquivalence, CVTolerantRepairIdentical) {
   }
 }
 
-// The small workloads above stay below the scan-size threshold for some
-// sharded paths; these instances are sized to force every one of them:
-// the 1-tuple row-range shards, the hash-partition block shards, and cap
-// truncation across shard boundaries.
+// Scans large enough to be worth splitting (1-tuple DCs over ~9000 rows,
+// FD-style DCs with ~10800 in-block pairs, caps that stop a scan midway):
+// the pool budget must not change a scan's output or its truncation
+// verdict.
 TEST(ParallelEquivalence, ShardedScanPathsIdentical) {
   PoolGuard guard;
 
-  // 1-tuple DCs over ~9000 rows (row-range sharding kicks in at 8192).
+  // 1-tuple DCs over ~9000 rows.
   CensusConfig census_config;
   census_config.num_rows = 9000;
   CensusData census = MakeCensus(census_config);
@@ -265,7 +264,7 @@ TEST(ParallelEquivalence, ShardedScanPathsIdentical) {
   EXPECT_TRUE(found_unary);
 
   // FD-style 2-tuple DCs with large hash-partition blocks (12 names ×
-  // 30 measures: ~10800 in-block pairs crosses the 8192 threshold).
+  // 30 measures: ~10800 in-block pairs).
   HospConfig hosp_config;
   hosp_config.num_hospitals = 12;
   hosp_config.measures_per_hospital = 30;
@@ -340,9 +339,8 @@ TEST(ParallelEquivalence, SharedIndexScansIdenticalAcrossThreads) {
 
 // The metrics.json determinism contract (DESIGN.md §8): the registry's
 // work-counter snapshot after a repair must be identical at any thread
-// count. This pins the truncation-aware counter flush in the capped scan
-// paths — shards over-scan past the cap, so a truncated scan must publish
-// eval.truncated_scans alone instead of its shard-dependent eval deltas.
+// count. A truncated scan publishes eval.truncated_scans alone, never the
+// work it spent before the cap (eval_counters::AddScan).
 TEST(ParallelEquivalence, WorkMetricsIdenticalAcrossThreads) {
   PoolGuard guard;
   for (const Workload& w : MakeWorkloads()) {
@@ -370,9 +368,8 @@ TEST(ParallelEquivalence, WorkMetricsIdenticalAcrossThreads) {
   }
 }
 
-// Same contract on the raw capped scans, where the bug lived: a parallel
-// truncated scan used to flush per-shard over-scan work, inflating the
-// counters relative to the serial early-stop.
+// Same contract on the raw capped scans: the eval counters of a capped
+// scan, truncated or not, are the same at every pool budget.
 TEST(ParallelEquivalence, CappedScanCountersIdenticalAcrossThreads) {
   PoolGuard guard;
   HospConfig config;
@@ -408,6 +405,73 @@ TEST(ParallelEquivalence, CappedScanCountersIdenticalAcrossThreads) {
           << "#" << k << " cap " << cap;
     }
   }
+}
+
+// Algorithm 1's two outer loops — ScanVariantFacts over the distinct
+// constraints and the candidate search's planning window — are the only
+// parallel loops on the repair path; every loop inside them is serial. So
+// at a pool budget of 4 detection, the single-round and multi-round
+// repairs, a frozen stream's batches and a θ-tolerant repair whose own
+// budget is one thread start no parallel loop at all.
+TEST(ParallelEquivalence, InnerLoopsRunSerially) {
+  PoolGuard guard;
+  ThreadPool::SetNumThreads(4);
+  MetricCounter* loops = MetricsRegistry::Global().GetCounter(
+      "pool.parallel_loops", MetricKind::kRuntime);
+  auto loops_in = [&](const std::function<void()>& fn) {
+    const int64_t before = loops->value();
+    fn();
+    return loops->value() - before;
+  };
+
+  NoiseConfig noise;
+  CensusConfig census_config;
+  census_config.num_rows = 1000;
+  CensusData census = MakeCensus(census_config);
+  noise.target_attrs = census.noise_attrs;
+  const Relation census_dirty = InjectNoise(census.clean, noise).dirty;
+  HospConfig hosp_config;
+  hosp_config.num_hospitals = 24;
+  HospData hosp = MakeHosp(hosp_config);
+  noise.target_attrs = hosp.noise_attrs;
+  const Relation hosp_dirty = InjectNoise(hosp.clean, noise).dirty;
+
+  EXPECT_EQ(loops_in([&] { FindViolations(census_dirty, census.given); }), 0);
+  struct Instance {
+    std::string name;
+    const Relation* dirty;
+    const ConstraintSet* sigma;
+  };
+  for (const Instance& in :
+       {Instance{"census", &census_dirty, &census.given},
+        Instance{"hosp", &hosp_dirty, &hosp.given_oversimplified}}) {
+    EXPECT_EQ(loops_in([&] { VfreeRepair(*in.dirty, *in.sigma); }), 0)
+        << in.name;
+    EXPECT_EQ(loops_in([&] { HolisticRepair(*in.dirty, *in.sigma); }), 0)
+        << in.name;
+  }
+
+  StreamingOptions stream_options;
+  stream_options.repair.variants.space = hosp.space;
+  const ReplayWorkload replay = MakeReplayWorkload(
+      hosp_dirty, /*num_batches=*/4, /*batch_size=*/16);
+  StreamingRepairer streamer(replay.base, hosp.given_oversimplified,
+                             stream_options);
+  int components = 0;
+  EXPECT_EQ(loops_in([&] {
+              for (const std::vector<RowEdit>& batch : replay.batches) {
+                components += streamer.ApplyBatch(batch).components;
+              }
+            }),
+            0);
+  EXPECT_GT(components, 1) << "no batch re-solved several components";
+
+  CVTolerantOptions serial;
+  serial.threads = 1;
+  EXPECT_EQ(loops_in([&] {
+              CVTolerantRepair(census_dirty, census.given, serial);
+            }),
+            0);
 }
 
 // Regression for the MaterializedCache statistics race: Lookup is const
@@ -451,23 +515,15 @@ TEST(ParallelEquivalence, MaterializedCacheConcurrentLookups) {
 }
 
 // The pool itself: full coverage of the ParallelFor contract (order-free
-// slot writes, range splitting, nesting, exceptions).
-TEST(ThreadPoolTest, ParallelMapMatchesSerial) {
+// slot writes, nesting, exceptions, the per-call budget).
+TEST(ThreadPoolTest, SlotWritesMatchSerial) {
   PoolGuard guard;
   ThreadPool::SetNumThreads(4);
-  std::vector<int64_t> squares = ThreadPool::ParallelMap<int64_t>(
-      1000, [](int64_t i) { return i * i; });
-  for (int64_t i = 0; i < 1000; ++i) ASSERT_EQ(squares[i], i * i);
-}
-
-TEST(ThreadPoolTest, RangesCoverEveryIndexOnce) {
-  PoolGuard guard;
-  ThreadPool::SetNumThreads(4);
-  std::vector<int> hits(1237, 0);
-  ThreadPool::ParallelForRanges(1237, [&](int64_t begin, int64_t end) {
-    for (int64_t i = begin; i < end; ++i) ++hits[i];
+  std::vector<int64_t> squares(1000, -1);
+  ThreadPool::ParallelFor(1000, [&](int64_t i) {
+    squares[static_cast<size_t>(i)] = i * i;
   });
-  for (int i = 0; i < 1237; ++i) ASSERT_EQ(hits[i], 1) << i;
+  for (int64_t i = 0; i < 1000; ++i) ASSERT_EQ(squares[i], i * i);
 }
 
 TEST(ThreadPoolTest, NestedParallelForRunsInline) {

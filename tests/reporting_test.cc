@@ -36,6 +36,10 @@ TEST(ReportingTest, RepairStatsToStringMentionsCounters) {
   EXPECT_NE(text.find("rounds=2"), std::string::npos);
   EXPECT_NE(text.find("solver_calls=7"), std::string::npos);
   EXPECT_NE(text.find("variants=11"), std::string::npos);
+  EXPECT_EQ(text.find("variants_capped"), std::string::npos);
+  stats.variants_capped = true;
+  EXPECT_NE(stats.ToString().find("variants=11 variants_capped=1"),
+            std::string::npos);
 }
 
 TEST(ReportingTest, RepairContextToStringRendersAtoms) {

@@ -21,6 +21,7 @@
 #include "solver/components.h"
 #include "solver/materialized_cache.h"
 #include "solver/repair_context.h"
+#include "util/thread_pool.h"
 
 namespace cvrepair {
 namespace {
@@ -420,8 +421,12 @@ TEST(CacheTest, Example12ReuseAcrossRefinedContexts) {
 // changing set, split parts partition a component, and a stitch merge is
 // a strict superset of the parts it joins, so no lookup finds an entry
 // with its own cell set. Decomposition is on with a small max_component
-// so that split parts and stitch merges are looked up too.
+// so that split parts and stitch merges are looked up too. The round runs
+// at pool budgets of 1 and 4; the replay is serial at both.
 TEST(CacheTest, OneRoundCacheNeverHits) {
+  struct PoolGuard {
+    ~PoolGuard() { ThreadPool::SetNumThreads(1); }
+  } guard;
   struct Input {
     std::string name;
     Relation dirty;
@@ -497,10 +502,10 @@ TEST(CacheTest, OneRoundCacheNeverHits) {
     const std::vector<Violation> violations = FindViolations(E, in.sigma);
     for (int threads : {1, 4}) {
       SCOPED_TRACE(in.name + " threads=" + std::to_string(threads));
+      ThreadPool::SetNumThreads(threads);
       VfreeOptions options;
       options.decompose = true;
       options.max_component = 6;
-      options.threads = threads;
       struct Round {
         std::optional<ScopedRepair> repair;
         RepairStats stats;

@@ -18,6 +18,7 @@
 #include "relation/encoded.h"
 #include "repair/cvtolerant.h"
 #include "repair/streaming.h"
+#include "repair/subset.h"
 
 namespace cvrepair {
 namespace {
@@ -223,6 +224,67 @@ TEST(VariantDriftTest, QuietBatchSkipsReopen) {
   EXPECT_TRUE(streamer.variant() == held);
   EXPECT_EQ(streamer.realized_cost(), realized);
   EXPECT_EQ(streamer.totals().variant_reopens, 0);
+}
+
+// The reopen trigger compares the realized cost with the rivals' solved
+// costs, which the search prices under the run's strategy, so the realized
+// cost must be priced the same way: under delete and hybrid a tombstoned
+// row costs its deletion weight, not its cells' distances. Streams the
+// CLI's `--generate hosp --size 12 --stream-batches 3 --batch-size 1
+// --reopen-variants 1` workload and checks, after every batch, the price
+// and the update contract of RunDriftStreamVsScratch: the held variant is
+// the one a from-scratch search on D would choose. Under hybrid a tuple
+// costs 1.5 to delete, so that the repairs do delete.
+TEST(VariantDriftTest, RealizedCostIsStrategyPriced) {
+  HospConfig config;
+  config.num_hospitals = 12;
+  HospData hosp = MakeHosp(config);
+  NoiseConfig noise;
+  noise.target_attrs = hosp.noise_attrs;
+  const Relation dirty = InjectNoise(hosp.clean, noise).dirty;
+  const ReplayWorkload replay =
+      MakeReplayWorkload(dirty, /*num_batches=*/3, /*batch_size=*/1);
+  for (RepairStrategy strategy :
+       {RepairStrategy::kDelete, RepairStrategy::kHybrid}) {
+    SCOPED_TRACE(RepairStrategyToString(strategy));
+    StreamingOptions options;
+    options.repair.variants.space = hosp.space;
+    options.repair.vfree.strategy = strategy;
+    if (strategy == RepairStrategy::kHybrid) {
+      options.repair.vfree.subset.delete_base = 1.5;
+    }
+    options.reopen_variants = true;
+    StreamingRepairer streamer(replay.base, hosp.given_oversimplified,
+                               options);
+    const VfreeOptions& vfree = options.repair.vfree;
+    int deleted = 0;
+    for (size_t b = 0; b < replay.batches.size(); ++b) {
+      SCOPED_TRACE("batch " + std::to_string(b));
+      streamer.ApplyBatch(replay.batches[b]);
+      const VariantTracker& t = *streamer.tracker();
+      const DomainStats stats_of_D(t.dirty());
+      EXPECT_EQ(streamer.realized_cost(),
+                StrategyRepairCost(t.dirty(), streamer.current(), vfree.cost,
+                                   strategy, vfree.subset, stats_of_D));
+      deleted = 0;
+      for (int r = 0; r < t.dirty().num_rows(); ++r) {
+        deleted += RowDeleted(t.dirty(), streamer.current(), r) ? 1 : 0;
+      }
+
+      EncodedRelation E(t.dirty());
+      const std::vector<VariantFacts> facts =
+          ScanVariantFacts(t.dirty(), stats_of_D, t.family(), options.repair, E);
+      int64_t scratch_fresh = 1000000;
+      VariantSearchResult sr =
+          CVTolerantSearchWithFacts(t.dirty(), stats_of_D, t.family(), facts,
+                                    options.repair, &scratch_fresh, E);
+      ASSERT_TRUE(sr.have_result);
+      EXPECT_TRUE(sr.variant == streamer.variant())
+          << "held variant diverged from the scratch-optimal choice";
+    }
+    // The stream must hold real deletions, or pricing them is not tested.
+    EXPECT_GT(deleted, 0);
+  }
 }
 
 // Thread count must be invisible to the unfrozen path too: serial and

@@ -745,7 +745,6 @@ int RunRepair(const CliOptions& options, const Relation& data,
     result = CVTolerantRepair(data, sigma, repair_options);
   } else if (options.algorithm == "vfree") {
     VfreeOptions vfree_options;
-    vfree_options.threads = options.threads;
     vfree_options.decompose = options.decompose;
     vfree_options.max_component = options.max_component;
     if (!ApplyStrategyOptions(options, data.schema(), &vfree_options)) {
@@ -825,7 +824,9 @@ int RunRepair(const CliOptions& options, const Relation& data,
               << st.variants_enumerated - st.variants_pruned_bounds -
                      st.datarepair_calls
               << ", DataRepair calls " << st.datarepair_calls
-              << ", shared solutions " << st.cache_hits << ")\n";
+              << ", shared solutions " << st.cache_hits << ")"
+              << (st.variants_capped ? ", truncated at the variant cap" : "")
+              << "\n";
     std::cout << "scan work:        " << result.stats.index_partition_builds
               << " partition builds, " << result.stats.index_predicate_evals
               << " predicate evals, " << result.stats.index_code_evals

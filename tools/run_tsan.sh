@@ -1,7 +1,10 @@
 #!/usr/bin/env bash
 # Builds the test suite under ThreadSanitizer (-DCVREPAIR_SANITIZE=thread)
-# and runs the parallel-execution tests — the determinism suite in
-# tests/parallel_equivalence_test.cc, the thread-pool contract tests, the
+# and runs the tests that reach the engine's two parallel loops, both in
+# Algorithm 1: the fact scans over the distinct constraints and the
+# candidate search's planning window. That is the determinism suite in
+# tests/parallel_equivalence_test.cc (including the check that nothing
+# else starts a parallel loop), the thread-pool contract tests, the
 # candidate-search window and streamed repair-context tests, the
 # streaming and variant-drift tests (a reopen plans candidates on pool
 # workers), and the serve tests (client threads against a session's
