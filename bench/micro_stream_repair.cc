@@ -11,9 +11,12 @@
 // checked-in baseline pins for the perf-regression CI gate.
 #include "bench_util.h"
 
+#include <limits>
+
 #include "dc/violation.h"
 #include "relation/encoded.h"
 #include "repair/streaming.h"
+#include "repair/vfree.h"
 
 using namespace cvrepair;
 using namespace cvrepair::bench;
@@ -126,9 +129,10 @@ int main() {
             FindViolations(E, initial.satisfied_constraints);
         DomainStats stats_of_W(W);
         RepairStats stats;
-        std::optional<ScopedRepair> fix = CVTolerantResolveComponents(
+        std::optional<ScopedRepair> fix = SolveDirtyComponents(
             W, stats_of_W, initial.satisfied_constraints,
-            std::move(violations), scratch_options, &stats, &fresh, E);
+            std::move(violations), std::numeric_limits<double>::infinity(),
+            scratch_options.vfree, /*cache=*/nullptr, &stats, &fresh, E);
         for (auto& [cell, value] : fix->assignments) {
           W.SetValue(cell, std::move(value));
         }

@@ -75,8 +75,8 @@ bool IsPartitionPredicate(const Predicate& p) {
 // EvalOp equality classes. *usable is false when any cell is NULL/fresh
 // (negative sentinel codes; such rows never satisfy '=' and are excluded
 // from partitions).
-std::vector<Code> CodeKeyOf(const EncodedRelation& E, int row,
-                            const std::vector<AttrId>& attrs, bool* usable) {
+std::vector<Code> RowCodeKey(const EncodedRelation& E, int row,
+                             const std::vector<AttrId>& attrs, bool* usable) {
   std::vector<Code> key;
   key.reserve(attrs.size());
   *usable = true;
@@ -277,7 +277,7 @@ EvalIndex::Partition EvalIndex::BuildByScan(const std::vector<AttrId>& attrs,
   std::unordered_map<std::vector<Code>, std::vector<int>, CodeVecHash> buckets;
   for (int i = 0; i < n_; ++i) {
     bool usable = false;
-    std::vector<Code> key = CodeKeyOf(*E_, i, attrs, &usable);
+    std::vector<Code> key = RowCodeKey(*E_, i, attrs, &usable);
     if (usable) buckets[std::move(key)].push_back(i);
   }
   out.blocks.reserve(buckets.size());
@@ -301,7 +301,7 @@ EvalIndex::Partition EvalIndex::RefineFrom(const Partition& src,
     sub.clear();
     for (int i : block) {
       bool usable = false;
-      std::vector<Code> key = CodeKeyOf(*E_, i, added, &usable);
+      std::vector<Code> key = RowCodeKey(*E_, i, added, &usable);
       // Rows NULL/fresh on an added attribute drop out of the refined
       // partition entirely, exactly as a fresh scan would exclude them.
       if (usable) sub[std::move(key)].push_back(i);
@@ -324,7 +324,7 @@ EvalIndex::Partition EvalIndex::MergeFrom(const Partition& src,
   std::unordered_map<std::vector<Code>, std::vector<int>, CodeVecHash> groups;
   for (const std::vector<int>& block : src.blocks) {
     bool usable = false;
-    std::vector<Code> key = CodeKeyOf(*E_, block.front(), target, &usable);
+    std::vector<Code> key = RowCodeKey(*E_, block.front(), target, &usable);
     // Members agree (and are non-NULL) on every src attribute, and
     // target ⊆ src, so the front row's key is the block's key.
     std::vector<int>& g = groups[std::move(key)];
@@ -340,7 +340,7 @@ EvalIndex::Partition EvalIndex::MergeFrom(const Partition& src,
   for (int r = 0; r < n_; ++r) {
     if (!recovered[static_cast<size_t>(r)]) continue;
     bool usable = false;
-    std::vector<Code> key = CodeKeyOf(*E_, r, target, &usable);
+    std::vector<Code> key = RowCodeKey(*E_, r, target, &usable);
     if (usable) groups[std::move(key)].push_back(r);
   }
   Partition out;

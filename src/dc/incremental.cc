@@ -4,6 +4,7 @@
 
 #include "dc/eval_counters.h"
 #include "dc/predicate_space.h"
+#include "dc/scan_internal.h"
 #include "dc/scan_kernels.h"
 
 namespace cvrepair {
@@ -179,43 +180,16 @@ void ViolationIndex::ScanRow(size_t k, int row,
   // reach the full re-check. Partners are visited in ascending j, (row, j)
   // before (j, row).
   const EncodedRelation& E = encoded_;
-  const std::vector<EncodedPredicateEval>& preds = ev.predicate_evals();
-  struct Zone {
-    scan_kernels::BlockPredicate bp;
-    const int32_t* ranks;
-    AttrId attr;
-  };
-  std::vector<Zone> fwd, rev;  // partner binds t1 / t0
-  for (const EncodedPredicateEval& pe : preds) {
-    if (pe.is_constant()) {
-      Zone z{scan_kernels::CompileConstant(pe.op(), pe.bounds()), pe.ranks(),
-             pe.lhs_attr()};
-      (pe.lhs_tuple() == 1 ? fwd : rev).push_back(z);
-    } else if (pe.is_same_attr() && pe.lhs_tuple() != pe.rhs_tuple()) {
-      Code fixed = E.code(row, pe.lhs_attr());
-      fwd.push_back({scan_kernels::CompileProbe(pe.op(), pe.lhs_tuple() == 0,
-                                                fixed, pe.ranks()),
-                     pe.ranks(), pe.lhs_attr()});
-      rev.push_back({scan_kernels::CompileProbe(pe.op(), pe.lhs_tuple() == 1,
-                                                fixed, pe.ranks()),
-                     pe.ranks(), pe.lhs_attr()});
-    }
-  }
-  auto may_all = [&](const std::vector<Zone>& zs, int b) {
-    for (const Zone& z : zs) {
-      if (!scan_kernels::MayMatch(z.bp, E.block_meta(z.attr, b), z.ranks)) {
-        return false;
-      }
-    }
-    return true;
-  };
+  std::vector<scan_internal::ZonePred> fwd, rev;  // partner binds t1 / t0
+  scan_internal::BuildPartnerZones(E, ev.predicate_evals(), row,
+                                   /*skip_attr=*/nullptr, &fwd, &rev);
   EvalCounters zc;
   uint64_t bm_fwd[EncodedRelation::kBlockSize / 64];
   uint64_t bm_rev[EncodedRelation::kBlockSize / 64];
   int nb = E.num_blocks();
   for (int b = 0; b < nb; ++b) {
-    bool may_fwd = may_all(fwd, b);
-    bool may_rev = may_all(rev, b);
+    bool may_fwd = scan_internal::MayMatchAll(E, fwd, b);
+    bool may_rev = scan_internal::MayMatchAll(E, rev, b);
     if (!fwd.empty() || !rev.empty()) {
       if (may_fwd || may_rev) {
         ++zc.blocks_scanned;

@@ -40,10 +40,11 @@ struct RowEdit {
 };
 
 /// Incrementally maintained violation set: instead of re-scanning the
-/// instance after every repair round (O(|I|^ell)), only the tuple lists
-/// touching a changed row are re-evaluated. Used by the multi-round
-/// baselines (Holistic, Greedy), where each round changes a small set of
-/// cells.
+/// instance after every edit (O(|I|^ell)), only the tuple lists touching a
+/// changed row are re-evaluated. Used by the streaming session engine:
+/// StreamingRepairer detects each batch's violations over Σ' with one, and
+/// VariantTracker keeps the facts of the variant family's distinct
+/// constraints current with another (repair/streaming.h).
 ///
 /// The index owns a working copy of the instance; all modifications must
 /// go through ApplyChange so the equality-join groups and the violation

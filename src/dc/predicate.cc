@@ -1,5 +1,8 @@
 #include "dc/predicate.h"
 
+#include <cctype>
+#include <string>
+
 namespace cvrepair {
 
 bool Predicate::SameOperands(const Predicate& other) const {
@@ -30,11 +33,34 @@ std::vector<Cell> Predicate::Cells(const std::vector<int>& rows) const {
   return cells;
 }
 
+namespace {
+
+// The text of a constant on an attribute of type `type` that the DC parser
+// reads back as the same value. A string stays bare unless the parser
+// would take its bare text for something else — a number, a quoted or
+// trimmed string, a longer operator, a tuple variable — and is quoted
+// then.
+std::string ConstantText(const Value& c, AttrType type) {
+  if (c.kind() != ValueKind::kString) return c.ToString();
+  const std::string& s = c.as_string();
+  const std::string kSpace = " \t\r\n";
+  const bool bare =
+      type == AttrType::kString && !s.empty() &&
+      kSpace.find(s.front()) == std::string::npos &&
+      kSpace.find(s.back()) == std::string::npos &&
+      std::string("'=<>!").find(s.front()) == std::string::npos &&
+      !(s.size() >= 2 && s[0] == 't' &&
+        std::isdigit(static_cast<unsigned char>(s[1])));
+  return bare ? s : "'" + s + "'";
+}
+
+}  // namespace
+
 std::string Predicate::ToString(const Schema& schema) const {
   std::string out = "t" + std::to_string(lhs_.tuple) + "." + schema.name(lhs_.attr);
   out += OpToString(op_);
   if (constant_) {
-    out += constant_->ToString();
+    out += ConstantText(*constant_, schema.type(lhs_.attr));
   } else {
     out += "t" + std::to_string(rhs_cell_->tuple) + "." +
            schema.name(rhs_cell_->attr);

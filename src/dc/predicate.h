@@ -95,7 +95,9 @@ class Predicate {
     return p;
   }
 
-  /// e.g. "t0.Income>t1.Income" or "t0.Age>=18".
+  /// e.g. "t0.Income>t1.Income" or "t0.Age>=18". A constant prints so that
+  /// ParseConstraint reads back the same value: a string is quoted
+  /// ('New York ') where its bare text would parse as something else.
   std::string ToString(const Schema& schema) const;
 
   friend bool operator==(const Predicate& a, const Predicate& b) {

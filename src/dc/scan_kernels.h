@@ -23,14 +23,12 @@
 // reproducing the "NULL/fv satisfies no predicate" rule without a branch.
 //
 // Kernel dispatch contract: EvalBlock writes one selection bit per lane
-// (bit i of word i/64; the (n+63)/64 output words are fully overwritten)
-// and every implementation — the auto-vectorization-friendly scalar loop,
-// the SSE2 path, and the AVX2 path picked at runtime — produces
-// bit-identical output for the same inputs. The explicit SIMD paths exist
-// only behind the CVREPAIR_SIMD build option (on x86-64), can be disabled
-// at runtime with SetSimdEnabled(false), and the CI `simd-off` build runs
-// the whole kernel-equivalence suite against the scalar fallback so it
-// cannot rot.
+// (bit i of word i/64; the (n+63)/64 output words are fully overwritten,
+// bits past lane n - 1 read 0). It runs the AVX2 kernel when the CPU has
+// AVX2 (__builtin_cpu_supports, on any x86-64 GCC or Clang build) and
+// EvalBlockScalar otherwise. EvalBlockScalar is the portable reference:
+// every build compiles it, and the AVX2 kernel matches it bit for bit.
+// tests/scan_kernel_test.cc checks both against a per-lane oracle.
 //
 // MayMatch is the zone-map test: given a block's min/max packed rank
 // (EncodedRelation::BlockMeta, or ComputeZone over a gathered candidate
@@ -92,18 +90,15 @@ void ComputeZone(const Code* codes, int n, const int32_t* ranks,
                  int32_t* min_rank, int32_t* max_rank);
 
 /// Evaluates `p` over `codes[0..n)`, writing one selection bit per lane
-/// into `bitmap` ((n + 63) / 64 words, fully overwritten). All
-/// implementations are bit-identical; see the dispatch contract above.
+/// into `bitmap` ((n + 63) / 64 words, fully overwritten). Dispatches to
+/// the AVX2 kernel or EvalBlockScalar; see the dispatch contract above.
 void EvalBlock(const BlockPredicate& p, const Code* codes, int n,
                const int32_t* ranks, uint64_t* bitmap);
 
-/// Whether explicit SIMD paths were compiled in (CVREPAIR_SIMD on an
-/// x86-64 target).
-bool SimdCompiledIn();
-/// Runtime switch between the SIMD paths and the scalar fallback
-/// (no-op when SIMD is not compiled in). Defaults to enabled.
-void SetSimdEnabled(bool enabled);
-bool SimdEnabled();
+/// The portable reference kernel: EvalBlock's output from a plain per-lane
+/// loop, on any CPU.
+void EvalBlockScalar(const BlockPredicate& p, const Code* codes, int n,
+                     const int32_t* ranks, uint64_t* bitmap);
 
 }  // namespace scan_kernels
 }  // namespace cvrepair

@@ -17,6 +17,9 @@ namespace cvrepair {
 namespace {
 
 using scan_internal::CodeVecHash;
+using scan_internal::ConstantZone;
+using scan_internal::MayMatchAll;
+using scan_internal::ZonePred;
 
 // =====================================================================
 // Block-vectorized scans over the dictionary-coded columns
@@ -53,18 +56,6 @@ inline bool TestBit(const uint64_t* bitmap, int i) {
   return (bitmap[i >> 6] >> (i & 63)) & 1;
 }
 
-// A constant predicate prepared for zone consults / kernel runs.
-struct ZonePred {
-  scan_kernels::BlockPredicate bp;
-  const int32_t* ranks;
-  AttrId attr;
-};
-
-ZonePred MakeZonePred(const EncodedPredicateEval& p) {
-  return {scan_kernels::CompileConstant(p.op(), p.bounds()), p.ranks(),
-          p.lhs_attr()};
-}
-
 // Per-storage-block skip vector from constant zone predicates; one
 // consult is counted per block.
 void FillBlockSkips(const EncodedRelation& E, const std::vector<ZonePred>& zs,
@@ -72,13 +63,7 @@ void FillBlockSkips(const EncodedRelation& E, const std::vector<ZonePred>& zs,
   int nb = E.num_blocks();
   skip->assign(static_cast<size_t>(nb), 0);
   for (int b = 0; b < nb; ++b) {
-    bool may = true;
-    for (const ZonePred& z : zs) {
-      if (!scan_kernels::MayMatch(z.bp, E.block_meta(z.attr, b), z.ranks)) {
-        may = false;
-        break;
-      }
-    }
+    bool may = MayMatchAll(E, zs, b);
     (*skip)[static_cast<size_t>(b)] = !may;
     if (may) {
       ++zc->blocks_scanned;
@@ -101,7 +86,7 @@ void ScanRowsBlocked(const EncodedRelation& E, const EncodedConstraintEval& ev,
 
   std::vector<ZonePred> zone;
   for (const EncodedPredicateEval& p : preds) {
-    if (p.is_constant()) zone.push_back(MakeZonePred(p));
+    if (p.is_constant()) zone.push_back(ConstantZone(p));
   }
   std::vector<char> skip(static_cast<size_t>(nb), 0);
   if (!zone.empty()) {
@@ -152,6 +137,45 @@ void ScanRowsBlocked(const EncodedRelation& E, const EncodedConstraintEval& ev,
   eval_counters::AddScan(local, /*truncated=*/false);
 }
 
+// A two-tuple constraint's predicates, sorted in their original order by
+// how the pair scans evaluate them: the outer row binds t0, the scanned
+// inner row t1.
+struct PairPredicates {
+  std::vector<size_t> t0_consts;  // lifted to once per outer row
+  std::vector<size_t> t1_consts;
+  std::vector<size_t> probes;  // cross-tuple same-attribute predicates
+  // The first predicate not lifted, when a kernel can run it over the
+  // inner rows: then it is t1_consts.front() or probes.front(). Else -1.
+  int64_t lead = -1;
+  std::vector<size_t> rest;  // the scalar rest: every other unlifted one
+};
+
+// With `skip_partition_eqs`, the cross-tuple equalities (proven by a join
+// block's membership) are left out of every list.
+PairPredicates ClassifyPairPredicates(
+    const std::vector<EncodedPredicateEval>& preds, bool skip_partition_eqs) {
+  PairPredicates out;
+  bool first_unlifted = true;
+  for (size_t pi = 0; pi < preds.size(); ++pi) {
+    const EncodedPredicateEval& p = preds[pi];
+    const bool probe = p.is_same_attr() && p.lhs_tuple() != p.rhs_tuple();
+    if (probe && skip_partition_eqs && p.op() == Op::kEq) continue;
+    if (p.is_constant() && p.lhs_tuple() == 0) {
+      out.t0_consts.push_back(pi);
+      continue;
+    }
+    if (p.is_constant()) out.t1_consts.push_back(pi);
+    if (probe) out.probes.push_back(pi);
+    if (first_unlifted && (p.is_constant() || probe)) {
+      out.lead = static_cast<int64_t>(pi);
+    } else {
+      out.rest.push_back(pi);
+    }
+    first_unlifted = false;
+  }
+  return out;
+}
+
 // The O(n²) ordered-pair scan (constraints with no equality join),
 // blocked: upfront skip vectors over the outer (t0 constants) and inner
 // (t1 constants) blocks, a per-(outer row, inner block) probe consult for
@@ -163,50 +187,14 @@ void ScanAllPairsBlocked(const EncodedRelation& E,
                          bool* truncated) {
   TraceSpan span("scan/all_pairs");
   const std::vector<EncodedPredicateEval>& preds = ev.predicate_evals();
+  const PairPredicates pp =
+      ClassifyPairPredicates(preds, /*skip_partition_eqs=*/false);
   int n = E.num_rows();
   int nb = E.num_blocks();
 
-  struct Probe {
-    size_t pi;
-    AttrId attr;
-    Op op;
-    bool fixed_is_lhs;  // the outer row i binds the lhs operand
-    const int32_t* ranks;
-  };
   std::vector<ZonePred> z0, z1;  // constants on t0 (outer) / t1 (inner)
-  std::vector<size_t> lift;      // t0-constants: once per outer row
-  std::vector<Probe> probes;
-  std::vector<size_t> body;      // predicate order minus the lifted ones
-  for (size_t pi = 0; pi < preds.size(); ++pi) {
-    const EncodedPredicateEval& p = preds[pi];
-    if (p.is_constant()) {
-      if (p.lhs_tuple() == 0) {
-        z0.push_back(MakeZonePred(p));
-        lift.push_back(pi);
-        continue;
-      }
-      z1.push_back(MakeZonePred(p));
-    } else if (p.is_same_attr() && p.lhs_tuple() != p.rhs_tuple()) {
-      probes.push_back(
-          {pi, p.lhs_attr(), p.op(), p.lhs_tuple() == 0, p.ranks()});
-    }
-    body.push_back(pi);
-  }
-  // Lead: the first non-lifted predicate, when the kernels can evaluate
-  // it with the inner tuple varying.
-  int64_t lead = -1;
-  if (!body.empty()) {
-    const EncodedPredicateEval& p0 = preds[body.front()];
-    if ((p0.is_constant() && p0.lhs_tuple() == 1) ||
-        (p0.is_same_attr() && p0.lhs_tuple() != p0.rhs_tuple())) {
-      lead = static_cast<int64_t>(body.front());
-    }
-  }
-  std::vector<size_t> rest;
-  for (size_t pi : body) {
-    if (static_cast<int64_t>(pi) != lead) rest.push_back(pi);
-  }
-
+  for (size_t pi : pp.t0_consts) z0.push_back(ConstantZone(preds[pi]));
+  for (size_t pi : pp.t1_consts) z1.push_back(ConstantZone(preds[pi]));
   std::vector<char> skip_i(static_cast<size_t>(nb), 0);
   std::vector<char> skip_j(static_cast<size_t>(nb), 0);
   if (!z0.empty() || !z1.empty()) {
@@ -215,15 +203,11 @@ void ScanAllPairsBlocked(const EncodedRelation& E,
     if (!z1.empty()) FillBlockSkips(E, z1, &skip_j, &zc);
     eval_counters::Add(zc);
   }
-
-  scan_kernels::BlockPredicate lead_const;
-  if (lead >= 0 && preds[static_cast<size_t>(lead)].is_constant()) {
-    const EncodedPredicateEval& lp = preds[static_cast<size_t>(lead)];
-    lead_const = scan_kernels::CompileConstant(lp.op(), lp.bounds());
-  }
+  const bool lead_is_probe =
+      pp.lead >= 0 && !preds[static_cast<size_t>(pp.lead)].is_constant();
 
   std::vector<int> rows(2);
-  std::vector<scan_kernels::BlockPredicate> pbuf;
+  std::vector<ZonePred> probes(pp.probes.size());  // against the outer row
   uint64_t bitmap[EncodedRelation::kBlockSize / 64];
   EvalCounters local;
   // One outer row against every inner block. Returns false when `out` hit
@@ -233,41 +217,23 @@ void ScanAllPairsBlocked(const EncodedRelation& E,
       return true;
     }
     rows[0] = i;
-    for (size_t pi : lift) {
+    for (size_t pi : pp.t0_consts) {
       if (!EvalPredCounted(preds[pi], rows, &local)) return true;
     }
-    pbuf.clear();
-    for (const Probe& pr : probes) {
-      pbuf.push_back(scan_kernels::CompileProbe(
-          pr.op, pr.fixed_is_lhs, E.code(i, pr.attr), pr.ranks));
+    for (size_t s = 0; s < probes.size(); ++s) {
+      const EncodedPredicateEval& p = preds[pp.probes[s]];
+      probes[s] = {scan_kernels::CompileProbe(p.op(), p.lhs_tuple() == 0,
+                                              E.code(i, p.lhs_attr()),
+                                              p.ranks()),
+                   p.ranks(), p.lhs_attr()};
     }
-    const scan_kernels::BlockPredicate* lead_bp = nullptr;
-    if (lead >= 0) {
-      if (preds[static_cast<size_t>(lead)].is_constant()) {
-        lead_bp = &lead_const;
-      } else {
-        for (size_t s = 0; s < probes.size(); ++s) {
-          if (probes[s].pi == static_cast<size_t>(lead)) {
-            lead_bp = &pbuf[s];
-            break;
-          }
-        }
-      }
-    }
+    const ZonePred* lead = nullptr;
+    if (pp.lead >= 0) lead = lead_is_probe ? &probes.front() : &z1.front();
     for (int b = 0; b < nb; ++b) {
       if (skip_j[static_cast<size_t>(b)]) continue;
       int rows_in = E.block_rows(b);
       if (!probes.empty()) {
-        bool may = true;
-        for (size_t s = 0; s < probes.size(); ++s) {
-          if (!scan_kernels::MayMatch(pbuf[s],
-                                      E.block_meta(probes[s].attr, b),
-                                      probes[s].ranks)) {
-            may = false;
-            break;
-          }
-        }
-        if (may) {
+        if (MayMatchAll(E, probes, b)) {
           ++local.blocks_scanned;
         } else {
           ++local.blocks_skipped;
@@ -275,10 +241,9 @@ void ScanAllPairsBlocked(const EncodedRelation& E,
         }
       }
       const uint64_t* sel = nullptr;
-      if (lead_bp) {
-        const EncodedPredicateEval& lp = preds[static_cast<size_t>(lead)];
-        scan_kernels::EvalBlock(*lead_bp, E.block_codes(lp.lhs_attr(), b),
-                                rows_in, lp.ranks(), bitmap);
+      if (lead) {
+        scan_kernels::EvalBlock(lead->bp, E.block_codes(lead->attr, b),
+                                rows_in, lead->ranks, bitmap);
         local.code_predicate_evals += rows_in;
         sel = bitmap;
       }
@@ -289,7 +254,7 @@ void ScanAllPairsBlocked(const EncodedRelation& E,
         if (j == i) continue;
         rows[1] = j;
         bool v = true;
-        for (size_t pi : rest) {
+        for (size_t pi : pp.rest) {
           if (!EvalPredCounted(preds[pi], rows, &local)) {
             v = false;
             break;
@@ -325,41 +290,27 @@ class BlockedJoinEnumerator {
  public:
   BlockedJoinEnumerator(const EncodedRelation& E,
                         const EncodedConstraintEval& ev, int index)
-      : E_(&E), preds_(&ev.predicate_evals()), index_(index) {
+      : E_(&E),
+        preds_(&ev.predicate_evals()),
+        index_(index),
+        pp_(ClassifyPairPredicates(ev.predicate_evals(),
+                                   /*skip_partition_eqs=*/true)) {
     const std::vector<EncodedPredicateEval>& preds = *preds_;
-    for (size_t pi = 0; pi < preds.size(); ++pi) {
+    for (const std::vector<size_t>* list : {&pp_.t0_consts, &pp_.t1_consts}) {
+      for (size_t pi : *list) {
+        const EncodedPredicateEval& p = preds[pi];
+        consts_.push_back(
+            {pi, scan_kernels::CompileConstant(p.op(), p.bounds()),
+             GatherSlot(p.lhs_attr())});
+      }
+    }
+    for (size_t pi : pp_.probes) {
       const EncodedPredicateEval& p = preds[pi];
-      bool cross_same_attr =
-          p.is_same_attr() && p.lhs_tuple() != p.rhs_tuple();
-      if (cross_same_attr && p.op() == Op::kEq) continue;  // partition pred
-      if (p.is_constant()) {
-        consts_.push_back({pi, scan_kernels::CompileConstant(p.op(),
-                                                             p.bounds()),
-                           GatherSlot(p.lhs_attr())});
-        if (p.lhs_tuple() == 0) {
-          lift_.push_back(pi);
-          continue;
-        }
-      } else if (cross_same_attr) {
-        probes_.push_back(
-            {pi, p.op(), p.lhs_tuple() == 0, GatherSlot(p.lhs_attr())});
-      }
-      body_.push_back(pi);
+      probes_.push_back({pi, p.op(), p.lhs_tuple() == 0,
+                         GatherSlot(p.lhs_attr())});
     }
-    if (!body_.empty()) {
-      const EncodedPredicateEval& p0 = preds[body_.front()];
-      if ((p0.is_constant() && p0.lhs_tuple() == 1) ||
-          (p0.is_same_attr() && p0.lhs_tuple() != p0.rhs_tuple())) {
-        lead_ = static_cast<int64_t>(body_.front());
-      }
-    }
-    for (size_t pi : body_) {
-      if (static_cast<int64_t>(pi) != lead_) rest_.push_back(pi);
-    }
-    if (lead_ >= 0 && preds[static_cast<size_t>(lead_)].is_constant()) {
-      const EncodedPredicateEval& lp = preds[static_cast<size_t>(lead_)];
-      lead_const_ = scan_kernels::CompileConstant(lp.op(), lp.bounds());
-      lead_slot_ = GatherSlot(lp.lhs_attr());
+    if (pp_.lead >= 0 && preds[static_cast<size_t>(pp_.lead)].is_constant()) {
+      lead_const_ = static_cast<int64_t>(pp_.t0_consts.size());
     }
   }
 
@@ -404,7 +355,7 @@ class BlockedJoinEnumerator {
       int i = members[static_cast<size_t>(xi)];
       (*rows)[0] = i;
       bool alive = true;
-      for (size_t pi : lift_) {
+      for (size_t pi : pp_.t0_consts) {
         if (!EvalPredCounted(preds[pi], *rows, local)) {
           alive = false;
           break;
@@ -431,20 +382,15 @@ class BlockedJoinEnumerator {
         ++local->blocks_scanned;
       }
       const uint64_t* sel = nullptr;
-      if (lead_ >= 0) {
-        const EncodedPredicateEval& lp = preds[static_cast<size_t>(lead_)];
-        const scan_kernels::BlockPredicate* lead_bp = &lead_const_;
-        size_t slot = lead_slot_;
-        if (!lp.is_constant()) {
-          for (size_t s = 0; s < probes_.size(); ++s) {
-            if (probes_[s].pi == static_cast<size_t>(lead_)) {
-              lead_bp = &pbuf[s];
-              slot = probes_[s].slot;
-              break;
-            }
-          }
-        }
-        scan_kernels::EvalBlock(*lead_bp, g[slot].data(), m, lp.ranks(),
+      if (pp_.lead >= 0) {
+        // The lead is t1_consts.front() or probes_.front().
+        const size_t lc = static_cast<size_t>(lead_const_);
+        const scan_kernels::BlockPredicate& lead_bp =
+            lead_const_ >= 0 ? consts_[lc].bp : pbuf.front();
+        const size_t slot =
+            lead_const_ >= 0 ? consts_[lc].slot : probes_.front().slot;
+        scan_kernels::EvalBlock(lead_bp, g[slot].data(), m,
+                                preds[static_cast<size_t>(pp_.lead)].ranks(),
                                 bitmap.data());
         local->code_predicate_evals += m;
         sel = bitmap.data();
@@ -455,7 +401,7 @@ class BlockedJoinEnumerator {
         if (j == i) continue;
         (*rows)[1] = j;
         bool v = true;
-        for (size_t pi : rest_) {
+        for (size_t pi : pp_.rest) {
           if (!EvalPredCounted(preds[pi], *rows, local)) {
             v = false;
             break;
@@ -494,28 +440,24 @@ class BlockedJoinEnumerator {
   const EncodedRelation* E_;
   const std::vector<EncodedPredicateEval>* preds_;
   int index_;
+  PairPredicates pp_;
   std::vector<AttrId> attrs_;  // attributes gathered per block
-  std::vector<ConstPred> consts_;
+  std::vector<ConstPred> consts_;  // t0 constants, then t1 constants
   std::vector<Probe> probes_;
-  std::vector<size_t> lift_, body_, rest_;
-  int64_t lead_ = -1;
-  scan_kernels::BlockPredicate lead_const_;
-  size_t lead_slot_ = 0;
+  // The lead's index in consts_ (t1_consts.front()), or -1.
+  int64_t lead_const_ = -1;
 };
-// Hash-partition blocks on the join attributes. A single join attribute
+
+// Hash-partition blocks on the join attributes: the join scan's blocks
+// and the suspect scan's equality groups. A single join attribute
 // buckets densely by code (codes are 0..dict.size()-1); multi-attribute
 // joins hash the code vector. Codes identify exactly the EvalOp equality
 // classes, so two rows share a block iff they agree on every join
 // attribute under '='. Rows NULL/fresh on a join attribute (negative
-// sentinel codes) never satisfy '=' and are excluded.
+// sentinel codes) never satisfy '=' and are excluded. Members are in
+// ascending row order; the blocks are in no particular order.
 std::vector<std::vector<int>> BuildJoinBlocks(const EncodedRelation& E,
                                               const std::vector<AttrId>& join) {
-  TraceSpan span("scan/build_join_blocks");
-  {
-    EvalCounters delta;
-    delta.partition_builds = 1;
-    eval_counters::Add(delta);
-  }
   int n = E.num_rows();
   std::vector<std::vector<int>> blocks;
   if (join.size() == 1) {
@@ -630,7 +572,14 @@ std::vector<Violation> FindViolationsOfCapped(
   }
   std::vector<AttrId> join = EqualityJoinAttrs(constraint.predicates());
   if (!join.empty()) {
-    std::vector<std::vector<int>> blocks = BuildJoinBlocks(E, join);
+    std::vector<std::vector<int>> blocks;
+    {
+      TraceSpan span("scan/build_join_blocks");
+      EvalCounters delta;
+      delta.partition_builds = 1;
+      eval_counters::Add(delta);
+      blocks = BuildJoinBlocks(E, join);
+    }
     BlockedJoinEnumerator enumerate(E, ev, constraint_index);
     ScanJoinBlocks(blocks, enumerate, &out, max_violations, truncated);
     return out;
@@ -696,6 +645,7 @@ struct SuspectOps {
   const DenialConstraint* c = nullptr;
   std::vector<EncodedPredicateEval> evals{};
   std::vector<char> attr_changing{};  // attrs owning any changing cell
+  std::vector<ZonePred> fwd{}, rev{};  // PartnerBlockSkips' scratch
 
   void SetConstraint(size_t k) {
     c = &(*sigma)[k];
@@ -728,71 +678,22 @@ struct SuspectOps {
     return true;
   }
 
-  // The row's code key on `attrs`; *usable is false when any cell is
-  // NULL/fresh (such rows never satisfy '=').
-  std::vector<Code> KeyOf(int i, const std::vector<AttrId>& attrs,
-                          bool* usable) const {
-    std::vector<Code> key;
-    key.reserve(attrs.size());
-    *usable = true;
-    for (AttrId a : attrs) {
-      Code v = E->code(i, a);
-      if (v < 0) {
-        *usable = false;
-        return key;
-      }
-      key.push_back(v);
-    }
-    return key;
-  }
-
   // Zone-prunes partner storage blocks against r. Only predicates on
   // attributes without any changing cell participate: those can never be
   // excluded from the suspect condition, so a block they rule out for
   // *both* pair orientations holds no suspect partner of r. One consult
   // is counted per block.
-  void PartnerBlockSkips(int r, std::vector<char>* skip) const {
+  void PartnerBlockSkips(int r, std::vector<char>* skip) {
     skip->clear();
-    if (attr_changing.empty()) return;
-    // fwd prunes orientation (r, j) — the partner binds t1; rev prunes
-    // (j, r) — the partner binds t0.
-    std::vector<ZonePred> fwd, rev;
-    for (const EncodedPredicateEval& pe : evals) {
-      if (!pe.on_codes() ||
-          attr_changing[static_cast<size_t>(pe.lhs_attr())]) {
-        continue;
-      }
-      if (pe.is_constant()) {
-        (pe.lhs_tuple() == 1 ? fwd : rev).push_back(MakeZonePred(pe));
-      } else if (pe.is_same_attr() && pe.lhs_tuple() != pe.rhs_tuple()) {
-        Code fixed = E->code(r, pe.lhs_attr());
-        fwd.push_back({scan_kernels::CompileProbe(pe.op(),
-                                                  pe.lhs_tuple() == 0, fixed,
-                                                  pe.ranks()),
-                       pe.ranks(), pe.lhs_attr()});
-        rev.push_back({scan_kernels::CompileProbe(pe.op(),
-                                                  pe.lhs_tuple() == 1, fixed,
-                                                  pe.ranks()),
-                       pe.ranks(), pe.lhs_attr()});
-      }
-    }
+    scan_internal::BuildPartnerZones(*E, evals, r, &attr_changing, &fwd, &rev);
     // A block is skippable only when both orientations are ruled out;
     // an orientation with no pruning predicates is never ruled out.
     if (fwd.empty() || rev.empty()) return;
     int nb = E->num_blocks();
     skip->assign(static_cast<size_t>(nb), 0);
-    auto may_all = [&](const std::vector<ZonePred>& zs, int b) {
-      for (const ZonePred& z : zs) {
-        if (!scan_kernels::MayMatch(z.bp, E->block_meta(z.attr, b),
-                                    z.ranks)) {
-          return false;
-        }
-      }
-      return true;
-    };
     EvalCounters zc;
     for (int b = 0; b < nb; ++b) {
-      bool may = may_all(fwd, b) || may_all(rev, b);
+      bool may = MayMatchAll(*E, fwd, b) || MayMatchAll(*E, rev, b);
       (*skip)[static_cast<size_t>(b)] = !may;
       if (may) {
         ++zc.blocks_scanned;
@@ -848,6 +749,7 @@ void ForEachSuspect(const EncodedRelation& E, const ConstraintSet& sigma,
   std::vector<int> rwc;
   std::vector<int> eq_changing_rows;
   std::vector<int> partners;
+  std::vector<int> group_of;  // row -> index of its equality group, or -1
   for (size_t k = 0; k < sigma.size(); ++k) {
     for (int r : rwc) in_rwc[r] = false;
     for (int r : eq_changing_rows) eq_cell_changing[r] = false;
@@ -919,13 +821,14 @@ void ForEachSuspect(const EncodedRelation& E, const ConstraintSet& sigma,
       continue;
     }
 
-    // Hash groups on the equality attributes.
-    std::unordered_map<std::vector<Code>, std::vector<int>, CodeVecHash>
-        groups;
-    for (int i = 0; i < n; ++i) {
-      bool usable = false;
-      std::vector<Code> key = ops.KeyOf(i, eq_attrs, &usable);
-      if (usable) groups[std::move(key)].push_back(i);
+    // Equality groups: the join scan's code partition on the equality
+    // attributes, members ascending.
+    const std::vector<std::vector<int>> groups = BuildJoinBlocks(E, eq_attrs);
+    group_of.assign(static_cast<size_t>(n), -1);
+    for (size_t g = 0; g < groups.size(); ++g) {
+      for (int i : groups[g]) {
+        group_of[static_cast<size_t>(i)] = static_cast<int>(g);
+      }
     }
     // Rows whose equality-attribute cells are in C: their join values may
     // change, so they pair with anything.
@@ -954,13 +857,9 @@ void ForEachSuspect(const EncodedRelation& E, const ConstraintSet& sigma,
         // This row's join cells change: every row is a candidate.
         for (int j = 0; j < n; ++j) add_partner(j);
       } else {
-        bool usable = false;
-        std::vector<Code> key = ops.KeyOf(r, eq_attrs, &usable);
-        if (usable) {
-          auto it = groups.find(key);
-          if (it != groups.end()) {
-            for (int j : it->second) add_partner(j);
-          }
+        const int g = group_of[static_cast<size_t>(r)];
+        if (g >= 0) {
+          for (int j : groups[static_cast<size_t>(g)]) add_partner(j);
         }
         for (int j : eq_changing_rows) add_partner(j);
       }

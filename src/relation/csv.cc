@@ -71,8 +71,10 @@ bool ReadCsvRecord(const std::string& text, size_t* pos, int* line,
   return true;
 }
 
+// '\r' too: the reader drops it outside quotes (CRLF input), so a bare
+// one would not survive a write and re-read.
 bool NeedsQuoting(const std::string& s) {
-  return s.find_first_of(",\"\n") != std::string::npos;
+  return s.find_first_of(",\"\n\r") != std::string::npos;
 }
 
 std::string QuoteField(const std::string& s) {
@@ -189,6 +191,11 @@ std::string WriteCsvString(const Relation& relation) {
       if (a) os << ",";
       const Value& v = relation.Get(i, a);
       if (!v.is_null()) os << QuoteField(v.ToString());
+    }
+    // A one-attribute NULL row would be a blank line, which the reader
+    // skips: write it as one quoted empty field.
+    if (schema.num_attributes() == 1 && relation.Get(i, 0).is_null()) {
+      os << "\"\"";
     }
     os << "\n";
   }

@@ -34,7 +34,10 @@ CsvResult ReadCsvString(const Schema& schema, const std::string& text);
 CsvResult ReadCsvFile(const Schema& schema, const std::string& path);
 
 /// Serializes a relation to CSV (header + rows). Fresh variables render as
-/// "fv_<id>", NULL renders as the empty field.
+/// "fv_<id>", NULL renders as the empty field. A field holding a comma, a
+/// quote, a newline or a carriage return is quoted, and a double carries
+/// every digit it needs, so ReadCsvString reads back every relation it
+/// produced cell for cell.
 std::string WriteCsvString(const Relation& relation);
 
 /// Writes WriteCsvString(relation) to `path`; returns false on I/O error.

@@ -111,7 +111,6 @@ void EncodedRelation::AppendSegmentToColumn(AttrId a) {
 
 void EncodedRelation::RecomputeBlockMeta(AttrId a, int b) {
   BlockMeta m;
-  m.dirty_epoch = epoch_;
   const Code* seg = block_codes(a, b);
   const Dictionary& d = dicts_[static_cast<size_t>(a)];
   int rows = block_rows(b);
@@ -169,7 +168,6 @@ void EncodedRelation::ApplyChange(int row, AttrId attr) {
       dict.EncodeInsert(I_->Get(row, attr));
   if (dict.size() != before) {
     ++attr_epochs_[static_cast<size_t>(attr)];
-    ++epoch_;
     // The insert shifted the ranks of every entry ordered after the new
     // value; all of this column's zone maps may be stale.
     RecomputeColumnMetas(attr);
@@ -199,7 +197,6 @@ void EncodedRelation::AppendRow() {
   // Unconditional: push_back may have reallocated a segment table, and
   // compiled evaluators hold raw table pointers (see header).
   ++structural_epoch_;
-  ++epoch_;
   for (AttrId a = 0; a < I_->num_attributes(); ++a) {
     if (grew[static_cast<size_t>(a)]) {
       RecomputeColumnMetas(a);  // ranks shifted under this column

@@ -29,8 +29,8 @@
 // re-encoded cell in place — and row r of attribute a lives at
 // segments(a)[r >> kBlockShift][r & kBlockMask]. Every (attribute, block)
 // pair carries a zone map (`BlockMeta`): the min/max packed rank over the
-// block's non-sentinel codes, a NULL/fresh-sentinel presence bit, and the
-// epoch of its last recompute. Zone maps are maintained *eagerly* — they
+// block's non-sentinel codes and a NULL/fresh-sentinel presence bit. Zone
+// maps are maintained *eagerly* — they
 // are always current — so concurrent read-only scans may consult them
 // without synchronization: an ApplyChange that grows no dictionary
 // recomputes only the touched block's meta (O(kBlockSize)); one that does
@@ -44,8 +44,7 @@
 // per-column segment tables may reallocate). Compiled evaluators record
 // the epochs of exactly the state they cache and report staleness
 // per-predicate through valid_for — a dictionary growing on attribute X
-// does not invalidate evaluators compiled against attribute Y. The legacy
-// `epoch()` still advances on either event.
+// does not invalidate evaluators compiled against attribute Y.
 //
 // Sentinel codes: NULL cells encode to kNullCode and fresh variables to
 // kFreshCode — both negative, so a single sign test reproduces the
@@ -172,14 +171,12 @@ class EncodedRelation {
 
   /// Zone map of one (attribute, block): packed-rank extrema over the
   /// block's non-sentinel codes (min > max means the block holds only
-  /// sentinels — no predicate matches anything in it), whether any
-  /// NULL/fresh sentinel is present, and the relation epoch at the last
-  /// recompute (introspection: which blocks a mutation dirtied).
+  /// sentinels — no predicate matches anything in it) and whether any
+  /// NULL/fresh sentinel is present.
   struct BlockMeta {
     int32_t min_rank = std::numeric_limits<int32_t>::max();
     int32_t max_rank = std::numeric_limits<int32_t>::min();
     bool has_sentinel = false;
-    uint64_t dirty_epoch = 0;
 
     bool all_sentinel() const { return min_rank > max_rank; }
   };
@@ -235,9 +232,9 @@ class EncodedRelation {
 
   /// Mirrors one Relation::AddRow: encodes the backing relation's newest
   /// row into every column. Call exactly once after each AddRow, before
-  /// any further ApplyChange. Always advances the structural epoch (and
-  /// the legacy epoch): appending can reallocate the per-column segment
-  /// tables, and compiled evaluators cache raw table pointers.
+  /// any further ApplyChange. Always advances the structural epoch:
+  /// appending can reallocate the per-column segment tables, and compiled
+  /// evaluators cache raw table pointers.
   void AppendRow();
 
   /// Advances when attribute a's dictionary grows; evaluators compiled
@@ -248,11 +245,6 @@ class EncodedRelation {
   /// Advances when AppendRow extends the relation (segment tables may
   /// have reallocated).
   uint64_t structural_epoch() const { return structural_epoch_; }
-
-  /// Legacy coarse epoch: advances on any dictionary growth and on every
-  /// AppendRow. Prefer valid_for on the compiled evaluators, which is
-  /// keyed per attribute and does not over-invalidate.
-  uint64_t epoch() const { return epoch_; }
 
   /// True iff every Relation mutation has been mirrored (each SetValue
   /// paired with one ApplyChange).
@@ -280,7 +272,6 @@ class EncodedRelation {
   int arena_used_ = kSegmentsPerChunk;          // segments used in back()
   std::vector<uint64_t> attr_epochs_;
   uint64_t structural_epoch_ = 0;
-  uint64_t epoch_ = 0;
   uint64_t synced_version_ = 0;
 };
 
@@ -340,8 +331,9 @@ class EncodedPredicateEval {
 
 /// A whole constraint compiled against an EncodedRelation; evaluates with
 /// the same predicate order and short-circuit as
-/// DenialConstraint::IsViolated, attributing each predicate evaluation to
-/// code_predicate_evals or predicate_evals by evaluator kind.
+/// DenialConstraint::IsViolated. It counts nothing: the scans that count
+/// predicate evaluations (dc/violation.cc) walk predicate_evals()
+/// themselves.
 class EncodedConstraintEval {
  public:
   EncodedConstraintEval(const EncodedRelation& E, const DenialConstraint& c);

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <functional>
 
 namespace cvrepair {
@@ -14,13 +15,16 @@ std::string Value::ToString() const {
       return std::to_string(as_int());
     case ValueKind::kDouble: {
       double d = as_double();
+      char buf[64];
       if (d == std::floor(d) && std::abs(d) < 1e15) {
-        char buf[32];
         std::snprintf(buf, sizeof(buf), "%.1f", d);
         return buf;
       }
-      char buf[64];
-      std::snprintf(buf, sizeof(buf), "%g", d);
+      // The fewest significant digits, from %g's 6 up, that read back as d.
+      for (int digits = 6; digits <= 17; ++digits) {
+        std::snprintf(buf, sizeof(buf), "%.*g", digits, d);
+        if (std::strtod(buf, nullptr) == d) break;
+      }
       return buf;
     }
     case ValueKind::kString:

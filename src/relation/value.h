@@ -83,7 +83,10 @@ class Value {
     return a.rep_ < b.rep_;
   }
 
-  /// Human-readable rendering ("NULL", "fv_3", "42", "3.14", "abc").
+  /// Human-readable rendering ("NULL", "fv_3", "42", "3.14", "abc"). A
+  /// double prints with the fewest significant digits (at least %g's 6)
+  /// that read back (strtod) as the same double, so the CSV writer and the
+  /// constraint rendering lose no precision.
   std::string ToString() const;
 
   /// Hash compatible with operator==.

@@ -138,20 +138,6 @@ RepairResult CVTolerantRepair(const Relation& I, const ConstraintSet& sigma,
                                    &fresh_counter, E, start);
 }
 
-std::optional<ScopedRepair> CVTolerantResolveComponents(
-    const Relation& I, const DomainStats& stats_of_I,
-    const ConstraintSet& frozen_variant, std::vector<Violation> violations,
-    const CVTolerantOptions& options, RepairStats* stats,
-    int64_t* fresh_counter, const EncodedRelation& encoded,
-    double delta_min) {
-  TraceSpan span("cvtolerant/resolve_components");
-  span.AddArg("violations", static_cast<int64_t>(violations.size()));
-  return SolveDirtyComponents(I, stats_of_I, frozen_variant,
-                              std::move(violations), delta_min, options.vfree,
-                              /*cache=*/nullptr, stats, fresh_counter,
-                              encoded);
-}
-
 int64_t ViolationCap(const CVTolerantOptions& options, int num_rows) {
   return options.max_violations_per_tuple > 0
              ? static_cast<int64_t>(options.max_violations_per_tuple *

@@ -3,7 +3,6 @@
 
 #include <chrono>
 #include <limits>
-#include <optional>
 
 #include "dc/eval_counters.h"
 #include "repair/repair_result.h"
@@ -73,27 +72,6 @@ RepairResult CVTolerantRepair(const Relation& I, const ConstraintSet& sigma,
 /// options.variants.data is set.
 VariantFamily EnumerateVariants(const Relation& I, const ConstraintSet& sigma,
                                 const CVTolerantOptions& options);
-
-/// Component-scoped θ-tolerant re-solve under a frozen variant: Algorithm 1
-/// with |D| = 1 and detection already done. `frozen_variant` is the Σ' an
-/// earlier CVTolerantRepair settled on (its satisfied_constraints);
-/// `violations` is an externally detected violation set of the current
-/// instance against that variant — typically the delta-maintained set of a
-/// StreamingRepairer after a batch of edits. Only the components reachable
-/// from those violations are repaired, each solved afresh: one round
-/// looks every component up once, so a materialized-solution cache could
-/// never hit (DESIGN.md §9). `fresh_counter` persists across calls so
-/// fresh ids stay globally unique; `encoded` must mirror `I`. Solves under
-/// options.vfree, as CVTolerantRepair's candidate solves do, so a scoped
-/// re-solve is bit-identical to the candidate solve the full pipeline would
-/// run on the same violations. Returns std::nullopt only on a delta_min
-/// abort (never with the default +inf bound).
-std::optional<ScopedRepair> CVTolerantResolveComponents(
-    const Relation& I, const DomainStats& stats_of_I,
-    const ConstraintSet& frozen_variant, std::vector<Violation> violations,
-    const CVTolerantOptions& options, RepairStats* stats,
-    int64_t* fresh_counter, const EncodedRelation& encoded,
-    double delta_min = std::numeric_limits<double>::infinity());
 
 /// Per-constraint detection facts consumed by the factored variant search
 /// below, one per position of VariantFamily::constraints: the constraint's

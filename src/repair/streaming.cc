@@ -272,10 +272,15 @@ StreamBatchResult StreamingRepairer::ApplyBatch(
     // from-scratch repair of the accumulated instance would — the contract
     // is bit-identity with scratch, and frequencies steer the solver.
     DomainStats stats_of_W(W);
-    std::optional<ScopedRepair> fix = CVTolerantResolveComponents(
-        W, stats_of_W, variant_, std::move(violations), options_.repair,
-        /*stats=*/nullptr, &fresh_counter_, *index_->encoded());
-    // delta_min defaults to +inf, so the scoped solve cannot abort.
+    // Algorithm 1 with |D| = 1 and detection done: one round over the
+    // components reachable from the violations, with no cache (one round
+    // looks every component up once, so a cache could never hit) and no
+    // cost bound, so it cannot abort.
+    std::optional<ScopedRepair> fix = SolveDirtyComponents(
+        W, stats_of_W, variant_, std::move(violations),
+        std::numeric_limits<double>::infinity(), options_.repair.vfree,
+        /*cache=*/nullptr, /*stats=*/nullptr, &fresh_counter_,
+        *index_->encoded());
     assert(fix.has_value());
     out.components = fix->components;
     out.repair_cost = fix->cost;

@@ -280,21 +280,25 @@ TEST(EncodedRelationTest, ApplyChangeKeepsMirrorConsistent) {
   ASSERT_TRUE(E.in_sync());
 
   AttrId attr = 0;
-  uint64_t epoch0 = E.epoch();
+  const uint64_t attr_epoch0 = E.attr_epoch(attr);
+  const uint64_t structural0 = E.structural_epoch();
   // Overwrite with a value that already exists elsewhere in the column:
-  // the dictionary must not grow and the epoch must hold still.
+  // the dictionary must not grow and the epochs must hold still.
   rel.SetValue({0, attr}, rel.Get(1, attr));
   E.ApplyChange(0, attr);
   EXPECT_TRUE(E.in_sync());
-  EXPECT_EQ(E.epoch(), epoch0);
+  EXPECT_EQ(E.attr_epoch(attr), attr_epoch0);
+  EXPECT_EQ(E.structural_epoch(), structural0);
   EXPECT_EQ(E.code(0, attr), E.code(1, attr));
 
-  // A genuinely new value grows the dictionary and bumps the epoch.
+  // A genuinely new value grows the dictionary and bumps its attribute's
+  // epoch; the rows did not move, so the structural epoch holds.
   Code old_code_row2 = E.code(2, attr);
   rel.SetValue({0, attr}, Value::String("a value nobody generated"));
   E.ApplyChange(0, attr);
   EXPECT_TRUE(E.in_sync());
-  EXPECT_GT(E.epoch(), epoch0);
+  EXPECT_GT(E.attr_epoch(attr), attr_epoch0);
+  EXPECT_EQ(E.structural_epoch(), structural0);
   // Codes of untouched cells are stable across the growth.
   EXPECT_EQ(E.code(2, attr), old_code_row2);
 

@@ -1,11 +1,14 @@
 // Cross-checking fuzz tests: repair-context compression vs uncompressed
-// feasibility, parser round-trips on random constraints, and metric
-// invariants on random repairs.
+// feasibility, parser round-trips on random constraints and on mutated
+// schema, CSV and constraint texts, and metric invariants on random
+// repairs.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
 #include <random>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "data/census.h"
 #include "data/hosp.h"
@@ -14,7 +17,9 @@
 #include "eval/metrics.h"
 #include "paper_example.h"
 #include "reference_scan.h"
+#include "relation/csv.h"
 #include "relation/encoded.h"
+#include "relation/schema_parser.h"
 #include "repair/vfree.h"
 #include "solver/components.h"
 #include "solver/csp_solver.h"
@@ -91,6 +96,122 @@ TEST_P(ParserFuzz, ToStringParsesBackToTheSameConstraint) {
         << original.ToString(schema) << ": " << round.error;
     EXPECT_EQ(*round.constraint, original) << original.ToString(schema);
   }
+}
+
+// ---------- Mutated parser inputs: no crash, and accepted texts round-trip
+
+const char kSeedSchema[] =
+    "# income records\n"
+    "Name:string:key\n"
+    "Income:double\n"
+    "Tax:double\n"
+    "Age:int\n"
+    "CP:string\n";
+
+const char kSeedCsv[] =
+    "Name,Income,Tax,Age,CP\n"
+    "\"Ayres, D.\",85.5,12.25,34,\"New York\"\n"
+    "Dustin,150,40,51,LA\r\n"
+    "\"say \"\"hi\"\"\",21.75,0.5,,Boston\n";
+
+const char kSeedConstraints[] =
+    "phi1: not(t0.Income>t1.Income & t0.Tax<=t1.Tax)\n"
+    "not(t0.Age<18); not(t0.Name=t1.Name & t0.CP\xE2\x89\xA0t1.CP)\n"
+    "Name -> CP\n"
+    "# comment\n"
+    "phi4: not(t0.CP='New York' & t0.Tax<2.5e1)\n";
+
+// Byte deletions, token insertions and a truncation, 1 to 3 per text. The
+// tokens are the parsers' syntax: quotes, separators, operators (with
+// the UTF-8 bytes of the Unicode not-equal sign, whole and cut short),
+// tuple variables, digits and exponents.
+std::string Mutate(std::string text, std::mt19937_64* rng) {
+  static const std::vector<std::string> kTokens = {
+      "\"", "'", ",", ";", ":", "\n", "\r", "(", ")", "&", "!", "=", "<",
+      ">", ".", "t0.", "t1.", "0", "1", "5", "9", "e", "e5", "E-3", "1e999",
+      "-", "\xE2\x89\xA0", "\xE2\x89", "\xE2"};
+  std::uniform_int_distribution<int> count(1, 3);
+  const int n = count(*rng);
+  for (int k = 0; k < n; ++k) {
+    std::uniform_int_distribution<size_t> at(0, text.size());
+    const size_t pos = at(*rng);
+    switch ((*rng)() % 3) {
+      case 0:
+        text.erase(pos, 1 + (*rng)() % 3);
+        break;
+      case 1:
+        text.insert(pos, kTokens[(*rng)() % kTokens.size()]);
+        break;
+      default:
+        text.resize(pos);
+        break;
+    }
+  }
+  return text;
+}
+
+TEST_P(ParserFuzz, MutatedTextsParseOrFailAndRoundTrip) {
+  std::mt19937_64 rng(GetParam() * 7727);
+  ParseSchemaResult seed_schema = ParseSchema(kSeedSchema);
+  ASSERT_TRUE(seed_schema.ok()) << seed_schema.error;
+  const Schema& schema = *seed_schema.schema;
+  int accepted[3] = {0, 0, 0};
+
+  for (int trial = 0; trial < 400 * FuzzScale(); ++trial) {
+    // Schema: SchemaToString then ParseSchema is stable.
+    const std::string schema_text = Mutate(kSeedSchema, &rng);
+    ParseSchemaResult s = ParseSchema(schema_text);
+    ASSERT_TRUE(s.ok() || !s.error.empty()) << schema_text;
+    if (s.ok()) {
+      ++accepted[0];
+      const std::string rendered = SchemaToString(*s.schema);
+      ParseSchemaResult again = ParseSchema(rendered);
+      ASSERT_TRUE(again.ok()) << rendered << ": " << again.error;
+      EXPECT_EQ(SchemaToString(*again.schema), rendered) << schema_text;
+    }
+
+    // CSV: WriteCsvString then ReadCsvString keeps every cell.
+    const std::string csv_text = Mutate(kSeedCsv, &rng);
+    CsvResult c = ReadCsvString(schema, csv_text);
+    ASSERT_TRUE(c.ok() || !c.error.empty()) << csv_text;
+    if (c.ok()) {
+      ++accepted[1];
+      const Relation& rel = *c.relation;
+      const std::string written = WriteCsvString(rel);
+      CsvResult again = ReadCsvString(schema, written);
+      ASSERT_TRUE(again.ok()) << written << ": " << again.error;
+      ASSERT_EQ(again.relation->num_rows(), rel.num_rows()) << written;
+      for (int r = 0; r < rel.num_rows(); ++r) {
+        for (AttrId a = 0; a < rel.num_attributes(); ++a) {
+          EXPECT_EQ(again.relation->Get(r, a), rel.Get(r, a))
+              << "cell (" << r << "," << a << ") of\n"
+              << csv_text;
+        }
+      }
+    }
+
+    // Constraints: ToString(Σ) then ParseConstraintSet gives equal
+    // constraints, names included.
+    const std::string dc_text = Mutate(kSeedConstraints, &rng);
+    ParseSetResult d = ParseConstraintSet(schema, dc_text);
+    ASSERT_TRUE(d.ok() || !d.error.empty()) << dc_text;
+    if (d.ok()) {
+      ++accepted[2];
+      const ConstraintSet& sigma = *d.constraints;
+      const std::string rendered = ToString(sigma, schema);
+      ParseSetResult again = ParseConstraintSet(schema, rendered);
+      ASSERT_TRUE(again.ok()) << rendered << ": " << again.error;
+      ASSERT_EQ(again.constraints->size(), sigma.size()) << rendered;
+      for (size_t k = 0; k < sigma.size(); ++k) {
+        EXPECT_EQ((*again.constraints)[k], sigma[k]) << rendered;
+        EXPECT_EQ((*again.constraints)[k].name(), sigma[k].name())
+            << rendered;
+      }
+    }
+  }
+  // The mutations must leave some inputs valid for the round trips to
+  // mean much.
+  for (int kind = 0; kind < 3; ++kind) EXPECT_GT(accepted[kind], 0) << kind;
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ParserFuzz,

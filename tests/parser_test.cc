@@ -71,6 +71,32 @@ TEST(ParserTest, RoundTripsToString) {
   }
 }
 
+// Constants the bare rendering used to change: a double past %g's 6
+// digits, quoted strings the parser would trim, extend into a longer
+// operator, take for a tuple variable or type as a number.
+TEST(ParserTest, ConstantsRoundTripThroughToString) {
+  Relation rel = PaperIncomeRelation();
+  const Schema& schema = rel.schema();
+  for (const char* text :
+       {"not(t0.Tax<4.7278491234)", "not(t0.CP='New York\r')",
+        "not(t0.CP=' x')", "not(t0.CP<'=x')", "not(t0.CP='t1.Name')",
+        "not(t0.Year='5')", "not(t0.CP=''x'')",
+        "not(t0.Name=Ayres & t0.Tax>0.1)"}) {
+    ParseConstraintResult r = ParseConstraint(schema, text);
+    ASSERT_TRUE(r.ok()) << text << ": " << r.error;
+    const std::string rendered = r.constraint->ToString(schema);
+    ParseConstraintResult again = ParseConstraint(schema, rendered);
+    ASSERT_TRUE(again.ok()) << rendered << ": " << again.error;
+    EXPECT_EQ(*again.constraint, *r.constraint) << text << " -> " << rendered;
+  }
+  // A constant that parses back bare keeps its bare form.
+  ParseConstraintResult plain =
+      ParseConstraint(schema, "not(t0.Name='Ayres' & t0.Tax>0.1)");
+  ASSERT_TRUE(plain.ok()) << plain.error;
+  EXPECT_EQ(plain.constraint->ToString(schema),
+            "not(t0.Name=Ayres & t0.Tax>0.1)");
+}
+
 TEST(ParserTest, ErrorMessages) {
   Relation rel = PaperIncomeRelation();
   EXPECT_FALSE(ParseConstraint(rel.schema(), "nonsense").ok());

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
 #include <vector>
 
 #include "paper_example.h"
@@ -187,6 +188,70 @@ TEST(CsvTest, CrlfInsideAndOutsideQuotes) {
   ASSERT_EQ(parsed.relation->num_rows(), 2);
   EXPECT_EQ(parsed.relation->Get(0, 0), Value::String("x\r\ny"));
   EXPECT_EQ(parsed.relation->Get(1, 0), Value::String("z"));
+}
+
+// A carriage return inside a value is data: the writer must quote it, or
+// the reader, which drops a bare '\r' as a CRLF line ending, loses it.
+TEST(CsvTest, CarriageReturnsInValuesRoundTrip) {
+  Schema schema;
+  schema.AddAttribute("A", AttrType::kString);
+  schema.AddAttribute("B", AttrType::kInt);
+  CsvResult loaded = ReadCsvString(schema, "A,B\n\"a\rb\",1\n\"a\r\",2\n");
+  ASSERT_TRUE(loaded.ok()) << loaded.error;
+  ASSERT_EQ(loaded.relation->num_rows(), 2);
+  EXPECT_EQ(loaded.relation->Get(0, 0), Value::String("a\rb"));
+  EXPECT_EQ(loaded.relation->Get(1, 0), Value::String("a\r"));
+
+  CsvResult reread =
+      ReadCsvString(schema, WriteCsvString(*loaded.relation));
+  ASSERT_TRUE(reread.ok()) << reread.error;
+  ASSERT_EQ(reread.relation->num_rows(), 2);
+  for (int r = 0; r < 2; ++r) {
+    for (AttrId a = 0; a < 2; ++a) {
+      EXPECT_EQ(reread.relation->Get(r, a), loaded.relation->Get(r, a))
+          << "cell (" << r << "," << a << ")";
+    }
+  }
+  EXPECT_EQ(reread.relation->Get(0, 0).as_string(), "a\rb");
+  EXPECT_EQ(reread.relation->Get(1, 0).as_string(), "a\r");
+}
+
+// Doubles are written with every digit they need: a value %g would round
+// to 6 significant digits reads back unchanged.
+TEST(CsvTest, DoublesRoundTripExactly) {
+  Schema schema;
+  schema.AddAttribute("D", AttrType::kDouble);
+  schema.AddAttribute("S", AttrType::kString);
+  Relation rel(schema);
+  for (double d : {4.7278491234, 1.0 / 3.0, -1234567.25, 1e-7 / 3.0, 0.1,
+                   2.75, 1e16 + 2.0}) {
+    rel.AddRow({Value::Double(d), Value::String("x")});
+  }
+  const std::string written = WriteCsvString(rel);
+  CsvResult parsed = ReadCsvString(schema, written);
+  ASSERT_TRUE(parsed.ok()) << parsed.error;
+  ASSERT_EQ(parsed.relation->num_rows(), rel.num_rows());
+  for (int r = 0; r < rel.num_rows(); ++r) {
+    EXPECT_EQ(parsed.relation->Get(r, 0), rel.Get(r, 0)) << written;
+  }
+  // Values %g already prints exactly keep their short form.
+  EXPECT_NE(written.find("\n0.1,x\n2.75,x\n"), std::string::npos) << written;
+}
+
+// With one attribute, a NULL row must not become a blank line, which the
+// reader skips.
+TEST(CsvTest, SingleColumnNullRowsRoundTrip) {
+  Schema schema;
+  schema.AddAttribute("A", AttrType::kString);
+  Relation rel(schema);
+  rel.AddRow({Value::String("a")});
+  rel.AddRow({Value::Null()});
+  rel.AddRow({Value::String("b")});
+  CsvResult parsed = ReadCsvString(schema, WriteCsvString(rel));
+  ASSERT_TRUE(parsed.ok()) << parsed.error;
+  ASSERT_EQ(parsed.relation->num_rows(), 3);
+  EXPECT_TRUE(parsed.relation->Get(1, 0).is_null());
+  EXPECT_EQ(parsed.relation->Get(2, 0), Value::String("b"));
 }
 
 TEST(CsvTest, UnterminatedQuoteIsAnError) {

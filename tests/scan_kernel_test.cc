@@ -1,14 +1,16 @@
 // Equivalence contract of the block scan kernels (dc/scan_kernels.h):
 //
-//  * kernel level — EvalBlock must be bit-identical between the scalar
-//    reference and the SIMD paths on randomized codes/ranks, including
-//    sentinel-heavy and partial-tail blocks, and MayMatch == false must
-//    imply an all-zero selection bitmap (zone-map skips are sound);
+//  * kernel level — the portable EvalBlockScalar and the dispatched
+//    EvalBlock (the AVX2 kernel on a CPU that has it) must both match a
+//    per-lane oracle written here, lane for lane, on randomized
+//    codes/ranks, including sentinel-heavy and partial-tail blocks, and
+//    MayMatch == false must imply an all-zero selection bitmap (zone-map
+//    skips are sound);
 //  * scan level — FindViolations / FindViolationsOfCapped / FindSuspects
 //    on every dataset generator must find exactly what the naive
 //    reference (reference_scan.h) finds, and produce identical order,
-//    capped prefixes, truncated flags, and work counters across SIMD
-//    on/off and 1 vs 4 threads;
+//    capped prefixes, truncated flags, and work counters at 1 and 4
+//    threads;
 //  * maintenance level — all-NULL / all-fresh / tail blocks scan
 //    correctly, zone maps follow ApplyChange (including dictionary-epoch
 //    bumps mid-workload), and ViolationIndex recompiles exactly the
@@ -17,8 +19,10 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <iterator>
 #include <random>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "data/census.h"
@@ -40,7 +44,7 @@ namespace {
 using scan_kernels::BlockPredicate;
 
 // ---------------------------------------------------------------------------
-// Kernel level: randomized scalar-vs-SIMD equivalence and skip soundness.
+// Kernel level: both kernels against a per-lane oracle, and skip soundness.
 // ---------------------------------------------------------------------------
 
 // A synthetic dictionary rank array: `dict_size` codes split over the two
@@ -108,13 +112,26 @@ BlockPredicate RandomPredicate(int dict_size, const std::vector<int32_t>& ranks,
   return p;
 }
 
-class SimdToggle {
- public:
-  explicit SimdToggle(bool enabled) { scan_kernels::SetSimdEnabled(enabled); }
-  ~SimdToggle() { scan_kernels::SetSimdEnabled(true); }
-};
+// What one lane must read, straight from the BlockPredicate semantics of
+// dc/scan_kernels.h: sentinel codes (negative) satisfy no predicate.
+bool OracleLane(const BlockPredicate& p, Code v,
+                const std::vector<int32_t>& ranks) {
+  switch (p.kind) {
+    case BlockPredicate::Kind::kNever:
+      return false;
+    case BlockPredicate::Kind::kEqCode:
+      return v == p.code;
+    case BlockPredicate::Kind::kNeqCode:
+      if (v < 0) return false;
+      return (ranks[v] >> Dictionary::kRankBits) == p.cls && v != p.code;
+    case BlockPredicate::Kind::kRankRange:
+      if (v < 0) return false;
+      return p.lo <= ranks[v] && ranks[v] <= p.hi;
+  }
+  return false;
+}
 
-TEST(ScanKernelTest, ScalarAndSimdBitmapsAreBitIdentical) {
+TEST(ScanKernelTest, ScalarAndDispatchedKernelsMatchPerLaneOracle) {
   std::mt19937 rng(17);
   const int kDict = 200;
   std::vector<int32_t> ranks = MakeRanks(kDict, &rng);
@@ -122,26 +139,28 @@ TEST(ScanKernelTest, ScalarAndSimdBitmapsAreBitIdentical) {
   // plus full and near-full blocks.
   const int kLaneCounts[] = {0, 1, 3, 7, 8, 9, 15, 16, 63,
                              64, 65, 100, 1000, 1023, 1024};
+  using Kernel = void (*)(const BlockPredicate&, const Code*, int,
+                          const int32_t*, uint64_t*);
+  const std::pair<const char*, Kernel> kKernels[] = {
+      {"EvalBlockScalar", &scan_kernels::EvalBlockScalar},
+      {"EvalBlock", &scan_kernels::EvalBlock}};
   for (double sentinel_rate : {0.0, 0.3, 1.0}) {
     for (int n : kLaneCounts) {
       std::vector<Code> codes = MakeCodes(n, kDict, sentinel_rate, &rng);
       for (int trial = 0; trial < 8; ++trial) {
         BlockPredicate p = RandomPredicate(kDict, ranks, &rng);
-        uint64_t scalar_bm[EncodedRelation::kBlockSize / 64];
-        uint64_t simd_bm[EncodedRelation::kBlockSize / 64];
-        {
-          SimdToggle off(false);
-          scan_kernels::EvalBlock(p, codes.data(), n, ranks.data(), scalar_bm);
-        }
-        {
-          SimdToggle on(true);
-          scan_kernels::EvalBlock(p, codes.data(), n, ranks.data(), simd_bm);
-        }
-        int words = (n + 63) / 64;
-        for (int w = 0; w < words; ++w) {
-          ASSERT_EQ(scalar_bm[w], simd_bm[w])
-              << "n=" << n << " sentinel_rate=" << sentinel_rate
-              << " kind=" << static_cast<int>(p.kind) << " word=" << w;
+        for (const auto& [name, kernel] : kKernels) {
+          // Stale bits everywhere: the kernel must overwrite every word.
+          uint64_t bm[EncodedRelation::kBlockSize / 64];
+          std::fill(std::begin(bm), std::end(bm), ~uint64_t{0});
+          kernel(p, codes.data(), n, ranks.data(), bm);
+          const int words = (n + 63) / 64;
+          for (int i = 0; i < words * 64; ++i) {
+            const bool want = i < n && OracleLane(p, codes[i], ranks);
+            ASSERT_EQ(((bm[i >> 6] >> (i & 63)) & 1) != 0, want)
+                << name << " n=" << n << " sentinel_rate=" << sentinel_rate
+                << " kind=" << static_cast<int>(p.kind) << " lane=" << i;
+          }
         }
       }
     }
@@ -193,8 +212,8 @@ TEST(ScanKernelTest, CompileProbeSentinelIsNever) {
 }
 
 // ---------------------------------------------------------------------------
-// Scan level: every generator against the reference, and identical across
-// kernel and thread configurations.
+// Scan level: every generator against the reference, and identical at 1
+// and 4 threads.
 // ---------------------------------------------------------------------------
 
 struct Workload {
@@ -252,9 +271,8 @@ struct ScanOutcome {
   EvalCounters counters;
 };
 
-ScanOutcome RunScans(const Workload& w, const EncodedRelation& E, bool simd,
+ScanOutcome RunScans(const Workload& w, const EncodedRelation& E,
                      int threads) {
-  SimdToggle st(simd);
   ThreadPool::SetNumThreads(threads);
   eval_counters::Reset();
   ScanOutcome out;
@@ -290,8 +308,8 @@ TEST(ScanKernelEquivalenceTest, AllGeneratorsAllBackendsAllThreadCounts) {
     SCOPED_TRACE(w.name);
     EncodedRelation E(w.dirty);
 
-    // The scalar kernels at one thread, checked against the reference.
-    ScanOutcome base = RunScans(w, E, /*simd=*/false, /*threads=*/1);
+    // One thread, checked against the reference.
+    ScanOutcome base = RunScans(w, E, /*threads=*/1);
     ASSERT_FALSE(base.violations.empty() && base.suspects.empty())
         << "workload exercises nothing";
     EXPECT_EQ(reference::Sorted(base.violations),
@@ -312,22 +330,16 @@ TEST(ScanKernelEquivalenceTest, AllGeneratorsAllBackendsAllThreadCounts) {
     EXPECT_EQ(base.capped, expected_capped);
     EXPECT_EQ(base.truncated, expected_truncated);
 
-    // Every other kernel and thread configuration: same order, same work.
-    struct Config {
-      bool simd;
-      int threads;
-    };
-    const Config configs[] = {{false, 4}, {true, 1}, {true, 4}};
-    for (const Config& c : configs) {
-      SCOPED_TRACE(std::string("simd=") + (c.simd ? "on" : "off") +
-                   " threads=" + std::to_string(c.threads));
-      ScanOutcome got = RunScans(w, E, c.simd, c.threads);
+    // Four threads: same order, same work.
+    {
+      SCOPED_TRACE("threads=4");
+      ScanOutcome got = RunScans(w, E, /*threads=*/4);
       EXPECT_EQ(got.violations, base.violations);
       EXPECT_EQ(got.capped, base.capped);
       EXPECT_EQ(got.truncated, base.truncated);
       EXPECT_EQ(got.suspects, base.suspects);
       EXPECT_TRUE(SameCounters(got.counters, base.counters))
-          << "work counters vary with the kernel or --threads";
+          << "work counters vary with --threads";
     }
   }
 }

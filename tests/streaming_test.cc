@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <random>
 #include <string>
 #include <vector>
@@ -134,9 +135,10 @@ void RunStreamedVsScratch(const Workload& w, int threads) {
     DomainStats stats_of_W(W);
     RepairStats scratch_stats;
     int64_t scratch_fresh = 1000000;  // disjoint from the streamed ids
-    std::optional<ScopedRepair> fix = CVTolerantResolveComponents(
+    std::optional<ScopedRepair> fix = SolveDirtyComponents(
         W, stats_of_W, streamer.variant(), std::move(violations),
-        options.repair, &scratch_stats, &scratch_fresh, E);
+        std::numeric_limits<double>::infinity(), options.repair.vfree,
+        /*cache=*/nullptr, &scratch_stats, &scratch_fresh, E);
     ASSERT_TRUE(fix.has_value());
     EXPECT_EQ(fix->cost, r.repair_cost);  // bit-identical, not just close
     EXPECT_EQ(fix->components, r.components);

@@ -8,10 +8,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <cstdlib>
+#include <limits>
 #include <optional>
 #include <random>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "data/census.h"
@@ -401,9 +405,10 @@ void RunStreamedVsScratchDelete(const Workload& w, int threads) {
     DomainStats stats_of_W(W);
     RepairStats scratch_stats;
     int64_t scratch_fresh = 1000000;
-    std::optional<ScopedRepair> fix = CVTolerantResolveComponents(
+    std::optional<ScopedRepair> fix = SolveDirtyComponents(
         W, stats_of_W, streamer.variant(), std::move(violations),
-        options.repair, &scratch_stats, &scratch_fresh, E);
+        std::numeric_limits<double>::infinity(), options.repair.vfree,
+        /*cache=*/nullptr, &scratch_stats, &scratch_fresh, E);
     ASSERT_TRUE(fix.has_value());
     EXPECT_EQ(fix->cost, r.repair_cost);  // bit-identical
     for (auto& [cell, value] : fix->assignments) {
@@ -427,6 +432,155 @@ TEST(SubsetRepairTest, DeleteStreamedMatchesScratchHospEncoded4Threads) {
 }
 TEST(SubsetRepairTest, DeleteStreamedMatchesScratchCensusEncoded) {
   RunStreamedVsScratchDelete(MakeCensusWorkload(), /*threads=*/1);
+}
+
+// ---------------------------------------------------------------------------
+// Deletion oracle: on toy instances of at most 12 tuples, brute force finds
+// the minimum-weight row set whose tombstoning satisfies Σ. The greedy
+// cover is a weighted set cover over the violations, so its cost lies
+// between that optimum and H(Δ) times it, where Δ is the most violations
+// sharing one row.
+
+struct ToyInstance {
+  std::string name;
+  Relation dirty;
+  ConstraintSet sigma;
+  PredicateSpaceOptions space;
+  AttrId group_attr;  // a repr_attr for representation-cost weights
+};
+
+std::vector<ToyInstance> MakeToyInstances(uint64_t seed) {
+  std::vector<ToyInstance> out;
+  NoiseConfig noise;
+  noise.error_rate = 0.2;
+  noise.seed += seed;
+  HospConfig hosp_config;
+  hosp_config.num_hospitals = 3;
+  hosp_config.measures_per_hospital = 4;
+  HospData hosp = MakeHosp(hosp_config);
+  noise.target_attrs = hosp.noise_attrs;
+  out.push_back({"hosp", InjectNoise(hosp.clean, noise).dirty,
+                 hosp.given_oversimplified, hosp.space, HospAttrs::kCity});
+  TaxConfig tax_config;
+  tax_config.num_rows = 12;
+  tax_config.num_states = 3;
+  TaxData tax = MakeTax(tax_config);
+  noise.target_attrs = tax.noise_attrs;
+  out.push_back({"tax", InjectNoise(tax.clean, noise).dirty, tax.given, {},
+                 TaxAttrs::kState});
+  CensusConfig census_config;
+  census_config.num_rows = 12;
+  census_config.num_attributes = 8;
+  CensusData census = MakeCensus(census_config);
+  noise.target_attrs = census.noise_attrs;
+  out.push_back({"census", InjectNoise(census.clean, noise).dirty,
+                 census.given, {}, CensusAttrs::kEducation});
+  return out;
+}
+
+// The least total deletion weight of a row set whose tombstoning (every
+// cell NULL) makes I satisfy sigma: every row subset, cheapest first.
+double MinimumDeletionCost(const Relation& I, const ConstraintSet& sigma,
+                           const SubsetOptions& options) {
+  const int n = I.num_rows();
+  const DomainStats stats(I);
+  std::vector<double> weight(static_cast<size_t>(n));
+  for (int r = 0; r < n; ++r) {
+    weight[static_cast<size_t>(r)] = RowDeletionWeight(I, stats, r, options);
+  }
+  std::vector<std::pair<double, uint32_t>> subsets;
+  for (uint32_t mask = 0; mask < (uint32_t{1} << n); ++mask) {
+    double w = 0.0;
+    for (int r = 0; r < n; ++r) {
+      if ((mask >> r) & 1) w += weight[static_cast<size_t>(r)];
+    }
+    subsets.push_back({w, mask});
+  }
+  std::sort(subsets.begin(), subsets.end());
+  for (const auto& [w, mask] : subsets) {
+    Relation tombstoned = I;
+    for (int r = 0; r < n; ++r) {
+      if (((mask >> r) & 1) == 0) continue;
+      for (AttrId a = 0; a < I.num_attributes(); ++a) {
+        tombstoned.SetValue(r, a, Value::Null());
+      }
+    }
+    if (Satisfies(tombstoned, sigma)) return w;
+  }
+  ADD_FAILURE() << "deleting every row must satisfy any constraint set";
+  return 0.0;
+}
+
+// H(Δ): the harmonic number of the most violations sharing one row.
+double GreedyCoverFactor(const std::vector<Violation>& violations, int n) {
+  std::vector<int> per_row(static_cast<size_t>(n), 0);
+  int delta = 0;
+  for (const Violation& v : violations) {
+    std::vector<int> rows = v.rows;
+    std::sort(rows.begin(), rows.end());
+    rows.erase(std::unique(rows.begin(), rows.end()), rows.end());
+    for (int r : rows) {
+      delta = std::max(delta, ++per_row[static_cast<size_t>(r)]);
+    }
+  }
+  double h = 0.0;
+  for (int k = 1; k <= delta; ++k) h += 1.0 / k;
+  return h;
+}
+
+TEST(SubsetRepairTest, DeleteOracleBoundsVfreeOnToyInstances) {
+  int with_violations = 0;
+  for (uint64_t seed = 0; seed < 3; ++seed) {
+    for (const ToyInstance& t : MakeToyInstances(seed)) {
+      ASSERT_LE(t.dirty.num_rows(), 12);
+      for (bool weighted : {false, true}) {
+        SCOPED_TRACE(t.name + " seed " + std::to_string(seed) +
+                     (weighted ? " weighted" : " flat"));
+        VfreeOptions options;
+        options.strategy = RepairStrategy::kDelete;
+        if (weighted) options.subset.repr_attr = t.group_attr;
+        const RepairResult result = VfreeRepair(t.dirty, t.sigma, options);
+        EXPECT_TRUE(
+            reference::ReferenceViolations(result.repaired, t.sigma).empty());
+        const double optimum =
+            MinimumDeletionCost(t.dirty, t.sigma, options.subset);
+        const std::vector<Violation> violations =
+            FindViolations(t.dirty, t.sigma);
+        if (!violations.empty()) ++with_violations;
+        const double factor =
+            GreedyCoverFactor(violations, t.dirty.num_rows());
+        EXPECT_GE(result.stats.repair_cost, optimum - 1e-9);
+        EXPECT_LE(result.stats.repair_cost, factor * optimum + 1e-9)
+            << "optimum " << optimum << ", H(delta) " << factor;
+      }
+    }
+  }
+  // Most toy instances must have something to repair.
+  EXPECT_GE(with_violations, 12);
+}
+
+TEST(SubsetRepairTest, DeleteOracleBoundsCVTolerantOnToyInstances) {
+  for (uint64_t seed = 0; seed < 3; ++seed) {
+    for (const ToyInstance& t : MakeToyInstances(seed)) {
+      for (bool weighted : {false, true}) {
+        SCOPED_TRACE(t.name + " seed " + std::to_string(seed) +
+                     (weighted ? " weighted" : " flat"));
+        CVTolerantOptions options;
+        options.variants.space = t.space;
+        options.vfree.strategy = RepairStrategy::kDelete;
+        if (weighted) options.vfree.subset.repr_attr = t.group_attr;
+        const RepairResult result =
+            CVTolerantRepair(t.dirty, t.sigma, options);
+        const ConstraintSet& chosen = result.satisfied_constraints;
+        EXPECT_TRUE(
+            reference::ReferenceViolations(result.repaired, chosen).empty());
+        EXPECT_GE(result.stats.repair_cost,
+                  MinimumDeletionCost(t.dirty, chosen,
+                                      options.vfree.subset) -
+                      1e-9);
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
