@@ -2,6 +2,7 @@
 #define CVREPAIR_DC_VIOLATION_H_
 
 #include <functional>
+#include <span>
 #include <unordered_set>
 #include <vector>
 
@@ -26,6 +27,12 @@ struct Violation {
     return a.constraint_index == b.constraint_index && a.rows == b.rows;
   }
 };
+
+/// A violation set split by constraint: entry i views the violations of
+/// sigma[i] (their constraint_index fields are not read). The candidate
+/// search hands a Σ' union to the hypergraph this way, as views over the
+/// per-constraint facts it shares between candidates.
+using ViolationsByPosition = std::vector<std::span<const Violation>>;
 
 /// The distinct cells cell(t_i, t_j, ...; φ) involved in the predicates of
 /// the constraint instantiated on `rows` (Section 3.2.1).

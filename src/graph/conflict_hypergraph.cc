@@ -18,10 +18,11 @@ uint64_t EdgeHash(const std::vector<int>& edge) {
 
 }  // namespace
 
-ConflictHypergraph ConflictHypergraph::Build(
+template <typename ForEach>
+ConflictHypergraph ConflictHypergraph::BuildFrom(
     const Relation& I, const DomainStats& stats_of_I,
-    const ConstraintSet& sigma, const std::vector<Violation>& violations,
-    const CostModel& cost) {
+    const ConstraintSet& sigma, size_t num_violations, const CostModel& cost,
+    const ForEach& for_each) {
   assert(stats_of_I.num_attributes() == I.num_attributes());
   ConflictHypergraph g;
   const size_t m = static_cast<size_t>(I.num_attributes());
@@ -52,13 +53,13 @@ ConflictHypergraph ConflictHypergraph::Build(
   // Open-addressed edge ids (-1 = empty slot) keyed by EdgeHash, at load
   // factor <= 1/2; a hit is confirmed against the stored edge.
   size_t slots = 2;
-  while (slots < 2 * violations.size()) slots *= 2;
+  while (slots < 2 * num_violations) slots *= 2;
   const size_t mask = slots - 1;
   std::vector<int> edge_at(slots, -1);
   std::vector<uint64_t> edge_hash;
   std::vector<int> edge;
-  for (const Violation& viol : violations) {
-    const DenialConstraint& c = sigma[viol.constraint_index];
+  for_each([&](int constraint_index, const Violation& viol) {
+    const DenialConstraint& c = sigma[constraint_index];
     edge.clear();
     for (const Predicate& p : c.predicates()) {
       const int lhs = vertex(viol.rows[p.lhs().tuple], p.lhs().attr);
@@ -75,22 +76,17 @@ ConflictHypergraph ConflictHypergraph::Build(
     }
     std::sort(edge.begin(), edge.end());
     edge.erase(std::unique(edge.begin(), edge.end()), edge.end());
-    if (edge.empty()) continue;
+    if (edge.empty()) return;
     const uint64_t h = EdgeHash(edge);
     size_t slot = static_cast<size_t>(h) & mask;
-    bool seen = false;
     for (; edge_at[slot] >= 0; slot = (slot + 1) & mask) {
       const int e = edge_at[slot];
-      if (edge_hash[e] == h && g.edges_[e] == edge) {
-        seen = true;
-        break;
-      }
+      if (edge_hash[e] == h && g.edges_[e] == edge) return;  // seen
     }
-    if (seen) continue;
     edge_at[slot] = g.num_edges();
     edge_hash.push_back(h);
     g.edges_.push_back(edge);
-  }
+  });
 
   std::vector<int> degree(g.cells_.size(), 0);
   for (const std::vector<int>& e : g.edges_) {
@@ -104,6 +100,34 @@ ConflictHypergraph ConflictHypergraph::Build(
     for (int v : g.edges_[e]) g.incident_[v].push_back(e);
   }
   return g;
+}
+
+ConflictHypergraph ConflictHypergraph::Build(
+    const Relation& I, const DomainStats& stats_of_I,
+    const ConstraintSet& sigma, const std::vector<Violation>& violations,
+    const CostModel& cost) {
+  return BuildFrom(I, stats_of_I, sigma, violations.size(), cost,
+                   [&](const auto& visit) {
+                     for (const Violation& v : violations) {
+                       visit(v.constraint_index, v);
+                     }
+                   });
+}
+
+ConflictHypergraph ConflictHypergraph::Build(
+    const Relation& I, const DomainStats& stats_of_I,
+    const ConstraintSet& sigma, const ViolationsByPosition& violations,
+    const CostModel& cost) {
+  assert(violations.size() == sigma.size());
+  size_t total = 0;
+  for (std::span<const Violation> view : violations) total += view.size();
+  return BuildFrom(I, stats_of_I, sigma, total, cost, [&](const auto& visit) {
+    for (size_t k = 0; k < violations.size(); ++k) {
+      for (const Violation& v : violations[k]) {
+        visit(static_cast<int>(k), v);
+      }
+    }
+  });
 }
 
 int ConflictHypergraph::MaxEdgeSize() const {

@@ -37,6 +37,15 @@ class ConflictHypergraph {
                                   const std::vector<Violation>& violations,
                                   const CostModel& cost = {});
 
+  /// Build over one view per position of `sigma`, read in position order:
+  /// the same graph as Build over the concatenated views, each violation
+  /// stamped with its position, without that copy.
+  static ConflictHypergraph Build(const Relation& I,
+                                  const DomainStats& stats_of_I,
+                                  const ConstraintSet& sigma,
+                                  const ViolationsByPosition& violations,
+                                  const CostModel& cost = {});
+
   /// Build with the DomainStats of `I` computed here.
   static ConflictHypergraph Build(const Relation& I,
                                   const ConstraintSet& sigma,
@@ -70,6 +79,17 @@ class ConflictHypergraph {
   int MaxEdgeSize() const;
 
  private:
+  // The body of both Build overloads: `for_each(visit)` calls
+  // visit(constraint_index, violation) on each of `num_violations`
+  // violations, in order.
+  template <typename ForEach>
+  static ConflictHypergraph BuildFrom(const Relation& I,
+                                      const DomainStats& stats_of_I,
+                                      const ConstraintSet& sigma,
+                                      size_t num_violations,
+                                      const CostModel& cost,
+                                      const ForEach& for_each);
+
   std::vector<Cell> cells_;
   std::vector<double> weights_;
   std::vector<int> freq_;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <numeric>
 #include <queue>
 #include <utility>
 
@@ -122,47 +121,42 @@ VertexCover GreedyDegreeCover(const ConflictHypergraph& g,
     if (bias) s *= (*bias)[v];
     return s;
   };
-  // Equal-score ties break toward the most suspicious cell: rare value
-  // first, then denser (smaller) domain, then the smaller (row, attr) —
-  // the value-frequency heuristic of Holistic [8]. The final (row, attr)
-  // tie makes the pick a pure function of the cells involved; vertex ids
-  // (violation discovery order) never decide.
-  std::vector<int64_t> tie_rank(g.num_vertices());
-  {
-    std::vector<int> pref(g.num_vertices());
-    std::iota(pref.begin(), pref.end(), 0);
-    std::sort(pref.begin(), pref.end(), [&](int a, int b) {
-      bool ia = g.on_inequality_predicate(a);
-      bool ib = g.on_inequality_predicate(b);
-      if (ia != ib) return ia;  // inequality-side cells preferred
-      if (g.value_frequency(a) != g.value_frequency(b)) {
-        return g.value_frequency(a) < g.value_frequency(b);
-      }
-      if (g.domain_size(a) != g.domain_size(b)) {
-        return g.domain_size(a) < g.domain_size(b);
-      }
-      return g.cell(a) < g.cell(b);
-    });
-    for (size_t i = 0; i < pref.size(); ++i) {
-      tie_rank[pref[i]] = static_cast<int64_t>(i);
-    }
+  // Equal-score ties break toward the most suspicious cell: inequality
+  // side first, then rare value, then denser (smaller) domain — packed into
+  // one key per vertex, smaller first — then the smaller (row, attr), the
+  // value-frequency heuristic of Holistic [8]. Cells are unique, so this
+  // order is strict and total: the pick is a pure function of the cells
+  // involved, and vertex ids (violation discovery order) never decide.
+  std::vector<uint64_t> suspicion(g.num_vertices());
+  for (int v = 0; v < g.num_vertices(); ++v) {
+    suspicion[v] = (uint64_t{!g.on_inequality_predicate(v)} << 62) |
+                   (static_cast<uint64_t>(g.value_frequency(v)) << 31) |
+                   static_cast<uint64_t>(g.domain_size(v));
   }
-  auto tie_key = [&](int v) -> int64_t { return -tie_rank[v]; };
-  // Lazy max-heap of (score, tie_key): stale entries revalidated on pop.
-  std::priority_queue<std::pair<double, std::pair<int64_t, int>>> heap;
+  auto preferred = [&](int a, int b) {
+    if (suspicion[a] != suspicion[b]) return suspicion[a] < suspicion[b];
+    return g.cell(a) < g.cell(b);
+  };
+  // Lazy max-heap of (score, vertex), the preferred vertex on top among
+  // equal scores: stale entries revalidated on pop.
+  using Entry = std::pair<double, int>;
+  auto below = [&](const Entry& x, const Entry& y) {
+    if (x.first != y.first) return x.first < y.first;
+    return preferred(y.second, x.second);
+  };
+  std::priority_queue<Entry, std::vector<Entry>, decltype(below)> heap(below);
   for (int v = 0; v < g.num_vertices(); ++v) {
     uncovered_degree[v] = static_cast<int>(g.incident_edges(v).size());
-    heap.push({score_of(v), {tie_key(v), v}});
+    heap.push({score_of(v), v});
   }
   int remaining = g.num_edges();
   std::vector<bool> in_cover(g.num_vertices(), false);
   while (remaining > 0 && !heap.empty()) {
-    auto [score, keyed] = heap.top();
+    const auto [score, v] = heap.top();
     heap.pop();
-    int v = keyed.second;
     if (in_cover[v] || uncovered_degree[v] == 0) continue;
     if (score > score_of(v) + 1e-12) {
-      heap.push({score_of(v), keyed});  // stale: reinsert with fresh score
+      heap.push({score_of(v), v});  // stale: reinsert with fresh score
       continue;
     }
     in_cover[v] = true;

@@ -76,8 +76,9 @@ VariantFamily EnumerateVariants(const Relation& I, const ConstraintSet& sigma,
 /// Per-constraint detection facts consumed by the factored variant search
 /// below, one per position of VariantFamily::constraints: the constraint's
 /// violations over the instance (canonical rows order, constraint_index 0 —
-/// the search re-stamps positions when it assembles a candidate's union
-/// set) and the δ_l/δ_u bounds of its private conflict hypergraph, or
+/// the search plans a candidate from one view per position over these
+/// lists, and copies and re-stamps them only for a subset cover) and the
+/// δ_l/δ_u bounds of its private conflict hypergraph, or
 /// `hopeless` when the violation cap was hit.
 struct VariantFacts {
   std::vector<Violation> violations;
@@ -117,8 +118,9 @@ struct VariantSearchResult {
 /// with one shared MaterializedCache — or, with use_vfree off, through
 /// HolisticRepair (Figure 5's CVtolerant+Holistic). Under the update and
 /// hybrid strategies every candidate with violations is planned
-/// (PlanDirtyComponents) in a window of the next unpruned candidates, one
-/// per thread, and replayed in δ_l order (ReplayComponents); the delete
+/// (PlanDirtyComponents, on views of its union) in a window of the next
+/// unpruned candidates, one per thread, and replayed in δ_l order
+/// (ReplayComponents); the delete
 /// strategy and empty violation sets go through SolveDirtyComponents. The
 /// result, the stats and the work counters are the same at every thread
 /// count. CVTolerantRepair (facts from ScanVariantFacts) and the streaming

@@ -52,7 +52,7 @@ RepairResult HolisticRepair(const Relation& I, const ConstraintSet& sigma,
 
     // Holistic puts only the observed violations into the repair context.
     RepairContext rc =
-        RepairContext::Build(current, sigma, changing, violations);
+        RepairContext::Build(encoded, sigma, changing, violations);
     std::vector<Component> components = DecomposeComponents(rc);
 
     DomainStats stats_of_round(current);

@@ -103,9 +103,23 @@ ComponentPlan PlanComponents(const ConstraintSet& sigma,
                              const EncodedRelation& encoded);
 
 /// PlanComponents for an already-detected violation set, under the update
-/// and hybrid strategies: canonicalize -> conflict hypergraph -> vertex
-/// cover -> PlanComponents. The violations and the hypergraph are freed
-/// before the suspect scan. Pure, like PlanComponents.
+/// and hybrid strategies: conflict hypergraph -> vertex cover ->
+/// PlanComponents. The hypergraph is freed before the suspect scan. Pure,
+/// like PlanComponents.
+///
+/// The candidate search passes a Σ' union as views over its shared
+/// per-constraint facts, one per position of `sigma`, each in rows order:
+/// the hypergraph reads them in place, in that canonical (position, rows)
+/// order, so no violation is copied or re-stamped.
+ComponentPlan PlanDirtyComponents(const Relation& I,
+                                  const DomainStats& stats_of_I,
+                                  const ConstraintSet& sigma,
+                                  const ViolationsByPosition& violations,
+                                  const VfreeOptions& options,
+                                  const EncodedRelation& encoded);
+
+/// The same for a violation list, canonicalized first (and freed, with
+/// the hypergraph, before the suspect scan).
 ComponentPlan PlanDirtyComponents(const Relation& I,
                                   const DomainStats& stats_of_I,
                                   const ConstraintSet& sigma,

@@ -14,7 +14,9 @@
 //
 // ReferenceHypergraph is the conflict hypergraph of Section 3.2.1 built
 // the same naive way (ordered maps, boxed value counts), for comparison
-// with graph/conflict_hypergraph.cc.
+// with graph/conflict_hypergraph.cc, and ReferenceContextAtoms the atoms
+// of the repair context rc(C, Σ) of Section 4.1.2 (an ordered set of
+// boxed atoms), for comparison with solver/repair_context.cc.
 
 #include <algorithm>
 #include <cstddef>
@@ -25,9 +27,11 @@
 #include <vector>
 
 #include "dc/constraint.h"
+#include "dc/op.h"
 #include "dc/violation.h"
 #include "relation/relation.h"
 #include "repair/costs.h"
+#include "solver/repair_context.h"
 
 namespace cvrepair {
 namespace reference {
@@ -180,6 +184,78 @@ inline Hypergraph ReferenceHypergraph(const Relation& I,
     }
   }
   return g;
+}
+
+/// The atoms of rc(C, Σ): the inverse of every predicate of every
+/// ReferenceSuspects list that has a cell in C, as an RcAtom over the
+/// variables of C (its distinct cells numbered in (row, attr) order), in
+/// an ordered set; an atom whose fixed operand is NULL or fresh is
+/// vacuous and dropped. Then, per (variable, operator), only the tightest
+/// numeric bound (>, >=, <, <= against a numeric constant) is kept, the
+/// smallest atom among equally tight ones. Ascending RcAtom order. It
+/// shares nothing with solver/repair_context.cc but the RcAtom type.
+inline std::vector<RcAtom> ReferenceContextAtoms(
+    const Relation& I, const ConstraintSet& sigma,
+    const std::unordered_set<Cell, CellHash>& changing) {
+  std::map<Cell, int> var_of;
+  for (const Cell& cell : std::set<Cell>(changing.begin(), changing.end())) {
+    var_of.emplace(cell, static_cast<int>(var_of.size()));
+  }
+  auto var = [&](const Cell& cell) {
+    auto it = var_of.find(cell);
+    return it == var_of.end() ? -1 : it->second;
+  };
+  std::set<RcAtom> atoms;
+  for (const auto& [k, rows] : ReferenceSuspects(I, sigma, changing)) {
+    for (const Predicate& p : sigma[static_cast<size_t>(k)].predicates()) {
+      const Cell lhs{rows[static_cast<size_t>(p.lhs().tuple)], p.lhs().attr};
+      const int lv = var(lhs);
+      const Op inv = Inverse(p.op());
+      RcAtom atom;
+      if (p.has_constant()) {
+        if (lv < 0) continue;
+        atom = {lv, inv, false, 0, p.constant()};
+      } else {
+        const Cell rhs{rows[static_cast<size_t>(p.rhs_cell().tuple)],
+                       p.rhs_cell().attr};
+        const int rv = var(rhs);
+        if (lv >= 0 && rv >= 0) {
+          if (lv == rv) continue;
+          atom = lv < rv ? RcAtom{lv, inv, true, rv, {}}
+                         : RcAtom{rv, FlipOperands(inv), true, lv, {}};
+        } else if (lv >= 0) {
+          atom = {lv, inv, false, 0, I.Get(rhs)};
+        } else if (rv >= 0) {
+          atom = {rv, FlipOperands(inv), false, 0, I.Get(lhs)};
+        } else {
+          continue;
+        }
+      }
+      if (!atom.rhs_is_var &&
+          (atom.rhs_const.is_null() || atom.rhs_const.is_fresh())) {
+        continue;
+      }
+      atoms.insert(atom);
+    }
+  }
+  std::vector<RcAtom> out;
+  std::map<std::pair<int, Op>, RcAtom> tightest;
+  for (const RcAtom& atom : atoms) {
+    const bool lower = atom.op == Op::kGt || atom.op == Op::kGeq;
+    const bool upper = atom.op == Op::kLt || atom.op == Op::kLeq;
+    if (atom.rhs_is_var || !atom.rhs_const.is_numeric() || !(lower || upper)) {
+      out.push_back(atom);
+      continue;
+    }
+    auto [it, first] = tightest.emplace(std::pair(atom.lhs_var, atom.op), atom);
+    const double x = atom.rhs_const.numeric();
+    const double best = it->second.rhs_const.numeric();
+    // Ascending order: an equally tight atom met later is the larger one.
+    if (!first && (lower ? x > best : x < best)) it->second = atom;
+  }
+  for (const auto& [slot, atom] : tightest) out.push_back(atom);
+  std::sort(out.begin(), out.end());
+  return out;
 }
 
 /// A scan's output — any list of records with `constraint_index` and
