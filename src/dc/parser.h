@@ -27,6 +27,9 @@ struct ParseConstraintResult {
 /// Operands are `t<k>.<AttrName>` or a constant (quoted string, or a
 /// number matching the attribute's type). Operators: = != < > <= >= (and
 /// their Unicode variants). An optional `name:` prefix names the DC.
+/// A quote that opens an operand runs to the next quote, and a '&' or ';'
+/// inside it separates nothing ('A&B'); an apostrophe inside a bare
+/// constant (O'Brien) opens no quote.
 ///
 /// Also accepts functional dependencies in the form
 ///
