@@ -125,14 +125,16 @@ int main() {
       for (const std::vector<RowEdit>& batch : replay.batches) {
         ApplyEditsToRelation(batch, &W);
         EncodedRelation E(W);  // rebuilt per batch, like the detection
-        std::vector<Violation> violations =
-            FindViolations(E, initial.satisfied_constraints);
+        const ConstraintSet& sigma_prime = initial.satisfied_constraints;
+        std::vector<Violation> violations = FindViolations(E, sigma_prime);
+        CanonicalizeViolations(&violations);
         DomainStats stats_of_W(W);
         RepairStats stats;
         std::optional<ScopedRepair> fix = SolveDirtyComponents(
-            W, stats_of_W, initial.satisfied_constraints,
-            std::move(violations), std::numeric_limits<double>::infinity(),
-            scratch_options.vfree, /*cache=*/nullptr, &stats, &fresh, E);
+            W, stats_of_W, sigma_prime,
+            ViewsByPosition(violations, sigma_prime.size()),
+            std::numeric_limits<double>::infinity(), scratch_options.vfree,
+            /*cache=*/nullptr, &stats, &fresh, E);
         for (auto& [cell, value] : fix->assignments) {
           W.SetValue(cell, std::move(value));
         }

@@ -71,13 +71,11 @@ void Reset();
 void Add(const EvalCounters& delta);
 
 /// Flushes a finished capped scan's counts. Truncated scans contribute
-/// only `truncated_scans` (their eval counts are discarded): how much a
-/// sharded scan over-scans past its cap depends on the shard split (the
-/// shared EvalIndex still shards), so keeping those evals would make the
-/// totals vary with --threads. Whether the scan truncates does *not*
-/// depend on sharding (the cap-th surplus violation either exists or not),
-/// so what remains is a deterministic function of the workload — the
-/// property the metrics.json CI contract rests on.
+/// only `truncated_scans` (their eval counts are discarded), so an eval
+/// counter counts only the work of scans that ran to completion. Whether a
+/// scan truncates is a function of the workload alone (the cap-th surplus
+/// violation either exists or not), so the totals are too — the property
+/// the metrics.json CI contract rests on.
 void AddScan(const EvalCounters& delta, bool truncated);
 
 }  // namespace eval_counters

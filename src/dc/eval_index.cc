@@ -2,13 +2,11 @@
 
 #include <algorithm>
 #include <cassert>
-#include <limits>
 #include <utility>
 
 #include "dc/predicate_space.h"
 #include "dc/scan_internal.h"
 #include "dc/scan_kernels.h"
-#include "util/thread_pool.h"
 #include "util/trace.h"
 
 namespace cvrepair {
@@ -16,55 +14,6 @@ namespace cvrepair {
 namespace {
 
 using scan_internal::CodeVecHash;
-
-// Minimum number of candidate checks (rows or pairs) before an index scan
-// fans out to the pool; below this the shard bookkeeping costs more than
-// the scan.
-constexpr int64_t kMinParallelWork = 1 << 13;
-
-// Output of one shard of a partitioned scan. Shards collect at most
-// cap + 1 violations each: the merge keeps the first `cap` in shard order,
-// and any surplus anywhere proves the (cap+1)-th violation exists, which
-// is exactly the serial `truncated` condition. Eval counters stay in the
-// shard (not flushed from inside the ParallelFor body): whether they count
-// at all depends on the truncation verdict, which only the merge knows.
-struct ShardResult {
-  std::vector<Violation> found;
-  EvalCounters counters;
-};
-
-int64_t LocalCap(int64_t cap) {
-  return cap == std::numeric_limits<int64_t>::max() ? cap : cap + 1;
-}
-
-// Concatenates shard outputs in shard order, trimming to `cap`. Produces
-// bit-identical output to the serial scan the shards were split from: the
-// shards cover the serial iteration order in contiguous, in-order pieces.
-// `truncated` flips exactly when the serial scan would have flipped it —
-// total > cap means a (cap+1)-th violation exists; total == cap means the
-// scan finished exactly at the cap and is complete. Shard counters are
-// flushed here through the same truncation gate as the serial scans
-// (eval_counters::AddScan), so the process totals cannot depend on how
-// far individual shards over-scanned.
-void MergeShards(std::vector<ShardResult>& shards, int64_t cap,
-                 std::vector<Violation>* out, bool* truncated) {
-  int64_t total = 0;
-  EvalCounters summed;
-  for (const ShardResult& s : shards) {
-    total += static_cast<int64_t>(s.found.size());
-    summed += s.counters;
-  }
-  bool hit_cap = total > cap;
-  eval_counters::AddScan(summed, hit_cap);
-  if (truncated && hit_cap) *truncated = true;
-  out->reserve(out->size() + static_cast<size_t>(std::min(total, cap)));
-  for (ShardResult& s : shards) {
-    for (Violation& v : s.found) {
-      if (static_cast<int64_t>(out->size()) >= cap) return;
-      out->push_back(std::move(v));
-    }
-  }
-}
 
 bool IsPartitionPredicate(const Predicate& p) {
   return !p.has_constant() && p.op() == Op::kEq &&
@@ -507,8 +456,7 @@ std::vector<Violation> EvalIndex::FindViolationsCapped(
     // Upfront zone skips from every constant predicate, shared or delta:
     // a block one of them cannot match holds no violating row (sound even
     // for memo-answered predicates — the memo would return the same
-    // verdict). Consults are counted here, before sharding, so the totals
-    // stay thread-invariant.
+    // verdict). Consults are counted here, once per scan.
     std::vector<char> skip_block;
     struct Zone {
       scan_kernels::BlockPredicate bp;
@@ -550,33 +498,6 @@ std::vector<Violation> EvalIndex::FindViolationsCapped(
       return !skip_block.empty() &&
              skip_block[static_cast<size_t>(i >> EncodedRelation::kBlockShift)];
     };
-    int threads = ThreadPool::EffectiveThreads();
-    if (threads > 1 && n_ >= kMinParallelWork) {
-      int64_t num_shards =
-          std::min<int64_t>(n_, static_cast<int64_t>(threads) * 4);
-      span.AddArg("shards", num_shards);
-      std::vector<ShardResult> results(static_cast<size_t>(num_shards));
-      int64_t local_cap = LocalCap(cap);
-      int64_t per = n_ / num_shards;
-      int64_t extra = n_ % num_shards;
-      ThreadPool::ParallelFor(num_shards, [&](int64_t s) {
-        int64_t begin = s * per + std::min(s, extra);
-        int64_t end = begin + per + (s < extra ? 1 : 0);
-        std::vector<int> rows(1);
-        ShardResult& result = results[static_cast<size_t>(s)];
-        for (int i = static_cast<int>(begin); i < static_cast<int>(end); ++i) {
-          if (row_skipped(i)) continue;
-          rows[0] = i;
-          if (ViolatedViaIndex(rows, shared_mask, shared, delta,
-                               &result.counters)) {
-            if (static_cast<int64_t>(result.found.size()) >= local_cap) break;
-            result.found.push_back({constraint_index, rows});
-          }
-        }
-      });
-      MergeShards(results, cap, &out, truncated);
-      return out;
-    }
     std::vector<int> rows(1);
     EvalCounters local;
     bool hit_cap = false;
@@ -607,70 +528,33 @@ std::vector<Violation> EvalIndex::FindViolationsCapped(
 
   // From here on the scan mirrors the detector's join-block scan: same
   // block order (sorted by first member), same capped prefix — only the
-  // per-pair verdict comes from the index. Shards over contiguous block
-  // ranges merge back into that serial order.
+  // per-pair verdict comes from the index.
   std::vector<const std::vector<int>*> blocks;
-  int64_t work = 0;
   for (const std::vector<int>& members : part.blocks) {
-    if (members.size() < 2) continue;
-    blocks.push_back(&members);
-    work += static_cast<int64_t>(members.size()) * members.size();
+    if (members.size() >= 2) blocks.push_back(&members);
   }
-  auto enumerate_block = [&](const std::vector<int>& members, int64_t block_cap,
-                             std::vector<int>* rows,
-                             std::vector<Violation>* found,
-                             EvalCounters* local) {
+  TraceSpan span("index/scan_join_blocks");
+  span.AddArg("blocks", static_cast<int64_t>(blocks.size()));
+  std::vector<int> rows(2);
+  EvalCounters local;
+  // False once a violation past the cap turns up.
+  auto scan_block = [&](const std::vector<int>& members) {
     for (int i : members) {
       for (int j : members) {
         if (i == j) continue;
-        (*rows)[0] = i;
-        (*rows)[1] = j;
-        if (ViolatedViaIndex(*rows, shared_mask, shared, delta, local)) {
-          if (static_cast<int64_t>(found->size()) >= block_cap) return false;
-          found->push_back({constraint_index, *rows});
+        rows[0] = i;
+        rows[1] = j;
+        if (ViolatedViaIndex(rows, shared_mask, shared, delta, &local)) {
+          if (static_cast<int64_t>(out.size()) >= cap) return false;
+          out.push_back({constraint_index, rows});
         }
       }
     }
     return true;
   };
-  TraceSpan span("index/scan_join_blocks");
-  span.AddArg("blocks", static_cast<int64_t>(blocks.size()));
-  int threads = ThreadPool::EffectiveThreads();
-  if (threads > 1 && blocks.size() > 1 && work >= kMinParallelWork) {
-    int64_t num_shards = std::min<int64_t>(
-        static_cast<int64_t>(blocks.size()), static_cast<int64_t>(threads) * 4);
-    std::vector<size_t> shard_begin;
-    int64_t per_shard = (work + num_shards - 1) / num_shards;
-    int64_t acc = 0;
-    for (size_t b = 0; b < blocks.size(); ++b) {
-      if (shard_begin.empty() || acc >= per_shard) {
-        shard_begin.push_back(b);
-        acc = 0;
-      }
-      acc += static_cast<int64_t>(blocks[b]->size()) * blocks[b]->size();
-    }
-    shard_begin.push_back(blocks.size());
-    size_t shards = shard_begin.size() - 1;
-    span.AddArg("shards", static_cast<int64_t>(shards));
-    std::vector<ShardResult> results(shards);
-    int64_t local_cap = LocalCap(cap);
-    ThreadPool::ParallelFor(static_cast<int64_t>(shards), [&](int64_t s) {
-      std::vector<int> rows(2);
-      for (size_t b = shard_begin[s]; b < shard_begin[s + 1]; ++b) {
-        if (!enumerate_block(*blocks[b], local_cap, &rows, &results[s].found,
-                             &results[s].counters)) {
-          break;
-        }
-      }
-    });
-    MergeShards(results, cap, &out, truncated);
-    return out;
-  }
-  std::vector<int> rows(2);
-  EvalCounters local;
   bool hit_cap = false;
   for (const std::vector<int>* members : blocks) {
-    if (!enumerate_block(*members, cap, &rows, &out, &local)) {
+    if (!scan_block(*members)) {
       if (truncated) *truncated = true;
       hit_cap = true;
       break;

@@ -43,9 +43,10 @@ namespace cvrepair {
 ///
 /// Thread safety: construction and Prepare() are serial; afterwards every
 /// method is const and the index may be shared read-only across pool
-/// threads. FindViolationsCapped() is bit-identical — result order,
-/// capped prefix, and truncated flag — to FindViolationsOfCapped() at any
-/// thread count.
+/// threads. Every scan is serial (the thread pool runs only Algorithm 1's
+/// outer loops, repair/cvtolerant.h). FindViolationsCapped() is
+/// bit-identical — result order, capped prefix, and truncated flag — to
+/// FindViolationsOfCapped().
 class EvalIndex {
  public:
   /// Candidate tuple lists are memoized only while their count stays
@@ -67,8 +68,7 @@ class EvalIndex {
 
   /// viol(I, variant) with exactly the semantics of
   /// FindViolationsOfCapped: same violation order, same capped prefix,
-  /// same truncated flag. Large scans shard over the pool budget and merge
-  /// back into that order.
+  /// same truncated flag.
   std::vector<Violation> FindViolationsCapped(const DenialConstraint& variant,
                                               int constraint_index,
                                               int64_t cap,

@@ -133,7 +133,7 @@ void ViolationIndex::RemoveViolationsOfRow(int row) {
 }
 
 void ViolationIndex::ScanRow(size_t k, int row,
-                             const std::vector<char>* skip_partner) {
+                             const std::vector<char>& skip_partner) {
   const EncodedConstraintEval& ev = evals_[k];
   ++rows_rechecked_;
   if (sigma_[k].NumTupleVars() < 2) {
@@ -146,7 +146,7 @@ void ViolationIndex::ScanRow(size_t k, int row,
   std::vector<int> rows(2);
   auto check = [&](int j) {
     if (j == row) return;
-    if (skip_partner != nullptr && (*skip_partner)[static_cast<size_t>(j)]) {
+    if (skip_partner[static_cast<size_t>(j)]) {
       return;  // j's own scan already covered both orientations
     }
     rows[0] = row;
@@ -214,11 +214,7 @@ void ViolationIndex::ScanRow(size_t k, int row,
     }
     for (int x = 0; x < rows_in; ++x) {
       int j = begin + x;
-      if (j == row) continue;
-      if (skip_partner != nullptr &&
-          (*skip_partner)[static_cast<size_t>(j)]) {
-        continue;
-      }
+      if (j == row || skip_partner[static_cast<size_t>(j)]) continue;
       if (may_fwd && (!sel_fwd || ((sel_fwd[x >> 6] >> (x & 63)) & 1))) {
         rows[0] = row;
         rows[1] = j;
@@ -234,29 +230,8 @@ void ViolationIndex::ScanRow(size_t k, int row,
   if (zc.blocks_scanned || zc.blocks_skipped) eval_counters::Add(zc);
 }
 
-void ViolationIndex::AddViolationsOfRow(int row) {
-  for (size_t k = 0; k < sigma_.size(); ++k) ScanRow(k, row, nullptr);
-}
-
 void ViolationIndex::ApplyChange(const Cell& cell, Value value) {
-  int row = cell.row;
-  RemoveViolationsOfRow(row);
-  for (size_t k = 0; k < sigma_.size(); ++k) {
-    if (std::find(groups_[k].attrs.begin(), groups_[k].attrs.end(),
-                  cell.attr) != groups_[k].attrs.end()) {
-      GroupErase(k, row);
-    }
-  }
-  relation_.SetValue(cell, std::move(value));
-  encoded_.ApplyChange(row, cell.attr);
-  EnsureEvalsCurrent();
-  for (size_t k = 0; k < sigma_.size(); ++k) {
-    if (std::find(groups_[k].attrs.begin(), groups_[k].attrs.end(),
-                  cell.attr) != groups_[k].attrs.end()) {
-      GroupInsert(k, row);
-    }
-  }
-  AddViolationsOfRow(row);
+  ApplyBatch({RowEdit::Update(cell.row, cell.attr, std::move(value))});
 }
 
 int ViolationIndex::AppendRowInternal(std::vector<Value> values) {
@@ -314,7 +289,7 @@ std::vector<int> ViolationIndex::ApplyBatch(const std::vector<RowEdit>& edits) {
   std::sort(touched.begin(), touched.end());
   std::vector<char> scanned(static_cast<size_t>(relation_.num_rows()), 0);
   for (int row : touched) {
-    for (size_t k = 0; k < sigma_.size(); ++k) ScanRow(k, row, &scanned);
+    for (size_t k = 0; k < sigma_.size(); ++k) ScanRow(k, row, scanned);
     scanned[static_cast<size_t>(row)] = 1;
   }
   return touched;

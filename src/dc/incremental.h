@@ -71,7 +71,8 @@ class ViolationIndex {
   /// scans, component solves) may scan it between mutations.
   const EncodedRelation* encoded() const { return &encoded_; }
 
-  /// Applies one cell modification and delta-maintains the violations.
+  /// Applies one cell modification and delta-maintains the violations:
+  /// ApplyBatch of the one update, which re-scans the row once.
   void ApplyChange(const Cell& cell, Value value);
 
   /// Applies a whole batch of updates/inserts and delta-maintains the
@@ -118,13 +119,12 @@ class ViolationIndex {
   };
 
   void RemoveViolationsOfRow(int row);
-  void AddViolationsOfRow(int row);
   void AddViolation(Violation v);
   // Re-evaluates all tuple lists involving `row` for constraint k and adds
-  // the violating ones. `skip_partner`, when non-null, suppresses pairs
-  // whose other row is marked — the batch path sets it for touched rows
-  // already re-scanned, whose scan covered both orientations of the pair.
-  void ScanRow(size_t k, int row, const std::vector<char>* skip_partner);
+  // the violating ones, except pairs whose other row is marked in
+  // `skip_partner`: touched rows already re-scanned, whose scan covered
+  // both orientations of the pair.
+  void ScanRow(size_t k, int row, const std::vector<char>& skip_partner);
   // Appends one tuple (values.size() == num_attributes) to the working
   // copy and every derived structure except the violation lists; the
   // caller re-scans the new row. Returns the new row index.

@@ -551,6 +551,22 @@ std::vector<Cell> ViolationCells(const DenialConstraint& constraint,
   return cells;
 }
 
+ViolationsByPosition ViewsByPosition(const std::vector<Violation>& violations,
+                                     size_t positions) {
+  ViolationsByPosition views;
+  views.reserve(positions);
+  auto begin = violations.begin();
+  for (size_t k = 0; k < positions; ++k) {
+    auto end = std::find_if(begin, violations.end(), [&](const Violation& v) {
+      return v.constraint_index != static_cast<int>(k);
+    });
+    views.emplace_back(begin, end);
+    begin = end;
+  }
+  assert(begin == violations.end() && "violations not canonical");
+  return views;
+}
+
 std::vector<Violation> FindViolationsOf(const EncodedRelation& E,
                                         const DenialConstraint& constraint,
                                         int constraint_index) {

@@ -29,10 +29,18 @@ struct Violation {
 };
 
 /// A violation set split by constraint: entry i views the violations of
-/// sigma[i] (their constraint_index fields are not read). The candidate
-/// search hands a Σ' union to the hypergraph this way, as views over the
-/// per-constraint facts it shares between candidates.
+/// sigma[i] (their constraint_index fields are not read). Every DataRepair
+/// round reads its violations this way: the candidate search as views over
+/// the per-constraint facts it shares between candidates, other callers as
+/// slices of one list (ViewsByPosition).
 using ViolationsByPosition = std::vector<std::span<const Violation>>;
+
+/// Slices `violations`, in the canonical (constraint_index, rows) order of
+/// CanonicalizeViolations, into one view per position 0..positions-1
+/// without a copy. A position with no violations gets an empty view. The
+/// views point into `violations`, which must outlive them.
+ViolationsByPosition ViewsByPosition(const std::vector<Violation>& violations,
+                                     size_t positions);
 
 /// The distinct cells cell(t_i, t_j, ...; φ) involved in the predicates of
 /// the constraint instantiated on `rows` (Section 3.2.1).

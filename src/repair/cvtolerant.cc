@@ -51,23 +51,6 @@ ViolationsByPosition UnionViews(const std::vector<int>& members,
   return views;
 }
 
-// The same union copied and stamped with its positions, for
-// SolveDirtyComponents: the delete strategy's subset cover, and candidates
-// without violations (an empty union).
-std::vector<Violation> UnionViolations(const std::vector<int>& members,
-                                       const std::vector<VariantFacts>& facts,
-                                       int num_violations) {
-  std::vector<Violation> violations;
-  violations.reserve(static_cast<size_t>(num_violations));
-  for (size_t i = 0; i < members.size(); ++i) {
-    for (Violation v : facts[static_cast<size_t>(members[i])].violations) {
-      v.constraint_index = static_cast<int>(i);
-      violations.push_back(std::move(v));
-    }
-  }
-  return violations;
-}
-
 // The cost of I with `scoped` applied: the terms StrategyRepairCost adds
 // over the whole repaired instance, in the same (row, attr) order, without
 // building it. A cell the repair leaves unchanged adds +0.0 there, which
@@ -182,8 +165,7 @@ VariantFacts BuildVariantFacts(const Relation& I, const DomainStats& stats_of_I,
   // Position-free violations in canonical rows order: scan order depends
   // on the partition layout, and the search must see identical facts no
   // matter which provider produced them. Candidate plans read them in
-  // place, one view per position (UnionViews); only the subset cover's
-  // copy (UnionViolations) re-stamps positions.
+  // place, one view per position (UnionViews).
   f.violations = std::move(violations);
   for (Violation& v : f.violations) v.constraint_index = 0;
   std::sort(f.violations.begin(), f.violations.end(),
@@ -311,19 +293,19 @@ VariantSearchResult CVTolerantSearchWithFacts(
     return options.enable_bound_pruning && c.delta_l > delta_min + 1e-9;
   };
 
-  // Speculative candidates (DESIGN.md §7): a Vfree DataRepair round splits
-  // into a pure plan (hypergraph, cover, suspects, context, components) and
-  // a serial replay (cache, solves, fresh ids, cost abort). Each window
-  // plans the next `width` unpruned candidates at the current δ_min in one
-  // ParallelFor — one candidate per thread, so one at a time at one thread
-  // or inside a pool worker — then replays them in δ_l order under the
-  // pruning and budget tests. δ_min never increases, so every candidate
-  // that reaches the replay unpruned was planned; a plan whose candidate
-  // has been pruned since is dropped. Planning covers the Vfree update and
-  // hybrid rounds; the delete strategy and CVtolerant+Holistic have no
-  // window.
-  const bool plannable = options.use_vfree &&
-                         vfree_options.strategy != RepairStrategy::kDelete;
+  // Speculative candidates (DESIGN.md §7): a Vfree or subset DataRepair
+  // round splits into a pure plan (PlanDirtyComponents: hypergraph, cover,
+  // suspects, context, components — or the tuple cover under the delete
+  // strategy) and a serial replay (cache, solves, fresh ids, cost abort).
+  // Each window plans the next `width` unpruned candidates at the current
+  // δ_min in one ParallelFor — one candidate per thread, so one at a time
+  // at one thread or inside a pool worker — then replays them in δ_l order
+  // under the pruning and budget tests. δ_min never increases, so every
+  // candidate that reaches the replay unpruned was planned; a plan whose
+  // candidate has been pruned since is dropped. CVtolerant+Holistic plans
+  // nothing and has no window.
+  const bool plannable = options.use_vfree ||
+                         vfree_options.strategy == RepairStrategy::kDelete;
   const int width =
       plannable ? ThreadPool::EffectiveThreads(options.threads) : 0;
   MaterializedCache cache;
@@ -341,24 +323,21 @@ VariantSearchResult CVTolerantSearchWithFacts(
       window.push_back(j);
       --room;
     }
-    std::vector<std::optional<ComponentPlan>> plans(window.size());
+    std::vector<ComponentPlan> plans(window.size());
     if (!window.empty()) {
       TraceSpan plan_span("cvtolerant/plan_candidates");
       ThreadPool::ParallelFor(
           static_cast<int64_t>(window.size()),
           [&](int64_t i) {
             const Candidate& c = candidates[window[static_cast<size_t>(i)]];
-            if (c.num_violations == 0) return;  // replays as an empty repair
             plans[static_cast<size_t>(i)] = PlanDirtyComponents(
                 I, stats_of_I, variants[c.index].constraints,
                 UnionViews(family.members[c.index], facts), vfree_options,
                 encoded);
           },
           options.threads);
-      int64_t built = 0;
-      for (const std::optional<ComponentPlan>& p : plans) built += p ? 1 : 0;
-      plan_span.AddArg("plans", built);
-      PlansBuiltCounter()->Add(built);
+      plan_span.AddArg("plans", static_cast<int64_t>(window.size()));
+      PlansBuiltCounter()->Add(static_cast<int64_t>(window.size()));
     }
     // The replay: the serial candidate loop over [next, end). Without a
     // window it runs to the end of the candidate list: every candidate left
@@ -388,25 +367,15 @@ VariantSearchResult CVTolerantSearchWithFacts(
       Relation repaired;  // CVtolerant+Holistic only
       std::optional<ScopedRepair> scoped;
       double delta = 0.0;
-      if (options.use_vfree ||
-          vfree_options.strategy == RepairStrategy::kDelete) {
+      if (plannable) {
+        assert(plan.has_value());
         const double abort_at = options.enable_bound_pruning
                                     ? delta_min + 1e-9
                                     : std::numeric_limits<double>::infinity();
-        MaterializedCache* shared = options.enable_sharing ? &cache : nullptr;
-        if (plan) {
-          scoped = ReplayComponents(I, stats_of_I, *plan, abort_at,
-                                    vfree_options, shared, stats,
-                                    fresh_counter);
-          plan.reset();
-        } else {
-          // The delete strategy, or a candidate without violations.
-          scoped = SolveDirtyComponents(
-              I, stats_of_I, set,
-              UnionViolations(family.members[c.index], facts,
-                              c.num_violations),
-              abort_at, vfree_options, shared, stats, fresh_counter, encoded);
-        }
+        scoped = ReplayComponents(
+            I, stats_of_I, *plan, abort_at, vfree_options,
+            options.enable_sharing ? &cache : nullptr, stats, fresh_counter);
+        plan.reset();
         if (!scoped) {
           // δ_min abort: the candidate's cost strictly exceeds the
           // threshold it was solving under — worth recording as a lower

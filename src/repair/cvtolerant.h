@@ -110,35 +110,32 @@ struct VariantSearchResult {
 };
 
 /// The candidate loop of Algorithm 1 over `family` and its per-constraint
-/// `facts` (aligned with family.constraints): combines bounds per variant
-/// (δ_l = max over its constraints), seeds δ_min with δ_u(Σ) when θ >= 0
-/// under the update and hybrid strategies (+∞ otherwise: δ_u prices cell
-/// updates, not deletions), processes candidates in ascending-δ_l order
-/// under bound pruning and the DataRepair budget, and repairs each survivor
-/// with one shared MaterializedCache — or, with use_vfree off, through
-/// HolisticRepair (Figure 5's CVtolerant+Holistic). Under the update and
-/// hybrid strategies every candidate with violations is planned
-/// (PlanDirtyComponents, on views of its union) in a window of the next
-/// unpruned candidates, one per thread, and replayed in δ_l order
-/// (ReplayComponents); the delete
-/// strategy and empty violation sets go through SolveDirtyComponents. The
-/// result, the stats and the work counters are the same at every thread
-/// count. CVTolerantRepair (facts from ScanVariantFacts) and the streaming
-/// engine (facts delta-maintained by a VariantTracker) both run this one
-/// loop, which is what makes streamed-vs-scratch equivalence exact: equal
-/// facts in, bit-identical chosen variant and repair out (modulo fresh-id
-/// numbering from `fresh_counter`). It has no repair-of-Σ fallback:
-/// `have_result` is false when every candidate was pruned or aborted, and
-/// the caller decides (CVTolerantRepairWithFacts falls back; a streaming
-/// reopen keeps its incumbent). Suspect scans run on `encoded`, the mirror
-/// of I, and `stats_of_I` must be the DomainStats of I. A Vfree or subset
-/// candidate is priced from its ScopedRepair, to the bit what
-/// StrategyRepairCost gives for the repaired instance, and only the
-/// incumbent's is applied to a copy of I, once the loop ends. `stats`
-/// (optional) accumulates the
-/// DataRepair counters of every candidate solve and receives the search's
-/// own: initial violations of Σ, variants, hopeless and pruned, DataRepair
-/// calls, cache hits, and δ-bound lookups.
+/// `facts` (aligned with family.constraints): combines bounds per variant (δ_l
+/// = max over its constraints), seeds δ_min with δ_u(Σ) when θ >= 0 under the
+/// update and hybrid strategies (+∞ otherwise: δ_u prices cell updates, not
+/// deletions), processes candidates in ascending-δ_l order under bound pruning
+/// and the DataRepair budget, and repairs each survivor with one shared
+/// MaterializedCache — or, with use_vfree off under the update and hybrid
+/// strategies, through HolisticRepair (Figure 5's CVtolerant+Holistic). Every
+/// other candidate is planned (PlanDirtyComponents, on views of its union:
+/// empty without violations, the tuple cover under the delete strategy) in a
+/// window of the next unpruned candidates, one per thread, and replayed in δ_l
+/// order (ReplayComponents). The result, the stats and the work counters are
+/// the same at every thread count. CVTolerantRepair (facts from
+/// ScanVariantFacts) and the streaming engine (facts delta-maintained by a
+/// VariantTracker) both run this one loop, which is what makes
+/// streamed-vs-scratch equivalence exact: equal facts in, bit-identical chosen
+/// variant and repair out (modulo fresh-id numbering from `fresh_counter`). It
+/// has no repair-of-Σ fallback: `have_result` is false when every candidate was
+/// pruned or aborted, and the caller decides (CVTolerantRepairWithFacts falls
+/// back; a streaming reopen keeps its incumbent). Suspect scans run on
+/// `encoded`, the mirror of I, and `stats_of_I` must be the DomainStats of I. A
+/// Vfree or subset candidate is priced from its ScopedRepair, to the bit what
+/// StrategyRepairCost gives for the repaired instance, and only the incumbent's
+/// is applied to a copy of I, once the loop ends. `stats` (optional)
+/// accumulates the DataRepair counters of every candidate solve and receives
+/// the search's own: initial violations of Σ, variants, hopeless and pruned,
+/// DataRepair calls, cache hits, and δ-bound lookups.
 VariantSearchResult CVTolerantSearchWithFacts(
     const Relation& I, const DomainStats& stats_of_I,
     const VariantFamily& family, const std::vector<VariantFacts>& facts,

@@ -277,7 +277,7 @@ StreamBatchResult StreamingRepairer::ApplyBatch(
     // looks every component up once, so a cache could never hit) and no
     // cost bound, so it cannot abort.
     std::optional<ScopedRepair> fix = SolveDirtyComponents(
-        W, stats_of_W, variant_, std::move(violations),
+        W, stats_of_W, variant_, ViewsByPosition(violations, variant_.size()),
         std::numeric_limits<double>::infinity(), options_.repair.vfree,
         /*cache=*/nullptr, /*stats=*/nullptr, &fresh_counter_,
         *index_->encoded());

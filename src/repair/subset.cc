@@ -46,22 +46,22 @@ double RowDeletionWeight(const Relation& I, const DomainStats& stats, int row,
 }
 
 SubsetRepair SubsetCoverRepair(const Relation& I, const DomainStats& stats_of_I,
-                               const std::vector<Violation>& violations,
-                               const SubsetOptions& options,
-                               RepairStats* stats) {
+                               const ViolationsByPosition& violations,
+                               const SubsetOptions& options) {
   SubsetRepair result;
   // Hyperedges of the tuple projection: each violation's deduplicated row
   // set (a single-tuple violation is a unit edge and forces its row).
   std::vector<std::vector<int>> edges;
-  edges.reserve(violations.size());
   std::unordered_map<int, std::vector<int>> edges_of_row;
-  for (const Violation& v : violations) {
-    std::vector<int> rows = v.rows;
-    std::sort(rows.begin(), rows.end());
-    rows.erase(std::unique(rows.begin(), rows.end()), rows.end());
-    int e = static_cast<int>(edges.size());
-    for (int r : rows) edges_of_row[r].push_back(e);
-    edges.push_back(std::move(rows));
+  for (std::span<const Violation> view : violations) {
+    for (const Violation& v : view) {
+      std::vector<int> rows = v.rows;
+      std::sort(rows.begin(), rows.end());
+      rows.erase(std::unique(rows.begin(), rows.end()), rows.end());
+      int e = static_cast<int>(edges.size());
+      for (int r : rows) edges_of_row[r].push_back(e);
+      edges.push_back(std::move(rows));
+    }
   }
 
   std::unordered_map<int, double> weight_of;
@@ -118,7 +118,6 @@ SubsetRepair SubsetCoverRepair(const Relation& I, const DomainStats& stats_of_I,
     }
   }
   result.rows_deleted = static_cast<int>(rows.size());
-  if (stats) stats->rows_deleted += result.rows_deleted;
   return result;
 }
 

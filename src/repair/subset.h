@@ -9,7 +9,6 @@
 #include "relation/domain_stats.h"
 #include "relation/relation.h"
 #include "repair/costs.h"
-#include "repair/repair_result.h"
 
 namespace cvrepair {
 
@@ -79,12 +78,13 @@ struct SubsetRepair {
 /// over the tuple projection of the conflict hypergraph (vertices = rows,
 /// hyperedges = each violation's row set; repeatedly pick the row with the
 /// highest uncovered-edges-per-weight ratio, ties to the smaller row id,
-/// until every edge is covered). Deterministic for a given violation set.
-/// Updates stats->rows_deleted when stats is given.
+/// until every edge is covered). Reads only the row sets, so the views'
+/// split by position does not matter. Deterministic for a given violation
+/// set. Pure: the delete strategy's plan of a DataRepair round
+/// (repair/vfree.h), which the replay publishes.
 SubsetRepair SubsetCoverRepair(const Relation& I, const DomainStats& stats_of_I,
-                               const std::vector<Violation>& violations,
-                               const SubsetOptions& options,
-                               RepairStats* stats);
+                               const ViolationsByPosition& violations,
+                               const SubsetOptions& options);
 
 /// True iff `row` is tombstoned in `after` but was not already all-NULL in
 /// `before`.

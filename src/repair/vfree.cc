@@ -124,12 +124,10 @@ void ApplyHybridDeletions(const Relation& I, const DomainStats& stats_of_I,
 }
 
 // The changing set of one repair round: an approximate minimum vertex
-// cover of the conflict hypergraph of `violations` (a list, or one view
-// per position of Σ).
-template <typename Violations>
+// cover of the conflict hypergraph of `violations`.
 std::vector<Cell> CoverCells(const Relation& I, const DomainStats& stats_of_I,
                              const ConstraintSet& sigma,
-                             const Violations& violations,
+                             const ViolationsByPosition& violations,
                              const VfreeOptions& options) {
   TraceSpan span("vfree/cover");
   const ConflictHypergraph g = [&] {
@@ -184,22 +182,24 @@ ComponentPlan PlanComponents(const ConstraintSet& sigma,
 ComponentPlan PlanDirtyComponents(const Relation& I,
                                   const DomainStats& stats_of_I,
                                   const ConstraintSet& sigma,
-                                  std::vector<Violation> violations,
-                                  const VfreeOptions& options,
-                                  const EncodedRelation& encoded) {
-  CanonicalizeViolations(&violations);
-  std::vector<Cell> changing =
-      CoverCells(I, stats_of_I, sigma, violations, options);
-  std::vector<Violation>().swap(violations);
-  return PlanComponents(sigma, changing, options, encoded);
-}
-
-ComponentPlan PlanDirtyComponents(const Relation& I,
-                                  const DomainStats& stats_of_I,
-                                  const ConstraintSet& sigma,
                                   const ViolationsByPosition& violations,
                                   const VfreeOptions& options,
                                   const EncodedRelation& encoded) {
+  if (std::all_of(violations.begin(), violations.end(),
+                  [](std::span<const Violation> v) { return v.empty(); })) {
+    return {};
+  }
+  if (options.strategy == RepairStrategy::kDelete) {
+    // Subset repair: resolve by tuple deletion over the tuple projection —
+    // no repair contexts, no solver, no cache. One cover pass is always
+    // violation-free (NULL discharges every predicate) and deletions can
+    // never create new violations, so this mirrors the single-round
+    // guarantee of the update path.
+    ComponentPlan plan;
+    plan.deletion =
+        SubsetCoverRepair(I, stats_of_I, violations, options.subset);
+    return plan;
+  }
   return PlanComponents(
       sigma, CoverCells(I, stats_of_I, sigma, violations, options), options,
       encoded);
@@ -209,6 +209,16 @@ std::optional<ScopedRepair> ReplayComponents(
     const Relation& I, const DomainStats& stats_of_I, const ComponentPlan& plan,
     double delta_min, const VfreeOptions& options, MaterializedCache* cache,
     RepairStats* stats, int64_t* fresh_counter) {
+  // A deletion or empty plan touches no solve.* counter: a delete run or a
+  // violation-free round registers none.
+  if (plan.deletion) {
+    const SubsetRepair& deletion = *plan.deletion;
+    if (stats) stats->rows_deleted += deletion.rows_deleted;
+    if (deletion.cost > delta_min) return std::nullopt;  // Alg. 2 lines 18-19
+    return ScopedRepair{deletion.assignments, deletion.cost,
+                        deletion.rows_deleted};
+  }
+  if (plan.components.empty()) return ScopedRepair{};
   TraceSpan repair_span("vfree/data_repair");
   const std::vector<Component>& components = plan.components;
   repair_span.AddArg("components", static_cast<int64_t>(components.size()));
@@ -402,31 +412,13 @@ void CanonicalizeViolations(std::vector<Violation>* violations) {
 
 std::optional<ScopedRepair> SolveDirtyComponents(
     const Relation& I, const DomainStats& stats_of_I,
-    const ConstraintSet& sigma, std::vector<Violation> violations,
+    const ConstraintSet& sigma, const ViolationsByPosition& violations,
     double delta_min, const VfreeOptions& options, MaterializedCache* cache,
     RepairStats* stats, int64_t* fresh_counter,
     const EncodedRelation& encoded) {
-  if (violations.empty()) return ScopedRepair{};
-  if (options.strategy == RepairStrategy::kDelete) {
-    CanonicalizeViolations(&violations);
-    // Subset repair: resolve by tuple deletion over the tuple projection —
-    // no repair contexts, no solver, no cache. One cover pass is always
-    // violation-free (NULL discharges every predicate) and deletions can
-    // never create new violations, so this mirrors the single-round
-    // guarantee of the update path.
-    SubsetRepair sub =
-        SubsetCoverRepair(I, stats_of_I, violations, options.subset, stats);
-    ScopedRepair result;
-    result.assignments = std::move(sub.assignments);
-    result.cost = sub.cost;
-    result.components = sub.rows_deleted;
-    if (result.cost > delta_min) return std::nullopt;  // Alg. 2 lines 18-19
-    return result;
-  }
   return ReplayComponents(
       I, stats_of_I,
-      PlanDirtyComponents(I, stats_of_I, sigma, std::move(violations), options,
-                          encoded),
+      PlanDirtyComponents(I, stats_of_I, sigma, violations, options, encoded),
       delta_min, options, cache, stats, fresh_counter);
 }
 
@@ -441,11 +433,12 @@ RepairResult VfreeRepair(const Relation& I, const ConstraintSet& sigma,
   std::vector<Violation> violations = FindViolations(E, sigma);
   result.stats.initial_violations = static_cast<int>(violations.size());
 
+  CanonicalizeViolations(&violations);
   const DomainStats stats_of_I(I);
   int64_t fresh_counter = 1;
   // With an infinite bound the round always succeeds.
   ScopedRepair scoped = *SolveDirtyComponents(
-      I, stats_of_I, sigma, std::move(violations),
+      I, stats_of_I, sigma, ViewsByPosition(violations, sigma.size()),
       std::numeric_limits<double>::infinity(), options, /*cache=*/nullptr,
       &result.stats, &fresh_counter, E);
   result.repaired = I;

@@ -56,14 +56,17 @@ struct VfreeOptions {
 };
 
 // Algorithm 2 (DATAREPAIR) repairs the changing cells C of I w.r.t. Σ in
-// a single violation-free round, split in two halves: PlanComponents (the
-// suspects of C, Definition 6, streamed into their repair contexts,
-// Section 4.1.2, and decomposed into components) and ReplayComponents
-// (each component solved, reusing MaterializedCache entries across calls
-// when the refinement test of Proposition 6 allows, and the cost abort of
-// lines 18-19). Applying a replayed repair to I satisfies Σ by
-// Proposition 5. SolveDirtyComponents runs one round from a detected
-// violation set, and VfreeRepair is the standalone algorithm.
+// a single violation-free round, split in two halves: a plan
+// (PlanDirtyComponents: the cover of the violations, then — under the
+// update and hybrid strategies — PlanComponents: the suspects of C,
+// Definition 6, streamed into their repair contexts, Section 4.1.2, and
+// decomposed into components) and ReplayComponents (each component
+// solved, reusing MaterializedCache entries across calls when the
+// refinement test of Proposition 6 allows, and the cost abort of lines
+// 18-19). Every round of every caller runs this one plan and this one
+// replay. Applying a replayed repair to I satisfies Σ by Proposition 5.
+// SolveDirtyComponents runs one round from a detected violation set, and
+// VfreeRepair is the standalone algorithm.
 
 /// A component-scoped repair: the cell assignments that fix the dirty
 /// components, without materializing a copy of the untouched remainder of
@@ -76,11 +79,11 @@ struct ScopedRepair {
 };
 
 /// The pure half of one DataRepair round (Algorithm 2 up to the component
-/// list): a function of (I, Σ, C) and the options alone, so plans for
-/// different rounds can be built concurrently and in any order. The work
-/// counters the planning spent are carried here instead of published, and
-/// ReplayComponents publishes them — a plan that is never replayed leaves
-/// no trace in RepairStats or the work counters.
+/// list): a function of (I, Σ, violations or C) and the options alone, so
+/// plans for different rounds can be built concurrently and in any order.
+/// The work counters the planning spent are carried here instead of
+/// published, and ReplayComponents publishes them — a plan that is never
+/// replayed leaves no trace in RepairStats or the work counters.
 struct ComponentPlan {
   std::vector<Component> components;
   /// Per component when decomposition is on, else empty (DESIGN.md §12).
@@ -90,6 +93,10 @@ struct ComponentPlan {
   int64_t components_split = 0;
   /// Zone-map consults of the suspect scan (blocks_scanned/_skipped).
   EvalCounters zone_counts;
+  /// The delete strategy's round: the tuple cover of the violations
+  /// (SubsetCoverRepair), with no components. Unset under the update and
+  /// hybrid strategies.
+  std::optional<SubsetRepair> deletion;
 };
 
 /// Plans the repair of the changing cells `changing`: the suspects of C
@@ -102,15 +109,14 @@ ComponentPlan PlanComponents(const ConstraintSet& sigma,
                              const VfreeOptions& options,
                              const EncodedRelation& encoded);
 
-/// PlanComponents for an already-detected violation set, under the update
-/// and hybrid strategies: conflict hypergraph -> vertex cover ->
-/// PlanComponents. The hypergraph is freed before the suspect scan. Pure,
-/// like PlanComponents.
-///
-/// The candidate search passes a Σ' union as views over its shared
-/// per-constraint facts, one per position of `sigma`, each in rows order:
-/// the hypergraph reads them in place, in that canonical (position, rows)
-/// order, so no violation is copied or re-stamped.
+/// The plan of one DataRepair round over an already-detected violation
+/// set, one view per position of `sigma`, each in rows order (the
+/// canonical order of CanonicalizeViolations; ViewsByPosition slices such
+/// a list). Empty when there are no violations; the tuple cover under
+/// kDelete; otherwise conflict hypergraph -> vertex cover -> PlanComponents,
+/// with the hypergraph freed before the suspect scan. The hypergraph reads
+/// the views in place, in (position, rows) order, so no violation is
+/// copied or re-stamped. Pure, like PlanComponents.
 ComponentPlan PlanDirtyComponents(const Relation& I,
                                   const DomainStats& stats_of_I,
                                   const ConstraintSet& sigma,
@@ -118,20 +124,13 @@ ComponentPlan PlanDirtyComponents(const Relation& I,
                                   const VfreeOptions& options,
                                   const EncodedRelation& encoded);
 
-/// The same for a violation list, canonicalized first (and freed, with
-/// the hypergraph, before the suspect scan).
-ComponentPlan PlanDirtyComponents(const Relation& I,
-                                  const DomainStats& stats_of_I,
-                                  const ConstraintSet& sigma,
-                                  std::vector<Violation> violations,
-                                  const VfreeOptions& options,
-                                  const EncodedRelation& encoded);
-
-/// The serial half of a DataRepair round: publishes the counters `plan`
+/// The serial half of a DataRepair round. An empty plan is an empty
+/// repair. A deletion plan is its tombstones, whose rows are added to
+/// `stats` before the cost test. Otherwise it publishes the counters `plan`
 /// carries, then resolves each component in order — a cache lookup, else a
 /// solve and a store — with fresh-id minting from `fresh_counter`,
-/// stitching of split components, the Alg. 2 cost abort, and the hybrid
-/// post-pass. Returns std::nullopt when the cost exceeds `delta_min`.
+/// stitching of split components and the hybrid post-pass. Returns
+/// std::nullopt when the cost exceeds `delta_min` (the Alg. 2 cost abort).
 std::optional<ScopedRepair> ReplayComponents(
     const Relation& I, const DomainStats& stats_of_I, const ComponentPlan& plan,
     double delta_min, const VfreeOptions& options, MaterializedCache* cache,
@@ -145,15 +144,14 @@ std::optional<ScopedRepair> ReplayComponents(
 void CanonicalizeViolations(std::vector<Violation>* violations);
 
 /// One violation-free repair round driven by an already-detected
-/// violation set (e.g. the delta-maintained set of a StreamingRepairer):
-/// ReplayComponents(PlanDirtyComponents(...)) under the update and hybrid
-/// strategies, a subset cover under kDelete, and an empty repair when
-/// there are no violations. Rows not reachable from `violations` are never
-/// touched, which is what scopes a streaming batch's work to its dirty
-/// components.
+/// violation set (e.g. the delta-maintained set of a StreamingRepairer),
+/// as views in the order PlanDirtyComponents reads:
+/// ReplayComponents(PlanDirtyComponents(...)). Rows not reachable from
+/// `violations` are never touched, which is what scopes a streaming
+/// batch's work to its dirty components.
 std::optional<ScopedRepair> SolveDirtyComponents(
     const Relation& I, const DomainStats& stats_of_I,
-    const ConstraintSet& sigma, std::vector<Violation> violations,
+    const ConstraintSet& sigma, const ViolationsByPosition& violations,
     double delta_min, const VfreeOptions& options, MaterializedCache* cache,
     RepairStats* stats, int64_t* fresh_counter,
     const EncodedRelation& encoded);

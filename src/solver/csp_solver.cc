@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <optional>
 
 #include "dc/op.h"
 #include "solver/interval.h"
@@ -13,6 +14,10 @@ namespace {
 
 // Cap on per-variable candidate values (after unary filtering).
 constexpr int kMaxCandidatesPerVar = 50;
+// Components with more live variables than this skip the exact search and
+// use a greedy most-constrained-first assignment (still sound: every
+// unsatisfiable step degrades to a fresh variable).
+constexpr int kMaxExactVars = 12;
 // Backtracking node budget per component; exhaustion falls back to
 // fresh-variable assignment like unsatisfiability does.
 constexpr int kMaxSearchNodes = 20000;
@@ -74,6 +79,43 @@ ComponentSolution CspSolver::Solve(const Component& component) {
   }
 
   std::vector<bool> is_fv(k, false);
+  std::vector<Value> assign(k);
+  std::vector<bool> assigned(k, false);  // by the greedy phase
+
+  // The interval fallback of a numeric variable no domain value fits:
+  // narrow the whole line by its unary atoms, then — in the greedy phase,
+  // `neighbors` — by the values of the neighbors it already assigned
+  // (later-assigned neighbors enforce their shared atoms when they are
+  // placed, exactly like domain candidates do), and pick the min-|Δ| value
+  // — which may lie outside the active domain entirely (the Bertossi–Bravo
+  // min-change fix). Every tightening counts, also on the way to a
+  // failure. nullopt when a bound is not numeric or the interval is empty.
+  auto interval_pick = [&](int v, bool neighbors) -> std::optional<Value> {
+    const AttrId attr = component.cells[v].attr;
+    if (!options_.use_interval || !I_.schema().is_numeric(attr)) {
+      return std::nullopt;
+    }
+    Interval iv = Interval::All();
+    for (const RcAtom* a : unary[v]) {
+      if (!a->rhs_const.is_numeric()) return std::nullopt;
+      if (NarrowWithConst(&iv, a->op, a->rhs_const.numeric())) ++narrowings;
+    }
+    if (neighbors) {
+      for (const RcAtom* a : binary[v]) {
+        int other = a->lhs_var == v ? a->rhs_var : a->lhs_var;
+        if (is_fv[other] || !assigned[other]) continue;
+        if (!assign[other].is_numeric()) return std::nullopt;
+        Op op = a->lhs_var == v ? a->op : FlipOperands(a->op);
+        if (NarrowWithConst(&iv, op, assign[other].numeric())) ++narrowings;
+      }
+    }
+    const bool integral = I_.schema().type(attr) == AttrType::kInt;
+    const double origin =
+        original[v].is_numeric() ? original[v].numeric() : 0.0;
+    std::optional<double> pick = PickMinDelta(iv, origin, integral);
+    if (!pick.has_value()) return std::nullopt;
+    return MakeNumeric(integral, *pick);
+  };
 
   // --- Phase 1: unary filtering, the rc(t.A, Σ) pre-check (§4.1.3). ---
   // Candidates are unary-feasible domain values, original value first,
@@ -110,37 +152,12 @@ ComponentSolution CspSolver::Solve(const Component& component) {
     }
     bool numeric = I_.schema().is_numeric(cell.attr);
     if (feasible.empty()) {
-      // The active domain admits no value. Before falling back to a fresh
-      // variable, a numeric cell whose unary context is pure order/range
-      // comparisons gets the interval treatment: narrow, then pick the
-      // min-|Δ| value — which may lie outside the active domain entirely
-      // (the Bertossi–Bravo min-change fix).
-      bool solved = false;
-      if (options_.use_interval && numeric) {
-        Interval iv = Interval::All();
-        bool applicable = true;
-        for (const RcAtom* a : unary[v]) {
-          if (!a->rhs_const.is_numeric()) {
-            applicable = false;
-            break;
-          }
-          if (NarrowWithConst(&iv, a->op, a->rhs_const.numeric())) {
-            ++narrowings;
-          }
-        }
-        if (applicable) {
-          bool integral = I_.schema().type(cell.attr) == AttrType::kInt;
-          double origin =
-              original[v].is_numeric() ? original[v].numeric() : 0.0;
-          std::optional<double> pick = PickMinDelta(iv, origin, integral);
-          if (pick.has_value()) {
-            cand[v] = {MakeNumeric(integral, *pick)};
-            solved = true;
-          }
-        }
-      }
-      if (!solved) {
-        is_fv[v] = true;  // genuinely empty interval (or non-numeric): fv
+      // The active domain admits no value: the interval fallback, else a
+      // fresh variable (genuinely empty interval, or non-numeric).
+      if (std::optional<Value> pick = interval_pick(v, /*neighbors=*/false)) {
+        cand[v] = {std::move(*pick)};
+      } else {
+        is_fv[v] = true;
       }
       continue;
     }
@@ -196,7 +213,6 @@ ComponentSolution CspSolver::Solve(const Component& component) {
     cand[v] = std::move(feasible);
   }
 
-  std::vector<Value> assign(k);
   auto finish = [&]() {
     ComponentSolution solution;
     solution.values.resize(k);
@@ -223,7 +239,7 @@ ComponentSolution CspSolver::Solve(const Component& component) {
   }
 
   // --- Phase 2: exact branch-and-bound for small components. ---
-  if (static_cast<int>(live.size()) <= options_.max_exact_vars) {
+  if (static_cast<int>(live.size()) <= kMaxExactVars) {
     int total_nodes = 0;
     while (!live.empty()) {
       std::vector<int> order = live;
@@ -315,8 +331,9 @@ ComponentSolution CspSolver::Solve(const Component& component) {
   // --- Phase 3: greedy sequential assignment for large components. ---
   // Most-constrained variables first; each variable takes its cheapest
   // candidate consistent with already-assigned neighbors, falling back to
-  // fv. Every binary atom is enforced when its second endpoint is
-  // assigned, so the result always satisfies the component.
+  // the interval pick, then to fv. Every binary atom is enforced when its
+  // second endpoint is assigned, so the result always satisfies the
+  // component.
   std::vector<int> order = live;
   std::sort(order.begin(), order.end(), [&](int a, int b) {
     size_t da = unary[a].size() + binary[a].size();
@@ -324,7 +341,6 @@ ComponentSolution CspSolver::Solve(const Component& component) {
     if (da != db) return da > db;
     return a < b;
   });
-  std::vector<bool> assigned(k, false);
   for (int v : order) {
     bool placed = false;
     for (const Value& value : cand[v]) {
@@ -342,50 +358,19 @@ ComponentSolution CspSolver::Solve(const Component& component) {
       }
       if (ok) {
         assign[v] = value;
-        assigned[v] = true;
         placed = true;
         break;
       }
     }
-    if (!placed && options_.use_interval &&
-        I_.schema().is_numeric(component.cells[v].attr)) {
-      // Greedy interval fallback: fold the unary atoms and the
-      // already-assigned neighbors in as constant bounds, then pick the
-      // min-|Δ| value. Later-assigned neighbors enforce their shared
-      // atoms when they are placed, exactly like domain candidates do.
-      Interval iv = Interval::All();
-      bool applicable = true;
-      for (const RcAtom* a : unary[v]) {
-        if (!a->rhs_const.is_numeric()) {
-          applicable = false;
-          break;
-        }
-        if (NarrowWithConst(&iv, a->op, a->rhs_const.numeric())) ++narrowings;
-      }
-      for (const RcAtom* a : binary[v]) {
-        if (!applicable) break;
-        int other = a->lhs_var == v ? a->rhs_var : a->lhs_var;
-        if (is_fv[other] || !assigned[other]) continue;
-        if (!assign[other].is_numeric()) {
-          applicable = false;
-          break;
-        }
-        Op op = a->lhs_var == v ? a->op : FlipOperands(a->op);
-        if (NarrowWithConst(&iv, op, assign[other].numeric())) ++narrowings;
-      }
-      if (applicable) {
-        bool integral =
-            I_.schema().type(component.cells[v].attr) == AttrType::kInt;
-        double origin = original[v].is_numeric() ? original[v].numeric() : 0.0;
-        std::optional<double> pick = PickMinDelta(iv, origin, integral);
-        if (pick.has_value()) {
-          assign[v] = MakeNumeric(integral, *pick);
-          assigned[v] = true;
-          placed = true;
-        }
+    if (!placed) {
+      if (std::optional<Value> pick = interval_pick(v, /*neighbors=*/true)) {
+        assign[v] = std::move(*pick);
+        placed = true;
+      } else {
+        is_fv[v] = true;
       }
     }
-    if (!placed) is_fv[v] = true;
+    assigned[v] = placed;
   }
   return finish();
 }

@@ -13,10 +13,6 @@ namespace cvrepair {
 
 /// Knobs for the component solver.
 struct SolverOptions {
-  /// Components with more live variables than this skip the exact search
-  /// and use a greedy most-constrained-first assignment (still sound:
-  /// every unsatisfiable step degrades to a fresh variable).
-  int max_exact_vars = 12;
   /// Numeric interval propagation (solver/interval.h): before minting a
   /// fresh variable, components whose atoms are numeric order/range
   /// comparisons get an AC-3 interval narrowing pass and a min-|Δ| value

@@ -299,5 +299,28 @@ TEST(CVTolerantSearchWindowTest, WindowStopsAtCallBudget) {
   ThreadPool::SetNumThreads(saved);
 }
 
+// Under the delete strategy the window plans tuple covers. δ_min starts
+// at +∞ there, so the first window takes the next `threads` candidates;
+// φ4''s deletions undercut δ_l(φ4) and prune the rest. The search is the
+// same at every width, and at one thread the one DataRepair call replays
+// the one plan built.
+TEST(CVTolerantSearchWindowTest, DeleteStrategyPlansInTheWindow) {
+  const int saved = ThreadPool::num_threads();
+  CVTolerantOptions options;
+  options.vfree.strategy = RepairStrategy::kDelete;
+  WindowRun serial = RunWindowSearch(1, options);
+  ASSERT_TRUE(serial.search.have_result);
+  EXPECT_GT(serial.stats.rows_deleted, 0);
+  EXPECT_EQ(serial.search.datarepair_calls, 1);
+  EXPECT_EQ(serial.plans_built, 1);
+  EXPECT_EQ(serial.plans_discarded, 0);
+  for (int threads : {2, 4}) {
+    WindowRun parallel = RunWindowSearch(threads, options);
+    ExpectSameRun(serial, parallel, std::to_string(threads) + " threads");
+    EXPECT_GE(parallel.plans_built, 2);
+  }
+  ThreadPool::SetNumThreads(saved);
+}
+
 }  // namespace
 }  // namespace cvrepair

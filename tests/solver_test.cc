@@ -369,7 +369,8 @@ TEST(SolverTest, EqualityAtomForcesCategoricalValue) {
 
 TEST(SolverTest, GreedyPathSolvesLargeComponents) {
   // A long chain x0 <= x1 <= ... <= x49 over one numeric attribute with
-  // plenty of feasible domain values; the greedy phase must satisfy it.
+  // plenty of feasible domain values: 50 variables are past the exact
+  // search's limit, and the greedy phase must satisfy them.
   Schema schema;
   schema.AddAttribute("V", AttrType::kInt);
   Relation rel(schema);
@@ -386,9 +387,7 @@ TEST(SolverTest, GreedyPathSolvesLargeComponents) {
   }
   DomainStats stats(rel);
   int64_t fresh = 1;
-  SolverOptions opts;
-  opts.max_exact_vars = 8;  // force the greedy path
-  CspSolver solver(rel, stats, CostModel{}, &fresh, opts);
+  CspSolver solver(rel, stats, CostModel{}, &fresh);
   ComponentSolution sol = solver.Solve(comp);
   EXPECT_TRUE(SolutionSatisfies(comp, sol));
 }
@@ -541,7 +540,8 @@ TEST(CacheTest, OneRoundCacheNeverHits) {
   for (const Input& in : inputs) {
     const EncodedRelation E(in.dirty);
     const DomainStats stats_of_I(in.dirty);
-    const std::vector<Violation> violations = FindViolations(E, in.sigma);
+    std::vector<Violation> violations = FindViolations(E, in.sigma);
+    CanonicalizeViolations(&violations);
     for (int threads : {1, 4}) {
       SCOPED_TRACE(in.name + " threads=" + std::to_string(threads));
       ThreadPool::SetNumThreads(threads);
@@ -557,9 +557,10 @@ TEST(CacheTest, OneRoundCacheNeverHits) {
         Round r;
         const double inf = std::numeric_limits<double>::infinity();
         r.repair = in.changing.empty()
-                       ? SolveDirtyComponents(in.dirty, stats_of_I, in.sigma,
-                                              violations, inf, options, cache,
-                                              &r.stats, &r.fresh, E)
+                       ? SolveDirtyComponents(
+                             in.dirty, stats_of_I, in.sigma,
+                             ViewsByPosition(violations, in.sigma.size()), inf,
+                             options, cache, &r.stats, &r.fresh, E)
                        : ReplayComponents(
                              in.dirty, stats_of_I,
                              PlanComponents(in.sigma, in.changing, options, E),

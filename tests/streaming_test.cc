@@ -131,12 +131,14 @@ void RunStreamedVsScratch(const Workload& w, int threads) {
     EncodedRelation E(W);
     std::vector<Violation> violations = FindViolations(E, streamer.variant());
     EXPECT_EQ(static_cast<int>(violations.size()), r.violations);
+    CanonicalizeViolations(&violations);
 
     DomainStats stats_of_W(W);
     RepairStats scratch_stats;
     int64_t scratch_fresh = 1000000;  // disjoint from the streamed ids
     std::optional<ScopedRepair> fix = SolveDirtyComponents(
-        W, stats_of_W, streamer.variant(), std::move(violations),
+        W, stats_of_W, streamer.variant(),
+        ViewsByPosition(violations, streamer.variant().size()),
         std::numeric_limits<double>::infinity(), options.repair.vfree,
         /*cache=*/nullptr, &scratch_stats, &scratch_fresh, E);
     ASSERT_TRUE(fix.has_value());

@@ -102,11 +102,8 @@ TEST(SubsetRepairTest, CoverPicksHubRowAndTombstonesIt) {
   std::vector<Violation> violations = {
       {0, {0, 1}}, {0, {1, 2}}, {0, {1, 3}}};
   SubsetOptions options;  // flat weights
-  RepairStats repair_stats;
-  SubsetRepair result =
-      SubsetCoverRepair(rel, stats, violations, options, &repair_stats);
+  SubsetRepair result = SubsetCoverRepair(rel, stats, {violations}, options);
   EXPECT_EQ(result.rows_deleted, 1);
-  EXPECT_EQ(repair_stats.rows_deleted, 1);
   EXPECT_DOUBLE_EQ(result.cost, options.delete_base);
   // Every assignment NULLs a cell of row 1, covering both attributes.
   ASSERT_EQ(result.assignments.size(), 2u);
@@ -132,9 +129,7 @@ TEST(SubsetRepairTest, CoverPrefersCheaperRowsUnderWeights) {
   std::vector<Violation> violations = {{0, {0, 3}}};
   SubsetOptions options;
   options.repr_attr = 0;
-  RepairStats repair_stats;
-  SubsetRepair result =
-      SubsetCoverRepair(rel, stats, violations, options, &repair_stats);
+  SubsetRepair result = SubsetCoverRepair(rel, stats, {violations}, options);
   ASSERT_EQ(result.rows_deleted, 1);
   EXPECT_EQ(result.assignments.front().first.row, 0);
 }
@@ -144,9 +139,49 @@ TEST(SubsetRepairTest, SingleTupleViolationForcesItsRow) {
   DomainStats stats(rel);
   std::vector<Violation> violations = {{0, {2}}};
   SubsetRepair result =
-      SubsetCoverRepair(rel, stats, violations, SubsetOptions{}, nullptr);
+      SubsetCoverRepair(rel, stats, {violations}, SubsetOptions{});
   ASSERT_EQ(result.rows_deleted, 1);
   EXPECT_EQ(result.assignments.front().first.row, 2);
+}
+
+// The delete strategy's plan of a DataRepair round is the tuple cover, and
+// the replay returns its tombstones. The deleted rows reach the stats
+// before the Alg. 2 cost test, so an aborted round counts them too.
+TEST(SubsetRepairTest, DeletePlanReplaysTheTupleCover) {
+  Relation rel = GroupedRelation();
+  const DomainStats stats(rel);
+  const EncodedRelation E(rel);
+  const std::vector<Violation> violations = {
+      {0, {0, 1}}, {0, {1, 2}}, {0, {1, 3}}};
+  const ConstraintSet sigma = {
+      DenialConstraint({Predicate::TwoCell(0, 1, Op::kNeq, 1, 1)})};
+  VfreeOptions options;
+  options.strategy = RepairStrategy::kDelete;
+  const ComponentPlan plan =
+      PlanDirtyComponents(rel, stats, sigma, {violations}, options, E);
+  ASSERT_TRUE(plan.deletion.has_value());
+  EXPECT_TRUE(plan.components.empty());
+  EXPECT_EQ(plan.deletion->rows_deleted, 1);
+
+  RepairStats replay_stats;
+  int64_t fresh = 1;
+  const double inf = std::numeric_limits<double>::infinity();
+  std::optional<ScopedRepair> scoped =
+      ReplayComponents(rel, stats, plan, inf, options, /*cache=*/nullptr,
+                       &replay_stats, &fresh);
+  ASSERT_TRUE(scoped.has_value());
+  EXPECT_TRUE(scoped->assignments == plan.deletion->assignments);
+  EXPECT_DOUBLE_EQ(scoped->cost, options.subset.delete_base);
+  EXPECT_EQ(scoped->components, 1);
+  EXPECT_EQ(replay_stats.rows_deleted, 1);
+  EXPECT_EQ(fresh, 1);
+
+  RepairStats aborted_stats;
+  const double below = options.subset.delete_base / 2;
+  EXPECT_FALSE(ReplayComponents(rel, stats, plan, below, options,
+                                /*cache=*/nullptr, &aborted_stats, &fresh)
+                   .has_value());
+  EXPECT_EQ(aborted_stats.rows_deleted, 1);
 }
 
 // ---------------------------------------------------------------------------
@@ -401,12 +436,14 @@ void RunStreamedVsScratchDelete(const Workload& w, int threads) {
     EncodedRelation E(W);
     std::vector<Violation> violations = FindViolations(E, streamer.variant());
     EXPECT_EQ(static_cast<int>(violations.size()), r.violations);
+    CanonicalizeViolations(&violations);
 
     DomainStats stats_of_W(W);
     RepairStats scratch_stats;
     int64_t scratch_fresh = 1000000;
     std::optional<ScopedRepair> fix = SolveDirtyComponents(
-        W, stats_of_W, streamer.variant(), std::move(violations),
+        W, stats_of_W, streamer.variant(),
+        ViewsByPosition(violations, streamer.variant().size()),
         std::numeric_limits<double>::infinity(), options.repair.vfree,
         /*cache=*/nullptr, &scratch_stats, &scratch_fresh, E);
     ASSERT_TRUE(fix.has_value());

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <limits>
 #include <set>
+#include <string>
 
 #include "data/census.h"
 #include "data/hosp.h"
@@ -137,6 +138,34 @@ TEST(ViolationTest, ViolationCellsExample6) {
   EXPECT_NE(std::find(cells.begin(), cells.end(), Cell{3, tax}), cells.end());
 }
 
+// ViewsByPosition slices a canonical list in place: each position views
+// its run of the list, and a position with no violations an empty view —
+// here first, in the middle and last.
+TEST(ViolationTest, ViewsByPositionSlicesACanonicalList) {
+  const std::vector<Violation> violations = {
+      {1, {0, 1}}, {1, {2, 3}}, {3, {4}}, {4, {1, 0}}};
+  const ViolationsByPosition views = ViewsByPosition(violations, 6);
+  ASSERT_EQ(views.size(), 6u);
+  const std::vector<size_t> sizes = {0, 2, 0, 1, 1, 0};
+  size_t offset = 0;
+  for (size_t k = 0; k < views.size(); ++k) {
+    SCOPED_TRACE("position " + std::to_string(k));
+    ASSERT_EQ(views[k].size(), sizes[k]);
+    for (size_t i = 0; i < views[k].size(); ++i) {
+      EXPECT_EQ(&views[k][i], &violations[offset + i]);  // no copy
+      EXPECT_EQ(views[k][i].constraint_index, static_cast<int>(k));
+    }
+    offset += views[k].size();
+  }
+  EXPECT_EQ(offset, violations.size());
+
+  const std::vector<Violation> none;
+  const ViolationsByPosition empty = ViewsByPosition(none, 2);
+  ASSERT_EQ(empty.size(), 2u);
+  EXPECT_TRUE(empty[0].empty());
+  EXPECT_TRUE(empty[1].empty());
+}
+
 TEST(SuspectTest, Example9SuspectsOfPhi4Prime) {
   Relation rel = PaperIncomeRelation();
   AttrId tax = *rel.schema().Find("Tax");
@@ -230,28 +259,27 @@ TEST(ViolationCapTest, ExactCapOnSerialPaths) {
   CheckExactCapSemantics(rel, Phi4Prime(rel), "serial no-join pairs");
 }
 
-// Large instances at 4 threads: the row-range shards and the
-// partition-block shards, where the cap must survive the local_cap = cap+1
-// overscan and the in-order merge.
+// Large instances at 4 threads: the scans stay serial at any budget, and
+// the cap must hold over thousands of rows and many partition blocks.
 TEST(ViolationCapTest, ExactCapOnShardedPaths) {
   PoolGuard guard;
   ThreadPool::SetNumThreads(4);
 
   CensusConfig census_config;
-  census_config.num_rows = 9000;  // above the 8192 row-shard threshold
+  census_config.num_rows = 9000;  // nine storage blocks
   CensusData census = MakeCensus(census_config);
   // not(Income >= tax_threshold): a constant unary DC violated by every
-  // taxpaying row — thousands of violations across all row shards.
+  // taxpaying row — thousands of violations across every block.
   DenialConstraint high_income({Predicate::WithConstant(
       0, CensusAttrs::kIncome, Op::kGeq,
       Value::Double(census_config.tax_threshold))});
   EncodedRelation census_encoded(census.clean);
   ASSERT_GE(FindViolationsOf(census_encoded, high_income).size(), 2u);
-  CheckExactCapSemantics(census.clean, high_income, "sharded 1-tuple rows");
+  CheckExactCapSemantics(census.clean, high_income, "large 1-tuple rows");
 
   HospConfig hosp_config;
   hosp_config.num_hospitals = 12;
-  hosp_config.measures_per_hospital = 30;  // blocks of 30+: work > 8192
+  hosp_config.measures_per_hospital = 30;  // join blocks of 30+ rows
   HospData hosp = MakeHosp(hosp_config);
   NoiseConfig hosp_noise;
   hosp_noise.error_rate = 0.1;
@@ -263,7 +291,7 @@ TEST(ViolationCapTest, ExactCapOnShardedPaths) {
     if (c.NumTupleVars() != 2) continue;
     if (FindViolationsOf(EncodedRelation(hosp_dirty), c).size() < 2) continue;
     found_fd = true;
-    CheckExactCapSemantics(hosp_dirty, c, "sharded partition blocks");
+    CheckExactCapSemantics(hosp_dirty, c, "large partition blocks");
   }
   EXPECT_TRUE(found_fd);
 }

@@ -7,7 +7,8 @@
 # else starts a parallel loop), the thread-pool contract tests, the
 # candidate-search window and streamed repair-context tests, the
 # streaming and variant-drift tests (a reopen plans candidates on pool
-# workers), and the serve tests (client threads against a session's
+# workers), the delete-strategy matrices (tuple covers are planned on
+# pool workers), and the serve tests (client threads against a session's
 # background worker). Any data race aborts the run (halt_on_error=1).
 #
 #   tools/run_tsan.sh [extra gtest args...]
@@ -19,5 +20,5 @@ cmake --build build-tsan -j"$(nproc)" --target cvrepair_tests
 
 TSAN_OPTIONS="halt_on_error=1${TSAN_OPTIONS:+:$TSAN_OPTIONS}" \
   ./build-tsan/tests/cvrepair_tests \
-  --gtest_filter='ParallelEquivalence*:ThreadPoolTest*:StreamingTest.*:VariantDriftTest.*Threaded*:VariantDriftTest.ThreadCountIsInvisibleUnderReopens:RepairContextTest.*:CVTolerantSearchWindowTest.*:ServeTest.*' "$@"
+  --gtest_filter='ParallelEquivalence*:ThreadPoolTest*:StreamingTest.*:VariantDriftTest.*Threaded*:VariantDriftTest.ThreadCountIsInvisibleUnderReopens:RepairContextTest.*:CVTolerantSearchWindowTest.*:ServeTest.*:SubsetRepairTest.DeleteMatrix*' "$@"
 echo "TSan run clean."
