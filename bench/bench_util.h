@@ -12,6 +12,7 @@
 #include <fstream>
 #include <functional>
 #include <iostream>
+#include <random>
 #include <string>
 #include <utility>
 #include <vector>
@@ -234,6 +235,64 @@ inline NoisyData MakeDirtyCensus(const CensusData& census, double error_rate,
 /// behind their mediocre accuracy in the paper's Figures 9-11.
 inline std::vector<AttrId> HospBaselineExclusions() {
   return {HospAttrs::kSample, HospAttrs::kScore};
+}
+
+/// One constraint class of Table 2 (Appendix B, Theorem 7) with the size,
+/// count and seed of its random instances.
+struct Table2Class {
+  const char* name;
+  ConstraintSet sigma;
+  int rows;
+  int trials;
+  uint64_t seed;
+};
+
+/// Table 2's four classes over Table2Instance's schema (A, B, X, Y).
+inline std::vector<Table2Class> Table2Classes() {
+  return {
+      // Linear DC (single tuple): not(t0.X > 4).
+      {"linear DC (ell=1)",
+       {DenialConstraint(
+           {Predicate::WithConstant(0, 2, Op::kGt, Value::Int(4))},
+           "linear")},
+       8, 40, 11},
+      // Constant CFD-style: not(t0.A = 'a0' & t0.X > 3).
+      {"constant CFD (ell=1)",
+       {DenialConstraint(
+           {Predicate::WithConstant(0, 0, Op::kEq, Value::String("a0")),
+            Predicate::WithConstant(0, 2, Op::kGt, Value::Int(3))},
+           "constant_cfd")},
+       8, 40, 23},
+      // FD: A -> B (binary DC).
+      {"FD / binary DC (ell=2)",
+       {DenialConstraint::FromFd({0}, 1, "fd")},
+       5, 40, 37},
+      // Order DC: not(X> & Y<).
+      {"order DC (ell=2)",
+       {DenialConstraint({Predicate::TwoCell(0, 2, Op::kGt, 1, 2),
+                          Predicate::TwoCell(0, 3, Op::kLt, 1, 3)},
+                         "order")},
+       5, 30, 41},
+  };
+}
+
+/// A random Table 2 instance: two 3-valued strings A, B and two integers
+/// X, Y in [0, 6].
+inline Relation Table2Instance(std::mt19937_64* rng, int rows) {
+  Schema schema;
+  schema.AddAttribute("A", AttrType::kString);
+  schema.AddAttribute("B", AttrType::kString);
+  schema.AddAttribute("X", AttrType::kInt);
+  schema.AddAttribute("Y", AttrType::kInt);
+  Relation rel(schema);
+  std::uniform_int_distribution<int> cat(0, 2);
+  std::uniform_int_distribution<int> num(0, 6);
+  for (int i = 0; i < rows; ++i) {
+    rel.AddRow({Value::String("a" + std::to_string(cat(*rng))),
+                Value::String("b" + std::to_string(cat(*rng))),
+                Value::Int(num(*rng)), Value::Int(num(*rng))});
+  }
+  return rel;
 }
 
 }  // namespace bench

@@ -21,23 +21,6 @@ struct CaseResult {
   double bound = 0.0;
 };
 
-Relation RandomInstance(std::mt19937_64* rng, int rows) {
-  Schema schema;
-  schema.AddAttribute("A", AttrType::kString);
-  schema.AddAttribute("B", AttrType::kString);
-  schema.AddAttribute("X", AttrType::kInt);
-  schema.AddAttribute("Y", AttrType::kInt);
-  Relation rel(schema);
-  std::uniform_int_distribution<int> cat(0, 2);
-  std::uniform_int_distribution<int> num(0, 6);
-  for (int i = 0; i < rows; ++i) {
-    rel.AddRow({Value::String("a" + std::to_string(cat(*rng))),
-                Value::String("b" + std::to_string(cat(*rng))),
-                Value::Int(num(*rng)), Value::Int(num(*rng))});
-  }
-  return rel;
-}
-
 CaseResult Measure(const ConstraintSet& sigma, int rows, int trials,
                    uint64_t seed) {
   CaseResult out;
@@ -48,7 +31,7 @@ CaseResult Measure(const ConstraintSet& sigma, int rows, int trials,
   std::mt19937_64 rng(seed);
   double sum = 0.0;
   for (int t = 0; t < trials; ++t) {
-    Relation rel = RandomInstance(&rng, rows);
+    Relation rel = Table2Instance(&rng, rows);
     std::optional<RepairResult> exact = ExactMinimumRepair(rel, sigma);
     if (!exact || exact->stats.repair_cost <= 0.0) continue;
     RepairResult heuristic = VfreeRepair(rel, sigma);
@@ -69,11 +52,10 @@ int main() {
       {"constraint class", "instances", "mean ratio", "worst ratio",
        "bound d*Deg"});
 
-  auto add = [&](const char* name, const ConstraintSet& sigma, int rows,
-                 int trials, uint64_t seed) {
-    CaseResult r = Measure(sigma, rows, trials, seed);
+  for (const Table2Class& c : Table2Classes()) {
+    CaseResult r = Measure(c.sigma, c.rows, c.trials, c.seed);
     table.BeginRow();
-    table.Add(name);
+    table.Add(c.name);
     table.Add(r.instances);
     table.Add(r.mean_ratio);
     table.Add(r.worst_ratio);
@@ -81,30 +63,7 @@ int main() {
     if (r.worst_ratio > r.bound) {
       table.Add("BOUND VIOLATED");
     }
-  };
-
-  // Linear DC (single tuple): not(t0.X > 4).
-  ConstraintSet linear = {DenialConstraint(
-      {Predicate::WithConstant(0, 2, Op::kGt, Value::Int(4))}, "linear")};
-  add("linear DC (ell=1)", linear, 8, 40, 11);
-
-  // Constant CFD-style: not(t0.A = 'a0' & t0.X > 3).
-  ConstraintSet ccfd = {DenialConstraint(
-      {Predicate::WithConstant(0, 0, Op::kEq, Value::String("a0")),
-       Predicate::WithConstant(0, 2, Op::kGt, Value::Int(3))},
-      "constant_cfd")};
-  add("constant CFD (ell=1)", ccfd, 8, 40, 23);
-
-  // FD: A -> B (binary DC).
-  ConstraintSet fd = {DenialConstraint::FromFd({0}, 1, "fd")};
-  add("FD / binary DC (ell=2)", fd, 5, 40, 37);
-
-  // Order DC: not(X> & Y<).
-  ConstraintSet order = {DenialConstraint(
-      {Predicate::TwoCell(0, 2, Op::kGt, 1, 2),
-       Predicate::TwoCell(0, 3, Op::kLt, 1, 3)},
-      "order")};
-  add("order DC (ell=2)", order, 5, 30, 41);
+  }
 
   table.Print();
   return 0;

@@ -5,21 +5,27 @@
 
 namespace cvrepair {
 
-/// Process-wide evaluation counters, shared by the violation scans
-/// (dc/violation.cc) and the shared evaluation index (dc/eval_index.h).
-/// They make detection work *checkable*: RepairStats::index_* report a
-/// run's delta, and the eval.* metrics baselines pin them.
+/// Process-wide evaluation counters of the scans (dc/violation.cc,
+/// dc/incremental.cc). They make detection work *checkable*:
+/// RepairStats::index_* report a run's delta, and the eval.* metrics
+/// baselines pin them.
 struct EvalCounters {
   int64_t partition_builds = 0;   ///< hash partitions built by a full scan
-  int64_t partition_refines = 0;  ///< partitions derived by splitting blocks
-  int64_t partition_merges = 0;   ///< partitions derived by fusing blocks
-  int64_t partition_hits = 0;     ///< partition requests answered from cache
   int64_t predicate_evals = 0;    ///< single-predicate evals on boxed Values
   int64_t code_predicate_evals = 0;  ///< single-predicate evals on int codes
-  int64_t memo_hits = 0;          ///< tuple-list verdicts answered by a memo
   int64_t truncated_scans = 0;    ///< capped scans that hit their cap
   int64_t blocks_scanned = 0;     ///< zone-map consults that ran the block
   int64_t blocks_skipped = 0;     ///< zone-map consults that pruned it
+
+  // Frozen-perfbench block. perfbench/src/staged.cc, frozen outside
+  // benchmark changes, reads these four, and every bench/baselines file
+  // pins their eval.* metrics at 0. Nothing increments them: the EvalIndex
+  // adapter (dc/eval_index.h) derives no partitions and keeps no memo.
+  // They go together with EvalIndex (ROADMAP.md, item 3).
+  int64_t partition_refines = 0;
+  int64_t partition_merges = 0;
+  int64_t partition_hits = 0;
+  int64_t memo_hits = 0;
 
   EvalCounters& operator+=(const EvalCounters& o) {
     partition_builds += o.partition_builds;

@@ -1,9 +1,8 @@
 #ifndef CVREPAIR_DC_SCAN_INTERNAL_H_
 #define CVREPAIR_DC_SCAN_INTERNAL_H_
 
-// Shared plumbing of the violation and suspect scans (dc/violation.cc),
-// the incremental row re-scan (dc/incremental.cc) and the shared
-// evaluation index (dc/eval_index.cc).
+// Shared plumbing of the violation and suspect scans (dc/violation.cc)
+// and the incremental row re-scan (dc/incremental.cc).
 
 #include <cstddef>
 #include <cstdint>

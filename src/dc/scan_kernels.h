@@ -2,8 +2,8 @@
 #define CVREPAIR_DC_SCAN_KERNELS_H_
 
 // Branchless block kernels for the violation, suspect and incremental
-// scans (dc/violation.cc, dc/incremental.cc) and the shared evaluation
-// index (dc/eval_index.cc) — the only scan implementation over I.
+// scans (dc/violation.cc, dc/incremental.cc) — the only scan
+// implementation over I.
 //
 // Every code-evaluable predicate shape — equality against a constant's
 // code, a rank threshold from Dictionary::BoundsOf, or an inequality-join

@@ -513,11 +513,9 @@ void ScanJoinBlocks(std::vector<std::vector<int>>& all_blocks,
   for (const std::vector<int>& members : all_blocks) {
     if (members.size() >= 2) blocks.push_back(&members);
   }
-  // Blocks sorted by first member — a canonical scan order that any other
-  // producer of the same partition (e.g. the shared EvalIndex, which
-  // derives partitions instead of hashing) reproduces exactly. Members are
-  // ascending within a block, so first-member order is well-defined and
-  // unique.
+  // Blocks sorted by first member — a canonical scan order that does not
+  // depend on hash-bucket order. Members are ascending within a block, so
+  // first-member order is well-defined and unique.
   std::sort(blocks.begin(), blocks.end(),
             [](const std::vector<int>* a, const std::vector<int>* b) {
               return a->front() < b->front();

@@ -8,13 +8,9 @@
 
 namespace cvrepair {
 
-namespace {
-
 bool IsNanDouble(const Value& v) {
   return v.kind() == ValueKind::kDouble && std::isnan(v.as_double());
 }
-
-}  // namespace
 
 int Dictionary::Compare(const Value& a, const Value& b) {
   if (a.kind() == ValueKind::kString) {
@@ -47,7 +43,8 @@ Code Dictionary::EncodeInsert(const Value& v) {
   if (v.is_null()) return kNullCode;
   if (v.is_fresh()) return kFreshCode;
   // EvalOp gives NaN != NaN — no total order can encode that; the
-  // generators, the CSV reader and the DC parser never produce NaN.
+  // generators, the CSV reader and the DC parser never produce NaN, and
+  // the serve layer's Submit rejects it.
   assert(!IsNanDouble(v));
   int32_t cls = ClassOf(v);
   bool found = false;

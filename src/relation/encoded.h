@@ -3,10 +3,10 @@
 
 // Dictionary-encoded columnar view of a Relation.
 //
-// Every scan in the system (violation detection, the shared evaluation
-// index, suspect enumeration, incremental maintenance) runs on this
-// integer-coded mirror, never on the row-major boxed Values; the Relation
-// stays the storage and mutation interface. This header provides:
+// Every scan in the system (violation detection, suspect enumeration,
+// incremental maintenance) runs on this integer-coded mirror, never on the
+// row-major boxed Values; the Relation stays the storage and mutation
+// interface. This header provides:
 //
 //  * a per-attribute, order-preserving `Dictionary` mapping each distinct
 //    value (one code per EvalOp-equality class) to a stable int32 code and
@@ -81,6 +81,10 @@ using Code = int32_t;
 inline constexpr Code kNullCode = -1;   ///< cell is NULL
 inline constexpr Code kFreshCode = -2;  ///< cell is a fresh variable fv
 inline constexpr Code kAbsentCode = -3; ///< lookup miss / unsatisfiable
+
+/// True for a NaN double: the one value a Dictionary cannot encode (no
+/// order holds on it, and EvalOp gives NaN != NaN).
+bool IsNanDouble(const Value& v);
 
 /// Order-preserving dictionary for one attribute.
 ///

@@ -6,12 +6,12 @@
 #include <optional>
 #include <set>
 
-#include "dc/op.h"
 #include "graph/bounds.h"
 #include "graph/conflict_hypergraph.h"
 #include "graph/decompose.h"
 #include "relation/encoded.h"
 #include "solver/components.h"
+#include "solver/csp_solver.h"
 #include "solver/repair_context.h"
 #include "util/metrics.h"
 #include "util/trace.h"
@@ -68,17 +68,6 @@ MetricCounter* FreshFallbackCounter() {
   static MetricCounter* c =
       MetricsRegistry::Global().GetCounter("solve.fresh_fallbacks");
   return c;
-}
-
-// NULL and fresh values discharge any atom — the same semantics as the
-// component solver's satisfaction check (csp_solver.cc), so the stitching
-// check accepts exactly the assignments a merged solve would.
-bool StitchAtomHolds(const RcAtom& atom, const std::vector<Value>& values) {
-  const Value& lhs = values[atom.lhs_var];
-  if (lhs.is_null() || lhs.is_fresh()) return true;
-  const Value& rhs = atom.rhs_is_var ? values[atom.rhs_var] : atom.rhs_const;
-  if (rhs.is_null() || rhs.is_fresh()) return true;
-  return EvalOp(lhs, atom.op, rhs);
 }
 
 // Hybrid post-pass (strategy kHybrid): after the update solve, tombstone
@@ -344,7 +333,7 @@ std::optional<ScopedRepair> ReplayComponents(
         const int pl = cur_part[a.lhs_var];
         const int pr = cur_part[a.rhs_var];
         if (pl == pr) continue;  // merged earlier: satisfied internally
-        if (StitchAtomHolds(a, combined)) continue;
+        if (AtomHolds(a, combined)) continue;
         any_violated = true;
         const int rl = find(pl);
         const int rr = find(pr);

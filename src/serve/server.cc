@@ -5,6 +5,7 @@
 #include <string>
 #include <utility>
 
+#include "relation/encoded.h"
 #include "util/metrics.h"
 
 namespace cvrepair {
@@ -36,8 +37,9 @@ struct ServeCounters {
 };
 
 /// Why `edits` is malformed against a relation of `*rows` rows and
-/// `num_attributes` attributes, or "" when it is well formed. Counts the
-/// batch's inserts into `*rows`.
+/// `num_attributes` attributes, or "" when it is well formed. A NaN double
+/// is malformed: the dictionary cannot order it. Counts the batch's
+/// inserts into `*rows`.
 std::string MalformedReason(const std::vector<RowEdit>& edits,
                             int num_attributes, int64_t* rows) {
   for (size_t i = 0; i < edits.size(); ++i) {
@@ -48,12 +50,20 @@ std::string MalformedReason(const std::vector<RowEdit>& edits,
              " values into " + std::to_string(num_attributes) + " attributes";
     }
     if (e.insert) {
+      for (size_t a = 0; a < e.values.size(); ++a) {
+        if (IsNanDouble(e.values[a])) {
+          return edit + "insert of NaN into attribute " + std::to_string(a);
+        }
+      }
       ++*rows;
     } else if (e.row < 0 || e.row >= *rows || e.attr < 0 ||
                e.attr >= num_attributes) {
       return edit + "update of cell (" + std::to_string(e.row) + ", " +
              std::to_string(e.attr) + ") outside " + std::to_string(*rows) +
              " rows x " + std::to_string(num_attributes) + " attributes";
+    } else if (IsNanDouble(e.value)) {
+      return edit + "update of cell (" + std::to_string(e.row) + ", " +
+             std::to_string(e.attr) + ") to NaN";
     }
   }
   return "";

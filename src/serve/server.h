@@ -83,9 +83,10 @@ class ServeSession {
   const std::string& name() const { return name_; }
 
   /// Admission edge: enqueues the batch unless it is malformed (an update
-  /// outside the rows the batch will see or the schema, or an insert of
-  /// the wrong arity: an `error`, not counted in rejected()) or the queue
-  /// is at the watermark. Never blocks on repair work.
+  /// outside the rows the batch will see or the schema, an insert of the
+  /// wrong arity, or a NaN double: an `error`, not counted in rejected())
+  /// or the queue is at the watermark. ±inf is admitted. Never blocks on
+  /// repair work.
   SubmitOutcome Submit(std::vector<RowEdit> edits);
 
   /// Applies the oldest pending batch, if any, and publishes its serve.*

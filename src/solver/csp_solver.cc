@@ -27,6 +27,13 @@ constexpr int kMaxSearchNodes = 20000;
 // context wants to guarantee.
 bool Discharges(const Value& v) { return v.is_null() || v.is_fresh(); }
 
+Value MakeNumeric(bool integral, double x) {
+  return integral ? Value::Int(static_cast<int64_t>(std::llround(x)))
+                  : Value::Double(x);
+}
+
+}  // namespace
+
 bool AtomHolds(const RcAtom& atom, const std::vector<Value>& values) {
   const Value& lhs = values[atom.lhs_var];
   if (Discharges(lhs)) return true;
@@ -34,13 +41,6 @@ bool AtomHolds(const RcAtom& atom, const std::vector<Value>& values) {
   if (Discharges(rhs)) return true;
   return EvalOp(lhs, atom.op, rhs);
 }
-
-Value MakeNumeric(bool integral, double x) {
-  return integral ? Value::Int(static_cast<int64_t>(std::llround(x)))
-                  : Value::Double(x);
-}
-
-}  // namespace
 
 bool SolutionSatisfies(const Component& component,
                        const ComponentSolution& solution) {

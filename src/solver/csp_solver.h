@@ -75,6 +75,12 @@ class CspSolver {
   SolverOptions options_;
 };
 
+/// True iff `atom` holds on the per-variable `values`: NULL and fresh
+/// values discharge any atom (the DC predicate on such a cell is false).
+/// The component solver and the decomposition's stitching check share it,
+/// so stitching accepts exactly the assignments a merged solve would.
+bool AtomHolds(const RcAtom& atom, const std::vector<Value>& values);
+
 /// True iff `solution` satisfies every atom of `component` under
 /// fresh-variable semantics (atoms touching an fv-assigned variable are
 /// vacuously discharged). Used by tests and by the materialized cache.

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <random>
+#include <string>
+
+#include "bench/bench_util.h"
 #include "paper_example.h"
 #include "graph/bounds.h"
 #include "repair/vfree.h"
@@ -44,20 +49,44 @@ TEST(ExactRepairTest, RefusesLargeInstances) {
   EXPECT_FALSE(ExactMinimumRepair(rel, sigma, options).has_value());
 }
 
+// Vfree's cost lies between the optimum and Theorem 7's d·Deg(Σ) times it,
+// with d = fresh_cost / min dist(a, b) = 1.1 under the count model, and
+// Lemma 3's bounds bracket the optimum. False when the instance is too
+// large to solve exactly.
+bool CheckAgainstOptimum(const Relation& rel, const ConstraintSet& sigma,
+                         const ExactRepairOptions& options,
+                         const std::string& context) {
+  std::optional<RepairResult> exact = ExactMinimumRepair(rel, sigma, options);
+  if (!exact.has_value()) return false;
+  const double optimum = exact->stats.repair_cost;
+  const double factor = CostModel().fresh_cost * Degree(sigma);
+  RepairResult heuristic = VfreeRepair(rel, sigma);
+  EXPECT_GE(heuristic.stats.repair_cost, optimum - 1e-9) << context;
+  EXPECT_LE(heuristic.stats.repair_cost, factor * optimum + 1e-9) << context;
+  RepairCostBounds bounds = ComputeBounds(rel, sigma);
+  EXPECT_LE(bounds.lower, optimum + 1e-9) << context;
+  EXPECT_GE(bounds.upper, optimum - 1e-9) << context;
+  return true;
+}
+
 TEST(ExactRepairTest, HeuristicNeverBeatsTheOptimum) {
   Relation rel = PaperIncomeRelation();
   ExactRepairOptions options;
   options.max_violation_cells = 20;  // φ2 touches 18 cells
-  for (ConstraintSet sigma :
-       {ConstraintSet{Phi4Prime(rel)}, ConstraintSet{Phi2(rel)}}) {
-    std::optional<RepairResult> exact = ExactMinimumRepair(rel, sigma, options);
-    ASSERT_TRUE(exact.has_value());
-    RepairResult heuristic = VfreeRepair(rel, sigma);
-    EXPECT_GE(heuristic.stats.repair_cost, exact->stats.repair_cost - 1e-9);
-    // Lemma 3: the lower bound never exceeds the optimum.
-    RepairCostBounds bounds = ComputeBounds(rel, sigma);
-    EXPECT_LE(bounds.lower, exact->stats.repair_cost + 1e-9);
-    EXPECT_GE(bounds.upper, exact->stats.repair_cost - 1e-9);
+  EXPECT_TRUE(CheckAgainstOptimum(rel, {Phi4Prime(rel)}, options, "phi4'"));
+  EXPECT_TRUE(CheckAgainstOptimum(rel, {Phi2(rel)}, options, "phi2"));
+
+  // Table 2's random instances (bench/tab02_approximation_factors.cc).
+  for (const bench::Table2Class& c : bench::Table2Classes()) {
+    std::mt19937_64 rng(c.seed);
+    int solved = 0;
+    for (int t = 0; t < c.trials; ++t) {
+      Relation instance = bench::Table2Instance(&rng, c.rows);
+      const std::string context =
+          std::string(c.name) + " trial " + std::to_string(t);
+      if (CheckAgainstOptimum(instance, c.sigma, {}, context)) ++solved;
+    }
+    EXPECT_GT(solved, c.trials / 2) << c.name;
   }
 }
 

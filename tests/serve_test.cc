@@ -11,6 +11,7 @@
 
 #include <chrono>
 #include <cstdlib>
+#include <limits>
 #include <random>
 #include <string>
 #include <thread>
@@ -333,6 +334,58 @@ TEST(ServeTest, MalformedBatchIsRejectedWithoutTicket) {
       MetricsDiff(MetricsRegistry::Global().SnapshotWork(), before);
   EXPECT_EQ(delta.at("serve.batches_admitted"), 2);
   EXPECT_EQ(delta.at("serve.batches_rejected"), 0);
+}
+
+// A NaN double is malformed: the dictionary cannot order it, so an
+// admitted NaN shared the code of another number and the session ended
+// with violations that EvalOp denies. Updates and inserts that carry one
+// are rejected with a reason, as a whole batch and not as backpressure;
+// ±inf orders and is admitted.
+TEST(ServeTest, SubmitRejectsNaN) {
+  Schema schema;
+  schema.AddAttribute("Name", AttrType::kString);
+  schema.AddAttribute("X", AttrType::kDouble);
+  Relation base(schema);
+  for (int i = 1; i <= 3; ++i) {
+    base.AddRow({Value::String("n" + std::to_string(i)),
+                 Value::Double(static_cast<double>(i))});
+  }
+  // not(t0.X = t1.X): no two rows share an X.
+  const ConstraintSet sigma = {DenialConstraint(
+      {Predicate::TwoCell(0, 1, Op::kEq, 1, 1)})};
+  const Value nan = Value::Double(std::numeric_limits<double>::quiet_NaN());
+  const Value inf = Value::Double(std::numeric_limits<double>::infinity());
+
+  RepairServer server;
+  ServeSession* session = server.Open("nan", base, sigma);
+  ASSERT_NE(session, nullptr);
+  const std::vector<std::vector<RowEdit>> malformed = {
+      {RowEdit::Update(0, 1, nan)},
+      {RowEdit::Insert({Value::String("n4"), nan})},
+      {RowEdit::Update(1, 1, Value::Double(5)), RowEdit::Update(2, 1, nan)},
+  };
+  for (const std::vector<RowEdit>& batch : malformed) {
+    SubmitOutcome out = session->Submit(batch);
+    EXPECT_FALSE(out.admitted);
+    EXPECT_EQ(out.ticket, -1);
+    EXPECT_NE(out.error.find("NaN"), std::string::npos) << out.error;
+    EXPECT_EQ(out.retry_after_seconds, 0.0);
+  }
+  EXPECT_EQ(session->depth(), 0);
+  EXPECT_EQ(session->rejected(), 0);
+
+  const Value minus_inf = Value::Double(-inf.as_double());
+  SubmitOutcome out =
+      session->Submit({RowEdit::Update(0, 1, inf),
+                       RowEdit::Insert({Value::String("n4"), minus_inf})});
+  EXPECT_TRUE(out.admitted) << out.error;
+  EXPECT_EQ(session->Flush(), 1);
+  const Relation& served = session->repair().current();
+  EXPECT_EQ(served.num_rows(), 4);
+  EXPECT_TRUE(session->repair().IsViolationFree());
+  EXPECT_TRUE(
+      reference::ReferenceViolations(served, session->repair().variant())
+          .empty());
 }
 
 TEST(ServeTest, ServerHostsMultipleNamedSessions) {

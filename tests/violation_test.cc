@@ -10,6 +10,7 @@
 #include "data/census.h"
 #include "data/hosp.h"
 #include "data/noise.h"
+#include "dc/eval_index.h"
 #include "dc/incremental.h"
 #include "paper_example.h"
 #include "reference_scan.h"
@@ -217,10 +218,13 @@ TEST(SuspectTest, NoSuspectsWhenChangingSetOffConstraintAttrs) {
 // scan finished exactly at the cap — nothing was cut), cap = V - 1 returns
 // the first V - 1 violations of the uncapped order with truncated true,
 // and cap = V + 1 is indistinguishable from uncapped. The capped result is
-// always a prefix of the uncapped one.
+// always a prefix of the uncapped one. The benchmark's EvalIndex adapter
+// must return the same list and flag at every cap.
 void CheckExactCapSemantics(const Relation& I, const DenialConstraint& c,
                             const std::string& context) {
   EncodedRelation E(I);
+  EvalIndex index(I, c, EvalIndex::kDefaultMemoBudget, &E);
+  index.Prepare(c);
   bool truncated = true;
   std::vector<Violation> all = FindViolationsOfCapped(
       E, c, 0, std::numeric_limits<int64_t>::max(), &truncated);
@@ -239,6 +243,12 @@ void CheckExactCapSemantics(const Relation& I, const DenialConstraint& c,
       ASSERT_EQ(capped[static_cast<size_t>(i)], all[static_cast<size_t>(i)])
           << context << " cap " << cap << ": not the uncapped prefix at " << i;
     }
+    bool adapter_truncated = !capped_truncated;
+    EXPECT_EQ(index.FindViolationsCapped(c, 0, cap, &adapter_truncated),
+              capped)
+        << context << " cap " << cap << ": EvalIndex";
+    EXPECT_EQ(adapter_truncated, capped_truncated)
+        << context << " cap " << cap << ": EvalIndex";
   }
 }
 
