@@ -8,7 +8,8 @@
 #include "dc/incremental.h"
 #include "data/hosp.h"
 #include "data/noise.h"
-#include "graph/bounds.h"
+#include "graph/conflict_hypergraph.h"
+#include "graph/vertex_cover.h"
 #include "relation/encoded.h"
 #include "solver/components.h"
 #include "solver/csp_solver.h"
@@ -71,29 +72,34 @@ void BM_VertexCover(benchmark::State& state) {
 }
 BENCHMARK(BM_VertexCover)->Arg(0)->Arg(1);  // 0 = local ratio, 1 = greedy
 
+// The changing set of one DataRepair round of Σ over the dirty hosp
+// instance: the default (greedy) cover of its conflict hypergraph.
+std::vector<Cell> HospCoverCells(const HospEnv& env) {
+  const ConstraintSet& sigma = env.hosp.given_oversimplified;
+  ConflictHypergraph g = ConflictHypergraph::Build(
+      env.noisy.dirty, sigma, FindViolations(env.noisy.dirty, sigma));
+  return ApproximateVertexCover(g).Cells(g);
+}
+
 void BM_SuspectsAndContext(benchmark::State& state) {
   HospEnv& env = Env();
-  RepairCostBounds bounds =
-      ComputeBounds(env.noisy.dirty, env.hosp.given_oversimplified);
+  const std::vector<Cell> changing = HospCoverCells(env);
   EncodedRelation encoded(env.noisy.dirty);
   for (auto _ : state) {
     int64_t suspects = 0;
     benchmark::DoNotOptimize(RepairContext::BuildFromScan(
-        encoded, env.hosp.given_oversimplified, bounds.cover_cells,
-        &suspects));
+        encoded, env.hosp.given_oversimplified, changing, &suspects));
   }
 }
 BENCHMARK(BM_SuspectsAndContext);
 
 void BM_ComponentSolve(benchmark::State& state) {
   HospEnv& env = Env();
-  RepairCostBounds bounds =
-      ComputeBounds(env.noisy.dirty, env.hosp.given_oversimplified);
   int64_t suspects = 0;
   std::vector<Component> components =
       DecomposeComponents(RepairContext::BuildFromScan(
           EncodedRelation(env.noisy.dirty), env.hosp.given_oversimplified,
-          bounds.cover_cells, &suspects));
+          HospCoverCells(env), &suspects));
   DomainStats stats(env.noisy.dirty);
   for (auto _ : state) {
     int64_t fresh = 1;

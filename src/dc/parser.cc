@@ -70,11 +70,12 @@ bool FindOperator(const std::string& s, size_t* pos, size_t* len, Op* op) {
 // Splits `s` at every `sep` outside a quoted constant, so that a constant
 // may hold the separator. A quote opens only where ParseConstant reads a
 // quoted operand, at the first non-blank byte after a predicate's
-// operator, and the next quote closes it; an apostrophe anywhere else (in
-// a bare constant, a name or a comment) hides no separator. Predicates
-// start at the front of `s` and after each '&', or, in a constraint set
-// (`statements`), at a statement's "not(". When `s` ends inside quotes,
-// they close nowhere, and `s` splits at every `sep`.
+// operator, and the next single quote closes it: inside, '' is an escaped
+// quote. An apostrophe anywhere else (in a bare constant, a name or a
+// comment) hides no separator. Predicates start at the front of `s` and
+// after each '&', or, in a constraint set (`statements`), at a
+// statement's "not(". When `s` ends inside quotes, they close nowhere, and
+// `s` splits at every `sep`.
 std::vector<std::string> SplitOutsideQuotes(const std::string& s, char sep,
                                             bool statements) {
   // Before a statement's "not(", in a predicate's left operand, before the
@@ -117,7 +118,11 @@ std::vector<std::string> SplitOutsideQuotes(const std::string& s, char sep,
         if (c == '&') at = At::kLeft;
         break;
       case At::kQuoted:
-        if (c == '\'') at = At::kBare;
+        if (c == '\'' && i + 1 < s.size() && s[i + 1] == '\'') {
+          part += s[++i];  // '' stands for one quote
+        } else if (c == '\'') {
+          at = At::kBare;
+        }
         break;
     }
   }
@@ -161,7 +166,13 @@ bool ParseConstant(const Schema& schema, AttrId lhs_attr,
     return false;
   }
   if (s.front() == '\'' && s.back() == '\'' && s.size() >= 2) {
-    *out = Value::String(s.substr(1, s.size() - 2));
+    // A quoted string; '' inside stands for one quote.
+    std::string unquoted;
+    for (size_t i = 1; i + 1 < s.size(); ++i) {
+      unquoted += s[i];
+      if (s[i] == '\'' && s[i + 1] == '\'' && i + 2 < s.size()) ++i;
+    }
+    *out = Value::String(std::move(unquoted));
     return true;
   }
   switch (schema.type(lhs_attr)) {

@@ -35,40 +35,29 @@ std::vector<Cell> Predicate::Cells(const std::vector<int>& rows) const {
 
 namespace {
 
-// True iff the DC parser, reading `text` as an operand, finds each '&' and
-// ';' of it inside the quote that opens at its first byte and closes at
-// its next one, and so splits no predicate or constraint there.
-bool SeparatorsQuoted(const std::string& text) {
-  const size_t last = text.find_last_of("&;");
-  if (last == std::string::npos) return true;
-  const size_t close = text.find('\'', 1);
-  return text[0] == '\'' && close != std::string::npos && last < close;
-}
-
 // The text of a constant on an attribute of type `type` that the DC parser
 // reads back as the same value. A string stays bare unless the parser
 // would take its bare text for something else — a number, a quoted or
-// trimmed string, a longer operator, a tuple variable — and is quoted
-// then. One that holds a separator ('&', ';') is quoted, unless its own
-// leading quote holds every separator and it ends unquoted, as the parser
-// reads "'a&b'c"; then it stays bare. A quote inside a quoted constant
-// has no escape, so some such strings, "x'y&z" or "'a;b'", have no text
-// that reads back; the parser yields none of them.
+// trimmed string, a longer operator, a tuple variable — or split it at a
+// separator ('&', ';'); it is quoted then, with each quote inside doubled.
 std::string ConstantText(const Value& c, AttrType type) {
   if (c.kind() != ValueKind::kString) return c.ToString();
   const std::string& s = c.as_string();
   const std::string kSpace = " \t\r\n";
-  const bool unpadded = type == AttrType::kString && !s.empty() &&
-                        kSpace.find(s.front()) == std::string::npos &&
-                        kSpace.find(s.back()) == std::string::npos;
-  const bool bare =
-      s.find_first_of("&;") == std::string::npos
-          ? unpadded &&
-                std::string("'=<>!").find(s.front()) == std::string::npos &&
-                !(s.size() >= 2 && s[0] == 't' &&
-                  std::isdigit(static_cast<unsigned char>(s[1])))
-          : unpadded && s.back() != '\'' && SeparatorsQuoted(s);
-  return bare ? s : "'" + s + "'";
+  const bool bare = type == AttrType::kString && !s.empty() &&
+                    kSpace.find(s.front()) == std::string::npos &&
+                    kSpace.find(s.back()) == std::string::npos &&
+                    s.find_first_of("&;") == std::string::npos &&
+                    std::string("'=<>!").find(s.front()) == std::string::npos &&
+                    !(s.size() >= 2 && s[0] == 't' &&
+                      std::isdigit(static_cast<unsigned char>(s[1])));
+  if (bare) return s;
+  std::string quoted = "'";
+  for (char ch : s) {
+    quoted += ch;
+    if (ch == '\'') quoted += '\'';
+  }
+  return quoted + "'";
 }
 
 }  // namespace

@@ -7,7 +7,7 @@ namespace cvrepair {
 RepairCostBounds ComputeBounds(const ConflictHypergraph& g, int degree,
                                const CostModel& cost,
                                CoverHeuristic heuristic,
-                               const DomainStats* stats) {
+                               const DomainStats* /*stats*/) {
   RepairCostBounds bounds;
   if (g.num_edges() == 0) return bounds;
 
@@ -17,9 +17,7 @@ RepairCostBounds ComputeBounds(const ConflictHypergraph& g, int degree,
 
   VertexCover cover = (heuristic == CoverHeuristic::kLocalRatio)
                           ? lr
-                          : ApproximateVertexCover(g, heuristic, stats);
-  bounds.cover = cover;
-  bounds.cover_cells = cover.Cells(g);
+                          : ApproximateVertexCover(g, heuristic);
   // Assigning every cover cell to fv eliminates all hyperedges, hence a
   // valid repair: delta_u = sum of fresh-variable costs.
   bounds.upper = cost.fresh_cost * static_cast<double>(cover.vertices.size());
@@ -28,11 +26,10 @@ RepairCostBounds ComputeBounds(const ConflictHypergraph& g, int degree,
 
 RepairCostBounds ComputeBounds(const Relation& I, const ConstraintSet& sigma,
                                const CostModel& cost,
-                               CoverHeuristic heuristic,
-                               const DomainStats* stats) {
+                               CoverHeuristic heuristic) {
   std::vector<Violation> violations = FindViolations(I, sigma);
   ConflictHypergraph g = ConflictHypergraph::Build(I, sigma, violations, cost);
-  return ComputeBounds(g, Degree(sigma), cost, heuristic, stats);
+  return ComputeBounds(g, Degree(sigma), cost, heuristic);
 }
 
 }  // namespace cvrepair

@@ -1,8 +1,6 @@
 #ifndef CVREPAIR_GRAPH_BOUNDS_H_
 #define CVREPAIR_GRAPH_BOUNDS_H_
 
-#include <vector>
-
 #include "dc/violation.h"
 #include "graph/conflict_hypergraph.h"
 #include "graph/vertex_cover.h"
@@ -11,21 +9,18 @@
 namespace cvrepair {
 
 /// Lower and upper bounds on the minimum data-repair cost of an instance
-/// w.r.t. one constraint set (Section 3.2.2), plus the cover they came
-/// from so that DataRepair can reuse it as the changing set C.
+/// w.r.t. one constraint set (Section 3.2.2).
 struct RepairCostBounds {
   double lower = 0.0;  ///< delta_l = ||V(G)|| / Deg(Sigma)
   double upper = 0.0;  ///< delta_u = sum over cover of dist(., fv)
-  VertexCover cover;
-  std::vector<Cell> cover_cells;
 };
 
 /// Computes delta_l / delta_u from an already-built conflict hypergraph.
 /// `degree` is Deg(Sigma); the lower bound uses the cover produced by the
 /// kLocalRatio heuristic (the one carrying the factor-f guarantee of
-/// Lemma 3) while `cover_for_repair` — returned in `cover`/`cover_cells` —
-/// uses `heuristic`. `stats` feeds kEntropyDensity's entropy term
-/// (optional).
+/// Lemma 3) while the upper bound prices the cover `heuristic` picks.
+/// `stats` is ignored; it is kept for the benchmark's staged replica
+/// (perfbench/) and goes with the next benchmark change.
 RepairCostBounds ComputeBounds(
     const ConflictHypergraph& g, int degree, const CostModel& cost = {},
     CoverHeuristic heuristic = CoverHeuristic::kGreedyDegree,
@@ -35,8 +30,7 @@ RepairCostBounds ComputeBounds(
 /// computes the bounds for (I, sigma).
 RepairCostBounds ComputeBounds(
     const Relation& I, const ConstraintSet& sigma, const CostModel& cost = {},
-    CoverHeuristic heuristic = CoverHeuristic::kGreedyDegree,
-    const DomainStats* stats = nullptr);
+    CoverHeuristic heuristic = CoverHeuristic::kGreedyDegree);
 
 }  // namespace cvrepair
 

@@ -1,7 +1,6 @@
 #include "graph/decompose.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstddef>
 
 namespace cvrepair {
@@ -15,100 +14,6 @@ namespace {
 constexpr int kMaxCutDegree = 8;
 
 }  // namespace
-
-VertexScores ComputeVertexScores(const ConflictHypergraph& g,
-                                 const DomainStats* stats) {
-  const int n = g.num_vertices();
-  VertexScores scores;
-  scores.density.assign(n, 0.0);
-  scores.entropy.assign(n, 0.0);
-
-  // Flattened neighbor lists: u ~ v iff some hyperedge contains both.
-  std::vector<std::vector<int>> nbr(n);
-  for (int e = 0; e < g.num_edges(); ++e) {
-    const std::vector<int>& edge = g.edge(e);
-    for (int v : edge) {
-      for (int u : edge) {
-        if (u != v) nbr[v].push_back(u);
-      }
-    }
-  }
-  for (int v = 0; v < n; ++v) {
-    std::sort(nbr[v].begin(), nbr[v].end());
-    nbr[v].erase(std::unique(nbr[v].begin(), nbr[v].end()), nbr[v].end());
-  }
-
-  // density(v) = hyperedges inside N[v] over the closed neighborhood's
-  // pair count. A vertex inside a clique-like conflict core scores near 1;
-  // a link in a chain scores low.
-  std::vector<int> stamp(n, -1);
-  for (int v = 0; v < n; ++v) {
-    stamp[v] = v;
-    for (int u : nbr[v]) stamp[u] = v;
-    int64_t contained = 0;
-    auto count_at = [&](int u) {
-      for (int e : g.incident_edges(u)) {
-        const std::vector<int>& edge = g.edge(e);
-        if (edge[0] != u) continue;  // count each edge once, at its min vertex
-        bool inside = true;
-        for (int w : edge) {
-          if (stamp[w] != v) {
-            inside = false;
-            break;
-          }
-        }
-        if (inside) ++contained;
-      }
-    };
-    count_at(v);
-    for (int u : nbr[v]) count_at(u);
-    const double s = static_cast<double>(nbr[v].size()) + 1.0;
-    const double pairs = s * (s - 1.0) / 2.0;
-    if (pairs > 0.0) {
-      scores.density[v] = std::min(1.0, static_cast<double>(contained) / pairs);
-    }
-  }
-
-  // entropy(v): Shannon entropy of the attribute's value distribution,
-  // normalized by log(#distinct) so that uniform = 1 and a point mass = 0.
-  // Per-attribute, so compute once per attribute id seen.
-  if (stats != nullptr) {
-    std::vector<double> attr_entropy(stats->num_attributes(), -1.0);
-    for (int v = 0; v < n; ++v) {
-      const AttrId a = g.cell(v).attr;
-      if (a < 0 || a >= stats->num_attributes()) continue;
-      if (attr_entropy[a] < 0.0) {
-        const AttrStats& as = stats->attr(a);
-        double total = 0.0;
-        for (const auto& [value, count] : as.frequencies) {
-          (void)value;
-          total += count;
-        }
-        double h = 0.0;
-        if (total > 0.0 && as.frequencies.size() > 1) {
-          for (const auto& [value, count] : as.frequencies) {
-            (void)value;
-            if (count <= 0) continue;
-            const double p = count / total;
-            h -= p * std::log(p);
-          }
-          h /= std::log(static_cast<double>(as.frequencies.size()));
-        }
-        attr_entropy[a] = std::min(1.0, std::max(0.0, h));
-      }
-      scores.entropy[v] = attr_entropy[a];
-    }
-  } else {
-    // Fallback without DomainStats: a wide active domain behaves like a
-    // high-entropy (uniform-ish) attribute, a one-value domain like a
-    // point mass.
-    for (int v = 0; v < n; ++v) {
-      const int dom = std::max(1, g.domain_size(v));
-      scores.entropy[v] = 1.0 - 1.0 / static_cast<double>(dom);
-    }
-  }
-  return scores;
-}
 
 Component RestrictComponent(const Component& comp,
                             const std::vector<int>& vars) {

@@ -4,44 +4,19 @@
 // Topology-aware decomposition of giant conflict components (DESIGN.md
 // §12). On dense error patterns the conflict hypergraph collapses into one
 // huge component and the repair round into one oversized CSP solve. This
-// layer sits between hypergraph construction and
-// component solving: per-vertex entropy/density scores order the
-// vertex-cover seed (CoverHeuristic::kEntropyDensity), and SplitComponent
-// cuts an oversized component at low-density articulation vertices into
-// independently solvable parts plus the boundary atoms that straddle them.
+// layer sits between component decomposition and component solving:
+// SplitComponent cuts an oversized component at low-density articulation
+// vertices into independently solvable parts plus the boundary atoms that
+// straddle them.
 // The solver stitches the parts back together (repair/vfree.cc): parts are
 // solved independently, boundary-straddling atoms re-verified on the
 // combined assignment, and still-conflicting regions merged and re-solved.
 
 #include <vector>
 
-#include "graph/conflict_hypergraph.h"
-#include "relation/domain_stats.h"
 #include "solver/components.h"
 
 namespace cvrepair {
-
-/// Per-vertex topology scores over a conflict hypergraph. Both scores are
-/// normalized to [0, 1].
-struct VertexScores {
-  /// Edge density of the cell's closed neighborhood: hyperedges fully
-  /// contained in N[v] over the pair count |N[v]|·(|N[v]|−1)/2, clamped to
-  /// 1. High density marks clique-like conflict cores; low density marks
-  /// chain-like regions where cuts are cheap.
-  std::vector<double> density;
-  /// Shannon entropy of the cell's attribute value distribution (from
-  /// DomainStats when given, else approximated from the hypergraph's
-  /// frequency/domain annotations), normalized by log(domain size). Low
-  /// entropy means a skewed distribution where a rare value is strong
-  /// evidence of an error.
-  std::vector<double> entropy;
-};
-
-/// Computes the scores for every vertex of `g`. `stats` supplies exact
-/// value distributions; pass nullptr to fall back to the hypergraph's own
-/// per-vertex frequency/domain-size annotations.
-VertexScores ComputeVertexScores(const ConflictHypergraph& g,
-                                 const DomainStats* stats = nullptr);
 
 /// Knobs for SplitComponent.
 struct DecomposeOptions {

@@ -5,8 +5,6 @@
 #include <queue>
 #include <utility>
 
-#include "graph/decompose.h"
-
 namespace cvrepair {
 
 std::vector<Cell> VertexCover::Cells(const ConflictHypergraph& g) const {
@@ -101,12 +99,8 @@ VertexCover LocalRatioCover(const ConflictHypergraph& g) {
   return Collect(g, in_cover);
 }
 
-// Greedy max-coverage-per-weight cover. With `bias` (one multiplier per
-// vertex, from the entropy/density scores of graph/decompose.h) the score
-// is tilted toward dense, low-entropy conflict cores — the kEntropyDensity
-// seed ordering; nullptr gives the classic kGreedyDegree behavior.
-VertexCover GreedyDegreeCover(const ConflictHypergraph& g,
-                              const std::vector<double>* bias) {
+// Greedy max-coverage-per-weight cover.
+VertexCover GreedyDegreeCover(const ConflictHypergraph& g) {
   std::vector<bool> edge_covered(g.num_edges(), false);
   std::vector<int> uncovered_degree(g.num_vertices(), 0);
   // Equality-side (group-key) cells are corroborated by every agreeing
@@ -117,9 +111,7 @@ VertexCover GreedyDegreeCover(const ConflictHypergraph& g,
   auto score_of = [&](int v) {
     double w = std::max(g.weight(v), 1e-9);
     if (!g.on_inequality_predicate(v)) w *= kEqualitySidePenalty;
-    double s = uncovered_degree[v] / w;
-    if (bias) s *= (*bias)[v];
-    return s;
+    return uncovered_degree[v] / w;
   };
   // Equal-score ties break toward the most suspicious cell: inequality
   // side first, then rare value, then denser (smaller) domain — packed into
@@ -175,22 +167,9 @@ VertexCover GreedyDegreeCover(const ConflictHypergraph& g,
 
 VertexCover ApproximateVertexCover(const ConflictHypergraph& g,
                                    CoverHeuristic heuristic,
-                                   const DomainStats* stats) {
-  switch (heuristic) {
-    case CoverHeuristic::kLocalRatio:
-      return LocalRatioCover(g);
-    case CoverHeuristic::kGreedyDegree:
-      return GreedyDegreeCover(g, nullptr);
-    case CoverHeuristic::kEntropyDensity: {
-      VertexScores scores = ComputeVertexScores(g, stats);
-      std::vector<double> bias(g.num_vertices());
-      for (int v = 0; v < g.num_vertices(); ++v) {
-        bias[v] = 1.0 + scores.density[v] + (1.0 - scores.entropy[v]);
-      }
-      return GreedyDegreeCover(g, &bias);
-    }
-  }
-  return LocalRatioCover(g);
+                                   const DomainStats* /*stats*/) {
+  return heuristic == CoverHeuristic::kLocalRatio ? LocalRatioCover(g)
+                                                  : GreedyDegreeCover(g);
 }
 
 }  // namespace cvrepair

@@ -22,13 +22,6 @@ enum class CoverHeuristic {
   /// selects high-conflict cells first, which is the cell-selection
   /// heuristic of Holistic [8].
   kGreedyDegree,
-  /// Entropy/density-guided greedy (DESIGN.md §12): the greedy score is
-  /// biased by the per-vertex topology scores of graph/decompose.h —
-  /// vertices in dense conflict neighborhoods whose attribute has a
-  /// skewed (low-entropy) value distribution are seeded into the cover
-  /// first, so the changing set concentrates on clique-like error cores
-  /// and the residual components stay sparse and splittable.
-  kEntropyDensity,
 };
 
 /// An approximate minimum weighted vertex cover with its total weight.
@@ -45,8 +38,8 @@ struct VertexCover {
 /// covered are dropped (in descending weight order). All heuristics break
 /// score ties on the cell's (row, attr) order, so the cover is a pure
 /// function of the hypergraph — stable run-to-run and across thread
-/// counts. `stats` feeds the entropy term of kEntropyDensity (optional:
-/// without it the hypergraph's own domain annotations approximate it).
+/// counts. `stats` is ignored; it is kept for the benchmark's staged
+/// replica (perfbench/) and goes with the next benchmark change.
 VertexCover ApproximateVertexCover(
     const ConflictHypergraph& g,
     CoverHeuristic heuristic = CoverHeuristic::kGreedyDegree,

@@ -6,6 +6,8 @@
 #include <string>
 #include <vector>
 
+#include "repair/subset.h"
+
 namespace cvrepair {
 
 double CostModel::Dist(const Value& original, const Value& repaired) const {
@@ -43,28 +45,30 @@ int EditDistance(const std::string& a, const std::string& b) {
   return prev[b.size()];
 }
 
-double RepairCost(const Relation& before, const Relation& after,
-                  const CostModel& cost) {
+std::vector<std::pair<Cell, Value>> ChangedCells(const Relation& before,
+                                                 const Relation& after) {
   assert(before.num_rows() == after.num_rows());
   assert(before.num_attributes() == after.num_attributes());
-  double total = 0.0;
+  std::vector<std::pair<Cell, Value>> changed;
   for (int i = 0; i < before.num_rows(); ++i) {
     for (AttrId a = 0; a < before.num_attributes(); ++a) {
-      total += cost.CellDist({i, a}, before.Get(i, a), after.Get(i, a));
+      const Value& v = after.Get(i, a);
+      if (!(before.Get(i, a) == v)) changed.emplace_back(Cell{i, a}, v);
     }
   }
-  return total;
+  return changed;
+}
+
+double RepairCost(const Relation& before, const Relation& after,
+                  const CostModel& cost) {
+  // The update strategy reads no DomainStats.
+  return TallyRepair(before, DomainStats(), ChangedCells(before, after), cost,
+                     RepairStrategy::kUpdate, SubsetOptions())
+      .cost;
 }
 
 int ChangedCellCount(const Relation& before, const Relation& after) {
-  assert(before.num_rows() == after.num_rows());
-  int count = 0;
-  for (int i = 0; i < before.num_rows(); ++i) {
-    for (AttrId a = 0; a < before.num_attributes(); ++a) {
-      if (!(before.Get(i, a) == after.Get(i, a))) ++count;
-    }
-  }
-  return count;
+  return static_cast<int>(ChangedCells(before, after).size());
 }
 
 }  // namespace cvrepair

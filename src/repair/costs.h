@@ -1,6 +1,9 @@
 #ifndef CVREPAIR_REPAIR_COSTS_H_
 #define CVREPAIR_REPAIR_COSTS_H_
 
+#include <utility>
+#include <vector>
+
 #include "relation/relation.h"
 #include "relation/value.h"
 #include "repair/cell_weights.h"
@@ -57,8 +60,15 @@ struct CostModel {
   }
 };
 
+/// The cells whose value differs between two instances with identical
+/// schema and row counts, each with its value in `after`, in (row, attr)
+/// order: the assignments that repair `before` into `after`.
+std::vector<std::pair<Cell, Value>> ChangedCells(const Relation& before,
+                                                 const Relation& after);
+
 /// Δ(I, I'): total repair cost between two instances with identical schema
-/// and row counts (Definition 1, unit weights).
+/// and row counts (Definition 1), priced by TallyRepair (repair/subset.h)
+/// under the update strategy.
 double RepairCost(const Relation& before, const Relation& after,
                   const CostModel& cost = {});
 

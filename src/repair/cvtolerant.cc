@@ -51,63 +51,6 @@ ViolationsByPosition UnionViews(const std::vector<int>& members,
   return views;
 }
 
-// The cost of I with `scoped` applied: the terms StrategyRepairCost adds
-// over the whole repaired instance, in the same (row, attr) order, without
-// building it. A cell the repair leaves unchanged adds +0.0 there, which
-// leaves the sum bit for bit as it is, so only the assigned cells are
-// visited; under the delete and hybrid strategies a tombstoned row adds its
-// deletion weight instead of its cells. The assignments hold each cell at
-// most once (components share no cells, a subset cover deletes a row once).
-double ScopedRepairCost(const Relation& I, const DomainStats& stats_of_I,
-                        const ScopedRepair& scoped,
-                        const VfreeOptions& options) {
-  using Assignment = std::pair<Cell, Value>;
-  std::vector<const Assignment*> order;
-  order.reserve(scoped.assignments.size());
-  for (const Assignment& a : scoped.assignments) order.push_back(&a);
-  std::sort(order.begin(), order.end(),
-            [](const Assignment* x, const Assignment* y) {
-              return x->first < y->first;
-            });
-  const bool deletes = options.strategy != RepairStrategy::kUpdate;
-  double total = 0.0;
-  size_t begin = 0;
-  while (begin < order.size()) {
-    const int row = order[begin]->first.row;
-    size_t end = begin;
-    while (end < order.size() && order[end]->first.row == row) ++end;
-    // RowDeleted(I, repaired, row): not all NULL before, all NULL after.
-    bool deleted = false;
-    if (deletes) {
-      bool was_all_null = true;
-      bool all_null = true;
-      size_t next = begin;
-      for (AttrId a = 0; a < I.num_attributes(); ++a) {
-        const Value* after = &I.Get(row, a);
-        was_all_null &= after->is_null();
-        if (next < end && order[next]->first.attr == a) {
-          after = &order[next++]->second;
-        }
-        all_null &= after->is_null();
-      }
-      deleted = !was_all_null && all_null;
-    }
-    if (deleted) {
-      total += RowDeletionWeight(I, stats_of_I, row, options.subset);
-    } else {
-      for (size_t i = begin; i < end; ++i) {
-        const auto& [cell, value] = *order[i];
-        const Value& before = I.Get(cell);
-        if (!(before == value)) {
-          total += options.cost.CellDist(cell, before, value);
-        }
-      }
-    }
-    begin = end;
-  }
-  return total;
-}
-
 }  // namespace
 
 VariantFamily EnumerateVariants(const Relation& I, const ConstraintSet& sigma,
@@ -309,8 +252,8 @@ VariantSearchResult CVTolerantSearchWithFacts(
   const int width =
       plannable ? ThreadPool::EffectiveThreads(options.threads) : 0;
   MaterializedCache cache;
-  // The incumbent of a Vfree or subset search, applied to a copy of I once,
-  // after the loop; CVtolerant+Holistic keeps its repaired instance.
+  // The cheapest candidate's repair, applied to a copy of I once, after the
+  // loop.
   std::optional<ScopedRepair> incumbent;
   size_t next = 0;
   bool budget_spent = false;
@@ -364,9 +307,7 @@ VariantSearchResult CVTolerantSearchWithFacts(
 
       const ConstraintSet& set = variants[c.index].constraints;
       lookups += static_cast<int64_t>(set.size());  // its union's facts
-      Relation repaired;  // CVtolerant+Holistic only
       std::optional<ScopedRepair> scoped;
-      double delta = 0.0;
       if (plannable) {
         assert(plan.has_value());
         const double abort_at = options.enable_bound_pruning
@@ -383,7 +324,6 @@ VariantSearchResult CVTolerantSearchWithFacts(
           result.abort_bounds[c.index] = abort_at;
           continue;
         }
-        delta = ScopedRepairCost(I, stats_of_I, *scoped, vfree_options);
       } else {
         // CVtolerant+Holistic (Figure 5): the multi-round Holistic engine
         // repairs the candidate, without sharing or the cost abort.
@@ -393,23 +333,18 @@ VariantSearchResult CVTolerantSearchWithFacts(
         if (stats) {
           stats->solver_calls += hr.stats.solver_calls;
           stats->rounds += hr.stats.rounds;
-          stats->fresh_assignments += hr.stats.fresh_assignments;
         }
-        repaired = std::move(hr.repaired);
-        // Deleted tuples price at their deletion weight, every other cell
-        // at its distance.
-        delta = StrategyRepairCost(I, repaired, cost, vfree_options.strategy,
-                                   vfree_options.subset, stats_of_I);
+        scoped.emplace().assignments = ChangedCells(I, hr.repaired);
       }
+      const double delta =
+          TallyRepair(I, stats_of_I, scoped->assignments, cost,
+                      vfree_options.strategy, vfree_options.subset)
+              .cost;
       result.solved_costs[c.index] = delta;
       if (delta < result.cost) {
         result.cost = delta;
         delta_min = std::min(delta_min, delta);
-        if (scoped) {
-          incumbent = std::move(scoped);
-        } else {
-          result.repaired = std::move(repaired);
-        }
+        incumbent = std::move(scoped);
         result.variant = set;
         result.have_result = true;
       }
@@ -464,27 +399,15 @@ RepairResult CVTolerantRepairWithFacts(
     result.repaired = I;
   }
 
-  // Fresh assignments and deletions accumulated across *all* candidate
-  // repairs; report the counts in the chosen repair instead.
-  result.stats.fresh_assignments = 0;
-  for (int i = 0; i < result.repaired.num_rows(); ++i) {
-    for (AttrId a = 0; a < result.repaired.num_attributes(); ++a) {
-      if (result.repaired.Get(i, a).is_fresh()) {
-        ++result.stats.fresh_assignments;
-      }
-    }
-  }
-  if (vfree_options.strategy != RepairStrategy::kUpdate) {
-    result.stats.rows_deleted = 0;
-    for (int i = 0; i < result.repaired.num_rows(); ++i) {
-      if (RowDeleted(I, result.repaired, i)) ++result.stats.rows_deleted;
-    }
-  }
-  result.stats.changed_cells = ChangedCellCount(I, result.repaired);
-  result.stats.repair_cost =
-      StrategyRepairCost(I, result.repaired, vfree_options.cost,
-                         vfree_options.strategy, vfree_options.subset,
-                         stats_of_I);
+  // The chosen repair's counts, from one diff of the repaired instance.
+  const RepairTally tally =
+      TallyRepair(I, stats_of_I, ChangedCells(I, result.repaired),
+                  vfree_options.cost, vfree_options.strategy,
+                  vfree_options.subset);
+  result.stats.changed_cells = tally.changed_cells;
+  result.stats.repair_cost = tally.cost;
+  result.stats.fresh_assignments = tally.fresh_assignments;
+  result.stats.rows_deleted = tally.rows_deleted;
   const EvalCounters scanned = eval_counters::Snapshot() - start.counters;
   result.stats.index_partition_builds = scanned.partition_builds;
   result.stats.index_predicate_evals = scanned.predicate_evals;

@@ -129,13 +129,13 @@ struct VariantSearchResult {
 /// has no repair-of-Σ fallback: `have_result` is false when every candidate was
 /// pruned or aborted, and the caller decides (CVTolerantRepairWithFacts falls
 /// back; a streaming reopen keeps its incumbent). Suspect scans run on
-/// `encoded`, the mirror of I, and `stats_of_I` must be the DomainStats of I. A
-/// Vfree or subset candidate is priced from its ScopedRepair, to the bit what
-/// StrategyRepairCost gives for the repaired instance, and only the incumbent's
-/// is applied to a copy of I, once the loop ends. `stats` (optional)
-/// accumulates the DataRepair counters of every candidate solve and receives
-/// the search's own: initial violations of Σ, variants, hopeless and pruned,
-/// DataRepair calls, cache hits, and δ-bound lookups.
+/// `encoded`, the mirror of I, and `stats_of_I` must be the DomainStats of I.
+/// Every candidate's repair is a ScopedRepair (CVtolerant+Holistic's is the
+/// diff of its instance) priced by TallyRepair, and only the incumbent's is
+/// applied to a copy of I, once the loop ends. `stats` (optional) accumulates
+/// the DataRepair counters of every candidate solve and receives the search's
+/// own: initial violations of Σ, variants, hopeless and pruned, DataRepair
+/// calls, cache hits, and δ-bound lookups.
 VariantSearchResult CVTolerantSearchWithFacts(
     const Relation& I, const DomainStats& stats_of_I,
     const VariantFamily& family, const std::vector<VariantFacts>& facts,
@@ -156,7 +156,8 @@ struct RepairRunStart {
 /// when no candidate survived — a plain repair of Σ for θ >= 0 (the input
 /// itself for θ < 0), and the outcome stats: the search's counters, the
 /// generator's non-maximal count, the chosen repair's cost, changed cells,
-/// fresh and deleted counts, the scan deltas and the time since `start`.
+/// fresh and deleted counts (one TallyRepair of its diff with I), the scan
+/// deltas and the time since `start`.
 /// `stats_of_I` is the DomainStats of I and `encoded` its mirror. `search`
 /// (optional) receives the search's per-candidate outcomes (solved_costs,
 /// abort_bounds); its repaired instance moves into the result.
@@ -176,7 +177,7 @@ int64_t ViolationCap(const CVTolerantOptions& options, int num_rows);
 /// hypergraph of `c` alone — or +inf and no violations when `hopeless`.
 /// ScanVariantFacts and VariantTracker both build facts here.
 /// `stats_of_I`, the DomainStats of I, gives the hypergraph's vertex
-/// weights and the entropy term of the kEntropyDensity cover.
+/// weights.
 VariantFacts BuildVariantFacts(const Relation& I, const DomainStats& stats_of_I,
                                const DenialConstraint& c,
                                std::vector<Violation> violations, bool hopeless,

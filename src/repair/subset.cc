@@ -45,10 +45,10 @@ double RowDeletionWeight(const Relation& I, const DomainStats& stats, int row,
   return options.delete_base * (1.0 + options.alpha * (1.0 - share));
 }
 
-SubsetRepair SubsetCoverRepair(const Relation& I, const DomainStats& stats_of_I,
+ScopedRepair SubsetCoverRepair(const Relation& I, const DomainStats& stats_of_I,
                                const ViolationsByPosition& violations,
                                const SubsetOptions& options) {
-  SubsetRepair result;
+  ScopedRepair result;
   // Hyperedges of the tuple projection: each violation's deduplicated row
   // set (a single-tuple violation is a unit edge and forces its row).
   std::vector<std::vector<int>> edges;
@@ -117,45 +117,69 @@ SubsetRepair SubsetCoverRepair(const Relation& I, const DomainStats& stats_of_I,
       }
     }
   }
-  result.rows_deleted = static_cast<int>(rows.size());
+  result.components = static_cast<int>(rows.size());
   return result;
 }
 
-bool RowDeleted(const Relation& before, const Relation& after, int row) {
-  bool was_all_null = true;
-  for (AttrId a = 0; a < before.num_attributes(); ++a) {
-    if (!before.Get(row, a).is_null()) {
-      was_all_null = false;
-      break;
+RepairTally TallyRepair(const Relation& I, const DomainStats& stats_of_I,
+                        const std::vector<std::pair<Cell, Value>>& assignments,
+                        const CostModel& cost, RepairStrategy strategy,
+                        const SubsetOptions& subset) {
+  using Assignment = std::pair<Cell, Value>;
+  std::vector<const Assignment*> order;
+  order.reserve(assignments.size());
+  for (const Assignment& a : assignments) order.push_back(&a);
+  std::sort(order.begin(), order.end(),
+            [](const Assignment* x, const Assignment* y) {
+              return x->first < y->first;
+            });
+  const bool deletes = strategy != RepairStrategy::kUpdate;
+  RepairTally tally;
+  size_t begin = 0;
+  while (begin < order.size()) {
+    const int row = order[begin]->first.row;
+    size_t end = begin;
+    while (end < order.size() && order[end]->first.row == row) ++end;
+    // Tombstoned: not all NULL in I, all NULL after the repair.
+    bool deleted = false;
+    if (deletes) {
+      bool was_all_null = true;
+      bool all_null = true;
+      size_t next = begin;
+      for (AttrId a = 0; a < I.num_attributes(); ++a) {
+        const Value* after = &I.Get(row, a);
+        was_all_null &= after->is_null();
+        if (next < end && order[next]->first.attr == a) {
+          after = &order[next++]->second;
+        }
+        all_null &= after->is_null();
+      }
+      deleted = !was_all_null && all_null;
     }
+    if (deleted) {
+      ++tally.rows_deleted;
+      tally.cost += RowDeletionWeight(I, stats_of_I, row, subset);
+    }
+    for (size_t i = begin; i < end; ++i) {
+      const auto& [cell, value] = *order[i];
+      const Value& before = I.Get(cell);
+      if (before == value) continue;
+      ++tally.changed_cells;
+      if (value.is_fresh()) ++tally.fresh_assignments;
+      if (!deleted) tally.cost += cost.CellDist(cell, before, value);
+    }
+    begin = end;
   }
-  if (was_all_null) return false;
-  for (AttrId a = 0; a < after.num_attributes(); ++a) {
-    if (!after.Get(row, a).is_null()) return false;
-  }
-  return true;
+  return tally;
 }
 
 double StrategyRepairCost(const Relation& before, const Relation& after,
                           const CostModel& cost, RepairStrategy strategy,
                           const SubsetOptions& options,
                           const DomainStats& stats_of_before) {
-  if (strategy == RepairStrategy::kUpdate) {
-    return RepairCost(before, after, cost);
-  }
-  double total = 0.0;
-  for (int row = 0; row < before.num_rows(); ++row) {
-    if (RowDeleted(before, after, row)) {
-      total += RowDeletionWeight(before, stats_of_before, row, options);
-      continue;
-    }
-    for (AttrId a = 0; a < before.num_attributes(); ++a) {
-      const Value& b = before.Get(row, a);
-      const Value& v = after.Get(row, a);
-      if (!(b == v)) total += cost.CellDist({row, a}, b, v);
-    }
-  }
-  return total;
+  return TallyRepair(before, stats_of_before, ChangedCells(before, after),
+                     cost, strategy, options)
+      .cost;
 }
 
 }  // namespace cvrepair

@@ -60,40 +60,65 @@ struct SubsetOptions {
 double RowDeletionWeight(const Relation& I, const DomainStats& stats, int row,
                          const SubsetOptions& options);
 
-/// A tuple-deletion repair: tombstone assignments plus its cost. Deleted
-/// rows are represented in place — every non-NULL cell of the row is
-/// assigned NULL — so the instance keeps its row count and the tombstone
-/// flows through the encoded backend (sentinel codes + zone-map refresh),
-/// ViolationIndex delta maintenance, and the streaming and serve sessions
-/// unchanged. NULL satisfies no DC predicate, so a tombstoned tuple can
-/// never participate in a violation again and deletions never create new
-/// ones.
-struct SubsetRepair {
+/// The outcome of one repair round of I: the cell assignments that fix it,
+/// without a copy of the untouched remainder of the instance. Each cell is
+/// assigned at most once. A deleted row is a tombstone in place — every
+/// non-NULL cell of the row is assigned NULL — so the instance keeps its
+/// row count and the tombstone flows through the encoded backend
+/// (sentinel codes + zone-map refresh), ViolationIndex delta maintenance,
+/// and the streaming and serve sessions unchanged. NULL satisfies no DC
+/// predicate, so a tombstoned tuple can never participate in a violation
+/// again and deletions never create new ones.
+struct ScopedRepair {
+  /// In replay (component, cell) order, or ascending for a tuple cover or
+  /// an instance diff; fresh ids are already minted from the caller's
+  /// counter.
   std::vector<std::pair<Cell, Value>> assignments;
-  double cost = 0.0;  ///< summed deletion weights
-  int rows_deleted = 0;
+  /// The running sum the Alg. 2 cost abort tests: component solution
+  /// costs in component order, or a tuple cover's deletion weights in
+  /// pick order. TallyRepair prices the repair itself.
+  double cost = 0.0;
+  /// Components solved or answered by the cache; a tuple cover's
+  /// tombstoned rows.
+  int components = 0;
 };
 
 /// Resolves `violations` by tuple deletion: a greedy weighted vertex cover
 /// over the tuple projection of the conflict hypergraph (vertices = rows,
 /// hyperedges = each violation's row set; repeatedly pick the row with the
 /// highest uncovered-edges-per-weight ratio, ties to the smaller row id,
-/// until every edge is covered). Reads only the row sets, so the views'
-/// split by position does not matter. Deterministic for a given violation
-/// set. Pure: the delete strategy's plan of a DataRepair round
-/// (repair/vfree.h), which the replay publishes.
-SubsetRepair SubsetCoverRepair(const Relation& I, const DomainStats& stats_of_I,
+/// until every edge is covered), tombstoned in ascending row order. Reads
+/// only the row sets, so the views' split by position does not matter.
+/// Deterministic for a given violation set. Pure: the delete strategy's
+/// plan of a DataRepair round (repair/vfree.h), which the replay publishes.
+ScopedRepair SubsetCoverRepair(const Relation& I, const DomainStats& stats_of_I,
                                const ViolationsByPosition& violations,
                                const SubsetOptions& options);
 
-/// True iff `row` is tombstoned in `after` but was not already all-NULL in
-/// `before`.
-bool RowDeleted(const Relation& before, const Relation& after, int row);
+/// What one repair of I does, counted once.
+struct RepairTally {
+  double cost = 0.0;          ///< Δ(I, I') under the strategy
+  int changed_cells = 0;      ///< cells whose value changes
+  int fresh_assignments = 0;  ///< changed cells that become fresh
+  int rows_deleted = 0;       ///< tombstoned rows (delete, hybrid)
+};
 
-/// Total repair cost of `after` under `strategy`: deleted rows cost their
-/// deletion weight, every other changed cell costs CellDist — which makes
-/// kUpdate exactly RepairCost. `stats_of_before` supplies the group
-/// frequencies for the deletion weights.
+/// Tallies the repair of I that `assignments` describe (each cell at most
+/// once, in any order): the one definition of its cost. Under the delete
+/// and hybrid strategies a row that was not all NULL and is all NULL
+/// after the repair is tombstoned and costs its deletion weight; every
+/// other changed cell costs CellDist. The terms are summed in (row, attr)
+/// order, so a repair priced from its assignments and from the diff of
+/// its instance (ChangedCells) costs the same to the bit. `stats_of_I`,
+/// the DomainStats of I, is read only for deletion weights.
+RepairTally TallyRepair(const Relation& I, const DomainStats& stats_of_I,
+                        const std::vector<std::pair<Cell, Value>>& assignments,
+                        const CostModel& cost, RepairStrategy strategy,
+                        const SubsetOptions& subset);
+
+/// TallyRepair(before, stats_of_before, ChangedCells(before, after), ...)
+/// .cost: the total repair cost of `after` under `strategy`, which makes
+/// kUpdate exactly RepairCost.
 double StrategyRepairCost(const Relation& before, const Relation& after,
                           const CostModel& cost, RepairStrategy strategy,
                           const SubsetOptions& options,

@@ -77,8 +77,7 @@ MetricCounter* FreshFallbackCounter() {
 // and deterministic because it runs serially on the replayed assignment
 // list, so every thread count and the streamed/scratch twins agree.
 void ApplyHybridDeletions(const Relation& I, const DomainStats& stats_of_I,
-                          const VfreeOptions& options, ScopedRepair* repair,
-                          RepairStats* stats) {
+                          const VfreeOptions& options, ScopedRepair* repair) {
   std::map<int, double> row_cost;
   for (const auto& [cell, value] : repair->assignments) {
     row_cost[cell.row] += options.cost.CellDist(cell, I.Get(cell), value);
@@ -93,11 +92,7 @@ void ApplyHybridDeletions(const Relation& I, const DomainStats& stats_of_I,
   std::vector<std::pair<Cell, Value>> kept;
   kept.reserve(repair->assignments.size());
   for (auto& [cell, value] : repair->assignments) {
-    if (doomed.count(cell.row)) {
-      if (value.is_fresh() && stats) --stats->fresh_assignments;
-      continue;
-    }
-    kept.emplace_back(cell, std::move(value));
+    if (!doomed.count(cell.row)) kept.emplace_back(cell, std::move(value));
   }
   for (int row : doomed) {  // ascending: std::set order
     for (AttrId a = 0; a < I.num_attributes(); ++a) {
@@ -107,7 +102,6 @@ void ApplyHybridDeletions(const Relation& I, const DomainStats& stats_of_I,
     }
     repair->cost +=
         RowDeletionWeight(I, stats_of_I, row, options.subset) - row_cost[row];
-    if (stats) ++stats->rows_deleted;
   }
   repair->assignments = std::move(kept);
 }
@@ -201,11 +195,8 @@ std::optional<ScopedRepair> ReplayComponents(
   // A deletion or empty plan touches no solve.* counter: a delete run or a
   // violation-free round registers none.
   if (plan.deletion) {
-    const SubsetRepair& deletion = *plan.deletion;
-    if (stats) stats->rows_deleted += deletion.rows_deleted;
-    if (deletion.cost > delta_min) return std::nullopt;  // Alg. 2 lines 18-19
-    return ScopedRepair{deletion.assignments, deletion.cost,
-                        deletion.rows_deleted};
+    if (plan.deletion->cost > delta_min) return std::nullopt;  // Alg. 2 18-19
+    return *plan.deletion;
   }
   if (plan.components.empty()) return ScopedRepair{};
   TraceSpan repair_span("vfree/data_repair");
@@ -271,10 +262,7 @@ std::optional<ScopedRepair> ReplayComponents(
                   const std::vector<Value>& values, double cost) {
     for (size_t v = 0; v < cells.size(); ++v) {
       Value value = values[v];
-      if (value.is_fresh()) {
-        value = Value::Fresh((*fresh_counter)++);
-        if (stats) ++stats->fresh_assignments;
-      }
+      if (value.is_fresh()) value = Value::Fresh((*fresh_counter)++);
       result.assignments.emplace_back(cells[v], std::move(value));
     }
     result.cost += cost;
@@ -379,7 +367,7 @@ std::optional<ScopedRepair> ReplayComponents(
     if (!emit(comp.cells, combined, comp_cost)) return std::nullopt;
   }
   if (options.strategy == RepairStrategy::kHybrid) {
-    ApplyHybridDeletions(I, stats_of_I, options, &result, stats);
+    ApplyHybridDeletions(I, stats_of_I, options, &result);
   }
   return result;
 }
@@ -430,14 +418,17 @@ RepairResult VfreeRepair(const Relation& I, const ConstraintSet& sigma,
       I, stats_of_I, sigma, ViewsByPosition(violations, sigma.size()),
       std::numeric_limits<double>::infinity(), options, /*cache=*/nullptr,
       &result.stats, &fresh_counter, E);
+  const RepairTally tally =
+      TallyRepair(I, stats_of_I, scoped.assignments, options.cost,
+                  options.strategy, options.subset);
+  result.stats.changed_cells = tally.changed_cells;
+  result.stats.repair_cost = tally.cost;
+  result.stats.fresh_assignments = tally.fresh_assignments;
+  result.stats.rows_deleted = tally.rows_deleted;
   result.repaired = I;
   for (auto& [cell, value] : scoped.assignments) {
     result.repaired.SetValue(cell, std::move(value));
   }
-  result.stats.changed_cells = ChangedCellCount(I, result.repaired);
-  result.stats.repair_cost =
-      StrategyRepairCost(I, result.repaired, options.cost, options.strategy,
-                         options.subset, stats_of_I);
   result.stats.elapsed_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();

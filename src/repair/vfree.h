@@ -2,7 +2,6 @@
 #define CVREPAIR_REPAIR_VFREE_H_
 
 #include <optional>
-#include <utility>
 
 #include "dc/eval_counters.h"
 #include "dc/violation.h"
@@ -68,16 +67,6 @@ struct VfreeOptions {
 // SolveDirtyComponents runs one round from a detected violation set, and
 // VfreeRepair is the standalone algorithm.
 
-/// A component-scoped repair: the cell assignments that fix the dirty
-/// components, without materializing a copy of the untouched remainder of
-/// the instance. Assignments are in replay (component, cell) order; fresh
-/// ids are already minted from the caller's counter.
-struct ScopedRepair {
-  std::vector<std::pair<Cell, Value>> assignments;
-  double cost = 0.0;   ///< summed component solution costs
-  int components = 0;  ///< components solved or answered by the cache
-};
-
 /// The pure half of one DataRepair round (Algorithm 2 up to the component
 /// list): a function of (I, Σ, violations or C) and the options alone, so
 /// plans for different rounds can be built concurrently and in any order.
@@ -96,7 +85,7 @@ struct ComponentPlan {
   /// The delete strategy's round: the tuple cover of the violations
   /// (SubsetCoverRepair), with no components. Unset under the update and
   /// hybrid strategies.
-  std::optional<SubsetRepair> deletion;
+  std::optional<ScopedRepair> deletion;
 };
 
 /// Plans the repair of the changing cells `changing`: the suspects of C
@@ -125,12 +114,13 @@ ComponentPlan PlanDirtyComponents(const Relation& I,
                                   const EncodedRelation& encoded);
 
 /// The serial half of a DataRepair round. An empty plan is an empty
-/// repair. A deletion plan is its tombstones, whose rows are added to
-/// `stats` before the cost test. Otherwise it publishes the counters `plan`
-/// carries, then resolves each component in order — a cache lookup, else a
-/// solve and a store — with fresh-id minting from `fresh_counter`,
-/// stitching of split components and the hybrid post-pass. Returns
-/// std::nullopt when the cost exceeds `delta_min` (the Alg. 2 cost abort).
+/// repair, and a deletion plan is its tombstones. Otherwise it publishes
+/// the counters `plan` carries, then resolves each component in order — a
+/// cache lookup, else a solve and a store — with fresh-id minting from
+/// `fresh_counter`, stitching of split components and the hybrid
+/// post-pass. Returns std::nullopt when the cost exceeds `delta_min` (the
+/// Alg. 2 cost abort). The repair's own counts (fresh values, tombstoned
+/// rows, changed cells, cost) are TallyRepair's, not `stats`'.
 std::optional<ScopedRepair> ReplayComponents(
     const Relation& I, const DomainStats& stats_of_I, const ComponentPlan& plan,
     double delta_min, const VfreeOptions& options, MaterializedCache* cache,

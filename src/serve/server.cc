@@ -246,22 +246,4 @@ std::optional<Relation> RepairServer::Close(const std::string& name) {
   return session->repair().current();
 }
 
-int RepairServer::FlushAll() {
-  std::vector<ServeSession*> sessions;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (auto& [name, session] : sessions_) sessions.push_back(session.get());
-  }
-  int applied = 0;
-  for (ServeSession* s : sessions) applied += s->Flush();
-  return applied;
-}
-
-std::vector<std::string> RepairServer::SessionNames() const {
-  std::vector<std::string> names;
-  std::lock_guard<std::mutex> lock(mu_);
-  for (const auto& [name, session] : sessions_) names.push_back(name);
-  return names;
-}
-
 }  // namespace cvrepair

@@ -156,14 +156,9 @@ class RepairServer {
   /// returns its final repaired instance (std::nullopt for unknown names).
   std::optional<Relation> Close(const std::string& name);
 
-  /// Drains every session's queue. Returns batches applied.
-  int FlushAll();
-
-  std::vector<std::string> SessionNames() const;
-
  private:
   ServeOptions defaults_;
-  mutable std::mutex mu_;  // the session map
+  std::mutex mu_;  // the session map
   std::map<std::string, std::unique_ptr<ServeSession>> sessions_;
 };
 

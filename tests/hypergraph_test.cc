@@ -2,7 +2,6 @@
 
 #include "graph/bounds.h"
 #include "graph/conflict_hypergraph.h"
-#include "graph/decompose.h"
 #include "graph/vertex_cover.h"
 #include "paper_example.h"
 
@@ -87,8 +86,7 @@ TEST_P(CoverHeuristicTest, CoverIsMinimal) {
 
 INSTANTIATE_TEST_SUITE_P(AllHeuristics, CoverHeuristicTest,
                          ::testing::Values(CoverHeuristic::kLocalRatio,
-                                           CoverHeuristic::kGreedyDegree,
-                                           CoverHeuristic::kEntropyDensity));
+                                           CoverHeuristic::kGreedyDegree));
 
 TEST(CoverTest, SingleCellCoverForExample7) {
   Relation rel = PaperIncomeRelation();
@@ -100,48 +98,6 @@ TEST(CoverTest, SingleCellCoverForExample7) {
   EXPECT_EQ(cover.vertices.size(), 1u);
   Cell c = g.cell(cover.vertices[0]);
   EXPECT_EQ(c.row, 3);
-}
-
-TEST(CoverTest, EntropyDensityPicksTheSharedHubOnThePaperExample) {
-  // The entropy/density bias (DESIGN.md §12) must still find the paper's
-  // Example 7 cover: the shared t4 cells sit in the densest conflict
-  // neighborhood, so the biased greedy seeds them first and the cover
-  // stays the same single t4 cell kGreedyDegree picks.
-  Relation rel = PaperIncomeRelation();
-  ConflictHypergraph g = BuildPhi4Graph(rel);
-  DomainStats stats(rel);
-  VertexCover plain = ApproximateVertexCover(g, CoverHeuristic::kGreedyDegree);
-  VertexCover biased =
-      ApproximateVertexCover(g, CoverHeuristic::kEntropyDensity, &stats);
-  ASSERT_EQ(biased.vertices.size(), 1u);
-  Cell c = g.cell(biased.vertices[0]);
-  EXPECT_EQ(c.row, 3);
-  ASSERT_EQ(plain.vertices.size(), 1u);
-  EXPECT_TRUE(g.cell(plain.vertices[0]) == c);
-  // And the bias must work without DomainStats (the hypergraph's own
-  // domain annotations approximate the entropy term).
-  VertexCover fallback =
-      ApproximateVertexCover(g, CoverHeuristic::kEntropyDensity);
-  ASSERT_EQ(fallback.vertices.size(), 1u);
-  EXPECT_TRUE(g.cell(fallback.vertices[0]) == c);
-}
-
-TEST(HypergraphTest, VertexScoresAreNormalized) {
-  Relation rel = PaperIncomeRelation();
-  ConflictHypergraph g = BuildPhi4Graph(rel);
-  DomainStats stats(rel);
-  for (const DomainStats* s : {static_cast<const DomainStats*>(&stats),
-                               static_cast<const DomainStats*>(nullptr)}) {
-    VertexScores scores = ComputeVertexScores(g, s);
-    ASSERT_EQ(scores.density.size(), static_cast<size_t>(g.num_vertices()));
-    ASSERT_EQ(scores.entropy.size(), static_cast<size_t>(g.num_vertices()));
-    for (int v = 0; v < g.num_vertices(); ++v) {
-      EXPECT_GE(scores.density[v], 0.0);
-      EXPECT_LE(scores.density[v], 1.0);
-      EXPECT_GE(scores.entropy[v], 0.0);
-      EXPECT_LE(scores.entropy[v], 1.0);
-    }
-  }
 }
 
 TEST(CoverTest, ScoreTiesBreakOnSmallestRowThenAttr) {
@@ -166,15 +122,12 @@ TEST(CoverTest, ScoreTiesBreakOnSmallestRowThenAttr) {
   ConflictHypergraph g =
       ConflictHypergraph::Build(rel, sigma, FindViolations(rel, sigma));
   ASSERT_EQ(g.num_edges(), 2);
-  for (CoverHeuristic h :
-       {CoverHeuristic::kGreedyDegree, CoverHeuristic::kEntropyDensity}) {
-    VertexCover cover = ApproximateVertexCover(g, h);
-    std::vector<Cell> cells = cover.Cells(g);
-    std::sort(cells.begin(), cells.end());
-    ASSERT_EQ(cells.size(), 2u) << "heuristic " << static_cast<int>(h);
-    EXPECT_TRUE(cells[0] == (Cell{0, b})) << "heuristic " << static_cast<int>(h);
-    EXPECT_TRUE(cells[1] == (Cell{2, b})) << "heuristic " << static_cast<int>(h);
-  }
+  VertexCover cover = ApproximateVertexCover(g, CoverHeuristic::kGreedyDegree);
+  std::vector<Cell> cells = cover.Cells(g);
+  std::sort(cells.begin(), cells.end());
+  ASSERT_EQ(cells.size(), 2u);
+  EXPECT_TRUE(cells[0] == (Cell{0, b}));
+  EXPECT_TRUE(cells[1] == (Cell{2, b}));
 }
 
 TEST(BoundsTest, Example7And8Bounds) {
@@ -218,7 +171,6 @@ TEST(BoundsTest, EmptyViolationsGiveZeroBounds) {
   RepairCostBounds b = ComputeBounds(rel, {ok});
   EXPECT_EQ(b.lower, 0.0);
   EXPECT_EQ(b.upper, 0.0);
-  EXPECT_TRUE(b.cover_cells.empty());
 }
 
 }  // namespace

@@ -148,6 +148,17 @@ TEST(ParserTest, QuotedConstantsHoldAmpersandAndSemicolon) {
   ASSERT_EQ(tail.constraint->size(), 2);
   EXPECT_EQ(tail.constraint->predicates()[0].constant(),
             Value::String("'A&B'C"));
+  // Inside a quoted constant, '' stands for one quote.
+  ParseSetResult escaped = ParseConstraintSet(
+      schema,
+      "not(t0.Name='it''s & more'); not(t0.Name='''a;b''' & t0.CP='x')\n");
+  ASSERT_TRUE(escaped.ok()) << escaped.error;
+  ASSERT_EQ(escaped.constraints->size(), 2u);
+  EXPECT_EQ((*escaped.constraints)[0].predicates()[0].constant(),
+            Value::String("it's & more"));
+  ASSERT_EQ((*escaped.constraints)[1].size(), 2);
+  EXPECT_EQ((*escaped.constraints)[1].predicates()[0].constant(),
+            Value::String("'a;b'"));
 
   ConstraintSet built = {
       DenialConstraint(
@@ -159,6 +170,13 @@ TEST(ParserTest, QuotedConstantsHoldAmpersandAndSemicolon) {
       *names.constraint, *tail.constraint};
   built.insert(built.end(), split.constraints->begin(),
                split.constraints->end());
+  // Every string has a text form, quotes and separators together.
+  for (const char* text : {"it's & more", "a'&b", "a';b", "'a;b'", "O'Brien",
+                           "x'y", "'A&B'C", "'", "''", "a'"}) {
+    built.push_back(DenialConstraint(
+        {Predicate::WithConstant(0, name, Op::kEq, Value::String(text)),
+         Predicate::WithConstant(1, name, Op::kNeq, Value::String(text))}));
+  }
   const std::string rendered = ToString(built, schema);
   ParseSetResult again = ParseConstraintSet(schema, rendered);
   ASSERT_TRUE(again.ok()) << rendered << ": " << again.error;

@@ -17,6 +17,10 @@
 // with graph/conflict_hypergraph.cc, and ReferenceContextAtoms the atoms
 // of the repair context rc(C, Σ) of Section 4.1.2 (an ordered set of
 // boxed atoms), for comparison with solver/repair_context.cc.
+//
+// ReferenceRepairCost is Definition 1's Δ(I, I') summed cell by cell over
+// two whole instances, with a tombstoned row priced at its deletion
+// weight, for comparison with repair/subset.cc's TallyRepair.
 
 #include <algorithm>
 #include <cstddef>
@@ -31,6 +35,7 @@
 #include "dc/violation.h"
 #include "relation/relation.h"
 #include "repair/costs.h"
+#include "repair/subset.h"
 #include "solver/repair_context.h"
 
 namespace cvrepair {
@@ -256,6 +261,54 @@ inline std::vector<RcAtom> ReferenceContextAtoms(
   for (const auto& [slot, atom] : tightest) out.push_back(atom);
   std::sort(out.begin(), out.end());
   return out;
+}
+
+/// True iff `row` is all NULL in `after` but not in `before`: a tuple the
+/// repair deleted.
+inline bool Tombstoned(const Relation& before, const Relation& after,
+                       int row) {
+  bool was_all_null = true;
+  bool all_null = true;
+  for (AttrId a = 0; a < before.num_attributes(); ++a) {
+    was_all_null = was_all_null && before.Get(row, a).is_null();
+    all_null = all_null && after.Get(row, a).is_null();
+  }
+  return !was_all_null && all_null;
+}
+
+/// Δ(before, after): CostModel::CellDist summed over every cell in (row,
+/// attr) order, except that under the delete and hybrid strategies a
+/// Tombstoned row adds its deletion weight instead of its cells:
+/// delete_base · (1 + alpha · (1 − k/|I|)), where k counts the rows of
+/// `before` whose repr_attr value equals the row's (0 for a NULL or fresh
+/// value, and no skew without a repr_attr).
+inline double ReferenceRepairCost(const Relation& before,
+                                  const Relation& after, const CostModel& cost,
+                                  RepairStrategy strategy,
+                                  const SubsetOptions& subset) {
+  double total = 0.0;
+  for (int row = 0; row < before.num_rows(); ++row) {
+    if (strategy != RepairStrategy::kUpdate &&
+        Tombstoned(before, after, row)) {
+      double weight = subset.delete_base;
+      if (subset.repr_attr >= 0) {
+        const Value& group = before.Get(row, subset.repr_attr);
+        int k = 0;
+        for (int r = 0; r < before.num_rows(); ++r) {
+          k += !group.is_null() && !group.is_fresh() &&
+               before.Get(r, subset.repr_attr) == group;
+        }
+        const double share = static_cast<double>(k) / before.num_rows();
+        weight = subset.delete_base * (1.0 + subset.alpha * (1.0 - share));
+      }
+      total += weight;
+      continue;
+    }
+    for (AttrId a = 0; a < before.num_attributes(); ++a) {
+      total += cost.CellDist({row, a}, before.Get(row, a), after.Get(row, a));
+    }
+  }
+  return total;
 }
 
 /// A scan's output — any list of records with `constraint_index` and

@@ -72,7 +72,7 @@ TEST(ReportingTest, WeightedBoundsScaleWithCellWeights) {
   cost.cell_weights = &weights;
   RepairCostBounds weighted = ComputeBounds(rel, sigma, cost);
   EXPECT_GE(weighted.lower, plain.lower - 1e-9);
-  EXPECT_FALSE(weighted.cover_cells.empty());
+  EXPECT_GT(weighted.upper, 0.0);
 }
 
 TEST(ReportingTest, SchemaAccessorsOnPaperExample) {

@@ -399,10 +399,8 @@ TEST(ServeTest, ServerHostsMultipleNamedSessions) {
                         SmallServeOptions(census, 4)),
             nullptr);
   EXPECT_EQ(server.Open("hosp", hosp.dirty, hosp.sigma), nullptr);
-  EXPECT_EQ(server.SessionNames(),
-            (std::vector<std::string>{"census", "hosp"}));
-  EXPECT_NE(server.Find("census"), nullptr);
-  // FlushAll drains every session's queue: one no-op batch each.
+  EXPECT_EQ(server.Find("tax"), nullptr);
+  // One no-op batch queued on each session.
   for (const char* name : {"hosp", "census"}) {
     ServeSession* session = server.Find(name);
     ASSERT_NE(session, nullptr);
@@ -410,11 +408,21 @@ TEST(ServeTest, ServerHostsMultipleNamedSessions) {
     ASSERT_TRUE(session
                     ->Submit({RowEdit::Update(0, 0, current.Get(0, 0))})
                     .admitted);
+    EXPECT_EQ(session->depth(), 1);
   }
-  EXPECT_EQ(server.FlushAll(), 2);
-  EXPECT_TRUE(server.Close("census").has_value());
+  // Closing one session flushes and destroys it alone.
+  const Relation census_before = server.Find("census")->repair().current();
+  std::optional<Relation> census_final = server.Close("census");
+  ASSERT_TRUE(census_final.has_value());
+  ExpectExactlyEqual(*census_final, census_before);
+  EXPECT_EQ(server.Find("census"), nullptr);
   EXPECT_FALSE(server.Close("census").has_value());
-  EXPECT_EQ(server.SessionNames(), (std::vector<std::string>{"hosp"}));
+  ServeSession* left = server.Find("hosp");
+  ASSERT_NE(left, nullptr);
+  EXPECT_EQ(left->depth(), 1);
+  EXPECT_EQ(left->applied(), 0);
+  EXPECT_TRUE(server.Close("hosp").has_value());
+  EXPECT_EQ(server.Find("hosp"), nullptr);
 }
 
 // ---------------------------------------------------------------------------

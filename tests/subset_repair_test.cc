@@ -102,8 +102,8 @@ TEST(SubsetRepairTest, CoverPicksHubRowAndTombstonesIt) {
   std::vector<Violation> violations = {
       {0, {0, 1}}, {0, {1, 2}}, {0, {1, 3}}};
   SubsetOptions options;  // flat weights
-  SubsetRepair result = SubsetCoverRepair(rel, stats, {violations}, options);
-  EXPECT_EQ(result.rows_deleted, 1);
+  ScopedRepair result = SubsetCoverRepair(rel, stats, {violations}, options);
+  EXPECT_EQ(result.components, 1);
   EXPECT_DOUBLE_EQ(result.cost, options.delete_base);
   // Every assignment NULLs a cell of row 1, covering both attributes.
   ASSERT_EQ(result.assignments.size(), 2u);
@@ -117,8 +117,8 @@ TEST(SubsetRepairTest, CoverPicksHubRowAndTombstonesIt) {
   for (const auto& [cell, value] : result.assignments) {
     repaired.SetValue(cell, value);
   }
-  EXPECT_TRUE(RowDeleted(rel, repaired, 1));
-  EXPECT_FALSE(RowDeleted(rel, repaired, 0));
+  EXPECT_TRUE(reference::Tombstoned(rel, repaired, 1));
+  EXPECT_FALSE(reference::Tombstoned(rel, repaired, 0));
 }
 
 TEST(SubsetRepairTest, CoverPrefersCheaperRowsUnderWeights) {
@@ -129,8 +129,8 @@ TEST(SubsetRepairTest, CoverPrefersCheaperRowsUnderWeights) {
   std::vector<Violation> violations = {{0, {0, 3}}};
   SubsetOptions options;
   options.repr_attr = 0;
-  SubsetRepair result = SubsetCoverRepair(rel, stats, {violations}, options);
-  ASSERT_EQ(result.rows_deleted, 1);
+  ScopedRepair result = SubsetCoverRepair(rel, stats, {violations}, options);
+  ASSERT_EQ(result.components, 1);
   EXPECT_EQ(result.assignments.front().first.row, 0);
 }
 
@@ -138,15 +138,15 @@ TEST(SubsetRepairTest, SingleTupleViolationForcesItsRow) {
   Relation rel = GroupedRelation();
   DomainStats stats(rel);
   std::vector<Violation> violations = {{0, {2}}};
-  SubsetRepair result =
+  ScopedRepair result =
       SubsetCoverRepair(rel, stats, {violations}, SubsetOptions{});
-  ASSERT_EQ(result.rows_deleted, 1);
+  ASSERT_EQ(result.components, 1);
   EXPECT_EQ(result.assignments.front().first.row, 2);
 }
 
 // The delete strategy's plan of a DataRepair round is the tuple cover, and
-// the replay returns its tombstones. The deleted rows reach the stats
-// before the Alg. 2 cost test, so an aborted round counts them too.
+// the replay returns its tombstones, or nothing past the Alg. 2 cost
+// bound. The replay counts no deleted rows; the tally of the repair does.
 TEST(SubsetRepairTest, DeletePlanReplaysTheTupleCover) {
   Relation rel = GroupedRelation();
   const DomainStats stats(rel);
@@ -161,7 +161,7 @@ TEST(SubsetRepairTest, DeletePlanReplaysTheTupleCover) {
       PlanDirtyComponents(rel, stats, sigma, {violations}, options, E);
   ASSERT_TRUE(plan.deletion.has_value());
   EXPECT_TRUE(plan.components.empty());
-  EXPECT_EQ(plan.deletion->rows_deleted, 1);
+  EXPECT_EQ(plan.deletion->components, 1);
 
   RepairStats replay_stats;
   int64_t fresh = 1;
@@ -173,15 +173,21 @@ TEST(SubsetRepairTest, DeletePlanReplaysTheTupleCover) {
   EXPECT_TRUE(scoped->assignments == plan.deletion->assignments);
   EXPECT_DOUBLE_EQ(scoped->cost, options.subset.delete_base);
   EXPECT_EQ(scoped->components, 1);
-  EXPECT_EQ(replay_stats.rows_deleted, 1);
+  EXPECT_EQ(replay_stats.rows_deleted, 0);
   EXPECT_EQ(fresh, 1);
+  const RepairTally tally =
+      TallyRepair(rel, stats, scoped->assignments, options.cost,
+                  options.strategy, options.subset);
+  EXPECT_EQ(tally.rows_deleted, 1);
+  EXPECT_EQ(tally.changed_cells, 2);
+  EXPECT_EQ(tally.cost, scoped->cost);
 
   RepairStats aborted_stats;
   const double below = options.subset.delete_base / 2;
   EXPECT_FALSE(ReplayComponents(rel, stats, plan, below, options,
                                 /*cache=*/nullptr, &aborted_stats, &fresh)
                    .has_value());
-  EXPECT_EQ(aborted_stats.rows_deleted, 1);
+  EXPECT_EQ(aborted_stats.rows_deleted, 0);
 }
 
 // ---------------------------------------------------------------------------
@@ -219,15 +225,16 @@ TEST(SubsetRepairTest, HybridDeletesRowWhoseUpdateCostExceedsWeight) {
   options.subset.delete_base = 1.5;  // update cost 3 > weight 1.5: delete
   RepairResult result = VfreeRepair(f.rel, f.sigma, options);
   EXPECT_EQ(result.stats.rows_deleted, 1);
-  EXPECT_TRUE(RowDeleted(f.rel, result.repaired, 0));
-  EXPECT_FALSE(RowDeleted(f.rel, result.repaired, 1));
+  EXPECT_TRUE(reference::Tombstoned(f.rel, result.repaired, 0));
+  EXPECT_FALSE(reference::Tombstoned(f.rel, result.repaired, 1));
   EXPECT_DOUBLE_EQ(result.stats.repair_cost, 1.5);
   EXPECT_TRUE(FindViolations(result.repaired, f.sigma).empty());
 }
 
 // The variant search prices a hybrid candidate from its scoped repair,
 // without building the repaired instance: the tombstoned row must cost its
-// deletion weight, exactly as StrategyRepairCost prices the instance.
+// deletion weight, exactly as StrategyRepairCost and the naive oracle
+// price the instance.
 TEST(SubsetRepairTest, HybridSearchPricesTombstoneAtItsWeight) {
   HybridFixture f = MakeHybridFixture();
   CVTolerantOptions options;
@@ -243,11 +250,14 @@ TEST(SubsetRepairTest, HybridSearchPricesTombstoneAtItsWeight) {
   const VariantSearchResult sr = CVTolerantSearchWithFacts(
       f.rel, stats, family, facts, options, &fresh, E);
   ASSERT_TRUE(sr.have_result);
-  EXPECT_TRUE(RowDeleted(f.rel, sr.repaired, 0));
+  EXPECT_TRUE(reference::Tombstoned(f.rel, sr.repaired, 0));
   EXPECT_DOUBLE_EQ(sr.cost, 1.5);
   EXPECT_EQ(sr.cost, StrategyRepairCost(f.rel, sr.repaired, options.vfree.cost,
                                         RepairStrategy::kHybrid,
                                         options.vfree.subset, stats));
+  EXPECT_EQ(sr.cost, reference::ReferenceRepairCost(
+                         f.rel, sr.repaired, options.vfree.cost,
+                         RepairStrategy::kHybrid, options.vfree.subset));
 }
 
 TEST(SubsetRepairTest, HybridKeepsRowWhenUpdateIsCheaper) {
@@ -257,7 +267,7 @@ TEST(SubsetRepairTest, HybridKeepsRowWhenUpdateIsCheaper) {
   options.subset.delete_base = 5.0;  // update cost 3 < weight 5: keep
   RepairResult result = VfreeRepair(f.rel, f.sigma, options);
   EXPECT_EQ(result.stats.rows_deleted, 0);
-  EXPECT_FALSE(RowDeleted(f.rel, result.repaired, 0));
+  EXPECT_FALSE(reference::Tombstoned(f.rel, result.repaired, 0));
   // The interval solver lifts each negative cell to the bound.
   for (AttrId a = 0; a < 3; ++a) {
     EXPECT_TRUE(result.repaired.Get(0, a).is_numeric());
@@ -272,7 +282,7 @@ TEST(SubsetRepairTest, DeleteStrategyTombstonesTheViolatingRow) {
   options.strategy = RepairStrategy::kDelete;
   RepairResult result = VfreeRepair(f.rel, f.sigma, options);
   EXPECT_EQ(result.stats.rows_deleted, 1);
-  EXPECT_TRUE(RowDeleted(f.rel, result.repaired, 0));
+  EXPECT_TRUE(reference::Tombstoned(f.rel, result.repaired, 0));
   EXPECT_DOUBLE_EQ(result.stats.repair_cost, options.subset.delete_base);
   EXPECT_TRUE(FindViolations(result.repaired, f.sigma).empty());
   // StrategyRepairCost recomputes the same total from the instance pair.

@@ -149,11 +149,10 @@ TEST(VariantDriftTest, EncodedThreaded) {
   RunDriftStreamVsScratch(/*threads=*/4);
 }
 
-// The entropy/density cover reads the DomainStats of D for δ_u, so the
-// tracker's facts match ScanVariantFacts' only if it passes the stats of
-// its current D.
-TEST(VariantDriftTest, EntropyDensityCoverFactsMatchScratch) {
-  RunDriftStreamVsScratch(/*threads=*/1, CoverHeuristic::kEntropyDensity);
+// δ_u prices the configured cover, so the tracker's facts must match
+// ScanVariantFacts' under a non-default cover too.
+TEST(VariantDriftTest, LocalRatioCoverFactsMatchScratch) {
+  RunDriftStreamVsScratch(/*threads=*/1, CoverHeuristic::kLocalRatio);
 }
 
 // A variant switch replaces the detection index in the middle of a batch;
@@ -268,7 +267,8 @@ TEST(VariantDriftTest, RealizedCostIsStrategyPriced) {
                                    strategy, vfree.subset, stats_of_D));
       deleted = 0;
       for (int r = 0; r < t.dirty().num_rows(); ++r) {
-        deleted += RowDeleted(t.dirty(), streamer.current(), r) ? 1 : 0;
+        deleted +=
+            reference::Tombstoned(t.dirty(), streamer.current(), r) ? 1 : 0;
       }
 
       EncodedRelation E(t.dirty());
